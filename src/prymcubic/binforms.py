@@ -87,7 +87,8 @@ class BinaryForm:
         return total
 
     def change_field(self, new_field):
-        return BinaryForm(new_field, [_lift(c, new_field) for c in self.coeffs], self.degree)
+        return BinaryForm(new_field, [c.change_field(new_field) for c in self.coeffs],
+                          self.degree)
 
     # factor out powers of s and t; remaining part has nonzero extreme coeffs
     def strip_st(self):
@@ -107,10 +108,15 @@ class BinaryForm:
         core = cs[lo:hi + 1]
         return s_mult, t_mult, list(core)
 
-
-def _lift(c, new_field):
-    from .poly import _coerce_scalar
-    return _coerce_scalar(c, new_field)
+    def squarefree_parts(self):
+        """(s_mult, t_mult, factors): the powers of s and t dividing the form,
+        whose roots are (0 : 1) and (1 : 0), and the squarefree decomposition
+        [(m, g)] of the rest by ascending multiplicity, each g an ascending
+        coefficient list in u = s/t (a root u0 is the point (u0 : 1))."""
+        s_mult, t_mult, core = self.strip_st()
+        if len(core) == 1:
+            return s_mult, t_mult, []
+        return s_mult, t_mult, squarefree_decomposition(list(reversed(core)), self.field)
 
 
 # ---------------------------------------------------------------------------
@@ -238,20 +244,11 @@ def squarefree_signature(form):
     """
     if not form:
         raise PolyError("signature of the zero form")
-    field = form.field
-    s_mult, t_mult, core = form.strip_st()
+    s_mult, t_mult, factors = form.squarefree_parts()
     sig = {}
-    if s_mult:
-        sig[s_mult] = sig.get(s_mult, 0) + 1
-    if t_mult:
-        sig[t_mult] = sig.get(t_mult, 0) + 1
-    # core is descending in s; as a polynomial in u = t/s it is ascending
-    # when reversed
-    poly = list(reversed(core))
-    poly = _trim(poly, field)
-    if _deg(poly) > 0:
-        for m, g in squarefree_decomposition(poly, field):
-            sig[m] = sig.get(m, 0) + _deg(g)
+    for m, d in [(s_mult, 1), (t_mult, 1)] + [(m, _deg(g)) for m, g in factors]:
+        if m:
+            sig[m] = sig.get(m, 0) + d
     return sorted(sig.items())
 
 
@@ -287,17 +284,15 @@ def perfect_square_root(form, allow_extension=True):
     if not form:
         raise PolyError("zero form")
     field = form.field
-    s_mult, t_mult, core = form.strip_st()
+    s_mult, t_mult, factors = form.squarefree_parts()
     if s_mult % 2 or t_mult % 2:
         return None
-    poly = _trim(list(reversed(core)), field)
     half = [field.one()]
-    if _deg(poly) > 0:
-        for m, g in squarefree_decomposition(poly, field):
-            if m % 2:
-                return None
-            for _ in range(m // 2):
-                half = _gcd_like_merge(half, g, field)
+    for m, g in factors:
+        if m % 2:
+            return None
+        for _ in range(m // 2):
+            half = _gcd_like_merge(half, g, field)
     # reassemble the binary square root without the scalar
     half_deg = form.degree // 2 - (s_mult + t_mult) // 2
     cs = [field.zero()] * (half_deg + 1)
@@ -377,16 +372,3 @@ def binary_gcd(f, g):
         # core root structure sits between the forced s and t powers
         cs[d - s_common - i] = c
     return BinaryForm(field, cs)
-
-
-def binary_divmod(f, g):
-    """f = q*g + r in the dehomogenized variable; exact division helper."""
-    field = f.field
-    pf = list(reversed(f.coeffs))
-    pg = _trim(list(reversed(g.coeffs)), field)
-    q, r = _divmod_poly(pf, pg, field)
-    qd = f.degree - g.degree
-    qc = [field.zero()] * (qd + 1)
-    for i, c in enumerate(q):
-        qc[qd - i] = c
-    return BinaryForm(field, qc), r

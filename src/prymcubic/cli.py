@@ -18,20 +18,18 @@ from .milne import (Line2, MilneError, enveloping_cone, reducible_member,
                     tritangent_verify, twisted_cubic)
 from .oracle import (BudgetExceeded, DEFAULT_BUDGET, OracleError, count_curve,
                      count_double_cover, count_hyperelliptic_octic,
-                     enumerate_bitangents, smoothness_certificate)
+                     enumerate_bitangents, projective_points, smoothness_certificate)
 from .poly import HomogPoly, PolyError, SymMatrix, proportional
 from .prym import (PrymError, UnsupportedTower, forward_even, forward_general,
                    pencil_conics, reverse_construct, roundtrip_change_matches)
 from .scene import (Scene, SceneError, parse_scene, reduce_scene,
                     scalar_to_json, write_scene)
-from .symmetroid import Symmetrization, SymmetroidError, hankel_symmetroid
+from .symmetroid import X4, Symmetrization, SymmetroidError, hankel_symmetroid
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
-
-X4 = ("x0", "x1", "x2", "x3")
 
 
 class CliInputError(ValueError):
@@ -165,8 +163,7 @@ def cmd_milne(args):
     elif args.enumerate:
         if field.kind != "Fp":
             raise CliInputError("--enumerate needs a prime-field scene")
-        from .oracle import _dual_lines_int
-        for dual in _dual_lines_int(field.p):
+        for dual in projective_points(field, 2, args.budget):
             lines.append((str(dual), Line2.from_dual(field, dual)))
     else:
         raise CliInputError("pass --line NAME or --enumerate")

@@ -10,8 +10,6 @@ from itertools import combinations_with_replacement
 from . import linalg
 from .poly import HomogPoly, PolyError
 
-W3 = ("w0", "w1", "w2")
-
 _DEG4 = sorted({tuple(sorted_exps) for sorted_exps in (
     _e for _e in (
         tuple(m.count(i) for i in range(3))
@@ -52,8 +50,25 @@ def _macaulay_rows(quadrics):
 
 _NON_REDUCED = [(2, 2, 0), (2, 0, 2), (0, 2, 2)]
 
-_SHEARS = [
+# Coordinate frames tried in order wherever a projection or a determinant
+# minor must be generic; frame T sends x_j to sum_i T[i][j] x_i.
+FRAMES = [
     ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+    ((0, 0, 1), (1, 0, 0), (0, 1, 0)),
+    ((0, 1, 0), (0, 0, 1), (1, 0, 0)),
+    ((1, 0, 0), (0, 1, 0), (1, 0, 1)),
+    ((1, 0, 0), (0, 1, 0), (0, 1, 1)),
+    ((1, 0, 0), (0, 1, 0), (1, 1, 1)),
+    ((1, 0, 0), (0, 1, 0), (2, 1, 1)),
+    ((1, 0, 0), (0, 1, 0), (1, 2, 1)),
+    ((1, 0, 0), (0, 1, 0), (3, 1, 1)),
+    ((1, 0, 0), (0, 1, 0), (1, 3, 1)),
+    ((1, 0, 0), (0, 1, 0), (2, 3, 1)),
+    ((1, 0, 0), (0, 1, 0), (4, 1, 1)),
+    ((1, 0, 0), (0, 1, 0), (3, 4, 1)),
+    ((1, 0, 0), (0, 1, 0), (5, 2, 1)),
+    ((1, 1, 0), (0, 1, 1), (1, 0, 1)),
+    ((1, 2, 0), (0, 1, 2), (2, 0, 1)),
     ((1, 0, 1), (0, 1, 0), (0, 0, 1)),
     ((1, 0, 0), (0, 1, 1), (0, 0, 1)),
     ((1, 0, 1), (0, 1, 1), (0, 0, 1)),
@@ -63,15 +78,43 @@ _SHEARS = [
     ((1, 2, 1), (1, 1, 0), (0, 1, 1)),
     ((2, 1, 3), (1, 3, 2), (3, 2, 1)),
     ((1, 4, 2), (0, 1, 5), (2, 0, 1)),
+    ((1, 0, 3), (0, 1, 5), (0, 0, 1)),
 ]
 
 
-def _apply_linear(f, T):
+def change_frame(f, T):
+    """The ternary form f in the frame T (see FRAMES)."""
     field = f.field
-    images = []
-    for j in range(3):
-        images.append(HomogPoly.linear(field, f.vars, [field.element(T[i][j]) for i in range(3)]))
-    return f.substitute(tuple(images))
+    return f.substitute(tuple(
+        HomogPoly.linear(field, f.vars, [field.element(T[i][j]) for i in range(3)])
+        for j in range(3)))
+
+
+def resultant_last_var(f, g):
+    """Sylvester resultant of two ternary forms in their last variable: a
+    binary form of degree deg f * deg g in the first two variables.
+
+    It vanishes at (a : b) exactly when f(a, b, w) and g(a, b, w) share a
+    root w, provided both forms carry a pure power of the last variable.
+    """
+    field = f.field
+    bin_vars = f.vars[:2]
+    zero = HomogPoly.zero(field, bin_vars, 0)
+
+    def coeffs(h):
+        # entry k is the coefficient of the last variable's power deg h - k
+        parts = [{} for _ in range(h.degree + 1)]
+        for e, c in h.terms.items():
+            parts[h.degree - e[2]][e[:2]] = c
+        return [HomogPoly(field, bin_vars, k, t, _clean=True) for k, t in enumerate(parts)]
+
+    m, n = f.degree, g.degree
+    size = m + n
+    rows = []
+    for cs, shifts in ((coeffs(f), n), (coeffs(g), m)):
+        for i in range(shifts):
+            rows.append([zero] * i + cs + [zero] * (size - i - len(cs)))
+    return linalg.det(rows)
 
 
 def resultant3_quadrics(quadrics):
@@ -84,9 +127,8 @@ def resultant3_quadrics(quadrics):
     """
     if len(quadrics) != 3 or any(q.degree != 2 or len(q.vars) != 3 for q in quadrics):
         raise PolyError("need three ternary quadrics")
-    field = quadrics[0].field
-    for T in _SHEARS:
-        qs = [_apply_linear(q, T) for q in quadrics]
+    for T in FRAMES:
+        qs = [change_frame(q, T) for q in quadrics]
         mat, idx = _macaulay_rows(qs)
         bad = [idx[m] for m in _NON_REDUCED]
         minor = [[mat[i][j] for j in bad] for i in bad]

@@ -490,6 +490,22 @@ class FieldElement:
     def inverse(self):
         return FieldElement(self.field, self.field._inv(self.val))
 
+    def change_field(self, new_field):
+        """This element in new_field: reduction of a rational mod p, lift
+        into a quadratic extension, or descent from one when the sqrt(d)
+        part is zero."""
+        f = self.field
+        if f.kind == "Q":
+            return new_field.element(self.val)
+        if new_field == f or (new_field.kind == "QuadExt" and new_field.base == f):
+            return new_field.element(self)
+        if f.kind == "QuadExt" and new_field == f.base:
+            a, b = self.val
+            if not f.base._is_zero_raw(b):
+                raise FieldError("element does not descend to the base field")
+            return FieldElement(new_field, a)
+        raise FieldError("no coercion from %r to %r" % (f, new_field))
+
     def __bool__(self):
         return not self.field._is_zero_raw(self.val)
 
@@ -501,7 +517,11 @@ class FieldElement:
         return a.val == b.val
 
     def __hash__(self):
-        return hash((self.field, repr(self.val)))
+        # an extension element with zero sqrt(d) part equals its base element
+        f, v = self.field, self.val
+        if f.kind == "QuadExt" and f.base._is_zero_raw(v[1]):
+            f, v = f.base, v[0]
+        return hash((f, v))
 
     def __repr__(self):
         return self.field._raw_str(self.val)

@@ -13,10 +13,7 @@ from __future__ import annotations
 
 from .fields import QQ
 from .poly import HomogPoly, SymMatrix
-from .symmetroid import Symmetrization, hankel_symmetroid
-
-X4 = ("x0", "x1", "x2", "x3")
-Z3 = ("z0", "z1", "z2")
+from .symmetroid import X4, Z3, Symmetrization, hankel_symmetroid
 
 _E0 = [1, 0, 0, 0]
 _E1 = [0, 1, 0, 0]

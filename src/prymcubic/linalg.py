@@ -162,15 +162,21 @@ def mat_mul(a, b):
     return out
 
 
-def mat_vec(a, v):
-    return [sum_entries([a[i][j] * v[j] for j in range(len(v))]) for i in range(len(a))]
-
-
 def sum_entries(xs):
     s = xs[0]
     for x in xs[1:]:
         s = s + x
     return s
+
+
+def normalize_point(vec):
+    """Projective representative of a nonzero vector: the first nonzero
+    coordinate scaled to one."""
+    for c in vec:
+        if c:
+            inv = c.inverse()
+            return tuple(v * inv for v in vec)
+    raise ValueError("zero vector is not a projective point")
 
 
 def transpose(rows):

@@ -7,12 +7,11 @@ points, and the unique-cubic reconstruction.
 from __future__ import annotations
 
 from . import linalg
-from .binforms import (BinaryForm, binary_gcd, perfect_square_root, resultant)
+from .binforms import ST, BinaryForm, binary_gcd, perfect_square_root, resultant
 from .poly import HomogPoly, SymMatrix, proportional
 from .quadrics import factor_rank_le2
+from .symmetroid import X4
 
-X4 = ("x0", "x1", "x2", "x3")
-ST = ("s", "t")
 U3 = ("u0", "u1", "u2")
 
 
@@ -144,43 +143,32 @@ def _roots_with_multiplicity_ge2(g, field):
     """Roots of multiple factors of a binary quartic, each over the base
     field or one quadratic extension: (s0, t0, work_field, extended)."""
     out = []
-    form = BinaryForm.from_poly(g)
-    s_mult, t_mult, core = form.strip_st()
-    # the factor s^k vanishes at (0 : 1), the factor t^k at (1 : 0)
+    s_mult, t_mult, factors = BinaryForm.from_poly(g).squarefree_parts()
     if s_mult >= 2:
         out.append((field.zero(), field.one(), field, False))
     if t_mult >= 2:
         out.append((field.one(), field.zero(), field, False))
-    from .binforms import _trim, squarefree_decomposition, _deg
-    poly = _trim(list(reversed(core)), field)
-    if _deg(poly) > 0:
-        for mult, fac in squarefree_decomposition(poly, field):
-            if mult < 2:
-                continue
-            d = _deg(fac)
-            if d == 1:
-                # fac = c0 + c1 u with u = s/t ... roots in the (s : t) chart
-                out.append((-fac[0] / fac[1], field.one(), field, False))
-            elif d == 2:
-                c0, c1, c2 = fac[0], fac[1], fac[2]
-                disc = c1 * c1 - c0 * c2 * 4
-                r = field.sqrt(disc)
-                if r is not None:
-                    for sign in (r, -r):
-                        out.append(((-c1 + sign) / (c2 * 2), field.one(), field, False))
-                else:
-                    if field.kind == "QuadExt":
-                        continue
-                    ext = field.quadratic_extension(disc)
-                    r = ext.sqrt_d()
-                    c1e = ext.element(c1)
-                    c2e = ext.element(c2)
-                    for sign in (r, -r):
-                        out.append(((-c1e + sign) / (c2e * 2), ext.one(), ext, True))
-            else:
-                # a factor of degree >= 3 with multiplicity >= 2 cannot fit in
-                # a quartic unless it is a perfect power already caught above
-                continue
+    for mult, fac in factors:
+        if mult < 2:
+            continue
+        if len(fac) == 2:
+            out.append((-fac[0] / fac[1], field.one(), field, False))
+        elif len(fac) == 3:
+            c0, c1, c2 = fac
+            disc = c1 * c1 - c0 * c2 * 4
+            r = field.sqrt(disc)
+            if r is not None:
+                for sign in (r, -r):
+                    out.append(((-c1 + sign) / (c2 * 2), field.one(), field, False))
+            elif field.kind != "QuadExt":
+                ext = field.quadratic_extension(disc)
+                r = ext.sqrt_d()
+                c1e = ext.element(c1)
+                c2e = ext.element(c2)
+                for sign in (r, -r):
+                    out.append(((-c1e + sign) / (c2e * 2), ext.one(), ext, True))
+        # a factor of degree >= 3 with multiplicity >= 2 cannot fit in a
+        # quartic unless it is a perfect power already caught above
     return out
 
 
@@ -259,7 +247,7 @@ def tritangent_verify(q, gamma, h):
     rank = cm.rank()
     if rank == 3:
         from .prym import conic_rational_point, parametrize_conic
-        pt = conic_rational_point(conic, field) if field.kind in ("Q", "Fp") else _scan_ext_point(conic, field)
+        pt = conic_rational_point(conic, field)
         if pt is None:
             return TritangentCert(False, h, None, field, False, False)
         param = parametrize_conic(conic, pt, field)
@@ -286,18 +274,6 @@ def _entry_field(m):
     return m.at(0, 0).field
 
 
-def _scan_ext_point(conic, field):
-    p = field.base.p
-    for a in range(p):
-        for b in range(p):
-            for c0 in range(p):
-                for c1 in range(p):
-                    pt = (field.one(), field.element((a, b)), field.element((c0, c1)))
-                    if not conic.evaluate(pt):
-                        return pt
-    return None
-
-
 def _line_param_from_form(line_form, field):
     basis = linalg.kernel_basis([[line_form.terms.get(
         tuple(1 if j == i else 0 for j in range(3)), field.zero()) for i in range(3)]], field)
@@ -322,21 +298,18 @@ def _even_on_line_pair(pair, cubic, field):
         rform = BinaryForm.from_poly(restricted)
         xform = BinaryForm.from_poly(cross)
         odd_at_cross = 0
-        from .binforms import _trim, squarefree_decomposition, _deg
-        s_mult, t_mult, core = rform.strip_st()
+        s_mult, t_mult, factors = rform.squarefree_parts()
         checks = []
         if s_mult % 2:
             checks.append((work.zero(), work.one(), s_mult))
         if t_mult % 2:
             checks.append((work.one(), work.zero(), t_mult))
-        poly = _trim(list(reversed(core)), work)
-        if _deg(poly) > 0:
-            for mult, fac in squarefree_decomposition(poly, work):
-                if mult % 2 == 0:
-                    continue
-                if _deg(fac) != 1:
-                    return False
-                checks.append((-fac[0] / fac[1], work.one(), mult))
+        for mult, fac in factors:
+            if mult % 2 == 0:
+                continue
+            if len(fac) != 2:
+                return False
+            checks.append((-fac[0] / fac[1], work.one(), mult))
         for s0, t0, mult in checks:
             if xform.evaluate(s0, t0):
                 return False

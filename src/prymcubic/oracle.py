@@ -1,12 +1,22 @@
-"""Brute-force finite-field ground truth: projective point streams, Jacobian
-smoothness certificates, point counts with Frobenius traces, double-cover
-counts through the three minors, and exhaustive bitangent enumeration.
+"""Brute-force finite-field ground truth and the point-scan kernels shared by
+the whole package.
 
-Prime-field paths run on raw integers compiled from the exact polynomials;
+`projective_points_int` is the one enumerator of P^dim over a finite field:
+every scan in the package (point counts, smoothness certificates, bitangent
+and tritangent-line walks, conic points, plane factors of a cubic) follows
+its order, and `projective_points` maps it to field elements after checking
+the budget.  `compile_fp` is the one evaluator of a form on raw integers
+mod p.
+
+On top of them: Jacobian smoothness certificates, point counts with
+Frobenius traces, double-cover counts through the three minors, and
+exhaustive bitangent enumeration.  Prime-field paths run on raw integers;
 quadratic extensions go through the generic element arithmetic.
 """
 
 from __future__ import annotations
+
+from itertools import product
 
 from .binforms import BinaryForm, perfect_square_root
 from .fields import legendre
@@ -28,6 +38,17 @@ def _check_budget(q, dim, budget):
         raise BudgetExceeded("q^dim = %d exceeds budget %d" % (q ** dim, budget))
 
 
+def projective_points_int(q, dim):
+    """Every point of P^dim over the field of order q exactly once, as an
+    integer tuple: zeros, a 1 at the first nonzero coordinate, then indices
+    into `field.elements()` for the remaining coordinates.  Over F_p an index
+    is the residue itself."""
+    for zeros in range(dim + 1):
+        head = (0,) * zeros + (1,)
+        for tail in product(range(q), repeat=dim - zeros):
+            yield head + tail
+
+
 def projective_points(field, dim, budget=DEFAULT_BUDGET):
     """Every point of P^dim over a finite field exactly once, normalized so
     the first nonzero coordinate is one."""
@@ -37,36 +58,17 @@ def projective_points(field, dim, budget=DEFAULT_BUDGET):
     _check_budget(q, dim, budget)
     elems = list(field.elements())
     one = field.one()
-    zero = field.zero()
-
-    def rec(prefix_zeros):
-        head = [zero] * prefix_zeros + [one]
-        tail = dim - prefix_zeros
-        if tail == 0:
-            yield tuple(head)
-            return
-        idx = [0] * tail
-        while True:
-            yield tuple(head + [elems[i] for i in idx])
-            k = tail - 1
-            while k >= 0:
-                idx[k] += 1
-                if idx[k] < len(elems):
-                    break
-                idx[k] = 0
-                k -= 1
-            if k < 0:
-                return
-
-    for z in range(dim + 1):
-        yield from rec(z)
+    for pt in projective_points_int(q, dim):
+        lead = pt.index(1)
+        yield tuple(one if k == lead else elems[i] for k, i in enumerate(pt))
 
 
 def count_projective_points(field, dim, budget=DEFAULT_BUDGET):
     return sum(1 for _ in projective_points(field, dim, budget))
 
 
-def _compile_fp(poly, p):
+def compile_fp(poly, p):
+    """Evaluator of a form over F_p on integer points, returning a residue."""
     terms = [(c.val, e) for e, c in poly.terms.items()]
 
     def ev(pt):
@@ -82,29 +84,6 @@ def _compile_fp(poly, p):
             tot += v
         return tot % p
     return ev
-
-
-def _fp_points_int(p, dim):
-    def rec(zeros):
-        head = [0] * zeros + [1]
-        tail = dim - zeros
-        if tail == 0:
-            yield tuple(head)
-            return
-        idx = [0] * tail
-        while True:
-            yield tuple(head + idx)
-            k = tail - 1
-            while k >= 0:
-                idx[k] += 1
-                if idx[k] < p:
-                    break
-                idx[k] = 0
-                k -= 1
-            if k < 0:
-                return
-    for z in range(dim + 1):
-        yield from rec(z)
 
 
 class Certificate:
@@ -133,10 +112,10 @@ def smoothness_certificate(equations, field, budget=DEFAULT_BUDGET):
     grads = [list(f.gradient()) for f in equations]
     if field.kind == "Fp":
         p = field.p
-        evs = [_compile_fp(f, p) for f in equations]
-        gevs = [[_compile_fp(g, p) for g in row] for row in grads]
+        evs = [compile_fp(f, p) for f in equations]
+        gevs = [[compile_fp(g, p) for g in row] for row in grads]
         count = 0
-        for pt in _fp_points_int(p, nv - 1):
+        for pt in projective_points_int(p, nv - 1):
             if any(ev(pt) for ev in evs):
                 continue
             count += 1
@@ -179,8 +158,8 @@ def count_curve(equations, field, genus, label="curve", budget=DEFAULT_BUDGET):
     q = field.order()
     _check_budget(q, nv - 1, budget)
     if field.kind == "Fp":
-        evs = [_compile_fp(f, field.p) for f in equations]
-        n = sum(1 for pt in _fp_points_int(field.p, nv - 1)
+        evs = [compile_fp(f, field.p) for f in equations]
+        n = sum(1 for pt in projective_points_int(field.p, nv - 1)
                 if not any(ev(pt) for ev in evs))
     else:
         n = sum(1 for pt in projective_points(field, nv - 1, budget)
@@ -203,10 +182,10 @@ def count_double_cover(curve_equations, minors, field, label="cover",
     total = 0
     if field.kind == "Fp":
         p = field.p
-        evs = [_compile_fp(f, p) for f in curve_equations]
-        mevs = [_compile_fp(m, p) for m in minors]
+        evs = [compile_fp(f, p) for f in curve_equations]
+        mevs = [compile_fp(m, p) for m in minors]
         half = (p - 1) // 2
-        for pt in _fp_points_int(p, nv - 1):
+        for pt in projective_points_int(p, nv - 1):
             if any(ev(pt) for ev in evs):
                 continue
             vals = [me(pt) for me in mevs]
@@ -276,15 +255,6 @@ def _line_span(dual, field):
     return basis[0], basis[1]
 
 
-def _dual_lines_int(p):
-    for a in range(p):
-        for b in range(p):
-            yield (1, a, b)
-    for b in range(p):
-        yield (0, 1, b)
-    yield (0, 0, 1)
-
-
 def enumerate_bitangents(quartic, field, budget=DEFAULT_BUDGET):
     """All lines of the plane whose restriction of the quartic is a nonzero
     square up to the leading square class (even contact divisor).
@@ -292,11 +262,8 @@ def enumerate_bitangents(quartic, field, budget=DEFAULT_BUDGET):
     Returns the list in the deterministic dual-coordinate order."""
     if field.kind != "Fp":
         raise OracleError("bitangent enumeration runs over prime fields")
-    p = field.p
-    _check_budget(p, 2, budget)
     out = []
-    for dual in _dual_lines_int(p):
-        dual_el = tuple(field.element(c) for c in dual)
+    for dual_el in projective_points(field, 2, budget):
         p0, p1 = _line_span(dual_el, field)
         rest = quartic.restrict_to_line(p0, p1)
         if not rest:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .fields import FieldElement, FieldError
+from .fields import FieldElement
 
 
 class PolyError(ValueError):
@@ -223,7 +223,7 @@ class HomogPoly:
         """Map coefficients into new_field (reduction mod p or extension lift)."""
         out = {}
         for e, c in self.terms.items():
-            out[e] = _coerce_scalar(c, new_field)
+            out[e] = c.change_field(new_field)
         return HomogPoly(new_field, self.vars, self.degree, out)
 
     def content_normalized(self):
@@ -253,21 +253,6 @@ class HomogPoly:
         for i in range(len(self.vars)):
             images.append(HomogPoly.linear(self.field, st_vars, [p0[i], p1[i]]))
         return self.substitute(images)
-
-
-def _coerce_scalar(c, new_field):
-    if new_field == c.field:
-        return new_field.element(c)
-    if c.field.kind == "Q":
-        return new_field.element(c.val)
-    if c.field.kind == "Fp" and new_field.kind == "QuadExt" and new_field.base == c.field:
-        return new_field.element(c)
-    if c.field.kind == "QuadExt" and new_field == c.field.base:
-        a, b = c.val
-        if not c.field.base._is_zero_raw(b):
-            raise FieldError("element does not descend to the base field")
-        return FieldElement(new_field, a)
-    raise FieldError("no coercion from %r to %r" % (c.field, new_field))
 
 
 def proportional(f, g):

@@ -7,13 +7,15 @@ from __future__ import annotations
 
 from . import linalg
 from .binforms import BinaryForm, multiplicity_partition
+from .elim import FRAMES, change_frame, resultant_last_var
+from .fields import legendre
+from .oracle import projective_points
 from .poly import HomogPoly, SymMatrix, proportional
 from .quadrics import congruence_diagonalize
-from .symmetroid import Symmetrization, SymmetroidType, _normalize_point
+from .symmetroid import CONIC_MONOMIALS, Z3, Symmetrization, SymmetroidType
 
 Y4 = ("y0", "y1", "y2", "y3")
 RV4 = ("y00", "y01", "y10", "y11")
-Z3 = ("z0", "z1", "z2")
 
 
 class PrymError(ValueError):
@@ -52,7 +54,7 @@ def dual_quadric(q, field, yvars=Y4):
     if r == 4:
         return DualQuadric(4, matrix=q.adjugate())
     kernel = linalg.kernel_basis(q.rows(), field)
-    vertex = _normalize_point(kernel[0], field)
+    vertex = linalg.normalize_point(kernel[0])
     drop = max(i for i, c in enumerate(vertex) if c)
     kept = tuple(i for i in range(4) if i != drop)
     reduced = SymMatrix.from_rows([[q.at(i, j) for j in kept] for i in kept])
@@ -186,24 +188,14 @@ def parametrize_conic(conic, point, field):
 
 
 def conic_rational_point(conic, field, search_bound=12):
-    """A point on a plane conic: full scan over finite fields, a small box
-    search over the rationals (None when the box misses)."""
+    """A point on a plane conic: the first point of the projective plane in
+    enumeration order over finite fields, a small box search over the
+    rationals (None when the box misses)."""
     if field.is_finite():
-        if field.kind != "Fp":
-            raise PrymError("conic point search runs over prime fields")
-        p = field.p
-        for a in range(p):
-            for b in range(p):
-                pt = (field.one(), field.element(a), field.element(b))
-                if not conic.evaluate(pt):
-                    return pt
-        for b in range(p):
-            pt = (field.zero(), field.one(), field.element(b))
+        # a budget of the plane's own size leaves the scan uncharged
+        for pt in projective_points(field, 2, budget=field.order() ** 2):
             if not conic.evaluate(pt):
                 return pt
-        pt = (field.zero(), field.zero(), field.one())
-        if not conic.evaluate(pt):
-            return pt
         return None
     rng = range(-search_bound, search_bound + 1)
     for a in rng:
@@ -213,7 +205,7 @@ def conic_rational_point(conic, field, search_bound=12):
                     continue
                 pt = (field.element(a), field.element(b), field.element(c))
                 if not conic.evaluate(pt):
-                    return _normalize_point(list(pt), field)
+                    return linalg.normalize_point(pt)
     return None
 
 
@@ -235,9 +227,10 @@ def _canonical_square_class_scale(octic, field):
         sqfree = n if num * den > 0 else -n
         target = field.element(sqfree)
     elif field.kind == "Fp":
-        p = field.p
-        cls = [lead.val * s * s % p for s in range(1, p)]
-        target = field.element(min(cls))
+        # the class of a square is all squares, least 1; a nonsquare's is all
+        # nonsquares, least the smallest nonresidue
+        target = field.one() if legendre(lead) == 1 else next(
+            c for c in map(field.element, range(2, field.p)) if legendre(c) == -1)
     else:
         target = field.one() if field.sqrt(lead) is not None else lead
     scale = target / lead
@@ -282,34 +275,21 @@ def forward_even(a, q):
         branch_reduced = all(m == 1 for m in multiplicity_partition(octic_form))
         octic = _canonical_square_class_scale(octic_form, field)
     else:
-        branch_reduced = _branch_reduced_by_resultant(conic, branch_exact, field)
+        branch_reduced = _branch_reduced_by_resultant(conic, branch_exact)
     return HyperellipticModel(conic, branch_exact, octic, param, branch_reduced,
                               twist_scaled=True)
 
 
-_BRANCH_SHEARS = [
-    ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
-    ((1, 0, 1), (0, 1, 0), (0, 0, 1)),
-    ((1, 0, 0), (0, 1, 1), (0, 0, 1)),
-    ((1, 0, 2), (0, 1, 1), (0, 0, 1)),
-    ((1, 1, 1), (0, 1, 2), (0, 0, 1)),
-    ((1, 0, 3), (0, 1, 5), (0, 0, 1)),
-    ((0, 0, 1), (1, 0, 0), (0, 1, 0)),
-    ((0, 1, 0), (0, 0, 1), (1, 0, 0)),
-]
-
-
-def _branch_reduced_by_resultant(conic, branch, field):
+def _branch_reduced_by_resultant(conic, branch):
     """Reducedness of the eight-point scheme without a conic point: in a
     frame whose projection center misses both curves and separates the
     intersection points, the degree-eight resultant is squarefree."""
-    from .symmetroid import _linear_change3, _resultant_in_last_var
-    for T in _BRANCH_SHEARS:
-        a = _linear_change3(conic, T, field)
-        b = _linear_change3(branch, T, field)
+    for T in FRAMES:
+        a = change_frame(conic, T)
+        b = change_frame(branch, T)
         if not a.terms.get((0, 0, 2)) or not b.terms.get((0, 0, 4)):
             continue
-        res = _resultant_last_var_deg(a, b, field)
+        res = resultant_last_var(a, b)
         if not res:
             return False
         form = BinaryForm.from_poly(res)
@@ -318,34 +298,6 @@ def _branch_reduced_by_resultant(conic, branch, field):
         if all(m == 1 for m in multiplicity_partition(form)):
             return True
     return None
-
-
-def _resultant_last_var_deg(a, b, field):
-    """Sylvester resultant in the last variable of a conic against a quartic."""
-    bin_vars = (a.vars[0], a.vars[1])
-
-    def coeff(f, k, total):
-        terms = {}
-        for e, c in f.terms.items():
-            if e[2] == k:
-                terms[(e[0], e[1])] = c
-        return HomogPoly(field, bin_vars, total - k, terms)
-
-    a0, a1, a2 = (coeff(a, k, 2) for k in range(3))
-    b0, b1, b2, b3, b4 = (coeff(b, k, 4) for k in range(5))
-
-    def zero(d):
-        return HomogPoly.zero(field, bin_vars, d)
-
-    rows = [
-        [a2, a1, a0, zero(3), zero(4), zero(5)],
-        [zero(1), a2, a1, a0, zero(4), zero(5)],
-        [zero(2), zero(2), a2, a1, a0, zero(5)],
-        [zero(3), zero(3), zero(3), a2, a1, a0],
-        [b4, b3, b2, b1, b0, zero(5)],
-        [zero(1), b4, b3, b2, b1, b0],
-    ]
-    return linalg.det(rows)
 
 
 SEGRE_INDEX = {(0, 0): 0, (0, 1): 1, (1, 0): 2, (1, 1): 3}
@@ -544,7 +496,7 @@ def reverse_construct(quartic, conics, field=None):
     for m in mats:
         form = m.quadratic_form(field, Z3)
         stack.append([form.terms.get(mon, field.zero())
-                      for mon in _CONIC_MONOMIALS])
+                      for mon in CONIC_MONOMIALS])
     r = linalg.rank(stack)
     kernel_relation = None
     if r < 3:
@@ -557,9 +509,6 @@ def reverse_construct(quartic, conics, field=None):
     qform = HomogPoly(field, RV4, 2, {(1, 0, 0, 1): 1, (0, 1, 1, 0): -1})
     qmat = SymMatrix.from_quadratic_form(qform)
     return ReverseResult(sym, cubic, qform, qmat, mats, kernel_relation, scale)
-
-
-_CONIC_MONOMIALS = [(2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2)]
 
 
 def roundtrip_change_matches(a, q, pencil, rebuilt):

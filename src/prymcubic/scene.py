@@ -14,11 +14,8 @@ from fractions import Fraction
 
 from .fields import Field, FieldError, QQ
 from .poly import HomogPoly, PolyError, SymMatrix
-from .symmetroid import Symmetrization
+from .symmetroid import X4, Symmetrization
 from .milne import Line2
-
-X4 = ("x0", "x1", "x2", "x3")
-Z3 = ("z0", "z1", "z2")
 
 
 class SceneError(ValueError):
@@ -249,19 +246,15 @@ def reduce_scene(scene, field):
         if kind == "symmetrization":
             out.add(name, obj.change_field(field))
         elif kind == "quadric":
-            out.add(name, obj.map(lambda v: _reduce_scalar(v, field)))
+            out.add(name, obj.map(lambda v: v.change_field(field)))
         elif kind == "quartic":
             out.add(name, obj.change_field(field))
         elif kind == "line":
-            out.add(name, Line2(field, [_reduce_scalar(c, field) for c in obj.p0],
-                                [_reduce_scalar(c, field) for c in obj.p1]))
+            out.add(name, Line2(field, [c.change_field(field) for c in obj.p0],
+                                [c.change_field(field) for c in obj.p1]))
         else:
             conics, quartic = obj
             out.add(name, (tuple(c.change_field(field) for c in conics),
                            quartic.change_field(field)))
     return out
 
-
-def _reduce_scalar(v, field):
-    from .poly import _coerce_scalar
-    return _coerce_scalar(v, field)

@@ -11,7 +11,8 @@ from itertools import combinations_with_replacement
 
 from . import linalg
 from .binforms import BinaryForm, multiplicity_partition
-from .elim import plane_cubic_is_smooth
+from .elim import FRAMES, change_frame, plane_cubic_is_smooth, resultant_last_var
+from .oracle import compile_fp, projective_points_int
 from .poly import HomogPoly, SymMatrix, proportional
 from .quadrics import conic_contains_line, factor_rank_le2
 
@@ -355,15 +356,7 @@ class Symmetrization:
         if linalg.rank(rows) != 2:
             raise SymmetroidError("conic at the point must have rank exactly two")
         ker = linalg.kernel_basis(rows, self.field)
-        return _normalize_point(ker[0], self.field)
-
-
-def _normalize_point(vec, field):
-    for c in vec:
-        if c:
-            inv = c.inverse()
-            return tuple(v * inv for v in vec)
-    raise SymmetroidError("zero vector is not a projective point")
+        return linalg.normalize_point(ker[0])
 
 
 def _line_intersection(l1, l2, field):
@@ -375,7 +368,7 @@ def _line_intersection(l1, l2, field):
     cross = [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
     if not any(cross):
         return None
-    return _normalize_point(cross, field)
+    return linalg.normalize_point(cross)
 
 
 def _common_rational_line(k1, k2, field):
@@ -405,73 +398,6 @@ def _common_rational_line(k1, k2, field):
     return None
 
 
-_SHEARS3 = [
-    ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
-    ((0, 0, 1), (1, 0, 0), (0, 1, 0)),
-    ((0, 1, 0), (0, 0, 1), (1, 0, 0)),
-    ((1, 0, 0), (0, 1, 0), (1, 0, 1)),
-    ((1, 0, 0), (0, 1, 0), (0, 1, 1)),
-    ((1, 0, 0), (0, 1, 0), (1, 1, 1)),
-    ((1, 0, 0), (0, 1, 0), (2, 1, 1)),
-    ((1, 0, 0), (0, 1, 0), (1, 2, 1)),
-    ((1, 0, 0), (0, 1, 0), (3, 1, 1)),
-    ((1, 0, 0), (0, 1, 0), (1, 3, 1)),
-    ((1, 0, 0), (0, 1, 0), (2, 3, 1)),
-    ((1, 0, 0), (0, 1, 0), (4, 1, 1)),
-    ((1, 0, 0), (0, 1, 0), (3, 4, 1)),
-    ((1, 0, 0), (0, 1, 0), (5, 2, 1)),
-    ((1, 1, 0), (0, 1, 1), (1, 0, 1)),
-    ((1, 2, 0), (0, 1, 2), (2, 0, 1)),
-]
-
-
-def _linear_change3(f, T, field):
-    images = tuple(HomogPoly.linear(field, f.vars, [field.element(T[i][j]) for i in range(3)])
-                   for j in range(3))
-    return f.substitute(images)
-
-
-def _resultant_in_last_var(a, b, field):
-    """Sylvester resultant eliminating w2 from two ternary conics; the result
-    is a binary quartic in (w0, w1)."""
-    bin_vars = ("w0", "w1")
-
-    def coeff(f, k):
-        terms = {}
-        for (e0, e1, e2), c in f.terms.items():
-            if e2 == k:
-                terms[(e0, e1)] = c
-        return HomogPoly(field, bin_vars, 2 - k, terms)
-
-    a0, a1, a2 = coeff(a, 0), coeff(a, 1), coeff(a, 2)
-    b0, b1, b2 = coeff(b, 0), coeff(b, 1), coeff(b, 2)
-
-    def zero(d):
-        return HomogPoly.zero(field, bin_vars, d)
-
-    r1 = [a2, a1, a0, zero(3)]
-    r2 = [zero(1), a2, a1, a0]
-    r3 = [b2, b1, b0, zero(3)]
-    r4 = [zero(1), b2, b1, b0]
-    return _det4_poly([r1, r2, r3, r4])
-
-
-def _det4_poly(rows):
-    total = None
-    n = 4
-    for j in range(n):
-        entry = rows[0][j]
-        minor = [[rows[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        d3 = (minor[0][0] * (minor[1][1] * minor[2][2] - minor[1][2] * minor[2][1])
-              - minor[0][1] * (minor[1][0] * minor[2][2] - minor[1][2] * minor[2][0])
-              + minor[0][2] * (minor[1][0] * minor[2][1] - minor[1][1] * minor[2][0]))
-        term = entry * d3
-        if j % 2 == 1:
-            term = -term
-        total = term if total is None else total + term
-    return total
-
-
 def _conic_intersection_partition(k1, k2, field):
     """Multiplicity partition of the four intersection points of two conics
     with no common component, via resultants in sheared frames.
@@ -481,12 +407,12 @@ def _conic_intersection_partition(k1, k2, field):
     answer over the deterministic frame family is the true one.
     """
     best = None
-    for T in _SHEARS3:
-        a = _linear_change3(k1, T, field)
-        b = _linear_change3(k2, T, field)
+    for T in FRAMES:
+        a = change_frame(k1, T)
+        b = change_frame(k2, T)
         if not a.terms.get((0, 0, 2)) or not b.terms.get((0, 0, 2)):
             continue
-        res = _resultant_in_last_var(a, b, field)
+        res = resultant_last_var(a, b)
         if not res:
             continue
         part = multiplicity_partition(BinaryForm.from_poly(res))
@@ -494,35 +420,11 @@ def _conic_intersection_partition(k1, k2, field):
             continue
         if best is None or len(part) > len(best):
             best = part
+            if len(best) == 4:
+                break  # four simple points: no frame can refine this
     if best is None:
         raise SymmetroidError("no usable projection frame for the rank-one scheme")
     return best
-
-
-def _plane_points(field):
-    """Normalized points of P^2 over a finite prime field."""
-    p = field.p
-    pts = []
-    for a in range(p):
-        for b in range(p):
-            pts.append((field.one(), field.element(a), field.element(b)))
-    for b in range(p):
-        pts.append((field.zero(), field.one(), field.element(b)))
-    pts.append((field.zero(), field.zero(), field.one()))
-    return pts
-
-
-def _space_dual_forms_int(p):
-    for a in range(p):
-        for b in range(p):
-            for c in range(p):
-                yield (1, a, b, c)
-    for a in range(p):
-        for b in range(p):
-            yield (0, 1, a, b)
-    for a in range(p):
-        yield (0, 0, 1, a)
-    yield (0, 0, 0, 1)
 
 
 def _divide_by_plane(form, line_coeffs, field):
@@ -562,23 +464,9 @@ def _linear_factors_exhaustive(cubic, field):
     confirms the survivors.
     """
     p = field.p
-    terms = [(c.val, e) for e, c in cubic.terms.items()]
-
-    def ev(pt):
-        tot = 0
-        for cv, e in terms:
-            v = cv
-            for x, k in zip(pt, e):
-                if k:
-                    if not x:
-                        v = 0
-                        break
-                    v = v * (x if k == 1 else pow(x, k, p))
-            tot += v
-        return tot % p
-
+    ev = compile_fp(cubic, p)
     out = []
-    for ell in _space_dual_forms_int(p):
+    for ell in projective_points_int(p, 3):
         k = next(i for i, c in enumerate(ell) if c)
         basis = []
         for i in range(4):
@@ -685,12 +573,8 @@ def cayley_normal_form(field, quartic_coeffs, h_coeffs, xvars=X4):
 
 
 def _quartic_separable(a, field):
-    from .binforms import _gcd_poly, _derivative, _deg
-    f = [a[0], a[1], a[2], a[3], field.one()]
-    df = _derivative(f, field)
-    if not any(df):
-        return False
-    return _deg(_gcd_poly(f, df, field)) == 0
+    form = BinaryForm(field, [field.one(), a[3], a[2], a[1], a[0]])
+    return multiplicity_partition(form) == [1, 1, 1, 1]
 
 
 def quotient_plane_form(field, quartic_coeffs):

@@ -1,6 +1,7 @@
 import random
 
-from prymcubic.elim import plane_cubic_is_smooth, resultant3_quadrics
+from prymcubic.binforms import BinaryForm, resultant
+from prymcubic.elim import plane_cubic_is_smooth, resultant3_quadrics, resultant_last_var
 from prymcubic.fields import Field, QQ
 from prymcubic.poly import HomogPoly
 
@@ -96,3 +97,29 @@ def test_disc_agrees_with_pointwise_oracle():
         if not tri.evaluate(pe) and not any(g.evaluate(pe) for g in tri.gradient()):
             found = True
     assert found
+
+
+def _random_form(field, degree, rng):
+    terms = {(i, j, degree - i - j): field.random(rng)
+             for i in range(degree + 1) for j in range(degree + 1 - i)}
+    return HomogPoly(field, W3, degree, terms)
+
+
+def test_resultant_last_var_specialises_to_binary_resultant():
+    # f(a t, b t, s) has the coefficients of f's powers of w2 at (a : b), so
+    # its binary resultant with g(a t, b t, s) is the resultant's value there
+    rng = random.Random(5)
+    st = ("s", "t")
+    for field in (F13, QQ):
+        for dg in (2, 4):
+            f = _random_form(field, 2, rng)
+            g = _random_form(field, dg, rng)
+            res = resultant_last_var(f, g)
+            assert res and res.degree == 2 * dg and res.vars == ("w0", "w1")
+            for a, b in ((1, 0), (0, 1), (1, 1), (2, 5), (3, -7)):
+                images = (HomogPoly.linear(field, st, [0, a]),
+                          HomogPoly.linear(field, st, [0, b]),
+                          HomogPoly.linear(field, st, [1, 0]))
+                fs = BinaryForm.from_poly(f.substitute(images))
+                gs = BinaryForm.from_poly(g.substitute(images))
+                assert res.evaluate([a, b]) == resultant(fs, gs)

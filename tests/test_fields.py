@@ -109,6 +109,14 @@ def test_legendre_symbol():
     assert legendre(K.element(2)) == 1  # becomes a square upstairs
 
 
+def test_hash_agrees_with_equality_across_extension():
+    for base in (F11, QQ):
+        a = base.element(3)
+        b = base.quadratic_extension(2).element(3)
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+
 def test_enumeration():
     assert len(list(F11.elements())) == 11
     K = F11.quadratic_extension(2)

@@ -5,7 +5,8 @@ from prymcubic.fixtures import FIXTURES, fix_a, fix_q, fix_x
 from prymcubic.oracle import (BudgetExceeded, OracleError, count_curve,
                               count_double_cover, count_hyperelliptic_octic,
                               count_projective_points, enumerate_bitangents,
-                              projective_points, smoothness_certificate)
+                              projective_points, projective_points_int,
+                              smoothness_certificate)
 from prymcubic.poly import HomogPoly
 from prymcubic.prym import forward_even, forward_general
 
@@ -28,6 +29,20 @@ def test_points_unique_and_normalized():
     for p in pts:
         first = next(c for c in p if c)
         assert first == F5.one()
+
+
+def test_integer_enumerator_matches_projective_points():
+    for field in (F5, F3.quadratic_extension(2)):
+        q = field.order()
+        elems = list(field.elements())
+        ints = list(projective_points_int(q, 2))
+        pts = list(projective_points(field, 2))
+        assert len(ints) == len(pts) == q * q + q + 1
+        for idx, pt in zip(ints, pts):
+            lead = idx.index(1)
+            assert idx[:lead] == (0,) * lead
+            assert pt == tuple(field.one() if k == lead else elems[i]
+                               for k, i in enumerate(idx))
 
 
 def test_budget():

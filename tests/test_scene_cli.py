@@ -146,6 +146,18 @@ def test_cli_count_budget(capsys):
     assert code == 3
 
 
+def test_cli_milne_enumerate_budget(capsys):
+    args = ["milne-tritangents", DATA, "--A", "A_t1", "--Q", "Q_t1", "--enumerate",
+            "--q", "11"]
+    code, out, err = run_cli(["--budget", "120"] + args, capsys)
+    assert code == 3
+    code, out, err = run_cli(["--budget", "121"] + args, capsys)
+    assert code == 0
+    names = [r["line"] for r in json.loads(out)["results"]]
+    assert names[:2] == ["(1, 0, 0)", "(1, 0, 1)"] and names[-1] == "(0, 0, 1)"
+    assert len(names) == 11 * 11 + 11 + 1
+
+
 def test_cli_milne_single_line(tmp_path, capsys):
     F = Field.prime(11)
     scene = reduce_scene(parse_scene(open(DATA).read()), F)
