@@ -6,6 +6,7 @@ with at most one quadratic extension, and Sylvester resultants.
 
 from __future__ import annotations
 
+from .fields import QuadExtField
 from .poly import HomogPoly, PolyError
 
 ST = ("s", "t")
@@ -178,13 +179,9 @@ def _derivative(f, field):
 
 def _pth_root_poly(f, field, p):
     """Inverse Frobenius on a polynomial that is a p-th power."""
-    out = []
-    for i in range(0, len(f), p):
-        c = f[i]
-        if field.kind == "QuadExt":
-            # Frobenius has order 2 on F_{p^2}; c^(q/p) = c^p inverts it
-            c = c ** p
-        out.append(c)
+    # c^(q/p) inverts Frobenius: the identity on F_p, c^p on F_{p^2}
+    frob_inv = field.order() // p
+    out = [f[i] ** frob_inv for i in range(0, len(f), p)]
     for i, c in enumerate(f):
         if i % p != 0 and c:
             raise PolyError("not a p-th power")
@@ -318,7 +315,7 @@ def perfect_square_root(form, allow_extension=True):
         return SquareRootCert(root0 * r, scalar, False)
     if not allow_extension:
         return None
-    if field.kind == "QuadExt":
+    if isinstance(field, QuadExtField):
         return None  # one extension is already in use; tower depth capped
     ext = field.quadratic_extension(scalar)
     root_ext = root0.change_field(ext) * ext.sqrt_d()

@@ -13,7 +13,7 @@ import random
 import sys
 from fractions import Fraction
 
-from .fields import Field, FieldError, QQ
+from .fields import Field, FieldError, PrimeField, QQ
 from .milne import (Line2, MilneError, enveloping_cone, reducible_member,
                     tritangent_verify, twisted_cubic)
 from .oracle import (BudgetExceeded, DEFAULT_BUDGET, OracleError, count_curve,
@@ -152,7 +152,7 @@ def cmd_reverse(args):
 
 def cmd_milne(args):
     scene = _load_scene(args.scene)
-    if args.q or scene.field.kind == "Fp":
+    if args.q or isinstance(scene.field, PrimeField):
         scene, _ = _resolve_count_field(scene, args.q)
     a = scene.get(args.A, "symmetrization")
     q = scene.get(args.Q, "quadric")
@@ -161,7 +161,7 @@ def cmd_milne(args):
     if args.line:
         lines.append((args.line, scene.get(args.line, "line")))
     elif args.enumerate:
-        if field.kind != "Fp":
+        if not isinstance(field, PrimeField):
             raise CliInputError("--enumerate needs a prime-field scene")
         for dual in projective_points(field, 2, args.budget):
             lines.append((str(dual), Line2.from_dual(field, dual)))
@@ -200,7 +200,7 @@ def cmd_milne(args):
 
 
 def _resolve_count_field(scene, qarg):
-    if scene.field.kind == "Fp":
+    if isinstance(scene.field, PrimeField):
         if qarg and qarg != scene.field.p:
             raise CliInputError("scene is over F_%d, cannot count over %d" % (scene.field.p, qarg))
         return scene, scene.field

@@ -51,7 +51,9 @@ def _macaulay_rows(quadrics):
 _NON_REDUCED = [(2, 2, 0), (2, 0, 2), (0, 2, 2)]
 
 # Coordinate frames tried in order wherever a projection or a determinant
-# minor must be generic; frame T sends x_j to sum_i T[i][j] x_i.
+# minor must be generic; frame T sends x_j to sum_i T[i][j] x_i.  A frame is
+# only a change of coordinates where its determinant is a unit, so callers
+# walk `frames(field)`, not this table.
 FRAMES = [
     ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
     ((0, 0, 1), (1, 0, 0), (0, 1, 0)),
@@ -75,11 +77,17 @@ FRAMES = [
     ((1, 0, 2), (0, 1, 1), (0, 0, 1)),
     ((1, 1, 1), (0, 1, 2), (0, 0, 1)),
     ((1, 0, 3), (0, 1, 2), (1, 0, 1)),
-    ((1, 2, 1), (1, 1, 0), (0, 1, 1)),
     ((2, 1, 3), (1, 3, 2), (3, 2, 1)),
     ((1, 4, 2), (0, 1, 5), (2, 0, 1)),
     ((1, 0, 3), (0, 1, 5), (0, 0, 1)),
 ]
+
+
+def frames(field):
+    """The frames of FRAMES that are invertible over field, in table order."""
+    for T in FRAMES:
+        if field.element(linalg.det(T)):
+            yield T
 
 
 def change_frame(f, T):
@@ -127,7 +135,7 @@ def resultant3_quadrics(quadrics):
     """
     if len(quadrics) != 3 or any(q.degree != 2 or len(q.vars) != 3 for q in quadrics):
         raise PolyError("need three ternary quadrics")
-    for T in FRAMES:
+    for T in frames(quadrics[0].field):
         qs = [change_frame(q, T) for q in quadrics]
         mat, idx = _macaulay_rows(qs)
         bad = [idx[m] for m in _NON_REDUCED]

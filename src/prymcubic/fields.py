@@ -1,18 +1,20 @@
 """Exact scalar arithmetic: the rationals, odd prime fields, and quadratic
 extensions of either.
 
-A :class:`Field` acts both as a descriptor and as the operation table for raw
-values; :class:`FieldElement` is a thin wrapper so that coefficients support
-ordinary operators.  Raw values are ``Fraction`` (rationals), ``int`` in
-``[0, p)`` (prime fields) and pairs ``(a, b)`` of base raw values meaning
-``a + b*sqrt(d)`` (quadratic extensions).  Extension nesting depth is capped
-at one.
+Each field is an instance of one of three :class:`Field` subclasses, which
+act both as descriptors and as the operation tables for raw values:
+:class:`RationalField` (raw values are ``Fraction``), :class:`PrimeField`
+(``int`` in ``[0, p)``) and :class:`QuadExtField` (pairs ``(a, b)`` of base
+raw values meaning ``a + b*sqrt(d)``).  :class:`FieldElement` is a thin
+wrapper so that coefficients support ordinary operators.  Extensions never
+nest: a :class:`QuadExtField` sits over Q or F_p.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 import math
+import operator
 
 
 class FieldError(ValueError):
@@ -46,170 +48,54 @@ def is_prime(n):
 
 
 class Field:
-    """One of Q, F_p (p an odd prime) or a quadratic extension K(sqrt(d))."""
+    """One of Q, F_p (p an odd prime) or a quadratic extension K(sqrt(d)).
 
-    __slots__ = ("kind", "p", "base", "d", "_nonresidue_cache")
+    A subclass supplies the raw constants `_zero_raw` and `_one_raw`, the raw
+    operations (`_from_int`, `_add`, `_sub`, `_neg`, `_mul`, `_inv_nonzero`),
+    coercion of other values (`_coerce`, `_lift`) and its square root
+    `_sqrt`; raw values are numbers unless a subclass says otherwise.
+    """
 
-    def __init__(self, kind, p=None, base=None, d=None):
-        self.kind = kind
-        self.p = p
-        self.base = base
-        self.d = d
-        self._nonresidue_cache = None
-        if kind == "Fp":
-            if p is None or p == 2 or not is_prime(p):
-                raise FieldError("characteristic must be an odd prime, got %r" % (p,))
-        elif kind == "QuadExt":
-            if base is None or base.kind == "QuadExt":
-                raise FieldError("quadratic extensions may only sit over Q or F_p")
-            if base.sqrt(base.element(d)) is not None:
-                raise FieldError("%r is a square in the base field" % (d,))
-        elif kind != "Q":
-            raise FieldError("unknown field kind %r" % (kind,))
+    __slots__ = ()
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def rationals():
-        return Field("Q")
+        return RationalField()
 
     @staticmethod
     def prime(p):
-        return Field("Fp", p=p)
+        return PrimeField(p)
 
     def quadratic_extension(self, d):
         """Adjoin sqrt(d); d is coerced into this field and must be a nonsquare."""
-        d = self.element(d)
-        if d.field != self:
-            raise FieldError("d must live in the base field")
-        return Field("QuadExt", base=self, d=d.val)
-
-    # -- identity ----------------------------------------------------------
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, Field) or self.kind != other.kind:
-            return False
-        if self.kind == "Fp":
-            return self.p == other.p
-        if self.kind == "QuadExt":
-            return self.base == other.base and self.d == other.d
-        return True
-
-    def __hash__(self):
-        if self.kind == "Fp":
-            return hash(("Fp", self.p))
-        if self.kind == "QuadExt":
-            return hash(("QuadExt", self.base, repr(self.d)))
-        return hash("Q")
-
-    def __repr__(self):
-        if self.kind == "Q":
-            return "QQ"
-        if self.kind == "Fp":
-            return "GF(%d)" % self.p
-        return "%r(sqrt(%s))" % (self.base, self.base._raw_str(self.d))
+        return QuadExtField(self, self.element(d).val)
 
     # -- basic facts -------------------------------------------------------
-
-    def characteristic(self):
-        if self.kind == "Fp":
-            return self.p
-        if self.kind == "QuadExt":
-            return self.base.characteristic()
-        return 0
 
     def is_finite(self):
         return self.characteristic() != 0
 
     def order(self):
-        if self.kind == "Fp":
-            return self.p
-        if self.kind == "QuadExt" and self.base.kind == "Fp":
-            return self.base.p ** 2
         raise FieldError("infinite field has no order")
 
+    def elements(self):
+        """All elements, finite fields only."""
+        raise FieldError("cannot enumerate an infinite field")
+
     # -- raw value arithmetic ---------------------------------------------
-
-    def _zero_raw(self):
-        if self.kind == "Q":
-            return Fraction(0)
-        if self.kind == "Fp":
-            return 0
-        return (self.base._zero_raw(), self.base._zero_raw())
-
-    def _one_raw(self):
-        if self.kind == "Q":
-            return Fraction(1)
-        if self.kind == "Fp":
-            return 1
-        return (self.base._one_raw(), self.base._zero_raw())
-
-    def _from_int(self, n):
-        if self.kind == "Q":
-            return Fraction(n)
-        if self.kind == "Fp":
-            return n % self.p
-        return (self.base._from_int(n), self.base._zero_raw())
-
-    def _add(self, a, b):
-        if self.kind == "Q":
-            return a + b
-        if self.kind == "Fp":
-            return (a + b) % self.p
-        ba = self.base
-        return (ba._add(a[0], b[0]), ba._add(a[1], b[1]))
-
-    def _sub(self, a, b):
-        if self.kind == "Q":
-            return a - b
-        if self.kind == "Fp":
-            return (a - b) % self.p
-        ba = self.base
-        return (ba._sub(a[0], b[0]), ba._sub(a[1], b[1]))
-
-    def _neg(self, a):
-        if self.kind == "Q":
-            return -a
-        if self.kind == "Fp":
-            return (-a) % self.p
-        ba = self.base
-        return (ba._neg(a[0]), ba._neg(a[1]))
-
-    def _mul(self, a, b):
-        if self.kind == "Q":
-            return a * b
-        if self.kind == "Fp":
-            return (a * b) % self.p
-        ba = self.base
-        a0, a1 = a
-        b0, b1 = b
-        # (a0 + a1 r)(b0 + b1 r) with r^2 = d
-        return (ba._add(ba._mul(a0, b0), ba._mul(ba._mul(a1, b1), self.d)),
-                ba._add(ba._mul(a0, b1), ba._mul(a1, b0)))
 
     def _inv(self, a):
         if self._is_zero_raw(a):
             raise ZeroDivisionError("division by zero in %r" % self)
-        if self.kind == "Q":
-            return 1 / a
-        if self.kind == "Fp":
-            return pow(a, self.p - 2, self.p)
-        ba = self.base
-        a0, a1 = a
-        # conjugate over norm; the norm is nonzero because d is a nonsquare
-        n = ba._sub(ba._mul(a0, a0), ba._mul(self.d, ba._mul(a1, a1)))
-        ninv = ba._inv(n)
-        return (ba._mul(a0, ninv), ba._neg(ba._mul(a1, ninv)))
+        return self._inv_nonzero(a)
 
     def _is_zero_raw(self, a):
-        if self.kind == "QuadExt":
-            return self.base._is_zero_raw(a[0]) and self.base._is_zero_raw(a[1])
         return a == 0
 
     def _pow_raw(self, a, n):
-        r = self._one_raw()
+        r = self._one_raw
         b = a
         while n:
             if n & 1:
@@ -219,130 +105,298 @@ class Field:
         return r
 
     def _raw_str(self, a):
-        if self.kind == "Q":
-            return str(a)
-        if self.kind == "Fp":
-            return str(a)
-        return "(%s,%s)" % (self.base._raw_str(a[0]), self.base._raw_str(a[1]))
+        return str(a)
 
     # -- element API -------------------------------------------------------
 
     def zero(self):
-        return FieldElement(self, self._zero_raw())
+        return FieldElement(self, self._zero_raw)
 
     def one(self):
-        return FieldElement(self, self._one_raw())
+        return FieldElement(self, self._one_raw)
 
     def element(self, x):
         """Coerce x (int, Fraction, element of self or of the base) into self."""
         if isinstance(x, FieldElement):
+            if x.field is self:
+                return x
             if x.field == self:
-                return FieldElement(self, x.val) if x.field is not self else x
-            if self.kind == "QuadExt" and x.field == self.base:
-                return FieldElement(self, (x.val, self.base._zero_raw()))
-            raise FieldError("cannot coerce element of %r into %r" % (x.field, self))
+                return FieldElement(self, x.val)
+            return FieldElement(self, self._lift(x))
         if isinstance(x, int):
             return FieldElement(self, self._from_int(x))
-        if isinstance(x, Fraction):
-            if self.kind == "Q":
-                return FieldElement(self, x)
-            if self.kind == "Fp":
-                if x.denominator % self.p == 0:
-                    raise FieldError("denominator of %s not invertible mod %d" % (x, self.p))
-                return FieldElement(self, x.numerator * pow(x.denominator, self.p - 2, self.p) % self.p)
-            return FieldElement(self, (self.base.element(x).val, self.base._zero_raw()))
-        if isinstance(x, tuple) and self.kind == "QuadExt":
-            a, b = x
-            return FieldElement(self, (self.base.element(a).val, self.base.element(b).val))
+        return FieldElement(self, self._coerce(x))
+
+    def _lift(self, x):
+        """Raw value of an element of another field; only a base element lifts."""
+        raise FieldError("cannot coerce element of %r into %r" % (x.field, self))
+
+    def _coerce(self, x):
+        """Raw value of a non-int, non-element value."""
         raise FieldError("cannot coerce %r into %r" % (x, self))
 
-    def ext_element(self, a, b):
-        """a + b*sqrt(d) in a quadratic extension."""
-        if self.kind != "QuadExt":
-            raise FieldError("not an extension field")
-        return self.element((a, b))
-
-    def sqrt_d(self):
-        if self.kind != "QuadExt":
-            raise FieldError("not an extension field")
-        return FieldElement(self, (self.base._zero_raw(), self.base._one_raw()))
-
-    def elements(self):
-        """All elements, finite fields only."""
-        if self.kind == "Fp":
-            for v in range(self.p):
-                yield FieldElement(self, v)
-        elif self.kind == "QuadExt" and self.base.kind == "Fp":
-            for a in range(self.base.p):
-                for b in range(self.base.p):
-                    yield FieldElement(self, (a, b))
-        else:
-            raise FieldError("cannot enumerate an infinite field")
-
-    def random(self, rng, height=9):
-        if self.kind == "Q":
-            return self.element(Fraction(rng.randint(-height, height), rng.randint(1, 4)))
-        if self.kind == "Fp":
-            return FieldElement(self, rng.randrange(self.p))
-        return FieldElement(self, (self.base.random(rng, height).val, self.base.random(rng, height).val))
-
     # -- square roots ------------------------------------------------------
-
-    def _nonresidue(self):
-        """Deterministically chosen quadratic nonresidue (finite fields)."""
-        if self._nonresidue_cache is not None:
-            return self._nonresidue_cache
-        if self.kind == "Fp":
-            for c in range(2, self.p):
-                if pow(c, (self.p - 1) // 2, self.p) == self.p - 1:
-                    self._nonresidue_cache = c
-                    return c
-        elif self.kind == "QuadExt" and self.base.kind == "Fp":
-            q = self.order()
-            for a in range(self.base.p):
-                for b in range(self.base.p):
-                    v = (a, b)
-                    if not self._is_zero_raw(v) and self._pow_raw(v, (q - 1) // 2) != self._one_raw():
-                        self._nonresidue_cache = v
-                        return v
-        raise FieldError("no nonresidue found")
-
-    def is_square(self, x):
-        return self.sqrt(x) is not None
 
     def sqrt(self, x):
         """Deterministic square root, or None when x is a nonsquare."""
         x = self.element(x)
         if not x:
             return self.zero()
-        if self.kind == "Q":
-            return _sqrt_fraction(self, x.val)
-        if self.kind == "Fp":
-            r = _sqrt_mod_p(x.val, self.p)
-            if r is None:
-                return None
-            return FieldElement(self, min(r, self.p - r))
-        if self.base.kind == "Fp":
-            r = _tonelli_generic(self, x.val)
-            if r is None:
-                return None
-            return min(FieldElement(self, r), FieldElement(self, self._neg(r)), key=_ext_key)
-        return _sqrt_quad_over_q(self, x)
+        return self._sqrt(x)
 
 
-def _ext_key(e):
-    a, b = e.val
-    return (a, b)
+class RationalField(Field):
+    """Q; raw values are ``Fraction``."""
 
+    __slots__ = ()
 
-def _sqrt_fraction(field, fr):
-    n, d = fr.numerator, fr.denominator
-    if n < 0:
+    def __eq__(self, other):
+        return isinstance(other, RationalField)
+
+    def __hash__(self):
+        return hash(RationalField)
+
+    def __repr__(self):
+        return "QQ"
+
+    def characteristic(self):
+        return 0
+
+    def random(self, rng, height=9):
+        return self.element(Fraction(rng.randint(-height, height), rng.randint(1, 4)))
+
+    _zero_raw = Fraction(0)
+    _one_raw = Fraction(1)
+
+    def _from_int(self, n):
+        return Fraction(n)
+
+    def _coerce(self, x):
+        if isinstance(x, Fraction):
+            return x
+        return super()._coerce(x)
+
+    _add = staticmethod(operator.add)
+    _sub = staticmethod(operator.sub)
+    _neg = staticmethod(operator.neg)
+    _mul = staticmethod(operator.mul)
+
+    def _inv_nonzero(self, a):
+        return 1 / a
+
+    def _sqrt(self, x):
+        n, d = x.val.numerator, x.val.denominator
+        if n < 0:
+            return None
+        rn, rd = math.isqrt(n), math.isqrt(d)
+        if rn * rn == n and rd * rd == d:
+            return self.element(Fraction(rn, rd))
         return None
-    rn, rd = math.isqrt(n), math.isqrt(d)
-    if rn * rn == n and rd * rd == d:
-        return field.element(Fraction(rn, rd))
-    return None
+
+
+class PrimeField(Field):
+    """F_p for an odd prime p; raw values are ``int`` in ``[0, p)``."""
+
+    __slots__ = ("p",)
+
+    def __init__(self, p):
+        if not isinstance(p, int) or p == 2 or not is_prime(p):
+            raise FieldError("characteristic must be an odd prime, got %r" % (p,))
+        self.p = p
+
+    def __eq__(self, other):
+        return self is other or (isinstance(other, PrimeField) and self.p == other.p)
+
+    def __hash__(self):
+        return hash((PrimeField, self.p))
+
+    def __repr__(self):
+        return "GF(%d)" % self.p
+
+    def characteristic(self):
+        return self.p
+
+    def order(self):
+        return self.p
+
+    def elements(self):
+        for v in range(self.p):
+            yield FieldElement(self, v)
+
+    def random(self, rng, height=9):
+        return FieldElement(self, rng.randrange(self.p))
+
+    _zero_raw = 0
+    _one_raw = 1
+
+    def _from_int(self, n):
+        return n % self.p
+
+    def _coerce(self, x):
+        if isinstance(x, Fraction):
+            if x.denominator % self.p == 0:
+                raise FieldError("denominator of %s not invertible mod %d" % (x, self.p))
+            return x.numerator * pow(x.denominator, self.p - 2, self.p) % self.p
+        return super()._coerce(x)
+
+    def _add(self, a, b):
+        return (a + b) % self.p
+
+    def _sub(self, a, b):
+        return (a - b) % self.p
+
+    def _neg(self, a):
+        return (-a) % self.p
+
+    def _mul(self, a, b):
+        return (a * b) % self.p
+
+    def _inv_nonzero(self, a):
+        return pow(a, self.p - 2, self.p)
+
+    def _sqrt(self, x):
+        r = _sqrt_mod_p(x.val, self.p)
+        if r is None:
+            return None
+        return FieldElement(self, min(r, self.p - r))
+
+
+class QuadExtField(Field):
+    """K(sqrt(d)) for K = Q or F_p and d a nonsquare of K; raw values are
+    pairs ``(a, b)`` of raw values of K meaning ``a + b*sqrt(d)``."""
+
+    __slots__ = ("base", "d", "_zero_raw", "_one_raw")
+
+    def __init__(self, base, d):
+        if isinstance(base, QuadExtField):
+            raise FieldError("quadratic extensions may only sit over Q or F_p")
+        if base.sqrt(base.element(d)) is not None:
+            raise FieldError("%r is a square in the base field" % (d,))
+        self.base = base
+        self.d = d
+        self._zero_raw = (base._zero_raw, base._zero_raw)
+        self._one_raw = (base._one_raw, base._zero_raw)
+
+    def __eq__(self, other):
+        return self is other or (isinstance(other, QuadExtField)
+                                 and self.base == other.base and self.d == other.d)
+
+    def __hash__(self):
+        return hash((self.base, self.d))
+
+    def __repr__(self):
+        return "%r(sqrt(%s))" % (self.base, self.base._raw_str(self.d))
+
+    def characteristic(self):
+        return self.base.characteristic()
+
+    def order(self):
+        return self.base.order() ** 2
+
+    def elements(self):
+        vals = [e.val for e in self.base.elements()]
+        for a in vals:
+            for b in vals:
+                yield FieldElement(self, (a, b))
+
+    def random(self, rng, height=9):
+        return FieldElement(self, (self.base.random(rng, height).val,
+                                   self.base.random(rng, height).val))
+
+    def ext_element(self, a, b):
+        """a + b*sqrt(d)."""
+        return self.element((a, b))
+
+    def sqrt_d(self):
+        return FieldElement(self, (self.base._zero_raw, self.base._one_raw))
+
+    # -- raw value arithmetic ---------------------------------------------
+
+    def _from_int(self, n):
+        return (self.base._from_int(n), self.base._zero_raw)
+
+    def _lift(self, x):
+        if x.field == self.base:
+            return (x.val, self.base._zero_raw)
+        return super()._lift(x)
+
+    def _coerce(self, x):
+        if isinstance(x, Fraction):
+            return (self.base.element(x).val, self.base._zero_raw)
+        if isinstance(x, tuple):
+            a, b = x
+            return (self.base.element(a).val, self.base.element(b).val)
+        return super()._coerce(x)
+
+    def _add(self, a, b):
+        ba = self.base
+        return (ba._add(a[0], b[0]), ba._add(a[1], b[1]))
+
+    def _sub(self, a, b):
+        ba = self.base
+        return (ba._sub(a[0], b[0]), ba._sub(a[1], b[1]))
+
+    def _neg(self, a):
+        ba = self.base
+        return (ba._neg(a[0]), ba._neg(a[1]))
+
+    def _mul(self, a, b):
+        ba = self.base
+        a0, a1 = a
+        b0, b1 = b
+        # (a0 + a1 r)(b0 + b1 r) with r^2 = d
+        return (ba._add(ba._mul(a0, b0), ba._mul(ba._mul(a1, b1), self.d)),
+                ba._add(ba._mul(a0, b1), ba._mul(a1, b0)))
+
+    def _inv_nonzero(self, a):
+        ba = self.base
+        a0, a1 = a
+        # conjugate over norm; the norm is nonzero because d is a nonsquare
+        n = ba._sub(ba._mul(a0, a0), ba._mul(self.d, ba._mul(a1, a1)))
+        ninv = ba._inv(n)
+        return (ba._mul(a0, ninv), ba._neg(ba._mul(a1, ninv)))
+
+    def _is_zero_raw(self, a):
+        return self.base._is_zero_raw(a[0]) and self.base._is_zero_raw(a[1])
+
+    def _raw_str(self, a):
+        return "(%s,%s)" % (self.base._raw_str(a[0]), self.base._raw_str(a[1]))
+
+    # -- square roots ------------------------------------------------------
+
+    def _sqrt(self, x):
+        # x = a + b sqrt(d) and a root u + v sqrt(d): u^2 + d v^2 = a and
+        # 2 u v = b, so Norm(x) = (u^2 - d v^2)^2 is a square of the base.
+        base = self.base
+        a = FieldElement(base, x.val[0])
+        b = FieldElement(base, x.val[1])
+        d = FieldElement(base, self.d)
+        if not b:
+            r = base.sqrt(a)
+            if r is not None:
+                return self.element(r)
+            r = base.sqrt(a / d)
+            if r is not None:
+                return self._smaller_root(self.ext_element(0, r).val)
+            return None
+        norm = a * a - d * b * b
+        m = base.sqrt(norm)
+        if m is None:
+            return None
+        # (a +- m) / 2 is u^2 or d v^2; only u^2 is a square of the base
+        for mm in (m, -m):
+            t = (a + mm) / 2
+            u = base.sqrt(t)
+            if u is not None and u:
+                v = b / (u * 2)
+                cand = self.ext_element(u, v)
+                if cand * cand == x:
+                    return self._smaller_root(cand.val)
+        return None
+
+    def _smaller_root(self, r):
+        """Of the roots r and -r, the one with the smaller raw pair."""
+        return FieldElement(self, min(r, self._neg(r)))
 
 
 def _sqrt_mod_p(a, p):
@@ -373,67 +427,16 @@ def _sqrt_mod_p(a, p):
     return r
 
 
-def _tonelli_generic(F, a):
-    """Tonelli-Shanks in F_{p^2} using raw-value group arithmetic."""
-    q = F.order()
-    if F._pow_raw(a, (q - 1) // 2) != F._one_raw():
-        return None
-    m0, s = q - 1, 0
-    while m0 % 2 == 0:
-        m0 //= 2
-        s += 1
-    z = F._nonresidue()
-    m, c, t, r = s, F._pow_raw(z, m0), F._pow_raw(a, m0), F._pow_raw(a, (m0 + 1) // 2)
-    one = F._one_raw()
-    while t != one:
-        i, t2 = 0, t
-        while t2 != one:
-            t2 = F._mul(t2, t2)
-            i += 1
-        b = F._pow_raw(c, 1 << (m - i - 1))
-        m, c = i, F._mul(b, b)
-        t, r = F._mul(t, c), F._mul(r, b)
-    return r
-
-
-def _sqrt_quad_over_q(F, x):
-    # x = a + b sqrt(d) over Q(sqrt(d)); a root x = (u + v sqrt(d))^2 forces
-    # Norm(x) = (u^2 - d v^2)^2 to be a rational square.
-    base = F.base
-    a = FieldElement(base, x.val[0])
-    b = FieldElement(base, x.val[1])
-    d = FieldElement(base, F.d)
-    if not b:
-        r = base.sqrt(a)
-        if r is not None:
-            return F.element(r)
-        r = base.sqrt(a / d)
-        if r is not None:
-            return _canonical_ext(F.ext_element(0, r))
-        return None
-    norm = a * a - d * b * b
-    m = base.sqrt(norm)
-    if m is None:
-        return None
-    for mm in (m, -m):
-        t = (a + mm) / 2
-        u = base.sqrt(t)
-        if u is not None and u:
-            v = b / (u * 2)
-            cand = F.ext_element(u, v)
-            if cand * cand == F.element(x):
-                return _canonical_ext(cand)
-    return None
-
-
-def _canonical_ext(e):
-    a, b = e.val
-    if (a, b) < (e.field.base._neg(a), e.field.base._neg(b)):
-        return e
-    return FieldElement(e.field, (e.field.base._neg(a), e.field.base._neg(b)))
-
-
 class FieldElement:
+    """An element of a field: the field and a raw value.
+
+    `==` coerces ints and Fractions into the element's field, and the hash of
+    an element of Q or F_p is the hash of its raw value, so an element and the
+    canonical int or Fraction it equals are one set member.  A non-canonical
+    representative, such as 14 in F_11, compares equal to F_11's 3 but does
+    not hash equal, so ints and elements must not share dict keys or sets.
+    """
+
     __slots__ = ("field", "val")
 
     def __init__(self, field, val):
@@ -442,13 +445,14 @@ class FieldElement:
 
     def _pair(self, other):
         if isinstance(other, FieldElement):
-            if other.field is self.field or other.field == self.field:
+            f, g = self.field, other.field
+            if g is f or g == f:
                 return self, other
-            if self.field.kind == "QuadExt" and other.field == self.field.base:
-                return self, self.field.element(other)
-            if other.field.kind == "QuadExt" and self.field == other.field.base:
-                return other.field.element(self), other
-            raise FieldError("field mismatch: %r vs %r" % (self.field, other.field))
+            if isinstance(f, QuadExtField) and g == f.base:
+                return self, f.element(other)
+            if isinstance(g, QuadExtField) and f == g.base:
+                return g.element(self), other
+            raise FieldError("field mismatch: %r vs %r" % (f, g))
         return self, self.field.element(other)
 
     def __add__(self, other):
@@ -495,11 +499,11 @@ class FieldElement:
         into a quadratic extension, or descent from one when the sqrt(d)
         part is zero."""
         f = self.field
-        if f.kind == "Q":
+        if isinstance(f, RationalField):
             return new_field.element(self.val)
-        if new_field == f or (new_field.kind == "QuadExt" and new_field.base == f):
+        if new_field == f or (isinstance(new_field, QuadExtField) and new_field.base == f):
             return new_field.element(self)
-        if f.kind == "QuadExt" and new_field == f.base:
+        if isinstance(f, QuadExtField) and new_field == f.base:
             a, b = self.val
             if not f.base._is_zero_raw(b):
                 raise FieldError("element does not descend to the base field")
@@ -519,23 +523,12 @@ class FieldElement:
     def __hash__(self):
         # an extension element with zero sqrt(d) part equals its base element
         f, v = self.field, self.val
-        if f.kind == "QuadExt" and f.base._is_zero_raw(v[1]):
-            f, v = f.base, v[0]
-        return hash((f, v))
+        if isinstance(f, QuadExtField) and f.base._is_zero_raw(v[1]):
+            v = v[0]
+        return hash(v)
 
     def __repr__(self):
         return self.field._raw_str(self.val)
-
-    def __lt__(self, other):
-        # only used for deterministic tie-breaking; compares raw representations
-        a, b = self._pair(other)
-        return _order_key(a) < _order_key(b)
-
-
-def _order_key(e):
-    if e.field.kind == "QuadExt":
-        return (e.field.base._raw_str(e.val[0]), e.field.base._raw_str(e.val[1]))
-    return (str(e.val),)
 
 
 def legendre(e):
@@ -546,7 +539,7 @@ def legendre(e):
     if not e:
         return 0
     q = F.order()
-    return 1 if F._pow_raw(e.val, (q - 1) // 2) == F._one_raw() else -1
+    return 1 if F._pow_raw(e.val, (q - 1) // 2) == F._one_raw else -1
 
 
 QQ = Field.rationals()

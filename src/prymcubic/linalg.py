@@ -64,6 +64,12 @@ def kernel_basis(rows, field):
     return basis
 
 
+def line_basis(dual, field):
+    """Two points spanning the plane line with dual coordinates `dual`."""
+    p0, p1 = kernel_basis([[field.element(c) for c in dual]], field)
+    return p0, p1
+
+
 def solve(rows, rhs, field):
     """One particular solution of M x = rhs, or None when inconsistent."""
     if not rows:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from . import linalg
 from .binforms import ST, BinaryForm, binary_gcd, perfect_square_root, resultant
+from .fields import QuadExtField
 from .poly import HomogPoly, SymMatrix, proportional
 from .quadrics import factor_rank_le2
 from .symmetroid import X4
@@ -34,9 +35,7 @@ class Line2:
 
     @staticmethod
     def from_dual(field, dual):
-        rows = [[field.element(c) for c in dual]]
-        basis = linalg.kernel_basis(rows, field)
-        return Line2(field, basis[0], basis[1])
+        return Line2(field, *linalg.line_basis(dual, field))
 
     def parametrization(self, nvars=3):
         images = []
@@ -160,7 +159,7 @@ def _roots_with_multiplicity_ge2(g, field):
             if r is not None:
                 for sign in (r, -r):
                     out.append(((-c1 + sign) / (c2 * 2), field.one(), field, False))
-            elif field.kind != "QuadExt":
+            elif not isinstance(field, QuadExtField):
                 ext = field.quadratic_extension(disc)
                 r = ext.sqrt_d()
                 c1e = ext.element(c1)
@@ -193,8 +192,7 @@ def reducible_member(lam, q, field):
         if r == 1:
             pair = factor_rank_le2(mw, work, X4, allow_extension=False)
             return ReducibleMember("double", pair.h1, pair.h1, work, (s0, t0), extended)
-        pair = factor_rank_le2(mw, work, X4,
-                               allow_extension=(work.kind != "QuadExt"))
+        pair = factor_rank_le2(mw, work, X4)
         if pair is None:
             return ReducibleMember("pair", None, None, work, (s0, t0), extended,
                                    planes_unrepresentable=True)
@@ -254,15 +252,14 @@ def tritangent_verify(q, gamma, h):
         sextic = cubic.substitute(param)
         if not sextic:
             return TritangentCert(False, h, None, field, False, False)
-        cert = perfect_square_root(BinaryForm.from_poly(sextic),
-                                   allow_extension=(field.kind != "QuadExt"))
+        cert = perfect_square_root(BinaryForm.from_poly(sextic))
         if cert is None:
             return TritangentCert(False, h, None, field, False, False,
                                   plane_basis=basis, conic_param=param)
         return TritangentCert(True, h, cert.root, cert.root.field, False,
                               cert.extended, plane_basis=basis, conic_param=param)
     if rank == 2:
-        pair = factor_rank_le2(cm, field, U3, allow_extension=(field.kind != "QuadExt"))
+        pair = factor_rank_le2(cm, field, U3)
         if pair is None:
             return TritangentCert(False, h, None, field, True, False)
         ok = _even_on_line_pair(pair, cubic, field)
@@ -275,10 +272,9 @@ def _entry_field(m):
 
 
 def _line_param_from_form(line_form, field):
-    basis = linalg.kernel_basis([[line_form.terms.get(
-        tuple(1 if j == i else 0 for j in range(3)), field.zero()) for i in range(3)]], field)
-    return tuple(HomogPoly.linear(field, ST, [basis[0][i], basis[1][i]])
-                 for i in range(3))
+    p0, p1 = linalg.line_basis([line_form.terms.get(
+        tuple(1 if j == i else 0 for j in range(3)), field.zero()) for i in range(3)], field)
+    return tuple(HomogPoly.linear(field, ST, [p0[i], p1[i]]) for i in range(3))
 
 
 def _even_on_line_pair(pair, cubic, field):

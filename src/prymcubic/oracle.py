@@ -19,7 +19,7 @@ from __future__ import annotations
 from itertools import product
 
 from .binforms import BinaryForm, perfect_square_root
-from .fields import legendre
+from .fields import PrimeField, legendre
 from . import linalg
 
 DEFAULT_BUDGET = 10 ** 7
@@ -110,7 +110,7 @@ def smoothness_certificate(equations, field, budget=DEFAULT_BUDGET):
     q = field.order()
     _check_budget(q, nv - 1, budget)
     grads = [list(f.gradient()) for f in equations]
-    if field.kind == "Fp":
+    if isinstance(field, PrimeField):
         p = field.p
         evs = [compile_fp(f, p) for f in equations]
         gevs = [[compile_fp(g, p) for g in row] for row in grads]
@@ -157,7 +157,7 @@ def count_curve(equations, field, genus, label="curve", budget=DEFAULT_BUDGET):
     nv = len(equations[0].vars)
     q = field.order()
     _check_budget(q, nv - 1, budget)
-    if field.kind == "Fp":
+    if isinstance(field, PrimeField):
         evs = [compile_fp(f, field.p) for f in equations]
         n = sum(1 for pt in projective_points_int(field.p, nv - 1)
                 if not any(ev(pt) for ev in evs))
@@ -180,7 +180,7 @@ def count_double_cover(curve_equations, minors, field, label="cover",
     q = field.order()
     _check_budget(q, nv - 1, budget)
     total = 0
-    if field.kind == "Fp":
+    if isinstance(field, PrimeField):
         p = field.p
         evs = [compile_fp(f, p) for f in curve_equations]
         mevs = [compile_fp(m, p) for m in minors]
@@ -249,22 +249,16 @@ class BitangentLine:
         self.extended = extended
 
 
-def _line_span(dual, field):
-    rows = [[field.element(c) for c in dual]]
-    basis = linalg.kernel_basis(rows, field)
-    return basis[0], basis[1]
-
-
 def enumerate_bitangents(quartic, field, budget=DEFAULT_BUDGET):
     """All lines of the plane whose restriction of the quartic is a nonzero
     square up to the leading square class (even contact divisor).
 
     Returns the list in the deterministic dual-coordinate order."""
-    if field.kind != "Fp":
+    if not isinstance(field, PrimeField):
         raise OracleError("bitangent enumeration runs over prime fields")
     out = []
     for dual_el in projective_points(field, 2, budget):
-        p0, p1 = _line_span(dual_el, field)
+        p0, p1 = linalg.line_basis(dual_el, field)
         rest = quartic.restrict_to_line(p0, p1)
         if not rest:
             raise OracleError("quartic vanishes on a whole line; not reduced")

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .fields import FieldElement
+from .fields import FieldElement, RationalField
 
 
 class PolyError(ValueError):
@@ -60,9 +60,6 @@ class HomogPoly:
             e = tuple(1 if j == i else 0 for j in range(n))
             terms[e] = c
         return HomogPoly(field, vars, 1, terms)
-
-    def coefficient_vector(self, monomials):
-        return [self.terms.get(tuple(m), self.field.zero()) for m in monomials]
 
     def monomials_sorted(self):
         return sorted(self.terms, reverse=True)
@@ -235,7 +232,7 @@ class HomogPoly:
         if not self.terms:
             return self
         lead = max(self.terms)
-        if self.field.kind == "Q":
+        if isinstance(self.field, RationalField):
             num = 0
             den = 1
             for c in self.terms.values():
@@ -272,7 +269,7 @@ def proportional(f, g):
         return False
     for a, b in zip(fs, gs):
         for c, d in zip(fs, gs):
-            if not (a * d == b * c if not isinstance(a, HomogPoly) else a * d == b * c):
+            if a * d != b * c:
                 return False
     return True
 
@@ -302,7 +299,7 @@ class SymMatrix:
         for i in range(n):
             for j in range(i, n):
                 a, b = rows[i][j], rows[j][i]
-                if not _entries_equal(a, b):
+                if a != b:
                     raise PolyError("matrix is not symmetric at (%d,%d)" % (i, j))
                 upper[(i, j)] = a
         return SymMatrix(n, upper)
@@ -382,16 +379,11 @@ class SymMatrix:
     def __eq__(self, other):
         if not isinstance(other, SymMatrix) or self.n != other.n:
             return NotImplemented
-        return all(_entries_equal(self.upper[k], other.upper[k]) for k in self.upper)
+        return all(self.upper[k] == other.upper[k] for k in self.upper)
 
     def __repr__(self):
         return "SymMatrix(%d)[%s]" % (self.n, "; ".join(
             "%d,%d: %r" % (i, j, self.upper[(i, j)]) for (i, j) in sorted(self.upper)))
-
-
-def _entries_equal(a, b):
-    r = (a == b)
-    return bool(r)
 
 
 def det_and_adjugate(mat):

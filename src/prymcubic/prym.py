@@ -7,8 +7,8 @@ from __future__ import annotations
 
 from . import linalg
 from .binforms import BinaryForm, multiplicity_partition
-from .elim import FRAMES, change_frame, resultant_last_var
-from .fields import legendre
+from .elim import change_frame, frames, resultant_last_var
+from .fields import PrimeField, QuadExtField, RationalField, legendre
 from .oracle import projective_points
 from .poly import HomogPoly, SymMatrix, proportional
 from .quadrics import congruence_diagonalize
@@ -213,7 +213,7 @@ def _canonical_square_class_scale(octic, field):
     """Scale a binary octic by squares only: leading class becomes 1 when it
     is a square, else the smallest representative of its class."""
     lead = next(c for c in octic.coeffs if c)
-    if field.kind == "Q":
+    if isinstance(field, RationalField):
         fr = lead.val
         num = fr.numerator
         den = fr.denominator
@@ -226,7 +226,7 @@ def _canonical_square_class_scale(octic, field):
             d += 1
         sqfree = n if num * den > 0 else -n
         target = field.element(sqfree)
-    elif field.kind == "Fp":
+    elif isinstance(field, PrimeField):
         # the class of a square is all squares, least 1; a nonsquare's is all
         # nonsquares, least the smallest nonresidue
         target = field.one() if legendre(lead) == 1 else next(
@@ -265,7 +265,7 @@ def forward_even(a, q):
     octic = None
     param = None
     branch_reduced = None
-    point = conic_rational_point(conic, field) if field.kind in ("Q", "Fp") else None
+    point = None if isinstance(field, QuadExtField) else conic_rational_point(conic, field)
     if point is not None:
         param = parametrize_conic(conic, point, field)
         restricted = (-branch_exact).substitute(param)
@@ -284,7 +284,7 @@ def _branch_reduced_by_resultant(conic, branch):
     """Reducedness of the eight-point scheme without a conic point: in a
     frame whose projection center misses both curves and separates the
     intersection points, the degree-eight resultant is squarefree."""
-    for T in FRAMES:
+    for T in frames(conic.field):
         a = change_frame(conic, T)
         b = change_frame(branch, T)
         if not a.terms.get((0, 0, 2)) or not b.terms.get((0, 0, 4)):
@@ -366,7 +366,7 @@ def split_quadric(q, field):
     work = field
     extended = False
     if r1 is None or r2 is None:
-        if field.kind == "QuadExt":
+        if isinstance(field, QuadExtField):
             raise UnsupportedTower("splitting needs a second quadratic extension")
         first_missing = t1 if r1 is None else t2
         work = field.quadratic_extension(first_missing)

@@ -7,6 +7,7 @@ linear forms (with at most one quadratic extension for the square root).
 from __future__ import annotations
 
 from . import linalg
+from .fields import QuadExtField
 from .poly import HomogPoly
 
 
@@ -116,7 +117,7 @@ def factor_rank_le2(mat, field, vars, allow_extension=True):
     work = field
     extended = False
     if r is None:
-        if not allow_extension or field.kind == "QuadExt":
+        if not allow_extension or isinstance(field, QuadExtField):
             return None
         work = field.quadratic_extension(target)
         r = work.sqrt_d()

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .fields import Field, FieldError, QQ
+from .fields import Field, FieldElement, FieldError, PrimeField, QuadExtField, QQ, RationalField
 from .poly import HomogPoly, PolyError, SymMatrix
 from .symmetroid import X4, Symmetrization
 from .milne import Line2
@@ -23,9 +23,11 @@ class SceneError(ValueError):
 
 
 def field_to_json(field):
-    if field.kind == "Q":
+    """The field's "type" tag and parameters: the one place a field class
+    is mapped to its file-format tag."""
+    if isinstance(field, RationalField):
         return {"type": "Q"}
-    if field.kind == "Fp":
+    if isinstance(field, PrimeField):
         return {"type": "Fp", "p": field.p}
     return {"type": "QuadExt", "base": field_to_json(field.base),
             "d": scalar_to_json(field.base.element(field.d))}
@@ -54,26 +56,20 @@ def field_from_json(obj):
 
 def scalar_to_json(el):
     f = el.field
-    if f.kind == "Q":
-        v = el.val
-        return str(v.numerator) if v.denominator == 1 else "%d/%d" % (v.numerator, v.denominator)
-    if f.kind == "Fp":
-        return str(el.val)
-    a, b = el.val
-    base = f.base
-    from .fields import FieldElement
-    return [scalar_to_json(FieldElement(base, a)), scalar_to_json(FieldElement(base, b))]
+    if isinstance(f, QuadExtField):
+        return [scalar_to_json(FieldElement(f.base, v)) for v in el.val]
+    return str(el.val)  # "num/den" or "num" for a Fraction
 
 
 def scalar_from_json(data, field):
     if isinstance(data, list):
-        if field.kind != "QuadExt" or len(data) != 2:
+        if not isinstance(field, QuadExtField) or len(data) != 2:
             raise SceneError("extension scalar %r in a base field" % (data,))
         return field.ext_element(scalar_from_json(data[0], field.base),
                                  scalar_from_json(data[1], field.base))
     if not isinstance(data, str):
         raise SceneError("scalars must be strings, got %r" % (data,))
-    if field.kind == "QuadExt":
+    if isinstance(field, QuadExtField):
         return field.element(scalar_from_json(data, field.base))
     if "/" in data:
         num, den = data.split("/", 1)

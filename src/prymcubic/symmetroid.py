@@ -11,7 +11,8 @@ from itertools import combinations_with_replacement
 
 from . import linalg
 from .binforms import BinaryForm, multiplicity_partition
-from .elim import FRAMES, change_frame, plane_cubic_is_smooth, resultant_last_var
+from .elim import change_frame, frames, plane_cubic_is_smooth, resultant_last_var
+from .fields import PrimeField
 from .oracle import compile_fp, projective_points_int
 from .poly import HomogPoly, SymMatrix, proportional
 from .quadrics import conic_contains_line, factor_rank_le2
@@ -309,7 +310,7 @@ class Symmetrization:
     def _crosscheck_reducible(self, structural):
         """Over a prime field, compare with exhaustive plane-divisibility;
         disagreement is surfaced instead of guessed."""
-        if self.field.kind != "Fp":
+        if not isinstance(self.field, PrimeField):
             return structural
         det = self.determinant_cubic()
         factors = _linear_factors_exhaustive(det, self.field)
@@ -407,7 +408,7 @@ def _conic_intersection_partition(k1, k2, field):
     answer over the deterministic frame family is the true one.
     """
     best = None
-    for T in FRAMES:
+    for T in frames(field):
         a = change_frame(k1, T)
         b = change_frame(k2, T)
         if not a.terms.get((0, 0, 2)) or not b.terms.get((0, 0, 2)):

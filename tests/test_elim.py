@@ -1,9 +1,10 @@
 import random
 
 from prymcubic.binforms import BinaryForm, resultant
-from prymcubic.elim import plane_cubic_is_smooth, resultant3_quadrics, resultant_last_var
+from prymcubic.elim import FRAMES, frames, plane_cubic_is_smooth, resultant3_quadrics, resultant_last_var
 from prymcubic.fields import Field, QQ
 from prymcubic.poly import HomogPoly
+from prymcubic import linalg
 
 F11 = Field.prime(11)
 F13 = Field.prime(13)
@@ -123,3 +124,17 @@ def test_resultant_last_var_specialises_to_binary_resultant():
                 fs = BinaryForm.from_poly(f.substitute(images))
                 gs = BinaryForm.from_poly(g.substitute(images))
                 assert res.evaluate([a, b]) == resultant(fs, gs)
+
+
+def test_frames_are_invertible_over_the_working_field():
+    # determinant 37: a frame over F_31, singular over F_37
+    t37 = ((1, 4, 2), (0, 1, 5), (2, 0, 1))
+    assert t37 in list(frames(Field.prime(31)))
+    assert t37 not in list(frames(Field.prime(37)))
+    assert list(frames(QQ)) == FRAMES  # no frame is singular over every field
+    for field in (QQ, Field.prime(3), F11, F13, Field.prime(37)):
+        usable = list(frames(field))
+        assert usable and all(
+            len(linalg.kernel_basis([[field.element(c) for c in row] for row in T], field)) == 0
+            for T in usable)
+        assert [T for T in FRAMES if T in usable] == usable

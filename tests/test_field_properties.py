@@ -1,0 +1,92 @@
+"""Property tests of the scalar fields Q, F_101, F_11(sqrt 2) and Q(sqrt 5):
+ring laws, inverses, square roots, and `hash` agreeing with `==` within a
+field and across the lift of a base element into its extension."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from prymcubic.fields import Field, QQ, QuadExtField
+
+# derandomized and bounded, so the suite stays deterministic and fast
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+
+_fractions = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 12))
+
+# name -> (constructor of a fresh field object, strategy of values it coerces)
+CASES = {
+    "QQ": (Field.rationals, _fractions),
+    "F101": (lambda: Field.prime(101), st.integers(-300, 300)),
+    "F11(sqrt2)": (lambda: Field.prime(11).quadratic_extension(2),
+                   st.tuples(st.integers(0, 10), st.integers(0, 10))),
+    "Q(sqrt5)": (lambda: QQ.quadratic_extension(5), st.tuples(_fractions, _fractions)),
+}
+
+
+def _draw(data, name, n):
+    make, raw = CASES[name]
+    field = make()
+    return field, [field.element(data.draw(raw)) for _ in range(n)]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+@PROPERTY
+@given(data=st.data())
+def test_ring_laws(name, data):
+    field, (x, y, z) = _draw(data, name, 3)
+    assert (x + y) + z == x + (y + z)
+    assert (x * y) * z == x * (y * z)
+    assert x + y == y + x and x * y == y * x
+    assert x * (y + z) == x * y + x * z
+    assert x + field.zero() == x and x * field.one() == x
+    assert x - x == field.zero() and x + (-x) == field.zero()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+@PROPERTY
+@given(data=st.data())
+def test_inverse(name, data):
+    field, (x, y) = _draw(data, name, 2)
+    if x:
+        assert x * x.inverse() == 1
+        assert (y / x) * x == y
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+@PROPERTY
+@given(data=st.data())
+def test_sqrt(name, data):
+    field, (x,) = _draw(data, name, 1)
+    r = field.sqrt(x)
+    if r is not None:
+        assert r ** 2 == x
+    root = field.sqrt(x * x)
+    assert root is not None and root ** 2 == x * x and root in (x, -x)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+@PROPERTY
+@given(data=st.data())
+def test_hash_agrees_with_equality(name, data):
+    field, (x, y) = _draw(data, name, 2)
+    twin = CASES[name][0]()  # equal to field, another object
+    for a, b in ((x, twin.element(x.val)), (x, (x + y) - y), (x, y), (x * y, y * x)):
+        assert (a == b) == (b == a)
+        if a == b:
+            assert hash(a) == hash(b)
+    if not isinstance(field, QuadExtField):
+        # Q and F_p: an element is one set member with its raw value
+        assert x == x.val and hash(x) == hash(x.val)
+
+
+@pytest.mark.parametrize("name", ["F11(sqrt2)", "Q(sqrt5)"])
+@PROPERTY
+@given(data=st.data())
+def test_hash_agrees_across_lift(name, data):
+    field, (x,) = _draw(data, name, 1)
+    b = field.base.element(x.val[0])
+    lifted = field.element(b)
+    assert lifted == b and b == lifted and hash(lifted) == hash(b)
+    assert len({b, lifted}) == 1
+    assert (x == b) == (x.val[1] == 0)

@@ -132,3 +132,10 @@ def test_exactness_random_roundtrips():
             assert (a + b) - b == a
             if b:
                 assert (a / b) * b == a
+
+
+def test_hash_agrees_with_equality_against_raw_values():
+    assert len({F11.element(3), 3}) == 1
+    assert len({QQ.element(Fraction(1, 2)), Fraction(1, 2)}) == 1
+    # a non-canonical int compares equal but does not hash equal (documented)
+    assert F11.element(3) == 14

@@ -31,6 +31,13 @@ def test_scene_rejects_characteristic_two():
         parse_scene(json.dumps(doc))
 
 
+def test_scene_rejects_non_integer_characteristic():
+    for p in ("11", 11.0, None):
+        doc = {"field": {"type": "Fp", "p": p}, "objects": {}, "metadata": {}}
+        with pytest.raises(SceneError):
+            parse_scene(json.dumps(doc))
+
+
 def test_scene_rejects_square_extension():
     doc = {"field": {"type": "QuadExt", "base": {"type": "Q"}, "d": "4"},
            "objects": {}, "metadata": {}}

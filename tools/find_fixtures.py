@@ -12,14 +12,12 @@ sys.path.insert(0, "src")
 
 from prymcubic.fields import Field, QQ
 from prymcubic.poly import HomogPoly, SymMatrix
-from prymcubic.symmetroid import Symmetrization, SymmetroidType, hankel_symmetroid
+from prymcubic.symmetroid import X4, Z3, Symmetrization, SymmetroidType, hankel_symmetroid
 from prymcubic.prym import forward_general, forward_even, pencil_conics, reverse_construct, roundtrip_change_matches
 from prymcubic.oracle import (smoothness_certificate, count_curve, count_double_cover,
                               count_hyperelliptic_octic, OracleError)
 
 PRIMES = [11, 13, 17, 19]
-X4 = ("x0", "x1", "x2", "x3")
-Z3 = ("z0", "z1", "z2")
 
 
 def qmat(field, terms):
