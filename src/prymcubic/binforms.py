@@ -1,7 +1,13 @@
-"""Binary forms in (s, t) and the univariate elimination toolbox built on
-them: gcd, squarefree decomposition (complete in small characteristic via
-p-th-power descent), root-multiplicity signatures, perfect-square detection
-with at most one quadratic extension, and Sylvester resultants.
+"""Binary forms and the univariate elimination toolbox built on them.
+
+A binary form is a `HomogPoly` in two variables, (s, t) unless a caller
+names others; every function here takes and returns one.  Internally a form
+is read as its dense coefficient list, entry i the coefficient of
+s^(d-i) t^i, and its core after stripping powers of s and t as a univariate
+polynomial in u = s/t.  On top of that: gcd, squarefree decomposition
+(complete in small characteristic via p-th-power descent),
+root-multiplicity signatures, perfect-square detection with at most one
+quadratic extension, and Sylvester resultants.
 """
 
 from __future__ import annotations
@@ -12,112 +18,37 @@ from .poly import HomogPoly, PolyError
 ST = ("s", "t")
 
 
-class BinaryForm:
-    """Homogeneous form in (s, t); coeffs[i] is the coefficient of s^(d-i) t^i."""
+def _coeffs(f):
+    """Dense coefficient list of a binary form: entry i is the coefficient of
+    s^(d-i) t^i."""
+    if len(f.vars) != 2:
+        raise PolyError("not a binary form")
+    cs = [f.field.zero()] * (f.degree + 1)
+    for (_, j), c in f.terms.items():
+        cs[j] = c
+    return cs
 
-    __slots__ = ("field", "degree", "coeffs")
 
-    def __init__(self, field, coeffs, degree=None):
-        coeffs = [field.element(c) for c in coeffs]
-        if degree is None:
-            degree = len(coeffs) - 1
-        if len(coeffs) != degree + 1:
-            raise PolyError("need %d coefficients for degree %d" % (degree + 1, degree))
-        self.field = field
-        self.degree = degree
-        self.coeffs = coeffs
+def _strip_st(f):
+    """(s_mult, t_mult, core): the powers of s and t dividing a nonzero form
+    and the dense coefficients of the rest, whose extreme entries are nonzero."""
+    cs = _coeffs(f)
+    if not f.terms:
+        raise PolyError("zero form")
+    # the t-exponent of entry i is i, so zeros at the start of the list are
+    # t-powers and zeros at the end s-powers
+    lo = min(j for _, j in f.terms)
+    hi = max(j for _, j in f.terms)
+    return f.degree - hi, lo, cs[lo:hi + 1]
 
-    @staticmethod
-    def from_poly(f):
-        if len(f.vars) != 2:
-            raise PolyError("not a binary form")
-        cs = [f.field.zero()] * (f.degree + 1)
-        for (i, j), c in f.terms.items():
-            cs[j] = c
-        return BinaryForm(f.field, cs)
 
-    def to_poly(self, vars=ST):
-        terms = {}
-        d = self.degree
-        for i, c in enumerate(self.coeffs):
-            if c:
-                terms[(d - i, i)] = c
-        return HomogPoly(self.field, vars, d, terms, _clean=True)
-
-    def is_zero(self):
-        return not any(self.coeffs)
-
-    def __bool__(self):
-        return not self.is_zero()
-
-    def __eq__(self, other):
-        if not isinstance(other, BinaryForm):
-            return NotImplemented
-        return (self.field == other.field and self.degree == other.degree
-                and all(a == b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __repr__(self):
-        return "BinaryForm(%r)" % (self.coeffs,)
-
-    def __mul__(self, other):
-        if not isinstance(other, BinaryForm):
-            c = self.field.element(other)
-            return BinaryForm(self.field, [x * c for x in self.coeffs], self.degree)
-        out = [self.field.zero()] * (self.degree + other.degree + 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    out[i + j] = out[i + j] + a * b
-        return BinaryForm(self.field, out)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return BinaryForm(self.field, [-c for c in self.coeffs], self.degree)
-
-    def evaluate(self, s, t):
-        s = self.field.element(s)
-        t = self.field.element(t)
-        total = self.field.zero()
-        d = self.degree
-        for i, c in enumerate(self.coeffs):
-            if c:
-                total = total + c * s ** (d - i) * t ** i
-        return total
-
-    def change_field(self, new_field):
-        return BinaryForm(new_field, [c.change_field(new_field) for c in self.coeffs],
-                          self.degree)
-
-    # factor out powers of s and t; remaining part has nonzero extreme coeffs
-    def strip_st(self):
-        cs = self.coeffs
-        lo = 0
-        while lo <= self.degree and not cs[lo]:
-            lo += 1
-        if lo > self.degree:
-            raise PolyError("zero form")
-        hi = self.degree
-        while not cs[hi]:
-            hi -= 1
-        # s-exponent of monomial i is d - i, so trailing zeros at the top of
-        # the list are t-powers and at the bottom s-powers
-        t_mult = lo          # divisible by t^lo
-        s_mult = self.degree - hi
-        core = cs[lo:hi + 1]
-        return s_mult, t_mult, list(core)
-
-    def squarefree_parts(self):
-        """(s_mult, t_mult, factors): the powers of s and t dividing the form,
-        whose roots are (0 : 1) and (1 : 0), and the squarefree decomposition
-        [(m, g)] of the rest by ascending multiplicity, each g an ascending
-        coefficient list in u = s/t (a root u0 is the point (u0 : 1))."""
-        s_mult, t_mult, core = self.strip_st()
-        if len(core) == 1:
-            return s_mult, t_mult, []
-        return s_mult, t_mult, squarefree_decomposition(list(reversed(core)), self.field)
+def squarefree_parts(f):
+    """(s_mult, t_mult, factors): the powers of s and t dividing the form,
+    whose roots are (0 : 1) and (1 : 0), and the squarefree decomposition
+    [(m, g)] of the rest by ascending multiplicity, each g an ascending
+    coefficient list in u = s/t (a root u0 is the point (u0 : 1))."""
+    s_mult, t_mult, core = _strip_st(f)
+    return s_mult, t_mult, squarefree_decomposition(list(reversed(core)), f.field)
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +131,7 @@ def squarefree_decomposition(f, field):
     p = field.characteristic()
     df = _derivative(f, field)
     out = {}
+    rest = f  # the p-th power left for descent once Yun's loop is done
     if not _is_zero_poly(df):
         c = _gcd_poly(f, df, field)
         w, _ = _divmod_poly(f, c, field)
@@ -212,24 +144,19 @@ def squarefree_decomposition(f, field):
             i += 1
             w = y
             c, _ = _divmod_poly(c, y, field)
-        if _deg(c) > 0:
-            for m, g in squarefree_decomposition(_pth_root_poly(c, field, p), field):
-                key = m * p
-                out[key] = _gcd_like_merge(out.get(key), g, field)
-    else:
-        for m, g in squarefree_decomposition(_pth_root_poly(f, field, p), field):
+        rest = c
+    if _deg(rest) > 0:
+        for m, g in squarefree_decomposition(_pth_root_poly(rest, field, p), field):
             key = m * p
-            out[key] = _gcd_like_merge(out.get(key), g, field)
+            out[key] = _mul_poly(out[key], g, field) if key in out else g
     return sorted((m, g) for m, g in out.items())
 
 
-def _gcd_like_merge(existing, g, field):
-    if existing is None:
-        return g
-    prod = [field.zero()] * (len(existing) + len(g) - 1)
-    for i, a in enumerate(existing):
-        for j, b in enumerate(g):
-            prod[i + j] = prod[i + j] + a * b
+def _mul_poly(a, b, field):
+    prod = [field.zero()] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] = prod[i + j] + x * y
     return prod
 
 
@@ -241,7 +168,7 @@ def squarefree_signature(form):
     """
     if not form:
         raise PolyError("signature of the zero form")
-    s_mult, t_mult, factors = form.squarefree_parts()
+    s_mult, t_mult, factors = squarefree_parts(form)
     sig = {}
     for m, d in [(s_mult, 1), (t_mult, 1)] + [(m, _deg(g)) for m, g in factors]:
         if m:
@@ -271,17 +198,18 @@ class SquareRootCert:
 def perfect_square_root(form, allow_extension=True):
     """Square root of a binary form of even degree.
 
-    Returns a certificate whose root satisfies root^2 == g exactly; the root
-    lives over the base field when the normalizing scalar is a square there,
-    and otherwise over the quadratic extension by that scalar (refused when
-    allow_extension is false).  None when the divisor of g is not even.
+    Returns a certificate whose root, a form in the same variables,
+    satisfies root^2 == g exactly; the root lives over the base field when
+    the normalizing scalar is a square there, and otherwise over the
+    quadratic extension by that scalar (refused when allow_extension is
+    false).  None when the divisor of g is not even.
     """
     if form.degree % 2 != 0:
         raise PolyError("perfect squares have even degree")
     if not form:
         raise PolyError("zero form")
     field = form.field
-    s_mult, t_mult, factors = form.squarefree_parts()
+    s_mult, t_mult, factors = squarefree_parts(form)
     if s_mult % 2 or t_mult % 2:
         return None
     half = [field.one()]
@@ -289,26 +217,18 @@ def perfect_square_root(form, allow_extension=True):
         if m % 2:
             return None
         for _ in range(m // 2):
-            half = _gcd_like_merge(half, g, field)
-    # reassemble the binary square root without the scalar
-    half_deg = form.degree // 2 - (s_mult + t_mult) // 2
-    cs = [field.zero()] * (half_deg + 1)
-    for i, c in enumerate(half):
-        cs[half_deg - i] = c
-    root0 = BinaryForm(field, cs)
-    # multiply back the even s/t powers
-    s_half = [field.zero()] * (s_mult // 2 + 1)
-    s_half[0] = field.one()
-    t_half = [field.zero()] * (t_mult // 2 + 1)
-    t_half[-1] = field.one()
-    root0 = root0 * BinaryForm(field, s_half) * BinaryForm(field, t_half)
+            half = _mul_poly(half, g, field)
+    # the square root without the scalar: u^i in u = s/t is s^i t^(deg - i),
+    # times the halved powers of s and t
+    hs, ht, hd = s_mult // 2, t_mult // 2, len(half) - 1
+    root0 = HomogPoly(field, form.vars, form.degree // 2,
+                      {(hs + i, ht + hd - i): c for i, c in enumerate(half) if c}, _clean=True)
     sq = root0 * root0
-    scalar = None
-    for a, b in zip(form.coeffs, sq.coeffs):
-        if b:
-            scalar = a / b
-            break
-    if scalar is None or not all(x * scalar == y for x, y in zip(sq.coeffs, form.coeffs)):
+    top = max(sq.terms)
+    if top not in form.terms:
+        return None
+    scalar = form.terms[top] / sq.terms[top]
+    if sq * scalar != form:
         return None
     r = field.sqrt(scalar)
     if r is not None:
@@ -330,23 +250,18 @@ def resultant(f, g):
     """
     from . import linalg
     field = f.field
+    fc, gc = _coeffs(f), _coeffs(g)
     m, n = f.degree, g.degree
     if m == 0:
-        return f.coeffs[0] ** n
+        return fc[0] ** n
     if n == 0:
-        return g.coeffs[0] ** m
-    size = m + n
+        return gc[0] ** m
     rows = []
-    for i in range(n):
-        row = [field.zero()] * size
-        for j, c in enumerate(f.coeffs):
-            row[i + j] = c
-        rows.append(row)
-    for i in range(m):
-        row = [field.zero()] * size
-        for j, c in enumerate(g.coeffs):
-            row[i + j] = c
-        rows.append(row)
+    for cs, shifts in ((fc, n), (gc, m)):
+        for i in range(shifts):
+            row = [field.zero()] * (m + n)
+            row[i:i + len(cs)] = cs
+            rows.append(row)
     return linalg.det(rows)
 
 
@@ -357,15 +272,13 @@ def binary_gcd(f, g):
         return g
     if not g:
         return f
-    sf, tf, cf = f.strip_st()
-    sg, tg, cg = g.strip_st()
+    sf, tf, cf = _strip_st(f)
+    sg, tg, cg = _strip_st(g)
     s_common, t_common = min(sf, sg), min(tf, tg)
     pf = _trim(list(reversed(cf)), field)
     pg = _trim(list(reversed(cg)), field)
     core = _gcd_poly(pf, pg, field)
     d = _deg(core) + s_common + t_common
-    cs = [field.zero()] * (d + 1)
-    for i, c in enumerate(core):
-        # core root structure sits between the forced s and t powers
-        cs[d - s_common - i] = c
-    return BinaryForm(field, cs)
+    # core root structure sits between the forced s and t powers
+    return HomogPoly(field, f.vars, d, {(s_common + i, d - s_common - i): c
+                                        for i, c in enumerate(core) if c}, _clean=True)

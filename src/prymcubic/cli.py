@@ -125,8 +125,7 @@ def cmd_forward(args):
         out.add("branch", model.branch_quartic)
         notes["branch_reduced"] = model.branch_reduced
         if model.octic is not None:
-            octic_poly = model.octic.to_poly()
-            out.add("octic", octic_poly)
+            out.add("octic", model.octic)
     else:
         raise CliInputError("quadric must have rank 3 or 4")
     out.metadata["notes"] = notes
@@ -231,8 +230,7 @@ def cmd_count(args):
     else:
         f = scene.get(label, "quartic")
         if len(f.vars) == 2:
-            from .binforms import BinaryForm
-            rep = count_hyperelliptic_octic(BinaryForm.from_poly(f), field, label=label)
+            rep = count_hyperelliptic_octic(f, field, label=label, budget=args.budget)
             report = {"label": rep.label, "q": rep.q, "count": rep.count,
                       "genus": rep.genus, "trace": rep.trace, "weil_ok": rep.weil_ok,
                       "smooth": None, "singular_witness": None}

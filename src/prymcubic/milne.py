@@ -7,7 +7,7 @@ points, and the unique-cubic reconstruction.
 from __future__ import annotations
 
 from . import linalg
-from .binforms import ST, BinaryForm, binary_gcd, perfect_square_root, resultant
+from .binforms import ST, binary_gcd, perfect_square_root, resultant, squarefree_parts
 from .fields import QuadExtField
 from .poly import HomogPoly, SymMatrix, proportional
 from .quadrics import factor_rank_le2
@@ -55,23 +55,23 @@ class EnvelopingCone:
         self.generic = generic
 
 
+def _misses_base_locus(restricted):
+    """The four adjugate cubics restricted to a line are nonzero and have no
+    common projective root.  A vanishing restriction means the whole line
+    maps into a plane, and the image drops degree."""
+    if not all(restricted):
+        return False
+    g = restricted[0]
+    for f in restricted[1:]:
+        g = binary_gcd(g, f)
+    return g.degree == 0
+
+
 def line_is_generic(a, line):
     """The line avoids the base locus of the cubic map: the four restricted
     cubics have no common projective root."""
-    cubics = a.adjugate_cubics()
     param = line.parametrization()
-    restricted = [c.substitute(param) for c in cubics]
-    forms = [BinaryForm.from_poly(r) for r in restricted if r]
-    if not forms:
-        return False
-    g = forms[0]
-    for f in forms[1:]:
-        g = binary_gcd(g, f)
-    if len(forms) < 4:
-        # a vanishing restriction means the whole line maps into a plane;
-        # any common root of the others is still a base point
-        return g.degree == 0 and len([r for r in restricted if r]) == 4
-    return g.degree == 0
+    return _misses_base_locus([c.substitute(param) for c in a.adjugate_cubics()])
 
 
 def enveloping_cone(a, line):
@@ -142,7 +142,7 @@ def _roots_with_multiplicity_ge2(g, field):
     """Roots of multiple factors of a binary quartic, each over the base
     field or one quadratic extension: (s0, t0, work_field, extended)."""
     out = []
-    s_mult, t_mult, factors = BinaryForm.from_poly(g).squarefree_parts()
+    s_mult, t_mult, factors = squarefree_parts(g)
     if s_mult >= 2:
         out.append((field.zero(), field.one(), field, False))
     if t_mult >= 2:
@@ -252,7 +252,7 @@ def tritangent_verify(q, gamma, h):
         sextic = cubic.substitute(param)
         if not sextic:
             return TritangentCert(False, h, None, field, False, False)
-        cert = perfect_square_root(BinaryForm.from_poly(sextic))
+        cert = perfect_square_root(sextic)
         if cert is None:
             return TritangentCert(False, h, None, field, False, False,
                                   plane_basis=basis, conic_param=param)
@@ -291,10 +291,8 @@ def _even_on_line_pair(pair, cubic, field):
         restricted = cw.substitute(param)
         if not restricted:
             return False
-        rform = BinaryForm.from_poly(restricted)
-        xform = BinaryForm.from_poly(cross)
         odd_at_cross = 0
-        s_mult, t_mult, factors = rform.squarefree_parts()
+        s_mult, t_mult, factors = squarefree_parts(restricted)
         checks = []
         if s_mult % 2:
             checks.append((work.zero(), work.one(), s_mult))
@@ -307,7 +305,7 @@ def _even_on_line_pair(pair, cubic, field):
                 return False
             checks.append((-fac[0] / fac[1], work.one(), mult))
         for s0, t0, mult in checks:
-            if xform.evaluate(s0, t0):
+            if cross.evaluate([s0, t0]):
                 return False
             odd_at_cross += mult
         crossing_mults.append(odd_at_cross)
@@ -336,11 +334,7 @@ def twisted_cubic(a, line, strict=False):
     det = a.determinant_cubic()
     if det.substitute(comps):
         raise MilneError("twisted cubic left the symmetroid; internal error")
-    forms = [BinaryForm.from_poly(c) for c in comps if c]
-    g = forms[0]
-    for f in forms[1:]:
-        g = binary_gcd(g, f)
-    honest = (len(forms) == 4 and g.degree == 0)
+    honest = _misses_base_locus(comps)
     if strict and not honest:
         raise MilneError("line meets the base locus; image drops degree")
     return TwistedCubic(comps, line, honest)
@@ -352,7 +346,7 @@ def contact_points_match(h, cubic_T, contact_root, conic_param, plane_basis_vect
     field = contact_root.field
     comps = [c if c.field == field else c.change_field(field) for c in cubic_T.components]
     hw = h if h.field == field else h.change_field(field)
-    hT = BinaryForm.from_poly(_compose_linear(hw, comps, field))
+    hT = hw.substitute(comps)
     if not hT:
         return False
     # the plane's points under the conic parametrization, in space coordinates
@@ -376,28 +370,14 @@ def contact_points_match(h, cubic_T, contact_root, conic_param, plane_basis_vect
     rs = []
     for coeffs in probes:
         phi = HomogPoly.linear(field, X4, coeffs)
-        r = resultant(hT, BinaryForm.from_poly(_compose_linear(phi, comps, field)))
-        s = resultant(contact_root, BinaryForm.from_poly(_compose_linear(phi, lifted, field)))
+        r = resultant(hT, phi.substitute(comps))
+        s = resultant(contact_root, phi.substitute(lifted))
         rs.append((r, s))
     for i in range(len(rs)):
         for j in range(i + 1, len(rs)):
             if rs[i][0] * rs[j][1] != rs[j][0] * rs[i][1]:
                 return False
     return True
-
-
-def _compose_linear(phi, comps, field):
-    acc = None
-    for i in range(4):
-        e = tuple(1 if j == i else 0 for j in range(4))
-        c = phi.terms.get(e)
-        if c:
-            t = comps[i] * c
-            acc = t if acc is None else acc + t
-    if acc is None:
-        deg = comps[0].degree
-        return HomogPoly.zero(field, comps[0].vars, deg)
-    return acc
 
 
 _SAMPLE_PARAMS = [(1, 0), (0, 1), (1, 1), (1, 2), (1, 3), (2, 1), (3, 1), (1, 4),

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .binforms import BinaryForm, perfect_square_root
+from .binforms import perfect_square_root
 from .fields import PrimeField, legendre
 from . import linalg
 
@@ -213,23 +213,24 @@ def count_double_cover(curve_equations, minors, field, label="cover",
     return CountReport(q, label, total, genus)
 
 
-def count_hyperelliptic_octic(octic, field, label="octic", genus=3):
+def count_hyperelliptic_octic(octic, field, label="octic", genus=3, budget=DEFAULT_BUDGET):
     """Weighted two-chart count of y^2 = h(s, t) for a separable binary
     octic of degree 8 or 7 in the affine chart."""
     if not field.is_finite():
         raise OracleError("octic counting needs a finite field")
     q = field.order()
+    _check_budget(q, 1, budget)
     total = 0
     # affine chart t = 1
     for s in field.elements():
-        v = octic.evaluate(s, field.one())
+        v = octic.evaluate([s, field.one()])
         total += 1 + legendre(v)
     # points at infinity: s^8 coefficient decides
-    lead = octic.coeffs[0]
-    deg_drop = not lead
-    if deg_drop:
+    d = octic.degree
+    lead = octic.terms.get((d, 0))
+    if lead is None:
         # degree 7 in the chart: one (ramified) smooth point at infinity
-        if not octic.coeffs[1]:
+        if (d - 1, 1) not in octic.terms:
             raise OracleError("octic degenerates at infinity; chart invalid")
         total += 1
     else:
@@ -262,7 +263,7 @@ def enumerate_bitangents(quartic, field, budget=DEFAULT_BUDGET):
         rest = quartic.restrict_to_line(p0, p1)
         if not rest:
             raise OracleError("quartic vanishes on a whole line; not reduced")
-        cert = perfect_square_root(BinaryForm.from_poly(rest))
+        cert = perfect_square_root(rest)
         if cert is None:
             continue
         out.append(BitangentLine(dual_el, tuple(p0), tuple(p1), rest,

@@ -206,7 +206,6 @@ class HomogPoly:
             return p
 
         for e, c in self.terms.items():
-            term = HomogPoly(self.field, tvars, 0, {(0,) * len(tvars): c})
             prod = None
             for i, k in enumerate(e):
                 if k:

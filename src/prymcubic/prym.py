@@ -6,7 +6,7 @@ plane quartic with compatible conic data back to the space pair.
 from __future__ import annotations
 
 from . import linalg
-from .binforms import BinaryForm, multiplicity_partition
+from .binforms import multiplicity_partition
 from .elim import change_frame, frames, resultant_last_var
 from .fields import PrimeField, QuadExtField, RationalField, legendre
 from .oracle import projective_points
@@ -81,7 +81,7 @@ def _reducedness_certificate(quartic, field):
         rest = quartic.restrict_to_line(pa, pb)
         if not rest:
             continue
-        if all(m == 1 for m in multiplicity_partition(BinaryForm.from_poly(rest))):
+        if all(m == 1 for m in multiplicity_partition(rest)):
             good += 1
             if good == 3:
                 return True
@@ -101,7 +101,8 @@ class PlaneQuarticModel:
 
 class HyperellipticModel:
     """Genus-3 output in the even case: a smooth conic with an eight-point
-    branch scheme, plus a binary octic chart when the conic has a point."""
+    branch scheme, plus a binary octic chart (a form in (s, t)) when the
+    conic has a point."""
 
     __slots__ = ("conic", "branch_quartic", "octic", "parametrization",
                  "branch_reduced", "twist_scaled")
@@ -212,7 +213,7 @@ def conic_rational_point(conic, field, search_bound=12):
 def _canonical_square_class_scale(octic, field):
     """Scale a binary octic by squares only: leading class becomes 1 when it
     is a square, else the smallest representative of its class."""
-    lead = next(c for c in octic.coeffs if c)
+    lead = octic.terms[max(octic.terms)]
     if isinstance(field, RationalField):
         fr = lead.val
         num = fr.numerator
@@ -269,11 +270,10 @@ def forward_even(a, q):
     if point is not None:
         param = parametrize_conic(conic, point, field)
         restricted = (-branch_exact).substitute(param)
-        octic_form = BinaryForm.from_poly(restricted)
-        if not octic_form:
+        if not restricted:
             raise PrymError("branch scheme contains the conic")
-        branch_reduced = all(m == 1 for m in multiplicity_partition(octic_form))
-        octic = _canonical_square_class_scale(octic_form, field)
+        branch_reduced = all(m == 1 for m in multiplicity_partition(restricted))
+        octic = _canonical_square_class_scale(restricted, field)
     else:
         branch_reduced = _branch_reduced_by_resultant(conic, branch_exact)
     return HyperellipticModel(conic, branch_exact, octic, param, branch_reduced,
@@ -292,10 +292,9 @@ def _branch_reduced_by_resultant(conic, branch):
         res = resultant_last_var(a, b)
         if not res:
             return False
-        form = BinaryForm.from_poly(res)
-        if form.degree != 8:
+        if res.degree != 8:
             continue
-        if all(m == 1 for m in multiplicity_partition(form)):
+        if all(m == 1 for m in multiplicity_partition(res)):
             return True
     return None
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from itertools import combinations_with_replacement
 
 from . import linalg
-from .binforms import BinaryForm, multiplicity_partition
+from .binforms import ST, multiplicity_partition
 from .elim import change_frame, frames, plane_cubic_is_smooth, resultant_last_var
 from .fields import PrimeField
 from .oracle import compile_fp, projective_points_int
@@ -416,7 +416,7 @@ def _conic_intersection_partition(k1, k2, field):
         res = resultant_last_var(a, b)
         if not res:
             continue
-        part = multiplicity_partition(BinaryForm.from_poly(res))
+        part = multiplicity_partition(res)
         if sum(part) != 4:
             continue
         if best is None or len(part) > len(best):
@@ -574,7 +574,8 @@ def cayley_normal_form(field, quartic_coeffs, h_coeffs, xvars=X4):
 
 
 def _quartic_separable(a, field):
-    form = BinaryForm(field, [field.one(), a[3], a[2], a[1], a[0]])
+    coeffs = [1, a[3], a[2], a[1], a[0]]
+    form = HomogPoly(field, ST, 4, {(4 - i, i): c for i, c in enumerate(coeffs)})
     return multiplicity_partition(form) == [1, 1, 1, 1]
 
 

@@ -2,18 +2,20 @@ import random
 
 import pytest
 
-from prymcubic.binforms import (BinaryForm, binary_gcd, multiplicity_partition,
+from prymcubic.binforms import (ST, binary_gcd, multiplicity_partition,
                                 perfect_square_root, resultant,
                                 squarefree_signature)
 from prymcubic.fields import Field, QQ, QuadExtField, RationalField
-from prymcubic.poly import PolyError
+from prymcubic.poly import HomogPoly, PolyError, proportional
 
 F7 = Field.prime(7)
 F11 = Field.prime(11)
 
 
 def bf(field, coeffs):
-    return BinaryForm(field, [field.element(c) for c in coeffs])
+    """The form in (s, t) whose i-th coefficient is that of s^(d-i) t^i."""
+    d = len(coeffs) - 1
+    return HomogPoly(field, ST, d, {(d - i, i): c for i, c in enumerate(coeffs)})
 
 
 def lin_product(field, roots, extra_s=0, extra_t=0):
@@ -81,7 +83,7 @@ def test_perfect_square_examples():
     f = bf(QQ, [1, 1, 1])  # s^2 + st + t^2
     cert = perfect_square_root(f * f)
     assert cert is not None and not cert.extended
-    assert (cert.root * cert.root).coeffs == (f * f).coeffs
+    assert cert.root * cert.root == f * f
     assert perfect_square_root(bf(QQ, [1, 0, 0, 0, 0, 0, 1])) is None  # s^6 + t^6
     # 2 is a square mod 7 (3^2 = 2), so the nonsquare-scalar case needs 3
     assert perfect_square_root(bf(F7, [0, 0, 2, 0, 0]), allow_extension=False) is not None
@@ -90,8 +92,7 @@ def test_perfect_square_examples():
     cert = perfect_square_root(g)
     assert cert is not None and cert.extended
     assert isinstance(cert.root.field, QuadExtField)
-    sq = cert.root * cert.root
-    assert sq.coeffs == [cert.root.field.element(c) for c in g.coeffs]
+    assert cert.root * cert.root == g.change_field(cert.root.field)
 
 
 def test_perfect_square_random_recovery():
@@ -104,13 +105,19 @@ def test_perfect_square_random_recovery():
             cert = perfect_square_root(h * h)
             assert cert is not None
             assert not cert.extended or not isinstance(field, RationalField)
-            assert (cert.root * cert.root).coeffs == [
-                cert.root.field.element(c) for c in (h * h).coeffs]
+            assert cert.root * cert.root == (h * h).change_field(cert.root.field)
 
 
 def test_zero_form_rejected():
     with pytest.raises(PolyError):
         squarefree_signature(bf(QQ, [0, 0, 0]))
+
+
+def test_forms_in_three_variables_rejected():
+    conic = HomogPoly(QQ, ("x", "y", "z"), 2, {(2, 0, 0): 1, (0, 1, 1): 1})
+    for call in (squarefree_signature, perfect_square_root, lambda f: resultant(f, f)):
+        with pytest.raises(PolyError, match="not a binary form"):
+            call(conic)
 
 
 def test_resultant_detects_common_roots():
@@ -130,7 +137,5 @@ def test_binary_gcd():
     g = lin_product(QQ, [(3, 1), (5, 1)], extra_s=2)
     d = binary_gcd(f, g)
     expect = lin_product(QQ, [(3, 1)], extra_s=1)
-    cd = d.coeffs
-    ce = expect.coeffs
-    k = next(i for i, c in enumerate(cd) if c)
-    assert all(cd[i] * ce[k] == ce[i] * cd[k] for i in range(len(cd)))
+    assert isinstance(d, HomogPoly) and d.vars == ST
+    assert d.degree == expect.degree and proportional(d, expect)

@@ -1,6 +1,6 @@
 import random
 
-from prymcubic.binforms import BinaryForm, resultant
+from prymcubic.binforms import resultant
 from prymcubic.elim import FRAMES, frames, plane_cubic_is_smooth, resultant3_quadrics, resultant_last_var
 from prymcubic.fields import Field, QQ
 from prymcubic.poly import HomogPoly
@@ -121,8 +121,8 @@ def test_resultant_last_var_specialises_to_binary_resultant():
                 images = (HomogPoly.linear(field, st, [0, a]),
                           HomogPoly.linear(field, st, [0, b]),
                           HomogPoly.linear(field, st, [1, 0]))
-                fs = BinaryForm.from_poly(f.substitute(images))
-                gs = BinaryForm.from_poly(g.substitute(images))
+                fs = f.substitute(images)
+                gs = g.substitute(images)
                 assert res.evaluate([a, b]) == resultant(fs, gs)
 
 

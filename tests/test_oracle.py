@@ -125,13 +125,12 @@ def test_trace_identity_all_smooth_fixtures_p11():
 
 
 def test_octic_counting_infinity_handling():
-    from prymcubic.binforms import BinaryForm
     # y^2 = s t (s^6 + t^6)-ish degree-8 separable examples with and without
     # a root at infinity
-    f1 = BinaryForm(F11, [1, 0, 0, 0, 0, 0, 0, 0, -1])
+    f1 = HomogPoly(F11, ("s", "t"), 8, {(8, 0): 1, (0, 8): -1})
     rep1 = count_hyperelliptic_octic(f1, F11)
     assert rep1.weil_ok
-    f2 = BinaryForm(F11, [0, 1, 0, 0, 0, 0, 0, 1, 0])  # t s^7 + s t^7, deg 7 chart
+    f2 = HomogPoly(F11, ("s", "t"), 8, {(7, 1): 1, (1, 7): 1})  # t s^7 + s t^7, deg 7 chart
     rep2 = count_hyperelliptic_octic(f2, F11)
     assert rep2.weil_ok
     brute = 0

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from prymcubic import linalg
-from prymcubic.binforms import BinaryForm, binary_gcd
+from prymcubic.binforms import binary_gcd
 from prymcubic.fields import Field, QQ, legendre
 from prymcubic.fixtures import FIXTURES, fix_a, fix_q, fix_x
 from prymcubic.poly import HomogPoly, SymMatrix, proportional
@@ -288,12 +288,10 @@ def _partition_points(field, a, q, fwd, gamma, qform, dualm, want):
             quartic_restr = fwd.quartic.restrict_to_line(span[0], span[1])
             if not quartic_restr:
                 continue
-            total = BinaryForm.from_poly(quartic_restr)
             for fiber_conics in fibers:
-                g = total
+                g = quartic_restr
                 for fc in fiber_conics:
-                    restr = fc.restrict_to_line(span[0], span[1])
-                    g = binary_gcd(g, BinaryForm.from_poly(restr))
+                    g = binary_gcd(g, fc.restrict_to_line(span[0], span[1]))
                 assert g.degree == 2
         checked += 1
     return checked
@@ -320,10 +318,9 @@ def test_even_octic_twist_is_split_class():
     q = fx.quadric(F)
     model = forward_even(a, q)
     raw = (-model.branch_quartic).substitute(model.parametrization)
-    raw_form = BinaryForm.from_poly(raw)
     for s in range(13):
-        v1 = raw_form.evaluate(F.element(s), F.one())
-        v2 = model.octic.evaluate(F.element(s), F.one())
+        v1 = raw.evaluate([s, 1])
+        v2 = model.octic.evaluate([s, 1])
         if v1 and v2:
             assert legendre(v1 / v2) == 1
             break

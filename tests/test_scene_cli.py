@@ -153,6 +153,22 @@ def test_cli_count_budget(capsys):
     assert code == 3
 
 
+def test_cli_count_octic_chart_budget(tmp_path, capsys):
+    code, out, err = run_cli(["forward", DATA, "--A", "A_even", "--Q", "Q_even"], capsys)
+    assert code == 0 and "octic" in parse_scene(out).objects
+    path = tmp_path / "even.json"
+    path.write_text(out)
+    args = ["count", str(path), "--curve", "octic", "--q", "11"]
+    code, out, err = run_cli(["--budget", "5"] + args, capsys)
+    assert code == 3 and out == ""
+    assert "exceeds budget" in json.loads(err)["error"]
+    # the affine chart walks q values of s, so a budget of q suffices
+    code, out, err = run_cli(["--budget", "11"] + args, capsys)
+    assert code == 0
+    code, out_default, err = run_cli(args, capsys)
+    assert out == out_default and json.loads(out)["count"] == 11
+
+
 def test_cli_milne_enumerate_budget(capsys):
     args = ["milne-tritangents", DATA, "--A", "A_t1", "--Q", "Q_t1", "--enumerate",
             "--q", "11"]

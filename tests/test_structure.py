@@ -43,3 +43,27 @@ def test_every_field_class_inherits_sqrt():
         classes.append(cls)
         todo += cls.__subclasses__()
     assert [c.__name__ for c in classes if "sqrt" in vars(c)] == ["Field"]
+
+
+def test_binary_forms_are_two_variable_homog_polys():
+    # one binary-form type: binforms takes and returns HomogPoly, and the
+    # only class it defines is the square-root certificate
+    from prymcubic.binforms import ST, binary_gcd, perfect_square_root
+    from prymcubic.fields import Field
+    from prymcubic.fixtures import FIXTURES
+    from prymcubic.poly import HomogPoly
+    from prymcubic.prym import forward_even
+
+    tree = ast.parse((SRC / "binforms.py").read_text(encoding="utf-8"))
+    classes = [n.name for n in tree.body if isinstance(n, ast.ClassDef)]
+    assert classes == ["SquareRootCert"]
+    F = Field.prime(13)
+    f = HomogPoly(F, ST, 2, {(2, 0): 1, (1, 1): 2, (0, 2): 1})  # (s + t)^2
+    g = HomogPoly(F, ST, 2, {(2, 0): 1, (0, 2): -1})  # (s + t)(s - t)
+    root = perfect_square_root(f).root
+    assert isinstance(root, HomogPoly) and root.vars == ST and root * root == f
+    d = binary_gcd(f, g)
+    assert isinstance(d, HomogPoly) and d.vars == ST and d.degree == 1
+    fx = FIXTURES["even"]
+    octic = forward_even(fx.symmetrization(F), fx.quadric(F)).octic
+    assert isinstance(octic, HomogPoly) and octic.vars == ST and octic.degree == 8
