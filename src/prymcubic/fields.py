@@ -254,6 +254,9 @@ class PrimeField(Field):
     def _inv_nonzero(self, a):
         return pow(a, self.p - 2, self.p)
 
+    def _pow_raw(self, a, n):
+        return pow(a, n, self.p)
+
     def _sqrt(self, x):
         r = _sqrt_mod_p(x.val, self.p)
         if r is None:

@@ -45,14 +45,12 @@ class Line2:
 
 
 class EnvelopingCone:
-    __slots__ = ("matrix", "form", "rank", "plane_rank", "generic")
+    __slots__ = ("matrix", "form", "rank")
 
-    def __init__(self, matrix, form, rank, plane_rank, generic):
+    def __init__(self, matrix, form, rank):
         self.matrix = matrix
         self.form = form
         self.rank = rank
-        self.plane_rank = plane_rank
-        self.generic = generic
 
 
 def _misses_base_locus(restricted):
@@ -88,8 +86,7 @@ def enveloping_cone(a, line):
              for qf, av, cv in zip(quadrics, acoef, ccoef)]
     # the image of the line degenerates when the three coefficient vectors
     # span less than a plane of the dual space
-    plane_rank = linalg.rank([acoef, bcoef, ccoef])
-    if plane_rank <= 2:
+    if linalg.rank([acoef, bcoef, ccoef]) <= 2:
         raise MilneError("line maps two-to-one onto a line of the dual space")
     cubics = a.adjugate_cubics()
     param = line.parametrization()
@@ -105,7 +102,7 @@ def enveloping_cone(a, line):
     rank = mat.rank()
     if rank == 4:
         raise MilneError("envelope of a plane conic must be singular")
-    return EnvelopingCone(mat, form, rank, plane_rank, True)
+    return EnvelopingCone(mat, form, rank)
 
 
 class ReducibleMember:
@@ -113,17 +110,14 @@ class ReducibleMember:
     quadric.  kind is 'pair' or 'double'; planes live over `field`, which may
     be one quadratic extension up from the input."""
 
-    __slots__ = ("kind", "h1", "h2", "field", "root", "root_extended",
-                 "planes_unrepresentable")
+    __slots__ = ("kind", "h1", "h2", "field", "root", "planes_unrepresentable")
 
-    def __init__(self, kind, h1, h2, field, root, root_extended,
-                 planes_unrepresentable=False):
+    def __init__(self, kind, h1, h2, field, root, planes_unrepresentable=False):
         self.kind = kind
         self.h1 = h1
         self.h2 = h2
         self.field = field
         self.root = root
-        self.root_extended = root_extended
         self.planes_unrepresentable = planes_unrepresentable
 
 
@@ -140,32 +134,32 @@ def _pencil_det(lam, q, field):
 
 def _roots_with_multiplicity_ge2(g, field):
     """Roots of multiple factors of a binary quartic, each over the base
-    field or one quadratic extension: (s0, t0, work_field, extended)."""
+    field or one quadratic extension: (s0, t0, work_field)."""
     out = []
     s_mult, t_mult, factors = squarefree_parts(g)
     if s_mult >= 2:
-        out.append((field.zero(), field.one(), field, False))
+        out.append((field.zero(), field.one(), field))
     if t_mult >= 2:
-        out.append((field.one(), field.zero(), field, False))
+        out.append((field.one(), field.zero(), field))
     for mult, fac in factors:
         if mult < 2:
             continue
         if len(fac) == 2:
-            out.append((-fac[0] / fac[1], field.one(), field, False))
+            out.append((-fac[0] / fac[1], field.one(), field))
         elif len(fac) == 3:
             c0, c1, c2 = fac
             disc = c1 * c1 - c0 * c2 * 4
             r = field.sqrt(disc)
             if r is not None:
                 for sign in (r, -r):
-                    out.append(((-c1 + sign) / (c2 * 2), field.one(), field, False))
+                    out.append(((-c1 + sign) / (c2 * 2), field.one(), field))
             elif not isinstance(field, QuadExtField):
                 ext = field.quadratic_extension(disc)
                 r = ext.sqrt_d()
                 c1e = ext.element(c1)
                 c2e = ext.element(c2)
                 for sign in (r, -r):
-                    out.append(((-c1e + sign) / (c2e * 2), ext.one(), ext, True))
+                    out.append(((-c1e + sign) / (c2e * 2), ext.one(), ext))
         # a factor of degree >= 3 with multiplicity >= 2 cannot fit in a
         # quartic unless it is a perfect power already caught above
     return out
@@ -183,7 +177,7 @@ def reducible_member(lam, q, field):
     if not g:
         raise MilneError("pencil determinant vanishes identically")
     found = None
-    for s0, t0, work, extended in _roots_with_multiplicity_ge2(g, field):
+    for s0, t0, work in _roots_with_multiplicity_ge2(g, field):
         mw = SymMatrix(4, {k: work.element(lam.upper[k]) * s0 + work.element(q.upper[k]) * t0
                            for k in lam.upper})
         r = mw.rank()
@@ -191,27 +185,25 @@ def reducible_member(lam, q, field):
             continue
         if r == 1:
             pair = factor_rank_le2(mw, work, X4, allow_extension=False)
-            return ReducibleMember("double", pair.h1, pair.h1, work, (s0, t0), extended)
+            return ReducibleMember("double", pair.h1, pair.h1, work, (s0, t0))
         pair = factor_rank_le2(mw, work, X4)
         if pair is None:
-            return ReducibleMember("pair", None, None, work, (s0, t0), extended,
+            return ReducibleMember("pair", None, None, work, (s0, t0),
                                    planes_unrepresentable=True)
         planes_field = pair.h1.field
-        member = ReducibleMember("pair", pair.h1, pair.h2, planes_field,
-                                 (s0, t0), extended or pair.extended)
+        member = ReducibleMember("pair", pair.h1, pair.h2, planes_field, (s0, t0))
         if found is None or (found.planes_unrepresentable and not member.planes_unrepresentable):
             found = member
     return found
 
 
 class TritangentCert:
-    __slots__ = ("passed", "plane", "contact", "field", "reducible_conic",
+    __slots__ = ("passed", "contact", "field", "reducible_conic",
                  "extended", "plane_basis", "conic_param")
 
-    def __init__(self, passed, plane, contact, field, reducible_conic, extended,
+    def __init__(self, passed, contact, field, reducible_conic, extended,
                  plane_basis=None, conic_param=None):
         self.passed = passed
-        self.plane = plane
         self.contact = contact
         self.field = field
         self.reducible_conic = reducible_conic
@@ -247,24 +239,24 @@ def tritangent_verify(q, gamma, h):
         from .prym import conic_rational_point, parametrize_conic
         pt = conic_rational_point(conic, field)
         if pt is None:
-            return TritangentCert(False, h, None, field, False, False)
+            return TritangentCert(False, None, field, False, False)
         param = parametrize_conic(conic, pt, field)
         sextic = cubic.substitute(param)
         if not sextic:
-            return TritangentCert(False, h, None, field, False, False)
+            return TritangentCert(False, None, field, False, False)
         cert = perfect_square_root(sextic)
         if cert is None:
-            return TritangentCert(False, h, None, field, False, False,
+            return TritangentCert(False, None, field, False, False,
                                   plane_basis=basis, conic_param=param)
-        return TritangentCert(True, h, cert.root, cert.root.field, False,
+        return TritangentCert(True, cert.root, cert.root.field, False,
                               cert.extended, plane_basis=basis, conic_param=param)
     if rank == 2:
         pair = factor_rank_le2(cm, field, U3)
         if pair is None:
-            return TritangentCert(False, h, None, field, True, False)
+            return TritangentCert(False, None, field, True, False)
         ok = _even_on_line_pair(pair, cubic, field)
-        return TritangentCert(ok, h, None, field, True, pair.extended)
-    return TritangentCert(False, h, None, field, True, False)
+        return TritangentCert(ok, None, field, True, pair.extended)
+    return TritangentCert(False, None, field, True, False)
 
 
 def _entry_field(m):

@@ -1,25 +1,25 @@
 """Brute-force finite-field ground truth and the point-scan kernels shared by
 the whole package.
 
-`projective_points_int` is the one enumerator of P^dim over a finite field:
+`projective_points_raw` is the one enumerator of P^dim over a finite field:
 every scan in the package (point counts, smoothness certificates, bitangent
 and tritangent-line walks, conic points, plane factors of a cubic) follows
-its order, and `projective_points` maps it to field elements after checking
-the budget.  `compile_fp` is the one evaluator of a form on raw integers
-mod p.
+its order, and `projective_points` wraps its raw values as field elements
+after checking the budget.  `compile_raw` is the one evaluator of a form on
+raw values; it alone decides that F_p is evaluated on plain integers.
 
 On top of them: Jacobian smoothness certificates, point counts with
 Frobenius traces, double-cover counts through the three minors, and
-exhaustive bitangent enumeration.  Prime-field paths run on raw integers;
-quadratic extensions go through the generic element arithmetic.
+exhaustive bitangent enumeration.  Every scan walks the scheme's raw points
+once, whatever the finite field.
 """
 
 from __future__ import annotations
 
 from itertools import product
 
-from .binforms import perfect_square_root
-from .fields import PrimeField, legendre
+from .binforms import multiplicity_partition, perfect_square_root
+from .fields import FieldElement, PrimeField, legendre
 from . import linalg
 
 DEFAULT_BUDGET = 10 ** 7
@@ -38,15 +38,20 @@ def _check_budget(q, dim, budget):
         raise BudgetExceeded("q^dim = %d exceeds budget %d" % (q ** dim, budget))
 
 
-def projective_points_int(q, dim):
-    """Every point of P^dim over the field of order q exactly once, as an
-    integer tuple: zeros, a 1 at the first nonzero coordinate, then indices
-    into `field.elements()` for the remaining coordinates.  Over F_p an index
-    is the residue itself."""
+def projective_points_raw(field, dim):
+    """Every point of P^dim over a finite field exactly once, as a tuple of
+    raw values: zeros, a one at the first nonzero coordinate, then every
+    element in `field.elements()` order for the remaining coordinates.  Over
+    F_p a raw value is the residue itself."""
+    vals = [e.val for e in field.elements()]
     for zeros in range(dim + 1):
-        head = (0,) * zeros + (1,)
-        for tail in product(range(q), repeat=dim - zeros):
+        head = (field._zero_raw,) * zeros + (field._one_raw,)
+        for tail in product(vals, repeat=dim - zeros):
             yield head + tail
+
+
+def _elements(field, pt):
+    return tuple(FieldElement(field, v) for v in pt)
 
 
 def projective_points(field, dim, budget=DEFAULT_BUDGET):
@@ -54,36 +59,62 @@ def projective_points(field, dim, budget=DEFAULT_BUDGET):
     the first nonzero coordinate is one."""
     if not field.is_finite():
         raise OracleError("point enumeration needs a finite field")
-    q = field.order()
-    _check_budget(q, dim, budget)
-    elems = list(field.elements())
-    one = field.one()
-    for pt in projective_points_int(q, dim):
-        lead = pt.index(1)
-        yield tuple(one if k == lead else elems[i] for k, i in enumerate(pt))
+    _check_budget(field.order(), dim, budget)
+    for pt in projective_points_raw(field, dim):
+        yield _elements(field, pt)
 
 
 def count_projective_points(field, dim, budget=DEFAULT_BUDGET):
     return sum(1 for _ in projective_points(field, dim, budget))
 
 
-def compile_fp(poly, p):
-    """Evaluator of a form over F_p on integer points, returning a residue."""
+def compile_raw(poly):
+    """Evaluator of a form over a finite field on raw-value points, returning
+    a raw value.  Over F_p it runs on plain integers with one reduction per
+    point; over any other finite field it folds the field's raw products
+    and sums."""
+    field = poly.field
     terms = [(c.val, e) for e, c in poly.terms.items()]
+    if isinstance(field, PrimeField):
+        p = field.p
+
+        def ev(pt):
+            tot = 0
+            for cv, e in terms:
+                v = cv
+                for x, k in zip(pt, e):
+                    if k:
+                        if not x:
+                            v = 0
+                            break
+                        v = v * (x if k == 1 else pow(x, k, p))
+                tot += v
+            return tot % p
+        return ev
+    add, mul = field._add, field._mul
 
     def ev(pt):
-        tot = 0
+        tot = field._zero_raw
         for cv, e in terms:
             v = cv
             for x, k in zip(pt, e):
-                if k:
-                    if not x:
-                        v = 0
-                        break
-                    v = v * (x if k == 1 else pow(x, k, p))
-            tot += v
-        return tot % p
+                for _ in range(k):
+                    v = mul(v, x)
+            tot = add(tot, v)
+        return tot
     return ev
+
+
+def _scheme_points(equations, field, budget):
+    """Raw points, in enumeration order, where every equation vanishes; the
+    whole walk is charged to the budget."""
+    nv = len(equations[0].vars)
+    _check_budget(field.order(), nv - 1, budget)
+    evs = [compile_raw(f) for f in equations]
+    zero = field._zero_raw
+    for pt in projective_points_raw(field, nv - 1):
+        if all(ev(pt) == zero for ev in evs):
+            yield pt
 
 
 class Certificate:
@@ -105,33 +136,15 @@ def smoothness_certificate(equations, field, budget=DEFAULT_BUDGET):
     by one or two equations; the witness is the first singular point found."""
     if not equations or len(equations) > 2:
         raise OracleError("complete-intersection shape: one or two equations")
-    nv = len(equations[0].vars)
     expected = len(equations)
     q = field.order()
-    _check_budget(q, nv - 1, budget)
-    grads = [list(f.gradient()) for f in equations]
-    if isinstance(field, PrimeField):
-        p = field.p
-        evs = [compile_fp(f, p) for f in equations]
-        gevs = [[compile_fp(g, p) for g in row] for row in grads]
-        count = 0
-        for pt in projective_points_int(p, nv - 1):
-            if any(ev(pt) for ev in evs):
-                continue
-            count += 1
-            jac = [[field.element(ge(pt)) for ge in row] for row in gevs]
-            if linalg.rank(jac) != expected:
-                witness = tuple(field.element(x) for x in pt)
-                return Certificate(False, witness, q, count)
-        return Certificate(True, None, q, count)
+    grads = [[compile_raw(g) for g in f.gradient()] for f in equations]
     count = 0
-    for pt in projective_points(field, nv - 1, budget):
-        if any(f.evaluate(list(pt)) for f in equations):
-            continue
+    for pt in _scheme_points(equations, field, budget):
         count += 1
-        jac = [[g.evaluate(list(pt)) for g in row] for row in grads]
+        jac = [[FieldElement(field, ge(pt)) for ge in row] for row in grads]
         if linalg.rank(jac) != expected:
-            return Certificate(False, pt, q, count)
+            return Certificate(False, _elements(field, pt), q, count)
     return Certificate(True, None, q, count)
 
 
@@ -154,16 +167,8 @@ class CountReport:
 
 def count_curve(equations, field, genus, label="curve", budget=DEFAULT_BUDGET):
     """Point count of the locus cut by the given equations."""
-    nv = len(equations[0].vars)
     q = field.order()
-    _check_budget(q, nv - 1, budget)
-    if isinstance(field, PrimeField):
-        evs = [compile_fp(f, field.p) for f in equations]
-        n = sum(1 for pt in projective_points_int(field.p, nv - 1)
-                if not any(ev(pt) for ev in evs))
-    else:
-        n = sum(1 for pt in projective_points(field, nv - 1, budget)
-                if not any(f.evaluate(list(pt)) for f in equations))
+    n = sum(1 for _ in _scheme_points(equations, field, budget))
     return CountReport(q, label, n, genus)
 
 
@@ -176,48 +181,33 @@ def count_double_cover(curve_equations, minors, field, label="cover",
     of all nonzero minors must agree; both conditions are hard errors since
     their failure invalidates the construction.
     """
-    nv = len(curve_equations[0].vars)
     q = field.order()
-    _check_budget(q, nv - 1, budget)
+    mevs = [compile_raw(m) for m in minors]
+    half = (q - 1) // 2
+    zero, one = field._zero_raw, field._one_raw
     total = 0
-    if isinstance(field, PrimeField):
-        p = field.p
-        evs = [compile_fp(f, p) for f in curve_equations]
-        mevs = [compile_fp(m, p) for m in minors]
-        half = (p - 1) // 2
-        for pt in projective_points_int(p, nv - 1):
-            if any(ev(pt) for ev in evs):
-                continue
-            vals = [me(pt) for me in mevs]
-            nz = [v for v in vals if v]
-            if not nz:
-                raise OracleError("curve meets the rank-one locus at %r" % (pt,))
-            classes = {pow(v, half, p) for v in nz}
-            if len(classes) > 1:
-                raise OracleError("minor square classes disagree at %r" % (pt,))
-            if classes == {1}:
-                total += 2
-        return CountReport(q, label, total, genus)
-    for pt in projective_points(field, nv - 1, budget):
-        if any(f.evaluate(list(pt)) for f in curve_equations):
-            continue
-        vals = [m.evaluate(list(pt)) for m in minors]
-        nz = [v for v in vals if v]
+    for pt in _scheme_points(curve_equations, field, budget):
+        nz = [v for v in (me(pt) for me in mevs) if v != zero]
         if not nz:
-            raise OracleError("curve meets the rank-one locus at %r" % (pt,))
-        classes = {legendre(v) for v in nz}
+            raise OracleError("curve meets the rank-one locus at %r"
+                              % (_elements(field, pt),))
+        classes = {field._pow_raw(v, half) for v in nz}
         if len(classes) > 1:
-            raise OracleError("minor square classes disagree at %r" % (pt,))
-        if classes == {1}:
+            raise OracleError("minor square classes disagree at %r"
+                              % (_elements(field, pt),))
+        if classes == {one}:
             total += 2
     return CountReport(q, label, total, genus)
 
 
 def count_hyperelliptic_octic(octic, field, label="octic", genus=3, budget=DEFAULT_BUDGET):
     """Weighted two-chart count of y^2 = h(s, t) for a separable binary
-    octic of degree 8 or 7 in the affine chart."""
+    octic h, of degree 8 or 7 in the affine chart."""
     if not field.is_finite():
         raise OracleError("octic counting needs a finite field")
+    # any other form gives a curve of another genus, or a reducible one
+    if octic.degree != 8 or not octic or multiplicity_partition(octic) != [1] * 8:
+        raise OracleError("octic chart needs a separable binary form of degree 8")
     q = field.order()
     _check_budget(q, 1, budget)
     total = 0
@@ -225,27 +215,20 @@ def count_hyperelliptic_octic(octic, field, label="octic", genus=3, budget=DEFAU
     for s in field.elements():
         v = octic.evaluate([s, field.one()])
         total += 1 + legendre(v)
-    # points at infinity: s^8 coefficient decides
-    d = octic.degree
-    lead = octic.terms.get((d, 0))
-    if lead is None:
-        # degree 7 in the chart: one (ramified) smooth point at infinity
-        if (d - 1, 1) not in octic.terms:
-            raise OracleError("octic degenerates at infinity; chart invalid")
-        total += 1
-    else:
-        total += 1 + legendre(lead)
+    # points at infinity: the s^8 coefficient decides; without it the chart
+    # has degree 7 (separability keeps s^7 t) and one ramified smooth point
+    lead = octic.terms.get((8, 0))
+    total += 1 if lead is None else 1 + legendre(lead)
     return CountReport(q, label, total, genus)
 
 
 class BitangentLine:
-    __slots__ = ("dual", "p0", "p1", "restriction", "contact", "extended")
+    __slots__ = ("dual", "p0", "p1", "contact", "extended")
 
-    def __init__(self, dual, p0, p1, restriction, contact, extended):
+    def __init__(self, dual, p0, p1, contact, extended):
         self.dual = dual
         self.p0 = p0
         self.p1 = p1
-        self.restriction = restriction
         self.contact = contact
         self.extended = extended
 
@@ -266,6 +249,5 @@ def enumerate_bitangents(quartic, field, budget=DEFAULT_BUDGET):
         cert = perfect_square_root(rest)
         if cert is None:
             continue
-        out.append(BitangentLine(dual_el, tuple(p0), tuple(p1), rest,
-                                 cert.root, cert.extended))
+        out.append(BitangentLine(dual_el, tuple(p0), tuple(p1), cert.root, cert.extended))
     return out

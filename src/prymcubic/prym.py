@@ -9,7 +9,7 @@ from . import linalg
 from .binforms import multiplicity_partition
 from .elim import change_frame, frames, resultant_last_var
 from .fields import PrimeField, QuadExtField, RationalField, legendre
-from .oracle import projective_points
+from .oracle import compile_raw, projective_points_raw
 from .poly import HomogPoly, SymMatrix, proportional
 from .quadrics import congruence_diagonalize
 from .symmetroid import CONIC_MONOMIALS, Z3, Symmetrization, SymmetroidType
@@ -105,16 +105,15 @@ class HyperellipticModel:
     conic has a point."""
 
     __slots__ = ("conic", "branch_quartic", "octic", "parametrization",
-                 "branch_reduced", "twist_scaled")
+                 "branch_reduced")
 
     def __init__(self, conic, branch_quartic, octic, parametrization,
-                 branch_reduced, twist_scaled):
+                 branch_reduced):
         self.conic = conic
         self.branch_quartic = branch_quartic
         self.octic = octic
         self.parametrization = parametrization
         self.branch_reduced = branch_reduced
-        self.twist_scaled = twist_scaled
 
 
 def _forward_type_check(a):
@@ -193,10 +192,10 @@ def conic_rational_point(conic, field, search_bound=12):
     enumeration order over finite fields, a small box search over the
     rationals (None when the box misses)."""
     if field.is_finite():
-        # a budget of the plane's own size leaves the scan uncharged
-        for pt in projective_points(field, 2, budget=field.order() ** 2):
-            if not conic.evaluate(pt):
-                return pt
+        ev = compile_raw(conic)
+        for pt in projective_points_raw(field, 2):
+            if ev(pt) == field._zero_raw:
+                return tuple(field.element(v) for v in pt)
         return None
     rng = range(-search_bound, search_bound + 1)
     for a in rng:
@@ -276,8 +275,7 @@ def forward_even(a, q):
         octic = _canonical_square_class_scale(restricted, field)
     else:
         branch_reduced = _branch_reduced_by_resultant(conic, branch_exact)
-    return HyperellipticModel(conic, branch_exact, octic, param, branch_reduced,
-                              twist_scaled=True)
+    return HyperellipticModel(conic, branch_exact, octic, param, branch_reduced)
 
 
 def _branch_reduced_by_resultant(conic, branch):
@@ -459,15 +457,14 @@ def pencil_conics(a, q):
 
 class ReverseResult:
     __slots__ = ("symmetrization", "cubic", "quadric_form", "quadric",
-                 "conic_matrices", "kernel_relation", "scale")
+                 "kernel_relation", "scale")
 
     def __init__(self, symmetrization, cubic, quadric_form, quadric,
-                 conic_matrices, kernel_relation, scale):
+                 kernel_relation, scale):
         self.symmetrization = symmetrization
         self.cubic = cubic
         self.quadric_form = quadric_form
         self.quadric = quadric
-        self.conic_matrices = conic_matrices
         self.kernel_relation = kernel_relation
         self.scale = scale
 
@@ -507,7 +504,7 @@ def reverse_construct(quartic, conics, field=None):
     cubic = sym.determinant_cubic()
     qform = HomogPoly(field, RV4, 2, {(1, 0, 0, 1): 1, (0, 1, 1, 0): -1})
     qmat = SymMatrix.from_quadratic_form(qform)
-    return ReverseResult(sym, cubic, qform, qmat, mats, kernel_relation, scale)
+    return ReverseResult(sym, cubic, qform, qmat, kernel_relation, scale)
 
 
 def roundtrip_change_matches(a, q, pencil, rebuilt):

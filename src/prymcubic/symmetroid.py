@@ -13,7 +13,7 @@ from . import linalg
 from .binforms import ST, multiplicity_partition
 from .elim import change_frame, frames, plane_cubic_is_smooth, resultant_last_var
 from .fields import PrimeField
-from .oracle import compile_fp, projective_points_int
+from .oracle import compile_raw, projective_points_raw
 from .poly import HomogPoly, SymMatrix, proportional
 from .quadrics import conic_contains_line, factor_rank_le2
 
@@ -70,10 +70,9 @@ class RankOneScheme:
 
 
 class PlaneCubicWithSym:
-    __slots__ = ("kept_indices", "cubic", "sym", "smooth")
+    __slots__ = ("cubic", "sym", "smooth")
 
-    def __init__(self, kept_indices, cubic, sym, smooth):
-        self.kept_indices = kept_indices
+    def __init__(self, cubic, sym, smooth):
         self.cubic = cubic
         self.sym = sym
         self.smooth = smooth
@@ -342,7 +341,7 @@ class Symmetrization:
         sym = SymMatrix.from_rows(rows)
         cubic = linalg.det(sym.rows())
         smooth = bool(cubic) and plane_cubic_is_smooth(cubic)
-        return PlaneCubicWithSym(tuple(kept), cubic, sym, smooth)
+        return PlaneCubicWithSym(cubic, sym, smooth)
 
     # -- pointwise inverse ------------------------------------------------------
 
@@ -465,9 +464,9 @@ def _linear_factors_exhaustive(cubic, field):
     confirms the survivors.
     """
     p = field.p
-    ev = compile_fp(cubic, p)
+    ev = compile_raw(cubic)
     out = []
-    for ell in projective_points_int(p, 3):
+    for ell in projective_points_raw(field, 3):
         k = next(i for i, c in enumerate(ell) if c)
         basis = []
         for i in range(4):

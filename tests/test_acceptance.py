@@ -18,7 +18,7 @@ from prymcubic.milne import (Line2, MilneError, contact_points_match,
                              twisted_cubic)
 from prymcubic.oracle import (count_curve, count_double_cover,
                               count_hyperelliptic_octic, enumerate_bitangents,
-                              projective_points_int, smoothness_certificate)
+                              projective_points_raw, smoothness_certificate)
 from prymcubic.poly import HomogPoly, SymMatrix, proportional
 from prymcubic.prym import (forward_even, forward_general, pencil_conics,
                             reverse_construct, roundtrip_change_matches)
@@ -224,7 +224,7 @@ def _milne_scan(fx, p):
         if line_is_generic(a, line):
             oracle.add(tuple(c.val for c in bl.dual))
     detected = {}
-    for dual in projective_points_int(p, 2):
+    for dual in projective_points_raw(F, 2):
         line = Line2.from_dual(F, dual)
         if not line_is_generic(a, line):
             continue

@@ -6,7 +6,7 @@ from prymcubic.fixtures import FIXTURES, fix_a
 from prymcubic.milne import (Line2, MilneError, contact_points_match,
                              cubic_through_curve_and_twisted, enveloping_cone,
                              reducible_member, tritangent_verify, twisted_cubic)
-from prymcubic.oracle import enumerate_bitangents, projective_points_int
+from prymcubic.oracle import enumerate_bitangents, projective_points_raw
 from prymcubic.poly import HomogPoly, proportional
 from prymcubic.prym import forward_general
 
@@ -61,7 +61,7 @@ def _milne_scan(fixture_name, p):
             continue
         oracle.add(tuple(repr(c.val) for c in bl.dual))
     detected = {}
-    for dual in projective_points_int(p, 2):
+    for dual in projective_points_raw(F, 2):
         dual_el = tuple(F.element(c) for c in dual)
         line = Line2.from_dual(F, dual)
         try:

@@ -1,14 +1,17 @@
+from itertools import product
+
 import pytest
 
-from prymcubic.fields import Field
+from prymcubic import linalg
+from prymcubic.fields import Field, legendre
 from prymcubic.fixtures import FIXTURES, fix_a, fix_q, fix_x
 from prymcubic.oracle import (BudgetExceeded, OracleError, count_curve,
                               count_double_cover, count_hyperelliptic_octic,
                               count_projective_points, enumerate_bitangents,
-                              projective_points, projective_points_int,
+                              projective_points, projective_points_raw,
                               smoothness_certificate)
 from prymcubic.poly import HomogPoly
-from prymcubic.prym import forward_even, forward_general
+from prymcubic.prym import conic_rational_point, forward_even, forward_general
 
 F3 = Field.prime(3)
 F5 = Field.prime(5)
@@ -34,15 +37,17 @@ def test_points_unique_and_normalized():
 def test_integer_enumerator_matches_projective_points():
     for field in (F5, F3.quadratic_extension(2)):
         q = field.order()
-        elems = list(field.elements())
-        ints = list(projective_points_int(q, 2))
+        vals = [e.val for e in field.elements()]
+        zero, one = field.zero().val, field.one().val
+        expected = [(zero,) * k + (one,) + tail
+                    for k in range(3) for tail in product(vals, repeat=2 - k)]
+        raws = list(projective_points_raw(field, 2))
         pts = list(projective_points(field, 2))
-        assert len(ints) == len(pts) == q * q + q + 1
-        for idx, pt in zip(ints, pts):
-            lead = idx.index(1)
-            assert idx[:lead] == (0,) * lead
-            assert pt == tuple(field.one() if k == lead else elems[i]
-                               for k, i in enumerate(idx))
+        assert raws == expected and len(raws) == q * q + q + 1
+        assert [tuple(c.val for c in pt) for pt in pts] == raws
+        assert all(c.field is field for pt in pts for c in pt)
+    # over F_p the raw values are the residues themselves
+    assert list(projective_points_raw(F3, 1)) == [(1, 0), (1, 1), (1, 2), (0, 1)]
 
 
 def test_budget():
@@ -168,3 +173,57 @@ def test_enumeration_over_quadratic_extension():
     conic = HomogPoly(K, Z3, 2, {(1, 1, 0): 1, (1, 0, 1): 1, (0, 1, 1): 1})
     rep = count_curve([conic], K, 0)
     assert rep.count == 122 and rep.trace == 0
+
+
+def _element_scan(equations, minors, field):
+    """Element-level reference for the three point scans: the number of
+    points, the first singular point with the count up to it, and the cover
+    count or the error text of the first point that breaks the minors."""
+    grads = [f.gradient() for f in equations]
+    count, witness, cover, error = 0, None, 0, None
+    for pt in projective_points(field, len(equations[0].vars) - 1):
+        if any(f.evaluate(pt) for f in equations):
+            continue
+        count += 1
+        jac = [[g.evaluate(pt) for g in row] for row in grads]
+        if witness is None and linalg.rank(jac) != len(equations):
+            witness = (pt, count)
+        if error is None:
+            classes = {legendre(m.evaluate(pt)) for m in minors} - {0}
+            if not classes:
+                error = "curve meets the rank-one locus at %r" % (pt,)
+            elif len(classes) > 1:
+                error = "minor square classes disagree at %r" % (pt,)
+            elif classes == {1}:
+                cover += 2
+    return count, witness, cover, error
+
+
+# P^3 over F_49 has 120 100 points for the element-level scan to evaluate,
+# so two fixtures run there: t1 (singular point, minors vanish) and seed
+@pytest.mark.parametrize("p,d,name", [(5, 2, "t1"), (5, 2, "t2"), (5, 2, "biell"),
+                                      (5, 2, "even"), (5, 2, "seed"),
+                                      (7, 3, "t1"), (7, 3, "seed")])
+def test_scans_over_quadratic_extension_match_element_scan(p, d, name):
+    K = Field.prime(p).quadratic_extension(d)
+    fx = FIXTURES[name]
+    a = fx.symmetrization(K)
+    eqs = [fx.quadric_form(K), a.determinant_cubic()]
+    minors = list(a.double_cover_minors()[:3])
+    count, witness, cover, error = _element_scan(eqs, minors, K)
+    assert count_curve(eqs, K, 4).count == count
+    cert = smoothness_certificate(eqs, K)
+    if witness is None:
+        assert cert.passed and cert.points_on_scheme == count
+    else:
+        assert not cert.passed
+        assert (repr(cert.witness), cert.points_on_scheme) == (repr(witness[0]), witness[1])
+    if error is None:
+        assert count_double_cover(eqs, minors, K).count == cover
+    else:
+        with pytest.raises(OracleError) as exc:
+            count_double_cover(eqs, minors, K)
+        assert str(exc.value) == error
+    for conic in a.gauss_quadrics():
+        first = next(pt for pt in projective_points(K, 2) if not conic.evaluate(pt))
+        assert repr(conic_rational_point(conic, K)) == repr(first)

@@ -169,6 +169,19 @@ def test_cli_count_octic_chart_budget(tmp_path, capsys):
     assert out == out_default and json.loads(out)["count"] == 11
 
 
+def test_cli_count_octic_chart_rejects_non_octics(tmp_path, capsys):
+    # s^4 + t^4 is a genus-1 chart and its square a reducible curve; neither
+    # is a genus-3 octic chart
+    F = Field.prime(11)
+    quartic = HomogPoly(F, ("s", "t"), 4, {(4, 0): 1, (0, 4): 1})
+    for h in (quartic, quartic * quartic):
+        path = tmp_path / "h.json"
+        path.write_text(write_scene(Scene(F).add("h", h)))
+        code, out, err = run_cli(["count", str(path), "--curve", "h"], capsys)
+        assert code == 2 and out == ""
+        assert "separable" in json.loads(err)["error"]
+
+
 def test_cli_milne_enumerate_budget(capsys):
     args = ["milne-tritangents", DATA, "--A", "A_t1", "--Q", "Q_t1", "--enumerate",
             "--q", "11"]

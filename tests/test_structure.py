@@ -2,9 +2,12 @@
 private names; a helper two modules need is public or lives in one place."""
 
 import ast
+import importlib.util
+import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "prymcubic"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "prymcubic"
 
 
 def test_no_cross_module_private_imports():
@@ -67,3 +70,35 @@ def test_binary_forms_are_two_variable_homog_polys():
     fx = FIXTURES["even"]
     octic = forward_even(fx.symmetrization(F), fx.quadric(F)).octic
     assert isinstance(octic, HomogPoly) and octic.vars == ST and octic.degree == 8
+
+
+def test_one_scan_kernel_for_every_finite_field():
+    # one raw enumerator (wrapped by projective_points) and one evaluator
+    # serve every finite field, and each oracle scan walks its points in one
+    # loop; only compile_raw may choose integer arithmetic for F_p
+    kernels = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef) and node.name.startswith(
+                    ("compile", "projective_points", "_compile", "_projective_points")):
+                kernels.append("%s.%s" % (path.stem, node.name))
+    assert sorted(kernels) == ["oracle.compile_raw", "oracle.projective_points",
+                               "oracle.projective_points_raw"]
+    tree = ast.parse((SRC / "oracle.py").read_text(encoding="utf-8"))
+    scans = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)
+             and n.name in ("smoothness_certificate", "count_curve", "count_double_cover")}
+    assert len(scans) == 3
+    for name, fn in scans.items():
+        assert sum(isinstance(n, ast.For) for n in ast.walk(fn)) <= 1, name
+        assert "PrimeField" not in ast.unparse(fn), name
+
+
+def test_fixture_search_tool_imports(monkeypatch):
+    # the search itself runs only under __main__; importing the tool catches a
+    # renamed package name before the tool is next run
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location("find_fixtures",
+                                                  ROOT / "tools" / "find_fixtures.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert callable(module.curve_smooth_everywhere) and callable(module.search_even)
