@@ -7,7 +7,8 @@ s^(d-i) t^i, and its core after stripping powers of s and t as a univariate
 polynomial in u = s/t.  On top of that: gcd, squarefree decomposition
 (complete in small characteristic via p-th-power descent),
 root-multiplicity signatures, perfect-square detection with at most one
-quadratic extension, and Sylvester resultants.
+quadratic extension, Sylvester resultants, and the rational roots of a form
+over a finite field by Cantor-Zassenhaus root finding.
 """
 
 from __future__ import annotations
@@ -117,6 +118,78 @@ def _pth_root_poly(f, field, p):
         if i % p != 0 and c:
             raise PolyError("not a p-th power")
     return out
+
+
+def _powmod_poly(f, e, m, field):
+    """f^e mod m by square-and-multiply, e >= 1, for m of degree >= 1."""
+    _, f = _divmod_poly(f, m, field)
+    r = None
+    while True:
+        if e & 1:
+            r = f if r is None else _divmod_poly(_mul_poly(r, f, field), m, field)[1]
+        e >>= 1
+        if not e:
+            return r
+        f = _divmod_poly(_mul_poly(f, f, field), m, field)[1]
+
+
+def _linear_split(h, field):
+    """Monic linear factors of a monic product h of distinct linear factors
+    over F_q, by Cantor-Zassenhaus equal-degree splitting: for shifts a in
+    `field.elements()` order, gcd(g, (u + a)^((q-1)/2) - 1) splits every
+    pending factor g it can.  A shift that fails on g fails on every divisor
+    of g, and for two distinct roots r1, r2 some shift makes exactly one of
+    r1 + a, r2 + a a nonzero square, so the walk ends."""
+    half = (field.order() - 1) // 2
+    done, pending = [], [h]
+    for a in field.elements():
+        if not pending:
+            break
+        nxt = []
+        for g in pending:
+            if _deg(g) == 1:
+                done.append(g)
+                continue
+            w = _powmod_poly([a, field.one()], half, g, field)
+            d = _gcd_poly(g, _trim([w[0] - 1] + w[1:], field), field)
+            if 0 < _deg(d) < _deg(g):
+                nxt += [d, _divmod_poly(g, d, field)[0]]
+            else:
+                nxt.append(g)
+        pending = nxt
+    return done + pending
+
+
+def rational_roots(f):
+    """The distinct roots of a nonzero binary form over a finite field F_q
+    that are F_q-rational, each a pair (u, 1) or (1, 0) of field elements:
+    the (u, 1) by the raw value of u, which is `field.elements()` order,
+    then (1, 0).
+
+    The core left after stripping s and t powers has its rational roots cut
+    out by gcd(g, u^q - u), computed by square-and-multiply mod g, and split
+    into linear factors by `_linear_split`.  Each power costs O(log q)
+    products mod g; the shift walk needs few shifts in practice, though no
+    bound below q is proven for a fixed shift order."""
+    field = f.field
+    q = field.order()
+    s_mult, t_mult, core = _strip_st(f)
+    g = list(reversed(core))
+    found = []
+    if s_mult:
+        found.append(field.zero())
+    if _deg(g) > 0:
+        frob = _powmod_poly([field.zero(), field.one()], q, g, field)
+        frob = frob + [field.zero()] * (2 - len(frob))
+        frob[1] = frob[1] - 1
+        h = _gcd_poly(g, _trim(frob, field), field)
+        if _deg(h) > 0:
+            found += [-lin[0] for lin in _linear_split(h, field)]
+    one = field.one()
+    roots = [(u, one) for u in sorted(found, key=lambda e: e.val)]
+    if t_mult:
+        roots.append((one, field.zero()))
+    return roots
 
 
 def squarefree_decomposition(f, field):

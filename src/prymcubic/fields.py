@@ -95,14 +95,18 @@ class Field:
         return a == 0
 
     def _pow_raw(self, a, n):
-        r = self._one_raw
-        b = a
-        while n:
+        # square-and-multiply with no product by one and no square past the
+        # top bit: a^1 costs nothing, a^2 one product, a^3 two
+        if not n:
+            return self._one_raw
+        r = None
+        while True:
             if n & 1:
-                r = self._mul(r, b)
-            b = self._mul(b, b)
+                r = a if r is None else self._mul(r, a)
             n >>= 1
-        return r
+            if not n:
+                return r
+            a = self._mul(a, a)
 
     def _raw_str(self, a):
         return str(a)

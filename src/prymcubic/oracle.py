@@ -3,9 +3,9 @@ the whole package.
 
 `projective_points_raw` is the one enumerator of P^dim over a finite field:
 every scan in the package (point counts, smoothness certificates, bitangent
-and tritangent-line walks, conic points, plane factors of a cubic) follows
-its order, and `projective_points` wraps its raw values as field elements
-after checking the budget.  `compile_raw` is the one evaluator of a form on
+and tritangent-line walks, conic points) follows its order, and
+`projective_points` wraps its raw values as field elements after checking
+the budget.  `compile_raw` is the one evaluator of a form on
 raw values; it alone decides that F_p is evaluated on plain integers.
 
 On top of them: Jacobian smoothness certificates, point counts with
@@ -62,10 +62,6 @@ def projective_points(field, dim, budget=DEFAULT_BUDGET):
     _check_budget(field.order(), dim, budget)
     for pt in projective_points_raw(field, dim):
         yield _elements(field, pt)
-
-
-def count_projective_points(field, dim, budget=DEFAULT_BUDGET):
-    return sum(1 for _ in projective_points(field, dim, budget))
 
 
 def compile_raw(poly):

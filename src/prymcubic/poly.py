@@ -157,7 +157,7 @@ class HomogPoly:
             v = c
             for x, k in zip(point, e):
                 if k:
-                    v = v * x ** k
+                    v = v * (x if k == 1 else x ** k)
             total = total + v
         return total
 
@@ -398,11 +398,3 @@ def det_and_adjugate(mat):
     from . import linalg
     rows = mat.rows()
     return linalg.det(rows), SymMatrix.from_rows(linalg.adjugate(rows))
-
-
-def binary_discriminant(a, b, c):
-    """b^2 - 4ac for a quadratic a s^2 + b st + c t^2 with form coefficients."""
-    degs = {f.degree for f in (a, b, c) if isinstance(f, HomogPoly)}
-    if len(degs) > 1:
-        raise PolyError("coefficients of the binary quadratic must share a degree")
-    return b * b - a * c * 4

@@ -7,13 +7,13 @@ double-cover minors.
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, islice, product
 
 from . import linalg
-from .binforms import ST, multiplicity_partition
+from .binforms import ST, multiplicity_partition, rational_roots
 from .elim import change_frame, frames, plane_cubic_is_smooth, resultant_last_var
 from .fields import PrimeField
-from .oracle import compile_raw, projective_points_raw
+from .oracle import compile_raw
 from .poly import HomogPoly, SymMatrix, proportional
 from .quadrics import conic_contains_line, factor_rank_le2
 
@@ -92,6 +92,7 @@ class Symmetrization:
                 raise SymmetroidError("entries must be linear forms in four variables")
         self._qvec = None
         self._det = None
+        self._adj = None
 
     @staticmethod
     def from_entry_rows(field, rows, xvars=X4, zvars=Z3):
@@ -179,17 +180,19 @@ class Symmetrization:
     def adjugate_cubics(self):
         """Signed maximal minors of B(z): the cubic map from the plane into
         the symmetroid, annihilated by B(z) as an exact identity."""
-        b = self.line_contraction()
-        cubics = []
-        for j in range(4):
-            minor = [[b[i][k] for k in range(4) if k != j] for i in range(3)]
-            d = linalg.det(minor)
-            if j % 2 == 1:
-                d = -d
-            cubics.append(d)
-        if not any(cubics):
+        if self._adj is None:
+            b = self.line_contraction()
+            cubics = []
+            for j in range(4):
+                minor = [[b[i][k] for k in range(4) if k != j] for i in range(3)]
+                d = linalg.det(minor)
+                if j % 2 == 1:
+                    d = -d
+                cubics.append(d)
+            self._adj = tuple(cubics)
+        if not any(self._adj):
             raise SymmetroidError("adjugation map vanishes identically")
-        return tuple(cubics)
+        return self._adj
 
     def annihilation_holds(self):
         b = self.line_contraction()
@@ -307,12 +310,13 @@ class Symmetrization:
         return bool(linalg.kernel_basis(rows, self.field))
 
     def _crosscheck_reducible(self, structural):
-        """Over a prime field, compare with exhaustive plane-divisibility;
-        disagreement is surfaced instead of guessed."""
+        """Over a prime field, compare with the plane factors of the
+        determinant, found from binary-cubic roots and confirmed by exact
+        division; disagreement is surfaced instead of guessed."""
         if not isinstance(self.field, PrimeField):
             return structural
         det = self.determinant_cubic()
-        factors = _linear_factors_exhaustive(det, self.field)
+        factors = _plane_factors(det, self.field)
         if structural in (SymmetroidType.T1, SymmetroidType.T2, SymmetroidType.T3,
                           SymmetroidType.T4, SymmetroidType.T5):
             return structural if not factors else SymmetroidType.REDUCIBLE_UNCLASSIFIED
@@ -455,39 +459,53 @@ def _divide_by_plane(form, line_coeffs, field):
     return HomogPoly(field, form.vars, form.degree - 1, terms)
 
 
-def _linear_factors_exhaustive(cubic, field):
-    """All normalized rational linear factors of a space cubic over F_p,
-    with cofactor quadrics.
+def _plane_factors(cubic, field):
+    """All normalized linear factors of a nonzero space cubic over a finite
+    field, with cofactor quadrics, in `oracle.projective_points_raw` order.
 
-    The scan over all p^3 + p^2 + p + 1 candidate planes is done with raw
-    integer arithmetic and a seven-point vanishing filter; exact division
-    confirms the survivors.
+    The cubic does not vanish at some point v0 of the grid S^4, S the first
+    min(q, 5) elements of the field: for q >= 5 because a nonzero form of
+    degree < |S| in each variable does not vanish on S^4, and for q = 3
+    because no nonzero cubic vanishes on all of P^3(F_3).  A factor L has
+    L(v0) != 0, so normalized by L(v0) = 1 its value L(e_i) on each of the
+    three unit vectors that complete v0 to a basis is -u for a rational
+    root (u : 1) of the cubic restricted to the line (s v0 + t e_i).  That
+    leaves at most 27 candidates; a seven-point vanishing filter and exact
+    division confirm them.
     """
-    p = field.p
     ev = compile_raw(cubic)
-    out = []
-    for ell in projective_points_raw(field, 3):
+    zero_raw = field._zero_raw
+    zero, one = field.zero(), field.one()
+    grid = list(islice(field.elements(), 5))
+    v0 = next(pt for pt in product(grid, repeat=4) if ev(tuple(c.val for c in pt)) != zero_raw)
+    j = next(i for i, c in enumerate(v0) if c)
+    others = [i for i in range(4) if i != j]
+    values = []
+    for i in others:
+        unit = [one if k == i else zero for k in range(4)]
+        values.append([-u for u, _ in rational_roots(cubic.restrict_to_line(v0, unit))])
+    candidates = []
+    for lam in product(*values):
+        ell = [zero] * 4
+        for i, li in zip(others, lam):
+            ell[i] = li
+        ell[j] = (1 - sum(li * v0[i] for i, li in zip(others, lam))) / v0[j]
         k = next(i for i, c in enumerate(ell) if c)
-        basis = []
-        for i in range(4):
-            if i == k:
-                continue
-            b = [0, 0, 0, 0]
-            b[i] = 1
-            b[k] = (-ell[i]) % p
-            basis.append(tuple(b))
-        b1, b2, b3 = basis
-        probes = [b1, b2, b3,
-                  tuple((a + b) % p for a, b in zip(b1, b2)),
-                  tuple((a + b) % p for a, b in zip(b1, b3)),
-                  tuple((a + b) % p for a, b in zip(b2, b3)),
-                  tuple((a + b + c) % p for a, b, c in zip(b1, b2, b3))]
-        if any(ev(pt) for pt in probes):
+        candidates.append((k, tuple(c / ell[k] for c in ell)))
+    # projective_points_raw order: fewer leading zeros first, then the tail
+    candidates.sort(key=lambda kc: (kc[0], [c.val for c in kc[1]]))
+    out = []
+    for k, ell in candidates:
+        # L vanishes on the plane spanned by e_i - ell[i] e_k, i != k
+        basis = [[one if m == i else -ell[i] if m == k else zero for m in range(4)]
+                 for i in range(4) if i != k]
+        probes = [[sum(cs) for cs in zip(*combo)]
+                  for r in (1, 2, 3) for combo in combinations(basis, r)]
+        if any(ev(tuple(c.val for c in pt)) != zero_raw for pt in probes):
             continue
-        coeffs = [field.element(c) for c in ell]
-        quad = _divide_by_plane(cubic, coeffs, field)
+        quad = _divide_by_plane(cubic, list(ell), field)
         if quad is not None:
-            out.append((tuple(coeffs), quad))
+            out.append((ell, quad))
     return out
 
 

@@ -1,9 +1,10 @@
 import random
+from itertools import product
 
 import pytest
 
 from prymcubic.binforms import (ST, binary_gcd, multiplicity_partition,
-                                perfect_square_root, resultant,
+                                perfect_square_root, rational_roots, resultant,
                                 squarefree_signature)
 from prymcubic.fields import Field, QQ, QuadExtField, RationalField
 from prymcubic.poly import HomogPoly, PolyError, proportional
@@ -139,3 +140,68 @@ def test_binary_gcd():
     expect = lin_product(QQ, [(3, 1)], extra_s=1)
     assert isinstance(d, HomogPoly) and d.vars == ST
     assert d.degree == expect.degree and proportional(d, expect)
+
+
+def brute_roots(f):
+    """Rational roots by evaluating at every point of P^1, in the order
+    rational_roots promises: (u : 1) by u, then (1 : 0)."""
+    field = f.field
+    one, zero = field.one(), field.zero()
+    roots = [(u, one) for u in field.elements() if not f.evaluate([u, one])]
+    if not f.evaluate([one, zero]):
+        roots.append((one, zero))
+    return [(u.val, t.val) for u, t in roots]
+
+
+def raw_roots(f):
+    return [(u.val, t.val) for u, t in rational_roots(f)]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_rational_roots_of_every_small_form(p):
+    F = Field.prime(p)
+    vals = list(F.elements())
+    for d in range(4):
+        for cs in product(vals, repeat=d + 1):
+            if any(cs):
+                f = bf(F, list(cs))
+                assert raw_roots(f) == brute_roots(f), f
+
+
+@pytest.mark.parametrize("field", [Field.prime(101), Field.prime(5).quadratic_extension(2),
+                                   Field.prime(7).quadratic_extension(3)],
+                         ids=["F101", "F5(sqrt2)", "F7(sqrt3)"])
+def test_rational_roots_random_forms(field):
+    rng = random.Random(6)
+    elems = list(field.elements())
+    for trial in range(60):
+        if trial % 2:
+            d = rng.randint(1, 8)
+            f = bf(field, [field.random(rng) for _ in range(d + 1)])
+            if not f:
+                continue
+        else:
+            # repeated roots, roots at (0 : 1) and (1 : 0), and a cofactor
+            # of degree <= 2 that may add roots or none
+            roots = [(u, field.one()) for u in rng.sample(elems, rng.randint(0, 2))
+                     for _ in range(rng.randint(1, 2))]
+            extra_s, extra_t = rng.randint(0, 2), rng.randint(0, 1)
+            f = lin_product(field, roots, extra_s, extra_t)
+            room = 8 - f.degree
+            g = bf(field, [field.random(rng) for _ in range(min(room, 2) + 1)])
+            if g:
+                f = f * g
+        assert raw_roots(f) == brute_roots(f), f
+
+
+def test_rational_roots_examples():
+    # s^2 t (s - 2t)^3 (s^2 - 2t^2) over F_7, where 3^2 = 2
+    f = (lin_product(F7, [(0, 1), (0, 1), (1, 0), (2, 1), (2, 1), (2, 1)])
+         * bf(F7, [1, 0, -2]))
+    assert raw_roots(f) == [(0, 1), (2, 1), (3, 1), (4, 1), (1, 0)]
+    # -1 is a nonsquare mod 7 and a square in F_49
+    assert raw_roots(bf(F7, [1, 0, 1])) == []
+    K = F7.quadratic_extension(3)
+    assert len(rational_roots(bf(K, [1, 0, 1]))) == 2
+    with pytest.raises(PolyError):
+        rational_roots(bf(F7, [0, 0]))

@@ -139,3 +139,29 @@ def test_hash_agrees_with_equality_against_raw_values():
     assert len({QQ.element(Fraction(1, 2)), Fraction(1, 2)}) == 1
     # a non-canonical int compares equal but does not hash equal (documented)
     assert F11.element(3) == 14
+
+
+@pytest.mark.parametrize("field, x", [(QQ, Fraction(3, 2)),
+                                      (Field.prime(7).quadratic_extension(3), (2, 5))],
+                         ids=["QQ", "F7(sqrt3)"])
+def test_powers_take_the_fewest_raw_products(field, x, monkeypatch):
+    # square-and-multiply: no product by one, no square past the top bit
+    x = field.element(x)
+    original = field._mul
+    calls = []
+
+    def counting(a, b):
+        calls.append(1)
+        return original(a, b)
+
+    monkeypatch.setattr(type(field), "_mul", staticmethod(counting))
+    counts, powers = [], []
+    for k in (1, 2, 3):
+        calls.clear()
+        powers.append(x ** k)
+        counts.append(len(calls))
+    monkeypatch.undo()
+    assert counts == [0, 1, 2]
+    assert powers == [x, x * x, x * x * x]
+    assert x ** 0 == 1 and x ** -2 * (x * x) == 1
+

@@ -5,8 +5,7 @@ import pytest
 
 from prymcubic import linalg
 from prymcubic.fields import Field, QQ
-from prymcubic.poly import (HomogPoly, PolyError, SymMatrix, binary_discriminant,
-                            det_and_adjugate, proportional)
+from prymcubic.poly import HomogPoly, PolyError, SymMatrix, det_and_adjugate, proportional
 
 F11 = Field.prime(11)
 X4 = ("x0", "x1", "x2", "x3")
@@ -173,15 +172,6 @@ def test_linear_solve_examples():
     for v in linalg.kernel_basis(m, F11):
         for row in m:
             assert not linalg.sum_entries([a * b for a, b in zip(row, v)])
-
-
-def test_binary_discriminant():
-    a = HomogPoly.linear(QQ, X4, [1, 0, 0, 0])
-    b = HomogPoly.zero(QQ, X4, 1)
-    c = HomogPoly.linear(QQ, X4, [0, 1, 0, 0])
-    d = binary_discriminant(a, b, c)
-    assert d == HomogPoly(QQ, X4, 2, {(1, 1, 0, 0): -4})
-    assert not binary_discriminant(a, a * 2, a)
 
 
 def test_proportional():

@@ -93,6 +93,22 @@ def test_one_scan_kernel_for_every_finite_field():
         assert "PrimeField" not in ast.unparse(fn), name
 
 
+def test_symmetroid_finds_plane_factors_without_a_point_scan():
+    # plane factors of the determinant come from binary-cubic roots on three
+    # lines, not from a walk over the planes of P^3
+    tree = ast.parse((SRC / "symmetroid.py").read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    assert "projective_points_raw" not in names
+    assert "rational_roots" in names
+
+
 def test_fixture_search_tool_imports(monkeypatch):
     # the search itself runs only under __main__; importing the tool catches a
     # renamed package name before the tool is next run

@@ -1,9 +1,12 @@
 import random
+from functools import lru_cache
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
-from prymcubic import linalg
-from prymcubic.fields import Field, QQ
+from prymcubic import linalg, symmetroid
+from prymcubic.fields import Field, QQ, is_prime
+from prymcubic.oracle import compile_raw, projective_points_raw
 from prymcubic.poly import HomogPoly, SymMatrix, proportional
 from prymcubic.symmetroid import (Symmetrization, SymmetroidError, SymmetroidType,
                                   cayley_normal_form, hankel_symmetroid,
@@ -377,3 +380,86 @@ def test_zero_web_adjugate_flagged():
         zero.adjugate_cubics()
     # the identically-zero determinant is flagged, not typed
     assert zero.classify() == SymmetroidType.REDUCIBLE_UNCLASSIFIED
+
+
+def test_adjugate_cubics_cached_and_error_repeated():
+    a = fix_a(F11)
+    assert a.adjugate_cubics() is a.adjugate_cubics()
+    zero = build(QQ, [[ZERO] * 3] * 3)
+    for _ in range(2):
+        with pytest.raises(SymmetroidError, match="vanishes identically"):
+            zero.adjugate_cubics()
+
+
+def plane_bases(field):
+    """Every plane of P^3 over F_p in projective_points_raw order, with the
+    basis e_i - ell_i e_k (i != k, ell_k = 1) of its points."""
+    p = field.p
+    planes = []
+    for ell in projective_points_raw(field, 3):
+        k = next(i for i, c in enumerate(ell) if c)
+        planes.append((ell, [tuple(1 if m == i else -ell[i] % p if m == k else 0
+                                   for m in range(4)) for i in range(4) if i != k]))
+    return planes
+
+
+def exhaustive_plane_factors(cubic, field, planes):
+    """Reference: the planes where the cubic vanishes at the three basis
+    points and their four sums, confirmed by exact division.  The evaluator
+    is memoized because the basis points of different planes repeat."""
+    p = field.p
+    ev = lru_cache(maxsize=None)(compile_raw(cubic))
+    out = []
+    for ell, basis in planes:
+        if any(ev(b) for b in basis):
+            continue
+        sums = (tuple(sum(cs) % p for cs in zip(*combo))
+                for r in (2, 3) for combo in combinations(basis, r))
+        if any(ev(pt) for pt in sums):
+            continue
+        coeffs = tuple(field.element(c) for c in ell)
+        quad = symmetroid._divide_by_plane(cubic, list(coeffs), field)
+        if quad is not None:
+            out.append((coeffs, quad))
+    return out
+
+
+def random_form(field, rng, degree):
+    mons = [tuple(m.count(i) for i in range(4))
+            for m in combinations_with_replacement(range(4), degree)]
+    return HomogPoly(field, X4, degree, {m: field.random(rng) for m in mons})
+
+
+@pytest.mark.parametrize("p", [p for p in range(3, 32) if is_prime(p)])
+def test_plane_factors_match_exhaustive_scan(p):
+    F = Field.prime(p)
+    cubics = [build(F, rows).determinant_cubic() for rows in NORMAL_FORMS.values()]
+    rng = random.Random(p)
+    for _ in range(2):
+        l1, l2, l3 = (random_form(F, rng, 1) for _ in range(3))
+        cubics += [l1 * random_form(F, rng, 2), l1 * l2 * l3, l1 * l1 * l2, l1 * l1 * l1,
+                   l1 * random_form(F, rng, 2) + l2 * l2 * l3]
+    planes = plane_bases(F)
+    for cubic in cubics:
+        if cubic:
+            assert symmetroid._plane_factors(cubic, F) == exhaustive_plane_factors(cubic, F, planes)
+
+
+def test_plane_factors_when_off_surface_points_lie_in_a_plane():
+    # x1 (x0 - x1) (x0 + x1) vanishes at every F_3-point with x0 != 0, so the
+    # points off the surface lie in the plane x0 = 0 and do not span P^3
+    F3 = Field.prime(3)
+    cubic = HomogPoly(F3, X4, 3, {(2, 1, 0, 0): 1, (0, 3, 0, 0): -1})
+    factors = symmetroid._plane_factors(cubic, F3)
+    assert factors == exhaustive_plane_factors(cubic, F3, plane_bases(F3))
+    assert [tuple(c.val for c in ell) for ell, _ in factors] == [
+        (1, 1, 0, 0), (1, 2, 0, 0), (0, 1, 0, 0)]
+    for ell, quad in factors:
+        assert HomogPoly.linear(F3, X4, list(ell)) * quad == cubic
+
+
+def test_normal_forms_classify_at_a_large_prime():
+    F = Field.prime(10007)
+    for tag, rows in NORMAL_FORMS.items():
+        assert build(F, rows).classify() == tag
+
