@@ -2,7 +2,8 @@
 run the forward/reverse constructions, hunt tritangents, count points and
 verify scene invariants.
 
-Exit codes: 0 ok, 1 verification failure, 2 input error, 3 budget exceeded.
+Exit codes: 0 ok, 1 verification failure, 2 input error, 3 budget exceeded,
+4 internal invariant failure.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ import sys
 from fractions import Fraction
 
 from .fields import Field, FieldError, PrimeField, QQ
-from .milne import (Line2, MilneError, enveloping_cone, reducible_member,
-                    tritangent_verify, twisted_cubic)
+from .milne import (InternalError, Line2, MilneError, enveloping_cone,
+                    reducible_member, tritangent_verify, twisted_cubic)
 from .oracle import (BudgetExceeded, DEFAULT_BUDGET, OracleError, count_curve,
                      count_double_cover, count_hyperelliptic_octic,
                      enumerate_bitangents, projective_points, smoothness_certificate)
@@ -30,6 +31,7 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 
 class CliInputError(ValueError):
@@ -423,6 +425,9 @@ def main(argv=None):
     except BudgetExceeded as e:
         print(json.dumps({"error": str(e)}), file=sys.stderr)
         return EXIT_BUDGET
+    except InternalError as e:
+        print(json.dumps({"error": str(e)}), file=sys.stderr)
+        return EXIT_INTERNAL
     except (CliInputError, SceneError, FieldError, PolyError, SymmetroidError,
             PrymError, MilneError, OracleError, ValueError) as e:
         print(json.dumps({"error": str(e)}), file=sys.stderr)

@@ -20,6 +20,10 @@ class MilneError(ValueError):
     pass
 
 
+class InternalError(RuntimeError):
+    """An internal invariant failed: a defect of the program, not of its input."""
+
+
 class Line2:
     """A line in the source plane, carried as a spanning pair of points."""
 
@@ -325,7 +329,7 @@ def twisted_cubic(a, line, strict=False):
         raise MilneError("line lies in the base locus of the cubic map")
     det = a.determinant_cubic()
     if det.substitute(comps):
-        raise MilneError("twisted cubic left the symmetroid; internal error")
+        raise InternalError("twisted cubic left the symmetroid; internal error")
     honest = _misses_base_locus(comps)
     if strict and not honest:
         raise MilneError("line meets the base locus; image drops degree")

@@ -10,8 +10,13 @@ raw values; it alone decides that F_p is evaluated on plain integers.
 
 On top of them: Jacobian smoothness certificates, point counts with
 Frobenius traces, double-cover counts through the three minors, and
-exhaustive bitangent enumeration.  Every scan walks the scheme's raw points
-once, whatever the finite field.
+exhaustive bitangent enumeration.  The scheme walk behind the first three is
+fibred from the last coordinate point: it enumerates the base P^(n-2),
+solves a polynomial of degree at most two in the last coordinate on each
+fibre, and walks a fibre value by value only when no restriction has degree
+at most two (a line of the scheme through the vertex, a cubic surface
+alone, a plane quartic).  For a space curve Q ∩ Γ that is p^2 fibres in
+place of p^3 points, in the same order.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from itertools import product
 
 from .binforms import multiplicity_partition, perfect_square_root
 from .fields import FieldElement, PrimeField, legendre
+from .poly import HomogPoly
 from . import linalg
 
 DEFAULT_BUDGET = 10 ** 7
@@ -101,16 +107,81 @@ def compile_raw(poly):
     return ev
 
 
+def _fibre_forms(f):
+    """Compiled coefficient forms of f = sum_k c_k(x_0..x_{n-2}) T^k, T the
+    last variable: entry k evaluates c_k on a base point, or is None when c_k
+    is the zero form."""
+    parts = {}
+    for e, c in f.terms.items():
+        parts.setdefault(e[-1], {})[e[:-1]] = c
+    base_vars = f.vars[:-1]
+    return [compile_raw(HomogPoly(f.field, base_vars, f.degree - k, parts[k], _clean=True))
+            if k in parts else None for k in range(f.degree + 1)]
+
+
+def _quadratic_roots(cs, field):
+    """The roots in ascending raw value of c0 (+ c1 T (+ c2 T^2)), given as
+    the raw coefficients cs with a nonzero top entry.  The discriminant's
+    root comes from the field's `_sqrt` after Euler's test, not from the
+    public `Field.sqrt`, which would add a traced call per fibre."""
+    mul, neg, inv = field._mul, field._neg, field._inv_nonzero
+    if len(cs) == 1:
+        return ()
+    if len(cs) == 2:
+        return (mul(neg(cs[0]), inv(cs[1])),)
+    c0, c1, c2 = cs
+    disc = field._sub(mul(c1, c1), mul(field._from_int(4), mul(c2, c0)))
+    inv2a = inv(mul(field._from_int(2), c2))
+    if disc == field._zero_raw:
+        return (mul(neg(c1), inv2a),)
+    if field._pow_raw(disc, (field.order() - 1) // 2) != field._one_raw:
+        return ()
+    r = field._sqrt(FieldElement(field, disc)).val
+    return tuple(sorted((mul(field._sub(r, c1), inv2a), mul(field._sub(neg(r), c1), inv2a))))
+
+
 def _scheme_points(equations, field, budget):
     """Raw points, in enumeration order, where every equation vanishes; the
-    whole walk is charged to the budget."""
+    whole of P^(n-1) is charged to the budget.
+
+    The walk is fibred from the vertex (0 : ... : 0 : 1).  Over each base
+    point b of P^(n-2) every equation restricts to a polynomial in the last
+    coordinate T, and the first restriction that is nonzero of degree at most
+    two gives the candidate values of T.  A fibre with no such restriction
+    (all vanish identically, or the nonzero ones have degree three or more)
+    is walked value by value.  A candidate is kept when every restriction
+    vanishes there.  Candidates come in `field.elements()` order and the
+    vertex comes last, which is the order of `projective_points_raw`."""
     nv = len(equations[0].vars)
     _check_budget(field.order(), nv - 1, budget)
-    evs = [compile_raw(f) for f in equations]
+    fibres = [_fibre_forms(f) for f in equations]
     zero = field._zero_raw
-    for pt in projective_points_raw(field, nv - 1):
-        if all(ev(pt) == zero for ev in evs):
-            yield pt
+    add, mul = field._add, field._mul
+    values = [e.val for e in field.elements()]
+    for b in projective_points_raw(field, nv - 2):
+        rests, cands = [], None
+        for forms in fibres:
+            cs = [ev(b) if ev else zero for ev in forms]
+            while cs and cs[-1] == zero:
+                cs.pop()
+            rests.append(cs)
+            if cands is None and 0 < len(cs) <= 3:
+                cands = _quadratic_roots(cs, field)
+                if not cands:
+                    break
+        for t in values if cands is None else cands:
+            for cs in rests:
+                v = zero
+                for c in reversed(cs):
+                    v = add(mul(v, t), c)
+                if v != zero:
+                    break
+            else:
+                yield b + (t,)
+    # the vertex is on the scheme when no equation has a pure x_{n-1}^d term
+    top = (0,) * (nv - 1)
+    if not any(f.terms.get(top + (f.degree,)) for f in equations):
+        yield (zero,) * (nv - 1) + (field._one_raw,)
 
 
 class Certificate:

@@ -2,12 +2,12 @@ from itertools import product
 
 import pytest
 
-from prymcubic import linalg
-from prymcubic.fields import Field, legendre
-from prymcubic.fixtures import FIXTURES, fix_a, fix_q, fix_x
-from prymcubic.oracle import (BudgetExceeded, OracleError, count_curve,
-                              count_double_cover, count_hyperelliptic_octic,
-                              enumerate_bitangents,
+from prymcubic import linalg, oracle
+from prymcubic.fields import Field, FieldElement, is_prime, legendre
+from prymcubic.fixtures import FIXTURES, SMOOTH_FIXTURES, fix_a, fix_q, fix_x
+from prymcubic.oracle import (DEFAULT_BUDGET, BudgetExceeded, OracleError,
+                              compile_raw, count_curve, count_double_cover,
+                              count_hyperelliptic_octic, enumerate_bitangents,
                               projective_points, projective_points_raw,
                               smoothness_certificate)
 from prymcubic.poly import HomogPoly
@@ -179,15 +179,14 @@ def test_enumeration_over_quadratic_extension():
     assert rep.count == 122 and rep.trace == 0
 
 
-def _element_scan(equations, minors, field):
-    """Element-level reference for the three point scans: the number of
-    points, the first singular point with the count up to it, and the cover
-    count or the error text of the first point that breaks the minors."""
+def _element_outcomes(points, equations, minors):
+    """Element-level reference for the three point scans, given the scheme's
+    points in order: the number of points, the first singular point with the
+    count up to it, and the cover count or the error text of the first point
+    that breaks the minors."""
     grads = [f.gradient() for f in equations]
     count, witness, cover, error = 0, None, 0, None
-    for pt in projective_points(field, len(equations[0].vars) - 1):
-        if any(f.evaluate(pt) for f in equations):
-            continue
+    for pt in points:
         count += 1
         jac = [[g.evaluate(pt) for g in row] for row in grads]
         if witness is None and linalg.rank(jac) != len(equations):
@@ -203,8 +202,32 @@ def _element_scan(equations, minors, field):
     return count, witness, cover, error
 
 
+def _element_scan(equations, minors, field):
+    points = (pt for pt in projective_points(field, len(equations[0].vars) - 1)
+              if not any(f.evaluate(pt) for f in equations))
+    return _element_outcomes(points, equations, minors)
+
+
+def _assert_scans_match(eqs, minors, field, outcomes):
+    count, witness, cover, error = outcomes
+    assert count_curve(eqs, field, 4).count == count
+    cert = smoothness_certificate(eqs, field)
+    if witness is None:
+        assert cert.passed and cert.points_on_scheme == count
+    else:
+        assert not cert.passed
+        assert (repr(cert.witness), cert.points_on_scheme) == (repr(witness[0]), witness[1])
+    if error is None:
+        assert count_double_cover(eqs, minors, field).count == cover
+    else:
+        with pytest.raises(OracleError) as exc:
+            count_double_cover(eqs, minors, field)
+        assert str(exc.value) == error
+
+
 # P^3 over F_49 has 120 100 points for the element-level scan to evaluate,
-# so two fixtures run there: t1 (singular point, minors vanish) and seed
+# so two fixtures run there: t1 (singular point, minors vanish) and seed; the
+# fibred-walk sweep below checks every fixture over F_49 against the raw walk
 @pytest.mark.parametrize("p,d,name", [(5, 2, "t1"), (5, 2, "t2"), (5, 2, "biell"),
                                       (5, 2, "even"), (5, 2, "seed"),
                                       (7, 3, "t1"), (7, 3, "seed")])
@@ -214,20 +237,137 @@ def test_scans_over_quadratic_extension_match_element_scan(p, d, name):
     a = fx.symmetrization(K)
     eqs = [fx.quadric_form(K), a.determinant_cubic()]
     minors = list(a.double_cover_minors()[:3])
-    count, witness, cover, error = _element_scan(eqs, minors, K)
-    assert count_curve(eqs, K, 4).count == count
-    cert = smoothness_certificate(eqs, K)
-    if witness is None:
-        assert cert.passed and cert.points_on_scheme == count
-    else:
-        assert not cert.passed
-        assert (repr(cert.witness), cert.points_on_scheme) == (repr(witness[0]), witness[1])
-    if error is None:
-        assert count_double_cover(eqs, minors, K).count == cover
-    else:
-        with pytest.raises(OracleError) as exc:
-            count_double_cover(eqs, minors, K)
-        assert str(exc.value) == error
+    _assert_scans_match(eqs, minors, K, _element_scan(eqs, minors, K))
     for conic in a.gauss_quadrics():
         first = next(pt for pt in projective_points(K, 2) if not conic.evaluate(pt))
         assert repr(conic_rational_point(conic, K)) == repr(first)
+
+
+def _scheme_points_exhaustive(equations, field, budget):
+    """The walk over every point of P^(n-1) that the fibred walk replaced,
+    kept as its reference."""
+    nv = len(equations[0].vars)
+    oracle._check_budget(field.order(), nv - 1, budget)
+    evs = [compile_raw(f) for f in equations]
+    zero = field._zero_raw
+    for pt in projective_points_raw(field, nv - 1):
+        if all(ev(pt) == zero for ev in evs):
+            yield pt
+
+
+def _field(p, d):
+    F = Field.prime(p)
+    return F if d is None else F.quadratic_extension(d)
+
+
+def _walks_agree(eqs, field):
+    """The fibred walk's points, after checking them (order included)
+    against the exhaustive walk."""
+    ref = list(_scheme_points_exhaustive(eqs, field, DEFAULT_BUDGET))
+    assert list(oracle._scheme_points(eqs, field, DEFAULT_BUDGET)) == ref
+    return ref
+
+
+SWEEP_FIELDS = [(p, None) for p in range(3, 32) if is_prime(p)] + [(5, 2), (7, 3)]
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+@pytest.mark.parametrize("p,d", SWEEP_FIELDS)
+def test_fibred_walk_matches_exhaustive_walk(p, d, name):
+    K = _field(p, d)
+    fx = FIXTURES[name]
+    a = fx.symmetrization(K)
+    qf, gamma = fx.quadric_form(K), a.determinant_cubic()
+    _walks_agree([qf], K)
+    _walks_agree([gamma], K)
+    ref = _walks_agree([qf, gamma], K)
+    # the public scans against element-level arithmetic on the reference points
+    minors = list(a.double_cover_minors()[:3])
+    points = [tuple(FieldElement(K, v) for v in pt) for pt in ref]
+    _assert_scans_match([qf, gamma], minors, K,
+                        _element_outcomes(points, [qf, gamma], minors))
+
+
+def _forms(field, vars, *polys):
+    return [HomogPoly(field, vars, sum(next(iter(t))), t) for t in polys]
+
+
+# schemes whose fibres over P^2 (or P^1) degenerate: the vertex (0 : 0 : 0 : 1)
+# on the scheme, whole fibre lines on a cone, restrictions with no T^2 term or
+# of degree three or more, and discriminant zero
+DEGENERATE_FIBRES = {
+    "vertex": lambda F: _forms(F, X4, {(1, 0, 0, 1): 1, (0, 2, 0, 0): 1},
+                               {(0, 1, 0, 2): 1, (3, 0, 0, 0): 1, (0, 0, 3, 0): -1}),
+    "cone": lambda F: _forms(F, X4, {(1, 1, 0, 0): 1, (0, 0, 2, 0): -1}),
+    "cone_and_cubic": lambda F: _forms(F, X4, {(1, 1, 0, 0): 1, (0, 0, 2, 0): -1},
+                                       {(0, 0, 0, 3): 1, (3, 0, 0, 0): -1, (0, 1, 1, 1): 2}),
+    "no_square_term": lambda F: _forms(F, X4, {(1, 0, 0, 1): 1, (0, 1, 1, 0): 1}),
+    "no_square_term_and_cubic": lambda F: _forms(
+        F, X4, {(1, 0, 0, 1): 1, (0, 1, 1, 0): 1},
+        {(0, 0, 1, 2): 1, (0, 3, 0, 0): 1, (1, 1, 1, 0): -1}),
+    "rank_two": lambda F: _forms(F, X4, {(1, 1, 0, 0): 1}),
+    "cubic_surface": lambda F: _forms(F, X4, {(3, 0, 0, 0): 1, (0, 3, 0, 0): 1, (0, 0, 3, 0): 1,
+                                              (0, 0, 0, 3): 1, (1, 1, 0, 1): 1}),
+    "cubic_listed_first": lambda F: _forms(F, X4, {(0, 0, 0, 3): 1, (1, 1, 1, 0): -1},
+                                           {(0, 0, 0, 2): 1, (1, 1, 0, 0): -1}),
+    "plane_quartic": lambda F: [fix_x(F)],
+    "fermat_quartic": lambda F: _forms(F, Z3, {(4, 0, 0): 1, (0, 4, 0): 1, (0, 0, 4): 1}),
+    "double_root": lambda F: _forms(F, X4, {(0, 0, 0, 2): 1, (1, 1, 0, 0): -1}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEGENERATE_FIBRES))
+@pytest.mark.parametrize("p,d", [(3, None), (5, None), (7, None), (11, None), (13, None),
+                                 (3, 2), (5, 2)])
+def test_fibred_walk_on_degenerate_fibres(p, d, name):
+    K = _field(p, d)
+    _walks_agree(DEGENERATE_FIBRES[name](K), K)
+
+
+def test_degenerate_fibres_by_hand():
+    F = F11
+    q = F.order()
+    zero, one = F._zero_raw, F._one_raw
+
+    def walk(name):
+        return _walks_agree(DEGENERATE_FIBRES[name](F), F)
+
+    # the vertex comes last, after every fibre
+    assert walk("vertex")[-1] == (zero, zero, zero, one)
+    # a cone with vertex (0 : 0 : 0 : 1): q + 1 whole lines and the vertex
+    assert len(walk("cone")) == (q + 1) * q + 1
+    # two planes meeting in a line
+    assert len(walk("rank_two")) == 2 * (q * q + q + 1) - (q + 1)
+    # T^2 = x0 x1 has the double root T = 0 over x0 x1 = 0, yielded once
+    pts = walk("double_root")
+    assert len(pts) == len(set(pts)) == q * q + q + 1
+    assert [pt for pt in pts if pt[:3] == (one, zero, zero)] == [(one, zero, zero, zero)]
+
+
+# the one prime of bad reduction among these: even_biell's curve C is singular
+# at a rational point over F_59 (found the same by the exhaustive walk)
+BAD_REDUCTION = {("even_biell", 59): "C singular at (1, 52, 26, 0)"}
+
+
+@pytest.mark.parametrize("p", [41, 43, 47, 53, 59, 61])
+def test_trace_identity_at_larger_primes(p):
+    F = Field.prime(p)
+    bad = {}
+    for fx in SMOOTH_FIXTURES:
+        a, q = fx.symmetrization(F), fx.quadric(F)
+        eqs = [fx.quadric_form(F), a.determinant_cubic()]
+        cert = smoothness_certificate(eqs, F)
+        if not cert.passed:
+            bad[(fx.name, p)] = "C singular at %r" % (cert.witness,)
+            continue
+        curve = count_curve(eqs, F, 4)
+        cover = count_double_cover(eqs, list(a.double_cover_minors()[:3]), F)
+        if fx.even:
+            partner = count_hyperelliptic_octic(forward_even(a, q).octic, F)
+        else:
+            quartic = forward_general(a, q).quartic
+            assert smoothness_certificate([quartic], F).passed, fx.name
+            partner = count_curve([quartic], F, 3)
+        assert curve.weil_ok and cover.weil_ok and partner.weil_ok, fx.name
+        assert cover.count == curve.count + partner.count - (p + 1), fx.name
+    assert bad == {k: v for k, v in BAD_REDUCTION.items() if k[1] == p}

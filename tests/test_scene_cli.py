@@ -207,6 +207,33 @@ def test_cli_milne_single_line(tmp_path, capsys):
     assert rep["results"][0]["generic"]
 
 
+def test_cli_internal_invariant_failure_exits_4(capsys, monkeypatch):
+    # hand the twisted-cubic check a determinant that is off by x0^3, so the
+    # image of the line leaves the "symmetroid": a defect, not an input error
+    import prymcubic.cli as cli
+    from prymcubic.milne import InternalError
+
+    class OffSymmetroid:
+        def __init__(self, a):
+            self.a = a
+
+        def adjugate_cubics(self):
+            return self.a.adjugate_cubics()
+
+        def determinant_cubic(self):
+            det = self.a.determinant_cubic()
+            return det + HomogPoly.monomial(det.field, det.vars, (3, 0, 0, 0))
+
+    real = cli.twisted_cubic
+    monkeypatch.setattr(cli, "twisted_cubic",
+                        lambda a, line, strict=False: real(OffSymmetroid(a), line, strict))
+    code, out, err = run_cli(["milne-tritangents", DATA, "--A", "A_t1", "--Q", "Q_t1",
+                              "--enumerate", "--q", "11"], capsys)
+    assert (code, out) == (4, "")
+    assert json.loads(err) == {"error": "twisted cubic left the symmetroid; internal error"}
+    assert not issubclass(InternalError, ValueError)
+
+
 def test_cli_verify_manifest(capsys):
     code, out, err = run_cli(["verify", DATA], capsys)
     assert code == 0

@@ -93,6 +93,17 @@ def test_one_scan_kernel_for_every_finite_field():
         assert "PrimeField" not in ast.unparse(fn), name
 
 
+def test_scheme_walk_is_fibred_over_a_hyperplane():
+    # the oracle's scheme walk enumerates the base P^(n-2) of the fibration
+    # from the last coordinate point, never P^(n-1) itself
+    tree = ast.parse((SRC / "oracle.py").read_text(encoding="utf-8"))
+    walk = next(n for n in tree.body
+                if isinstance(n, ast.FunctionDef) and n.name == "_scheme_points")
+    enumerations = [ast.unparse(n) for n in ast.walk(walk) if isinstance(n, ast.Call)
+                    and ast.unparse(n.func) in ("projective_points_raw", "projective_points")]
+    assert enumerations == ["projective_points_raw(field, nv - 2)"]
+
+
 def test_symmetroid_finds_plane_factors_without_a_point_scan():
     # plane factors of the determinant come from binary-cubic roots on three
     # lines, not from a walk over the planes of P^3
