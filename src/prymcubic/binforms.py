@@ -7,13 +7,13 @@ s^(d-i) t^i, and its core after stripping powers of s and t as a univariate
 polynomial in u = s/t.  On top of that: gcd, squarefree decomposition
 (complete in small characteristic via p-th-power descent),
 root-multiplicity signatures, perfect-square detection with at most one
-quadratic extension, Sylvester resultants, and the rational roots of a form
-over a finite field by Cantor-Zassenhaus root finding.
+quadratic extension (`Field.adjoin_sqrt`), Sylvester resultants, and the
+rational roots of a form over a finite field by Cantor-Zassenhaus root
+finding.
 """
 
 from __future__ import annotations
 
-from .fields import QuadExtField
 from .poly import HomogPoly, PolyError
 
 ST = ("s", "t")
@@ -257,26 +257,12 @@ def multiplicity_partition(form):
     return sorted(parts, reverse=True)
 
 
-class SquareRootCert:
-    """Witness that g = (root)^2 exactly, possibly over one quadratic extension."""
-
-    __slots__ = ("root", "scalar", "extended")
-
-    def __init__(self, root, scalar, extended):
-        self.root = root
-        self.scalar = scalar
-        self.extended = extended
-
-
-def perfect_square_root(form, allow_extension=True):
-    """Square root of a binary form of even degree.
-
-    Returns a certificate whose root, a form in the same variables,
-    satisfies root^2 == g exactly; the root lives over the base field when
-    the normalizing scalar is a square there, and otherwise over the
-    quadratic extension by that scalar (refused when allow_extension is
-    false).  None when the divisor of g is not even.
-    """
+def perfect_square_root(form):
+    """Square root of a binary form of even degree: a form in the same
+    variables whose square is the form exactly, or None when its divisor is
+    not even.  The root lives over the base field when the normalizing
+    scalar is a square there, else over `Field.adjoin_sqrt`'s extension by
+    it; None when that would be a second extension."""
     if form.degree % 2 != 0:
         raise PolyError("perfect squares have even degree")
     if not form:
@@ -303,16 +289,11 @@ def perfect_square_root(form, allow_extension=True):
     scalar = form.terms[top] / sq.terms[top]
     if sq * scalar != form:
         return None
-    r = field.sqrt(scalar)
-    if r is not None:
-        return SquareRootCert(root0 * r, scalar, False)
-    if not allow_extension:
+    adjoined = field.adjoin_sqrt(scalar)
+    if adjoined is None:
         return None
-    if isinstance(field, QuadExtField):
-        return None  # one extension is already in use; tower depth capped
-    ext = field.quadratic_extension(scalar)
-    root_ext = root0.change_field(ext) * ext.sqrt_d()
-    return SquareRootCert(root_ext, scalar, True)
+    work, r = adjoined
+    return root0.change_field(work) * r
 
 
 def resultant(f, g):

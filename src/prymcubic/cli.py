@@ -314,9 +314,8 @@ def _verify_scene(scene, rng):
             if rank == 4:
                 fwd = forward_general(a, q)
                 pen = pencil_conics(a, q)
-                rev = reverse_construct(
-                    fwd.quartic if not pen.extended else fwd.quartic.change_field(pen.field),
-                    pen.conics(), pen.field)
+                rev = reverse_construct(fwd.quartic.change_field(pen.field), pen.conics(),
+                                        pen.field)
                 if not roundtrip_change_matches(a, q, pen, rev):
                     failures.append("%s: roundtrip identity failed" % key)
                 notes[key] = {"reduced": fwd.reduced, "roundtrip": "ok"}

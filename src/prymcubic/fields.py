@@ -7,7 +7,8 @@ act both as descriptors and as the operation tables for raw values:
 (``int`` in ``[0, p)``) and :class:`QuadExtField` (pairs ``(a, b)`` of base
 raw values meaning ``a + b*sqrt(d)``).  :class:`FieldElement` is a thin
 wrapper so that coefficients support ordinary operators.  Extensions never
-nest: a :class:`QuadExtField` sits over Q or F_p.
+nest: a :class:`QuadExtField` sits over Q or F_p, and :meth:`Field.adjoin_sqrt`
+is the one place that goes up to it.
 """
 
 from __future__ import annotations
@@ -142,11 +143,25 @@ class Field:
     # -- square roots ------------------------------------------------------
 
     def sqrt(self, x):
-        """Deterministic square root, or None when x is a nonsquare."""
+        """Square root, or None when x is a nonsquare: over Q the
+        nonnegative root, elsewhere the one of +-r with the smaller raw value."""
         x = self.element(x)
         if not x:
             return self.zero()
         return self._sqrt(x)
+
+    def adjoin_sqrt(self, x):
+        """(K, r) with r * r == x: K is this field when x is a square here,
+        else K is `quadratic_extension(x)` and r its `sqrt_d()`.  None over
+        an extension, because extensions never nest; every construction that
+        may need a root of a nonsquare asks here."""
+        r = self.sqrt(x)
+        if r is not None:
+            return self, r
+        if isinstance(self, QuadExtField):
+            return None
+        ext = self.quadratic_extension(x)
+        return ext, ext.sqrt_d()
 
 
 class RationalField(Field):
@@ -381,10 +396,10 @@ class QuadExtField(Field):
         if not b:
             r = base.sqrt(a)
             if r is not None:
-                return self.element(r)
+                return self._smaller_root((r.val, base._zero_raw))
             r = base.sqrt(a / d)
             if r is not None:
-                return self._smaller_root(self.ext_element(0, r).val)
+                return self._smaller_root((base._zero_raw, r.val))
             return None
         norm = a * a - d * b * b
         m = base.sqrt(norm)

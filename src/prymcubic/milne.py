@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from . import linalg
 from .binforms import ST, binary_gcd, perfect_square_root, resultant, squarefree_parts
-from .fields import QuadExtField
 from .poly import HomogPoly, SymMatrix, proportional
 from .quadrics import factor_rank_le2
 from .symmetroid import X4
@@ -41,11 +40,9 @@ class Line2:
     def from_dual(field, dual):
         return Line2(field, *linalg.line_basis(dual, field))
 
-    def parametrization(self, nvars=3):
-        images = []
-        for i in range(nvars):
-            images.append(HomogPoly.linear(self.field, ST, [self.p0[i], self.p1[i]]))
-        return tuple(images)
+    def parametrization(self):
+        return tuple(HomogPoly.linear(self.field, ST, [self.p0[i], self.p1[i]])
+                     for i in range(len(self.p0)))
 
 
 class EnvelopingCone:
@@ -114,14 +111,13 @@ class ReducibleMember:
     quadric.  kind is 'pair' or 'double'; planes live over `field`, which may
     be one quadratic extension up from the input."""
 
-    __slots__ = ("kind", "h1", "h2", "field", "root", "planes_unrepresentable")
+    __slots__ = ("kind", "h1", "h2", "field", "planes_unrepresentable")
 
-    def __init__(self, kind, h1, h2, field, root, planes_unrepresentable=False):
+    def __init__(self, kind, h1, h2, field, planes_unrepresentable=False):
         self.kind = kind
         self.h1 = h1
         self.h2 = h2
         self.field = field
-        self.root = root
         self.planes_unrepresentable = planes_unrepresentable
 
 
@@ -152,18 +148,12 @@ def _roots_with_multiplicity_ge2(g, field):
             out.append((-fac[0] / fac[1], field.one(), field))
         elif len(fac) == 3:
             c0, c1, c2 = fac
-            disc = c1 * c1 - c0 * c2 * 4
-            r = field.sqrt(disc)
-            if r is not None:
+            adjoined = field.adjoin_sqrt(c1 * c1 - c0 * c2 * 4)
+            if adjoined is not None:
+                work, r = adjoined
+                c1, c2 = work.element(c1), work.element(c2)
                 for sign in (r, -r):
-                    out.append(((-c1 + sign) / (c2 * 2), field.one(), field))
-            elif not isinstance(field, QuadExtField):
-                ext = field.quadratic_extension(disc)
-                r = ext.sqrt_d()
-                c1e = ext.element(c1)
-                c2e = ext.element(c2)
-                for sign in (r, -r):
-                    out.append(((-c1e + sign) / (c2e * 2), ext.one(), ext))
+                    out.append(((-c1 + sign) / (c2 * 2), work.one(), work))
         # a factor of degree >= 3 with multiplicity >= 2 cannot fit in a
         # quartic unless it is a perfect power already caught above
     return out
@@ -187,31 +177,24 @@ def reducible_member(lam, q, field):
         r = mw.rank()
         if r > 2:
             continue
-        if r == 1:
-            pair = factor_rank_le2(mw, work, X4, allow_extension=False)
-            return ReducibleMember("double", pair.h1, pair.h1, work, (s0, t0))
         pair = factor_rank_le2(mw, work, X4)
+        if r == 1:
+            return ReducibleMember("double", pair.h1, pair.h1, work)
         if pair is None:
-            return ReducibleMember("pair", None, None, work, (s0, t0),
-                                   planes_unrepresentable=True)
-        planes_field = pair.h1.field
-        member = ReducibleMember("pair", pair.h1, pair.h2, planes_field, (s0, t0))
+            return ReducibleMember("pair", None, None, work, planes_unrepresentable=True)
+        member = ReducibleMember("pair", pair.h1, pair.h2, pair.h1.field)
         if found is None or (found.planes_unrepresentable and not member.planes_unrepresentable):
             found = member
     return found
 
 
 class TritangentCert:
-    __slots__ = ("passed", "contact", "field", "reducible_conic",
-                 "extended", "plane_basis", "conic_param")
+    __slots__ = ("passed", "contact", "reducible_conic", "plane_basis", "conic_param")
 
-    def __init__(self, passed, contact, field, reducible_conic, extended,
-                 plane_basis=None, conic_param=None):
+    def __init__(self, passed, contact, reducible_conic, plane_basis=None, conic_param=None):
         self.passed = passed
         self.contact = contact
-        self.field = field
         self.reducible_conic = reducible_conic
-        self.extended = extended
         self.plane_basis = plane_basis
         self.conic_param = conic_param
 
@@ -230,41 +213,32 @@ def tritangent_verify(q, gamma, h):
     restricted conic is parametrized and the restricted cubic pulled back to
     a sextic whose divisor must be even."""
     field = h.field
-    qw = q if _entry_field(q) == field else q.map(lambda v: field.element(v))
-    gw = gamma if gamma.field == field else gamma.change_field(field)
     basis = _plane_basis(h, field)
     images = tuple(HomogPoly.linear(field, U3, [basis[k][i] for k in range(3)])
                    for i in range(4))
-    conic = qw.quadratic_form(field, X4).substitute(images)
-    cubic = gw.substitute(images)
+    # quadratic_form coerces q's entries into the plane's field
+    conic = q.quadratic_form(field, X4).substitute(images)
+    cubic = gamma.change_field(field).substitute(images)
     cm = SymMatrix.from_quadratic_form(conic)
     rank = cm.rank()
     if rank == 3:
         from .prym import conic_rational_point, parametrize_conic
         pt = conic_rational_point(conic, field)
         if pt is None:
-            return TritangentCert(False, None, field, False, False)
+            return TritangentCert(False, None, False)
         param = parametrize_conic(conic, pt, field)
         sextic = cubic.substitute(param)
         if not sextic:
-            return TritangentCert(False, None, field, False, False)
-        cert = perfect_square_root(sextic)
-        if cert is None:
-            return TritangentCert(False, None, field, False, False,
-                                  plane_basis=basis, conic_param=param)
-        return TritangentCert(True, cert.root, cert.root.field, False,
-                              cert.extended, plane_basis=basis, conic_param=param)
+            return TritangentCert(False, None, False)
+        root = perfect_square_root(sextic)
+        return TritangentCert(root is not None, root, False,
+                              plane_basis=basis, conic_param=param)
     if rank == 2:
         pair = factor_rank_le2(cm, field, U3)
         if pair is None:
-            return TritangentCert(False, None, field, True, False)
-        ok = _even_on_line_pair(pair, cubic, field)
-        return TritangentCert(ok, None, field, True, pair.extended)
-    return TritangentCert(False, None, field, True, False)
-
-
-def _entry_field(m):
-    return m.at(0, 0).field
+            return TritangentCert(False, None, True)
+        return TritangentCert(_even_on_line_pair(pair, cubic), None, True)
+    return TritangentCert(False, None, True)
 
 
 def _line_param_from_form(line_form, field):
@@ -273,12 +247,12 @@ def _line_param_from_form(line_form, field):
     return tuple(HomogPoly.linear(field, ST, [p0[i], p1[i]]) for i in range(3))
 
 
-def _even_on_line_pair(pair, cubic, field):
+def _even_on_line_pair(pair, cubic):
     """Tangent-plane case: the conic breaks into two rulings; the contact
     divisor is even iff on each ruling all odd multiplicities sit at the
     crossing point, with even total there."""
     work = pair.h1.field
-    cw = cubic if cubic.field == work else cubic.change_field(work)
+    cw = cubic.change_field(work)
     crossing_mults = []
     for lf in (pair.h1, pair.h2):
         param = _line_param_from_form(lf, work)
@@ -309,11 +283,10 @@ def _even_on_line_pair(pair, cubic, field):
 
 
 class TwistedCubic:
-    __slots__ = ("components", "line", "honest")
+    __slots__ = ("components", "honest")
 
-    def __init__(self, components, line, honest):
+    def __init__(self, components, honest):
         self.components = components
-        self.line = line
         self.honest = honest
 
 
@@ -333,16 +306,15 @@ def twisted_cubic(a, line, strict=False):
     honest = _misses_base_locus(comps)
     if strict and not honest:
         raise MilneError("line meets the base locus; image drops degree")
-    return TwistedCubic(comps, line, honest)
+    return TwistedCubic(comps, honest)
 
 
 def contact_points_match(h, cubic_T, contact_root, conic_param, plane_basis_vectors):
     """Resultant cross-ratios: the divisor cut on the twisted cubic by the
     plane equals the contact divisor living on the plane's conic."""
     field = contact_root.field
-    comps = [c if c.field == field else c.change_field(field) for c in cubic_T.components]
-    hw = h if h.field == field else h.change_field(field)
-    hT = hw.substitute(comps)
+    comps = [c.change_field(field) for c in cubic_T.components]
+    hT = h.change_field(field).substitute(comps)
     if not hT:
         return False
     # the plane's points under the conic parametrization, in space coordinates
@@ -350,10 +322,9 @@ def contact_points_match(h, cubic_T, contact_root, conic_param, plane_basis_vect
     for i in range(4):
         acc = None
         for k in range(3):
-            pk = conic_param[k] if conic_param[k].field == field else conic_param[k].change_field(field)
             coef = field.element(plane_basis_vectors[k][i])
             if coef:
-                t = pk * coef
+                t = conic_param[k].change_field(field) * coef
                 acc = t if acc is None else acc + t
         lifted.append(acc if acc is not None else HomogPoly.zero(field, ST, 2))
     probes = [

@@ -290,14 +290,12 @@ def count_hyperelliptic_octic(octic, field, label="octic", genus=3, budget=DEFAU
 
 
 class BitangentLine:
-    __slots__ = ("dual", "p0", "p1", "contact", "extended")
+    __slots__ = ("dual", "p0", "p1")
 
-    def __init__(self, dual, p0, p1, contact, extended):
+    def __init__(self, dual, p0, p1):
         self.dual = dual
         self.p0 = p0
         self.p1 = p1
-        self.contact = contact
-        self.extended = extended
 
 
 def enumerate_bitangents(quartic, field, budget=DEFAULT_BUDGET):
@@ -313,8 +311,6 @@ def enumerate_bitangents(quartic, field, budget=DEFAULT_BUDGET):
         rest = quartic.restrict_to_line(p0, p1)
         if not rest:
             raise OracleError("quartic vanishes on a whole line; not reduced")
-        cert = perfect_square_root(rest)
-        if cert is None:
-            continue
-        out.append(BitangentLine(dual_el, tuple(p0), tuple(p1), cert.root, cert.extended))
+        if perfect_square_root(rest) is not None:
+            out.append(BitangentLine(dual_el, tuple(p0), tuple(p1)))
     return out

@@ -216,7 +216,10 @@ class HomogPoly:
         return acc
 
     def change_field(self, new_field):
-        """Map coefficients into new_field (reduction mod p or extension lift)."""
+        """Map coefficients into new_field (reduction mod p or extension
+        lift); on its own field the form itself."""
+        if new_field == self.field:
+            return self
         out = {}
         for e, c in self.terms.items():
             out[e] = c.change_field(new_field)

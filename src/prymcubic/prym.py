@@ -354,24 +354,18 @@ def split_quadric(q, field):
         n, scale = fast
         _assert_split(n, q, field, scale)
         return SplitQuadricResult(n, field, scale, False)
-    p, diag = congruence_diagonalize(q, field)
-    d = diag
+    p, d = congruence_diagonalize(q, field)
     t1 = -d[1] / d[0]
     t2 = -d[3] / d[2]
-    r1 = field.sqrt(t1)
-    r2 = field.sqrt(t2)
     work = field
-    extended = False
-    if r1 is None or r2 is None:
-        if isinstance(field, QuadExtField):
-            raise UnsupportedTower("splitting needs a second quadratic extension")
-        first_missing = t1 if r1 is None else t2
-        work = field.quadratic_extension(first_missing)
-        extended = True
-        r1 = work.sqrt(work.element(t1))
-        r2 = work.sqrt(work.element(t2))
-        if r1 is None or r2 is None:
-            raise UnsupportedTower("pairing roots generate distinct extensions")
+    for t in (t1, t2):
+        adjoined = work.adjoin_sqrt(t)
+        if adjoined is None:
+            raise UnsupportedTower("splitting needs a second quadratic extension" if work is field
+                                   else "pairing roots generate distinct extensions")
+        work = adjoined[0]
+    r1 = work.sqrt(t1)
+    r2 = work.sqrt(t2)
     wd = [work.element(x) for x in d]
     half = work.element(1) / work.element(2)
     zero = work.zero()
@@ -382,11 +376,11 @@ def split_quadric(q, field):
         [zero, half, -wd[0] / wd[2] * half, zero],
         [zero, half / r2, wd[0] / wd[2] * half / r2, zero],
     ]
-    pw = [[work.element(x) for x in row] for row in p]
-    n = linalg.mat_mul(pw, y_of_c)
+    # entries of p and q lift into work as they meet entries of y_of_c
+    n = linalg.mat_mul(p, y_of_c)
     scale = wd[0]
-    _assert_split(n, q if not extended else q.map(lambda v: work.element(v)), work, scale)
-    return SplitQuadricResult(n, work, scale, extended)
+    _assert_split(n, q, work, scale)
+    return SplitQuadricResult(n, work, scale, work is not field)
 
 
 def _assert_split(n, q, field, scale):
@@ -430,9 +424,7 @@ def pencil_conics(a, q):
     split = split_quadric(dual.matrix, field)
     work = split.field
     ninv = linalg.inverse(split.transform, work)
-    quadrics = a.gauss_quadrics()
-    if split.extended:
-        quadrics = tuple(f.change_field(work) for f in quadrics)
+    quadrics = [f.change_field(work) for f in a.gauss_quadrics()]
     cs = []
     for m in range(4):
         acc = None
@@ -445,7 +437,7 @@ def pencil_conics(a, q):
         cs.append(acc)
     forward = forward_general(a, q)
     prod = cs[0] * cs[3] - cs[1] * cs[2]
-    quart = forward.quartic if not split.extended else forward.quartic.change_field(work)
+    quart = forward.quartic.change_field(work)
     if not proportional(prod, quart):
         raise PrymError("pencil compatibility identity failed")
     lead = max(prod.terms)
@@ -516,21 +508,8 @@ def roundtrip_change_matches(a, q, pencil, rebuilt):
     change = pencil.change_to_x  # x_k = sum_m change[k][m] y_m
     xs = [HomogPoly.linear(work, RV4, [change[k][m] for m in range(4)])
           for k in range(4)]
-    amat = a.matrix if work == a.field else a.change_field(work).matrix
-    for (i, j), entry in amat.upper.items():
-        rebuilt_entry = rebuilt.symmetrization.matrix.at(i, j)
-        if work != rebuilt_entry.field:
-            rebuilt_entry = rebuilt_entry.change_field(work)
-        composed = entry.substitute(tuple(xs))
-        if composed != rebuilt_entry:
+    rebuilt_matrix = rebuilt.symmetrization.matrix
+    for (i, j), entry in a.change_field(work).matrix.upper.items():
+        if entry.substitute(tuple(xs)) != rebuilt_matrix.at(i, j).change_field(work):
             return False
-    qwork = [[work.element(v) for v in row] for row in q.rows()]
-    acc = None
-    for i in range(4):
-        for j in range(4):
-            t = xs[i] * xs[j] * qwork[i][j]
-            acc = t if acc is None else acc + t
-    target = rebuilt.quadric_form
-    if target.field != work:
-        target = target.change_field(work)
-    return proportional(acc, target)
+    return proportional(q.qform(xs), rebuilt.quadric_form.change_field(work))

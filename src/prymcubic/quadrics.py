@@ -1,13 +1,13 @@
 """Scalar quadratic-form utilities shared by the symmetroid classifier, the
 genus-3 constructions and the tritangent machinery: congruence
 diagonalization and exact factorization of rank <= 2 symmetric forms into
-linear forms (with at most one quadratic extension for the square root).
+linear forms (with at most one quadratic extension for the square root,
+from `Field.adjoin_sqrt`).
 """
 
 from __future__ import annotations
 
 from . import linalg
-from .fields import QuadExtField
 from .poly import HomogPoly
 
 
@@ -89,51 +89,30 @@ class PlanePair:
         self.extended = extended
 
 
-def factor_rank_le2(mat, field, vars, allow_extension=True):
+def factor_rank_le2(mat, field, vars):
     """Split the form of a rank <= 2 symmetric scalar matrix into linear forms.
 
     Returns a PlanePair, or None when rank > 2 or the needed square root is
-    out of reach (nonsquare over a field already carrying an extension, or
-    extensions disabled).
+    out of reach (`Field.adjoin_sqrt` would need a second extension).
     """
     p, diag = congruence_diagonalize(mat, field)
     support = [i for i, d in enumerate(diag) if d]
     if len(support) > 2:
         return None
-    pinv = linalg.inverse(p, field)
-
-    def coord_form(i, f=field, rows=None):
-        rows = pinv if rows is None else rows
-        return HomogPoly.linear(f, vars, rows[i])
-
     if not support:
         return PlanePair("zero")
+    pinv = linalg.inverse(p, field)
     if len(support) == 1:
         i = support[0]
-        return PlanePair("double", coord_form(i), None, diag[i])
+        return PlanePair("double", HomogPoly.linear(field, vars, pinv[i]), None, diag[i])
     i, j = support
-    target = -diag[j] / diag[i]
-    r = field.sqrt(target)
-    work = field
-    extended = False
-    if r is None:
-        if not allow_extension or isinstance(field, QuadExtField):
-            return None
-        work = field.quadratic_extension(target)
-        r = work.sqrt_d()
-        extended = True
-    if extended:
-        rows = [[work.element(x) for x in row] for row in pinv]
-        yi = HomogPoly.linear(work, vars, rows[i])
-        yj = HomogPoly.linear(work, vars, rows[j])
-        di = work.element(diag[i])
-    else:
-        yi = coord_form(i)
-        yj = coord_form(j)
-        di = diag[i]
-    h1 = (yi + yj * r) * di
-    h2 = yi - yj * r
-    return PlanePair("pair", h1, h2, None, extended)
+    adjoined = field.adjoin_sqrt(-diag[j] / diag[i])
+    if adjoined is None:
+        return None
+    work, r = adjoined
+    yi = HomogPoly.linear(work, vars, pinv[i])
+    yj = HomogPoly.linear(work, vars, pinv[j])
+    return PlanePair("pair", (yi + yj * r) * diag[i], yi - yj * r, None, work is not field)
 
 
 def conic_contains_line(conic_matrix, line, field, vars):

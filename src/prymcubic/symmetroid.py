@@ -112,6 +112,8 @@ class Symmetrization:
         return Symmetrization(field, SymMatrix.from_rows(rows), xvars, zvars)
 
     def change_field(self, new_field):
+        if new_field == self.field:
+            return self
         return Symmetrization(new_field, self.matrix.map(lambda f: f.change_field(new_field)),
                               self.xvars, self.zvars)
 
@@ -379,7 +381,8 @@ def _common_rational_line(k1, k2, field):
     """Common linear factor of two plane conics, with their cofactors.
 
     The common component of the double-line locus is unique, hence rational;
-    it is found through rank <= 2 factorizations without extensions.
+    it is found through rank <= 2 factorizations, skipping a pair that
+    needs an extension.
     """
     if proportional(k1, k2):
         raise SymmetroidError("rank-one conics cannot be proportional")
@@ -387,9 +390,9 @@ def _common_rational_line(k1, k2, field):
     m2 = SymMatrix.from_quadratic_form(k2)
     if m1.rank() == 3 or m2.rank() == 3:
         return None
-    pair = factor_rank_le2(m1, field, W3, allow_extension=False)
+    pair = factor_rank_le2(m1, field, W3)
     candidates = []
-    if pair is not None:
+    if pair is not None and not pair.extended:
         if pair.kind == "double":
             candidates = [pair.h1]
         elif pair.kind == "pair":

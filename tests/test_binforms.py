@@ -82,18 +82,20 @@ def test_signature_small_characteristic():
 
 def test_perfect_square_examples():
     f = bf(QQ, [1, 1, 1])  # s^2 + st + t^2
-    cert = perfect_square_root(f * f)
-    assert cert is not None and not cert.extended
-    assert cert.root * cert.root == f * f
+    root = perfect_square_root(f * f)
+    assert root is not None and root.field == QQ
+    assert root * root == f * f
     assert perfect_square_root(bf(QQ, [1, 0, 0, 0, 0, 0, 1])) is None  # s^6 + t^6
     # 2 is a square mod 7 (3^2 = 2), so the nonsquare-scalar case needs 3
-    assert perfect_square_root(bf(F7, [0, 0, 2, 0, 0]), allow_extension=False) is not None
+    assert perfect_square_root(bf(F7, [0, 0, 2, 0, 0])).field == F7
     g = bf(F7, [0, 0, 3, 0, 0])  # 3 (st)^2, 3 a nonsquare mod 7
-    assert perfect_square_root(g, allow_extension=False) is None
-    cert = perfect_square_root(g)
-    assert cert is not None and cert.extended
-    assert isinstance(cert.root.field, QuadExtField)
-    assert cert.root * cert.root == g.change_field(cert.root.field)
+    root = perfect_square_root(g)
+    assert root is not None and isinstance(root.field, QuadExtField)
+    assert root * root == g.change_field(root.field)
+    # over F_49 there is no second extension: 1 + sqrt(3) has norm 1 - 3 = 5,
+    # a nonsquare mod 7, so it and 3 (1 + sqrt(3)) are nonsquares of F_49
+    K = root.field
+    assert perfect_square_root(g.change_field(K) * K.ext_element(1, 1)) is None
 
 
 def test_perfect_square_random_recovery():
@@ -103,10 +105,10 @@ def test_perfect_square_random_recovery():
             h = bf(field, [field.random(rng) for _ in range(rng.randint(2, 4))])
             if not h:
                 continue
-            cert = perfect_square_root(h * h)
-            assert cert is not None
-            assert not cert.extended or not isinstance(field, RationalField)
-            assert cert.root * cert.root == (h * h).change_field(cert.root.field)
+            root = perfect_square_root(h * h)
+            assert root is not None
+            assert root.field == field or not isinstance(field, RationalField)
+            assert root * root == (h * h).change_field(root.field)
 
 
 def test_zero_form_rejected():

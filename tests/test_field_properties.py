@@ -1,6 +1,7 @@
 """Property tests of the scalar fields Q, F_101, F_11(sqrt 2) and Q(sqrt 5):
-ring laws, inverses, square roots, and `hash` agreeing with `==` within a
-field and across the lift of a base element into its extension."""
+ring laws, inverses, square roots and the root each field picks,
+`adjoin_sqrt`, and `hash` agreeing with `==` within a field and across the
+lift of a base element into its extension."""
 
 from fractions import Fraction
 
@@ -63,6 +64,32 @@ def test_sqrt(name, data):
         assert r ** 2 == x
     root = field.sqrt(x * x)
     assert root is not None and root ** 2 == x * x and root in (x, -x)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+@PROPERTY
+@given(data=st.data())
+def test_sqrt_picks_one_root_by_one_rule(name, data):
+    # over Q the nonnegative root; over F_p and both extensions the one of
+    # +-r with the smaller raw value, whichever branch of _sqrt finds it
+    field, (x,) = _draw(data, name, 1)
+    pick = max if field == QQ else min
+    assert field.sqrt(x * x).val == pick(x.val, (-x).val)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+@PROPERTY
+@given(data=st.data())
+def test_adjoin_sqrt_stays_in_the_field_or_goes_up_once(name, data):
+    field, (x,) = _draw(data, name, 1)
+    got = field.adjoin_sqrt(x)
+    if field.sqrt(x) is not None:
+        assert got[0] is field and got[1] == field.sqrt(x)
+    elif isinstance(field, QuadExtField):
+        assert got is None
+    else:
+        assert got[0] == field.quadratic_extension(x) and got[1] == got[0].sqrt_d()
+    assert got is None or got[1] * got[1] == x
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

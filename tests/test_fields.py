@@ -101,6 +101,55 @@ def test_sqrt_quadext_over_q():
     assert K.sqrt(K.sqrt_d() * 3) is None or (K.sqrt(K.sqrt_d() * 3)) ** 2 == K.sqrt_d() * 3
 
 
+def test_sqrt_of_a_rational_square_in_q_sqrt5_is_the_smaller_pair():
+    # the same rule as every other branch over Q(sqrt d): of +-r, the smaller
+    # raw pair, so sqrt(4) is -2, as sqrt(20) is -2 sqrt(5)
+    K = QQ.quadratic_extension(5)
+    assert K.sqrt(4).val == (-2, 0)
+    assert K.sqrt(20).val == (0, -2)
+    assert K.sqrt(K.ext_element(6, 2)).val == (-1, -1)
+    # over F_p(sqrt d) the rule leaves a base root as the base field picks it
+    assert F11.quadratic_extension(2).sqrt(4).val == (2, 0)
+
+
+# (field, a square, a nonsquare) with the nonsquare taken in the field itself
+_ADJOIN_CASES = {
+    "QQ": (QQ, Fraction(9, 4), 2),
+    "F101": (Field.prime(101), 5, 2),  # 45^2 = 5; 101 = 5 mod 8, so 2 is not
+    "F11(sqrt2)": (F11.quadratic_extension(2), 2, (1, 1)),  # norm 1 - 2 = -1
+    "Q(sqrt5)": (QQ.quadratic_extension(5), (6, 2), (0, 3)),  # (1 + sqrt 5)^2; norm -45
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ADJOIN_CASES))
+def test_adjoin_sqrt(name):
+    from prymcubic.fields import QuadExtField
+    field, square, nonsquare = _ADJOIN_CASES[name]
+    x = field.element(square)
+    got = field.adjoin_sqrt(x)
+    assert got[0] is field and got[1] == field.sqrt(x) and got[1] * got[1] == x
+    y = field.element(nonsquare)
+    assert field.sqrt(y) is None
+    got = field.adjoin_sqrt(y)
+    if isinstance(field, QuadExtField):
+        assert got is None  # extensions never nest
+    else:
+        K, r = got
+        assert isinstance(K, QuadExtField) and K.base is field and K.d == y.val
+        assert r == K.sqrt_d() and r * r == y
+
+
+@pytest.mark.parametrize("name", sorted(_ADJOIN_CASES))
+def test_change_field_on_its_own_field_is_the_same_object(name):
+    from prymcubic.fixtures import fix_a
+    from prymcubic.poly import HomogPoly
+    field = _ADJOIN_CASES[name][0]
+    f = HomogPoly(field, ("s", "t"), 2, {(2, 0): 1, (1, 1): 3})
+    assert f.change_field(field) is f
+    a = fix_a(field)
+    assert a.change_field(field) is a
+
+
 def test_legendre_symbol():
     assert legendre(F11.element(3)) == 1
     assert legendre(F11.element(2)) == -1

@@ -245,8 +245,8 @@ def _partition_points(field, a, q, fwd, gamma, qform, dualm, want):
         conic_mat = a.contraction_at(p)
         if linalg.rank(conic_mat.rows()) != 2:
             continue
-        pair = factor_rank_le2(conic_mat, field, Z3, allow_extension=False)
-        if pair is None or pair.kind != "pair":
+        pair = factor_rank_le2(conic_mat, field, Z3)
+        if pair is None or pair.kind != "pair" or pair.extended:
             continue  # tangent lines conjugate over the extension; skip
         # dual plane of p cut on the dual quadric: two ruling lines
         hplane = HomogPoly.linear(field, Y4, p)
@@ -256,8 +256,8 @@ def _partition_points(field, a, q, fwd, gamma, qform, dualm, want):
                        for i in range(4))
         plane_conic = dualm.quadratic_form(field, Y4).substitute(images)
         ruling_pair = factor_rank_le2(SymMatrix.from_quadratic_form(plane_conic),
-                                      field, ("u0", "u1", "u2"), allow_extension=False)
-        if ruling_pair is None or ruling_pair.kind != "pair":
+                                      field, ("u0", "u1", "u2"))
+        if ruling_pair is None or ruling_pair.kind != "pair" or ruling_pair.extended:
             continue
         fibers = []
         for lf in (ruling_pair.h1, ruling_pair.h2):

@@ -49,8 +49,8 @@ def test_every_field_class_inherits_sqrt():
 
 
 def test_binary_forms_are_two_variable_homog_polys():
-    # one binary-form type: binforms takes and returns HomogPoly, and the
-    # only class it defines is the square-root certificate
+    # one binary-form type: binforms takes and returns HomogPoly and
+    # defines no class of its own
     from prymcubic.binforms import ST, binary_gcd, perfect_square_root
     from prymcubic.fields import Field
     from prymcubic.fixtures import FIXTURES
@@ -59,17 +59,44 @@ def test_binary_forms_are_two_variable_homog_polys():
 
     tree = ast.parse((SRC / "binforms.py").read_text(encoding="utf-8"))
     classes = [n.name for n in tree.body if isinstance(n, ast.ClassDef)]
-    assert classes == ["SquareRootCert"]
+    assert classes == []
     F = Field.prime(13)
     f = HomogPoly(F, ST, 2, {(2, 0): 1, (1, 1): 2, (0, 2): 1})  # (s + t)^2
     g = HomogPoly(F, ST, 2, {(2, 0): 1, (0, 2): -1})  # (s + t)(s - t)
-    root = perfect_square_root(f).root
+    root = perfect_square_root(f)
     assert isinstance(root, HomogPoly) and root.vars == ST and root * root == f
     d = binary_gcd(f, g)
     assert isinstance(d, HomogPoly) and d.vars == ST and d.degree == 1
     fx = FIXTURES["even"]
     octic = forward_even(fx.symmetrization(F), fx.quadric(F)).octic
     assert isinstance(octic, HomogPoly) and octic.vars == ST and octic.degree == 8
+
+
+def test_one_place_goes_up_to_a_quadratic_extension():
+    # Field.adjoin_sqrt decides whether a root needs the one extension, and
+    # no caller switches that off; outside fields.py only the scene parser
+    # builds an extension, from the field tag it reads
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        parents = {child: fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                   for child in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                args = node.args
+                names = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+                if "allow_extension" in names:
+                    offenders.append("%s:%d takes allow_extension" % (path.name, node.lineno))
+            if isinstance(node, ast.keyword) and node.arg == "allow_extension":
+                offenders.append("%s:%d passes allow_extension" % (path.name, node.lineno))
+            if (isinstance(node, ast.Attribute)
+                    and node.attr in ("quadratic_extension", "sqrt_d")
+                    and path.name != "fields.py"):
+                fn = parents.get(node)
+                if (path.name, node.attr, fn and fn.name) != (
+                        "scene.py", "quadratic_extension", "field_from_json"):
+                    offenders.append("%s:%d %s" % (path.name, node.lineno, node.attr))
+    assert offenders == []
 
 
 def test_one_scan_kernel_for_every_finite_field():
