@@ -17,9 +17,6 @@ _DEG4 = sorted({tuple(sorted_exps) for sorted_exps in (
     )
 )}, reverse=True)
 
-_DEG2 = [tuple(m.count(i) for i in range(3))
-         for m in combinations_with_replacement(range(3), 2)]
-
 
 def _macaulay_rows(quadrics):
     """Row data (monomial index, shifted quadric) of the 15x15 Macaulay matrix."""

@@ -70,21 +70,6 @@ def line_basis(dual, field):
     return p0, p1
 
 
-def solve(rows, rhs, field):
-    """One particular solution of M x = rhs, or None when inconsistent."""
-    if not rows:
-        return [] if not rhs else None
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug)
-    ncols = len(rows[0])
-    if ncols in pivots:
-        return None
-    x = [field.zero() for _ in range(ncols)]
-    for i, pc in enumerate(pivots):
-        x[pc] = red[i][ncols]
-    return x
-
-
 def det(rows):
     """Determinant: cofactor expansion up to 4x4 (entry-ring generic, so it
     also covers matrices of forms), Gaussian elimination with exact division

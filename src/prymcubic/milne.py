@@ -200,9 +200,7 @@ class TritangentCert:
 
 
 def _plane_basis(h, field):
-    coeffs = [h.terms.get(tuple(1 if j == i else 0 for j in range(4)), field.zero())
-              for i in range(4)]
-    basis = linalg.kernel_basis([coeffs], field)
+    basis = linalg.kernel_basis([h.linear_coeffs()], field)
     if len(basis) != 3:
         raise MilneError("not a plane")
     return basis
@@ -241,12 +239,6 @@ def tritangent_verify(q, gamma, h):
     return TritangentCert(False, None, True)
 
 
-def _line_param_from_form(line_form, field):
-    p0, p1 = linalg.line_basis([line_form.terms.get(
-        tuple(1 if j == i else 0 for j in range(3)), field.zero()) for i in range(3)], field)
-    return tuple(HomogPoly.linear(field, ST, [p0[i], p1[i]]) for i in range(3))
-
-
 def _even_on_line_pair(pair, cubic):
     """Tangent-plane case: the conic breaks into two rulings; the contact
     divisor is even iff on each ruling all odd multiplicities sit at the
@@ -255,7 +247,7 @@ def _even_on_line_pair(pair, cubic):
     cw = cubic.change_field(work)
     crossing_mults = []
     for lf in (pair.h1, pair.h2):
-        param = _line_param_from_form(lf, work)
+        param = Line2.from_dual(work, lf.linear_coeffs()).parametrization()
         other = pair.h2 if lf is pair.h1 else pair.h1
         cross = other.substitute(param)  # vanishes at the crossing parameter
         restricted = cw.substitute(param)

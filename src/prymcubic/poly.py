@@ -61,6 +61,15 @@ class HomogPoly:
             terms[e] = c
         return HomogPoly(field, vars, 1, terms)
 
+    def linear_coeffs(self):
+        """Coefficient vector of a linear form; the inverse of `linear`."""
+        if self.degree != 1:
+            raise PolyError("not a linear form")
+        coeffs = [self.field.zero()] * len(self.vars)
+        for e, c in self.terms.items():
+            coeffs[e.index(1)] = c
+        return coeffs
+
     def monomials_sorted(self):
         return sorted(self.terms, reverse=True)
 
@@ -121,6 +130,41 @@ class HomogPoly:
         return HomogPoly(self.field, self.vars, self.degree + other.degree, out, _clean=True)
 
     __rmul__ = __mul__
+
+    def divide_linear(self, ell):
+        """The form g with ell * g == self, or None when the linear form ell
+        does not divide this one (never for a form of degree 0).
+
+        Synthetic division in the first variable x_k that ell involves: from
+        the highest power of x_k down, each term fixes one quotient term q,
+        and subtracting q * ell leaves only lower powers of x_k.  What
+        remains at x_k^0 must be zero.
+        """
+        self._check_compatible(ell)
+        if ell.degree != 1 or not ell.terms:
+            raise PolyError("divisor must be a nonzero linear form")
+        if self.degree < 1:
+            return None
+        unit = max(ell.terms)
+        k = unit.index(1)
+        inv = ell.terms[unit].inverse()
+        rest = [(f, b) for f, b in ell.terms.items() if f != unit]
+        zero = self.field.zero()
+        rem = dict(self.terms)
+        quot = {}
+        for power in range(self.degree, 0, -1):
+            for e in [e for e in rem if e[k] == power]:
+                c = rem.pop(e) * inv
+                qe = e[:k] + (power - 1,) + e[k + 1:]
+                quot[qe] = c
+                for f, b in rest:
+                    te = tuple(x + y for x, y in zip(qe, f))
+                    s = rem.pop(te, zero) - c * b
+                    if s:
+                        rem[te] = s
+        if rem:
+            return None
+        return HomogPoly(self.field, self.vars, self.degree - 1, quot, _clean=True)
 
     def __bool__(self):
         return bool(self.terms)
@@ -246,12 +290,10 @@ class HomogPoly:
             return self * self.field.element(scale)
         return self * self.terms[lead].inverse()
 
-    def restrict_to_line(self, p0, p1, st_vars=("s", "t")):
+    def restrict_to_line(self, p0, p1):
         """Compose with the parametrization s*p0 + t*p1 of a line."""
-        images = []
-        for i in range(len(self.vars)):
-            images.append(HomogPoly.linear(self.field, st_vars, [p0[i], p1[i]]))
-        return self.substitute(images)
+        return self.substitute([HomogPoly.linear(self.field, ("s", "t"), [a, b])
+                                for a, b in zip(p0, p1)])
 
 
 def proportional(f, g):

@@ -187,17 +187,17 @@ def parametrize_conic(conic, point, field):
     return tuple(out)
 
 
-def conic_rational_point(conic, field, search_bound=12):
+def conic_rational_point(conic, field):
     """A point on a plane conic: the first point of the projective plane in
-    enumeration order over finite fields, a small box search over the
-    rationals (None when the box misses)."""
+    enumeration order over finite fields, a search of the integer box
+    [-12, 12]^3 over the rationals (None when the box misses)."""
     if field.is_finite():
         ev = compile_raw(conic)
         for pt in projective_points_raw(field, 2):
             if ev(pt) == field._zero_raw:
                 return tuple(field.element(v) for v in pt)
         return None
-    rng = range(-search_bound, search_bound + 1)
+    rng = range(-12, 13)
     for a in rng:
         for b in rng:
             for c in rng:
@@ -295,9 +295,6 @@ def _branch_reduced_by_resultant(conic, branch):
         if all(m == 1 for m in multiplicity_partition(res)):
             return True
     return None
-
-
-SEGRE_INDEX = {(0, 0): 0, (0, 1): 1, (1, 0): 2, (1, 1): 3}
 
 
 def segre_matrix(field):

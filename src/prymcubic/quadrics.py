@@ -114,26 +114,3 @@ def factor_rank_le2(mat, field, vars):
     yj = HomogPoly.linear(work, vars, pinv[j])
     return PlanePair("pair", (yi + yj * r) * diag[i], yi - yj * r, None, work is not field)
 
-
-def conic_contains_line(conic_matrix, line, field, vars):
-    """If line | conic form, return the cofactor line; else None.
-
-    Solved as a linear system on the cofactor's coefficients, no division.
-    """
-    n = conic_matrix.n
-    lc = [line.terms.get(tuple(1 if k == i else 0 for k in range(n)), field.zero())
-          for i in range(n)]
-    # unknown cofactor g: M = (l g^T + g l^T)/2, giving linear conditions
-    rows = []
-    rhs = []
-    for i in range(n):
-        for j in range(i, n):
-            row = [field.zero()] * n
-            row[j] = row[j] + lc[i] / 2
-            row[i] = row[i] + lc[j] / 2
-            rows.append(row)
-            rhs.append(conic_matrix.at(i, j))
-    sol = linalg.solve(rows, rhs, field)
-    if sol is None:
-        return None
-    return HomogPoly.linear(field, vars, sol)

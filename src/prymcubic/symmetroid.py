@@ -7,7 +7,7 @@ double-cover minors.
 
 from __future__ import annotations
 
-from itertools import combinations, combinations_with_replacement, islice, product
+from itertools import combinations_with_replacement, islice, product
 
 from . import linalg
 from .binforms import ST, multiplicity_partition, rational_roots
@@ -15,7 +15,7 @@ from .elim import change_frame, frames, plane_cubic_is_smooth, resultant_last_va
 from .fields import PrimeField
 from .oracle import compile_raw
 from .poly import HomogPoly, SymMatrix, proportional
-from .quadrics import conic_contains_line, factor_rank_le2
+from .quadrics import factor_rank_le2
 
 X4 = ("x0", "x1", "x2", "x3")
 Z3 = ("z0", "z1", "z2")
@@ -95,11 +95,11 @@ class Symmetrization:
         self._adj = None
 
     @staticmethod
-    def from_entry_rows(field, rows, xvars=X4, zvars=Z3):
+    def from_entry_rows(field, rows):
         """rows[i][j] is a length-4 coefficient list of the (i,j) entry."""
-        built = [[HomogPoly.linear(field, xvars, [field.element(c) for c in rows[i][j]])
+        built = [[HomogPoly.linear(field, X4, [field.element(c) for c in rows[i][j]])
                   for j in range(3)] for i in range(3)]
-        return Symmetrization(field, SymMatrix.from_rows(built), xvars, zvars)
+        return Symmetrization(field, SymMatrix.from_rows(built))
 
     @staticmethod
     def from_quadric_vector(field, mats, xvars=X4, zvars=Z3):
@@ -122,13 +122,8 @@ class Symmetrization:
     def quadric_vector(self):
         """Four constant symmetric 3x3 matrices, one per x-coordinate."""
         if self._qvec is None:
-            mats = []
-            for k in range(4):
-                e = tuple(1 if i == k else 0 for i in range(4))
-                upper = {}
-                for (i, j), f in self.matrix.upper.items():
-                    upper[(i, j)] = f.terms.get(e, self.field.zero())
-                mats.append(SymMatrix(3, upper))
+            coeffs = {ij: f.linear_coeffs() for ij, f in self.matrix.upper.items()}
+            mats = [SymMatrix(3, {ij: c[k] for ij, c in coeffs.items()}) for k in range(4)]
             self._qvec = tuple(mats)
             # reconstructing the matrix from the vector must reproduce it
             back = Symmetrization.from_quadric_vector(self.field, mats, self.xvars, self.zvars)
@@ -254,7 +249,7 @@ class Symmetrization:
         common = _common_rational_line(k1, k2, self.field)
         if common is not None:
             line, res1, res2 = common
-            pt = _line_intersection(res1, res2, self.field)
+            pt = _line_intersection(res1, res2)
             return RankOneScheme((k1, k2), True, common_line=line, residual_point=pt)
         partition = _conic_intersection_partition(k1, k2, self.field)
         return RankOneScheme((k1, k2), False, partition=partition)
@@ -319,12 +314,11 @@ class Symmetrization:
             return structural
         det = self.determinant_cubic()
         factors = _plane_factors(det, self.field)
-        if structural in (SymmetroidType.T1, SymmetroidType.T2, SymmetroidType.T3,
-                          SymmetroidType.T4, SymmetroidType.T5):
+        if structural in IRREDUCIBLE_TYPES:
             return structural if not factors else SymmetroidType.REDUCIBLE_UNCLASSIFIED
         if not factors:
             return SymmetroidType.REDUCIBLE_UNCLASSIFIED
-        bytype = _reducible_type_from_factors(det, factors, self.field)
+        bytype = _reducible_type_from_factors(factors, self.field)
         return structural if bytype == structural else SymmetroidType.REDUCIBLE_UNCLASSIFIED
 
     # -- cones ----------------------------------------------------------------
@@ -365,12 +359,9 @@ class Symmetrization:
         return linalg.normalize_point(ker[0])
 
 
-def _line_intersection(l1, l2, field):
+def _line_intersection(l1, l2):
     """Meet of two distinct plane lines via the cross product."""
-    a = [l1.terms.get(tuple(1 if k == i else 0 for k in range(3)), field.zero())
-         for i in range(3)]
-    b = [l2.terms.get(tuple(1 if k == i else 0 for k in range(3)), field.zero())
-         for i in range(3)]
+    a, b = l1.linear_coeffs(), l2.linear_coeffs()
     cross = [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
     if not any(cross):
         return None
@@ -398,10 +389,9 @@ def _common_rational_line(k1, k2, field):
         elif pair.kind == "pair":
             candidates = [pair.h1, pair.h2]
     for line in candidates:
-        res2 = conic_contains_line(m2, line, field, W3)
+        res2 = k2.divide_linear(line)
         if res2 is not None:
-            res1 = conic_contains_line(m1, line, field, W3)
-            return line, res1, res2
+            return line, k1.divide_linear(line), res2
     return None
 
 
@@ -434,34 +424,6 @@ def _conic_intersection_partition(k1, k2, field):
     return best
 
 
-def _divide_by_plane(form, line_coeffs, field):
-    """Exact quotient of a form of degree >= 1 by a linear form, or None."""
-    if not form or form.degree < 1:
-        return None
-    nv = len(form.vars)
-    lower = [tuple(m.count(i) for i in range(nv))
-             for m in combinations_with_replacement(range(nv), form.degree - 1)]
-    higher = sorted({tuple(m.count(i) for i in range(nv))
-                     for m in combinations_with_replacement(range(nv), form.degree)})
-    rows = []
-    rhs = []
-    for cm in higher:
-        row = []
-        for qm in lower:
-            c = field.zero()
-            for i, lc in enumerate(line_coeffs):
-                if lc and all(qm[j] + (1 if j == i else 0) == cm[j] for j in range(nv)):
-                    c = c + lc
-            row.append(c)
-        rows.append(row)
-        rhs.append(form.terms.get(cm, field.zero()))
-    sol = linalg.solve(rows, rhs, field)
-    if sol is None:
-        return None
-    terms = {qm: c for qm, c in zip(lower, sol)}
-    return HomogPoly(field, form.vars, form.degree - 1, terms)
-
-
 def _plane_factors(cubic, field):
     """All normalized linear factors of a nonzero space cubic over a finite
     field, with cofactor quadrics, in `oracle.projective_points_raw` order.
@@ -473,8 +435,7 @@ def _plane_factors(cubic, field):
     L(v0) != 0, so normalized by L(v0) = 1 its value L(e_i) on each of the
     three unit vectors that complete v0 to a basis is -u for a rational
     root (u : 1) of the cubic restricted to the line (s v0 + t e_i).  That
-    leaves at most 27 candidates; a seven-point vanishing filter and exact
-    division confirm them.
+    leaves at most 27 candidates, each confirmed by exact division.
     """
     ev = compile_raw(cubic)
     zero_raw = field._zero_raw
@@ -498,23 +459,16 @@ def _plane_factors(cubic, field):
     # projective_points_raw order: fewer leading zeros first, then the tail
     candidates.sort(key=lambda kc: (kc[0], [c.val for c in kc[1]]))
     out = []
-    for k, ell in candidates:
-        # L vanishes on the plane spanned by e_i - ell[i] e_k, i != k
-        basis = [[one if m == i else -ell[i] if m == k else zero for m in range(4)]
-                 for i in range(4) if i != k]
-        probes = [[sum(cs) for cs in zip(*combo)]
-                  for r in (1, 2, 3) for combo in combinations(basis, r)]
-        if any(ev(tuple(c.val for c in pt)) != zero_raw for pt in probes):
-            continue
-        quad = _divide_by_plane(cubic, list(ell), field)
+    for _, ell in candidates:
+        quad = cubic.divide_linear(HomogPoly.linear(field, cubic.vars, ell))
         if quad is not None:
             out.append((ell, quad))
     return out
 
 
-def _reducible_type_from_factors(cubic, factors, field):
+def _reducible_type_from_factors(factors, field):
     for coeffs, quad in factors:
-        if quad and _divide_by_plane(quad, list(coeffs), field) is not None:
+        if quad.divide_linear(HomogPoly.linear(field, quad.vars, coeffs)) is not None:
             return SymmetroidType.T8
     if len(factors) == 1:
         coeffs, quad = factors[0]
@@ -526,7 +480,7 @@ def _reducible_type_from_factors(cubic, factors, field):
     return SymmetroidType.REDUCIBLE_UNCLASSIFIED
 
 
-def hankel_symmetroid(field, quartic_coeffs, xvars=X4, zvars=Z3):
+def hankel_symmetroid(field, quartic_coeffs):
     """Symmetroid model carved from the rank-deficient locus of catalecticant
     matrices by the hyperplane of a monic quartic a0 + a1 t + a2 t^2 + a3 t^3 + t^4.
 
@@ -536,13 +490,13 @@ def hankel_symmetroid(field, quartic_coeffs, xvars=X4, zvars=Z3):
     a = [field.element(c) for c in quartic_coeffs]
     if len(a) != 4:
         raise SymmetroidError("need the four non-leading coefficients of a monic quartic")
-    last = HomogPoly.linear(field, xvars, [-c for c in a])
-    u = [HomogPoly.linear(field, xvars, [1 if j == i else 0 for j in range(4)])
+    last = HomogPoly.linear(field, X4, [-c for c in a])
+    u = [HomogPoly.linear(field, X4, [1 if j == i else 0 for j in range(4)])
          for i in range(4)]
     rows = [[u[0], u[1], u[2]],
             [u[1], u[2], u[3]],
             [u[2], u[3], last]]
-    return Symmetrization(field, SymMatrix.from_rows(rows), xvars, zvars)
+    return Symmetrization(field, SymMatrix.from_rows(rows))
 
 
 def _poly_mod_quartic(coeffs, modulus, field):
@@ -558,7 +512,7 @@ def _poly_mod_quartic(coeffs, modulus, field):
     return cs
 
 
-def cayley_normal_form(field, quartic_coeffs, h_coeffs, xvars=X4):
+def cayley_normal_form(field, quartic_coeffs, h_coeffs):
     """Cubic surface carved out by the trace form of a separable quartic
     algebra: the sum of the products of any three conjugates of the linear
     form h.
@@ -573,13 +527,13 @@ def cayley_normal_form(field, quartic_coeffs, h_coeffs, xvars=X4):
     # multiplication matrix of h over k[x]: columns indexed by basis powers
     basis_cols = []
     for k in range(4):
-        col = [HomogPoly.zero(field, xvars, 1) for _ in range(4)]
+        col = [HomogPoly.zero(field, X4, 1) for _ in range(4)]
         for j in range(4):
             # h_j(alpha) * alpha^k reduced mod the quartic
             hj = list(h_coeffs[j]) + [0] * (4 - len(h_coeffs[j]))
             shifted = [field.zero()] * k + [field.element(c) for c in hj]
             red = _poly_mod_quartic(shifted, a, field)
-            xj = HomogPoly.linear(field, xvars, [1 if t == j else 0 for t in range(4)])
+            xj = HomogPoly.linear(field, X4, [1 if t == j else 0 for t in range(4)])
             for i in range(4):
                 if red[i]:
                     col[i] = col[i] + xj * red[i]

@@ -2,10 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from prymcubic import linalg
 from prymcubic.fields import Field, QQ
 from prymcubic.poly import HomogPoly, PolyError, SymMatrix, det_and_adjugate, proportional
+
+from test_field_properties import CASES
+from test_scene_properties import VARS, _form, _scalar
 
 F11 = Field.prime(11)
 X4 = ("x0", "x1", "x2", "x3")
@@ -231,3 +235,72 @@ def test_det_and_adjugate_rejects_mixed_degrees():
     ])
     with pytest.raises(PolyError):
         det_and_adjugate(m)
+
+
+# derandomized and bounded, so the suite stays deterministic and fast
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
+
+
+def _draw_linear(data, field, raw, nv):
+    """Coefficients of a random nonzero linear form, half the time without
+    an x0 term."""
+    cs = [_scalar(data, field, raw) for _ in range(nv)]
+    if data.draw(st.booleans()):
+        cs[0] = field.zero()
+    if not any(cs):
+        cs[-1] = field.one()
+    return cs
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+@PROPERTY
+@given(data=st.data())
+def test_divide_linear_undoes_a_product(name, data):
+    make, raw = CASES[name]
+    field = make()
+    nv = data.draw(st.integers(3, 4))
+    ell = HomogPoly.linear(field, VARS[nv], _draw_linear(data, field, raw, nv))
+    g = _form(data, field, raw, nv, data.draw(st.integers(0, 3)))
+    assert (ell * g).divide_linear(ell) == g
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+@PROPERTY
+@given(data=st.data())
+def test_divide_linear_fails_exactly_off_the_hyperplane(name, data):
+    # independent of the division: h is divisible by ell iff h vanishes
+    # identically on the hyperplane ell = 0, parametrized by its kernel basis
+    make, raw = CASES[name]
+    field = make()
+    nv = data.draw(st.integers(3, 4))
+    cs = _draw_linear(data, field, raw, nv)
+    ell = HomogPoly.linear(field, VARS[nv], cs)
+    degree = data.draw(st.integers(1, 3))
+    h = ell * _form(data, field, raw, nv, degree - 1)
+    if data.draw(st.booleans()):
+        h = h + _form(data, field, raw, nv, degree)
+    basis = linalg.kernel_basis([cs], field)
+    images = [HomogPoly.linear(field, VARS[nv - 1], [b[i] for b in basis]) for i in range(nv)]
+    assert (h.divide_linear(ell) is None) == bool(h.substitute(images))
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+@PROPERTY
+@given(data=st.data())
+def test_linear_coeffs_inverts_linear(name, data):
+    make, raw = CASES[name]
+    field = make()
+    cs = [_scalar(data, field, raw) for _ in range(4)]
+    assert HomogPoly.linear(field, X4, cs).linear_coeffs() == cs
+
+
+def test_divide_linear_rejects_a_zero_or_nonlinear_divisor():
+    f = lin(F11, [1, 2, 0, 0]) * lin(F11, [0, 1, 0, 3])
+    with pytest.raises(PolyError):
+        f.divide_linear(HomogPoly.zero(F11, X4, 1))
+    with pytest.raises(PolyError):
+        f.divide_linear(f)
+    with pytest.raises(PolyError):
+        f.divide_linear(HomogPoly.monomial(F11, X4, (0, 0, 0, 0)))
+    with pytest.raises(PolyError):
+        f.linear_coeffs()

@@ -3,8 +3,7 @@ import random
 from prymcubic import linalg
 from prymcubic.fields import Field, QQ
 from prymcubic.poly import HomogPoly, SymMatrix
-from prymcubic.quadrics import (congruence_diagonalize, conic_contains_line,
-                                factor_rank_le2)
+from prymcubic.quadrics import congruence_diagonalize, factor_rank_le2
 
 F11 = Field.prime(11)
 F13 = Field.prime(13)
@@ -86,10 +85,11 @@ def test_factor_needs_extension():
 
 
 def test_conic_contains_line():
+    # a conic contains a line exactly when the line's form divides it
     l1 = HomogPoly.linear(QQ, W3, [1, 2, 0])
     l2 = HomogPoly.linear(QQ, W3, [0, 1, -1])
-    m = SymMatrix.from_quadratic_form(l1 * l2)
-    cof = conic_contains_line(m, l1, QQ, W3)
+    conic = l1 * l2
+    cof = conic.divide_linear(l1)
     assert cof is not None and l1 * cof == l1 * l2
     other = HomogPoly.linear(QQ, W3, [1, 0, 1])
-    assert conic_contains_line(m, other, QQ, W3) is None
+    assert conic.divide_linear(other) is None

@@ -241,8 +241,37 @@ def test_cli_verify_manifest(capsys):
     assert rep["failures"] == []
 
 
+def test_cli_verify_notes_a_pencil_needing_a_second_extension(tmp_path, capsys):
+    # over Q(sqrt 5), splitting diag(1, 1, 1, 3) needs a second extension:
+    # verify records that as a note of the pair, as forward does, not as a
+    # failure
+    from prymcubic.poly import SymMatrix
+
+    K = QQ.quadratic_extension(5)
+    diag = [[K.element(c if i == j else 0) for j, c in enumerate((1, 1, 1, 3))]
+            for i in range(4)]
+    scene = Scene(K, metadata={"pairs": [["A_t1", "Qd_no"]]})
+    scene.add("A_t1", FIXTURES["t1"].symmetrization(K)).add("Qd_no", SymMatrix.from_rows(diag))
+    path = tmp_path / "tower.json"
+    path.write_text(write_scene(scene))
+    code, out, err = run_cli(["verify", str(path)], capsys)
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["failures"] == []
+    note = rep["notes"]["A_t1|Qd_no"]
+    assert note["pencil"] == "splitting needs a second quadratic extension"
+    code, out, err = run_cli(["forward", str(path), "--A", "A_t1", "--Q", "Qd_no"], capsys)
+    assert code == 0
+    notes = json.loads(out)["metadata"]["notes"]
+    assert notes == {"reduced": note["reduced"], "pencil": note["pencil"]}
+
+
 def test_cli_entry_point_subprocess():
+    # the child does not see pytest's pythonpath setting: put this
+    # checkout's src/ first on its PYTHONPATH
     env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     code = subprocess.run([sys.executable, "-m", "prymcubic.cli", "classify", DATA,
                            "--object", "A_t3"], capture_output=True, text=True, env=env)
     assert code.returncode == 0

@@ -156,3 +156,48 @@ def test_fixture_search_tool_imports(monkeypatch):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     assert callable(module.curve_smooth_everywhere) and callable(module.search_even)
+
+
+def test_no_unread_private_module_names():
+    # a module's private top-level name is there for the module itself to read
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined = {}
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined[node.name] = node.lineno
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    for n in ast.walk(target):
+                        if isinstance(n, ast.Name):
+                            defined[n.id] = node.lineno
+        read = {n.id for n in ast.walk(tree)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        offenders += ["%s:%d %s" % (path.name, line, name) for name, line in defined.items()
+                      if name.startswith("_") and not name.startswith("__") and name not in read]
+    assert offenders == []
+
+
+def test_one_exact_division_by_a_linear_form():
+    # HomogPoly.divide_linear is the one division by a linear form, with no
+    # linear solve behind it, and HomogPoly.linear_coeffs the one reader of
+    # a linear form's coefficient vector
+    from prymcubic import linalg
+
+    assert not hasattr(linalg, "solve")
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.FunctionDef)
+                    and node.name in ("_divide_by_plane", "conic_contains_line")):
+                offenders.append("%s:%d defines %s" % (path.name, node.lineno, node.name))
+            func = getattr(node, "func", None)
+            if (path.name != "poly.py" and isinstance(node, ast.Call)
+                    and isinstance(func, ast.Attribute) and func.attr == "get"
+                    and isinstance(func.value, ast.Attribute) and func.value.attr == "terms"
+                    and node.args and isinstance(node.args[0], ast.Call)
+                    and ast.unparse(node.args[0].func) == "tuple"):
+                offenders.append("%s:%d %s" % (path.name, node.lineno, ast.unparse(node)))
+    assert offenders == []

@@ -418,7 +418,7 @@ def exhaustive_plane_factors(cubic, field, planes):
         if any(ev(pt) for pt in sums):
             continue
         coeffs = tuple(field.element(c) for c in ell)
-        quad = symmetroid._divide_by_plane(cubic, list(coeffs), field)
+        quad = cubic.divide_linear(HomogPoly.linear(field, cubic.vars, coeffs))
         if quad is not None:
             out.append((coeffs, quad))
     return out
