@@ -14,6 +14,7 @@ finding.
 
 from __future__ import annotations
 
+from . import linalg
 from .poly import HomogPoly, PolyError
 
 ST = ("s", "t")
@@ -302,7 +303,6 @@ def resultant(f, g):
     Vanishes exactly when the forms share a root in the projective closure,
     including a common root at (1:0) detected via leading coefficients.
     """
-    from . import linalg
     field = f.field
     fc, gc = _coeffs(f), _coeffs(g)
     m, n = f.degree, g.degree

@@ -25,7 +25,8 @@ from .prym import (PrymError, UnsupportedTower, forward_even, forward_general,
                    pencil_conics, reverse_construct, roundtrip_change_matches)
 from .scene import (Scene, SceneError, parse_scene, reduce_scene,
                     scalar_to_json, write_scene)
-from .symmetroid import X4, Symmetrization, SymmetroidError, hankel_symmetroid
+from .symmetroid import (IRREDUCIBLE_TYPES, X4, Symmetrization, SymmetroidError,
+                         SymmetroidType, hankel_symmetroid)
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -289,7 +290,7 @@ def _verify_scene(scene, rng):
             cub = a.adjugate_cubics()
             if det.substitute(cub):
                 failures.append("%s: adjugate image left the symmetroid" % name)
-            if tag in ("T1", "T2", "T3", "T4", "T5", "T6"):
+            if tag in IRREDUCIBLE_TYPES + (SymmetroidType.T6,):
                 composed = [g.substitute(cub) for g in det.gradient()]
                 qs = a.gauss_quadrics()
                 for i in range(4):

@@ -10,42 +10,32 @@ from itertools import combinations_with_replacement
 from . import linalg
 from .poly import HomogPoly, PolyError
 
-_DEG4 = sorted({tuple(sorted_exps) for sorted_exps in (
-    _e for _e in (
-        tuple(m.count(i) for i in range(3))
-        for m in combinations_with_replacement(range(3), 4)
-    )
-)}, reverse=True)
+_DEG4 = sorted((tuple(m.count(i) for i in range(3))
+                for m in combinations_with_replacement(range(3), 4)), reverse=True)
+_DEG4_INDEX = {m: k for k, m in enumerate(_DEG4)}
 
 
 def _macaulay_rows(quadrics):
-    """Row data (monomial index, shifted quadric) of the 15x15 Macaulay matrix."""
+    """The 15x15 Macaulay matrix: the row of a quartic monomial holds the
+    coefficients of a quadric times the quadratic monomial that shifts it
+    there, in _DEG4 order."""
     field = quadrics[0].field
-    rows = []
+    mat = []
     for mono in _DEG4:
         # smallest i with w_i^2 dividing the monomial picks the block
-        for i in range(3):
-            if mono[i] >= 2:
-                block = i
-                break
+        block = next(i for i in range(3) if mono[i] >= 2)
         shift = list(mono)
         shift[block] -= 2
-        shifted = {}
-        for e, c in quadrics[block].terms.items():
-            ne = tuple(a + b for a, b in zip(e, shift))
-            shifted[ne] = c
-        rows.append((mono, block, shifted))
-    idx = {m: k for k, m in enumerate(_DEG4)}
-    mat = []
-    for mono, block, shifted in rows:
+        shifted = quadrics[block] * HomogPoly.monomial(field, quadrics[block].vars, shift)
         row = [field.zero()] * 15
-        for e, c in shifted.items():
-            row[idx[e]] = c
+        for e, c in shifted.terms.items():
+            row[_DEG4_INDEX[e]] = c
         mat.append(row)
-    return mat, idx
+    return mat
 
 
-_NON_REDUCED = [(2, 2, 0), (2, 0, 2), (0, 2, 2)]
+# rows and columns of the denominator minor
+_NON_REDUCED = [_DEG4_INDEX[m] for m in ((2, 2, 0), (2, 0, 2), (0, 2, 2))]
 
 # Coordinate frames tried in order wherever a projection or a determinant
 # minor must be generic; frame T sends x_j to sum_i T[i][j] x_i.  A frame is
@@ -132,11 +122,15 @@ def resultant3_quadrics(quadrics):
     """
     if len(quadrics) != 3 or any(q.degree != 2 or len(q.vars) != 3 for q in quadrics):
         raise PolyError("need three ternary quadrics")
-    for T in frames(quadrics[0].field):
-        qs = [change_frame(q, T) for q in quadrics]
-        mat, idx = _macaulay_rows(qs)
-        bad = [idx[m] for m in _NON_REDUCED]
-        minor = [[mat[i][j] for j in bad] for i in bad]
+    field = quadrics[0].field
+    monomials = sorted({e for q in quadrics for e in q.terms})
+    if linalg.rank([[q.terms.get(e, field.zero()) for e in monomials] for q in quadrics]) < 3:
+        # dependent quadrics span at most a pencil, and every member of a
+        # pencil vanishes at its base points
+        return field.zero()
+    for T in frames(field):
+        mat = _macaulay_rows([change_frame(q, T) for q in quadrics])
+        minor = [[mat[i][j] for j in _NON_REDUCED] for i in _NON_REDUCED]
         dden = linalg.det(minor)
         if not dden:
             continue

@@ -181,8 +181,8 @@ class RationalField(Field):
     def characteristic(self):
         return 0
 
-    def random(self, rng, height=9):
-        return self.element(Fraction(rng.randint(-height, height), rng.randint(1, 4)))
+    def random(self, rng):
+        return self.element(Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
 
     _zero_raw = Fraction(0)
     _one_raw = Fraction(1)
@@ -242,7 +242,7 @@ class PrimeField(Field):
         for v in range(self.p):
             yield FieldElement(self, v)
 
-    def random(self, rng, height=9):
+    def random(self, rng):
         return FieldElement(self, rng.randrange(self.p))
 
     _zero_raw = 0
@@ -321,9 +321,8 @@ class QuadExtField(Field):
             for b in vals:
                 yield FieldElement(self, (a, b))
 
-    def random(self, rng, height=9):
-        return FieldElement(self, (self.base.random(rng, height).val,
-                                   self.base.random(rng, height).val))
+    def random(self, rng):
+        return FieldElement(self, (self.base.random(rng).val, self.base.random(rng).val))
 
     def ext_element(self, a, b):
         """a + b*sqrt(d)."""

@@ -9,6 +9,7 @@ from __future__ import annotations
 from . import linalg
 from .binforms import ST, binary_gcd, perfect_square_root, resultant, squarefree_parts
 from .poly import HomogPoly, SymMatrix, proportional
+from .prym import conic_rational_point, parametrize_conic
 from .quadrics import factor_rank_le2
 from .symmetroid import X4
 
@@ -206,21 +207,26 @@ def _plane_basis(h, field):
     return basis
 
 
+def _plane_images(basis, field):
+    """The space coordinates of the plane spanned by basis, as linear forms
+    in U3 over field."""
+    return tuple(HomogPoly.linear(field, U3, [basis[k][i] for k in range(3)])
+                 for i in range(4))
+
+
 def tritangent_verify(q, gamma, h):
     """Even-contact certificate for a plane against the space curve: the
     restricted conic is parametrized and the restricted cubic pulled back to
     a sextic whose divisor must be even."""
     field = h.field
     basis = _plane_basis(h, field)
-    images = tuple(HomogPoly.linear(field, U3, [basis[k][i] for k in range(3)])
-                   for i in range(4))
+    images = _plane_images(basis, field)
     # quadratic_form coerces q's entries into the plane's field
     conic = q.quadratic_form(field, X4).substitute(images)
     cubic = gamma.change_field(field).substitute(images)
     cm = SymMatrix.from_quadratic_form(conic)
     rank = cm.rank()
     if rank == 3:
-        from .prym import conic_rational_point, parametrize_conic
         pt = conic_rational_point(conic, field)
         if pt is None:
             return TritangentCert(False, None, False)
@@ -310,15 +316,8 @@ def contact_points_match(h, cubic_T, contact_root, conic_param, plane_basis_vect
     if not hT:
         return False
     # the plane's points under the conic parametrization, in space coordinates
-    lifted = []
-    for i in range(4):
-        acc = None
-        for k in range(3):
-            coef = field.element(plane_basis_vectors[k][i])
-            if coef:
-                t = conic_param[k].change_field(field) * coef
-                acc = t if acc is None else acc + t
-        lifted.append(acc if acc is not None else HomogPoly.zero(field, ST, 2))
+    param = [g.change_field(field) for g in conic_param]
+    lifted = [g.substitute(param) for g in _plane_images(plane_basis_vectors, field)]
     probes = [
         [field.one(), field.zero(), field.zero(), field.zero()],
         [field.zero(), field.one(), field.zero(), field.zero()],

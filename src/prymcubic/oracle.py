@@ -239,10 +239,9 @@ def count_curve(equations, field, genus, label="curve", budget=DEFAULT_BUDGET):
     return CountReport(q, label, n, genus)
 
 
-def count_double_cover(curve_equations, minors, field, label="cover",
-                       budget=DEFAULT_BUDGET, genus=7):
-    """Count of the unramified double cover cut out by the square roots of
-    the three minors over the curve's points.
+def count_double_cover(curve_equations, minors, field, label="cover", budget=DEFAULT_BUDGET):
+    """Count of the unramified double cover (genus 7) cut out by the square
+    roots of the three minors over the curve's points.
 
     At every point at least one minor must be nonzero, and the square classes
     of all nonzero minors must agree; both conditions are hard errors since
@@ -264,12 +263,12 @@ def count_double_cover(curve_equations, minors, field, label="cover",
                               % (_elements(field, pt),))
         if classes == {one}:
             total += 2
-    return CountReport(q, label, total, genus)
+    return CountReport(q, label, total, 7)
 
 
-def count_hyperelliptic_octic(octic, field, label="octic", genus=3, budget=DEFAULT_BUDGET):
-    """Weighted two-chart count of y^2 = h(s, t) for a separable binary
-    octic h, of degree 8 or 7 in the affine chart."""
+def count_hyperelliptic_octic(octic, field, label="octic", budget=DEFAULT_BUDGET):
+    """Weighted two-chart count of the genus-3 curve y^2 = h(s, t) for a
+    separable binary octic h, of degree 8 or 7 in the affine chart."""
     if not field.is_finite():
         raise OracleError("octic counting needs a finite field")
     # any other form gives a curve of another genus, or a reducible one
@@ -286,7 +285,7 @@ def count_hyperelliptic_octic(octic, field, label="octic", genus=3, budget=DEFAU
     # has degree 7 (separability keeps s^7 t) and one ramified smooth point
     lead = octic.terms.get((8, 0))
     total += 1 if lead is None else 1 + legendre(lead)
-    return CountReport(q, label, total, genus)
+    return CountReport(q, label, total, 3)
 
 
 class BitangentLine:

@@ -12,6 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
+from . import linalg
 from .fields import FieldElement, RationalField
 
 
@@ -48,8 +49,8 @@ class HomogPoly:
         return HomogPoly(field, vars, degree, {}, _clean=True)
 
     @staticmethod
-    def monomial(field, vars, exps, coeff=1):
-        return HomogPoly(field, vars, sum(exps), {tuple(exps): coeff})
+    def monomial(field, vars, exps):
+        return HomogPoly(field, vars, sum(exps), {tuple(exps): 1})
 
     @staticmethod
     def linear(field, vars, coeffs):
@@ -232,31 +233,16 @@ class HomogPoly:
                 raise PolyError("images must share a common degree")
             if g.field != self.field or g.vars != images[0].vars:
                 raise PolyError("images live in different rings")
-        tvars = images[0].vars
-        out_deg = self.degree * e0
-        acc = HomogPoly.zero(self.field, tvars, out_deg)
-        pow_cache = [{0: None} for _ in images]
-        one = HomogPoly.monomial(self.field, tvars, (0,) * len(tvars))
-
-        def power(i, k):
-            cache = pow_cache[i]
-            if k in cache and cache[k] is not None:
-                return cache[k]
-            if k == 0:
-                cache[0] = one
-                return one
-            p = power(i, k - 1) * images[i]
-            cache[k] = p
-            return p
-
+        acc = HomogPoly.zero(self.field, images[0].vars, self.degree * e0)
+        powers = [[g] for g in images]  # powers[i][k - 1] is images[i] ** k
         for e, c in self.terms.items():
             prod = None
-            for i, k in enumerate(e):
+            for pw, k in zip(powers, e):
                 if k:
-                    prod = power(i, k) if prod is None else prod * power(i, k)
-            if prod is None:
-                prod = one
-            acc = acc + prod * c
+                    while len(pw) < k:
+                        pw.append(pw[-1] * pw[0])
+                    prod = pw[k - 1] if prod is None else prod * pw[k - 1]
+            acc = acc + (c if prod is None else prod * c)
         return acc
 
     def change_field(self, new_field):
@@ -402,11 +388,9 @@ class SymMatrix:
         return SymMatrix(n, upper)
 
     def det(self):
-        from . import linalg
         return linalg.det(self.rows())
 
     def adjugate(self):
-        from . import linalg
         return SymMatrix.from_rows(linalg.adjugate(self.rows()))
 
     def evaluate(self, point):
@@ -414,7 +398,6 @@ class SymMatrix:
         return self.map(lambda p: p.evaluate(point))
 
     def rank(self):
-        from . import linalg
         return linalg.rank(self.rows())
 
     def scale(self, c):
@@ -440,6 +423,5 @@ def det_and_adjugate(mat):
     degs = {e.degree for e in entries if isinstance(e, HomogPoly)}
     if len(degs) > 1:
         raise PolyError("entries have mixed degrees %r" % (sorted(degs),))
-    from . import linalg
     rows = mat.rows()
     return linalg.det(rows), SymMatrix.from_rows(linalg.adjugate(rows))

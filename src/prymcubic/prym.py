@@ -6,13 +6,13 @@ plane quartic with compatible conic data back to the space pair.
 from __future__ import annotations
 
 from . import linalg
-from .binforms import multiplicity_partition
+from .binforms import ST, multiplicity_partition
 from .elim import change_frame, frames, resultant_last_var
 from .fields import PrimeField, QuadExtField, RationalField, legendre
 from .oracle import compile_raw, projective_points_raw
 from .poly import HomogPoly, SymMatrix, proportional
 from .quadrics import congruence_diagonalize
-from .symmetroid import CONIC_MONOMIALS, Z3, Symmetrization, SymmetroidType
+from .symmetroid import Z3, Symmetrization, SymmetroidType
 
 Y4 = ("y0", "y1", "y2", "y3")
 RV4 = ("y00", "y01", "y10", "y11")
@@ -46,7 +46,7 @@ class DualQuadric:
         self.plane_conic = plane_conic
 
 
-def dual_quadric(q, field, yvars=Y4):
+def dual_quadric(q, field):
     """Dual of a scalar symmetric 4x4 quadric; rank must be 3 or 4."""
     r = q.rank()
     if r <= 2:
@@ -59,7 +59,7 @@ def dual_quadric(q, field, yvars=Y4):
     kept = tuple(i for i in range(4) if i != drop)
     reduced = SymMatrix.from_rows([[q.at(i, j) for j in kept] for i in kept])
     plane_conic = reduced.adjugate().quadratic_form(field, ("p0", "p1", "p2"))
-    plane_form = HomogPoly.linear(field, yvars, list(vertex))
+    plane_form = HomogPoly.linear(field, Y4, list(vertex))
     return DualQuadric(3, vertex=vertex, plane_form=plane_form, kept=kept,
                        plane_conic=plane_conic)
 
@@ -150,41 +150,19 @@ def parametrize_conic(conic, point, field):
     p = [field.element(c) for c in point]
     if conic.evaluate(p):
         raise PrymError("base point is not on the conic")
-    # complete p to a basis deterministically
-    pivot = max(i for i, c in enumerate(p) if c)
-    others = [i for i in range(3) if i != pivot]
-    d1 = [field.one() if i == others[0] else field.zero() for i in range(3)]
-    d2 = [field.one() if i == others[1] else field.zero() for i in range(3)]
-    rows = m.rows()
-
-    def bilinear(u, v):
-        return linalg.sum_entries([u[i] * rows[i][j] * v[j]
-                                   for i in range(3) for j in range(3)])
-
-    st = ("s", "t")
-    out = []
-    # line p + tau (s d1 + t d2); second intersection at
-    # tau = -2 B(p, d) / B(d, d), cleared of denominators
-    bpd1 = bilinear(p, d1)
-    bpd2 = bilinear(p, d2)
-    b11 = bilinear(d1, d1)
-    b12 = bilinear(d1, d2)
-    b22 = bilinear(d2, d2)
-    # x(s,t) = B(d,d) p - 2 B(p,d) d with d = s d1 + t d2
-    for i in range(3):
-        terms = {}
-        coeffs = {
-            (2, 0): b11 * p[i] - bpd1 * d1[i] * 2,
-            (1, 1): b12 * p[i] * 2 - (bpd1 * d2[i] + bpd2 * d1[i]) * 2,
-            (0, 2): b22 * p[i] - bpd2 * d2[i] * 2,
-        }
-        for e, c in coeffs.items():
-            if c:
-                terms[e] = c
-        out.append(HomogPoly(field, st, 2, terms))
+    # the line p + tau d, d = s e_i + t e_j with e_i, e_j completing p to a
+    # basis, meets the conic again at tau = -2 B(p, d) / B(d, d); cleared of
+    # denominators, x(s, t) = B(d, d) p - 2 B(p, d) d, where 2 B(p, d) is
+    # the conic's gradient at p applied to d
+    pivot = max(k for k, c in enumerate(p) if c)
+    i, j = [k for k in range(3) if k != pivot]
+    d = [HomogPoly.linear(field, ST, [int(k == i), int(k == j)]) for k in range(3)]
+    polar = HomogPoly.linear(field, ST, [conic.partial(k).evaluate(p) for k in (i, j)])
+    bdd = m.qform(d)
+    out = tuple(bdd * p[k] - polar * d[k] for k in range(3))
     if not any(out):
         raise PrymError("degenerate parametrization; conic is singular")
-    return tuple(out)
+    return out
 
 
 def conic_rational_point(conic, field):
@@ -252,12 +230,7 @@ def forward_even(a, q):
     if not gamma.evaluate(list(dual.vertex)):
         raise PrymError("vertex of the quadric lies on the symmetroid")
     quadrics = a.gauss_quadrics()
-    conic = None
-    for c, qq in zip(dual.vertex, quadrics):
-        if c:
-            t = qq * c
-            conic = t if conic is None else conic + t
-    conic = conic.content_normalized()
+    conic = dual.plane_form.substitute(quadrics).content_normalized()
     if SymMatrix.from_quadratic_form(conic).rank() != 3:
         raise PrymError("pullback conic is singular")
     # the branch form is twist data: it may only ever be scaled by squares
@@ -422,16 +395,7 @@ def pencil_conics(a, q):
     work = split.field
     ninv = linalg.inverse(split.transform, work)
     quadrics = [f.change_field(work) for f in a.gauss_quadrics()]
-    cs = []
-    for m in range(4):
-        acc = None
-        for k in range(4):
-            if ninv[m][k]:
-                t = quadrics[k] * ninv[m][k]
-                acc = t if acc is None else acc + t
-        if acc is None:
-            acc = HomogPoly.zero(work, Z3, 2)
-        cs.append(acc)
+    cs = [HomogPoly.linear(work, Y4, row).substitute(quadrics) for row in ninv]
     forward = forward_general(a, q)
     prod = cs[0] * cs[3] - cs[1] * cs[2]
     quart = forward.quartic.change_field(work)
@@ -458,7 +422,7 @@ class ReverseResult:
         self.scale = scale
 
 
-def reverse_construct(quartic, conics, field=None):
+def reverse_construct(quartic, conics, field):
     """Rebuild the space pair from a plane quartic and four compatible
     conics: the four conic matrices span the new web, the determinant of the
     rebuilt pencil is the cubic, and the 2x2 rank condition on coordinates is
@@ -467,7 +431,6 @@ def reverse_construct(quartic, conics, field=None):
     The four conics may satisfy one linear relation (self-residual input);
     the relation direction then becomes the cone kernel of the output.
     """
-    field = field or quartic.field
     cs = list(conics)
     if len(cs) != 4:
         raise PrymError("need four conics")
@@ -477,19 +440,12 @@ def reverse_construct(quartic, conics, field=None):
     lead = max(prod.terms)
     scale = prod.terms[lead] / quartic.terms[lead]
     mats = [SymMatrix.from_quadratic_form(c) for c in cs]
-    stack = []
-    for m in mats:
-        form = m.quadratic_form(field, Z3)
-        stack.append([form.terms.get(mon, field.zero())
-                      for mon in CONIC_MONOMIALS])
-    r = linalg.rank(stack)
-    kernel_relation = None
-    if r < 3:
-        raise PrymError("conic span has dimension %d < 3" % r)
-    if r == 3:
-        # the single relation among the four conics becomes the cone kernel
-        kernel_relation = linalg.kernel_basis(linalg.transpose(stack), field)[0]
     sym = Symmetrization.from_quadric_vector(field, mats, xvars=RV4, zvars=Z3)
+    # a relation among the four conics is the kernel of the rebuilt web
+    kernel = sym.contraction_kernel()
+    if len(kernel) > 1:
+        raise PrymError("conic span has dimension %d < 3" % (4 - len(kernel)))
+    kernel_relation = kernel[0] if kernel else None
     cubic = sym.determinant_cubic()
     qform = HomogPoly(field, RV4, 2, {(1, 0, 0, 1): 1, (0, 1, 1, 0): -1})
     qmat = SymMatrix.from_quadratic_form(qform)

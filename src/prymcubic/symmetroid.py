@@ -22,6 +22,8 @@ Z3 = ("z0", "z1", "z2")
 W3 = ("w0", "w1", "w2")
 
 CONIC_MONOMIALS = [(2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2)]
+# the matrix entry (i, j), i <= j, whose form carries each conic monomial
+_CONIC_ENTRIES = [tuple(i for i in range(3) for _ in range(mon[i])) for mon in CONIC_MONOMIALS]
 
 
 class SymmetroidType:
@@ -228,19 +230,10 @@ class Symmetrization:
         functionals = linalg.kernel_basis(linalg.transpose(mat), self.field)
         if len(functionals) != 2:
             raise SymmetroidError("rank-one scheme needs a non-degenerate web")
-        conics = []
-        for f in functionals:
-            # coefficients of (w.z)^2 in conic coordinates:
-            #   z_i^2 -> w_i^2, z_i z_j -> 2 w_i w_j
-            terms = {}
-            for coef, mon in zip(f, CONIC_MONOMIALS):
-                if not coef:
-                    continue
-                exps = tuple(mon)
-                scale = 1 if max(mon) == 2 else 2
-                terms[exps] = coef * scale
-            conics.append(HomogPoly(self.field, W3, 2, terms))
-        return conics
+        # a functional on conic coefficients, applied to (w.z)^2, is the
+        # quadratic form of the symmetric matrix it fills in monomial order
+        return [SymMatrix(3, zip(_CONIC_ENTRIES, f)).quadratic_form(self.field, W3)
+                for f in functionals]
 
     def rank_one_scheme(self):
         if self.is_degenerate():
@@ -292,13 +285,8 @@ class Symmetrization:
         cubics = self.adjugate_cubics()
         quad_monomials = [tuple(m.count(i) for i in range(4))
                           for m in combinations_with_replacement(range(4), 2)]
-        sextics = {}
-        for mon in quad_monomials:
-            prod = None
-            for i, e in enumerate(mon):
-                for _ in range(e):
-                    prod = cubics[i] if prod is None else prod * cubics[i]
-            sextics[mon] = prod
+        sextics = {mon: HomogPoly.monomial(self.field, X4, mon).substitute(cubics)
+                   for mon in quad_monomials}
         target_monos = sorted({e for f in sextics.values() for e in f.terms})
         rows = []
         for tm in target_monos:
@@ -539,12 +527,9 @@ def cayley_normal_form(field, quartic_coeffs, h_coeffs):
                     col[i] = col[i] + xj * red[i]
         basis_cols.append(col)
     mh = [[basis_cols[k][i] for k in range(4)] for i in range(4)]
-    total = None
-    for k in range(4):
-        minor = [[mh[i][j] for j in range(4) if j != k] for i in range(4) if i != k]
-        d = linalg.det(minor)
-        total = d if total is None else total + d
-    return total
+    return linalg.sum_entries([
+        linalg.det([[mh[i][j] for j in range(4) if j != k] for i in range(4) if i != k])
+        for k in range(4)])
 
 
 def _quartic_separable(a, field):

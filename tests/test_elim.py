@@ -138,3 +138,19 @@ def test_frames_are_invertible_over_the_working_field():
             len(linalg.kernel_basis([[field.element(c) for c in row] for row in T], field)) == 0
             for T in usable)
         assert [T for T in FRAMES if T in usable] == usable
+
+
+def test_resultant_of_dependent_quadrics_is_zero():
+    # a dependent triple spans at most a pencil, which has base points; the
+    # Macaulay denominator minor sees only the first two quadrics, so when
+    # those are dependent no change of frame gives a usable minor
+    def quad(terms):
+        return HomogPoly(F11, W3, 2, terms)
+
+    q1 = quad({(2, 0, 0): 1, (0, 1, 1): 3})
+    q2 = quad({(0, 2, 0): 2, (1, 0, 1): 5, (0, 0, 2): 1})
+    assert not resultant3_quadrics([q1, quad({}), q2])
+    assert not resultant3_quadrics([q1, q1 * 3, q2])
+    assert not resultant3_quadrics([q1, q2, q1 * 2 + q2 * 7])
+    # 10 w0^3 + 3 w0^2 w2: no w1 partial, the other two share the factor w0
+    assert not plane_cubic_is_smooth(cubic(F11, {(3, 0, 0): 10, (2, 0, 1): 3}))

@@ -304,3 +304,18 @@ def test_divide_linear_rejects_a_zero_or_nonlinear_divisor():
         f.divide_linear(HomogPoly.monomial(F11, X4, (0, 0, 0, 0)))
     with pytest.raises(PolyError):
         f.linear_coeffs()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+@PROPERTY
+@given(data=st.data())
+def test_substitute_commutes_with_evaluation(name, data):
+    # degree 0 covers the constant form; degree 3 repeats an image's powers
+    make, raw = CASES[name]
+    field = make()
+    nv, mv = data.draw(st.integers(2, 4)), data.draw(st.integers(2, 4))
+    f = _form(data, field, raw, nv, data.draw(st.integers(0, 3)))
+    image_degree = data.draw(st.integers(1, 2))
+    images = [_form(data, field, raw, mv, image_degree) for _ in range(nv)]
+    pt = [_scalar(data, field, raw) for _ in range(mv)]
+    assert f.substitute(images).evaluate(pt) == f.evaluate([g.evaluate(pt) for g in images])

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from prymcubic import linalg
 from prymcubic.binforms import binary_gcd
@@ -13,6 +14,9 @@ from prymcubic.prym import (PrymError, UnsupportedTower, conic_rational_point,
                             parametrize_conic, pencil_conics, reverse_construct,
                             roundtrip_change_matches, split_quadric)
 from prymcubic.quadrics import factor_rank_le2
+
+from test_field_properties import CASES
+from test_scene_properties import _form, _scalar
 
 F11 = Field.prime(11)
 F13 = Field.prime(13)
@@ -194,6 +198,28 @@ def test_reverse_rejects_incompatible():
     bad = (pen.c00, pen.c01, pen.c10, pen.c11 + HomogPoly(QQ, Z3, 2, {(2, 0, 0): 1}))
     with pytest.raises(PrymError):
         reverse_construct(fwd.quartic, bad, QQ)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(data=st.data())
+def test_parametrize_conic_lies_on_the_conic(name, data):
+    # a random smooth conic through a chosen point: the parametrization
+    # composes to zero, and its three coordinates are independent binary
+    # quadratics, so not all proportional
+    make, raw = CASES[name]
+    field = make()
+    conic = _form(data, field, raw, 3, 2)
+    pt = [_scalar(data, field, raw) for _ in range(3)]
+    assume(any(pt))
+    k = max(i for i, c in enumerate(pt) if c)
+    square = tuple(2 if i == k else 0 for i in range(3))
+    conic = conic - HomogPoly(field, conic.vars, 2, {square: conic.evaluate(pt) / (pt[k] * pt[k])})
+    assume(SymMatrix.from_quadratic_form(conic).rank() == 3)
+    param = parametrize_conic(conic, pt, field)
+    assert not conic.substitute(param)
+    mons = [(2, 0), (1, 1), (0, 2)]
+    assert linalg.rank([[g.terms.get(e, field.zero()) for e in mons] for g in param]) == 3
 
 
 def test_parametrize_conic_and_points():

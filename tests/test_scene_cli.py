@@ -85,6 +85,24 @@ def test_cli_classify(capsys):
     assert rep["annihilation"] and rep["minor_relation"]
 
 
+def test_cli_classify_cone_with_dependent_partials(tmp_path, capsys):
+    # the projected plane cubic's partials are linearly dependent: the
+    # cone is singular, not an input error
+    from prymcubic.symmetroid import Symmetrization
+
+    z = [0, 0, 0, 0]
+    rows = [[z, [6, 0, 0, 0], [2, 0, 0, 0]],
+            [[6, 0, 0, 0], [8, 0, 0, 0], [0, 9, 1, 0]],
+            [[2, 0, 0, 0], [0, 9, 1, 0], [8, 6, 7, 5]]]
+    F11 = Field.prime(11)
+    path = tmp_path / "cone.json"
+    path.write_text(write_scene(Scene(F11).add("W", Symmetrization.from_entry_rows(F11, rows))))
+    code, out, err = run_cli(["classify", str(path), "--object", "W"], capsys)
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["type"] == "DegenerateSingular" and rep["kernel_dimension"] == 1
+
+
 def test_cli_classify_missing_object(capsys):
     code, out, err = run_cli(["classify", DATA, "--object", "nope"], capsys)
     assert code == 2

@@ -201,3 +201,37 @@ def test_one_exact_division_by_a_linear_form():
                     and ast.unparse(node.args[0].func) == "tuple"):
                 offenders.append("%s:%d %s" % (path.name, node.lineno, ast.unparse(node)))
     assert offenders == []
+
+
+def test_forms_are_composed_not_accumulated_by_hand():
+    # a linear combination or pullback of forms is HomogPoly.substitute (or a
+    # ring operation), not a sum seeded with None outside the ring modules
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name in ("poly.py", "linalg.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.IfExp) and isinstance(node.test, ast.Compare)
+                    and isinstance(node.test.left, ast.Name)
+                    and isinstance(node.test.ops[0], ast.Is)
+                    and isinstance(node.test.comparators[0], ast.Constant)
+                    and node.test.comparators[0].value is None):
+                continue
+            name = node.test.left.id
+            added = node.orelse
+            if (isinstance(added, ast.BinOp) and isinstance(added.op, ast.Add)
+                    and name in [n.id for n in (added.left, added.right)
+                                 if isinstance(n, ast.Name)]):
+                offenders.append("%s:%d %s" % (path.name, node.lineno, ast.unparse(node)))
+    assert offenders == []
+
+
+def test_imports_sit_at_module_top():
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                offenders += ["%s:%d %s" % (path.name, n.lineno, ast.unparse(n))
+                              for n in ast.walk(fn) if isinstance(n, (ast.Import, ast.ImportFrom))]
+    assert offenders == []

@@ -185,6 +185,20 @@ def test_classify_degenerate():
     assert proportional(det_sym, e.cubic)
 
 
+# a cone over F_11 whose projected cubic 10 w0^3 + 3 w0^2 w2 has dependent
+# partials (no w1 partial at all)
+DEPENDENT_PARTIALS_CONE = [[ZERO, [6, 0, 0, 0], [2, 0, 0, 0]],
+                           [[6, 0, 0, 0], [8, 0, 0, 0], [0, 9, 1, 0]],
+                           [[2, 0, 0, 0], [0, 9, 1, 0], [8, 6, 7, 5]]]
+
+
+def test_classify_cone_with_dependent_partials():
+    a = build(Field.prime(11), DEPENDENT_PARTIALS_CONE)
+    assert len(a.contraction_kernel()) == 1
+    assert not a.project_from_vertex().smooth
+    assert a.classify() == SymmetroidType.DEGENERATE_SINGULAR
+
+
 def test_double_cover_minors():
     a = fix_a(QQ)
     m12, m13, m23, cert = a.double_cover_minors()
