@@ -5,9 +5,11 @@ plane quartic with compatible conic data back to the space pair.
 
 from __future__ import annotations
 
+from itertools import product
+
 from . import linalg
 from .binforms import ST, multiplicity_partition
-from .elim import change_frame, frames, resultant_last_var
+from .elim import resultant_last_var
 from .fields import PrimeField, QuadExtField, RationalField, legendre
 from .oracle import compile_raw, projective_points_raw
 from .poly import HomogPoly, SymMatrix, proportional
@@ -252,22 +254,28 @@ def forward_even(a, q):
 
 
 def _branch_reduced_by_resultant(conic, branch):
-    """Reducedness of the eight-point scheme without a conic point: in a
-    frame whose projection center misses both curves and separates the
-    intersection points, the degree-eight resultant is squarefree."""
-    for T in frames(conic.field):
-        a = change_frame(conic, T)
-        b = change_frame(branch, T)
-        if not a.terms.get((0, 0, 2)) or not b.terms.get((0, 0, 4)):
-            continue
-        res = resultant_last_var(a, b)
-        if not res:
-            return False
-        if res.degree != 8:
-            continue
-        if all(m == 1 for m in multiplicity_partition(res)):
-            return True
-    return None
+    """Reducedness of the eight-point scheme without a conic point: True,
+    False, or None when undecided.
+
+    The projection centre c is the first point of the grid {-2..2}^3 off both
+    curves, completed to a basis by two unit vectors.  The resultant in the
+    coordinate along c vanishes when the curves share a component (False),
+    and is squarefree when the scheme is reduced and no line through c holds
+    two of its points (True).
+    """
+    field = conic.field
+    c = next((c for c in product(range(-2, 3), repeat=3)
+              if conic.evaluate(c) and branch.evaluate(c)), None)
+    if c is None:
+        return None
+    j = next(i for i, ci in enumerate(c) if ci)
+    i0, i1 = [i for i in range(3) if i != j]
+    basis = tuple(HomogPoly.linear(field, conic.vars, [int(k == i0), int(k == i1), c[k]])
+                  for k in range(3))
+    res = resultant_last_var(conic.substitute(basis), branch.substitute(basis))
+    if not res:
+        return False
+    return True if all(m == 1 for m in multiplicity_partition(res)) else None
 
 
 def segre_matrix(field):

@@ -10,9 +10,8 @@ from __future__ import annotations
 from itertools import combinations_with_replacement, islice, product
 
 from . import linalg
-from .binforms import ST, multiplicity_partition, rational_roots
-from .elim import change_frame, frames, plane_cubic_is_smooth, resultant_last_var
-from .fields import PrimeField
+from .binforms import ST, multiplicity_partition, rational_roots, squarefree_parts
+from .elim import plane_cubic_is_smooth
 from .oracle import compile_raw
 from .poly import HomogPoly, SymMatrix, proportional
 from .quadrics import factor_rank_le2
@@ -266,14 +265,12 @@ class Symmetrization:
         part = tuple(scheme.partition)
         if part in PARTITION_TO_TYPE:
             return PARTITION_TO_TYPE[part]
-        if part == (4,):
-            try:
-                structural = (SymmetroidType.T6 if self._adjugate_image_in_quadric()
-                              else SymmetroidType.T5)
-            except SymmetroidError:
-                return SymmetroidType.REDUCIBLE_UNCLASSIFIED
-            return self._crosscheck_reducible(structural)
-        raise SymmetroidError("impossible rank-one partition %r" % (part,))
+        try:
+            structural = (SymmetroidType.T6 if self._adjugate_image_in_quadric()
+                          else SymmetroidType.T5)
+        except SymmetroidError:
+            return SymmetroidType.REDUCIBLE_UNCLASSIFIED
+        return self._crosscheck_reducible(structural)
 
     def _classify_on_line(self, scheme):
         if scheme.residual_point is None:
@@ -295,10 +292,10 @@ class Symmetrization:
         return bool(linalg.kernel_basis(rows, self.field))
 
     def _crosscheck_reducible(self, structural):
-        """Over a prime field, compare with the plane factors of the
+        """Over a finite field, compare with the plane factors of the
         determinant, found from binary-cubic roots and confirmed by exact
         division; disagreement is surfaced instead of guessed."""
-        if not isinstance(self.field, PrimeField):
+        if not self.field.is_finite():
             return structural
         det = self.determinant_cubic()
         factors = _plane_factors(det, self.field)
@@ -385,31 +382,35 @@ def _common_rational_line(k1, k2, field):
 
 def _conic_intersection_partition(k1, k2, field):
     """Multiplicity partition of the four intersection points of two conics
-    with no common component, via resultants in sheared frames.
+    with no common component, read from the Segre symbol of their pencil
+    (Hodge-Pedoe, Methods of Algebraic Geometry II).
 
-    A frame is usable when the projection center avoids both conics; merges
-    from accidental collinearity only coarsen the partition, so the finest
-    answer over the deterministic frame family is the true one.
+    The singular members s k1 + t k2 are the roots of the binary cubic
+    d = det(s M1 + t M2).  Three simple roots mean four simple points.  A
+    multiple root is rational, and the rank of its member tells a tangency
+    (rank 2) from a pair of tangencies or a contact of order four (rank 1).
+    When every member is singular they all are line pairs through one point,
+    which carries the whole intersection.
     """
-    best = None
-    for T in frames(field):
-        a = change_frame(k1, T)
-        b = change_frame(k2, T)
-        if not a.terms.get((0, 0, 2)) or not b.terms.get((0, 0, 2)):
-            continue
-        res = resultant_last_var(a, b)
-        if not res:
-            continue
-        part = multiplicity_partition(res)
-        if sum(part) != 4:
-            continue
-        if best is None or len(part) > len(best):
-            best = part
-            if len(best) == 4:
-                break  # four simple points: no frame can refine this
-    if best is None:
-        raise SymmetroidError("no usable projection frame for the rank-one scheme")
-    return best
+    m1 = SymMatrix.from_quadratic_form(k1)
+    m2 = SymMatrix.from_quadratic_form(k2)
+    d = linalg.det([[HomogPoly.linear(field, ST, [m1.at(i, j), m2.at(i, j)]) for j in range(3)]
+                    for i in range(3)])
+    if not d:
+        return [4]
+    mult = multiplicity_partition(d)[0]
+    if mult == 1:
+        return [1, 1, 1, 1]
+    s_mult, t_mult, factors = squarefree_parts(d)
+    if s_mult > 1:
+        root = (field.zero(), field.one())
+    elif t_mult > 1:
+        root = (field.one(), field.zero())
+    else:
+        g0, _ = factors[-1][1]  # the multiple factor u + g0, u = s/t
+        root = (-g0, field.one())
+    rank = SymMatrix.from_quadratic_form(k1 * root[0] + k2 * root[1]).rank()
+    return {(2, 2): [2, 1, 1], (2, 1): [2, 2], (3, 2): [3, 1], (3, 1): [4]}[mult, rank]
 
 
 def _plane_factors(cubic, field):

@@ -1,8 +1,11 @@
 import random
 
+import pytest
+
 from prymcubic.binforms import resultant
-from prymcubic.elim import FRAMES, frames, plane_cubic_is_smooth, resultant3_quadrics, resultant_last_var
+from prymcubic.elim import plane_cubic_is_smooth, resultant3_quadrics, resultant_last_var
 from prymcubic.fields import Field, QQ
+from prymcubic.oracle import projective_points
 from prymcubic.poly import HomogPoly
 from prymcubic import linalg
 
@@ -126,24 +129,8 @@ def test_resultant_last_var_specialises_to_binary_resultant():
                 assert res.evaluate([a, b]) == resultant(fs, gs)
 
 
-def test_frames_are_invertible_over_the_working_field():
-    # determinant 37: a frame over F_31, singular over F_37
-    t37 = ((1, 4, 2), (0, 1, 5), (2, 0, 1))
-    assert t37 in list(frames(Field.prime(31)))
-    assert t37 not in list(frames(Field.prime(37)))
-    assert list(frames(QQ)) == FRAMES  # no frame is singular over every field
-    for field in (QQ, Field.prime(3), F11, F13, Field.prime(37)):
-        usable = list(frames(field))
-        assert usable and all(
-            len(linalg.kernel_basis([[field.element(c) for c in row] for row in T], field)) == 0
-            for T in usable)
-        assert [T for T in FRAMES if T in usable] == usable
-
-
 def test_resultant_of_dependent_quadrics_is_zero():
-    # a dependent triple spans at most a pencil, which has base points; the
-    # Macaulay denominator minor sees only the first two quadrics, so when
-    # those are dependent no change of frame gives a usable minor
+    # a dependent triple spans at most a pencil, which has base points
     def quad(terms):
         return HomogPoly(F11, W3, 2, terms)
 
@@ -154,3 +141,62 @@ def test_resultant_of_dependent_quadrics_is_zero():
     assert not resultant3_quadrics([q1, q2, q1 * 2 + q2 * 7])
     # 10 w0^3 + 3 w0^2 w2: no w1 partial, the other two share the factor w0
     assert not plane_cubic_is_smooth(cubic(F11, {(3, 0, 0): 10, (2, 0, 1): 3}))
+
+
+def test_sylvester_determinant_is_512_times_the_resultant():
+    # Res(w0^2, w1^2, w2^2) = 1, and 512 is a unit in every odd characteristic
+    for field in (QQ, Field.prime(3), F11):
+        squares = [HomogPoly.monomial(field, W3, e) for e in ((2, 0, 0), (0, 2, 0), (0, 0, 2))]
+        assert resultant3_quadrics(squares) == field.element(512)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_resultant_vanishes_exactly_at_common_zeros(p):
+    # base points of a net of conics without one are rational or conjugate
+    # over F_{p^2} on this sample: a zero resultant is a common point there
+    F = Field.prime(p)
+    ext = F.quadratic_extension(next(d for d in range(2, p) if pow(d, (p - 1) // 2, p) != 1))
+    points = list(projective_points(ext, 2))
+    rng = random.Random(p)
+    zeros = 0
+    for _ in range(40):
+        qs = [_random_form(F, 2, rng) for _ in range(3)]
+        lifted = [q.change_field(ext) for q in qs]
+        common = any(all(not q.evaluate(list(pt)) for q in lifted) for pt in points)
+        assert bool(resultant3_quadrics(qs)) == (not common)
+        zeros += common
+    assert 0 < zeros < 40
+
+
+def test_plane_cubics_in_characteristic_three():
+    # in characteristic three a common zero of the partials need not lie on
+    # the cubic; smoothness is read from its rational points and lines
+    F3 = Field.prime(3)
+    F9 = F3.quadratic_extension(2)
+    for F in (F3, F9):
+        # y^2 z = x^3 - x z^2, whose partials share the zero (1 : 0 : 0) off it
+        assert plane_cubic_is_smooth(cubic(F, {(0, 2, 1): 1, (3, 0, 0): -1, (1, 0, 2): 1}))
+        # y^2 z = x^3 + x^2 z: a node at (0 : 0 : 1)
+        assert not plane_cubic_is_smooth(cubic(F, {(0, 2, 1): 1, (3, 0, 0): -1, (2, 0, 1): -1}))
+        # x^3 + y^3 + z^3 = (x + y + z)^3, a triple line
+        assert not plane_cubic_is_smooth(cubic(F, {(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1}))
+    # z (x^2 + y^2 - z^2): a line meeting a conic in two conjugate points
+    # over F_3, so the only singular points are not rational
+    line_conic = cubic(F3, {(2, 0, 1): 1, (0, 2, 1): 1, (0, 0, 3): -1})
+    assert all(line_conic.evaluate(list(pt)) or any(g.evaluate(list(pt)) for g in line_conic.gradient())
+               for pt in projective_points(F3, 2))
+    assert not plane_cubic_is_smooth(line_conic)
+
+
+def test_three_conjugate_lines_with_no_rational_point():
+    # the norm form of F_729 / F_9 on the basis 1, a, a^2, a a root of
+    # t^3 - t - 1 (irreducible over F_9, as Tr(1) = 2 != 0): three lines
+    # conjugate over F_9 with no F_9-point at all
+    F9 = Field.prime(3).quadratic_extension(2)
+    a1 = [[0, 0, 1], [1, 0, 1], [0, 1, 0]]  # multiplication by a
+    a2 = [[0, 1, 0], [0, 1, 1], [1, 0, 1]]  # multiplication by a^2
+    norm = linalg.det([[HomogPoly.linear(F9, W3, [int(r == c), a1[r][c], a2[r][c]])
+                        for c in range(3)] for r in range(3)])
+    assert norm.degree == 3
+    assert all(norm.evaluate(list(pt)) for pt in projective_points(F9, 2))
+    assert not plane_cubic_is_smooth(norm)

@@ -402,7 +402,8 @@ def test_random_roundtrips_over_f13():
 
 def test_even_branch_reducedness_without_rational_point():
     # the even-bielliptic conic is pointless over the rationals; reducedness
-    # of the branch scheme is still certified through a resultant frame
+    # of the branch scheme is still certified by a resultant, projecting
+    # from a grid point off both curves
     fx = FIXTURES["even_biell"]
     model = forward_even(fx.symmetrization(QQ), fx.quadric(QQ))
     assert model.octic is None

@@ -103,6 +103,25 @@ def test_cli_classify_cone_with_dependent_partials(tmp_path, capsys):
     assert rep["type"] == "DegenerateSingular" and rep["kernel_dimension"] == 1
 
 
+def test_cli_classifies_webs_and_cones_over_f3(tmp_path, capsys):
+    # a web with rank-one conics w0 w1 + w1^2 and 2 w0 w1 + w0 w2 + 2 w1 w2
+    # + w2^2, and the bielliptic cone, whose plane cubic is smooth in
+    # characteristic three
+    from prymcubic.symmetroid import Symmetrization
+
+    F3 = Field.prime(3)
+    rows = [[[2, 0, 2, 2], [2, 2, 0, 1], [1, 2, 1, 1]],
+            [[2, 2, 0, 1], [1, 1, 0, 2], [0, 0, 2, 0]],
+            [[1, 2, 1, 1], [0, 0, 2, 0], [1, 0, 1, 0]]]
+    scene = reduce_scene(parse_scene(open(DATA).read()), F3)
+    path = tmp_path / "f3.json"
+    path.write_text(write_scene(scene.add("W", Symmetrization.from_entry_rows(F3, rows))))
+    for name, tag in (("W", "T2"), ("A_biell", "DegenerateCone")):
+        code, out, err = run_cli(["classify", str(path), "--object", name], capsys)
+        assert code == 0
+        assert json.loads(out)["type"] == tag
+
+
 def test_cli_classify_missing_object(capsys):
     code, out, err = run_cli(["classify", DATA, "--object", "nope"], capsys)
     assert code == 2

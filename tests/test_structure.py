@@ -235,3 +235,26 @@ def test_imports_sit_at_module_top():
                 offenders += ["%s:%d %s" % (path.name, n.lineno, ast.unparse(n))
                               for n in ast.walk(fn) if isinstance(n, (ast.Import, ast.ImportFrom))]
     assert offenders == []
+
+
+def test_no_coordinate_frame_table():
+    # elimination is exact in every odd characteristic (a Segre symbol, a
+    # 6x6 determinant, a projection centre off the curves), so no table of
+    # frames is walked until one happens to be generic
+    banned = {"FRAMES", "frames", "change_frame", "_macaulay_rows"}
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            names = {getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "arg", None)}
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            if isinstance(node, ast.alias):
+                names |= {node.name, node.asname}
+            offenders += ["%s:%d %s" % (path.name, getattr(node, "lineno", 0), name)
+                          for name in sorted(names & banned)]
+    elim = ast.parse((SRC / "elim.py").read_text(encoding="utf-8"))
+    offenders += ["elim.py:%d imports itertools" % node.lineno for node in ast.walk(elim)
+                  if isinstance(node, ast.ImportFrom) and node.module == "itertools"
+                  or isinstance(node, ast.Import) and "itertools" in [a.name for a in node.names]]
+    assert offenders == []

@@ -5,8 +5,10 @@ from itertools import combinations, combinations_with_replacement
 import pytest
 
 from prymcubic import linalg, symmetroid
+from prymcubic.binforms import multiplicity_partition
+from prymcubic.elim import resultant_last_var
 from prymcubic.fields import Field, QQ, is_prime
-from prymcubic.oracle import compile_raw, projective_points_raw
+from prymcubic.oracle import compile_raw, projective_points, projective_points_raw
 from prymcubic.poly import HomogPoly, SymMatrix, proportional
 from prymcubic.symmetroid import (Symmetrization, SymmetroidError, SymmetroidType,
                                   cayley_normal_form, hankel_symmetroid,
@@ -145,7 +147,9 @@ def test_type7_adjugate_image_is_singular_conic():
 
 
 def test_classification_normal_forms():
-    for field in (F11, F13):
+    # over F_p and F_{p^2} alike, T5-T8 are cross-checked with plane factors
+    extensions = [Field.prime(p).quadratic_extension(d) for p, d in ((7, 3), (11, 2), (13, 2))]
+    for field in [F11, F13] + extensions:
         for tag, rows in NORMAL_FORMS.items():
             assert build(field, rows).classify() == tag
     for tag in (SymmetroidType.T1, SymmetroidType.T2, SymmetroidType.T3,
@@ -477,3 +481,64 @@ def test_normal_forms_classify_at_a_large_prime():
     for tag, rows in NORMAL_FORMS.items():
         assert build(F, rows).classify() == tag
 
+
+
+def random_web_rows(rng, p):
+    rows = [[None] * 3 for _ in range(3)]
+    for i in range(3):
+        for j in range(i, 3):
+            rows[i][j] = rows[j][i] = [rng.randrange(p) for _ in range(4)]
+    return rows
+
+
+def finest_projected_partition(k1, k2, centres):
+    """Reference: the finest root-multiplicity partition of the resultant of
+    two conics projected from centres off both.  Projection from c merges the
+    intersection points on one line through c, so a centre on no line
+    through two of them gives the true partition."""
+    best = None
+    for c in centres:
+        if not k1.evaluate(c) or not k2.evaluate(c):
+            continue
+        j = next(i for i, ci in enumerate(c) if ci)
+        i0, i1 = [i for i in range(3) if i != j]
+        basis = [HomogPoly.linear(k1.field, k1.vars, [int(k == i0), int(k == i1), c[k]])
+                 for k in range(3)]
+        part = multiplicity_partition(
+            resultant_last_var(k1.substitute(basis), k2.substitute(basis)))
+        if best is None or len(part) > len(best):
+            best = part
+            if len(best) == 4:
+                break
+    return best
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_rank_one_partition_matches_projections_over_the_quadratic_extension(p):
+    F = Field.prime(p)
+    ext = F.quadratic_extension(next(d for d in range(2, p) if pow(d, (p - 1) // 2, p) != 1))
+    centres = [list(pt) for pt in projective_points(ext, 2)]
+    random.Random(0).shuffle(centres)
+    centres = centres[:91]  # all of P^2(F_9); a sample of P^2(F_25), P^2(F_49)
+    rng = random.Random(p)
+    compared = set()
+    for _ in range(100):
+        a = build(F, random_web_rows(rng, p))
+        if a.is_degenerate():
+            continue
+        scheme = a.rank_one_scheme()
+        if scheme.positive_dimensional:
+            continue
+        k1, k2 = (k.change_field(ext) for k in scheme.conics)
+        assert scheme.partition == finest_projected_partition(k1, k2, centres)
+        compared.add(tuple(scheme.partition))
+    assert {(1, 1, 1, 1), (2, 1, 1)} <= compared
+
+
+def test_every_random_web_over_f3_is_classified():
+    # F_3 is an odd prime field, so every web over it gets a tag
+    F3 = Field.prime(3)
+    rng = random.Random(2026)
+    tags = {build(F3, random_web_rows(rng, 3)).classify() for _ in range(300)}
+    assert {SymmetroidType.T1, SymmetroidType.T2, SymmetroidType.DEGENERATE_CONE,
+            SymmetroidType.DEGENERATE_SINGULAR} <= tags
