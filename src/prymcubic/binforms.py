@@ -4,12 +4,13 @@ A binary form is a `HomogPoly` in two variables, (s, t) unless a caller
 names others; every function here takes and returns one.  Internally a form
 is read as its dense coefficient list, entry i the coefficient of
 s^(d-i) t^i, and its core after stripping powers of s and t as a univariate
-polynomial in u = s/t.  On top of that: gcd, squarefree decomposition
-(complete in small characteristic via p-th-power descent),
-root-multiplicity signatures, perfect-square detection with at most one
-quadratic extension (`Field.adjoin_sqrt`), Sylvester resultants, and the
-rational roots of a form over a finite field by Cantor-Zassenhaus root
-finding.
+polynomial in u = s/t; that reading stays inside this module.  On top of
+it: gcd, squarefree factorization into binary forms (`squarefree_factors`,
+complete in small characteristic via p-th-power descent), the root of a
+linear factor, root-multiplicity signatures, perfect-square detection with
+at most one quadratic extension (`Field.adjoin_sqrt`), Sylvester
+resultants, and the rational roots of a form over a finite field by
+Cantor-Zassenhaus root finding.
 """
 
 from __future__ import annotations
@@ -44,13 +45,30 @@ def _strip_st(f):
     return f.degree - hi, lo, cs[lo:hi + 1]
 
 
-def squarefree_parts(f):
-    """(s_mult, t_mult, factors): the powers of s and t dividing the form,
-    whose roots are (0 : 1) and (1 : 0), and the squarefree decomposition
-    [(m, g)] of the rest by ascending multiplicity, each g an ascending
-    coefficient list in u = s/t (a root u0 is the point (u0 : 1))."""
-    s_mult, t_mult, core = _strip_st(f)
-    return s_mult, t_mult, squarefree_decomposition(list(reversed(core)), f.field)
+def squarefree_factors(form):
+    """[(m, g)] with form = c * prod g^m for a nonzero form: each g a
+    squarefree binary form in the form's variables, the g pairwise coprime.
+
+    s, whose root is (0 : 1), comes first when it divides the form, then t,
+    whose root is (1 : 0); then the other factors by ascending m, each with
+    s^deg coefficient 1."""
+    field, vs = form.field, form.vars
+    s_mult, t_mult, core = _strip_st(form)
+    out = [(m, HomogPoly.linear(field, vs, e))
+           for m, e in ((s_mult, (1, 0)), (t_mult, (0, 1))) if m]
+    # u^i in u = s/t is s^i t^(deg - i)
+    for m, g in squarefree_decomposition(list(reversed(core)), field):
+        d = _deg(g)
+        out.append((m, HomogPoly(field, vs, d, {(i, d - i): c for i, c in enumerate(g) if c},
+                                 _clean=True)))
+    return out
+
+
+def linear_root(g):
+    """The root of a linear binary form a s + b t: (-b/a, 1), or (1, 0) when
+    a = 0."""
+    a, b = g.linear_coeffs()
+    return (-b / a, g.field.one()) if a else (g.field.one(), g.field.zero())
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +212,8 @@ def rational_roots(f):
 
 
 def squarefree_decomposition(f, field):
-    """[(g, m)] with f = lc * prod g^m, the g monic, squarefree, coprime.
+    """[(m, g)] by ascending m with f = lc * prod g^m, for an ascending
+    coefficient list f; the g monic, squarefree and pairwise coprime.
 
     Complete in characteristic p via descent on p-th powers; in
     characteristic zero this is Yun's algorithm.
@@ -235,18 +254,12 @@ def _mul_poly(a, b, field):
 
 
 def squarefree_signature(form):
-    """Multiset of (multiplicity, degree) of the roots over the closure.
-
-    The (1:0) and (0:1) roots from stripped s/t powers are folded in as
-    degree-1 contributions at their multiplicities.
-    """
+    """Multiset of (multiplicity, degree) of the roots over the closure."""
     if not form:
         raise PolyError("signature of the zero form")
-    s_mult, t_mult, factors = squarefree_parts(form)
     sig = {}
-    for m, d in [(s_mult, 1), (t_mult, 1)] + [(m, _deg(g)) for m, g in factors]:
-        if m:
-            sig[m] = sig.get(m, 0) + d
+    for m, g in squarefree_factors(form):
+        sig[m] = sig.get(m, 0) + g.degree
     return sorted(sig.items())
 
 
@@ -269,20 +282,14 @@ def perfect_square_root(form):
     if not form:
         raise PolyError("zero form")
     field = form.field
-    s_mult, t_mult, factors = squarefree_parts(form)
-    if s_mult % 2 or t_mult % 2:
+    factors = squarefree_factors(form)
+    if any(m % 2 for m, _ in factors):
         return None
-    half = [field.one()]
+    # the square root without the scalar
+    root0 = HomogPoly.monomial(field, form.vars, (0, 0))
     for m, g in factors:
-        if m % 2:
-            return None
         for _ in range(m // 2):
-            half = _mul_poly(half, g, field)
-    # the square root without the scalar: u^i in u = s/t is s^i t^(deg - i),
-    # times the halved powers of s and t
-    hs, ht, hd = s_mult // 2, t_mult // 2, len(half) - 1
-    root0 = HomogPoly(field, form.vars, form.degree // 2,
-                      {(hs + i, ht + hd - i): c for i, c in enumerate(half) if c}, _clean=True)
+            root0 = root0 * g
     sq = root0 * root0
     top = max(sq.terms)
     if top not in form.terms:

@@ -7,10 +7,10 @@ points, and the unique-cubic reconstruction.
 from __future__ import annotations
 
 from . import linalg
-from .binforms import ST, binary_gcd, perfect_square_root, resultant, squarefree_parts
+from .binforms import ST, binary_gcd, perfect_square_root, resultant, squarefree_factors
 from .poly import HomogPoly, SymMatrix, proportional
 from .prym import conic_rational_point, parametrize_conic
-from .quadrics import factor_rank_le2
+from .quadrics import factor_rank_le2, pencil_multiple_members
 from .symmetroid import X4
 
 U3 = ("u0", "u1", "u2")
@@ -122,59 +122,22 @@ class ReducibleMember:
         self.planes_unrepresentable = planes_unrepresentable
 
 
-def _pencil_det(lam, q, field):
-    lv = ("l", "m")
-    rows = []
-    for i in range(4):
-        row = []
-        for j in range(4):
-            row.append(HomogPoly.linear(field, lv, [lam.at(i, j), q.at(i, j)]))
-        rows.append(row)
-    return linalg.det(rows)
-
-
-def _roots_with_multiplicity_ge2(g, field):
-    """Roots of multiple factors of a binary quartic, each over the base
-    field or one quadratic extension: (s0, t0, work_field)."""
-    out = []
-    s_mult, t_mult, factors = squarefree_parts(g)
-    if s_mult >= 2:
-        out.append((field.zero(), field.one(), field))
-    if t_mult >= 2:
-        out.append((field.one(), field.zero(), field))
-    for mult, fac in factors:
-        if mult < 2:
-            continue
-        if len(fac) == 2:
-            out.append((-fac[0] / fac[1], field.one(), field))
-        elif len(fac) == 3:
-            c0, c1, c2 = fac
-            adjoined = field.adjoin_sqrt(c1 * c1 - c0 * c2 * 4)
-            if adjoined is not None:
-                work, r = adjoined
-                c1, c2 = work.element(c1), work.element(c2)
-                for sign in (r, -r):
-                    out.append(((-c1 + sign) / (c2 * 2), work.one(), work))
-        # a factor of degree >= 3 with multiplicity >= 2 cannot fit in a
-        # quartic unless it is a perfect power already caught above
-    return out
-
-
 def reducible_member(lam, q, field):
     """The reduced rank <= 2 member of the pencil, or a double-plane flag, or
-    None; only multiple roots of the degree-four determinant can carry one.
+    None.  Only multiple roots of the degree-four determinant can carry one;
+    `quadrics.pencil_multiple_members` gives their members in root order,
+    and the first double plane or plane pair that needs a second extension
+    is returned at once, else the first plane pair.
     """
     lform = lam.quadratic_form(field, X4)
     qform = q.quadratic_form(field, X4)
     if proportional(lform, qform):
         raise MilneError("pencil is degenerate")
-    g = _pencil_det(lam, q, field)
+    g, members = pencil_multiple_members(lam, q, field)
     if not g:
         raise MilneError("pencil determinant vanishes identically")
     found = None
-    for s0, t0, work in _roots_with_multiplicity_ge2(g, field):
-        mw = SymMatrix(4, {k: work.element(lam.upper[k]) * s0 + work.element(q.upper[k]) * t0
-                           for k in lam.upper})
+    for _, work, mw in members:
         r = mw.rank()
         if r > 2:
             continue
@@ -183,9 +146,8 @@ def reducible_member(lam, q, field):
             return ReducibleMember("double", pair.h1, pair.h1, work)
         if pair is None:
             return ReducibleMember("pair", None, None, work, planes_unrepresentable=True)
-        member = ReducibleMember("pair", pair.h1, pair.h2, pair.h1.field)
-        if found is None or (found.planes_unrepresentable and not member.planes_unrepresentable):
-            found = member
+        if found is None:
+            found = ReducibleMember("pair", pair.h1, pair.h2, pair.h1.field)
     return found
 
 
@@ -260,20 +222,10 @@ def _even_on_line_pair(pair, cubic):
         if not restricted:
             return False
         odd_at_cross = 0
-        s_mult, t_mult, factors = squarefree_parts(restricted)
-        checks = []
-        if s_mult % 2:
-            checks.append((work.zero(), work.one(), s_mult))
-        if t_mult % 2:
-            checks.append((work.one(), work.zero(), t_mult))
-        for mult, fac in factors:
+        for mult, fac in squarefree_factors(restricted):
             if mult % 2 == 0:
                 continue
-            if len(fac) != 2:
-                return False
-            checks.append((-fac[0] / fac[1], work.one(), mult))
-        for s0, t0, mult in checks:
-            if cross.evaluate([s0, t0]):
+            if fac.degree != 1 or cross.divide_linear(fac) is None:
                 return False
             odd_at_cross += mult
         crossing_mults.append(odd_at_cross)

@@ -1,14 +1,16 @@
 """Scalar quadratic-form utilities shared by the symmetroid classifier, the
 genus-3 constructions and the tritangent machinery: congruence
-diagonalization and exact factorization of rank <= 2 symmetric forms into
+diagonalization, exact factorization of rank <= 2 symmetric forms into
 linear forms (with at most one quadratic extension for the square root,
-from `Field.adjoin_sqrt`).
+from `Field.adjoin_sqrt`), and the members of a pencil of quadrics at the
+multiple roots of its determinant.
 """
 
 from __future__ import annotations
 
 from . import linalg
-from .poly import HomogPoly
+from .binforms import ST, linear_root, squarefree_factors
+from .poly import HomogPoly, SymMatrix
 
 
 def congruence_diagonalize(mat, field):
@@ -114,3 +116,38 @@ def factor_rank_le2(mat, field, vars):
     yj = HomogPoly.linear(work, vars, pinv[j])
     return PlanePair("pair", (yi + yj * r) * diag[i], yi - yj * r, None, work is not field)
 
+
+def pencil_multiple_members(m1, m2, field):
+    """(d, members) for the pencil s M1 + t M2 of symmetric matrices of size
+    at most 5: d = det(s M1 + t M2), and for each root of d of multiplicity
+    m >= 2, in `squarefree_factors` order, (m, work, member), the member
+    s0 M1 + t0 M2 at the root over `work`.  A root of a quadratic factor
+    lives over `Field.adjoin_sqrt`'s extension by its discriminant, + root
+    first; a factor that would need a second extension is skipped.  No
+    members when d vanishes identically.
+
+    Size at most 5 keeps every multiple factor of degree at most 2.
+    """
+    d = linalg.det([[HomogPoly.linear(field, ST, [m1.at(i, j), m2.at(i, j)])
+                     for j in range(m1.n)] for i in range(m1.n)])
+    if not d:
+        return d, []
+    members = []
+    for m, g in squarefree_factors(d):
+        if m < 2:
+            continue
+        if g.degree == 1:
+            work, roots = field, [linear_root(g)]
+        else:
+            c2, c1, c0 = (g.terms.get(e, field.zero()) for e in ((2, 0), (1, 1), (0, 2)))
+            adjoined = field.adjoin_sqrt(c1 * c1 - c0 * c2 * 4)
+            if adjoined is None:
+                continue
+            work, r = adjoined
+            c1, c2 = work.element(c1), work.element(c2)
+            roots = [((-c1 + sign) / (c2 * 2), work.one()) for sign in (r, -r)]
+        for s0, t0 in roots:
+            members.append((m, work, SymMatrix(m1.n, {
+                k: work.element(m1.upper[k]) * s0 + work.element(m2.upper[k]) * t0
+                for k in m1.upper})))
+    return d, members

@@ -10,11 +10,11 @@ from __future__ import annotations
 from itertools import combinations_with_replacement, islice, product
 
 from . import linalg
-from .binforms import ST, multiplicity_partition, rational_roots, squarefree_parts
+from .binforms import ST, multiplicity_partition, rational_roots
 from .elim import plane_cubic_is_smooth
 from .oracle import compile_raw
 from .poly import HomogPoly, SymMatrix, proportional
-from .quadrics import factor_rank_le2
+from .quadrics import factor_rank_le2, pencil_multiple_members
 
 X4 = ("x0", "x1", "x2", "x3")
 Z3 = ("z0", "z1", "z2")
@@ -386,31 +386,21 @@ def _conic_intersection_partition(k1, k2, field):
     (Hodge-Pedoe, Methods of Algebraic Geometry II).
 
     The singular members s k1 + t k2 are the roots of the binary cubic
-    d = det(s M1 + t M2).  Three simple roots mean four simple points.  A
-    multiple root is rational, and the rank of its member tells a tangency
-    (rank 2) from a pair of tangencies or a contact of order four (rank 1).
-    When every member is singular they all are line pairs through one point,
-    which carries the whole intersection.
+    d = det(s M1 + t M2), read by `quadrics.pencil_multiple_members`.  Three
+    simple roots mean four simple points.  A multiple root is unique, hence
+    rational, and the rank of its member tells a tangency (rank 2) from a
+    pair of tangencies or a contact of order four (rank 1).  When every
+    member is singular they all are line pairs through one point, which
+    carries the whole intersection.
     """
-    m1 = SymMatrix.from_quadratic_form(k1)
-    m2 = SymMatrix.from_quadratic_form(k2)
-    d = linalg.det([[HomogPoly.linear(field, ST, [m1.at(i, j), m2.at(i, j)]) for j in range(3)]
-                    for i in range(3)])
+    d, members = pencil_multiple_members(SymMatrix.from_quadratic_form(k1),
+                                         SymMatrix.from_quadratic_form(k2), field)
     if not d:
         return [4]
-    mult = multiplicity_partition(d)[0]
-    if mult == 1:
+    if not members:
         return [1, 1, 1, 1]
-    s_mult, t_mult, factors = squarefree_parts(d)
-    if s_mult > 1:
-        root = (field.zero(), field.one())
-    elif t_mult > 1:
-        root = (field.one(), field.zero())
-    else:
-        g0, _ = factors[-1][1]  # the multiple factor u + g0, u = s/t
-        root = (-g0, field.one())
-    rank = SymMatrix.from_quadratic_form(k1 * root[0] + k2 * root[1]).rank()
-    return {(2, 2): [2, 1, 1], (2, 1): [2, 2], (3, 2): [3, 1], (3, 1): [4]}[mult, rank]
+    mult, _, member = members[0]
+    return {(2, 2): [2, 1, 1], (2, 1): [2, 2], (3, 2): [3, 1], (3, 1): [4]}[mult, member.rank()]
 
 
 def _plane_factors(cubic, field):

@@ -2,14 +2,18 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from prymcubic.binforms import (ST, binary_gcd, multiplicity_partition,
+from prymcubic.binforms import (ST, binary_gcd, linear_root, multiplicity_partition,
                                 perfect_square_root, rational_roots, resultant,
-                                squarefree_signature)
+                                squarefree_factors, squarefree_signature)
 from prymcubic.fields import Field, QQ, QuadExtField, RationalField
 from prymcubic.poly import HomogPoly, PolyError, proportional
+from test_field_properties import CASES
 
+F3 = Field.prime(3)
 F7 = Field.prime(7)
+F9 = F3.quadratic_extension(2)
 F11 = Field.prime(11)
 
 
@@ -72,7 +76,6 @@ def test_partition():
 
 
 def test_signature_small_characteristic():
-    F3 = Field.prime(3)
     # (s - t)^3 t over F_3: derivative of core vanishes, needs p-th power descent
     f = lin_product(F3, [(1, 1)] * 3, extra_t=1)
     assert squarefree_signature(f) == [(1, 1), (3, 1)]
@@ -207,3 +210,67 @@ def test_rational_roots_examples():
     assert len(rational_roots(bf(K, [1, 0, 1]))) == 2
     with pytest.raises(PolyError):
         rational_roots(bf(F7, [0, 0]))
+
+
+def check_squarefree_factors(f):
+    field = f.field
+    factors = squarefree_factors(f)
+    prod = bf(field, [1])
+    for m, g in factors:
+        assert g.vars == f.vars and g.degree >= 1
+        for _ in range(m):
+            prod = prod * g
+    assert prod.degree == f.degree and proportional(prod, f)
+    for i, (_, g) in enumerate(factors):
+        # squarefree: no root of g kills both partials, in any characteristic
+        assert binary_gcd(binary_gcd(g, g.partial(0)), g.partial(1)).degree == 0
+        for _, h in factors[i + 1:]:
+            assert binary_gcd(g, h).degree == 0
+        if g.degree == 1:
+            assert not g.evaluate(list(linear_root(g)))
+    s, t = bf(field, [1, 0]), bf(field, [0, 1])
+    lead = [g for g in (s, t) if f.divide_linear(g) is not None]
+    assert [g for _, g in factors[:len(lead)]] == lead
+    core = factors[len(lead):]
+    assert [m for m, _ in core] == sorted(m for m, _ in core)
+    for _, g in core:
+        assert g.terms.get((g.degree, 0)) == 1 and (0, g.degree) in g.terms
+
+
+@pytest.mark.parametrize("name", sorted(CASES) + ["F3", "F9"])
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(data=st.data())
+def test_squarefree_factors_properties(name, data):
+    # products of random forms of degree <= 2 to powers <= 4 give repeated,
+    # shared and s/t factors; over F_3 and F_9 the cubes need p-th-power descent
+    if name in CASES:
+        make, raw = CASES[name]
+        field = make()
+    else:
+        field = {"F3": F3, "F9": F9}[name]
+        raw = st.integers(0, 8).map(lambda k: field.element((k % 3, k // 3)) if field is F9
+                                    else field.element(k))
+    f = bf(field, [field.one()])
+    for _ in range(data.draw(st.integers(1, 3))):
+        d = data.draw(st.integers(1, 2))
+        g = bf(field, [field.element(data.draw(raw)) for _ in range(d + 1)])
+        if g:
+            for _ in range(data.draw(st.integers(1, 4))):
+                f = f * g
+    if f.degree:
+        check_squarefree_factors(f)
+
+
+@pytest.mark.parametrize("field", [F3, F9], ids=["F3", "F9"])
+def test_squarefree_factors_descend_pth_powers(field):
+    s, t = bf(field, [1, 0]), bf(field, [0, 1])
+    a = field.element(2) if field is F3 else field.ext_element(1, 1)
+    u = s - t * a  # the root (a : 1)
+    v = s * s + t * t  # irreducible over F_3, split over F_9
+    w = s * s * s - t * t * t * a  # a cube: the derivative of its core vanishes
+    for f in (u * u * u * t, v * v * v * s, w * w * s * s * s * t * t * t * t,
+              u * u * u * u * u * u, s * s * s * v * v * v * v * v * v):
+        check_squarefree_factors(f)
+    assert squarefree_factors(u * u * u * t) == [(1, t), (3, u)]
+    assert linear_root(u) == (a, field.one()) and linear_root(t) == (field.one(), field.zero())
+    assert squarefree_factors(s * s * s * v * v * v) == [(3, s), (3, v)]

@@ -1,9 +1,10 @@
 import random
 
 from prymcubic import linalg
+from prymcubic.binforms import ST
 from prymcubic.fields import Field, QQ
 from prymcubic.poly import HomogPoly, SymMatrix
-from prymcubic.quadrics import congruence_diagonalize, factor_rank_le2
+from prymcubic.quadrics import congruence_diagonalize, factor_rank_le2, pencil_multiple_members
 
 F11 = Field.prime(11)
 F13 = Field.prime(13)
@@ -93,3 +94,35 @@ def test_conic_contains_line():
     assert cof is not None and l1 * cof == l1 * l2
     other = HomogPoly.linear(QQ, W3, [1, 0, 1])
     assert conic.divide_linear(other) is None
+
+
+def block_diag(field, a, b):
+    rows = [[field.zero()] * 4 for _ in range(4)]
+    for k, block in enumerate((a, b)):
+        for i in range(2):
+            for j in range(2):
+                rows[2 * k + i][2 * k + j] = field.element(block[i][j])
+    return SymMatrix.from_rows(rows)
+
+
+def test_pencil_members_at_a_conjugate_double_pair():
+    # det(s A + t B) = 3t^2 - s^2 for A = [[0,1],[1,0]], B = diag(1, 3), so
+    # the block pencil has d = (3t^2 - s^2)^2; 3 is a nonsquare mod 7 and the
+    # discriminant 12 = 5 of s^2 - 3t^2 gives the roots s/t = +-sqrt(5)/2
+    F7 = Field.prime(7)
+    a, b = [[0, 1], [1, 0]], [[1, 0], [0, 3]]
+    m1, m2 = block_diag(F7, a, a), block_diag(F7, b, b)
+    d, members = pencil_multiple_members(m1, m2, F7)
+    g = HomogPoly(F7, ST, 2, {(0, 2): 3, (2, 0): -1})
+    assert d == g * g
+    K = F7.quadratic_extension(5)
+    r = K.sqrt_d()
+    assert [(m, work) for m, work, _ in members] == [(2, K), (2, K)]
+    for (_, _, member), s0 in zip(members, (r / 2, -r / 2)):
+        assert member == SymMatrix(4, {k: K.element(m1.upper[k]) * s0 + K.element(m2.upper[k])
+                                       for k in m1.upper})
+        assert member.rank() == 2
+    # pencils with a common kernel have d = 0 and no members
+    c = block_diag(F7, a, [[0, 0], [0, 0]])
+    d, members = pencil_multiple_members(c, c.scale(F7.element(2)), F7)
+    assert not d and members == []

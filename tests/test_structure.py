@@ -258,3 +258,26 @@ def test_no_coordinate_frame_table():
                   if isinstance(node, ast.ImportFrom) and node.module == "itertools"
                   or isinstance(node, ast.Import) and "itertools" in [a.name for a in node.names]]
     assert offenders == []
+
+
+def test_pencil_roots_are_read_in_one_place():
+    # binforms alone reads a form's s/t multiplicities and its core in
+    # u = s/t; quadrics.pencil_multiple_members alone turns the multiple
+    # roots of det(s M1 + t M2) into members of the pencil
+    import prymcubic.binforms as binforms
+    import prymcubic.milne as milne
+
+    private = {"squarefree_decomposition", "_strip_st", "s_mult", "t_mult"}
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "binforms.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = {getattr(node, "id", None), getattr(node, "attr", None),
+                     getattr(node, "arg", None), getattr(node, "name", None)}
+            offenders += ["%s:%d %s" % (path.name, getattr(node, "lineno", 0), name)
+                          for name in sorted(names & private)]
+    assert offenders == []
+    assert not hasattr(binforms, "squarefree_parts")
+    assert not hasattr(milne, "_pencil_det")
+    assert not hasattr(milne, "_roots_with_multiplicity_ge2")
