@@ -2,39 +2,46 @@
 
 A binary form is a `HomogPoly` in two variables, (s, t) unless a caller
 names others; every function here takes and returns one.  Internally a form
-is read as its dense coefficient list, entry i the coefficient of
-s^(d-i) t^i, and its core after stripping powers of s and t as a univariate
-polynomial in u = s/t; that reading stays inside this module.  On top of
-it: gcd, squarefree factorization into binary forms (`squarefree_factors`,
-complete in small characteristic via p-th-power descent), the root of a
-linear factor, root-multiplicity signatures, perfect-square detection with
-at most one quadratic extension (`Field.adjoin_sqrt`), Sylvester
-resultants, and the rational roots of a form over a finite field by
-Cantor-Zassenhaus root finding.
+is read as its dense list of raw field values (the `.val` of each
+coefficient; entry i belongs to s^(d-i) t^i), and its core after stripping
+powers of s and t as a univariate polynomial in u = s/t.  The dense helpers
+compute on those raw values with the field's raw operations, and that
+reading stays inside this module: values are wrapped in `FieldElement`s
+only where a form or a root is returned.  On top of it: gcd, squarefree
+factorization into binary forms (`squarefree_factors`, complete in small
+characteristic via p-th-power descent), the root of a linear factor,
+root-multiplicity signatures, perfect-square detection with at most one
+quadratic extension (`Field.adjoin_sqrt`), Sylvester resultants, the
+determinant of a pencil of symmetric matrices, and the rational roots of a
+form over a finite field by Cantor-Zassenhaus root finding.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from . import linalg
+from .fields import FieldElement
 from .poly import HomogPoly, PolyError
 
 ST = ("s", "t")
 
 
 def _coeffs(f):
-    """Dense coefficient list of a binary form: entry i is the coefficient of
-    s^(d-i) t^i."""
+    """Dense raw coefficient list of a binary form: entry i is the raw
+    coefficient of s^(d-i) t^i."""
     if len(f.vars) != 2:
         raise PolyError("not a binary form")
-    cs = [f.field.zero()] * (f.degree + 1)
+    cs = [f.field._zero_raw] * (f.degree + 1)
     for (_, j), c in f.terms.items():
-        cs[j] = c
+        cs[j] = c.val
     return cs
 
 
 def _strip_st(f):
     """(s_mult, t_mult, core): the powers of s and t dividing a nonzero form
-    and the dense coefficients of the rest, whose extreme entries are nonzero."""
+    and the dense raw coefficients of the rest, whose extreme entries are
+    nonzero."""
     cs = _coeffs(f)
     if not f.terms:
         raise PolyError("zero form")
@@ -43,6 +50,16 @@ def _strip_st(f):
     lo = min(j for _, j in f.terms)
     hi = max(j for _, j in f.terms)
     return f.degree - hi, lo, cs[lo:hi + 1]
+
+
+def _to_form(field, vs, g, s_mult, t_mult):
+    """The binary form s^s_mult t^t_mult G(s, t) in the variables vs, for
+    the raw ascending coefficients g of G(u, 1) in u = s/t: the one place
+    this module wraps raw values into a form."""
+    is_zero = field._is_zero_raw
+    d = len(g) - 1 + s_mult + t_mult
+    return HomogPoly(field, vs, d, {(s_mult + i, d - s_mult - i): FieldElement(field, c)
+                                    for i, c in enumerate(g) if not is_zero(c)}, _clean=True)
 
 
 def squarefree_factors(form):
@@ -56,11 +73,8 @@ def squarefree_factors(form):
     s_mult, t_mult, core = _strip_st(form)
     out = [(m, HomogPoly.linear(field, vs, e))
            for m, e in ((s_mult, (1, 0)), (t_mult, (0, 1))) if m]
-    # u^i in u = s/t is s^i t^(deg - i)
-    for m, g in squarefree_decomposition(list(reversed(core)), field):
-        d = _deg(g)
-        out.append((m, HomogPoly(field, vs, d, {(i, d - i): c for i, c in enumerate(g) if c},
-                                 _clean=True)))
+    out += [(m, _to_form(field, vs, g, 0, 0))
+            for m, g in squarefree_decomposition(list(reversed(core)), field)]
     return out
 
 
@@ -72,7 +86,7 @@ def linear_root(g):
 
 
 # ---------------------------------------------------------------------------
-# dense univariate helpers; ascending coefficient lists over a Field
+# dense univariate helpers; ascending lists of raw values of a Field
 # ---------------------------------------------------------------------------
 
 def _deg(f):
@@ -80,43 +94,49 @@ def _deg(f):
 
 
 def _trim(f, field):
-    while len(f) > 1 and not f[-1]:
-        f = f[:-1]
-    return f if f else [field.zero()]
+    is_zero = field._is_zero_raw
+    n = len(f)
+    while n > 1 and is_zero(f[n - 1]):
+        n -= 1
+    if not f:
+        return [field._zero_raw]
+    return f if n == len(f) else f[:n]
 
 
-def _is_zero_poly(f):
-    return not any(f)
+def _is_zero_poly(f, field):
+    return all(map(field._is_zero_raw, f))
 
 
 def _monic(f, field):
-    if _is_zero_poly(f):
+    if _is_zero_poly(f, field):
         return f
-    inv = f[-1].inverse()
-    return [c * inv for c in f]
+    inv, mul = field._inv(f[-1]), field._mul
+    return [mul(c, inv) for c in f]
 
 
 def _divmod_poly(a, b, field):
+    mul, sub, is_zero = field._mul, field._sub, field._is_zero_raw
     a = list(a)
-    q = [field.zero()] * max(len(a) - len(b) + 1, 1)
-    binv = b[-1].inverse()
-    while len(a) >= len(b) and not _is_zero_poly(a):
-        if not a[-1]:
-            a.pop()
+    q = [field._zero_raw] * max(len(a) - len(b) + 1, 1)
+    binv = field._inv(b[-1])
+    top = len(b) - 1
+    while len(a) > top:
+        c = a.pop()
+        if is_zero(c):
             continue
-        k = len(a) - len(b)
-        c = a[-1] * binv
+        k = len(a) - top
+        c = mul(c, binv)
         q[k] = c
-        for i, bc in enumerate(b):
-            a[k + i] = a[k + i] - c * bc
-        a.pop()
+        # a's top entry, already popped, cancels against c * b[top]
+        for i in range(top):
+            a[k + i] = sub(a[k + i], mul(c, b[i]))
     return _trim(q, field), _trim(a, field)
 
 
 def _gcd_poly(a, b, field):
     a = _trim(list(a), field)
     b = _trim(list(b), field)
-    while not _is_zero_poly(b):
+    while not _is_zero_poly(b, field):
         _, r = _divmod_poly(a, b, field)
         a, b = b, r
     return _monic(_trim(a, field), field)
@@ -124,19 +144,28 @@ def _gcd_poly(a, b, field):
 
 def _derivative(f, field):
     if len(f) == 1:
-        return [field.zero()]
-    return _trim([f[i] * i for i in range(1, len(f))], field)
+        return [field._zero_raw]
+    mul, from_int = field._mul, field._from_int
+    return _trim([mul(f[i], from_int(i)) for i in range(1, len(f))], field)
 
 
 def _pth_root_poly(f, field, p):
     """Inverse Frobenius on a polynomial that is a p-th power."""
     # c^(q/p) inverts Frobenius: the identity on F_p, c^p on F_{p^2}
     frob_inv = field.order() // p
-    out = [f[i] ** frob_inv for i in range(0, len(f), p)]
     for i, c in enumerate(f):
-        if i % p != 0 and c:
+        if i % p != 0 and not field._is_zero_raw(c):
             raise PolyError("not a p-th power")
-    return out
+    return [field._pow_raw(f[i], frob_inv) for i in range(0, len(f), p)]
+
+
+def _mul_poly(a, b, field):
+    mul, add = field._mul, field._add
+    prod = [field._zero_raw] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b, i):
+            prod[j] = add(prod[j], mul(x, y))
+    return prod
 
 
 def _powmod_poly(f, e, m, field):
@@ -160,6 +189,7 @@ def _linear_split(h, field):
     of g, and for two distinct roots r1, r2 some shift makes exactly one of
     r1 + a, r2 + a a nonzero square, so the walk ends."""
     half = (field.order() - 1) // 2
+    one, sub = field._one_raw, field._sub
     done, pending = [], [h]
     for a in field.elements():
         if not pending:
@@ -169,8 +199,8 @@ def _linear_split(h, field):
             if _deg(g) == 1:
                 done.append(g)
                 continue
-            w = _powmod_poly([a, field.one()], half, g, field)
-            d = _gcd_poly(g, _trim([w[0] - 1] + w[1:], field), field)
+            w = _powmod_poly([a.val, one], half, g, field)
+            d = _gcd_poly(g, _trim([sub(w[0], one)] + w[1:], field), field)
             if 0 < _deg(d) < _deg(g):
                 nxt += [d, _divmod_poly(g, d, field)[0]]
             else:
@@ -191,29 +221,29 @@ def rational_roots(f):
     products mod g; the shift walk needs few shifts in practice, though no
     bound below q is proven for a fixed shift order."""
     field = f.field
-    q = field.order()
+    zero, one = field._zero_raw, field._one_raw
     s_mult, t_mult, core = _strip_st(f)
     g = list(reversed(core))
     found = []
     if s_mult:
-        found.append(field.zero())
+        found.append(zero)
     if _deg(g) > 0:
-        frob = _powmod_poly([field.zero(), field.one()], q, g, field)
-        frob = frob + [field.zero()] * (2 - len(frob))
-        frob[1] = frob[1] - 1
+        frob = _powmod_poly([zero, one], field.order(), g, field)
+        frob = frob + [zero] * (2 - len(frob))
+        frob[1] = field._sub(frob[1], one)
         h = _gcd_poly(g, _trim(frob, field), field)
         if _deg(h) > 0:
-            found += [-lin[0] for lin in _linear_split(h, field)]
-    one = field.one()
-    roots = [(u, one) for u in sorted(found, key=lambda e: e.val)]
+            found += [field._neg(lin[0]) for lin in _linear_split(h, field)]
+    roots = [(FieldElement(field, u), field.one()) for u in sorted(found)]
     if t_mult:
-        roots.append((one, field.zero()))
+        roots.append((field.one(), field.zero()))
     return roots
 
 
 def squarefree_decomposition(f, field):
-    """[(m, g)] by ascending m with f = lc * prod g^m, for an ascending
-    coefficient list f; the g monic, squarefree and pairwise coprime.
+    """[(m, g)] by ascending m with f = lc * prod g^m, for an ascending list
+    f of raw coefficients; the g raw lists, monic, squarefree and pairwise
+    coprime.
 
     Complete in characteristic p via descent on p-th powers; in
     characteristic zero this is Yun's algorithm.
@@ -225,7 +255,7 @@ def squarefree_decomposition(f, field):
     df = _derivative(f, field)
     out = {}
     rest = f  # the p-th power left for descent once Yun's loop is done
-    if not _is_zero_poly(df):
+    if not _is_zero_poly(df, field):
         c = _gcd_poly(f, df, field)
         w, _ = _divmod_poly(f, c, field)
         i = 1
@@ -242,15 +272,35 @@ def squarefree_decomposition(f, field):
         for m, g in squarefree_decomposition(_pth_root_poly(rest, field, p), field):
             key = m * p
             out[key] = _mul_poly(out[key], g, field) if key in out else g
-    return sorted((m, g) for m, g in out.items())
+    return sorted(out.items())
 
 
-def _mul_poly(a, b, field):
-    prod = [field.zero()] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            prod[i + j] = prod[i + j] + x * y
-    return prod
+def pencil_determinant(m1, m2, field):
+    """det(s M1 + t M2) for symmetric matrices M1, M2 of one size n with
+    entries in field, as a binary form in (s, t) of degree n.
+
+    Laplace expansion along the rows from the bottom up on dense raw
+    coefficient lists: the minor on the last k rows and a set of k columns
+    is computed once, from the minors on the last k - 1 rows, so n = 4
+    takes 28 products of binary forms."""
+    n = m1.n
+    add, sub = field._add, field._sub
+    rows = [[[field.element(m1.at(i, j)).val, field.element(m2.at(i, j)).val]
+             for j in range(n)] for i in range(n)]
+    # minors[cols]: the minor on the last len(cols) rows and the columns cols
+    minors = {(j,): rows[n - 1][j] for j in range(n)}
+    for i in range(n - 2, -1, -1):
+        below = minors
+        minors = {}
+        for cols in combinations(range(n), n - i):
+            acc = [field._zero_raw] * (n - i + 1)
+            for k, j in enumerate(cols):
+                term = _mul_poly(rows[i][j], below[cols[:k] + cols[k + 1:]], field)
+                op = sub if k % 2 else add
+                acc = [op(x, y) for x, y in zip(acc, term)]
+            minors[cols] = acc
+    # entry j of the list is the coefficient of s^(n-j) t^j
+    return _to_form(field, ST, minors[tuple(range(n))][::-1], 0, 0)
 
 
 def squarefree_signature(form):
@@ -311,7 +361,7 @@ def resultant(f, g):
     including a common root at (1:0) detected via leading coefficients.
     """
     field = f.field
-    fc, gc = _coeffs(f), _coeffs(g)
+    fc, gc = ([FieldElement(h.field, c) for c in _coeffs(h)] for h in (f, g))
     m, n = f.degree, g.degree
     if m == 0:
         return fc[0] ** n
@@ -338,8 +388,5 @@ def binary_gcd(f, g):
     s_common, t_common = min(sf, sg), min(tf, tg)
     pf = _trim(list(reversed(cf)), field)
     pg = _trim(list(reversed(cg)), field)
-    core = _gcd_poly(pf, pg, field)
-    d = _deg(core) + s_common + t_common
     # core root structure sits between the forced s and t powers
-    return HomogPoly(field, f.vars, d, {(s_common + i, d - s_common - i): c
-                                        for i, c in enumerate(core) if c}, _clean=True)
+    return _to_form(field, f.vars, _gcd_poly(pf, pg, field), s_common, t_common)

@@ -7,7 +7,7 @@ points, and the unique-cubic reconstruction.
 from __future__ import annotations
 
 from . import linalg
-from .binforms import ST, binary_gcd, perfect_square_root, resultant, squarefree_factors
+from .binforms import binary_gcd, perfect_square_root, resultant, squarefree_factors
 from .poly import HomogPoly, SymMatrix, proportional
 from .prym import conic_rational_point, parametrize_conic
 from .quadrics import factor_rank_le2, pencil_multiple_members
@@ -41,10 +41,6 @@ class Line2:
     def from_dual(field, dual):
         return Line2(field, *linalg.line_basis(dual, field))
 
-    def parametrization(self):
-        return tuple(HomogPoly.linear(self.field, ST, [self.p0[i], self.p1[i]])
-                     for i in range(len(self.p0)))
-
 
 class EnvelopingCone:
     __slots__ = ("matrix", "form", "rank")
@@ -70,29 +66,22 @@ def _misses_base_locus(restricted):
 def line_is_generic(a, line):
     """The line avoids the base locus of the cubic map: the four restricted
     cubics have no common projective root."""
-    param = line.parametrization()
-    return _misses_base_locus([c.substitute(param) for c in a.adjugate_cubics()])
+    return _misses_base_locus([c.restrict_to_line(line.p0, line.p1) for c in a.adjugate_cubics()])
 
 
 def enveloping_cone(a, line):
     """Quadric enveloped by the image conic of a plane line: the binary
     discriminant of the line's pencil of conic values."""
     field = a.field
-    quadrics = a.gauss_quadrics()
-    p0 = list(line.p0)
-    p1 = list(line.p1)
-    psum = [x + y for x, y in zip(p0, p1)]
-    acoef = [qf.evaluate(p0) for qf in quadrics]
-    ccoef = [qf.evaluate(p1) for qf in quadrics]
-    bcoef = [qf.evaluate(psum) - av - cv
-             for qf, av, cv in zip(quadrics, acoef, ccoef)]
+    # each Gauss quadric along the line is a s^2 + b s t + c t^2
+    restricted = [qf.restrict_to_line(line.p0, line.p1) for qf in a.gauss_quadrics()]
+    acoef, bcoef, ccoef = ([r.terms.get(e, field.zero()) for r in restricted]
+                           for e in ((2, 0), (1, 1), (0, 2)))
     # the image of the line degenerates when the three coefficient vectors
     # span less than a plane of the dual space
     if linalg.rank([acoef, bcoef, ccoef]) <= 2:
         raise MilneError("line maps two-to-one onto a line of the dual space")
-    cubics = a.adjugate_cubics()
-    param = line.parametrization()
-    if not any(c.substitute(param) for c in cubics):
+    if not any(c.restrict_to_line(line.p0, line.p1) for c in a.adjugate_cubics()):
         raise MilneError("line lies in the base locus of the cubic map")
     af = HomogPoly.linear(field, X4, acoef)
     bf = HomogPoly.linear(field, X4, bcoef)
@@ -131,7 +120,8 @@ def reducible_member(lam, q, field):
     """
     lform = lam.quadratic_form(field, X4)
     qform = q.quadratic_form(field, X4)
-    if proportional(lform, qform):
+    # a zero member would reach factor_rank_le2 as a 'zero' plane pair
+    if not lform or not qform or proportional(lform, qform):
         raise MilneError("pencil is degenerate")
     g, members = pencil_multiple_members(lam, q, field)
     if not g:
@@ -215,10 +205,10 @@ def _even_on_line_pair(pair, cubic):
     cw = cubic.change_field(work)
     crossing_mults = []
     for lf in (pair.h1, pair.h2):
-        param = Line2.from_dual(work, lf.linear_coeffs()).parametrization()
+        line = Line2.from_dual(work, lf.linear_coeffs())
         other = pair.h2 if lf is pair.h1 else pair.h1
-        cross = other.substitute(param)  # vanishes at the crossing parameter
-        restricted = cw.substitute(param)
+        cross = other.restrict_to_line(line.p0, line.p1)  # vanishes at the crossing parameter
+        restricted = cw.restrict_to_line(line.p0, line.p1)
         if not restricted:
             return False
         odd_at_cross = 0
@@ -246,8 +236,7 @@ def twisted_cubic(a, line, strict=False):
 
     Lines through base points of the map give a lower-degree image; the
     result is flagged, or rejected when strict."""
-    param = line.parametrization()
-    comps = tuple(c.substitute(param) for c in a.adjugate_cubics())
+    comps = tuple(c.restrict_to_line(line.p0, line.p1) for c in a.adjugate_cubics())
     if not any(comps):
         raise MilneError("line lies in the base locus of the cubic map")
     det = a.determinant_cubic()

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import add as _plus
 
 from . import linalg
 from .fields import FieldElement, RationalField
@@ -92,15 +93,9 @@ class HomogPoly:
             if not other.terms:
                 return HomogPoly(self.field, self.vars, self.degree, dict(self.terms), _clean=True)
             raise PolyError("degree mismatch %d vs %d" % (self.degree, other.degree))
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e)
-            s = c if s is None else s + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return HomogPoly(self.field, self.vars, self.degree, out, _clean=True)
+        field = self.field
+        out = _mul_into(field, _raw(self), _raw(other), {(0,) * len(self.vars): field._one_raw})
+        return _wrap(field, self.vars, self.degree, out)
 
     def __sub__(self, other):
         return self + (-other)
@@ -110,25 +105,16 @@ class HomogPoly:
                          {e: -c for e, c in self.terms.items()}, _clean=True)
 
     def __mul__(self, other):
+        field = self.field
         if isinstance(other, (FieldElement, int, Fraction)):
-            c = self.field.element(other)
+            c = field.element(other)
             if not c:
-                return HomogPoly.zero(self.field, self.vars, self.degree)
-            return HomogPoly(self.field, self.vars, self.degree,
-                             {e: k * c for e, k in self.terms.items()}, _clean=True)
+                return HomogPoly.zero(field, self.vars, self.degree)
+            scalar = {(0,) * len(self.vars): c.val}
+            return _wrap(field, self.vars, self.degree, _mul_into(field, {}, _raw(self), scalar))
         self._check_compatible(other)
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
-                s = out.get(e)
-                s = c if s is None else s + c
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return HomogPoly(self.field, self.vars, self.degree + other.degree, out, _clean=True)
+        return _wrap(field, self.vars, self.degree + other.degree,
+                     _mul_into(field, {}, _raw(self), _raw(other)))
 
     __rmul__ = __mul__
 
@@ -196,15 +182,10 @@ class HomogPoly:
     def evaluate(self, point):
         if len(point) != len(self.vars):
             raise PolyError("point has wrong length")
-        point = [self.field.element(x) for x in point]
-        total = self.field.zero()
-        for e, c in self.terms.items():
-            v = c
-            for x, k in zip(point, e):
-                if k:
-                    v = v * (x if k == 1 else x ** k)
-            total = total + v
-        return total
+        field = self.field
+        # a point is a substitution of constants: forms in no variables
+        raw = _compose(field, self.terms, [{(): field.element(x).val} for x in point], ())
+        return FieldElement(field, raw.get((), field._zero_raw))
 
     def partial(self, i):
         out = {}
@@ -233,17 +214,9 @@ class HomogPoly:
                 raise PolyError("images must share a common degree")
             if g.field != self.field or g.vars != images[0].vars:
                 raise PolyError("images live in different rings")
-        acc = HomogPoly.zero(self.field, images[0].vars, self.degree * e0)
-        powers = [[g] for g in images]  # powers[i][k - 1] is images[i] ** k
-        for e, c in self.terms.items():
-            prod = None
-            for pw, k in zip(powers, e):
-                if k:
-                    while len(pw) < k:
-                        pw.append(pw[-1] * pw[0])
-                    prod = pw[k - 1] if prod is None else prod * pw[k - 1]
-            acc = acc + (c if prod is None else prod * c)
-        return acc
+        vs = images[0].vars
+        raw = _compose(self.field, self.terms, [_raw(g) for g in images], (0,) * len(vs))
+        return _wrap(self.field, vs, self.degree * e0, raw)
 
     def change_field(self, new_field):
         """Map coefficients into new_field (reduction mod p or extension
@@ -277,9 +250,90 @@ class HomogPoly:
         return self * self.terms[lead].inverse()
 
     def restrict_to_line(self, p0, p1):
-        """Compose with the parametrization s*p0 + t*p1 of a line."""
-        return self.substitute([HomogPoly.linear(self.field, ("s", "t"), [a, b])
-                                for a, b in zip(p0, p1)])
+        """Compose with the parametrization s*p0 + t*p1 of a line: the binary
+        form in (s, t) that `substitute` gives for the images a_i s + b_i t.
+
+        Dense and raw: the k-th power of each image is a list of raw
+        coefficients, entry j at s^(k-j) t^j, and each monomial's product of
+        powers, scaled by its coefficient, is convolved into one accumulator
+        whose entries are wrapped once."""
+        n = len(self.vars)
+        if len(p0) != n or len(p1) != n:
+            raise PolyError("need one image per variable")
+        field = self.field
+        powers = [[[field._one_raw], [field.element(a).val, field.element(b).val]]
+                  for a, b in zip(p0, p1)]
+        d = self.degree
+        acc = [field._zero_raw] * (d + 1)
+        for e, c in self.terms.items():
+            prod, last = None, [c.val]
+            for pw, k in zip(powers, e):
+                if k:
+                    while len(pw) <= k:
+                        pw.append(_convolve_into(field, None, pw[-1], pw[1]))
+                    prod = last if prod is None else _convolve_into(field, None, prod, last)
+                    last = pw[k]
+            _convolve_into(field, acc, [field._one_raw] if prod is None else prod, last)
+        return _wrap(field, ("s", "t"), d, {(d - j, j): v for j, v in enumerate(acc)})
+
+
+def _raw(f):
+    """A form's terms as raw values: exponent tuple -> raw field value."""
+    return {e: c.val for e, c in f.terms.items()}
+
+
+def _wrap(field, vars, degree, raw):
+    """The form with raw terms `raw`, each nonzero value wrapped once."""
+    is_zero = field._is_zero_raw
+    return HomogPoly(field, vars, degree,
+                     {e: FieldElement(field, v) for e, v in raw.items() if not is_zero(v)},
+                     _clean=True)
+
+
+def _mul_into(field, out, a, b):
+    """out += a * b for raw term dicts; a sum that cancels stays in out as a
+    raw zero until `_wrap` drops it.  Every ring operation and composition
+    of forms runs through this loop."""
+    mul, add = field._mul, field._add
+    for e2, c2 in b.items():
+        # a constant term of b shifts no exponent, and a coefficient one
+        # scales nothing: a sum or a scalar multiple costs no product
+        shift, scale = any(e2), c2 != field._one_raw
+        for e1, c1 in a.items():
+            e = tuple(map(_plus, e1, e2)) if shift else e1
+            c = mul(c1, c2) if scale else c1
+            s = out.get(e)
+            out[e] = c if s is None else add(s, c)
+    return out
+
+
+def _compose(field, terms, images, unit):
+    """Raw terms of sum c_e * prod images[i]^e_i for the terms of a form and
+    raw term dicts of its images, `unit` the exponent of a constant image."""
+    acc = {}
+    powers = [[g] for g in images]  # powers[i][k - 1] is images[i] ** k
+    for e, c in terms.items():
+        prod, last = None, {unit: c.val}
+        for pw, k in zip(powers, e):
+            if k:
+                while len(pw) < k:
+                    pw.append(_mul_into(field, {}, pw[-1], pw[0]))
+                prod = last if prod is None else _mul_into(field, {}, prod, last)
+                last = pw[k - 1]
+        _mul_into(field, acc, {unit: field._one_raw} if prod is None else prod, last)
+    return acc
+
+
+def _convolve_into(field, out, a, b):
+    """out += a * b for dense raw coefficient lists (a new list when out is
+    None)."""
+    mul, add = field._mul, field._add
+    if out is None:
+        out = [field._zero_raw] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b, i):
+            out[j] = add(out[j], mul(x, y))
+    return out
 
 
 def proportional(f, g):

@@ -9,7 +9,7 @@ multiple roots of its determinant.
 from __future__ import annotations
 
 from . import linalg
-from .binforms import ST, linear_root, squarefree_factors
+from .binforms import linear_root, pencil_determinant, squarefree_factors
 from .poly import HomogPoly, SymMatrix
 
 
@@ -126,10 +126,11 @@ def pencil_multiple_members(m1, m2, field):
     first; a factor that would need a second extension is skipped.  No
     members when d vanishes identically.
 
-    Size at most 5 keeps every multiple factor of degree at most 2.
+    d comes from `binforms.pencil_determinant`, a Laplace expansion on raw
+    dense coefficient lists that computes each minor of the bottom rows
+    once.  Size at most 5 keeps every multiple factor of degree at most 2.
     """
-    d = linalg.det([[HomogPoly.linear(field, ST, [m1.at(i, j), m2.at(i, j)])
-                     for j in range(m1.n)] for i in range(m1.n)])
+    d = pencil_determinant(m1, m2, field)
     if not d:
         return d, []
     members = []

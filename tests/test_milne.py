@@ -7,7 +7,7 @@ from prymcubic.milne import (Line2, MilneError, contact_points_match,
                              cubic_through_curve_and_twisted, enveloping_cone,
                              reducible_member, tritangent_verify, twisted_cubic)
 from prymcubic.oracle import enumerate_bitangents, projective_points_raw
-from prymcubic.poly import HomogPoly, proportional
+from prymcubic.poly import HomogPoly, SymMatrix, proportional
 from prymcubic.prym import forward_general
 
 F11 = Field.prime(11)
@@ -43,6 +43,16 @@ def test_reducible_member_degenerate_pencil():
     cone = enveloping_cone(a, line)
     with pytest.raises(MilneError):
         reducible_member(cone.matrix, cone.matrix.scale(QQ.element(3)), QQ)
+
+
+def test_reducible_member_zero_pencil_end_is_degenerate():
+    # a zero quadric spans no pencil with the other: its member at the root
+    # of d = c s^4 would be the zero matrix, which has no planes
+    zero = SymMatrix.from_rows([[F11.zero()] * 4 for _ in range(4)])
+    ident = SymMatrix.from_rows(linalg.identity(4, F11))
+    for lam, q in ((zero, ident), (ident, zero), (zero, zero)):
+        with pytest.raises(MilneError, match="pencil is degenerate"):
+            reducible_member(lam, q, F11)
 
 
 def _milne_scan(fixture_name, p):

@@ -11,9 +11,15 @@ from prymcubic.poly import HomogPoly, PolyError, SymMatrix, det_and_adjugate, pr
 from test_field_properties import CASES
 from test_scene_properties import VARS, _form, _scalar
 
+F3 = Field.prime(3)
+F9 = F3.quadratic_extension(2)
 F11 = Field.prime(11)
 X4 = ("x0", "x1", "x2", "x3")
 Z3 = ("z0", "z1", "z2")
+
+# CASES and characteristic 3, where p-th powers appear at low degree
+CASES_F3_F9 = dict(CASES, F3=(lambda: F3, st.integers(0, 2)),
+                   F9=(lambda: F9, st.tuples(st.integers(0, 2), st.integers(0, 2))))
 
 
 def lin(field, coeffs, vars=X4):
@@ -319,3 +325,23 @@ def test_substitute_commutes_with_evaluation(name, data):
     images = [_form(data, field, raw, mv, image_degree) for _ in range(nv)]
     pt = [_scalar(data, field, raw) for _ in range(mv)]
     assert f.substitute(images).evaluate(pt) == f.evaluate([g.evaluate(pt) for g in images])
+
+
+@pytest.mark.parametrize("name", sorted(CASES_F3_F9))
+@PROPERTY
+@given(data=st.data())
+def test_restrict_to_line_is_substitution_of_the_line(name, data):
+    # the dense kernel agrees with composing the linear forms a_i s + b_i t,
+    # for constant forms, points with zero coordinates and p0 = p1 alike
+    make, raw = CASES_F3_F9[name]
+    field = make()
+    nv = data.draw(st.integers(2, 4))
+    f = _form(data, field, raw, nv, data.draw(st.integers(0, 4)))
+    p0 = [_scalar(data, field, raw) for _ in range(nv)]
+    p1 = list(p0) if data.draw(st.integers(0, 4)) == 0 else [
+        _scalar(data, field, raw) for _ in range(nv)]
+    rest = f.restrict_to_line(p0, p1)
+    assert rest == f.substitute([HomogPoly.linear(field, VARS[2], [a, b]) for a, b in zip(p0, p1)])
+    assert rest.vars == VARS[2] and rest.degree == f.degree
+    s0, t0 = _scalar(data, field, raw), _scalar(data, field, raw)
+    assert rest.evaluate([s0, t0]) == f.evaluate([s0 * a + t0 * b for a, b in zip(p0, p1)])

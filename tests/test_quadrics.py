@@ -1,10 +1,16 @@
 import random
 
+import pytest
+from hypothesis import given, strategies as st
+
 from prymcubic import linalg
-from prymcubic.binforms import ST
+from prymcubic.binforms import ST, pencil_determinant
 from prymcubic.fields import Field, QQ
 from prymcubic.poly import HomogPoly, SymMatrix
 from prymcubic.quadrics import congruence_diagonalize, factor_rank_le2, pencil_multiple_members
+
+from test_poly import CASES_F3_F9, PROPERTY
+from test_scene_properties import _scalar
 
 F11 = Field.prime(11)
 F13 = Field.prime(13)
@@ -126,3 +132,29 @@ def test_pencil_members_at_a_conjugate_double_pair():
     c = block_diag(F7, a, [[0, 0], [0, 0]])
     d, members = pencil_multiple_members(c, c.scale(F7.element(2)), F7)
     assert not d and members == []
+
+
+@pytest.mark.parametrize("name", sorted(CASES_F3_F9))
+@PROPERTY
+@given(data=st.data())
+def test_pencil_determinant_is_the_determinant_of_the_pencil(name, data):
+    # shared bottom-row minors give det(s M1 + t M2) as the cofactor
+    # expansion of the matrix of linear forms does, for n = 1..5 and for
+    # zero and rank-deficient matrices (sums of 0 to n rank-one terms)
+    make, raw = CASES_F3_F9[name]
+    field = make()
+    n = data.draw(st.integers(1, 5))
+
+    def sym():
+        rows = [[field.zero()] * n for _ in range(n)]
+        for _ in range(data.draw(st.integers(0, n))):
+            v = [_scalar(data, field, raw) for _ in range(n)]
+            c = _scalar(data, field, raw)
+            rows = [[rows[i][j] + c * v[i] * v[j] for j in range(n)] for i in range(n)]
+        return SymMatrix.from_rows(rows)
+
+    m1, m2 = sym(), sym()
+    pencil = [[HomogPoly.linear(field, ST, [m1.at(i, j), m2.at(i, j)]) for j in range(n)]
+              for i in range(n)]
+    d = pencil_determinant(m1, m2, field)
+    assert d == linalg.det(pencil) and d.vars == ST and d.degree == n

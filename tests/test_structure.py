@@ -281,3 +281,36 @@ def test_pencil_roots_are_read_in_one_place():
     assert not hasattr(binforms, "squarefree_parts")
     assert not hasattr(milne, "_pencil_det")
     assert not hasattr(milne, "_roots_with_multiplicity_ge2")
+
+
+def test_binary_forms_run_on_raw_values():
+    # a line is restricted by HomogPoly.restrict_to_line, not by composing
+    # with a parametrization, and binforms' dense helpers run on raw field
+    # values: only _to_form wraps them into a form
+    from prymcubic.milne import Line2
+
+    assert not hasattr(Line2, "parametrization")
+    milne = ast.parse((SRC / "milne.py").read_text(encoding="utf-8"))
+    offenders = []
+    for node in ast.walk(milne):
+        if isinstance(node, ast.Attribute) and node.attr == "parametrization":
+            offenders.append("milne.py:%d %s" % (node.lineno, ast.unparse(node)))
+        # the images s*p0 + t*p1 that substitute would take
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "linear"
+                and {"p0", "p1"} & {getattr(n, "attr", getattr(n, "id", None))
+                                    for arg in node.args for n in ast.walk(arg)}):
+            offenders.append("milne.py:%d %s" % (node.lineno, ast.unparse(node)))
+    binforms = ast.parse((SRC / "binforms.py").read_text(encoding="utf-8"))
+    helpers = [fn for fn in binforms.body if isinstance(fn, ast.FunctionDef)
+               and (fn.name.startswith("_") or fn.name == "squarefree_decomposition")
+               and fn.name != "_to_form"]
+    assert len(helpers) >= 12
+    for fn in helpers:
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call) and (
+                    ast.unparse(node.func) == "FieldElement"
+                    or isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("zero", "one", "inverse")):
+                offenders.append("binforms.py:%d %s in %s" % (node.lineno, ast.unparse(node), fn.name))
+    assert offenders == []
