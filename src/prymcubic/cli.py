@@ -400,7 +400,7 @@ def build_parser():
                    help="reduce a rational scene modulo this prime first")
     s.set_defaults(fn=cmd_milne)
 
-    s = sub.add_parser("count", help="point counts and Frobenius traces")
+    s = sub.add_parser("count", help="point count, Frobenius trace and rational-point smoothness")
     s.add_argument("scene")
     s.add_argument("--curve", required=True,
                    help="quartic object name, or 'A,Q' for the space curve")

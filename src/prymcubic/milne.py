@@ -118,10 +118,12 @@ def reducible_member(lam, q, field):
     and the first double plane or plane pair that needs a second extension
     is returned at once, else the first plane pair.
     """
-    lform = lam.quadratic_form(field, X4)
-    qform = q.quadratic_form(field, X4)
-    # a zero member would reach factor_rank_le2 as a 'zero' plane pair
-    if not lform or not qform or proportional(lform, qform):
+    # in odd characteristic the forms are zero or proportional exactly when
+    # the matrices are; a zero member would reach factor_rank_le2 as a
+    # 'zero' plane pair
+    keys = sorted(lam.upper)
+    lvec, qvec = [lam.upper[k] for k in keys], [q.upper[k] for k in keys]
+    if not any(lvec) or not any(qvec) or proportional(lvec, qvec):
         raise MilneError("pencil is degenerate")
     g, members = pencil_multiple_members(lam, q, field)
     if not g:

@@ -10,13 +10,17 @@ raw values; it alone decides that F_p is evaluated on plain integers.
 
 On top of them: Jacobian smoothness certificates, point counts with
 Frobenius traces, double-cover counts through the three minors, and
-exhaustive bitangent enumeration.  The scheme walk behind the first three is
-fibred from the last coordinate point: it enumerates the base P^(n-2),
-solves a polynomial of degree at most two in the last coordinate on each
-fibre, and walks a fibre value by value only when no restriction has degree
-at most two (a line of the scheme through the vertex, a cubic surface
-alone, a plane quartic).  For a space curve Q ∩ Γ that is p^2 fibres in
-place of p^3 points, in the same order.
+exhaustive bitangent enumeration.  The first three are readers of one census
+per equation set: `_census` keeps the points of the last scheme walked, and
+walks again only for other equation objects or another field, so the
+certificate, the count and the cover count of one curve cost one walk.
+
+The scheme walk is fibred from the last coordinate point: it enumerates the
+base P^(n-2), solves a polynomial of degree at most two in the last
+coordinate on each fibre, and walks a fibre value by value only when no
+restriction has degree at most two (a line of the scheme through the vertex,
+a cubic surface alone, a plane quartic).  For a space curve Q ∩ Γ that is
+p^2 fibres in place of p^3 points, in the same order.
 """
 
 from __future__ import annotations
@@ -184,6 +188,28 @@ def _scheme_points(equations, field, budget):
         yield (zero,) * (nv - 1) + (field._one_raw,)
 
 
+# the last census: its equations (as passed), its field and its points
+_last_census = ((), None, ())
+
+
+def _census(equations, field, budget):
+    """The raw points `_scheme_points(equations, field, budget)` yields, as a
+    tuple.  The budget is charged on every call, but the scheme is walked
+    only when the equation objects (compared with `is`, in order) or the
+    field differ from those of the last census, and only that one census is
+    kept: the scans that ask several questions of one equation set share one
+    walk.  No form changes its terms after construction, so identity is a
+    sound key; equal forms built afresh are walked again."""
+    global _last_census
+    _check_budget(field.order(), len(equations[0].vars) - 1, budget)
+    eqs, last_field, points = _last_census
+    if (last_field is not field or len(eqs) != len(equations)
+            or any(a is not b for a, b in zip(eqs, equations))):
+        points = tuple(_scheme_points(equations, field, budget))
+        _last_census = (tuple(equations), field, points)
+    return points
+
+
 class Certificate:
     __slots__ = ("passed", "witness", "q", "points_on_scheme")
 
@@ -200,19 +226,20 @@ class Certificate:
 
 def smoothness_certificate(equations, field, budget=DEFAULT_BUDGET):
     """Jacobian-criterion check at every rational point of the scheme cut out
-    by one or two equations; the witness is the first singular point found."""
+    by one or two equations; the witness is the first singular point in
+    census order, and `points_on_scheme` its 1-based index (all the points
+    when the scheme is smooth)."""
     if not equations or len(equations) > 2:
         raise OracleError("complete-intersection shape: one or two equations")
     expected = len(equations)
     q = field.order()
     grads = [[compile_raw(g) for g in f.gradient()] for f in equations]
-    count = 0
-    for pt in _scheme_points(equations, field, budget):
-        count += 1
+    points = _census(equations, field, budget)
+    for count, pt in enumerate(points, 1):
         jac = [[FieldElement(field, ge(pt)) for ge in row] for row in grads]
         if linalg.rank(jac) != expected:
             return Certificate(False, _elements(field, pt), q, count)
-    return Certificate(True, None, q, count)
+    return Certificate(True, None, q, len(points))
 
 
 class CountReport:
@@ -234,9 +261,7 @@ class CountReport:
 
 def count_curve(equations, field, genus, label="curve", budget=DEFAULT_BUDGET):
     """Point count of the locus cut by the given equations."""
-    q = field.order()
-    n = sum(1 for _ in _scheme_points(equations, field, budget))
-    return CountReport(q, label, n, genus)
+    return CountReport(field.order(), label, len(_census(equations, field, budget)), genus)
 
 
 def count_double_cover(curve_equations, minors, field, label="cover", budget=DEFAULT_BUDGET):
@@ -252,7 +277,7 @@ def count_double_cover(curve_equations, minors, field, label="cover", budget=DEF
     half = (q - 1) // 2
     zero, one = field._zero_raw, field._one_raw
     total = 0
-    for pt in _scheme_points(curve_equations, field, budget):
+    for pt in _census(curve_equations, field, budget):
         nz = [v for v in (me(pt) for me in mevs) if v != zero]
         if not nz:
             raise OracleError("curve meets the rank-one locus at %r"

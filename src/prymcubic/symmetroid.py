@@ -92,6 +92,7 @@ class Symmetrization:
             if not isinstance(e, HomogPoly) or e.degree != 1 or len(e.vars) != 4:
                 raise SymmetroidError("entries must be linear forms in four variables")
         self._qvec = None
+        self._gauss = None
         self._det = None
         self._adj = None
 
@@ -135,7 +136,10 @@ class Symmetrization:
     def gauss_quadrics(self):
         """The four quadratic forms in z read off the tensor; substituting
         them into a dual linear form recovers that form's conic."""
-        return tuple(m.quadratic_form(self.field, self.zvars) for m in self.quadric_vector())
+        if self._gauss is None:
+            self._gauss = tuple(m.quadratic_form(self.field, self.zvars)
+                                for m in self.quadric_vector())
+        return self._gauss
 
     def determinant_cubic(self):
         if self._det is None:
@@ -149,12 +153,9 @@ class Symmetrization:
 
     def coefficient_matrix(self):
         """6x4 matrix: columns are the four quadrics in conic coordinates."""
-        qv = self.quadric_vector()
-        cols = []
-        for m in qv:
-            form = m.quadratic_form(self.field, self.zvars)
-            cols.append([form.terms.get(mon, self.field.zero()) for mon in CONIC_MONOMIALS])
-        return linalg.transpose(cols)
+        zero = self.field.zero()
+        return linalg.transpose([[form.terms.get(mon, zero) for mon in CONIC_MONOMIALS]
+                                 for form in self.gauss_quadrics()])
 
     def contraction_kernel(self):
         """Kernel of the web map on the dual 4-space; empty iff non-degenerate."""

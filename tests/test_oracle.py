@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -131,6 +131,71 @@ def test_trace_identity_all_smooth_fixtures_p11():
         else:
             nx = count_curve([forward_general(a, q).quartic], F, 3).count
         assert ncover == nc + nx - 12
+
+
+def test_one_census_per_equation_set(monkeypatch):
+    walks = []
+    walk = oracle._scheme_points
+
+    def counted_walk(equations, field, budget):
+        walks.append(len(equations))
+        return walk(equations, field, budget)
+
+    monkeypatch.setattr(oracle, "_scheme_points", counted_walk)
+
+    def space_curve(fx, field):
+        a = fx.symmetrization(field)
+        return a, [fx.quadric_form(field), a.determinant_cubic()]
+
+    for name in ("t1", "t2"):
+        fx = FIXTURES[name]
+        a, eqs = space_curve(fx, F11)
+        minors = list(a.double_cover_minors()[:3])
+        quartic = forward_general(a, fx.quadric(F11)).quartic
+        walks.clear()
+        # certificate, count and cover of C read one walk; X gets its own
+        cert = smoothness_certificate(eqs, F11)
+        nc = count_curve(eqs, F11, 4).count
+        ncover = count_double_cover(eqs, minors, F11).count
+        assert smoothness_certificate([quartic], F11).passed
+        nx = count_curve([quartic], F11, 3).count
+        assert walks == [2, 1]
+        assert cert.passed and cert.points_on_scheme == nc
+        assert ncover == nc + nx - 12
+        # equal forms built afresh walk again, and so do the same forms over
+        # another field object
+        _, fresh = space_curve(fx, F11)
+        assert count_curve(fresh, F11, 4).count == nc
+        assert count_curve(fresh, Field.prime(11), 4).count == nc
+        assert walks == [2, 1, 2, 2]
+        # the budget is charged on every call, a census hit included
+        with pytest.raises(BudgetExceeded):
+            count_curve(fresh, F11, 4, budget=100)
+        assert walks == [2, 1, 2, 2]
+
+    # the seed curve passes through the four nodes, where every minor
+    # vanishes: in every call order the three scans give the reports and the
+    # refusal of three separate walks, from one walk
+    def cert(eqs, minors):
+        return repr(smoothness_certificate(eqs, F11))
+
+    def count(eqs, minors):
+        return repr(count_curve(eqs, F11, 4))
+
+    def cover(eqs, minors):
+        with pytest.raises(OracleError) as err:
+            count_double_cover(eqs, minors, F11)
+        return str(err.value)
+
+    expected = {cert: "Certificate(q=11, singular at (1, 0, 0, 0), 1 points)",
+                count: "CountReport(curve: q=11 N=32 g=4 a=-20)",
+                cover: "curve meets the rank-one locus at (1, 0, 0, 0)"}
+    for order in permutations(expected):
+        a, eqs = space_curve(FIXTURES["seed"], F11)
+        minors = list(a.double_cover_minors()[:3])
+        walks.clear()
+        assert {scan: scan(eqs, minors) for scan in order} == expected
+        assert walks == [2]
 
 
 def test_octic_counting_infinity_handling():

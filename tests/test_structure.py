@@ -118,6 +118,14 @@ def test_one_scan_kernel_for_every_finite_field():
     for name, fn in scans.items():
         assert sum(isinstance(n, ast.For) for n in ast.walk(fn)) <= 1, name
         assert "PrimeField" not in ast.unparse(fn), name
+    # the three scans read one census, and only the census walks the scheme
+    def callers(callee):
+        # the top-level function around each call (None outside any function)
+        return [top.name if isinstance(top, ast.FunctionDef) else None
+                for top in tree.body for n in ast.walk(top)
+                if isinstance(n, ast.Call) and ast.unparse(n.func) == callee]
+    assert callers("_scheme_points") == ["_census"]
+    assert set(scans) <= set(callers("_census"))
 
 
 def test_scheme_walk_is_fibred_over_a_hyperplane():
