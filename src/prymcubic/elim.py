@@ -31,13 +31,7 @@ def resultant_last_var(f, g):
             parts[h.degree - e[2]][e[:2]] = c
         return [HomogPoly(field, bin_vars, k, t, _clean=True) for k, t in enumerate(parts)]
 
-    m, n = f.degree, g.degree
-    size = m + n
-    rows = []
-    for cs, shifts in ((coeffs(f), n), (coeffs(g), m)):
-        for i in range(shifts):
-            rows.append([zero] * i + cs + [zero] * (size - i - len(cs)))
-    return linalg.det(rows)
+    return linalg.det(linalg.sylvester(coeffs(f), coeffs(g), zero))
 
 
 def resultant3_quadrics(quadrics):

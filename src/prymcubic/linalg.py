@@ -1,12 +1,16 @@
-"""Exact dense linear algebra over a Field.
+"""Exact dense linear algebra on plain lists of rows.
 
-Everything here works on plain lists of FieldElement rows.  Determinants and
-adjugates are generic in the entry type: any object with ring operators will
-do, which lets the same code run on scalar matrices and on matrices of
-homogeneous forms.
+Row reduction, kernels and inverses take FieldElement entries.  Determinants
+come from one kernel, `maximal_minors`, a division-free Laplace expansion
+generic in the entry type: any object with *, + and - will do, so the same
+code runs on scalar matrices and on matrices of homogeneous forms.  `det`
+and `adjugate` read it, and `sylvester` builds the one Sylvester matrix,
+whose determinant is a resultant.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
 
 
 def mat_copy(rows):
@@ -70,73 +74,53 @@ def line_basis(dual, field):
     return p0, p1
 
 
+def maximal_minors(rows):
+    """The maximal minors of an r x m matrix with r <= m: {cols: minor} for
+    every ascending r-tuple cols of column indices.
+
+    Laplace expansion from the bottom row up: the minor on the last k rows
+    and a k-tuple of columns is computed once, from the minors on the last
+    k - 1 rows, so an n x n determinant costs n * 2^(n-1) products of
+    entries.  Division-free: any entries with *, + and - will do."""
+    minors = {(j,): x for j, x in enumerate(rows[-1])}
+    for k in range(2, len(rows) + 1):
+        row, below = rows[-k], minors
+        minors = {}
+        for cols in combinations(range(len(row)), k):
+            acc = row[cols[0]] * below[cols[1:]]
+            for t in range(1, k):
+                term = row[cols[t]] * below[cols[:t] + cols[t + 1:]]
+                acc = acc - term if t % 2 else acc + term
+            minors[cols] = acc
+    return minors
+
+
 def det(rows):
-    """Determinant: cofactor expansion up to 4x4 (entry-ring generic, so it
-    also covers matrices of forms), Gaussian elimination with exact division
-    for larger scalar matrices.
-    """
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    if n == 3:
-        a, b, c = rows[0]
-        d, e, f = rows[1]
-        g, h, i = rows[2]
-        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    if n == 4 or not hasattr(rows[0][0], "inverse"):
-        total = None
-        for j in range(n):
-            entry = rows[0][j]
-            minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-            term = entry * det(minor)
-            if j % 2 == 1:
-                term = -term
-            total = term if total is None else total + term
-        return total
-    return _det_gauss(rows)
-
-
-def _det_gauss(rows):
-    m = mat_copy(rows)
-    n = len(m)
-    sign = 1
-    acc = None
-    for c in range(n):
-        pr = None
-        for i in range(c, n):
-            if m[i][c]:
-                pr = i
-                break
-        if pr is None:
-            zero = m[0][0] - m[0][0]
-            return zero
-        if pr != c:
-            m[c], m[pr] = m[pr], m[c]
-            sign = -sign
-        piv = m[c][c]
-        acc = piv if acc is None else acc * piv
-        inv = piv.inverse()
-        for i in range(c + 1, n):
-            if m[i][c]:
-                f = m[i][c] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return acc if sign == 1 else -acc
+    """Determinant of a square matrix, of scalars or of forms: its one
+    maximal minor."""
+    return maximal_minors(rows)[tuple(range(len(rows)))]
 
 
 def adjugate(rows):
-    """Adjugate matrix: adj(M) . M = det(M) . I, entries generic."""
+    """Adjugate matrix: adj(M) . M = det(M) . I, entries generic; one
+    `maximal_minors` call per deleted row."""
     n = len(rows)
     adj = [[None] * n for _ in range(n)]
     for i in range(n):
+        minors = maximal_minors(rows[:i] + rows[i + 1:])
         for j in range(n):
-            minor = [r[:j] + r[j + 1:] for k, r in enumerate(rows) if k != i]
-            cof = det(minor) if minor else None
-            if (i + j) % 2 == 1:
-                cof = -cof
-            adj[j][i] = cof
+            cof = minors[tuple(k for k in range(n) if k != j)]
+            adj[j][i] = -cof if (i + j) % 2 else cof
     return adj
+
+
+def sylvester(fc, gc, zero):
+    """Sylvester matrix of two polynomials given by their coefficient lists,
+    highest power first: deg g shifted rows of fc above deg f shifted rows
+    of gc, padded with zero.  Its determinant is their resultant."""
+    m, n = len(fc) - 1, len(gc) - 1
+    return ([[zero] * i + fc + [zero] * (n - 1 - i) for i in range(n)]
+            + [[zero] * i + gc + [zero] * (m - 1 - i) for i in range(m)])
 
 
 def mat_mul(a, b):

@@ -347,15 +347,15 @@ def proportional(f, g):
         if e0 not in g.terms:
             return False
         return f * g.terms[e0] == g * f.terms[e0]
-    # vectors of polynomials or scalars
+    # vectors of polynomials or scalars, cross-multiplied against the first
+    # index k where f is nonzero
     fs, gs = list(f), list(g)
     if len(fs) != len(gs):
         return False
-    for a, b in zip(fs, gs):
-        for c, d in zip(fs, gs):
-            if a * d != b * c:
-                return False
-    return True
+    k = next((i for i, a in enumerate(fs) if a), None)
+    if k is None:
+        return not any(gs)
+    return bool(gs[k]) and all(a * gs[k] == b * fs[k] for a, b in zip(fs, gs))
 
 
 class SymMatrix:

@@ -180,15 +180,9 @@ class Symmetrization:
         """Signed maximal minors of B(z): the cubic map from the plane into
         the symmetroid, annihilated by B(z) as an exact identity."""
         if self._adj is None:
-            b = self.line_contraction()
-            cubics = []
-            for j in range(4):
-                minor = [[b[i][k] for k in range(4) if k != j] for i in range(3)]
-                d = linalg.det(minor)
-                if j % 2 == 1:
-                    d = -d
-                cubics.append(d)
-            self._adj = tuple(cubics)
+            minors = linalg.maximal_minors(self.line_contraction())
+            cubics = [minors[tuple(k for k in range(4) if k != j)] for j in range(4)]
+            self._adj = tuple(-c if j % 2 else c for j, c in enumerate(cubics))
         if not any(self._adj):
             raise SymmetroidError("adjugation map vanishes identically")
         return self._adj

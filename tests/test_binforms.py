@@ -138,6 +138,19 @@ def test_resultant_detects_common_roots():
     assert not resultant(a, b)
 
 
+def test_resultant_of_constant_forms():
+    # the Sylvester matrix of a constant c and a form of degree n is c times
+    # the n x n identity
+    c, g = bf(F11, [3]), lin_product(F11, [(2, 1), (5, 1), (1, 0)])
+    assert resultant(c, g) == F11.element(3) ** 3
+    assert resultant(g, c) == F11.element(3) ** 3
+    assert resultant(c, bf(F11, [7])) == F11.one()
+    assert resultant(bf(F11, [0]), bf(F11, [0])) == F11.one()
+    assert resultant(bf(F11, [0]), g) == F11.zero()
+    assert resultant(g, bf(F11, [0])) == F11.zero()
+    assert resultant(bf(QQ, [2]), lin_product(QQ, [(1, 1)], extra_t=1)) == QQ.element(4)
+
+
 def test_binary_gcd():
     f = lin_product(QQ, [(2, 1), (3, 1), (3, 1)], extra_s=1)
     g = lin_product(QQ, [(3, 1), (5, 1)], extra_s=2)

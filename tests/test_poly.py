@@ -192,6 +192,39 @@ def test_proportional():
     assert not proportional(f, h)
     assert proportional(HomogPoly.zero(QQ, Z3, 2), HomogPoly.zero(QQ, Z3, 2))
     assert not proportional(f, HomogPoly.zero(QQ, Z3, 2))
+    # vectors: cross-multiplied against the first nonzero entry of f
+    v = [F11.element(c) for c in (0, 2, 5, 0)]
+    w = [F11.element(c) for c in (0, 6, 4, 0)]  # 3 * v over F_11
+    zero = [F11.zero()] * 4
+    assert proportional(v, w) and proportional(w, v)
+    assert not proportional(v, [F11.element(c) for c in (1, 6, 4, 0)])
+    assert not proportional(v, [F11.element(c) for c in (0, 0, 4, 0)])
+    assert not proportional(v, w[:3])
+    assert proportional(zero, zero)
+    assert not proportional(zero, v) and not proportional(v, zero)
+    assert proportional([f, f * 2], [f * 3, f * 6]) and not proportional([f, f], [f, h])
+
+
+@pytest.mark.parametrize("name", sorted(CASES_F3_F9))
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(data=st.data())
+def test_proportional_vectors_match_all_pairs(name, data):
+    # on nonzero vectors the answer is the all-pairs rank-one test
+    make, raw = CASES_F3_F9[name]
+    field = make()
+    n = data.draw(st.integers(1, 5))
+    f = [field.element(data.draw(raw)) for _ in range(n)]
+    scale = field.element(data.draw(raw))
+    g = data.draw(st.sampled_from([
+        [field.element(data.draw(raw)) for _ in range(n)],
+        [c * scale for c in f],
+        [c * scale if i else field.element(data.draw(raw)) for i, c in enumerate(f)],
+    ]))
+    all_pairs = all(a * d == b * c for a, b in zip(f, g) for c, d in zip(f, g))
+    if any(f) and any(g):
+        assert proportional(f, g) == all_pairs
+    else:
+        assert proportional(f, g) == (not any(f) and not any(g))
 
 
 def test_quadratic_form_matrix_roundtrip():

@@ -322,3 +322,26 @@ def test_binary_forms_run_on_raw_values():
                     and node.func.attr in ("zero", "one", "inverse")):
                 offenders.append("binforms.py:%d %s in %s" % (node.lineno, ast.unparse(node), fn.name))
     assert offenders == []
+
+
+def test_one_determinant_algorithm():
+    # every determinant, adjugate and maximal minor is the one shared-minor
+    # Laplace expansion of linalg.maximal_minors, and both resultants read
+    # the one Sylvester matrix of linalg.sylvester
+    def functions(module):
+        tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
+        return {n.name: n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+
+    def calls(fn):
+        return {ast.unparse(n.func) for n in ast.walk(fn) if isinstance(n, ast.Call)}
+
+    source = (SRC / "linalg.py").read_text(encoding="utf-8")
+    assert "_det_gauss" not in source and "hasattr(" not in source
+    linalg = functions("linalg.py")
+    assert "maximal_minors" in calls(linalg["det"])
+    assert "maximal_minors" in calls(linalg["adjugate"])
+    adjugate_cubics = functions("symmetroid.py")["adjugate_cubics"]
+    assert "linalg.maximal_minors" in calls(adjugate_cubics)
+    assert "linalg.det" not in calls(adjugate_cubics)
+    assert "linalg.sylvester" in calls(functions("binforms.py")["resultant"])
+    assert "linalg.sylvester" in calls(functions("elim.py")["resultant_last_var"])
