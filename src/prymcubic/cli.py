@@ -68,6 +68,8 @@ def _parse_monic_quartic(text):
         else:
             coef = Fraction(chunk)
             power = 0
+        if power not in coeffs:
+            raise CliInputError("exponent %d outside 0..4 in a monic quartic" % power)
         coeffs[power] += sign * coef
     if coeffs[4] != 1:
         raise CliInputError("quartic must be monic of degree four, got leading %s" % coeffs[4])
@@ -268,8 +270,7 @@ def _verify_scene(scene, rng):
     failures = []
     notes = {}
     syms = {n: o for n, o in scene.objects.items() if isinstance(o, Symmetrization)}
-    quads = {n: o for n, o in scene.objects.items()
-             if isinstance(o, SymMatrix) and o.n == 4}
+    quads = {n: o for n, o in scene.objects.items() if isinstance(o, SymMatrix)}
     for name, obj in scene.objects.items():
         if isinstance(obj, tuple):
             conics, quartic = obj

@@ -41,16 +41,10 @@ def field_from_json(obj):
         p = obj.get("p")
         if p == 2:
             raise SceneError("characteristic two unsupported")
-        try:
-            return Field.prime(p)
-        except FieldError as e:
-            raise SceneError(str(e))
+        return Field.prime(p)
     if t == "QuadExt":
         base = field_from_json(obj["base"])
-        try:
-            return base.quadratic_extension(scalar_from_json(obj["d"], base))
-        except FieldError as e:
-            raise SceneError(str(e))
+        return base.quadratic_extension(scalar_from_json(obj["d"], base))
     raise SceneError("unknown field type %r" % (t,))
 
 
@@ -77,79 +71,90 @@ def scalar_from_json(data, field):
     return field.element(int(data))
 
 
-def poly_to_json(f):
-    return {
-        "vars": list(f.vars),
-        "deg": f.degree,
-        "terms": [{"c": scalar_to_json(f.terms[e]), "e": list(e)}
-                  for e in sorted(f.terms, reverse=True)],
-    }
-
-
-def poly_from_json(data, field):
-    try:
-        terms = {tuple(t["e"]): scalar_from_json(t["c"], field) for t in data["terms"]}
-        return HomogPoly(field, tuple(data["vars"]), data["deg"], terms)
-    except (KeyError, TypeError, PolyError) as e:
-        raise SceneError("bad polynomial: %s" % e)
-
-
-def _linear_terms_to_json(f):
+def _terms_to_json(f):
     return [{"c": scalar_to_json(f.terms[e]), "e": list(e)}
             for e in sorted(f.terms, reverse=True)]
 
 
-def symmetrization_to_json(a):
-    rows = []
-    for i in range(3):
-        rows.append([_linear_terms_to_json(a.matrix.at(i, j)) for j in range(3)])
-    return {"kind": "symmetrization", "matrix": rows, "vars": list(a.xvars)}
+def _form_from_terms(field, vars, degree, terms):
+    return HomogPoly(field, vars, degree,
+                     {tuple(t["e"]): scalar_from_json(t["c"], field) for t in terms})
 
 
-def symmetrization_from_json(data, field):
+def _square_rows(data, n):
+    rows = data["matrix"]
+    if [len(row) for row in rows] != [n] * n:
+        raise SceneError("matrix must be %d x %d" % (n, n))
+    return rows
+
+
+def poly_to_json(f):
+    return {"vars": list(f.vars), "deg": f.degree, "terms": _terms_to_json(f)}
+
+
+def poly_from_json(data, field):
+    return _form_from_terms(field, tuple(data["vars"]), data["deg"], data["terms"])
+
+
+def _symmetrization_to_json(a):
+    return {"matrix": [[_terms_to_json(f) for f in row] for row in a.matrix.rows()],
+            "vars": list(a.xvars)}
+
+
+def _symmetrization_from_json(data, field):
     vars = tuple(data.get("vars", X4))
-    rows = []
-    for i in range(3):
-        row = []
-        for j in range(3):
-            terms = {tuple(t["e"]): scalar_from_json(t["c"], field)
-                     for t in data["matrix"][i][j]}
-            row.append(HomogPoly(field, vars, 1, terms))
-        rows.append(row)
-    try:
-        return Symmetrization(field, SymMatrix.from_rows(rows), xvars=vars)
-    except PolyError as e:
-        raise SceneError(str(e))
+    rows = [[_form_from_terms(field, vars, 1, terms) for terms in row]
+            for row in _square_rows(data, 3)]
+    return Symmetrization(field, SymMatrix.from_rows(rows), xvars=vars)
 
 
-def quadric_to_json(q):
-    rows = q.rows()
-    return {"kind": "quadric",
-            "matrix": [[scalar_to_json(rows[i][j]) for j in range(4)] for i in range(4)]}
+def _quadric_to_json(q):
+    return {"matrix": [[scalar_to_json(c) for c in row] for row in q.rows()]}
 
 
-def quadric_from_json(data, field):
-    rows = [[scalar_from_json(c, field) for c in row] for row in data["matrix"]]
-    try:
-        return SymMatrix.from_rows(rows)
-    except PolyError as e:
-        raise SceneError(str(e))
+def _quadric_from_json(data, field):
+    return SymMatrix.from_rows([[scalar_from_json(c, field) for c in row]
+                                for row in _square_rows(data, 4)])
 
 
-def quartic_to_json(f):
-    return {"kind": "quartic", "poly": poly_to_json(f)}
+def _quartic_to_json(f):
+    return {"poly": poly_to_json(f)}
 
 
-def pencil_to_json(conics, quartic):
-    return {"kind": "pencil",
-            "conics": [poly_to_json(c) for c in conics],
-            "quartic": poly_to_json(quartic)}
+def _quartic_from_json(data, field):
+    return poly_from_json(data["poly"], field)
 
 
-def line_to_json(line):
-    return {"kind": "line",
-            "points": [[scalar_to_json(c) for c in line.p0],
-                       [scalar_to_json(c) for c in line.p1]]}
+def _pencil_to_json(pencil):
+    conics, quartic = pencil
+    return {"conics": [poly_to_json(c) for c in conics], "quartic": poly_to_json(quartic)}
+
+
+def _pencil_from_json(data, field):
+    return (tuple(poly_from_json(c, field) for c in data["conics"]),
+            poly_from_json(data["quartic"], field))
+
+
+def _line_to_json(line):
+    return {"points": [[scalar_to_json(c) for c in p] for p in (line.p0, line.p1)]}
+
+
+def _line_from_json(data, field):
+    pts = data["points"]
+    return Line2(field, [scalar_from_json(c, field) for c in pts[0]],
+                 [scalar_from_json(c, field) for c in pts[1]])
+
+
+# kind -> (class, writer, reader), the one list of what a scene holds.  A
+# writer returns an object's JSON without its "kind"; a reader takes that JSON
+# and the scene's field.
+_KINDS = {
+    "symmetrization": (Symmetrization, _symmetrization_to_json, _symmetrization_from_json),
+    "quadric": (SymMatrix, _quadric_to_json, _quadric_from_json),
+    "quartic": (HomogPoly, _quartic_to_json, _quartic_from_json),
+    "line": (Line2, _line_to_json, _line_from_json),
+    "pencil": (tuple, _pencil_to_json, _pencil_from_json),
+}
 
 
 class Scene:
@@ -173,16 +178,9 @@ class Scene:
 
 
 def _kind_of(obj):
-    if isinstance(obj, Symmetrization):
-        return "symmetrization"
-    if isinstance(obj, SymMatrix):
-        return "quadric"
-    if isinstance(obj, HomogPoly):
-        return "quartic"
-    if isinstance(obj, Line2):
-        return "line"
-    if isinstance(obj, tuple):
-        return "pencil"
+    for kind, (cls, _, _) in _KINDS.items():
+        if isinstance(obj, cls):
+            return kind
     raise SceneError("unserializable object %r" % (obj,))
 
 
@@ -190,17 +188,7 @@ def write_scene(scene):
     objs = {}
     for name, obj in scene.objects.items():
         kind = _kind_of(obj)
-        if kind == "symmetrization":
-            objs[name] = symmetrization_to_json(obj)
-        elif kind == "quadric":
-            objs[name] = quadric_to_json(obj)
-        elif kind == "quartic":
-            objs[name] = quartic_to_json(obj)
-        elif kind == "line":
-            objs[name] = line_to_json(obj)
-        else:
-            conics, quartic = obj
-            objs[name] = pencil_to_json(conics, quartic)
+        objs[name] = dict(_KINDS[kind][1](obj), kind=kind)
     doc = {"field": field_to_json(scene.field), "objects": objs,
            "metadata": scene.metadata}
     return json.dumps(doc, sort_keys=True, indent=1)
@@ -211,46 +199,28 @@ def parse_scene(text):
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise SceneError("invalid JSON: %s" % e)
-    field = field_from_json(doc.get("field", {}))
-    scene = Scene(field, metadata=doc.get("metadata", {}))
-    for name, data in doc.get("objects", {}).items():
-        kind = data.get("kind")
-        if kind == "symmetrization":
-            scene.add(name, symmetrization_from_json(data, field))
-        elif kind == "quadric":
-            scene.add(name, quadric_from_json(data, field))
-        elif kind == "quartic":
-            scene.add(name, poly_from_json(data["poly"], field))
-        elif kind == "line":
-            pts = data["points"]
-            scene.add(name, Line2(field, [scalar_from_json(c, field) for c in pts[0]],
-                                  [scalar_from_json(c, field) for c in pts[1]]))
-        elif kind == "pencil":
-            conics = tuple(poly_from_json(c, field) for c in data["conics"])
-            quartic = poly_from_json(data["quartic"], field)
-            scene.add(name, (conics, quartic))
-        else:
-            raise SceneError("unknown object kind %r" % (kind,))
+    try:
+        field = field_from_json(doc.get("field", {}))
+        scene = Scene(field, metadata=doc.get("metadata", {}))
+        for name, data in doc.get("objects", {}).items():
+            entry = _KINDS.get(data.get("kind"))
+            if entry is None:
+                raise SceneError("unknown object kind %r" % (data.get("kind"),))
+            scene.add(name, entry[2](data, field))
+    except (KeyError, IndexError, TypeError, AttributeError, ZeroDivisionError,
+            FieldError, PolyError) as e:
+        raise SceneError("malformed scene: %s: %s" % (type(e).__name__, e))
     return scene
 
 
 def reduce_scene(scene, field):
-    """Map every object of a rational scene into a finite field."""
+    """Map every object of a scene over Q into `field`: each object is
+    written and read back over `field`, which reduces the "num/den" scalars
+    exactly as `FieldElement.change_field` does."""
+    if scene.field != QQ:
+        raise SceneError("only a scene over Q is reduced, not one over %r" % (scene.field,))
     out = Scene(field, metadata=dict(scene.metadata))
     for name, obj in scene.objects.items():
-        kind = _kind_of(obj)
-        if kind == "symmetrization":
-            out.add(name, obj.change_field(field))
-        elif kind == "quadric":
-            out.add(name, obj.map(lambda v: v.change_field(field)))
-        elif kind == "quartic":
-            out.add(name, obj.change_field(field))
-        elif kind == "line":
-            out.add(name, Line2(field, [c.change_field(field) for c in obj.p0],
-                                [c.change_field(field) for c in obj.p1]))
-        else:
-            conics, quartic = obj
-            out.add(name, (tuple(c.change_field(field) for c in conics),
-                           quartic.change_field(field)))
+        _, write, read = _KINDS[_kind_of(obj)]
+        out.add(name, read(write(obj), field))
     return out
-

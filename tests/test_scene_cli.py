@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -71,6 +72,97 @@ def test_reduce_scene():
     assert a.classify() == "T1"
 
 
+def _reduce_by_change_field(scene, field):
+    # the reduction as a map of field elements, object by object
+    from prymcubic.poly import SymMatrix
+    from prymcubic.symmetroid import Symmetrization
+
+    out = Scene(field, metadata=dict(scene.metadata))
+    for name, obj in scene.objects.items():
+        if isinstance(obj, (Symmetrization, HomogPoly)):
+            out.add(name, obj.change_field(field))
+        elif isinstance(obj, SymMatrix):
+            out.add(name, obj.map(lambda v: v.change_field(field)))
+        elif isinstance(obj, Line2):
+            out.add(name, Line2(field, [c.change_field(field) for c in obj.p0],
+                                [c.change_field(field) for c in obj.p1]))
+        else:
+            conics, quartic = obj
+            out.add(name, (tuple(c.change_field(field) for c in conics),
+                           quartic.change_field(field)))
+    return out
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23])
+def test_reduce_scene_equals_change_field(p):
+    # fixtures.json, a pencil, and a quadric with denominators 3, 5 and 7
+    from prymcubic.fields import FieldError
+    from prymcubic.poly import SymMatrix
+    from prymcubic.prym import pencil_conics
+
+    scene = parse_scene(open(DATA).read())
+    fx = FIXTURES["t1"]
+    pen = pencil_conics(fx.symmetrization(QQ), fx.quadric(QQ))
+    scene.add("K", (pen.conics(), pen.quartic))
+    diag = [Fraction(1, 3), Fraction(2, 5), Fraction(-3, 7), 1]
+    scene.add("Q_den", SymMatrix.from_rows([[QQ.element(c if i == j else 0)
+                                             for j, c in enumerate(diag)] for i in range(4)]))
+    F = Field.prime(p)
+    try:
+        expected = write_scene(_reduce_by_change_field(scene, F))
+    except FieldError as e:
+        assert p in (3, 5, 7)
+        with pytest.raises(FieldError) as info:
+            reduce_scene(scene, F)
+        assert str(info.value) == str(e)
+        return
+    assert p not in (3, 5, 7)
+    assert write_scene(reduce_scene(scene, F)) == expected
+
+
+def test_reduce_scene_refuses_a_field_other_than_q():
+    # reading an F_11 residue over F_3 would silently reduce it again
+    nf = os.path.join(os.path.dirname(DATA), "normal_forms.json")
+    with pytest.raises(SceneError, match="only a scene over Q"):
+        reduce_scene(parse_scene(open(nf).read()), Field.prime(3))
+    K = QQ.quadratic_extension(5)
+    scene = Scene(K).add("A_t1", FIXTURES["t1"].symmetrization(K))
+    with pytest.raises(SceneError, match="only a scene over Q"):
+        reduce_scene(scene, Field.prime(11))
+
+
+_FOUR = ["1", "0", "0", "0"]
+MALFORMED = {
+    "quadric without a matrix": {"field": {"type": "Q"}, "objects": {"Q": {"kind": "quadric"}}},
+    "quartic without a poly": {"field": {"type": "Q"}, "objects": {"X": {"kind": "quartic"}}},
+    "empty symmetrization": {"field": {"type": "Q"},
+                             "objects": {"A": {"kind": "symmetrization", "matrix": [[[]]]}}},
+    "line with one point": {"field": {"type": "Q"},
+                            "objects": {"L": {"kind": "line", "points": [["1", "0", "0"]]}}},
+    "top-level list": [],
+    "1 x 1 quadric": {"field": {"type": "Q"},
+                      "objects": {"Q": {"kind": "quadric", "matrix": [["1"]]}}},
+    "ragged quadric": {"field": {"type": "Q"},
+                       "objects": {"Q": {"kind": "quadric", "matrix": [_FOUR] * 3 + [["1"]]}}},
+    "zero denominator": {"field": {"type": "Q"},
+                         "objects": {"Q": {"kind": "quadric", "matrix": [["1/0"] + _FOUR[1:]]
+                                           + [_FOUR] * 3}}},
+    "objects as a list": {"field": {"type": "Q"}, "objects": []},
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_cli_malformed_scene_is_an_input_error(name, tmp_path, capsys):
+    text = json.dumps(MALFORMED[name])
+    with pytest.raises(SceneError):
+        parse_scene(text)
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out, err = run_cli(["verify", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "error" in json.loads(err)
+
+
 def run_cli(args, capsys):
     code = main(args)
     out = capsys.readouterr()
@@ -135,6 +227,13 @@ def test_cli_hankel_and_pipeline(tmp_path, capsys):
     assert a.matrix.at(2, 2) == HomogPoly.linear(QQ, ("x0", "x1", "x2", "x3"), [1, 0, 0, 0])
     code, out, err = run_cli(["hankel", "--poly", "t^3-1"], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("poly", ["t^5 + 1", "t^4 + t^7"])
+def test_cli_hankel_rejects_exponents_above_four(poly, capsys):
+    code, out, err = run_cli(["hankel", "--poly", poly], capsys)
+    assert (code, out) == (2, "")
+    assert "outside 0..4" in json.loads(err)["error"]
 
 
 def test_cli_forward_reverse_roundtrip(tmp_path, capsys):

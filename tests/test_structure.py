@@ -345,3 +345,37 @@ def test_one_determinant_algorithm():
     assert "linalg.det" not in calls(adjugate_cubics)
     assert "linalg.sylvester" in calls(functions("binforms.py")["resultant"])
     assert "linalg.sylvester" in calls(functions("elim.py")["resultant_last_var"])
+
+
+def test_scene_kinds_in_one_table():
+    # the five object kinds of a scene are listed once, as the keys of
+    # scene._KINDS; the functions that dispatch on a kind read that table
+    # and compare no kind string and test no class outside its loop.  A
+    # writer or reader of the table may name a JSON member like a kind (the
+    # pencil's "quartic")
+    kinds = {"symmetrization", "quadric", "quartic", "line", "pencil"}
+    tree = ast.parse((SRC / "scene.py").read_text(encoding="utf-8"))
+    table = next((n.value for n in tree.body if isinstance(n, ast.Assign)
+                  and [ast.unparse(t) for t in n.targets] == ["_KINDS"]), None)
+    assert table is not None and {k.value for k in table.keys} == kinds
+    functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    members = set(table.keys)
+    for entry in table.values:
+        for codec in entry.elts[1:]:
+            for node in ast.walk(functions[codec.id]):
+                members |= set(getattr(node, "keys", [])) | {getattr(node, "slice", None)}
+    offenders = ["scene.py:%d %r" % (n.lineno, n.value) for n in ast.walk(tree)
+                 if isinstance(n, ast.Constant) and n.value in kinds and n not in members]
+    for name in ("_kind_of", "write_scene", "parse_scene", "reduce_scene"):
+        fn = functions[name]
+        in_table_loop = {n for loop in ast.walk(fn) if isinstance(loop, ast.For)
+                         and "_KINDS" in ast.unparse(loop.iter) for n in ast.walk(loop)}
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Compare) and any(
+                    isinstance(c, ast.Constant) and isinstance(c.value, str)
+                    for c in [node.left] + node.comparators):
+                offenders.append("%s:%d %s" % (name, node.lineno, ast.unparse(node)))
+            if (isinstance(node, ast.Call) and ast.unparse(node.func) == "isinstance"
+                    and node not in in_table_loop):
+                offenders.append("%s:%d %s" % (name, node.lineno, ast.unparse(node)))
+    assert offenders == []
