@@ -159,26 +159,17 @@ def _pth_root_poly(f, field, p):
     return [field._pow_raw(f[i], frob_inv) for i in range(0, len(f), p)]
 
 
-def _mul_poly(a, b, field):
-    mul, add = field._mul, field._add
-    prod = [field._zero_raw] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b, i):
-            prod[j] = add(prod[j], mul(x, y))
-    return prod
-
-
 def _powmod_poly(f, e, m, field):
     """f^e mod m by square-and-multiply, e >= 1, for m of degree >= 1."""
     _, f = _divmod_poly(f, m, field)
     r = None
     while True:
         if e & 1:
-            r = f if r is None else _divmod_poly(_mul_poly(r, f, field), m, field)[1]
+            r = f if r is None else _divmod_poly(field._convolve_raw(None, r, f), m, field)[1]
         e >>= 1
         if not e:
             return r
-        f = _divmod_poly(_mul_poly(f, f, field), m, field)[1]
+        f = _divmod_poly(field._convolve_raw(None, f, f), m, field)[1]
 
 
 def _linear_split(h, field):
@@ -271,7 +262,7 @@ def squarefree_decomposition(f, field):
     if _deg(rest) > 0:
         for m, g in squarefree_decomposition(_pth_root_poly(rest, field, p), field):
             key = m * p
-            out[key] = _mul_poly(out[key], g, field) if key in out else g
+            out[key] = field._convolve_raw(None, out[key], g) if key in out else g
     return sorted(out.items())
 
 
@@ -298,7 +289,7 @@ def pencil_determinant(m1, m2, field):
         for cols in combinations(range(n), n - i):
             acc = [field._zero_raw] * (n - i + 1)
             for k, j in enumerate(cols):
-                term = _mul_poly(rows[i][j], below[cols[:k] + cols[k + 1:]], field)
+                term = field._convolve_raw(None, rows[i][j], below[cols[:k] + cols[k + 1:]])
                 op = sub if k % 2 else add
                 acc = [op(x, y) for x, y in zip(acc, term)]
             minors[cols] = acc

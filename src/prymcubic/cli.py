@@ -293,12 +293,8 @@ def _verify_scene(scene, rng):
                 failures.append("%s: adjugate image left the symmetroid" % name)
             if tag in IRREDUCIBLE_TYPES + (SymmetroidType.T6,):
                 composed = [g.substitute(cub) for g in det.gradient()]
-                qs = a.gauss_quadrics()
-                for i in range(4):
-                    for j in range(i + 1, 4):
-                        if composed[i] * qs[j] != composed[j] * qs[i]:
-                            failures.append("%s: Gauss identity failed" % name)
-                            break
+                if not proportional(composed, a.gauss_quadrics()):
+                    failures.append("%s: Gauss identity failed" % name)
         except (SymmetroidError, PolyError) as e:
             failures.append("%s: %s" % (name, e))
     pairs = scene.metadata.get("pairs")

@@ -109,6 +109,18 @@ class Field:
                 return r
             a = self._mul(a, a)
 
+    def _convolve_raw(self, out, a, b):
+        """out += a * b for dense lists of raw values, the product of the
+        polynomials whose coefficients they list (a new list when out is
+        None)."""
+        mul, add = self._mul, self._add
+        if out is None:
+            out = [self._zero_raw] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b, i):
+                out[j] = add(out[j], mul(x, y))
+        return out
+
     def _raw_str(self, a):
         return str(a)
 

@@ -1,5 +1,19 @@
 """Built-in fixtures: the algebraic identity seeds and the smooth pairs used
-by the verification suite.
+by the verification suite, read from the shipped manifest
+`data/fixtures.json`, which `prymcubic verify` checks as it stands.
+
+The manifest's objects, over Q:
+- `A_seed`, the four-nodal normal form [[x0,x3,x3],[x3,x1,x3],[x3,x3,x2]],
+  with `Q_seed` the split quadric x0 x1 - x2 x3 and `X_seed` the quartic
+  the forward construction gives for them;
+- `A_t1`, `A_t2`, `A_t3` and `H`, the catalecticant (Hankel) slices of the
+  monic quartics t^4 + t^3 + t + 2, t^4 - 2t^3 + 2t^2 - 2t + 1,
+  t^4 - 5t^3 + 9t^2 - 7t + 2 and t^4 - 1;
+- `A_biell`, the cone [[x0,x2,0],[x2,x1,x2],[0,x2,x0+x1]];
+- the quadrics `Q_t1` = x0 x1 + 3 x2 x3, `Q_t2` = `Q_t3` = x0 x1 - 2 x2 x3,
+  `Q_biell` = x0^2 - 4 x1^2 + x2^2 - x3^2, and the rank-3 `Q_even` =
+  x0^2 - 2 x1^2 + 3 x2^2 and `Q_even_biell` = (x0 - x1)^2 + 2 x2^2 + x3^2,
+  paired with `A_seed` and `A_biell`.
 
 Every fixture is integral, so it reduces cleanly modulo the working primes.
 The smooth pairs were screened so that the space curve is smooth over
@@ -11,96 +25,75 @@ the quadric), which the certificates report.
 
 from __future__ import annotations
 
-from .fields import QQ
-from .poly import HomogPoly, SymMatrix
-from .symmetroid import X4, Z3, Symmetrization, hankel_symmetroid
+from pathlib import Path
 
-_E0 = [1, 0, 0, 0]
-_E1 = [0, 1, 0, 0]
-_E2 = [0, 0, 1, 0]
-_E3 = [0, 0, 0, 1]
-_Z = [0, 0, 0, 0]
+from .fields import QQ
+from .scene import Scene, parse_scene, reduce_scene
+from .symmetroid import X4
+
+_MANIFEST = parse_scene((Path(__file__).parent / "data" / "fixtures.json")
+                        .read_text(encoding="utf-8"))
 
 TEST_PRIMES = (11, 13, 17, 19)
+
+# the classification each pair's symmetrization must get
+_EXPECTED_TYPES = {"seed": "T1", "t1": "T1", "t2": "T2", "t3": "T3",
+                   "biell": "DegenerateCone", "even": "T1",
+                   "even_biell": "DegenerateCone"}
+
+
+def _object(name, field):
+    """A new copy of a manifest object over `field`.  `reduce_scene` writes
+    and reads it back, mapping each scalar as `change_field` does, so no two
+    calls share an object, its memoised state or an oracle census."""
+    return reduce_scene(Scene(QQ, {name: _MANIFEST.get(name)}), field).get(name)
 
 
 def fix_a(field=QQ):
     """Four-nodal normal form [[x0,x3,x3],[x3,x1,x3],[x3,x3,x2]]."""
-    return Symmetrization.from_entry_rows(
-        field, [[_E0, _E3, _E3], [_E3, _E1, _E3], [_E3, _E3, _E2]])
+    return _object("A_seed", field)
 
 
 def fix_q(field=QQ):
     """The split quadric x0 x1 - x2 x3."""
-    return SymMatrix.from_quadratic_form(
-        HomogPoly(field, X4, 2, {(1, 1, 0, 0): 1, (0, 0, 1, 1): -1}))
+    return _object("Q_seed", field)
 
 
 def fix_x(field=QQ):
     """Quartic produced by the forward construction on (fix_a, fix_q)."""
-    return HomogPoly(field, Z3, 4, {(2, 2, 0): 1, (1, 1, 2): -2,
-                                    (1, 0, 3): -2, (0, 1, 3): -2})
+    return _object("X_seed", field)
 
 
 def fix_h(field=QQ):
     """Catalecticant slice of t^4 - 1."""
-    return hankel_symmetroid(field, [-1, 0, 0, 0])
-
-
-def _biell_symmetrization(field):
-    rows = [[_E0, _E2, _Z], [_E2, _E1, _E2], [_Z, _E2, [1, 1, 0, 0]]]
-    return Symmetrization.from_entry_rows(field, rows)
-
-
-def _q(field, terms):
-    return SymMatrix.from_quadratic_form(HomogPoly(field, X4, 2, terms))
+    return _object("H", field)
 
 
 class Fixture:
-    """A named (symmetrization, quadric) pair with its expected invariants."""
+    """A named (symmetrization, quadric) pair of the manifest with its
+    expected invariants."""
 
-    __slots__ = ("name", "build_a", "q_terms", "expected_type", "even", "smooth")
+    __slots__ = ("name", "a_name", "q_name", "expected_type", "even", "smooth")
 
-    def __init__(self, name, build_a, q_terms, expected_type, even, smooth):
-        self.name = name
-        self.build_a = build_a
-        self.q_terms = q_terms
-        self.expected_type = expected_type
-        self.even = even
-        self.smooth = smooth
+    def __init__(self, a_name, q_name):
+        self.name = a_name[len("A_"):]
+        self.a_name = a_name
+        self.q_name = q_name
+        self.expected_type = _EXPECTED_TYPES[self.name]
+        self.even = _MANIFEST.get(q_name).rank() == 3
+        self.smooth = [a_name, q_name] in _MANIFEST.metadata["smooth_pairs"]
 
     def symmetrization(self, field=QQ):
-        return self.build_a(field)
+        return _object(self.a_name, field)
 
     def quadric(self, field=QQ):
-        return _q(field, self.q_terms)
+        return _object(self.q_name, field)
 
     def quadric_form(self, field=QQ):
-        return HomogPoly(field, X4, 2, self.q_terms)
+        return self.quadric(field).quadratic_form(field, X4)
 
 
-_TWO_TERM_Q = {(1, 1, 0, 0): 1, (0, 0, 1, 1): -2}
-
-FIXTURES = {
-    "seed": Fixture("seed", fix_a, {(1, 1, 0, 0): 1, (0, 0, 1, 1): -1},
-                    "T1", even=False, smooth=False),
-    "t1": Fixture("t1", lambda f: hankel_symmetroid(f, [2, 1, 0, 1]),
-                  {(1, 1, 0, 0): 1, (0, 0, 1, 1): 3}, "T1", even=False, smooth=True),
-    "t2": Fixture("t2", lambda f: hankel_symmetroid(f, [1, -2, 2, -2]),
-                  _TWO_TERM_Q, "T2", even=False, smooth=True),
-    "t3": Fixture("t3", lambda f: hankel_symmetroid(f, [2, -7, 9, -5]),
-                  _TWO_TERM_Q, "T3", even=False, smooth=True),
-    "biell": Fixture("biell", _biell_symmetrization,
-                     {(2, 0, 0, 0): 1, (0, 2, 0, 0): -4, (0, 0, 2, 0): 1, (0, 0, 0, 2): -1},
-                     "DegenerateCone", even=False, smooth=True),
-    "even": Fixture("even", fix_a,
-                    {(2, 0, 0, 0): 1, (0, 2, 0, 0): -2, (0, 0, 2, 0): 3},
-                    "T1", even=True, smooth=True),
-    "even_biell": Fixture("even_biell", _biell_symmetrization,
-                          {(2, 0, 0, 0): 1, (0, 2, 0, 0): 1, (1, 1, 0, 0): -2,
-                           (0, 0, 2, 0): 2, (0, 0, 0, 2): 1},
-                          "DegenerateCone", even=True, smooth=True),
-}
+FIXTURES = {fx.name: fx for fx in (Fixture(a, q) for a, q in _MANIFEST.metadata["pairs"])}
 
 SMOOTH_FIXTURES = [f for f in FIXTURES.values() if f.smooth]
-ROUNDTRIP_FIXTURES = [FIXTURES[k] for k in ("t1", "t2", "t3", "biell")]
+ROUNDTRIP_FIXTURES = [f for f in SMOOTH_FIXTURES if not f.even]

@@ -292,25 +292,17 @@ def count_double_cover(curve_equations, minors, field, label="cover", budget=DEF
 
 
 def count_hyperelliptic_octic(octic, field, label="octic", budget=DEFAULT_BUDGET):
-    """Weighted two-chart count of the genus-3 curve y^2 = h(s, t) for a
-    separable binary octic h, of degree 8 or 7 in the affine chart."""
+    """Point count of the genus-3 curve y^2 = h(s, t) for a separable binary
+    octic h: 1 + chi(h) points over each point of P^1, where chi(h) does
+    not depend on the representative because h has even degree."""
     if not field.is_finite():
         raise OracleError("octic counting needs a finite field")
     # any other form gives a curve of another genus, or a reducible one
     if octic.degree != 8 or not octic or multiplicity_partition(octic) != [1] * 8:
         raise OracleError("octic chart needs a separable binary form of degree 8")
-    q = field.order()
-    _check_budget(q, 1, budget)
-    total = 0
-    # affine chart t = 1
-    for s in field.elements():
-        v = octic.evaluate([s, field.one()])
-        total += 1 + legendre(v)
-    # points at infinity: the s^8 coefficient decides; without it the chart
-    # has degree 7 (separability keeps s^7 t) and one ramified smooth point
-    lead = octic.terms.get((8, 0))
-    total += 1 if lead is None else 1 + legendre(lead)
-    return CountReport(q, label, total, 3)
+    total = sum(1 + legendre(octic.evaluate(pt))
+                for pt in projective_points(field, 1, budget))
+    return CountReport(field.order(), label, total, 3)
 
 
 class BitangentLine:

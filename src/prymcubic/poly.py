@@ -270,10 +270,10 @@ class HomogPoly:
             for pw, k in zip(powers, e):
                 if k:
                     while len(pw) <= k:
-                        pw.append(_convolve_into(field, None, pw[-1], pw[1]))
-                    prod = last if prod is None else _convolve_into(field, None, prod, last)
+                        pw.append(field._convolve_raw(None, pw[-1], pw[1]))
+                    prod = last if prod is None else field._convolve_raw(None, prod, last)
                     last = pw[k]
-            _convolve_into(field, acc, [field._one_raw] if prod is None else prod, last)
+            field._convolve_raw(acc, [field._one_raw] if prod is None else prod, last)
         return _wrap(field, ("s", "t"), d, {(d - j, j): v for j, v in enumerate(acc)})
 
 
@@ -322,18 +322,6 @@ def _compose(field, terms, images, unit):
                 last = pw[k - 1]
         _mul_into(field, acc, {unit: field._one_raw} if prod is None else prod, last)
     return acc
-
-
-def _convolve_into(field, out, a, b):
-    """out += a * b for dense raw coefficient lists (a new list when out is
-    None)."""
-    mul, add = field._mul, field._add
-    if out is None:
-        out = [field._zero_raw] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b, i):
-            out[j] = add(out[j], mul(x, y))
-    return out
 
 
 def proportional(f, g):
@@ -397,15 +385,6 @@ class SymMatrix:
     def map(self, fn):
         return SymMatrix(self.n, {k: fn(v) for k, v in self.upper.items()})
 
-    def qform(self, vec):
-        """v . M . v for a coordinate vector of ring elements."""
-        total = None
-        for i in range(self.n):
-            for j in range(self.n):
-                t = vec[i] * self.at(i, j) * vec[j]
-                total = t if total is None else total + t
-        return total
-
     def quadratic_form(self, field, vars):
         """The form sum M_ij x_i x_j as a HomogPoly (scalar entries)."""
         terms = {}
@@ -466,16 +445,3 @@ class SymMatrix:
         return "SymMatrix(%d)[%s]" % (self.n, "; ".join(
             "%d,%d: %r" % (i, j, self.upper[(i, j)]) for (i, j) in sorted(self.upper)))
 
-
-def det_and_adjugate(mat):
-    """Determinant and adjugate of a SymMatrix of forms of equal degree.
-
-    The exact identity adj(M) . M = det(M) . I holds by construction; mixed
-    entry degrees are rejected.
-    """
-    entries = list(mat.upper.values())
-    degs = {e.degree for e in entries if isinstance(e, HomogPoly)}
-    if len(degs) > 1:
-        raise PolyError("entries have mixed degrees %r" % (sorted(degs),))
-    rows = mat.rows()
-    return linalg.det(rows), SymMatrix.from_rows(linalg.adjugate(rows))

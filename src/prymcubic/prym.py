@@ -12,9 +12,9 @@ from .binforms import ST, multiplicity_partition
 from .elim import resultant_last_var
 from .fields import PrimeField, QuadExtField, RationalField, legendre
 from .oracle import compile_raw, projective_points_raw
-from .poly import HomogPoly, SymMatrix, proportional
+from .poly import HomogPoly, PolyError, SymMatrix, proportional
 from .quadrics import congruence_diagonalize
-from .symmetroid import Z3, Symmetrization, SymmetroidType
+from .symmetroid import X4, Z3, Symmetrization, SymmetroidType
 
 Y4 = ("y0", "y1", "y2", "y3")
 RV4 = ("y00", "y01", "y10", "y11")
@@ -74,19 +74,15 @@ _REDUCEDNESS_LINES = [
 
 
 def _reducedness_certificate(quartic, field):
-    """Squarefree restrictions to three lines certify that the quartic has no
-    multiple component."""
-    good = 0
+    """A squarefree restriction to one line certifies that the quartic has
+    no multiple component: a component G^2 would make (G|L)^2 divide every
+    nonzero restriction."""
     for p0, p1 in _REDUCEDNESS_LINES:
         pa = [field.element(c) for c in p0]
         pb = [field.element(c) for c in p1]
         rest = quartic.restrict_to_line(pa, pb)
-        if not rest:
-            continue
-        if all(m == 1 for m in multiplicity_partition(rest)):
-            good += 1
-            if good == 3:
-                return True
+        if rest and all(m == 1 for m in multiplicity_partition(rest)):
+            return True
     return False
 
 
@@ -148,7 +144,8 @@ def forward_general(a, q):
 def parametrize_conic(conic, point, field):
     """Degree-2 parametrization of a smooth plane conic through one of its
     points; the three coordinates are binary quadratics in (s, t)."""
-    m = SymMatrix.from_quadratic_form(conic)
+    if conic.degree != 2:
+        raise PolyError("not a quadratic form")
     p = [field.element(c) for c in point]
     if conic.evaluate(p):
         raise PrymError("base point is not on the conic")
@@ -160,7 +157,7 @@ def parametrize_conic(conic, point, field):
     i, j = [k for k in range(3) if k != pivot]
     d = [HomogPoly.linear(field, ST, [int(k == i), int(k == j)]) for k in range(3)]
     polar = HomogPoly.linear(field, ST, [conic.partial(k).evaluate(p) for k in (i, j)])
-    bdd = m.qform(d)
+    bdd = conic.substitute(d)
     out = tuple(bdd * p[k] - polar * d[k] for k in range(3))
     if not any(out):
         raise PrymError("degenerate parametrization; conic is singular")
@@ -473,4 +470,5 @@ def roundtrip_change_matches(a, q, pencil, rebuilt):
     for (i, j), entry in a.change_field(work).matrix.upper.items():
         if entry.substitute(tuple(xs)) != rebuilt_matrix.at(i, j).change_field(work):
             return False
-    return proportional(q.qform(xs), rebuilt.quadric_form.change_field(work))
+    return proportional(q.quadratic_form(work, X4).substitute(xs),
+                        rebuilt.quadric_form.change_field(work))

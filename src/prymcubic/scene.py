@@ -194,6 +194,20 @@ def write_scene(scene):
     return json.dumps(doc, sort_keys=True, indent=1)
 
 
+def _checked_metadata(metadata):
+    """The scene's metadata: an object whose "pairs", when present, is a
+    list of [symmetrization, quadric] name pairs."""
+    if not isinstance(metadata, dict):
+        raise SceneError("scene metadata must be an object, not %r" % (metadata,))
+    pairs = metadata.get("pairs", [])
+    if not (isinstance(pairs, list) and all(
+            isinstance(pair, list) and len(pair) == 2 and all(isinstance(n, str) for n in pair)
+            for pair in pairs)):
+        raise SceneError("metadata \"pairs\" must be a list of [symmetrization, quadric] "
+                         "name pairs, not %r" % (pairs,))
+    return metadata
+
+
 def parse_scene(text):
     try:
         doc = json.loads(text)
@@ -201,7 +215,7 @@ def parse_scene(text):
         raise SceneError("invalid JSON: %s" % e)
     try:
         field = field_from_json(doc.get("field", {}))
-        scene = Scene(field, metadata=doc.get("metadata", {}))
+        scene = Scene(field, metadata=_checked_metadata(doc.get("metadata", {})))
         for name, data in doc.get("objects", {}).items():
             entry = _KINDS.get(data.get("kind"))
             if entry is None:

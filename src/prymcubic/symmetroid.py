@@ -188,15 +188,10 @@ class Symmetrization:
         return self._adj
 
     def annihilation_holds(self):
+        """B(z) times the column of adjugate cubics is zero."""
         b = self.line_contraction()
-        c = self.adjugate_cubics()
-        for i in range(3):
-            acc = HomogPoly.zero(self.field, self.zvars, 4)
-            for j in range(4):
-                acc = acc + b[i][j] * c[j]
-            if acc:
-                return False
-        return True
+        column = [[c] for c in self.adjugate_cubics()]
+        return not any(row[0] for row in linalg.mat_mul(b, column))
 
     # -- double cover minors ---------------------------------------------------
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from prymcubic import linalg
 from prymcubic.fields import Field, QQ
-from prymcubic.poly import HomogPoly, PolyError, SymMatrix, det_and_adjugate, proportional
+from prymcubic.poly import HomogPoly, PolyError, SymMatrix, proportional
 
 from test_field_properties import CASES
 from test_scene_properties import VARS, _form, _scalar
@@ -49,7 +49,7 @@ def test_det_and_adjugate_diag():
         [lin(QQ, [0, 0, 0, 0]), lin(QQ, [0, 1, 0, 0]), lin(QQ, [0, 0, 0, 0])],
         [lin(QQ, [0, 0, 0, 0]), lin(QQ, [0, 0, 0, 0]), lin(QQ, [0, 0, 1, 0])],
     ])
-    det, adj = det_and_adjugate(d)
+    det, adj = d.det(), d.adjugate()
     assert det == HomogPoly(QQ, X4, 3, {(1, 1, 1, 0): 1})
     assert adj.at(0, 0) == HomogPoly(QQ, X4, 2, {(0, 1, 1, 0): 1})
     assert adj.at(1, 1) == HomogPoly(QQ, X4, 2, {(1, 0, 1, 0): 1})
@@ -57,7 +57,8 @@ def test_det_and_adjugate_diag():
 
 
 def test_det_fix_a():
-    det, adj = det_and_adjugate(fix_a_matrix(QQ))
+    m = fix_a_matrix(QQ)
+    det, adj = m.det(), m.adjugate()
     expected = HomogPoly(QQ, X4, 3, {
         (1, 1, 1, 0): 1, (0, 0, 0, 3): 2,
         (1, 0, 0, 2): -1, (0, 1, 0, 2): -1, (0, 0, 1, 2): -1,
@@ -84,7 +85,7 @@ def test_adjugate_identity_random():
                     f = HomogPoly.linear(field, X4, [field.random(rng) for _ in range(4)])
                     rows[i][j] = rows[j][i] = f
             m = SymMatrix.from_rows(rows)
-            det, adj = det_and_adjugate(m)
+            det, adj = m.det(), m.adjugate()
             prod = linalg.mat_mul(adj.rows(), m.rows())
             for i in range(3):
                 for j in range(3):
@@ -161,8 +162,7 @@ def test_gradient_euler_identity():
 
 
 def test_gradient_examples():
-    det, _ = det_and_adjugate(fix_a_matrix(QQ))
-    g = det.gradient()
+    g = fix_a_matrix(QQ).det().gradient()
     assert g[0] == HomogPoly(QQ, X4, 2, {(0, 1, 1, 0): 1, (0, 0, 0, 2): -1})
     assert g[3] == HomogPoly(QQ, X4, 2, {(0, 0, 0, 2): 6, (1, 0, 0, 1): -2,
                                          (0, 1, 0, 1): -2, (0, 0, 1, 1): -2})
@@ -263,17 +263,6 @@ def test_content_normalized():
     assert g == HomogPoly(QQ, Z3, 4, {(2, 2, 0): 1, (1, 1, 2): -2})
     h = HomogPoly(F11, Z3, 2, {(2, 0, 0): 5, (0, 2, 0): 3})
     assert h.content_normalized().terms[(2, 0, 0)] == F11.one()
-
-
-def test_det_and_adjugate_rejects_mixed_degrees():
-    quad = HomogPoly(QQ, X4, 2, {(2, 0, 0, 0): 1})
-    m = SymMatrix.from_rows([
-        [lin(QQ, [1, 0, 0, 0]), lin(QQ, [0, 0, 0, 0]), lin(QQ, [0, 0, 0, 0])],
-        [lin(QQ, [0, 0, 0, 0]), quad, lin(QQ, [0, 0, 0, 0]) * 0],
-        [lin(QQ, [0, 0, 0, 0]), lin(QQ, [0, 0, 0, 0]) * 0, lin(QQ, [0, 0, 1, 0])],
-    ])
-    with pytest.raises(PolyError):
-        det_and_adjugate(m)
 
 
 # derandomized and bounded, so the suite stays deterministic and fast

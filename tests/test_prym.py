@@ -368,7 +368,8 @@ def test_pullback_identity_second_evaluation_path():
         for _ in range(20):
             z = [field.random(rng) for _ in range(3)]
             # conic values through the matrix-of-forms view of the tensor
-            w = [a.contraction_at(basis[k]).qform(z) for k in range(4)]
+            w = [a.contraction_at(basis[k]).quadratic_form(field, Z3).evaluate(z)
+                 for k in range(4)]
             lhs = fwd.quartic.evaluate(z) * scale
             rhs = dual_form.evaluate(w)
             assert lhs == rhs
@@ -398,6 +399,27 @@ def test_random_roundtrips_over_f13():
         assert roundtrip_change_matches(a, q, pen, rev)
         successes += 1
     assert successes >= 8
+
+
+def test_one_squarefree_restriction_certifies_a_reduced_quartic():
+    # a multiple component G^2 makes (G|L)^2 divide every nonzero
+    # restriction, so one squarefree restriction to a line is enough.  Over
+    # F_3 the product of four distinct lines below has exactly one among
+    # the certificate's lines; every quartic l^2 m n with lines l, m, n has
+    # none
+    from itertools import combinations_with_replacement, product
+
+    from prymcubic.prym import _reducedness_certificate
+
+    F3 = Field.prime(3)
+    lines = [HomogPoly.linear(F3, Z3, [F3.element(c) for c in v])
+             for v in product(range(3), repeat=3) if any(v) and next(c for c in v if c) == 1]
+    z0, z1, z2 = (HomogPoly.linear(F3, Z3, [F3.element(int(i == k)) for i in range(3)])
+                  for k in range(3))
+    assert _reducedness_certificate(z1 * z2 * (z1 + z2) * (z0 + z1 + z2), F3)
+    for ell in lines:
+        for m, n in combinations_with_replacement(lines, 2):
+            assert not _reducedness_certificate(ell * ell * m * n, F3)
 
 
 def test_even_branch_reducedness_without_rational_point():

@@ -148,6 +148,10 @@ MALFORMED = {
                          "objects": {"Q": {"kind": "quadric", "matrix": [["1/0"] + _FOUR[1:]]
                                            + [_FOUR] * 3}}},
     "objects as a list": {"field": {"type": "Q"}, "objects": []},
+    "metadata as a list": {"field": {"type": "Q"}, "objects": {}, "metadata": [1]},
+    "pairs as a number": {"field": {"type": "Q"}, "objects": {}, "metadata": {"pairs": 5}},
+    "a pair of one name": {"field": {"type": "Q"}, "objects": {},
+                           "metadata": {"pairs": [["A_t1"]]}},
 }
 
 

@@ -379,3 +379,28 @@ def test_scene_kinds_in_one_table():
                     and node not in in_table_loop):
                 offenders.append("%s:%d %s" % (name, node.lineno, ast.unparse(node)))
     assert offenders == []
+
+
+def test_no_second_copies():
+    # the fixtures are read from the shipped manifest, not built a second
+    # time in code; the deleted twins stay gone: one dense product
+    # (Field._convolve_raw), the form kernels behind det/adjugate and
+    # B(v, v), and one enumerator behind the octic count
+    import prymcubic.binforms as binforms
+    import prymcubic.poly as poly
+    from prymcubic.fields import Field
+
+    assert not hasattr(poly, "det_and_adjugate")
+    assert not hasattr(poly.SymMatrix, "qform")
+    assert not hasattr(binforms, "_mul_poly") and not hasattr(poly, "_convolve_into")
+    assert "_convolve_raw" in vars(Field)
+    fixtures = ast.parse((SRC / "fixtures.py").read_text(encoding="utf-8"))
+    offenders = ["fixtures.py:%d %s" % (n.lineno, ast.unparse(n)) for n in ast.walk(fixtures)
+                 if isinstance(n, ast.Call) and ast.unparse(n.func).split(".")[-1]
+                 in ("hankel_symmetroid", "from_entry_rows", "HomogPoly")]
+    assert offenders == []
+    oracle = ast.parse((SRC / "oracle.py").read_text(encoding="utf-8"))
+    octic = next(n for n in oracle.body if isinstance(n, ast.FunctionDef)
+                 and n.name == "count_hyperelliptic_octic")
+    assert "projective_points" in {ast.unparse(n.func) for n in ast.walk(octic)
+                                   if isinstance(n, ast.Call)}

@@ -542,3 +542,40 @@ def test_every_random_web_over_f3_is_classified():
     tags = {build(F3, random_web_rows(rng, 3)).classify() for _ in range(300)}
     assert {SymmetroidType.T1, SymmetroidType.T2, SymmetroidType.DEGENERATE_CONE,
             SymmetroidType.DEGENERATE_SINGULAR} <= tags
+
+
+def test_fixtures_classify_to_their_expected_type():
+    from prymcubic.fixtures import FIXTURES, TEST_PRIMES
+
+    for field in [QQ] + [Field.prime(p) for p in TEST_PRIMES]:
+        got = {name: fx.symmetrization(field).classify() for name, fx in FIXTURES.items()}
+        assert got == {name: fx.expected_type for name, fx in FIXTURES.items()}, field
+
+
+def test_fixtures_are_the_documented_symmetroids():
+    # the provenance in the fixtures docstring, checked against the manifest
+    from prymcubic.fixtures import FIXTURES, fix_a, fix_h
+
+    for name, lower in (("t1", [2, 1, 0, 1]), ("t2", [1, -2, 2, -2]),
+                        ("t3", [2, -7, 9, -5])):
+        assert FIXTURES[name].symmetrization().matrix == hankel_symmetroid(QQ, lower).matrix
+    assert fix_h().matrix == hankel_symmetroid(QQ, [-1, 0, 0, 0]).matrix
+    seed = Symmetrization.from_entry_rows(QQ, [[E0, E3, E3], [E3, E1, E3], [E3, E3, E2]])
+    assert fix_a().matrix == seed.matrix
+    biell = Symmetrization.from_entry_rows(
+        QQ, [[E0, E2, ZERO], [E2, E1, E2], [ZERO, E2, [1, 1, 0, 0]]])
+    assert FIXTURES["biell"].symmetrization().matrix == biell.matrix
+    quadrics = {
+        "seed": {(1, 1, 0, 0): 1, (0, 0, 1, 1): -1},
+        "t1": {(1, 1, 0, 0): 1, (0, 0, 1, 1): 3},
+        "t2": {(1, 1, 0, 0): 1, (0, 0, 1, 1): -2},
+        "t3": {(1, 1, 0, 0): 1, (0, 0, 1, 1): -2},
+        "biell": {(2, 0, 0, 0): 1, (0, 2, 0, 0): -4, (0, 0, 2, 0): 1, (0, 0, 0, 2): -1},
+        "even": {(2, 0, 0, 0): 1, (0, 2, 0, 0): -2, (0, 0, 2, 0): 3},
+        "even_biell": {(2, 0, 0, 0): 1, (0, 2, 0, 0): 1, (1, 1, 0, 0): -2,
+                       (0, 0, 2, 0): 2, (0, 0, 0, 2): 1},
+    }
+    assert {name: fx.quadric_form() for name, fx in FIXTURES.items()} == {
+        name: HomogPoly(QQ, X4, 2, terms) for name, terms in quadrics.items()}
+    # every call builds its own object, so no memoised state is shared
+    assert fix_a() is not fix_a() and fix_a(F11) is not fix_a(F11)
