@@ -77,8 +77,8 @@ def projective_points(field, dim, budget=DEFAULT_BUDGET):
 def compile_raw(poly):
     """Evaluator of a form over a finite field on raw-value points, returning
     a raw value.  Over F_p it runs on plain integers with one reduction per
-    point; over any other finite field it folds the field's raw products
-    and sums."""
+    point; over F_p(sqrt d) on pairs of plain integers, each product reduced
+    and each sum reduced once per point."""
     field = poly.field
     terms = [(c.val, e) for e, c in poly.terms.items()]
     if isinstance(field, PrimeField):
@@ -97,17 +97,18 @@ def compile_raw(poly):
                 tot += v
             return tot % p
         return ev
-    add, mul = field._add, field._mul
+    p, d = field.base.p, field.d
 
     def ev(pt):
-        tot = field._zero_raw
-        for cv, e in terms:
-            v = cv
-            for x, k in zip(pt, e):
+        # (v0 + v1 r)(x0 + x1 r) = (v0 x0 + d v1 x1) + (v0 x1 + v1 x0) r, r^2 = d
+        t0 = t1 = 0
+        for (v0, v1), e in terms:
+            for (x0, x1), k in zip(pt, e):
                 for _ in range(k):
-                    v = mul(v, x)
-            tot = add(tot, v)
-        return tot
+                    v0, v1 = (v0 * x0 + d * v1 * x1) % p, (v0 * x1 + v1 * x0) % p
+            t0 += v0
+            t1 += v1
+        return (t0 % p, t1 % p)
     return ev
 
 

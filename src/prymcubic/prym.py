@@ -5,7 +5,9 @@ plane quartic with compatible conic data back to the space pair.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import product
+from math import isqrt
 
 from . import linalg
 from .binforms import ST, multiplicity_partition
@@ -164,25 +166,61 @@ def parametrize_conic(conic, point, field):
     return out
 
 
+_BOX = range(-12, 13)
+# the exponents of c^2, a c, b c, a^2, a b, b^2 in a conic in (a, b, c)
+_CONIC_MONOMIALS = ((0, 0, 2), (1, 0, 1), (0, 1, 1), (2, 0, 0), (1, 1, 0), (0, 2, 0))
+
+
+def _integer_roots_in_box(A, B, C):
+    """The integer roots in `_BOX`, ascending, of A c^2 + B c + C with
+    rational coefficients; all of `_BOX` when the polynomial is zero."""
+    if A:
+        disc = B * B - 4 * A * C
+        if disc < 0:
+            return ()
+        rn, rd = isqrt(disc.numerator), isqrt(disc.denominator)
+        if rn * rn != disc.numerator or rd * rd != disc.denominator:
+            return ()
+        r = Fraction(rn, rd)
+        roots = sorted({(-B - r) / (2 * A), (-B + r) / (2 * A)})
+    elif B:
+        roots = (-C / B,)
+    else:
+        return () if C else _BOX
+    return [int(c) for c in roots if c.denominator == 1 and _BOX[0] <= c <= _BOX[-1]]
+
+
 def conic_rational_point(conic, field):
-    """A point on a plane conic: the first point of the projective plane in
-    enumeration order over finite fields, a search of the integer box
-    [-12, 12]^3 over the rationals (None when the box misses)."""
+    """A point on a plane conic, or None.  Over a finite field: the first
+    point of the projective plane in enumeration order.  Over Q or Q(sqrt d):
+    the normalized first nonzero point (a, b, c) of the integer box
+    [-12, 12]^3 in lexicographic order.  For each (a, b) the conic is a
+    quadratic in c, so its roots in the box are solved for rather than
+    walked; over Q(sqrt d) an integer point must lie on both rational
+    components of the conic."""
+    if conic.degree != 2:
+        raise PolyError("not a quadratic form")
     if field.is_finite():
         ev = compile_raw(conic)
         for pt in projective_points_raw(field, 2):
             if ev(pt) == field._zero_raw:
                 return tuple(field.element(v) for v in pt)
         return None
-    rng = range(-12, 13)
-    for a in rng:
-        for b in rng:
-            for c in rng:
-                if a == b == c == 0:
-                    continue
-                pt = (field.element(a), field.element(b), field.element(c))
-                if not conic.evaluate(pt):
-                    return linalg.normalize_point(pt)
+    coeffs = [conic.terms[e].val if e in conic.terms else field._zero_raw
+              for e in _CONIC_MONOMIALS]
+    parts = list(zip(*coeffs)) if isinstance(field, QuadExtField) else [coeffs]
+    for a in _BOX:
+        for b in _BOX:
+            roots = _BOX
+            for cc, ac, bc, aa, ab, bb in parts:
+                found = _integer_roots_in_box(cc, ac * a + bc * b, (aa * a + ab * b) * a + bb * b * b)
+                roots = found if roots is _BOX else [c for c in roots if c in found]
+            for c in roots:
+                if a or b or c:
+                    pt = linalg.normalize_point(tuple(map(field.element, (a, b, c))))
+                    if conic.evaluate(pt):
+                        raise PrymError("solved conic point is off the conic")
+                    return pt
     return None
 
 
@@ -194,7 +232,6 @@ def _canonical_square_class_scale(octic, field):
         fr = lead.val
         num = fr.numerator
         den = fr.denominator
-        sqfree = 1
         n = abs(num * den)
         d = 2
         while d * d <= n:

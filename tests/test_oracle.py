@@ -1,3 +1,4 @@
+import random
 from itertools import permutations, product
 
 import pytest
@@ -318,6 +319,34 @@ def _scheme_points_exhaustive(equations, field, budget):
     for pt in projective_points_raw(field, nv - 1):
         if all(ev(pt) == zero for ev in evs):
             yield pt
+
+
+def _fold_raw(poly, pt):
+    """The fold of the field's raw products and sums that the F_{p^2} kernel
+    of `compile_raw` replaced, kept as its reference."""
+    field = poly.field
+    tot = field._zero_raw
+    for e, c in poly.terms.items():
+        v = c.val
+        for x, k in zip(pt, e):
+            for _ in range(k):
+                v = field._mul(v, x)
+        tot = field._add(tot, v)
+    return tot
+
+
+@pytest.mark.parametrize("p,d", [(5, 2), (7, 3), (11, 2)])
+def test_compile_raw_pair_kernel_matches_the_generic_fold(p, d):
+    K = Field.prime(p).quadratic_extension(d)
+    rng = random.Random(p)
+    for degree, names in [(1, Z3), (2, Z3), (3, X4), (4, Z3), (2, ("s", "t"))]:
+        exps = [e for e in product(range(degree + 1), repeat=len(names)) if sum(e) == degree]
+        f = HomogPoly(K, names, degree, {e: K.random(rng) for e in exps if rng.random() < 0.7})
+        ev = compile_raw(f)
+        pts = [tuple(K.random(rng).val for _ in names) for _ in range(150)]
+        pts.append((K._zero_raw,) * len(names))
+        for pt in pts:
+            assert ev(pt) == _fold_raw(f, pt)
 
 
 def _field(p, d):

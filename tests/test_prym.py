@@ -8,7 +8,7 @@ from prymcubic import linalg
 from prymcubic.binforms import binary_gcd
 from prymcubic.fields import Field, QQ, legendre
 from prymcubic.fixtures import FIXTURES, fix_a, fix_q, fix_x
-from prymcubic.poly import HomogPoly, SymMatrix, proportional
+from prymcubic.poly import HomogPoly, PolyError, SymMatrix, proportional
 from prymcubic.prym import (PrymError, UnsupportedTower, conic_rational_point,
                             dual_quadric, forward_even, forward_general,
                             parametrize_conic, pencil_conics, reverse_construct,
@@ -237,6 +237,103 @@ def test_parametrize_conic_and_points():
     vals = tuple(repr(c.evaluate([F11.one(), F11.zero()]).val) for c in param)
     seen.add(vals)
     assert len(seen) == 12
+
+
+def _conic_point_box_walk(conic, field):
+    """The walk of the integer box [-12, 12]^3 in (a, b, c) order that the
+    solve in the last coordinate replaced, kept as its reference."""
+    rng = range(-12, 13)
+    for a in rng:
+        for b in rng:
+            for c in rng:
+                if a == b == c == 0:
+                    continue
+                pt = (field.element(a), field.element(b), field.element(c))
+                if not conic.evaluate(pt):
+                    return linalg.normalize_point(pt)
+    return None
+
+
+def _box_walk_cases():
+    lin = lambda field, cs: HomogPoly.linear(field, Z3, cs)
+    conic = lambda field, terms: HomogPoly(field, Z3, 2, terms)
+    fx = FIXTURES["even_biell"]
+    cases = [
+        # pointless definite diagonals, the even-bielliptic conic among them
+        forward_even(fx.symmetrization(QQ), fx.quadric(QQ)).conic,
+        conic(QQ, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1}),
+        # pointless and indefinite
+        conic(QQ, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): -3}),
+        # line pairs and double lines
+        lin(QQ, [1, -2, 0]) * lin(QQ, [0, 3, 1]),
+        lin(QQ, [1, 0, 1]) * lin(QQ, [1, 1, 1]),  # root c = 12, the other outside the box
+        lin(QQ, [1, 0, -1]) * lin(QQ, [2, 1, 1]),  # root c = -12
+        lin(QQ, [1, 2, -3]) * lin(QQ, [1, 2, -3]),
+        lin(QQ, [0, 2, -1]) * lin(QQ, [0, 2, -1]),
+        lin(QQ, [0, 0, 1]) * lin(QQ, [0, 0, 1]),
+        # no c^2 term; the last two vanish only on (0 : 0 : 1) in the box
+        conic(QQ, {(1, 0, 1): 1, (0, 2, 0): 1}),
+        conic(QQ, {(2, 0, 0): 100, (0, 2, 0): 100, (1, 0, 1): 1}),
+        conic(QQ, {(2, 0, 0): 1, (1, 1, 0): 1, (0, 2, 0): 1}),
+        # non-integer rational coefficients
+        conic(QQ, {(2, 0, 0): Fraction(1, 2), (0, 1, 1): Fraction(-3, 4), (0, 0, 2): Fraction(1, 3)}),
+        conic(QQ, {(2, 0, 0): Fraction(1, 7), (1, 1, 0): 2, (0, 2, 0): Fraction(-5, 2),
+                   (0, 0, 2): Fraction(-1, 9)}),
+        # the zero form: every point lies on it
+        conic(QQ, {}),
+    ]
+    # over Q(sqrt 2) an integer point must lie on both rational components
+    K = Field.rationals().quadratic_extension(2)
+    r = K.sqrt_d()
+    cases += [lin(K, [1, 0, -1]) * (lin(K, [0, 1, 1]) + lin(K, [1, 2, 0]) * r),
+              lin(K, [1, 0, -1]) * (lin(K, [0, 1, 2]) + lin(K, [1, 1, 0]) * r),
+              # the first box point of the rational part is off the other part
+              conic(K, {(0, 0, 2): 1, (2, 0, 0): -1}) + lin(K, [1, 0, 0]) * lin(K, [0, -2, 1]) * r]
+    # seeded conics through a chosen point of the box (a walk that finds no
+    # point costs about a second)
+    rng = random.Random(1812)
+    mons = [(2, 0, 0), (1, 1, 0), (0, 2, 0), (1, 0, 1), (0, 1, 1), (0, 0, 2)]
+    while len(cases) < 40:
+        f = conic(QQ, {e: Fraction(rng.randint(-6, 6), rng.choice([1, 1, 2, 3])) for e in mons})
+        pt = [QQ.element(rng.randint(-12, 12)) for _ in range(3)]
+        k = max((i for i, c in enumerate(pt) if c), default=None)
+        if k is None:
+            continue
+        square = tuple(2 if i == k else 0 for i in range(3))
+        cases.append(f - conic(QQ, {square: f.evaluate(pt) / (pt[k] * pt[k])}))
+    return cases
+
+
+def test_conic_point_solve_matches_the_box_walk():
+    found = 0
+    for conic in _box_walk_cases():
+        point = conic_rational_point(conic, conic.field)
+        assert repr(point) == repr(_conic_point_box_walk(conic, conic.field)), conic
+        found += point is not None
+    assert found == 37
+
+
+def test_forward_even_over_q_does_not_walk_the_box(monkeypatch):
+    # the box walk evaluated the even-bielliptic conic at 15,624 points
+    calls = []
+    evaluate = HomogPoly.evaluate
+
+    def counted(self, point):
+        calls.append(self.degree)
+        return evaluate(self, point)
+
+    monkeypatch.setattr(HomogPoly, "evaluate", counted)
+    fx = FIXTURES["even_biell"]
+    assert forward_even(fx.symmetrization(QQ), fx.quadric(QQ)).octic is None
+    assert len(calls) <= 20
+
+
+@pytest.mark.parametrize("field", [QQ, F11])
+def test_conic_rational_point_needs_a_quadratic_form(field):
+    for form in (HomogPoly(field, Z3, 3, {(3, 0, 0): 1, (0, 1, 2): -1}),
+                 HomogPoly.linear(field, Z3, [1, 1, 0])):
+        with pytest.raises(PolyError, match="not a quadratic form"):
+            conic_rational_point(form, field)
 
 
 def test_partition_property_on_smooth_fixture():
