@@ -3,9 +3,10 @@ extensions of either.
 
 Each field is an instance of one of three :class:`Field` subclasses, which
 act both as descriptors and as the operation tables for raw values:
-:class:`RationalField` (raw values are ``Fraction``), :class:`PrimeField`
-(``int`` in ``[0, p)``) and :class:`QuadExtField` (pairs ``(a, b)`` of base
-raw values meaning ``a + b*sqrt(d)``).  :class:`FieldElement` is a thin
+:class:`RationalField` (raw values are ``int`` when integral, else
+``Fraction``), :class:`PrimeField` (``int`` in ``[0, p)``) and
+:class:`QuadExtField` (pairs ``(a, b)`` of base raw values meaning
+``a + b*sqrt(d)``).  :class:`FieldElement` is a thin
 wrapper so that coefficients support ordinary operators.  Extensions never
 nest: a :class:`QuadExtField` sits over Q or F_p, and :meth:`Field.adjoin_sqrt`
 is the one place that goes up to it.
@@ -177,7 +178,9 @@ class Field:
 
 
 class RationalField(Field):
-    """Q; raw values are ``Fraction``."""
+    """Q; a raw value is an ``int`` when it is integral and otherwise a
+    ``Fraction`` with denominator > 1, so most arithmetic over Q stays on
+    ints.  A ``Fraction`` with denominator 1 is never stored."""
 
     __slots__ = ()
 
@@ -196,24 +199,39 @@ class RationalField(Field):
     def random(self, rng):
         return self.element(Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
 
-    _zero_raw = Fraction(0)
-    _one_raw = Fraction(1)
+    _zero_raw = 0
+    _one_raw = 1
 
     def _from_int(self, n):
-        return Fraction(n)
+        return int(n)
 
     def _coerce(self, x):
         if isinstance(x, Fraction):
-            return x
+            return x.numerator if x.denominator == 1 else x
         return super()._coerce(x)
 
-    _add = staticmethod(operator.add)
-    _sub = staticmethod(operator.sub)
+    # an int result is canonical as it is; a Fraction result may be integral
+    @staticmethod
+    def _add(a, b):
+        c = a + b
+        return c if c.__class__ is int or c.denominator != 1 else c.numerator
+
+    @staticmethod
+    def _sub(a, b):
+        c = a - b
+        return c if c.__class__ is int or c.denominator != 1 else c.numerator
+
+    @staticmethod
+    def _mul(a, b):
+        c = a * b
+        return c if c.__class__ is int or c.denominator != 1 else c.numerator
+
     _neg = staticmethod(operator.neg)
-    _mul = staticmethod(operator.mul)
 
     def _inv_nonzero(self, a):
-        return 1 / a
+        # 1 / a would be a float for an int a
+        c = Fraction(1, a)
+        return c if c.denominator != 1 else c.numerator
 
     def _sqrt(self, x):
         n, d = x.val.numerator, x.val.denominator
@@ -465,9 +483,10 @@ class FieldElement:
 
     `==` coerces ints and Fractions into the element's field, and the hash of
     an element of Q or F_p is the hash of its raw value, so an element and the
-    canonical int or Fraction it equals are one set member.  A non-canonical
-    representative, such as 14 in F_11, compares equal to F_11's 3 but does
-    not hash equal, so ints and elements must not share dict keys or sets.
+    int or Fraction it equals are one set member; over Q that holds for 2 and
+    Fraction(2) alike, because they hash equal.  A non-canonical
+    representative of F_p, such as 14 in F_11, compares equal to F_11's 3 but
+    does not hash equal, so ints and elements must not share dict keys or sets.
     """
 
     __slots__ = ("field", "val")

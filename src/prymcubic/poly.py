@@ -163,8 +163,9 @@ class HomogPoly:
                 and self.degree == other.degree and self.terms == other.terms)
 
     def __hash__(self):
+        # raw values, not their reprs: 2 and Fraction(2) are one rational
         return hash((self.field, self.vars, self.degree,
-                     tuple(sorted((e, repr(c.val)) for e, c in self.terms.items()))))
+                     frozenset((e, c.val) for e, c in self.terms.items())))
 
     def __repr__(self):
         if not self.terms:

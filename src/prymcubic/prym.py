@@ -173,7 +173,9 @@ _CONIC_MONOMIALS = ((0, 0, 2), (1, 0, 1), (0, 1, 1), (2, 0, 0), (1, 1, 0), (0, 2
 
 def _integer_roots_in_box(A, B, C):
     """The integer roots in `_BOX`, ascending, of A c^2 + B c + C with
-    rational coefficients; all of `_BOX` when the polynomial is zero."""
+    rational coefficients (ints or Fractions); all of `_BOX` when the
+    polynomial is zero.  Exact: a root n / den is kept when divmod leaves
+    no remainder, so no float arises."""
     if A:
         disc = B * B - 4 * A * C
         if disc < 0:
@@ -181,13 +183,18 @@ def _integer_roots_in_box(A, B, C):
         rn, rd = isqrt(disc.numerator), isqrt(disc.denominator)
         if rn * rn != disc.numerator or rd * rd != disc.denominator:
             return ()
-        r = Fraction(rn, rd)
-        roots = sorted({(-B - r) / (2 * A), (-B + r) / (2 * A)})
+        r = rn if rd == 1 else Fraction(rn, rd)
+        nums, den = (-B - r, -B + r), 2 * A
     elif B:
-        roots = (-C / B,)
+        nums, den = (-C,), B
     else:
         return () if C else _BOX
-    return [int(c) for c in roots if c.denominator == 1 and _BOX[0] <= c <= _BOX[-1]]
+    roots = set()
+    for n in nums:
+        c, rem = divmod(n, den)
+        if not rem and _BOX[0] <= c <= _BOX[-1]:
+            roots.add(c)
+    return sorted(roots)
 
 
 def conic_rational_point(conic, field):

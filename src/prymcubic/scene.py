@@ -52,7 +52,7 @@ def scalar_to_json(el):
     f = el.field
     if isinstance(f, QuadExtField):
         return [scalar_to_json(FieldElement(f.base, v)) for v in el.val]
-    return str(el.val)  # "num/den" or "num" for a Fraction
+    return str(el.val)  # "num" for an int, "num/den" for a Fraction
 
 
 def scalar_from_json(data, field):

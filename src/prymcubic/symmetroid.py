@@ -95,6 +95,7 @@ class Symmetrization:
         self._gauss = None
         self._det = None
         self._adj = None
+        self._type = None
 
     @staticmethod
     def from_entry_rows(field, rows):
@@ -237,6 +238,11 @@ class Symmetrization:
         return RankOneScheme((k1, k2), False, partition=partition)
 
     def classify(self):
+        if self._type is None:
+            self._type = self._classify()
+        return self._type
+
+    def _classify(self):
         det = self.determinant_cubic()
         if not det:
             return SymmetroidType.REDUCIBLE_UNCLASSIFIED

@@ -1,14 +1,17 @@
 """Property tests of the scalar fields Q, F_101, F_11(sqrt 2) and Q(sqrt 5):
 ring laws, inverses, square roots and the root each field picks,
-`adjoin_sqrt`, and `hash` agreeing with `==` within a field and across the
-lift of a base element into its extension."""
+`adjoin_sqrt`, `hash` agreeing with `==` within a field and across the
+lift of a base element into its extension, and the canonical raw value of a
+rational (an int when integral, else a Fraction with denominator > 1)."""
 
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from prymcubic.fields import Field, QQ, QuadExtField
+from prymcubic.fields import Field, FieldElement, QQ, QuadExtField
+from prymcubic.scene import parse_scene
 
 # derandomized and bounded, so the suite stays deterministic and fast
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -117,3 +120,44 @@ def test_hash_agrees_across_lift(name, data):
     assert lifted == b and b == lifted and hash(lifted) == hash(b)
     assert len({b, lifted}) == 1
     assert (x == b) == (x.val[1] == 0)
+
+
+def _canonical(v):
+    """Whether v is the canonical raw value of a rational."""
+    return type(v) is int or (type(v) is Fraction and v.denominator > 1)
+
+
+# ints, bools and Fractions, integral ones among them
+_rationals = st.one_of(st.integers(-60, 60), st.booleans(), _fractions,
+                       st.builds(Fraction, st.integers(-60, 60)))
+
+
+@PROPERTY
+@given(x=_rationals, y=_rationals, n=st.integers(-4, 4))
+def test_rational_raw_values_are_canonical(x, y, n):
+    a, b = QQ.element(x), QQ.element(y)
+    results = [a, b, a + b, a - b, a * b, -a, a + y, y - a, y * a, a * a,
+               QQ.sqrt(a * a), QQ.sqrt(b)]
+    if b:
+        results += [a / b, x / b, b.inverse(), b ** n]
+    results += [b ** abs(n)]
+    for r in results:
+        assert r is None or _canonical(r.val), (x, y, r.val)
+    # equal rationals hash equal, however they came in: int, bool,
+    # Fraction, or a Fraction with denominator 1 stored raw
+    fx, fy = Fraction(x), Fraction(y)
+    for u, v in ((a, QQ.element(fx)), (a, FieldElement(QQ, fx)),
+                 (a * b, QQ.element(fx * fy)), (a + b, FieldElement(QQ, fx + fy))):
+        assert u == v and hash(u) == hash(v)
+    assert (a == b) == (fx == fy)
+    if a == b:
+        assert hash(a) == hash(b)
+
+
+def test_parsed_rational_is_canonical():
+    text = json.dumps({"field": {"type": "Q"}, "objects": {"Q": {
+        "kind": "quadric", "matrix": [["4/2", "0", "0", "0"], ["0", "1", "0", "0"],
+                                      ["0", "0", "6/4", "0"], ["0", "0", "0", "-3"]]}}})
+    m = parse_scene(text).get("Q", "quadric")
+    assert [m.at(i, i).val for i in range(4)] == [2, 1, Fraction(3, 2), -3]
+    assert [type(m.at(i, i).val) for i in range(4)] == [int, int, Fraction, int]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from prymcubic import linalg
-from prymcubic.fields import Field, QQ
+from prymcubic.fields import Field, FieldElement, QQ
 from prymcubic.poly import HomogPoly, PolyError, SymMatrix, proportional
 
 from test_field_properties import CASES
@@ -263,6 +263,21 @@ def test_content_normalized():
     assert g == HomogPoly(QQ, Z3, 4, {(2, 2, 0): 1, (1, 1, 2): -2})
     h = HomogPoly(F11, Z3, 2, {(2, 0, 0): 5, (0, 2, 0): 3})
     assert h.content_normalized().terms[(2, 0, 0)] == F11.one()
+
+
+def test_equal_forms_hash_equal_across_raw_types():
+    # FieldElement(QQ, Fraction(2)) is not the canonical raw value 2, but it
+    # is the same rational: the forms are equal and must hash equal
+    raw = {(2, 0, 0): FieldElement(QQ, Fraction(2)), (0, 1, 1): FieldElement(QQ, Fraction(-1, 3))}
+    f = HomogPoly(QQ, Z3, 2, raw, _clean=True)
+    g = HomogPoly(QQ, Z3, 2, {(2, 0, 0): QQ.element(2), (0, 1, 1): QQ.element(Fraction(-1, 3))})
+    assert type(g.terms[(2, 0, 0)].val) is int
+    assert f == g and g == f
+    assert hash(f) == hash(g) and len({f, g}) == 1
+    K = QQ.quadratic_extension(5)
+    fk = HomogPoly(K, Z3, 1, {(1, 0, 0): FieldElement(K, (Fraction(3), Fraction(0)))}, _clean=True)
+    gk = HomogPoly(K, Z3, 1, {(1, 0, 0): 3})
+    assert fk == gk and hash(fk) == hash(gk)
 
 
 # derandomized and bounded, so the suite stays deterministic and fast

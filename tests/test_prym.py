@@ -9,11 +9,13 @@ from prymcubic.binforms import binary_gcd
 from prymcubic.fields import Field, QQ, legendre
 from prymcubic.fixtures import FIXTURES, fix_a, fix_q, fix_x
 from prymcubic.poly import HomogPoly, PolyError, SymMatrix, proportional
-from prymcubic.prym import (PrymError, UnsupportedTower, conic_rational_point,
+from prymcubic.prym import (PrymError, UnsupportedTower, _integer_roots_in_box,
+                            conic_rational_point,
                             dual_quadric, forward_even, forward_general,
                             parametrize_conic, pencil_conics, reverse_construct,
                             roundtrip_change_matches, split_quadric)
 from prymcubic.quadrics import factor_rank_le2
+from prymcubic.symmetroid import Symmetrization
 
 from test_field_properties import CASES
 from test_scene_properties import _form, _scalar
@@ -326,6 +328,52 @@ def test_forward_even_over_q_does_not_walk_the_box(monkeypatch):
     fx = FIXTURES["even_biell"]
     assert forward_even(fx.symmetrization(QQ), fx.quadric(QQ)).octic is None
     assert len(calls) <= 20
+
+
+@pytest.mark.parametrize("coeffs, roots", [
+    ((1, 0, -144), [-12, 12]),                     # roots at both ends of the box
+    ((1, -1, -156), [-12]),                        # 13 is outside the box
+    ((2, -3, 1), [1]),                             # 1/2 is not an integer
+    ((-2, 3, -1), [1]),                            # a negative c^2 coefficient
+    ((4, 0, -1), []),                              # +-1/2
+    ((1, 0, -2), []),                              # irrational roots
+    ((1, 0, 1), []),                               # a negative discriminant
+    ((1, 24, 144), [-12]),                         # a double root
+    ((0, 2, -24), [12]),                           # a zero A: c = -C / B
+    ((0, 3, 2), []),                               # -2/3
+    ((0, 0, 5), []),                               # a nonzero constant
+    ((0, 0, 0), list(range(-12, 13))),             # the zero polynomial
+    ((Fraction(1, 2), Fraction(11, 4), -39), [-12]),   # (c + 12)(c - 13/2) / 2
+])
+def test_integer_roots_in_box_are_exact(coeffs, roots):
+    # ints and Fractions give one list of ints, and no float ever arises
+    for args in (coeffs, tuple(map(Fraction, coeffs))):
+        found = list(_integer_roots_in_box(*args))
+        assert found == roots
+        assert all(type(c) is int for c in found)
+
+
+def test_one_classification_per_symmetrization(monkeypatch):
+    # a construct job classifies, then forward_general checks the type and
+    # pencil_conics runs forward_general again: one classification serves all
+    calls = []
+    uncached = Symmetrization._classify
+
+    def counted(self):
+        calls.append(self.field)
+        return uncached(self)
+
+    monkeypatch.setattr(Symmetrization, "_classify", counted)
+    fx = FIXTURES["t1"]
+    a, q = fx.symmetrization(QQ), fx.quadric(QQ)
+    tag = a.classify()
+    forward_general(a, q)
+    pencil_conics(a, q)
+    assert a.classify() == tag
+    assert calls == [QQ]
+    # another field is another Symmetrization, classified afresh
+    assert a.change_field(F11).classify() == tag
+    assert calls == [QQ, F11]
 
 
 @pytest.mark.parametrize("field", [QQ, F11])

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -450,3 +451,82 @@ def test_cli_verify_checks_pencils(tmp_path, capsys):
     p2.write_text(write_scene(bad))
     code, out, err = run_cli(["verify", str(p2)], capsys)
     assert code == 1
+
+
+# sha256 of the exit code, stdout and stderr, joined by NUL bytes, of CLI
+# runs on the shipped data, recorded while every rational's raw value was a
+# Fraction: a change of representation must not alter a byte of output
+STABLE_OUTPUTS = {
+    "classify A_biell":
+        "e2e8cb71539d544875e871bd8e479c4a8814cdf0290a8d63d0db4850e1e0ebdc",
+    "classify A_even":
+        "a2d8783c3f26ea44986a0d04ff4973d6dde2e280c72c36e40018f8fc7d4602a4",
+    "classify A_even_biell":
+        "8e97354f7045b45adae3433f37ef6e1961ed47678e3a083e2682add8915d15bd",
+    "classify A_seed":
+        "3505116ebf390543521ed303f83846def5d51a2e694f3bdb5e6b9546b9400769",
+    "classify A_t1":
+        "1ac339691366a461427502c1ef7b32c9d737612a8a400aadb990815863741f2a",
+    "classify A_t2":
+        "65854db8dcd42ce9ed242fad8014eb0beb96c0e1d074fa032ebe31edae482380",
+    "classify A_t3":
+        "e364804779baa94b31c59a05f890417fb16d229c1075c447535f8937da4a2fde",
+    "forward A_biell Q_biell":
+        "1aebf3ad540bc054d59bcdd36af47e2dc032ba8692ed9d4ac6f343ad0314cc5b",
+    "forward A_even Q_even":
+        "46306d5f9b80bedf15ab8c8740cac34b5f25d77bd7ac45b633c187bf4bc3c155",
+    "forward A_even_biell Q_even_biell":
+        "109e725f9d7082ef064efdddf54093021fc0b83917f79bc994c693a944fdd72e",
+    "forward A_seed Q_seed":
+        "cfa0d7c58102085cc3663a2555c4fc07a4763f486534a8b8900298b8b918be2e",
+    "forward A_t1 Q_t1":
+        "02eb72925fd34030afc28888419fbf455db1b9aa276fd37d19e3398a0cd41da8",
+    "forward A_t2 Q_t2":
+        "221a30adb86aa7d1f06abcc533b662720731d3a1018add4ca609bc4e66926fae",
+    "forward A_t3 Q_t3":
+        "f8295945b82c489106dcc658e04ed779c5b5802b997140838fc350e07d7e8874",
+    "milne-tritangents A_biell Q_biell":
+        "f8d5aaee3187596e495150550e42de28553f097916c41756c7d362c9771cda4d",
+    "milne-tritangents A_even Q_even":
+        "f8d5aaee3187596e495150550e42de28553f097916c41756c7d362c9771cda4d",
+    "milne-tritangents A_even_biell Q_even_biell":
+        "f8d5aaee3187596e495150550e42de28553f097916c41756c7d362c9771cda4d",
+    "milne-tritangents A_seed Q_seed":
+        "06a620e42a724d214f3ac39b633089fbc955f9392b828fd455835eb988468d2e",
+    "milne-tritangents A_t1 Q_t1":
+        "f8d5aaee3187596e495150550e42de28553f097916c41756c7d362c9771cda4d",
+    "milne-tritangents A_t2 Q_t2":
+        "f8d5aaee3187596e495150550e42de28553f097916c41756c7d362c9771cda4d",
+    "milne-tritangents A_t3 Q_t3":
+        "f8d5aaee3187596e495150550e42de28553f097916c41756c7d362c9771cda4d",
+    "verify fixtures.json":
+        "2db18f5df3c2ecad904975dc4e749d8650eba973e9f5d419cd59ff1fd5059fbf",
+    "verify normal_forms.json":
+        "c9912b0ad92d0d682bea5b691fa38a679025b878c3e5d8b6522f8e4edaa95d4f",
+}
+
+
+def _stable_argv(name):
+    cmd, *args = name.split()
+    if cmd == "verify":
+        return [cmd, os.path.join(os.path.dirname(DATA), args[0])]
+    if cmd == "classify":
+        return [cmd, DATA, "--object", args[0]]
+    argv = [cmd, DATA, "--A", args[0], "--Q", args[1]]
+    return argv + ["--line", "L_demo"] if cmd == "milne-tritangents" else argv
+
+
+def test_stable_outputs_cover_every_shipped_pair():
+    pairs = json.loads(open(DATA).read())["metadata"]["pairs"]
+    assert len(pairs) == 7
+    for a, q in pairs:
+        for name in ("forward %s %s" % (a, q), "classify " + a,
+                     "milne-tritangents %s %s" % (a, q)):
+            assert name in STABLE_OUTPUTS
+
+
+@pytest.mark.parametrize("name", sorted(STABLE_OUTPUTS))
+def test_cli_output_bytes_are_stable(name, capsys):
+    code, out, err = run_cli(_stable_argv(name), capsys)
+    blob = b"\0".join([str(code).encode(), out.encode(), err.encode()])
+    assert hashlib.sha256(blob).hexdigest() == STABLE_OUTPUTS[name]
