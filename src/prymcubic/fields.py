@@ -306,6 +306,20 @@ class PrimeField(Field):
     def _pow_raw(self, a, n):
         return pow(a, n, self.p)
 
+    def _convolve_raw(self, out, a, b):
+        # the products are summed as plain ints and each entry is reduced
+        # once, in place, because callers read `out` itself
+        if out is None:
+            out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        p = self.p
+        for j, c in enumerate(out):
+            out[j] = c % p
+        return out
+
     def _sqrt(self, x):
         r = _sqrt_mod_p(x.val, self.p)
         if r is None:

@@ -1,16 +1,19 @@
 """Exact dense linear algebra on plain lists of rows.
 
-Row reduction, kernels and inverses take FieldElement entries.  Determinants
-come from one kernel, `maximal_minors`, a division-free Laplace expansion
-generic in the entry type: any object with *, + and - will do, so the same
-code runs on scalar matrices and on matrices of homogeneous forms.  `det`
-and `adjugate` read it, and `sylvester` builds the one Sylvester matrix,
-whose determinant is a resultant.
+Row reduction, kernels and inverses take FieldElement entries; row
+reduction eliminates on their raw values.  Determinants come from one
+kernel, `maximal_minors`, a division-free Laplace expansion generic in the
+entry type: any object with *, + and - will do, so the same code runs on
+scalar matrices and on matrices of homogeneous forms.  `det` and
+`adjugate` read it, and `sylvester` builds the one Sylvester matrix, whose
+determinant is a resultant.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+
+from .fields import FieldElement, QuadExtField
 
 
 def mat_copy(rows):
@@ -18,33 +21,42 @@ def mat_copy(rows):
 
 
 def rref(rows):
-    """Reduced row echelon form; returns (rref_rows, pivot_columns)."""
+    """Reduced row echelon form; returns (rref_rows, pivot_columns).
+
+    The entries are read once as raw values of the widest field among them
+    (a quadratic extension over its base), eliminated with that field's raw
+    operations and wrapped once."""
     m = mat_copy(rows)
-    if not m:
+    field = None
+    for row in m:
+        for x in row:
+            if field is None or x.field is not field and isinstance(x.field, QuadExtField):
+                field = x.field
+    if field is None:
         return m, []
+    mul, sub, is_zero = field._mul, field._sub, field._is_zero_raw
+    m = [[x.val if x.field is field else field.element(x).val for x in row] for row in m]
     ncols = len(m[0])
     pivots = []
     r = 0
     for c in range(ncols):
-        pr = None
-        for i in range(r, len(m)):
-            if m[i][c]:
-                pr = i
-                break
+        pr = next((i for i in range(r, len(m)) if not is_zero(m[i][c])), None)
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        inv = m[r][c].inverse()
-        m[r] = [x * inv for x in m[r]]
+        # every row from r down is zero left of column c, so only the
+        # columns from c on change
+        inv = field._inv_nonzero(m[r][c])
+        pivot = m[r][c:] = [mul(x, inv) for x in m[r][c:]]
         for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+            f = m[i][c]
+            if i != r and not is_zero(f):
+                m[i][c:] = [sub(a, mul(f, b)) for a, b in zip(m[i][c:], pivot)]
         pivots.append(c)
         r += 1
         if r == len(m):
             break
-    return m, pivots
+    return [[FieldElement(field, x) for x in row] for row in m], pivots
 
 
 def rank(rows):

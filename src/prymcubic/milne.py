@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from . import linalg
 from .binforms import binary_gcd, perfect_square_root, resultant, squarefree_factors
-from .poly import HomogPoly, SymMatrix, proportional
+from .poly import HomogPoly, SymMatrix, proportional, restrict_forms
 from .prym import conic_rational_point, parametrize_conic
 from .quadrics import factor_rank_le2, pencil_multiple_members
 from .symmetroid import X4
@@ -54,19 +54,47 @@ class EnvelopingCone:
 def _misses_base_locus(restricted):
     """The four adjugate cubics restricted to a line are nonzero and have no
     common projective root.  A vanishing restriction means the whole line
-    maps into a plane, and the image drops degree."""
+    maps into a plane, and the image drops degree.  The gcd chain stops at
+    the first constant gcd."""
     if not all(restricted):
         return False
     g = restricted[0]
     for f in restricted[1:]:
         g = binary_gcd(g, f)
-    return g.degree == 0
+        if g.degree == 0:
+            return True
+    return False
+
+
+# the last line restricted: its symmetrization, the line, and the restricted
+# forms so far, by the identity of the tuple of forms they came from
+_last_line = (None, None, {})
+
+
+def _restricted(a, line, forms):
+    """`forms`, a tuple that `a` keeps (its adjugate cubics or its Gauss
+    quadrics), restricted to the line by one `restrict_forms` call.
+
+    The restrictions of the last (a, line) pair are kept, keyed by identity
+    as `oracle._census` keeps its census, so the tests that follow one
+    another on one line restrict each form once.  No form or line changes
+    after construction, and the kept pair holds `a` and so its tuples, so
+    identity is a sound key."""
+    global _last_line
+    last_a, last_line, done = _last_line
+    if last_a is not a or last_line is not line:
+        done = {}
+        _last_line = (a, line, done)
+    key = id(forms)
+    if key not in done:
+        done[key] = restrict_forms(forms, line.p0, line.p1)
+    return done[key]
 
 
 def line_is_generic(a, line):
     """The line avoids the base locus of the cubic map: the four restricted
     cubics have no common projective root."""
-    return _misses_base_locus([c.restrict_to_line(line.p0, line.p1) for c in a.adjugate_cubics()])
+    return _misses_base_locus(_restricted(a, line, a.adjugate_cubics()))
 
 
 def enveloping_cone(a, line):
@@ -74,22 +102,23 @@ def enveloping_cone(a, line):
     discriminant of the line's pencil of conic values."""
     field = a.field
     # each Gauss quadric along the line is a s^2 + b s t + c t^2
-    restricted = [qf.restrict_to_line(line.p0, line.p1) for qf in a.gauss_quadrics()]
+    restricted = _restricted(a, line, a.gauss_quadrics())
     acoef, bcoef, ccoef = ([r.terms.get(e, field.zero()) for r in restricted]
                            for e in ((2, 0), (1, 1), (0, 2)))
     # the image of the line degenerates when the three coefficient vectors
     # span less than a plane of the dual space
     if linalg.rank([acoef, bcoef, ccoef]) <= 2:
         raise MilneError("line maps two-to-one onto a line of the dual space")
-    if not any(c.restrict_to_line(line.p0, line.p1) for c in a.adjugate_cubics()):
+    if not any(_restricted(a, line, a.adjugate_cubics())):
         raise MilneError("line lies in the base locus of the cubic map")
-    af = HomogPoly.linear(field, X4, acoef)
-    bf = HomogPoly.linear(field, X4, bcoef)
-    cf = HomogPoly.linear(field, X4, ccoef)
-    form = bf * bf - af * cf * 4
+    # the discriminant b^2 - 4ac of the linear forms with those vectors, as
+    # the symmetric matrix with entries b_i b_j - 2 (a_i c_j + a_j c_i)
+    mat = SymMatrix(4, {(i, j): bcoef[i] * bcoef[j]
+                        - (acoef[i] * ccoef[j] + acoef[j] * ccoef[i]) * 2
+                        for i in range(4) for j in range(i, 4)})
+    form = mat.quadratic_form(field, X4)
     if not form:
         raise MilneError("envelope degenerates to the zero quadric")
-    mat = SymMatrix.from_quadratic_form(form)
     rank = mat.rank()
     if rank == 4:
         raise MilneError("envelope of a plane conic must be singular")
@@ -238,7 +267,7 @@ def twisted_cubic(a, line, strict=False):
 
     Lines through base points of the map give a lower-degree image; the
     result is flagged, or rejected when strict."""
-    comps = tuple(c.restrict_to_line(line.p0, line.p1) for c in a.adjugate_cubics())
+    comps = tuple(_restricted(a, line, a.adjugate_cubics()))
     if not any(comps):
         raise MilneError("line lies in the base locus of the cubic map")
     det = a.determinant_cubic()

@@ -5,8 +5,9 @@ the whole package.
 every scan in the package (point counts, smoothness certificates, bitangent
 and tritangent-line walks, conic points) follows its order, and
 `projective_points` wraps its raw values as field elements after checking
-the budget.  `compile_raw` is the one evaluator of a form on
-raw values; it alone decides that F_p is evaluated on plain integers.
+the budget.  `compile_raw` is the one scan evaluator: it evaluates a form
+on raw values, plain integers over F_p.  Outside the scans, F_p computes on
+integers in the field's own raw operations (`_pow_raw`, `_convolve_raw`).
 
 On top of them: Jacobian smoothness certificates, point counts with
 Frobenius traces, double-cover counts through the three minors, and

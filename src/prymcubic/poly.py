@@ -253,29 +253,47 @@ class HomogPoly:
     def restrict_to_line(self, p0, p1):
         """Compose with the parametrization s*p0 + t*p1 of a line: the binary
         form in (s, t) that `substitute` gives for the images a_i s + b_i t.
+        `restrict_forms` applied to this one form."""
+        return restrict_forms([self], p0, p1)[0]
 
-        Dense and raw: the k-th power of each image is a list of raw
-        coefficients, entry j at s^(k-j) t^j, and each monomial's product of
-        powers, scaled by its coefficient, is convolved into one accumulator
-        whose entries are wrapped once."""
-        n = len(self.vars)
-        if len(p0) != n or len(p1) != n:
-            raise PolyError("need one image per variable")
-        field = self.field
-        powers = [[[field._one_raw], [field.element(a).val, field.element(b).val]]
-                  for a, b in zip(p0, p1)]
-        d = self.degree
+
+def restrict_forms(forms, p0, p1):
+    """`HomogPoly.restrict_to_line` for a list of forms over one field in
+    the same variables, of any degrees: their binary forms in (s, t), in
+    order.
+
+    Dense and raw: the k-th power of each image a_i s + b_i t is a list of
+    raw coefficients, entry j at s^(k-j) t^j, and the image of a monomial is
+    the product of its powers.  Both are built once for all the forms.  A
+    form's coefficients, each times its monomial's image, are summed into
+    one list whose entries are wrapped once."""
+    if not forms:
+        return []
+    field, vs = forms[0].field, forms[0].vars
+    for f in forms:
+        f._check_compatible(forms[0])
+    if len(p0) != len(vs) or len(p1) != len(vs):
+        raise PolyError("need one image per variable")
+    conv, one = field._convolve_raw, [field._one_raw]
+    powers = [[one, [field.element(a).val, field.element(b).val]] for a, b in zip(p0, p1)]
+    images = {}  # exponent tuple -> image of the monomial
+    out = []
+    for f in forms:
+        d = f.degree
         acc = [field._zero_raw] * (d + 1)
-        for e, c in self.terms.items():
-            prod, last = None, [c.val]
-            for pw, k in zip(powers, e):
-                if k:
-                    while len(pw) <= k:
-                        pw.append(field._convolve_raw(None, pw[-1], pw[1]))
-                    prod = last if prod is None else field._convolve_raw(None, prod, last)
-                    last = pw[k]
-            field._convolve_raw(acc, [field._one_raw] if prod is None else prod, last)
-        return _wrap(field, ("s", "t"), d, {(d - j, j): v for j, v in enumerate(acc)})
+        for e, c in f.terms.items():
+            image = images.get(e)
+            if image is None:
+                image = one
+                for pw, k in zip(powers, e):
+                    if k:
+                        while len(pw) <= k:
+                            pw.append(conv(None, pw[-1], pw[1]))
+                        image = pw[k] if image is one else conv(None, image, pw[k])
+                images[e] = image
+            conv(acc, [c.val], image)
+        out.append(_wrap(field, ("s", "t"), d, {(d - j, j): v for j, v in enumerate(acc)}))
+    return out
 
 
 def _raw(f):

@@ -1,17 +1,21 @@
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from prymcubic.binforms import (ST, binary_gcd, linear_root, multiplicity_partition,
-                                perfect_square_root, rational_roots, resultant,
+from prymcubic.binforms import (ST, _deg, _derivative, _divmod_poly, _gcd_poly,
+                                _is_zero_poly, _monic, _pth_root_poly, _trim, binary_gcd,
+                                linear_root, multiplicity_partition, perfect_square_root,
+                                rational_roots, resultant, squarefree_decomposition,
                                 squarefree_factors, squarefree_signature)
 from prymcubic.fields import Field, QQ, QuadExtField, RationalField
 from prymcubic.poly import HomogPoly, PolyError, proportional
 from test_field_properties import CASES
 
 F3 = Field.prime(3)
+F5 = Field.prime(5)
 F7 = Field.prime(7)
 F9 = F3.quadratic_extension(2)
 F11 = Field.prime(11)
@@ -160,6 +164,22 @@ def test_binary_gcd():
     assert d.degree == expect.degree and proportional(d, expect)
 
 
+def test_binary_gcd_with_a_zero_form():
+    # gcd(0, f) and gcd(f, 0) are f normalized as gcd(f, f) is: the shared
+    # s and t powers times a core whose highest s power has coefficient 1
+    f = bf(F7, [3, 2, 0])  # 3 s^2 + 2 s t = s (3 s + 2 t)
+    zero = HomogPoly.zero(F7, ST, 2)
+    monic = bf(F7, [1, 3, 0])  # s^2 + 3 s t
+    assert binary_gcd(f, f) == monic
+    assert binary_gcd(zero, f) == monic and binary_gcd(f, zero) == monic
+    g = bf(QQ, [0, 0, 4, -2])  # 4 s t^2 - 2 t^3
+    assert (binary_gcd(HomogPoly.zero(QQ, ST, 1), g) == binary_gcd(g, g)
+            == bf(QQ, [0, 0, 1, Fraction(-1, 2)]))
+    assert binary_gcd(bf(F7, [5]), zero) == bf(F7, [1])
+    d = binary_gcd(zero, zero)
+    assert not d and d.vars == ST
+
+
 def brute_roots(f):
     """Rational roots by evaluating at every point of P^1, in the order
     rational_roots promises: (u : 1) by u, then (1 : 0)."""
@@ -287,3 +307,86 @@ def test_squarefree_factors_descend_pth_powers(field):
     assert squarefree_factors(u * u * u * t) == [(1, t), (3, u)]
     assert linear_root(u) == (a, field.one()) and linear_root(t) == (field.one(), field.zero())
     assert squarefree_factors(s * s * s * v * v * v) == [(3, s), (3, v)]
+
+
+def _yun(f, field):
+    """`squarefree_decomposition` without its early return for a squarefree
+    f: Yun's loop runs to the end whenever f' is nonzero."""
+    f = _monic(_trim(list(f), field), field)
+    if _deg(f) == 0:
+        return []
+    p = field.characteristic()
+    df = _derivative(f, field)
+    out = {}
+    rest = f
+    if not _is_zero_poly(df, field):
+        c = _gcd_poly(f, df, field)
+        w, _ = _divmod_poly(f, c, field)
+        i = 1
+        while _deg(w) > 0:
+            y = _gcd_poly(w, c, field)
+            z, _ = _divmod_poly(w, y, field)
+            if _deg(z) > 0:
+                out[i] = z
+            i += 1
+            w = y
+            c, _ = _divmod_poly(c, y, field)
+        rest = c
+    if _deg(rest) > 0:
+        for m, g in _yun(_pth_root_poly(rest, field, p), field):
+            key = m * p
+            out[key] = field._convolve_raw(None, out[key], g) if key in out else g
+    return sorted(out.items())
+
+
+@pytest.mark.parametrize("name", sorted(CASES) + ["F3", "F5", "F9"])
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(data=st.data())
+def test_squarefree_shortcut_matches_yun(name, data):
+    # random products g^m h^k, squarefree ones among them, and f = g^p h
+    # in characteristic p < 12, against the loop without the early return
+    if name in CASES:
+        make, raw = CASES[name]
+        field = make()
+    else:
+        field = {"F3": F3, "F5": F5, "F9": F9}[name]
+        raw = st.integers(0, 24).map(lambda k: field.element((k % 3, k // 3 % 3))
+                                     if field is F9 else field.element(k))
+    p = field.characteristic()
+    f = bf(field, [field.one()])
+    for _ in range(data.draw(st.integers(1, 3))):
+        g = bf(field, [field.element(data.draw(raw)) for _ in range(data.draw(st.integers(2, 3)))])
+        if g:
+            small_p = 0 < p < 12 and data.draw(st.booleans())
+            power = p if small_p else data.draw(st.integers(1, 2))
+            for _ in range(power):
+                f = f * g
+    coeffs = [c.val for c in (f.terms.get((f.degree - i, i), field.zero())
+                              for i in range(f.degree + 1))]
+    assert squarefree_decomposition(coeffs, field) == _yun(coeffs, field)
+
+
+@pytest.mark.parametrize("field", [F3, F5], ids=["F3", "F5"])
+def test_squarefree_shortcut_leaves_pth_powers_to_descent(field):
+    # f' = 0 (u^p + 1, u^2p + u^p + 2) and f = g^p h, with h = u^2 + 1
+    # prime to g = u + 1, take the descent, not the early return
+    p = field.p
+    one = field._one_raw
+
+    def u_poly(*terms):  # ascending raw list from {degree: coefficient}
+        out = [field._zero_raw] * (max(k for k, _ in terms) + 1)
+        for k, c in terms:
+            out[k] = field._from_int(c)
+        return out
+
+    g = u_poly((0, 1), (1, 1))  # u + 1
+    h = u_poly((0, 1), (2, 1))  # u^2 + 1
+    g_p = [one]
+    for _ in range(p):
+        g_p = field._convolve_raw(None, g_p, g)
+    cases = [u_poly((0, 1), (p, 1)), u_poly((0, 2), (p, 1), (2 * p, 1)),
+             field._convolve_raw(None, g_p, h), h]
+    for f in cases:
+        assert squarefree_decomposition(f, field) == _yun(f, field)
+    assert _is_zero_poly(_derivative(cases[0], field), field)
+    assert squarefree_decomposition(cases[2], field)[-1][0] == p

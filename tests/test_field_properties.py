@@ -1,8 +1,9 @@
 """Property tests of the scalar fields Q, F_101, F_11(sqrt 2) and Q(sqrt 5):
 ring laws, inverses, square roots and the root each field picks,
 `adjoin_sqrt`, `hash` agreeing with `==` within a field and across the
-lift of a base element into its extension, and the canonical raw value of a
-rational (an int when integral, else a Fraction with denominator > 1)."""
+lift of a base element into its extension, the canonical raw value of a
+rational (an int when integral, else a Fraction with denominator > 1), and
+F_p's integer dense product against the generic one."""
 
 import json
 from fractions import Fraction
@@ -120,6 +121,25 @@ def test_hash_agrees_across_lift(name, data):
     assert lifted == b and b == lifted and hash(lifted) == hash(b)
     assert len({b, lifted}) == 1
     assert (x == b) == (x.val[1] == 0)
+
+
+@pytest.mark.parametrize("p", [3, 13, 101])
+@PROPERTY
+@given(data=st.data())
+def test_prime_field_convolve_matches_the_generic_product(p, data):
+    # F_p sums plain ints and reduces once; Field._convolve_raw folds the
+    # field's _mul and _add, into a fresh list or into an out that already
+    # holds values, which both must change in place
+    field = Field.prime(p)
+    residues = st.lists(st.integers(0, p - 1), min_size=1, max_size=6)
+    a, b = data.draw(residues), data.draw(residues)
+    assert field._convolve_raw(None, a, b) == Field._convolve_raw(field, None, a, b)
+    held = data.draw(st.lists(st.integers(0, p - 1), min_size=len(a) + len(b) - 1,
+                              max_size=len(a) + len(b) - 1))
+    out, ref = list(held), list(held)
+    assert field._convolve_raw(out, a, b) is out
+    Field._convolve_raw(field, ref, a, b)
+    assert out == ref and all(0 <= c < p for c in out)
 
 
 def _canonical(v):

@@ -1,8 +1,10 @@
 """Property tests of the determinant kernel: `linalg.maximal_minors`, and
 `det` and `adjugate` built on it, against a Leibniz permutation sum over
 the fields of `test_field_properties.CASES` and F_3, on scalar matrices and
-on matrices of linear forms."""
+on matrices of linear forms; and of `rref` on raw values against row
+reduction through `FieldElement` operators."""
 
+from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
@@ -94,3 +96,77 @@ def test_adjugate_inverts_up_to_the_determinant(name, data):
     scaled = [[d if i == j else field.zero() for j in range(n)] for i in range(n)]
     assert linalg.mat_mul(adj, rows) == scaled
     assert linalg.mat_mul(rows, adj) == scaled
+
+
+def _rref_on_elements(rows):
+    """Row reduction through FieldElement operators, entry by entry: the
+    reference for `linalg.rref`, which eliminates on raw values."""
+    m = [list(r) for r in rows]
+    if not m:
+        return m, []
+    pivots = []
+    r = 0
+    for c in range(len(m[0])):
+        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = m[r][c].inverse()
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m, pivots
+
+
+# Q with Fraction entries, Q(sqrt 2), F_7 and F_49 = F_7(sqrt 3)
+RREF_FIELDS = {
+    "QQ": (Field.rationals, st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))),
+    "Q(sqrt2)": (lambda: Field.rationals().quadratic_extension(2),
+                 st.tuples(st.integers(-3, 3), st.integers(-3, 3))),
+    "F7": (lambda: Field.prime(7), st.integers(0, 6)),
+    "F49": (lambda: Field.prime(7).quadratic_extension(3),
+            st.tuples(st.integers(0, 6), st.integers(0, 6))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RREF_FIELDS))
+@PROPERTY
+@given(data=st.data())
+def test_raw_rref_matches_rref_on_elements(name, data):
+    # zero rows, the zero matrix and rank-deficient matrices (a row that is
+    # a combination of two others) among them
+    make, raw = RREF_FIELDS[name]
+    field = make()
+    r, m = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 6))
+    sparse = st.one_of(st.just(0), st.just(0), raw)
+    rows = [[field.element(data.draw(sparse)) for _ in range(m)] for _ in range(r)]
+    shape = data.draw(st.sampled_from(["random", "zero row", "zero matrix", "combination"]))
+    i = data.draw(st.integers(0, r - 1))
+    if shape == "zero row":
+        rows[i] = [field.zero()] * m
+    elif shape == "zero matrix":
+        rows = [[field.zero()] * m for _ in range(r)]
+    elif shape == "combination" and r > 2:
+        c = field.element(data.draw(raw))
+        rows[i] = [a + c * b for a, b in zip(rows[(i + 1) % r], rows[(i + 2) % r])]
+    red, pivots = linalg.rref(rows)
+    ref, ref_pivots = _rref_on_elements(rows)
+    assert pivots == ref_pivots
+    assert [[x.val for x in row] for row in red] == [[x.val for x in row] for row in ref]
+    assert all(x.field is field for row in red for x in row)
+
+
+def test_rref_reads_base_entries_into_the_extension():
+    F7 = Field.prime(7)
+    F49 = F7.quadratic_extension(3)
+    rows = [[F7.element(2), F49.ext_element(1, 1)], [F7.element(4), F7.element(3)]]
+    red, pivots = linalg.rref(rows)
+    assert (red, pivots) == _rref_on_elements(rows) and pivots == [0, 1]
+    assert all(x.field is F49 for row in red for x in row)
+    assert linalg.rref([]) == ([], []) and linalg.rref([[]]) == ([[]], [])

@@ -1,11 +1,15 @@
+from collections import Counter
+
 import pytest
 
-from prymcubic import linalg
+from prymcubic import linalg, milne, poly
+from prymcubic.binforms import binary_gcd
 from prymcubic.fields import Field, QQ
 from prymcubic.fixtures import FIXTURES, fix_a
 from prymcubic.milne import (Line2, MilneError, contact_points_match,
                              cubic_through_curve_and_twisted, enveloping_cone,
-                             reducible_member, tritangent_verify, twisted_cubic)
+                             line_is_generic, reducible_member, tritangent_verify,
+                             twisted_cubic)
 from prymcubic.oracle import enumerate_bitangents, projective_points_raw
 from prymcubic.poly import HomogPoly, SymMatrix, proportional
 from prymcubic.prym import forward_general
@@ -182,7 +186,6 @@ def test_twisted_cubic_seed_line():
     with pytest.raises(MilneError):
         twisted_cubic(a, line, strict=True)
     # a genuinely generic line gives an honest twisted cubic
-    from prymcubic.milne import line_is_generic
     found = None
     for b in range(11):
         cand = Line2.from_dual(F11, (1, 3, b))
@@ -248,7 +251,6 @@ def test_envelope_tangent_along_twisted_cubic():
     tested = 0
     for b in range(11):
         line = Line2.from_dual(F11, (1, 5, b))
-        from prymcubic.milne import line_is_generic
         if not line_is_generic(a, line):
             continue
         cone = enveloping_cone(a, line)
@@ -294,3 +296,97 @@ def test_bijection_more_fixtures_and_primes():
     for name, p in (("t3", 11), ("t1", 13)):
         a, q, fwd, gamma, oracle, detected = _milne_scan(name, p)
         assert set(detected) == oracle
+
+
+def _dual_lines(p):
+    """Every line of P^2 over F_p once, by normalized dual coordinates."""
+    return ([(1, a, b) for a in range(p) for b in range(p)]
+            + [(0, 1, b) for b in range(p)] + [(0, 0, 1)])
+
+
+def test_line_tests_restrict_each_form_once(monkeypatch):
+    # line_is_generic, enveloping_cone and twisted_cubic on one line restrict
+    # the four adjugate cubics and the four Gauss quadrics once each, and
+    # never one form at a time; another line object, even an equal one, and
+    # another symmetrization are restricted afresh
+    restricted = []
+
+    def counted(forms, p0, p1):
+        restricted.extend(forms)
+        return poly.restrict_forms(forms, p0, p1)
+
+    def one_form(*args):
+        raise AssertionError("a form restricted on its own")
+
+    monkeypatch.setattr(milne, "restrict_forms", counted)
+    monkeypatch.setattr(HomogPoly, "restrict_to_line", one_form)
+    a = FIXTURES["t1"].symmetrization(F11)
+    eight = a.adjugate_cubics() + a.gauss_quadrics()
+    cones = 0
+    for dual in _dual_lines(11)[::7]:
+        for line in (Line2.from_dual(F11, dual), Line2.from_dual(F11, dual)):
+            restricted.clear()
+            line_is_generic(a, line)
+            try:
+                enveloping_cone(a, line)
+                cones += 1
+            except MilneError:
+                pass
+            twisted_cubic(a, line)
+            assert Counter(map(id, restricted)) == Counter(map(id, eight)), dual
+    assert cones > 0
+    b = FIXTURES["t2"].symmetrization(F11)
+    restricted.clear()
+    line_is_generic(b, line)
+    line_is_generic(a, line)
+    both = b.adjugate_cubics() + a.adjugate_cubics()
+    assert Counter(map(id, restricted)) == Counter(map(id, both))
+
+
+def test_base_locus_test_stops_at_the_first_constant_gcd(monkeypatch):
+    # one binary_gcd call when the first two restricted cubics are coprime,
+    # as on most lines, and no more than it takes to reach a constant gcd
+    calls = []
+
+    def counted(f, g):
+        calls.append(1)
+        return binary_gcd(f, g)
+
+    monkeypatch.setattr(milne, "binary_gcd", counted)
+    a = FIXTURES["t1"].symmetrization(F11)
+    seen = Counter()
+    for dual in _dual_lines(11):
+        line = Line2.from_dual(F11, dual)
+        cubics = poly.restrict_forms(a.adjugate_cubics(), line.p0, line.p1)
+        chain = [cubics[0]]
+        for c in cubics[1:]:
+            chain.append(binary_gcd(chain[-1], c))
+        want = next((k for k in range(1, 4) if chain[k].degree == 0), 3)
+        calls.clear()
+        assert line_is_generic(a, line) == (all(cubics) and chain[-1].degree == 0)
+        assert len(calls) == (want if all(cubics) else 0), dual
+        seen[len(calls)] += 1
+    assert seen[1] > seen[3] > 0
+
+
+@pytest.mark.parametrize("name,p", [("t1", 11), ("biell", 13)])
+def test_enveloping_cone_is_the_discriminant_of_the_line_pencil(name, p):
+    # the cone's matrix, entries b_i b_j - 2 (a_i c_j + a_j c_i), against the
+    # form b^2 - 4ac built from the linear forms with the vectors a, b, c
+    F = Field.prime(p)
+    a = FIXTURES[name].symmetrization(F)
+    cones = 0
+    for dual in _dual_lines(p):
+        line = Line2.from_dual(F, dual)
+        try:
+            cone = enveloping_cone(a, line)
+        except MilneError:
+            continue
+        cones += 1
+        rest = [g.restrict_to_line(line.p0, line.p1) for g in a.gauss_quadrics()]
+        af, bf, cf = (HomogPoly.linear(F, X4, [r.terms.get(e, F.zero()) for r in rest])
+                      for e in ((2, 0), (1, 1), (0, 2)))
+        form = bf * bf - af * cf * 4
+        assert cone.form == form
+        assert cone.matrix == SymMatrix.from_quadratic_form(form)
+    assert cones > p

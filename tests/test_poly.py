@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from prymcubic import linalg
 from prymcubic.fields import Field, FieldElement, QQ
-from prymcubic.poly import HomogPoly, PolyError, SymMatrix, proportional
+from prymcubic.poly import HomogPoly, PolyError, SymMatrix, proportional, restrict_forms
 
 from test_field_properties import CASES
 from test_scene_properties import VARS, _form, _scalar
@@ -382,3 +382,58 @@ def test_restrict_to_line_is_substitution_of_the_line(name, data):
     assert rest.vars == VARS[2] and rest.degree == f.degree
     s0, t0 = _scalar(data, field, raw), _scalar(data, field, raw)
     assert rest.evaluate([s0, t0]) == f.evaluate([s0 * a + t0 * b for a, b in zip(p0, p1)])
+
+
+def _restrict_one_form(f, p0, p1):
+    """One form restricted to the line s*p0 + t*p1 by its own powers of the
+    images, each monomial's product of powers convolved into one
+    accumulator: the reference for `restrict_forms`, which shares the powers
+    and the monomial images among the forms it restricts."""
+    field = f.field
+    powers = [[[field._one_raw], [field.element(a).val, field.element(b).val]]
+              for a, b in zip(p0, p1)]
+    d = f.degree
+    acc = [field._zero_raw] * (d + 1)
+    for e, c in f.terms.items():
+        prod, last = None, [c.val]
+        for pw, k in zip(powers, e):
+            if k:
+                while len(pw) <= k:
+                    pw.append(Field._convolve_raw(field, None, pw[-1], pw[1]))
+                prod = last if prod is None else Field._convolve_raw(field, None, prod, last)
+                last = pw[k]
+        Field._convolve_raw(field, acc, [field._one_raw] if prod is None else prod, last)
+    return HomogPoly(field, VARS[2], d, {(d - j, j): FieldElement(field, v)
+                                         for j, v in enumerate(acc)})
+
+
+@pytest.mark.parametrize("name", sorted(CASES_F3_F9))
+@PROPERTY
+@given(data=st.data())
+def test_restrict_forms_matches_one_form_at_a_time(name, data):
+    # forms of mixed degrees 0-4 in one set of variables, a zero form among
+    # them, over Q, F_101, F_3, F_9, F_11(sqrt 2) and Q(sqrt 5)
+    make, raw = CASES_F3_F9[name]
+    field = make()
+    nv = data.draw(st.integers(2, 4))
+    forms = [_form(data, field, raw, nv, data.draw(st.integers(0, 4)))
+             for _ in range(data.draw(st.integers(1, 5)))]
+    forms.insert(data.draw(st.integers(0, len(forms))),
+                 HomogPoly.zero(field, VARS[nv], data.draw(st.integers(0, 3))))
+    p0 = [_scalar(data, field, raw) for _ in range(nv)]
+    p1 = [_scalar(data, field, raw) for _ in range(nv)]
+    rest = restrict_forms(forms, p0, p1)
+    assert rest == [_restrict_one_form(f, p0, p1) for f in forms]
+    assert rest == [f.restrict_to_line(p0, p1) for f in forms]
+    assert [(r.vars, r.degree) for r in rest] == [(VARS[2], f.degree) for f in forms]
+
+
+def test_restrict_forms_needs_one_ring():
+    f = HomogPoly(F11, Z3, 2, {(1, 1, 0): 1})
+    with pytest.raises(PolyError):
+        restrict_forms([f, HomogPoly(F11, X4, 1, {(1, 0, 0, 0): 1})], [1, 0, 0], [0, 1, 0])
+    with pytest.raises(PolyError):
+        restrict_forms([f, f.change_field(F11.quadratic_extension(2))], [1, 0, 0], [0, 1, 0])
+    with pytest.raises(PolyError):
+        restrict_forms([f], [1, 0], [0, 1])
+    assert restrict_forms([], [1, 0, 0], [0, 1, 0]) == []

@@ -102,7 +102,8 @@ def test_one_place_goes_up_to_a_quadratic_extension():
 def test_one_scan_kernel_for_every_finite_field():
     # one raw enumerator (wrapped by projective_points) and one evaluator
     # serve every finite field, and each oracle scan walks its points in one
-    # loop; only compile_raw may choose integer arithmetic for F_p
+    # loop; compile_raw is the one scan evaluator, and F_p's integer
+    # arithmetic elsewhere lives in the field's raw operations
     kernels = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
