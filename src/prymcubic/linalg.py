@@ -135,6 +135,11 @@ def sylvester(fc, gc, zero):
             + [[zero] * i + gc + [zero] * (m - 1 - i) for i in range(m)])
 
 
+def cross(a, b):
+    """Cross product of two 3-vectors, zero exactly when they are proportional."""
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
 def mat_mul(a, b):
     n, k, m = len(a), len(b), len(b[0])
     out = []

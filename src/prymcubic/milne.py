@@ -27,14 +27,17 @@ class InternalError(RuntimeError):
 class Line2:
     """A line in the source plane, carried as a spanning pair of points."""
 
-    __slots__ = ("p0", "p1", "field")
+    __slots__ = ("p0", "p1", "u", "field")
 
     def __init__(self, field, p0, p1):
         self.field = field
         self.p0 = tuple(field.element(c) for c in p0)
         self.p1 = tuple(field.element(c) for c in p1)
-        rows = [list(self.p0), list(self.p1)]
-        if linalg.rank(rows) != 2:
+        if len(self.p0) != 3 or len(self.p1) != 3:
+            raise MilneError("a plane line needs two points with three coordinates")
+        # the line's dual coordinates, which its enveloping cone reads
+        self.u = linalg.cross(self.p0, self.p1)
+        if not any(self.u):
             raise MilneError("the two points do not span a line")
 
     @staticmethod
@@ -66,62 +69,48 @@ def _misses_base_locus(restricted):
     return False
 
 
-# the last line restricted: its symmetrization, the line, and the restricted
-# forms so far, by the identity of the tuple of forms they came from
-_last_line = (None, None, {})
+# the symmetrization, the line and the restricted adjugate cubics of the last line
+_last_line = (None, None, None)
 
 
-def _restricted(a, line, forms):
-    """`forms`, a tuple that `a` keeps (its adjugate cubics or its Gauss
-    quadrics), restricted to the line by one `restrict_forms` call.
-
-    The restrictions of the last (a, line) pair are kept, keyed by identity
-    as `oracle._census` keeps its census, so the tests that follow one
-    another on one line restrict each form once.  No form or line changes
-    after construction, and the kept pair holds `a` and so its tuples, so
-    identity is a sound key."""
+def _restricted(a, line):
+    """The adjugate cubics of `a` restricted to the line by one
+    `restrict_forms` call, kept for the last (a, line) pair and keyed by
+    identity as `oracle._census` keeps its census, so the tests that follow
+    one another on one line restrict each cubic once.  No form or line
+    changes after construction, and the kept pair holds both, so identity is
+    a sound key."""
     global _last_line
-    last_a, last_line, done = _last_line
+    last_a, last_line, cubics = _last_line
     if last_a is not a or last_line is not line:
-        done = {}
-        _last_line = (a, line, done)
-    key = id(forms)
-    if key not in done:
-        done[key] = restrict_forms(forms, line.p0, line.p1)
-    return done[key]
+        cubics = tuple(restrict_forms(a.adjugate_cubics(), line.p0, line.p1))
+        _last_line = (a, line, cubics)
+    return cubics
 
 
 def line_is_generic(a, line):
     """The line avoids the base locus of the cubic map: the four restricted
     cubics have no common projective root."""
-    return _misses_base_locus(_restricted(a, line, a.adjugate_cubics()))
+    return _misses_base_locus(_restricted(a, line))
 
 
 def enveloping_cone(a, line):
-    """Quadric enveloped by the image conic of a plane line: the binary
-    discriminant of the line's pencil of conic values."""
-    field = a.field
-    # each Gauss quadric along the line is a s^2 + b s t + c t^2
-    restricted = _restricted(a, line, a.gauss_quadrics())
-    acoef, bcoef, ccoef = ([r.terms.get(e, field.zero()) for r in restricted]
-                           for e in ((2, 0), (1, 1), (0, 2)))
-    # the image of the line degenerates when the three coefficient vectors
-    # span less than a plane of the dual space
-    if linalg.rank([acoef, bcoef, ccoef]) <= 2:
-        raise MilneError("line maps two-to-one onto a line of the dual space")
-    if not any(_restricted(a, line, a.adjugate_cubics())):
-        raise MilneError("line lies in the base locus of the cubic map")
-    # the discriminant b^2 - 4ac of the linear forms with those vectors, as
-    # the symmetric matrix with entries b_i b_j - 2 (a_i c_j + a_j c_i)
-    mat = SymMatrix(4, {(i, j): bcoef[i] * bcoef[j]
-                        - (acoef[i] * ccoef[j] + acoef[j] * ccoef[i]) * 2
-                        for i in range(4) for j in range(i, 4)})
-    form = mat.quadratic_form(field, X4)
-    if not form:
-        raise MilneError("envelope degenerates to the zero quadric")
+    """Quadric enveloped by the image conic of a plane line: the discriminant
+    b^2 - 4ac of the line's pencil of conics, which is -4 det(P^T A(x) P) with
+    P = [p0 p1], and by Cauchy-Binet -4 u^T adj(A(x)) u with u = p0 x p1."""
+    adj, u = a.adjugate_quadrics().at, line.u
+    form = linalg.sum_entries([adj(i, j) * (u[i] * u[j] * (-4 if i == j else -8))
+                               for i in range(3) for j in range(i, 3)])
+    mat = SymMatrix.from_quadratic_form(form)
     rank = mat.rank()
+    # b^2 - 4ac has rank 3 in odd characteristic, so rank <= 2 means that the
+    # line's coefficient vectors a, b, c span less than a plane of the dual space
+    if rank <= 2:
+        raise MilneError("line maps two-to-one onto a line of the dual space")
+    if not any(_restricted(a, line)):
+        raise MilneError("line lies in the base locus of the cubic map")
     if rank == 4:
-        raise MilneError("envelope of a plane conic must be singular")
+        raise InternalError("enveloping cone of a plane conic has full rank; internal error")
     return EnvelopingCone(mat, form, rank)
 
 
@@ -267,7 +256,7 @@ def twisted_cubic(a, line, strict=False):
 
     Lines through base points of the map give a lower-degree image; the
     result is flagged, or rejected when strict."""
-    comps = tuple(_restricted(a, line, a.adjugate_cubics()))
+    comps = _restricted(a, line)
     if not any(comps):
         raise MilneError("line lies in the base locus of the cubic map")
     det = a.determinant_cubic()

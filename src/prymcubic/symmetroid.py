@@ -94,6 +94,7 @@ class Symmetrization:
         self._qvec = None
         self._gauss = None
         self._det = None
+        self._adjq = None
         self._adj = None
         self._type = None
 
@@ -167,6 +168,13 @@ class Symmetrization:
 
     # -- adjugation ----------------------------------------------------------
 
+    def adjugate_quadrics(self):
+        """adj(A(x)), a symmetric matrix of quadrics in x: the double-cover
+        minors and the enveloping cones of `milne` read it."""
+        if self._adjq is None:
+            self._adjq = self.matrix.adjugate()
+        return self._adjq
+
     def line_contraction(self):
         """3x4 matrix B(z): column j is the matrix of quadric j applied to z."""
         qv = self.quadric_vector()
@@ -200,12 +208,9 @@ class Symmetrization:
         """The three 2x2-minor discriminants whose square roots all cut out
         the same double cover; the certificate is the exact syzygy tying the
         first and last of them to the determinant."""
-        a = self.matrix.at
-        m12 = a(0, 1) * a(0, 1) - a(0, 0) * a(1, 1)
-        m13 = a(0, 2) * a(0, 2) - a(0, 0) * a(2, 2)
-        m23 = a(1, 2) * a(1, 2) - a(1, 1) * a(2, 2)
-        cross = a(0, 1) * a(1, 2) - a(0, 2) * a(1, 1)
-        cert = (m12 * m23 - cross * cross == a(1, 1) * self.determinant_cubic())
+        adj = self.adjugate_quadrics().at
+        m12, m13, m23, cross = -adj(2, 2), -adj(1, 1), -adj(0, 0), adj(0, 2)
+        cert = (m12 * m23 - cross * cross == self.matrix.at(1, 1) * self.determinant_cubic())
         return m12, m13, m23, cert
 
     # -- rank-one locus and classification -------------------------------------
@@ -342,8 +347,7 @@ class Symmetrization:
 
 def _line_intersection(l1, l2):
     """Meet of two distinct plane lines via the cross product."""
-    a, b = l1.linear_coeffs(), l2.linear_coeffs()
-    cross = [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
+    cross = linalg.cross(l1.linear_coeffs(), l2.linear_coeffs())
     if not any(cross):
         return None
     return linalg.normalize_point(cross)

@@ -41,6 +41,20 @@ def test_enveloping_cone_rejects_base_line():
         enveloping_cone(t7, line)
 
 
+@pytest.mark.parametrize("F", [QQ, F11])
+def test_line_carries_its_dual_coordinates(F):
+    # u = p0 x p1, zero exactly when the two points do not span a line;
+    # points with other than three coordinates are refused, not truncated
+    assert Line2(F, [1, 2, 0], [0, 1, 3]).u == tuple(F.element(c) for c in (6, -3, 1))
+    for p0, p1 in (([1, 2, 3], [2, 4, 6]), ([0, 0, 0], [1, 0, 0]), ([0, 1, 0], [0, 1, 0]),
+                   ([1, 0, 0, 5], [0, 1, 0, 5]), ([1, 0], [0, 1])):
+        with pytest.raises(MilneError):
+            Line2(F, p0, p1)
+    for dual in [(1, 2, 3), (0, 1, 5), (0, 0, 1), (1, 0, 0)]:
+        u = Line2.from_dual(F, dual).u
+        assert any(u) and not any(linalg.cross(u, [F.element(c) for c in dual]))
+
+
 def test_reducible_member_degenerate_pencil():
     a = fix_a(QQ)
     line = Line2(QQ, [1, 0, 0], [0, 1, 0])
@@ -306,8 +320,9 @@ def _dual_lines(p):
 
 def test_line_tests_restrict_each_form_once(monkeypatch):
     # line_is_generic, enveloping_cone and twisted_cubic on one line restrict
-    # the four adjugate cubics and the four Gauss quadrics once each, and
-    # never one form at a time; another line object, even an equal one, and
+    # the four adjugate cubics once each, and never one form at a time; the
+    # cone is read off the adjugate of the symmetrization, so no Gauss
+    # quadric is restricted; another line object, even an equal one, and
     # another symmetrization are restricted afresh
     restricted = []
 
@@ -321,7 +336,8 @@ def test_line_tests_restrict_each_form_once(monkeypatch):
     monkeypatch.setattr(milne, "restrict_forms", counted)
     monkeypatch.setattr(HomogPoly, "restrict_to_line", one_form)
     a = FIXTURES["t1"].symmetrization(F11)
-    eight = a.adjugate_cubics() + a.gauss_quadrics()
+    four = a.adjugate_cubics()
+    gauss = set(map(id, a.gauss_quadrics()))
     cones = 0
     for dual in _dual_lines(11)[::7]:
         for line in (Line2.from_dual(F11, dual), Line2.from_dual(F11, dual)):
@@ -333,7 +349,8 @@ def test_line_tests_restrict_each_form_once(monkeypatch):
             except MilneError:
                 pass
             twisted_cubic(a, line)
-            assert Counter(map(id, restricted)) == Counter(map(id, eight)), dual
+            assert Counter(map(id, restricted)) == Counter(map(id, four)), dual
+            assert not gauss & set(map(id, restricted)), dual
     assert cones > 0
     b = FIXTURES["t2"].symmetrization(F11)
     restricted.clear()
@@ -369,14 +386,19 @@ def test_base_locus_test_stops_at_the_first_constant_gcd(monkeypatch):
     assert seen[1] > seen[3] > 0
 
 
-@pytest.mark.parametrize("name,p", [("t1", 11), ("biell", 13)])
+@pytest.mark.parametrize("name,p", [("t1", 11), ("biell", 13), ("t3", 17)]
+                         + [(name, 0) for name in sorted(FIXTURES)])
 def test_enveloping_cone_is_the_discriminant_of_the_line_pencil(name, p):
-    # the cone's matrix, entries b_i b_j - 2 (a_i c_j + a_j c_i), against the
-    # form b^2 - 4ac built from the linear forms with the vectors a, b, c
-    F = Field.prime(p)
+    # the cone, read off the adjugate of the symmetrization, against the form
+    # b^2 - 4ac built from the linear forms whose vectors a, b, c are the
+    # coefficients of the Gauss quadrics restricted to the line: every line
+    # of P^2 over F_p, and over Q (p = 0) the lines (1, a, b) with
+    # |a|, |b| <= 3
+    F = Field.prime(p) if p else QQ
     a = FIXTURES[name].symmetrization(F)
+    duals = _dual_lines(p) if p else [(1, u, v) for u in range(-3, 4) for v in range(-3, 4)]
     cones = 0
-    for dual in _dual_lines(p):
+    for dual in duals:
         line = Line2.from_dual(F, dual)
         try:
             cone = enveloping_cone(a, line)
@@ -389,4 +411,5 @@ def test_enveloping_cone_is_the_discriminant_of_the_line_pencil(name, p):
         form = bf * bf - af * cf * 4
         assert cone.form == form
         assert cone.matrix == SymMatrix.from_quadratic_form(form)
-    assert cones > p
+        assert cone.rank == 3
+    assert cones > len(duals) // 2

@@ -328,13 +328,27 @@ def test_binary_forms_run_on_raw_values():
 def test_one_determinant_algorithm():
     # every determinant, adjugate and maximal minor is the one shared-minor
     # Laplace expansion of linalg.maximal_minors, and both resultants read
-    # the one Sylvester matrix of linalg.sylvester
+    # the one Sylvester matrix of linalg.sylvester; the enveloping cone and
+    # the double-cover minors read the memoized adjugate of the
+    # symmetrization, so the cone restricts no Gauss quadric; the one cross
+    # product of 3-vectors is linalg.cross
     def functions(module):
         tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
         return {n.name: n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
 
     def calls(fn):
         return {ast.unparse(n.func) for n in ast.walk(fn) if isinstance(n, ast.Call)}
+
+    def product(node):
+        # x[i] * y[j] as [(x, i), (y, j)], or None
+        if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)):
+            return None
+        out = []
+        for f in (node.left, node.right):
+            if not (isinstance(f, ast.Subscript) and isinstance(f.slice, ast.Constant)):
+                return None
+            out.append((ast.unparse(f.value), f.slice.value))
+        return out
 
     source = (SRC / "linalg.py").read_text(encoding="utf-8")
     assert "_det_gauss" not in source and "hasattr(" not in source
@@ -346,6 +360,25 @@ def test_one_determinant_algorithm():
     assert "linalg.det" not in calls(adjugate_cubics)
     assert "linalg.sylvester" in calls(functions("binforms.py")["resultant"])
     assert "linalg.sylvester" in calls(functions("elim.py")["resultant_last_var"])
+    cone = {c.split(".")[-1] for c in calls(functions("milne.py")["enveloping_cone"])}
+    assert "adjugate_quadrics" in cone
+    assert not {"restrict_forms", "restrict_to_line", "gauss_quadrics"} & cone
+    assert "self.adjugate_quadrics" in calls(functions("symmetroid.py")["double_cover_minors"])
+    # x[i] * y[j] - x[j] * y[i], a coordinate of a cross product, outside
+    # linalg.cross
+    cross = range(linalg["cross"].lineno, linalg["cross"].end_lineno + 1)
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+                    and not (path.name == "linalg.py" and node.lineno in cross)):
+                left, right = product(node.left), product(node.right)
+                if left and right and left[0][1] != left[1][1]:
+                    (x, i), (y, j) = left
+                    if sorted(right) == sorted([(x, j), (y, i)]):
+                        offenders.append("%s:%d %s" % (path.name, node.lineno,
+                                                       ast.unparse(node)))
+    assert offenders == []
 
 
 def test_scene_kinds_in_one_table():

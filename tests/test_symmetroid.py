@@ -231,7 +231,14 @@ def test_minor_relation_random():
                 f = HomogPoly.linear(F13, X4, [F13.random(rng) for _ in range(4)])
                 rows[i][j] = rows[j][i] = f
         a = Symmetrization(F13, SymMatrix.from_rows(rows))
-        assert a.double_cover_minors()[3]
+        m12, m13, m23, cert = a.double_cover_minors()
+        assert cert
+        # the minors read off the adjugate, against the 2x2 minors expanded
+        # by hand
+        e = a.matrix.at
+        assert m12 == e(0, 1) * e(0, 1) - e(0, 0) * e(1, 1)
+        assert m13 == e(0, 2) * e(0, 2) - e(0, 0) * e(2, 2)
+        assert m23 == e(1, 2) * e(1, 2) - e(1, 1) * e(2, 2)
 
 
 def test_prym_canonical_point():
