@@ -15,14 +15,15 @@ import sys
 from fractions import Fraction
 
 from .fields import Field, FieldError, PrimeField, QQ
-from .milne import (InternalError, Line2, MilneError, enveloping_cone,
-                    reducible_member, tritangent_verify, twisted_cubic)
+from .milne import (Line2, MilneError, enveloping_cone, reducible_member,
+                    tritangent_verify, twisted_cubic)
 from .oracle import (BudgetExceeded, DEFAULT_BUDGET, OracleError, count_curve,
                      count_double_cover, count_hyperelliptic_octic,
                      enumerate_bitangents, projective_points, smoothness_certificate)
 from .poly import HomogPoly, PolyError, SymMatrix, proportional
-from .prym import (PrymError, UnsupportedTower, forward_even, forward_general,
-                   pencil_conics, reverse_construct, roundtrip_change_matches)
+from .prym import (InternalError, PrymError, UnsupportedTower, forward_even,
+                   forward_general, pencil_conics, reverse_construct,
+                   roundtrip_change_matches)
 from .scene import (Scene, SceneError, parse_scene, reduce_scene,
                     scalar_to_json, write_scene)
 from .symmetroid import (IRREDUCIBLE_TYPES, X4, Symmetrization, SymmetroidError,
@@ -218,15 +219,16 @@ def cmd_count(args):
     scene = _load_scene(args.scene)
     scene, field = _resolve_count_field(scene, args.q)
     label = args.curve
+    cert = None  # a binary octic chart takes no smoothness certificate
     if "," in label:
         aname, qname = label.split(",", 1)
         a = scene.get(aname, "symmetrization")
         q = scene.get(qname, "quadric")
         eqs = [q.quadratic_form(field, X4), a.determinant_cubic()]
         if args.cover:
-            m12, m13, m23, cert = a.double_cover_minors()
-            if not cert:
-                raise CliInputError("minor relation failed; invalid symmetrization")
+            m12, m13, m23, holds = a.double_cover_minors()
+            if not holds:
+                raise InternalError("minor relation failed; invalid symmetrization")
             rep = count_double_cover(eqs, [m12, m13, m23], field, label=label,
                                      budget=args.budget)
         else:
@@ -236,20 +238,16 @@ def cmd_count(args):
         f = scene.get(label, "quartic")
         if len(f.vars) == 2:
             rep = count_hyperelliptic_octic(f, field, label=label, budget=args.budget)
-            report = {"label": rep.label, "q": rep.q, "count": rep.count,
-                      "genus": rep.genus, "trace": rep.trace, "weil_ok": rep.weil_ok,
-                      "smooth": None, "singular_witness": None}
-            print(json.dumps(report, sort_keys=True, indent=1))
-            return EXIT_OK
-        rep = count_curve([f], field, 3, label=label, budget=args.budget)
-        cert = smoothness_certificate([f], field, budget=args.budget)
+        else:
+            rep = count_curve([f], field, 3, label=label, budget=args.budget)
+            cert = smoothness_certificate([f], field, budget=args.budget)
+    smooth = None if cert is None else cert.passed
     report = {"label": rep.label, "q": rep.q, "count": rep.count, "genus": rep.genus,
-              "trace": rep.trace, "weil_ok": rep.weil_ok,
-              "smooth": cert.passed,
-              "singular_witness": None if cert.passed else [repr(c) for c in cert.witness]}
+              "trace": rep.trace, "weil_ok": rep.weil_ok, "smooth": smooth,
+              "singular_witness": [repr(c) for c in cert.witness] if smooth is False else None}
     print(json.dumps(report, sort_keys=True, indent=1))
     # a certified-smooth curve violating the Weil bound is an inconsistency
-    return EXIT_OK if rep.weil_ok or not cert.passed else EXIT_VERIFY
+    return EXIT_VERIFY if smooth and not rep.weil_ok else EXIT_OK
 
 
 def cmd_bitangents(args):

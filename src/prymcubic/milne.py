@@ -9,7 +9,7 @@ from __future__ import annotations
 from . import linalg
 from .binforms import binary_gcd, perfect_square_root, resultant, squarefree_factors
 from .poly import HomogPoly, SymMatrix, proportional, restrict_forms
-from .prym import conic_rational_point, parametrize_conic
+from .prym import InternalError, conic_rational_point, parametrize_conic
 from .quadrics import factor_rank_le2, pencil_multiple_members
 from .symmetroid import X4
 
@@ -18,10 +18,6 @@ U3 = ("u0", "u1", "u2")
 
 class MilneError(ValueError):
     pass
-
-
-class InternalError(RuntimeError):
-    """An internal invariant failed: a defect of the program, not of its input."""
 
 
 class Line2:

@@ -30,42 +30,19 @@ class UnsupportedTower(PrymError):
     """A splitting would need a second quadratic extension."""
 
 
-class DualQuadric:
-    """Dual data of a quadric surface of rank 4 or 3.
-
-    Rank 4: the adjugate matrix.  Rank 3: the vertex, the dual plane's linear
-    form, the kept coordinate positions parametrizing that plane, and the
-    conic of enveloping planes in those coordinates.
-    """
-
-    __slots__ = ("rank", "matrix", "vertex", "plane_form", "kept", "plane_conic")
-
-    def __init__(self, rank, matrix=None, vertex=None, plane_form=None,
-                 kept=None, plane_conic=None):
-        self.rank = rank
-        self.matrix = matrix
-        self.vertex = vertex
-        self.plane_form = plane_form
-        self.kept = kept
-        self.plane_conic = plane_conic
+class InternalError(RuntimeError):
+    """An internal invariant failed: a defect of the program, not of its input."""
 
 
-def dual_quadric(q, field):
-    """Dual of a scalar symmetric 4x4 quadric; rank must be 3 or 4."""
-    r = q.rank()
-    if r <= 2:
-        raise PrymError("dual data needs rank 3 or 4, got %d" % r)
-    if r == 4:
-        return DualQuadric(4, matrix=q.adjugate())
-    kernel = linalg.kernel_basis(q.rows(), field)
-    vertex = linalg.normalize_point(kernel[0])
+def _plane_dual(q, field):
+    """Dual of a rank-3 quadric: its vertex, the three coordinate positions
+    kept to parametrize the dual plane (the vertex's last nonzero one is
+    dropped), and the conic of enveloping planes in those coordinates."""
+    vertex = linalg.normalize_point(linalg.kernel_basis(q.rows(), field)[0])
     drop = max(i for i, c in enumerate(vertex) if c)
     kept = tuple(i for i in range(4) if i != drop)
     reduced = SymMatrix.from_rows([[q.at(i, j) for j in kept] for i in kept])
-    plane_conic = reduced.adjugate().quadratic_form(field, ("p0", "p1", "p2"))
-    plane_form = HomogPoly.linear(field, Y4, list(vertex))
-    return DualQuadric(3, vertex=vertex, plane_form=plane_form, kept=kept,
-                       plane_conic=plane_conic)
+    return vertex, kept, reduced.adjugate().quadratic_form(field, ("p0", "p1", "p2"))
 
 
 _REDUCEDNESS_LINES = [
@@ -89,14 +66,16 @@ def _reducedness_certificate(quartic, field):
 
 
 class PlaneQuarticModel:
-    """Canonical model of a non-hyperelliptic genus-3 output."""
+    """Canonical model of a non-hyperelliptic genus-3 output, with the dual
+    quadric (the adjugate of q) whose form it pulls back."""
 
-    __slots__ = ("quartic", "reduced", "raw_scale")
+    __slots__ = ("quartic", "reduced", "raw_scale", "dual")
 
-    def __init__(self, quartic, reduced, raw_scale=None):
+    def __init__(self, quartic, reduced, raw_scale, dual):
         self.quartic = quartic
         self.reduced = reduced
         self.raw_scale = raw_scale
+        self.dual = dual
 
 
 class HyperellipticModel:
@@ -129,18 +108,17 @@ def forward_general(a, q):
     back through the four symmetrization quadrics.  Needs rank-4 q."""
     field = a.field
     _forward_type_check(a)
-    dual = dual_quadric(q, field)
-    if dual.rank != 4:
+    if q.rank() != 4:
         raise PrymError("rank-4 quadric required; use the rank-3 branch instead")
-    dual_form = dual.matrix.quadratic_form(field, Y4)
-    raw = dual_form.substitute(a.gauss_quadrics())
+    dual = q.adjugate()
+    raw = dual.quadratic_form(field, Y4).substitute(a.gauss_quadrics())
     if not raw:
         raise PrymError("the pullback quartic vanishes identically")
     quartic = raw.content_normalized()
     reduced = _reducedness_certificate(quartic, field)
     lead = max(raw.terms)
     scale = raw.terms[lead] / quartic.terms[lead]
-    return PlaneQuarticModel(quartic, reduced, raw_scale=scale)
+    return PlaneQuarticModel(quartic, reduced, scale, dual)
 
 
 def parametrize_conic(conic, point, field):
@@ -226,7 +204,7 @@ def conic_rational_point(conic, field):
                 if a or b or c:
                     pt = linalg.normalize_point(tuple(map(field.element, (a, b, c))))
                     if conic.evaluate(pt):
-                        raise PrymError("solved conic point is off the conic")
+                        raise InternalError("solved conic point is off the conic")
                     return pt
     return None
 
@@ -266,18 +244,17 @@ def forward_even(a, q):
     quadric has split rulings."""
     field = a.field
     _forward_type_check(a)
-    dual = dual_quadric(q, field)
-    if dual.rank != 3:
+    if q.rank() != 3:
         raise PrymError("rank-3 quadric required")
-    gamma = a.determinant_cubic()
-    if not gamma.evaluate(list(dual.vertex)):
+    vertex, kept, plane_conic = _plane_dual(q, field)
+    if not a.determinant_cubic().evaluate(list(vertex)):
         raise PrymError("vertex of the quadric lies on the symmetroid")
     quadrics = a.gauss_quadrics()
-    conic = dual.plane_form.substitute(quadrics).content_normalized()
+    conic = HomogPoly.linear(field, Y4, vertex).substitute(quadrics).content_normalized()
     if SymMatrix.from_quadratic_form(conic).rank() != 3:
         raise PrymError("pullback conic is singular")
     # the branch form is twist data: it may only ever be scaled by squares
-    branch_exact = dual.plane_conic.substitute(tuple(quadrics[i] for i in dual.kept))
+    branch_exact = plane_conic.substitute(tuple(quadrics[i] for i in kept))
     octic = None
     param = None
     branch_reduced = None
@@ -328,12 +305,11 @@ def segre_matrix(field):
 
 
 class SplitQuadricResult:
-    __slots__ = ("transform", "field", "scale", "extended")
+    __slots__ = ("transform", "field", "extended")
 
-    def __init__(self, transform, field, scale, extended):
+    def __init__(self, transform, field, extended):
         self.transform = transform
         self.field = field
-        self.scale = scale
         self.extended = extended
 
 
@@ -372,7 +348,7 @@ def split_quadric(q, field):
     if fast is not None:
         n, scale = fast
         _assert_split(n, q, field, scale)
-        return SplitQuadricResult(n, field, scale, False)
+        return SplitQuadricResult(n, field, False)
     p, d = congruence_diagonalize(q, field)
     t1 = -d[1] / d[0]
     t2 = -d[3] / d[2]
@@ -397,9 +373,8 @@ def split_quadric(q, field):
     ]
     # entries of p and q lift into work as they meet entries of y_of_c
     n = linalg.mat_mul(p, y_of_c)
-    scale = wd[0]
-    _assert_split(n, q, work, scale)
-    return SplitQuadricResult(n, work, scale, work is not field)
+    _assert_split(n, q, work, wd[0])
+    return SplitQuadricResult(n, work, work is not field)
 
 
 def _assert_split(n, q, field, scale):
@@ -408,7 +383,7 @@ def _assert_split(n, q, field, scale):
     target = segre_matrix(field).scale(scale)
     got = SymMatrix.from_rows(prod)
     if not all(got.upper[k] == target.upper[k] for k in got.upper):
-        raise PrymError("split transform verification failed")
+        raise InternalError("split transform verification failed")
 
 
 class KummerPencil:
@@ -434,22 +409,18 @@ class KummerPencil:
 
 
 def pencil_conics(a, q):
-    """Split the dual quadric and read off the four ruled coordinates of the
-    symmetrization quadrics."""
-    field = a.field
-    dual = dual_quadric(q, field)
-    if dual.rank != 4:
-        raise PrymError("pencil data needs a rank-4 quadric")
-    split = split_quadric(dual.matrix, field)
+    """Split the forward model's dual quadric and read off the four ruled
+    coordinates of the symmetrization quadrics."""
+    forward = forward_general(a, q)
+    split = split_quadric(forward.dual, a.field)
     work = split.field
     ninv = linalg.inverse(split.transform, work)
     quadrics = [f.change_field(work) for f in a.gauss_quadrics()]
     cs = [HomogPoly.linear(work, Y4, row).substitute(quadrics) for row in ninv]
-    forward = forward_general(a, q)
     prod = cs[0] * cs[3] - cs[1] * cs[2]
     quart = forward.quartic.change_field(work)
     if not proportional(prod, quart):
-        raise PrymError("pencil compatibility identity failed")
+        raise InternalError("pencil compatibility identity failed")
     lead = max(prod.terms)
     scale = prod.terms[lead] / quart.terms[lead]
     change = linalg.transpose(ninv)
@@ -458,24 +429,20 @@ def pencil_conics(a, q):
 
 
 class ReverseResult:
-    __slots__ = ("symmetrization", "cubic", "quadric_form", "quadric",
-                 "kernel_relation", "scale")
+    __slots__ = ("symmetrization", "quadric_form", "quadric", "kernel_relation")
 
-    def __init__(self, symmetrization, cubic, quadric_form, quadric,
-                 kernel_relation, scale):
+    def __init__(self, symmetrization, quadric_form, quadric, kernel_relation):
         self.symmetrization = symmetrization
-        self.cubic = cubic
         self.quadric_form = quadric_form
         self.quadric = quadric
         self.kernel_relation = kernel_relation
-        self.scale = scale
 
 
 def reverse_construct(quartic, conics, field):
     """Rebuild the space pair from a plane quartic and four compatible
-    conics: the four conic matrices span the new web, the determinant of the
-    rebuilt pencil is the cubic, and the 2x2 rank condition on coordinates is
-    the quadric.
+    conics: the four conic matrices span the new web, whose determinant
+    (`symmetrization.determinant_cubic()`) is the cubic, and the 2x2 rank
+    condition on coordinates is the quadric.
 
     The four conics may satisfy one linear relation (self-residual input);
     the relation direction then becomes the cone kernel of the output.
@@ -486,8 +453,6 @@ def reverse_construct(quartic, conics, field):
     prod = cs[0] * cs[3] - cs[1] * cs[2]
     if not prod or not proportional(prod, quartic):
         raise PrymError("conics are incompatible with the quartic")
-    lead = max(prod.terms)
-    scale = prod.terms[lead] / quartic.terms[lead]
     mats = [SymMatrix.from_quadratic_form(c) for c in cs]
     sym = Symmetrization.from_quadric_vector(field, mats, xvars=RV4, zvars=Z3)
     # a relation among the four conics is the kernel of the rebuilt web
@@ -495,10 +460,9 @@ def reverse_construct(quartic, conics, field):
     if len(kernel) > 1:
         raise PrymError("conic span has dimension %d < 3" % (4 - len(kernel)))
     kernel_relation = kernel[0] if kernel else None
-    cubic = sym.determinant_cubic()
     qform = HomogPoly(field, RV4, 2, {(1, 0, 0, 1): 1, (0, 1, 1, 0): -1})
     qmat = SymMatrix.from_quadratic_form(qform)
-    return ReverseResult(sym, cubic, qform, qmat, kernel_relation, scale)
+    return ReverseResult(sym, qform, qmat, kernel_relation)
 
 
 def roundtrip_change_matches(a, q, pencil, rebuilt):

@@ -10,8 +10,8 @@ from prymcubic.fields import Field, QQ, legendre
 from prymcubic.fixtures import FIXTURES, fix_a, fix_q, fix_x
 from prymcubic.poly import HomogPoly, PolyError, SymMatrix, proportional
 from prymcubic.prym import (PrymError, UnsupportedTower, _integer_roots_in_box,
-                            conic_rational_point,
-                            dual_quadric, forward_even, forward_general,
+                            _plane_dual, conic_rational_point,
+                            forward_even, forward_general,
                             parametrize_conic, pencil_conics, reverse_construct,
                             roundtrip_change_matches, split_quadric)
 from prymcubic.quadrics import factor_rank_le2
@@ -32,26 +32,29 @@ def quad(field, terms):
 
 
 def test_dual_quadric_rank4():
-    d = dual_quadric(fix_q(QQ), QQ)
-    assert d.rank == 4
+    d = forward_general(fix_a(QQ), fix_q(QQ)).dual
+    assert d.rank() == 4
     target = HomogPoly(QQ, Y4, 2, {(1, 1, 0, 0): 1, (0, 0, 1, 1): -1})
-    assert proportional(d.matrix.quadratic_form(QQ, Y4), target)
+    assert proportional(d.quadratic_form(QQ, Y4), target)
 
 
 def test_dual_quadric_rank3():
     q = quad(QQ, {(2, 0, 0, 0): 1, (0, 2, 0, 0): 1, (0, 0, 2, 0): 1})
-    d = dual_quadric(q, QQ)
-    assert d.rank == 3
-    assert d.vertex == (QQ.zero(), QQ.zero(), QQ.zero(), QQ.one())
-    assert d.plane_form == HomogPoly.linear(QQ, Y4, [0, 0, 0, 1])
+    vertex, kept, plane_conic = _plane_dual(q, QQ)
+    assert SymMatrix.from_quadratic_form(plane_conic).rank() == 3
+    assert vertex == (QQ.zero(), QQ.zero(), QQ.zero(), QQ.one())
+    assert kept == (0, 1, 2)
+    # forward_even's dual plane: the linear form of the vertex
+    assert HomogPoly.linear(QQ, Y4, vertex) == HomogPoly.linear(QQ, Y4, [0, 0, 0, 1])
     target = HomogPoly(QQ, ("p0", "p1", "p2"), 2, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1})
-    assert proportional(d.plane_conic, target)
+    assert proportional(plane_conic, target)
 
 
 def test_dual_quadric_rank2_rejected():
     q = quad(QQ, {(2, 0, 0, 0): 1, (0, 2, 0, 0): 1})
-    with pytest.raises(PrymError):
-        dual_quadric(q, QQ)
+    for construct in (forward_general, forward_even, pencil_conics):
+        with pytest.raises(PrymError):
+            construct(fix_a(QQ), q)
 
 
 def test_forward_general_seed_exact():
@@ -60,7 +63,7 @@ def test_forward_general_seed_exact():
     assert fwd.reduced
     # second substitution path: contraction of the tensor against the dual form
     a = fix_a(QQ)
-    dual_form = dual_quadric(fix_q(QQ), QQ).matrix.quadratic_form(QQ, Y4)
+    dual_form = fix_q(QQ).adjugate().quadratic_form(QQ, Y4)
     again = dual_form.substitute(a.gauss_quadrics()).content_normalized()
     assert again == fwd.quartic
 
@@ -94,7 +97,7 @@ def test_forward_even_vertex_on_surface_rejected():
 
 
 def test_split_quadric_fast_path_permutation():
-    sp = split_quadric(dual_quadric(fix_q(QQ), QQ).matrix, QQ)
+    sp = split_quadric(fix_q(QQ).adjugate(), QQ)
     assert not sp.extended
     # permutation transforms have exactly one nonzero entry per column
     for col in range(4):
@@ -178,7 +181,8 @@ def test_reverse_scaled_conics_same_output():
     rev1 = reverse_construct(fwd.quartic, pen.conics(), QQ)
     rev2 = reverse_construct(fwd.quartic, scaled, QQ)
     change = _diag_change(QQ, [lam, lam, QQ.one(), QQ.one()])
-    assert proportional(rev2.cubic, rev1.cubic.substitute(change))
+    assert proportional(rev2.symmetrization.determinant_cubic(),
+                        rev1.symmetrization.determinant_cubic().substitute(change))
     # the rank condition is the same Segre form in both presentations
     assert rev1.quadric_form == rev2.quadric_form
     assert proportional(rev2.quadric_form.substitute(change), rev1.quadric_form)
@@ -376,6 +380,40 @@ def test_one_classification_per_symmetrization(monkeypatch):
     assert calls == [QQ, F11]
 
 
+def test_one_dual_quadric_per_pencil(monkeypatch):
+    # pencil_conics splits the dual that its forward model computed: one
+    # adjugate of the 4x4 quadric, where it used to take two
+    calls = []
+    adjugate = SymMatrix.adjugate
+
+    def counted(self):
+        calls.append(self.n)
+        return adjugate(self)
+
+    monkeypatch.setattr(SymMatrix, "adjugate", counted)
+    fx = FIXTURES["t1"]
+    pencil_conics(fx.symmetrization(QQ), fx.quadric(QQ))
+    assert calls.count(4) == 1
+
+
+def test_reverse_construct_takes_no_determinant(monkeypatch):
+    # no caller reads the rebuilt cubic; a reader asks the symmetrization
+    fx = FIXTURES["t1"]
+    a, q = fx.symmetrization(QQ), fx.quadric(QQ)
+    pen = pencil_conics(a, q)
+    calls = []
+    determinant_cubic = Symmetrization.determinant_cubic
+
+    def counted(self):
+        calls.append(self)
+        return determinant_cubic(self)
+
+    monkeypatch.setattr(Symmetrization, "determinant_cubic", counted)
+    rev = reverse_construct(pen.quartic, pen.conics(), pen.field)
+    assert calls == []
+    assert rev.symmetrization.determinant_cubic().degree == 3
+
+
 @pytest.mark.parametrize("field", [QQ, F11])
 def test_conic_rational_point_needs_a_quadratic_form(field):
     for form in (HomogPoly(field, Z3, 3, {(3, 0, 0): 1, (0, 1, 2): -1}),
@@ -395,7 +433,7 @@ def test_partition_property_on_smooth_fixture():
         fwd = forward_general(a, q)
         gamma = a.determinant_cubic()
         qform = fx.quadric_form(field)
-        dualm = dual_quadric(q, field).matrix
+        dualm = q.adjugate()
         checked += _partition_points(field, a, q, fwd, gamma, qform, dualm,
                                      25 - checked)
         if checked >= 25:
@@ -505,8 +543,7 @@ def test_pullback_identity_second_evaluation_path():
         a = fx.symmetrization(field)
         q = fx.quadric(field)
         fwd = forward_general(a, q)
-        dual = dual_quadric(q, field)
-        dual_form = dual.matrix.quadratic_form(field, Y4)
+        dual_form = q.adjugate().quadratic_form(field, Y4)
         scale = fwd.raw_scale
         rng = random.Random(field.p)
         basis = [[field.element(1 if j == k else 0) for j in range(4)] for k in range(4)]

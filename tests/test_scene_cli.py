@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import prymcubic.prym as prym
 from prymcubic.cli import main
 from prymcubic.fields import Field, QQ
 from prymcubic.fixtures import FIXTURES, fix_a, fix_x
@@ -352,7 +353,7 @@ def test_cli_internal_invariant_failure_exits_4(capsys, monkeypatch):
     # hand the twisted-cubic check a determinant that is off by x0^3, so the
     # image of the line leaves the "symmetroid": a defect, not an input error
     import prymcubic.cli as cli
-    from prymcubic.milne import InternalError
+    from prymcubic.prym import InternalError
 
     class OffSymmetroid:
         def __init__(self, a):
@@ -373,6 +374,50 @@ def test_cli_internal_invariant_failure_exits_4(capsys, monkeypatch):
     assert (code, out) == (4, "")
     assert json.loads(err) == {"error": "twisted cubic left the symmetroid; internal error"}
     assert not issubclass(InternalError, ValueError)
+
+
+def _break_split(monkeypatch):
+    # a Segre target off by a factor 2: no transform verifies against it
+    segre = prym.segre_matrix
+    monkeypatch.setattr(prym, "segre_matrix", lambda field: segre(field).scale(field.element(2)))
+
+
+def _break_pencil(monkeypatch):
+    # the pencil's 2x2 determinant is never proportional to the quartic
+    monkeypatch.setattr(prym, "proportional", lambda f, g: False)
+
+
+def _break_conic_solve(monkeypatch):
+    # the conic solver takes c = 1 for a root of every quadratic
+    monkeypatch.setattr(prym, "_integer_roots_in_box", lambda A, B, C: (1,))
+
+
+def _break_minor_relation(monkeypatch):
+    # m12 m23 - cross^2 = a11 det holds for every symmetric 3x3 matrix of forms
+    from prymcubic.symmetroid import Symmetrization
+    minors = Symmetrization.double_cover_minors
+    monkeypatch.setattr(Symmetrization, "double_cover_minors",
+                        lambda self: minors(self)[:3] + (False,))
+
+
+@pytest.mark.parametrize("breaker, argv, error", [
+    (_break_split, ["forward", DATA, "--A", "A_t1", "--Q", "Q_t1"],
+     "split transform verification failed"),
+    (_break_split, ["verify", DATA], "split transform verification failed"),
+    (_break_pencil, ["forward", DATA, "--A", "A_t1", "--Q", "Q_t1"],
+     "pencil compatibility identity failed"),
+    (_break_conic_solve, ["forward", DATA, "--A", "A_even", "--Q", "Q_even"],
+     "solved conic point is off the conic"),
+    (_break_minor_relation, ["count", DATA, "--curve", "A_t1,Q_t1", "--q", "11", "--cover"],
+     "minor relation failed; invalid symmetrization"),
+], ids=["split-forward", "split-verify", "pencil", "conic-point", "minor-relation"])
+def test_cli_prym_invariant_failures_exit_4(breaker, argv, error, capsys, monkeypatch):
+    # these invariants hold for every input, so a failure is a defect of the
+    # program: exit 4, never an input error (2) or a verify failure (1)
+    breaker(monkeypatch)
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (4, "")
+    assert json.loads(err) == {"error": error}
 
 
 def test_cli_verify_manifest(capsys):
@@ -455,7 +500,9 @@ def test_cli_verify_checks_pencils(tmp_path, capsys):
 
 # sha256 of the exit code, stdout and stderr, joined by NUL bytes, of CLI
 # runs on the shipped data, recorded while every rational's raw value was a
-# Fraction: a change of representation must not alter a byte of output
+# Fraction: a change of representation must not alter a byte of output.  The
+# `count` and `reverse` entries were recorded while `pencil_conics` still
+# computed its own dual quadric and `reverse_construct` its own cubic.
 STABLE_OUTPUTS = {
     "classify A_biell":
         "e2e8cb71539d544875e871bd8e479c4a8814cdf0290a8d63d0db4850e1e0ebdc",
@@ -499,6 +546,24 @@ STABLE_OUTPUTS = {
         "f8d5aaee3187596e495150550e42de28553f097916c41756c7d362c9771cda4d",
     "milne-tritangents A_t3 Q_t3":
         "f8d5aaee3187596e495150550e42de28553f097916c41756c7d362c9771cda4d",
+    "count A_t1,Q_t1 11":
+        "6a44a355165657edaf6cbb022fa1ec48e70e7a1c92f662719d80a9aa4583a064",
+    "count A_t1,Q_t1 11 --cover":
+        "ed0428d2ccb82f44b18e07fefe25fd3aae3dd0bf8b846b2d8b626dbacab51d61",
+    "count X_seed 13":
+        "b01e7ec8cec45f4141abef83c3285c98fefb7eed96b23c6717c89a9b484e9e61",
+    "count octic A_even Q_even 13":
+        "493307add68096b3a2136740f8f03e557a31de297aa8a5d849c8655691827b62",
+    "reverse A_biell Q_biell":
+        "3399b1428adf0b7af6e7ada50e87345cb238f4f616ad34a687130945dc9a8a90",
+    "reverse A_seed Q_seed":
+        "bec85f003047fe210e65a65c50453a6cebcf757aa5c02817362523c93112b510",
+    "reverse A_t1 Q_t1":
+        "ebca1143de76b3547e8d5bee090a7de31adec6fa9f7ddb63ded8157797f1adb1",
+    "reverse A_t2 Q_t2":
+        "2c2420145ab9ec55fdc1feb3f34dfd5fc4c3a17b3098c1b34e76f686e75bd3c4",
+    "reverse A_t3 Q_t3":
+        "156a8128ae89df99e66c27041200346c553f43e431389130549b100e6143a122",
     "verify fixtures.json":
         "2db18f5df3c2ecad904975dc4e749d8650eba973e9f5d419cd59ff1fd5059fbf",
     "verify normal_forms.json":
@@ -506,12 +571,30 @@ STABLE_OUTPUTS = {
 }
 
 
-def _stable_argv(name):
+def _forward_scene(a, q, tmp_path, capsys):
+    code, out, err = run_cli(["forward", DATA, "--A", a, "--Q", q], capsys)
+    assert (code, err) == (0, "")
+    path = tmp_path / ("forward_%s_%s.json" % (a, q))
+    path.write_text(out)
+    return str(path)
+
+
+def _stable_argv(name, tmp_path, capsys):
+    """The CLI argv a `STABLE_OUTPUTS` name stands for.  `reverse A Q` and
+    `count octic A Q p` read the scene that `forward A Q` prints."""
     cmd, *args = name.split()
     if cmd == "verify":
         return [cmd, os.path.join(os.path.dirname(DATA), args[0])]
     if cmd == "classify":
         return [cmd, DATA, "--object", args[0]]
+    if cmd == "reverse":
+        return [cmd, _forward_scene(args[0], args[1], tmp_path, capsys),
+                "--X", "X", "--pencil", "K"]
+    if cmd == "count" and args[0] == "octic":
+        return [cmd, _forward_scene(args[1], args[2], tmp_path, capsys),
+                "--curve", "octic", "--q", args[3]]
+    if cmd == "count":
+        return [cmd, DATA, "--curve", args[0], "--q", args[1]] + args[2:]
     argv = [cmd, DATA, "--A", args[0], "--Q", args[1]]
     return argv + ["--line", "L_demo"] if cmd == "milne-tritangents" else argv
 
@@ -526,7 +609,7 @@ def test_stable_outputs_cover_every_shipped_pair():
 
 
 @pytest.mark.parametrize("name", sorted(STABLE_OUTPUTS))
-def test_cli_output_bytes_are_stable(name, capsys):
-    code, out, err = run_cli(_stable_argv(name), capsys)
+def test_cli_output_bytes_are_stable(name, tmp_path, capsys):
+    code, out, err = run_cli(_stable_argv(name, tmp_path, capsys), capsys)
     blob = b"\0".join([str(code).encode(), out.encode(), err.encode()])
     assert hashlib.sha256(blob).hexdigest() == STABLE_OUTPUTS[name]
