@@ -311,6 +311,11 @@ def squarefree_signature(form):
     return sorted(sig.items())
 
 
+def is_squarefree(form):
+    """No repeated root over the closure; False for the zero form."""
+    return bool(form) and all(m == 1 for m, _ in squarefree_factors(form))
+
+
 def multiplicity_partition(form):
     """Root multiplicities, one entry per closure point, descending."""
     parts = []

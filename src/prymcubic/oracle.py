@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .binforms import multiplicity_partition, perfect_square_root
+from .binforms import is_squarefree, perfect_square_root
 from .fields import FieldElement, PrimeField, legendre
 from .poly import HomogPoly
 from . import linalg
@@ -300,7 +300,7 @@ def count_hyperelliptic_octic(octic, field, label="octic", budget=DEFAULT_BUDGET
     if not field.is_finite():
         raise OracleError("octic counting needs a finite field")
     # any other form gives a curve of another genus, or a reducible one
-    if octic.degree != 8 or not octic or multiplicity_partition(octic) != [1] * 8:
+    if octic.degree != 8 or not is_squarefree(octic):
         raise OracleError("octic chart needs a separable binary form of degree 8")
     total = sum(1 + legendre(octic.evaluate(pt))
                 for pt in projective_points(field, 1, budget))

@@ -10,7 +10,7 @@ from itertools import product
 from math import isqrt
 
 from . import linalg
-from .binforms import ST, multiplicity_partition
+from .binforms import ST, is_squarefree
 from .elim import resultant_last_var
 from .fields import PrimeField, QuadExtField, RationalField, legendre
 from .oracle import compile_raw, projective_points_raw
@@ -45,24 +45,46 @@ def _plane_dual(q, field):
     return vertex, kept, reduced.adjugate().quadratic_form(field, ("p0", "p1", "p2"))
 
 
-_REDUCEDNESS_LINES = [
-    ((1, 0, 0), (0, 1, 0)), ((1, 0, 0), (0, 0, 1)), ((0, 1, 0), (0, 0, 1)),
-    ((1, 1, 0), (0, 1, 1)), ((1, 2, 0), (0, 1, 3)), ((1, 0, 2), (2, 1, 0)),
-    ((1, 1, 1), (1, 2, 4)), ((1, 3, 2), (0, 1, 5)), ((2, 1, 3), (1, 0, 1)),
-]
+def _centres(forms):
+    """The frames (u0, u1, c) of the points c of the grid {-2..2}^3 off every
+    form, in grid order, none proportional to an earlier one; u0 and u1 are
+    the unit vectors off c's first nonzero position."""
+    field, found = forms[0].field, []
+    for c in product(range(-2, 3), repeat=3):
+        if all(f.evaluate(c) for f in forms) and all(
+                any(map(field.element, linalg.cross(c, d))) for d in found):
+            found.append(c)
+            j = next(i for i, ci in enumerate(c) if ci)
+            yield tuple(tuple(int(k == i) for k in range(3)) for i in range(3) if i != j) + (c,)
 
 
-def _reducedness_certificate(quartic, field):
-    """A squarefree restriction to one line certifies that the quartic has
-    no multiple component: a component G^2 would make (G|L)^2 divide every
-    nonzero restriction."""
-    for p0, p1 in _REDUCEDNESS_LINES:
-        pa = [field.element(c) for c in p0]
-        pb = [field.element(c) for c in p1]
-        rest = quartic.restrict_to_line(pa, pb)
-        if rest and all(m == 1 for m in multiplicity_partition(rest)):
-            return True
-    return False
+def _in_frame(form, frame):
+    """The form in the coordinates w of z = w0 u0 + w1 u1 + w2 c."""
+    return form.substitute([HomogPoly.linear(form.field, form.vars, row) for row in zip(*frame)])
+
+
+def _quartic_reduced(quartic):
+    """Whether a plane quartic F has no multiple component: True, False, or
+    None when the grid holds too few centres.  In the frame of a centre c,
+    R = resultant_last_var(F, D_c F) has degree 12 and is +-F(c) times the
+    discriminant of F on the line through c and a u0 + b u1 at (a, b).  A
+    reduced F with R = 0 has a component G with D_c G = 0 != G(c), so by
+    Euler's identity p | deg G <= 4: a cubic in characteristic 3, and for one
+    c only, since a cubic killed by two independent derivations is a cube."""
+    p = quartic.field.characteristic()
+    lines = [(1, b) for b in range(min(p or 12, 12))] + [(0, 1)]
+    for k, (u0, u1, c) in enumerate(_centres([quartic]), 1):
+        for a, b in lines:
+            if is_squarefree(quartic.restrict_to_line([a * x + b * y for x, y in zip(u0, u1)], c)):
+                return True
+        # thirteen lines without one are thirteen zeros of R, so R = 0
+        if len(lines) < 13:
+            moved = _in_frame(quartic, (u0, u1, c))
+            if resultant_last_var(moved, moved.partial(2)):
+                return True
+        if p != 3 or k == 2:
+            return False
+    return None
 
 
 class PlaneQuarticModel:
@@ -115,10 +137,9 @@ def forward_general(a, q):
     if not raw:
         raise PrymError("the pullback quartic vanishes identically")
     quartic = raw.content_normalized()
-    reduced = _reducedness_certificate(quartic, field)
     lead = max(raw.terms)
     scale = raw.terms[lead] / quartic.terms[lead]
-    return PlaneQuarticModel(quartic, reduced, scale, dual)
+    return PlaneQuarticModel(quartic, _quartic_reduced(quartic), scale, dual)
 
 
 def parametrize_conic(conic, point, field):
@@ -255,45 +276,33 @@ def forward_even(a, q):
         raise PrymError("pullback conic is singular")
     # the branch form is twist data: it may only ever be scaled by squares
     branch_exact = plane_conic.substitute(tuple(quadrics[i] for i in kept))
-    octic = None
-    param = None
-    branch_reduced = None
     point = None if isinstance(field, QuadExtField) else conic_rational_point(conic, field)
-    if point is not None:
-        param = parametrize_conic(conic, point, field)
-        restricted = (-branch_exact).substitute(param)
-        if not restricted:
-            raise PrymError("branch scheme contains the conic")
-        branch_reduced = all(m == 1 for m in multiplicity_partition(restricted))
-        octic = _canonical_square_class_scale(restricted, field)
-    else:
-        branch_reduced = _branch_reduced_by_resultant(conic, branch_exact)
-    return HyperellipticModel(conic, branch_exact, octic, param, branch_reduced)
+    if point is None:
+        reduced = _branch_reduced_by_resultant(conic, branch_exact)
+        return HyperellipticModel(conic, branch_exact, None, None, reduced)
+    param = parametrize_conic(conic, point, field)
+    restricted = (-branch_exact).substitute(param)
+    if not restricted:
+        raise PrymError("branch scheme contains the conic")
+    octic = _canonical_square_class_scale(restricted, field)
+    return HyperellipticModel(conic, branch_exact, octic, param, is_squarefree(restricted))
 
 
 def _branch_reduced_by_resultant(conic, branch):
     """Reducedness of the eight-point scheme without a conic point: True,
     False, or None when undecided.
 
-    The projection centre c is the first point of the grid {-2..2}^3 off both
-    curves, completed to a basis by two unit vectors.  The resultant in the
-    coordinate along c vanishes when the curves share a component (False),
-    and is squarefree when the scheme is reduced and no line through c holds
-    two of its points (True).
-    """
-    field = conic.field
-    c = next((c for c in product(range(-2, 3), repeat=3)
-              if conic.evaluate(c) and branch.evaluate(c)), None)
-    if c is None:
+    The projection centre c is the first of `_centres` off both curves.  The
+    resultant in the coordinate along c vanishes when the curves share a
+    component (False), and is squarefree when the scheme is reduced and no
+    line through c holds two of its points (True)."""
+    frame = next(_centres([conic, branch]), None)
+    if frame is None:
         return None
-    j = next(i for i, ci in enumerate(c) if ci)
-    i0, i1 = [i for i in range(3) if i != j]
-    basis = tuple(HomogPoly.linear(field, conic.vars, [int(k == i0), int(k == i1), c[k]])
-                  for k in range(3))
-    res = resultant_last_var(conic.substitute(basis), branch.substitute(basis))
+    res = resultant_last_var(_in_frame(conic, frame), _in_frame(branch, frame))
     if not res:
         return False
-    return True if all(m == 1 for m in multiplicity_partition(res)) else None
+    return True if is_squarefree(res) else None
 
 
 def segre_matrix(field):

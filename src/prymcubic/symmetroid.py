@@ -10,7 +10,7 @@ from __future__ import annotations
 from itertools import combinations_with_replacement, islice, product
 
 from . import linalg
-from .binforms import ST, multiplicity_partition, rational_roots
+from .binforms import ST, is_squarefree, rational_roots
 from .elim import plane_cubic_is_smooth
 from .oracle import compile_raw
 from .poly import HomogPoly, SymMatrix, proportional
@@ -501,7 +501,8 @@ def cayley_normal_form(field, quartic_coeffs, h_coeffs):
     entirely inside the quotient ring.
     """
     a = [field.element(c) for c in quartic_coeffs]
-    if not _quartic_separable(a, field):
+    monic = [1, a[3], a[2], a[1], a[0]]
+    if not is_squarefree(HomogPoly(field, ST, 4, {(4 - i, i): c for i, c in enumerate(monic)})):
         raise SymmetroidError("the quartic must be separable")
     # multiplication matrix of h over k[x]: columns indexed by basis powers
     basis_cols = []
@@ -521,12 +522,6 @@ def cayley_normal_form(field, quartic_coeffs, h_coeffs):
     return linalg.sum_entries([
         linalg.det([[mh[i][j] for j in range(4) if j != k] for i in range(4) if i != k])
         for k in range(4)])
-
-
-def _quartic_separable(a, field):
-    coeffs = [1, a[3], a[2], a[1], a[0]]
-    form = HomogPoly(field, ST, 4, {(4 - i, i): c for i, c in enumerate(coeffs)})
-    return multiplicity_partition(form) == [1, 1, 1, 1]
 
 
 def quotient_plane_form(field, quartic_coeffs):

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from prymcubic.binforms import (ST, _deg, _derivative, _divmod_poly, _gcd_poly,
                                 _is_zero_poly, _monic, _pth_root_poly, _trim, binary_gcd,
-                                linear_root, multiplicity_partition, perfect_square_root,
+                                is_squarefree, linear_root, multiplicity_partition, perfect_square_root,
                                 rational_roots, resultant, squarefree_decomposition,
                                 squarefree_factors, squarefree_signature)
 from prymcubic.fields import Field, QQ, QuadExtField, RationalField
@@ -292,6 +292,29 @@ def test_squarefree_factors_properties(name, data):
                 f = f * g
     if f.degree:
         check_squarefree_factors(f)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(data=st.data())
+def test_is_squarefree_matches_the_partition(name, data):
+    # a random form times up to two of s^2, t^2 and g^p, with g of degree 1
+    # or 2 and p the characteristic (2 over Q); the zero form is not
+    # squarefree, though it has no multiplicity partition
+    make, raw = CASES[name]
+    field = make()
+    s, t = bf(field, [1, 0]), bf(field, [0, 1])
+    g = bf(field, [field.element(data.draw(raw)) for _ in range(data.draw(st.integers(2, 3)))])
+    g_p = bf(field, [field.one()])
+    for _ in range(field.characteristic() or 2):
+        g_p = g_p * g
+    f = bf(field, [field.element(data.draw(raw)) for _ in range(data.draw(st.integers(1, 6)))])
+    for h in data.draw(st.lists(st.sampled_from([s * s, t * t, g_p]), max_size=2)):
+        f = f * h
+    if f:
+        assert is_squarefree(f) == (multiplicity_partition(f) == [1] * f.degree)
+    else:
+        assert not is_squarefree(f)
 
 
 @pytest.mark.parametrize("field", [F3, F9], ids=["F3", "F9"])

@@ -1,16 +1,19 @@
 import random
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement, islice, product
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from prymcubic import linalg
-from prymcubic.binforms import binary_gcd
+from prymcubic import linalg, prym
+from prymcubic.binforms import binary_gcd, is_squarefree
+from prymcubic.elim import resultant_last_var
 from prymcubic.fields import Field, QQ, legendre
 from prymcubic.fixtures import FIXTURES, fix_a, fix_q, fix_x
 from prymcubic.poly import HomogPoly, PolyError, SymMatrix, proportional
-from prymcubic.prym import (PrymError, UnsupportedTower, _integer_roots_in_box,
-                            _plane_dual, conic_rational_point,
+from prymcubic.prym import (PrymError, UnsupportedTower, _centres, _in_frame,
+                            _integer_roots_in_box, _plane_dual, _quartic_reduced,
+                            conic_rational_point,
                             forward_even, forward_general,
                             parametrize_conic, pencil_conics, reverse_construct,
                             roundtrip_change_matches, split_quadric)
@@ -583,25 +586,124 @@ def test_random_roundtrips_over_f13():
     assert successes >= 8
 
 
+# the nine fixed lines of the certificate that the reducedness decision
+# replaced, kept as a reference: a squarefree restriction to one of them
+# proves the quartic reduced, and none proves nothing
+_NINE_LINES = [
+    ((1, 0, 0), (0, 1, 0)), ((1, 0, 0), (0, 0, 1)), ((0, 1, 0), (0, 0, 1)),
+    ((1, 1, 0), (0, 1, 1)), ((1, 2, 0), (0, 1, 3)), ((1, 0, 2), (2, 1, 0)),
+    ((1, 1, 1), (1, 2, 4)), ((1, 3, 2), (0, 1, 5)), ((2, 1, 3), (1, 0, 1)),
+]
+
+
+def _nine_line_certificate(quartic):
+    return any(is_squarefree(quartic.restrict_to_line(p0, p1)) for p0, p1 in _NINE_LINES)
+
+
+def _plane_points(field):
+    """The points of P^2 over a prime field, first nonzero coordinate 1."""
+    return [v for v in product(range(field.p), repeat=3) if any(v) and next(c for c in v if c) == 1]
+
+
+def _ternary(field, degree, coeffs):
+    """The ternary form of a degree whose coefficients, in the order of
+    `itertools.product` over the exponents, are drawn from `coeffs`."""
+    exps = [e for e in product(range(degree + 1), repeat=3) if sum(e) == degree]
+    return HomogPoly(field, Z3, degree, {e: next(coeffs) for e in exps})
+
+
 def test_one_squarefree_restriction_certifies_a_reduced_quartic():
     # a multiple component G^2 makes (G|L)^2 divide every nonzero
     # restriction, so one squarefree restriction to a line is enough.  Over
-    # F_3 the product of four distinct lines below has exactly one among
-    # the certificate's lines; every quartic l^2 m n with lines l, m, n has
-    # none
-    from itertools import combinations_with_replacement, product
-
-    from prymcubic.prym import _reducedness_certificate
-
+    # F_3 the product of four distinct lines is reduced, and every quartic
+    # l^2 m n with lines l, m, n is decided not reduced: the nine lines
+    # only failed to certify them
     F3 = Field.prime(3)
-    lines = [HomogPoly.linear(F3, Z3, [F3.element(c) for c in v])
-             for v in product(range(3), repeat=3) if any(v) and next(c for c in v if c) == 1]
-    z0, z1, z2 = (HomogPoly.linear(F3, Z3, [F3.element(int(i == k)) for i in range(3)])
-                  for k in range(3))
-    assert _reducedness_certificate(z1 * z2 * (z1 + z2) * (z0 + z1 + z2), F3)
+    lines = [HomogPoly.linear(F3, Z3, v) for v in _plane_points(F3)]
+    z0, z1, z2 = (HomogPoly.linear(F3, Z3, [int(i == k) for i in range(3)]) for k in range(3))
+    assert _quartic_reduced(z1 * z2 * (z1 + z2) * (z0 + z1 + z2)) is True
     for ell in lines:
         for m, n in combinations_with_replacement(lines, 2):
-            assert not _reducedness_certificate(ell * ell * m * n, F3)
+            assert _quartic_reduced(ell * ell * m * n) is False
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(coeffs=st.lists(st.integers(0, 12), min_size=15, max_size=15))
+def test_nine_line_certificate_implies_reduced(p, coeffs):
+    quartic = _ternary(Field.prime(p), 4, iter(coeffs))
+    if quartic and _nine_line_certificate(quartic):
+        assert _quartic_reduced(quartic) is True
+
+
+@pytest.mark.parametrize("field", [Field.prime(3), Field.prime(5), Field.prime(7), F13, QQ],
+                         ids=["F3", "F5", "F7", "F13", "QQ"])
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(degree=st.integers(1, 2), coeffs=st.lists(st.integers(-3, 3), min_size=21, max_size=21))
+def test_a_multiple_component_is_decided_not_reduced(field, degree, coeffs):
+    # G^2 H with G a line or a conic
+    it = iter(coeffs)
+    g, h = _ternary(field, degree, it), _ternary(field, 4 - 2 * degree, it)
+    assume(g and h)
+    assert _quartic_reduced(g * g * h) is False
+
+
+def test_reducedness_decided_where_the_nine_lines_refuse():
+    # a seeded quartic over F_3 that none of the nine lines restricts
+    # squarefree; some line of P^2(F_3) does, so it is reduced
+    F3 = Field.prime(3)
+    rng = random.Random(69)
+    quartic = _ternary(F3, 4, iter(lambda: rng.randrange(3), None))
+    assert not _nine_line_certificate(quartic)
+    assert _quartic_reduced(quartic) is True
+    assert any(is_squarefree(quartic.restrict_to_line(p0, p1))
+               for p0, p1 in combinations(_plane_points(F3), 2))
+
+
+@pytest.mark.parametrize("cube", [1, 2])
+def test_reducedness_takes_a_second_centre_in_characteristic_3(cube):
+    # z2 times a cubic that the derivative along (1 : 1 : 1) kills: every
+    # line through the first centre (1 : 1 : 1) is tangent to the cubic, so
+    # the resultant there is zero, yet the quartic is reduced.  With 2 m2^3
+    # the quartic vanishes at (1 : 1 : 2) and (1 : 1 : 0), so the next grid
+    # point off it is (-2, -2, 1), the first centre again, and is skipped
+    F3 = Field.prime(3)
+    z0, z1, z2 = (HomogPoly.linear(F3, Z3, [int(i == k) for i in range(3)]) for k in range(3))
+    m1, m2 = z0 - z1, z1 - z2
+    quartic = z2 * (z2 * z2 * z2 + m1 * m1 * m2 + m1 * m2 * m2 + m2 * m2 * m2 * cube)
+    first, second = islice(_centres([quartic]), 2)
+    assert [linalg.normalize_point([F3.element(c) for c in frame[2]]) for frame in (first, second)] \
+        == [(1, 1, 1), (1, 1, 2) if cube == 1 else (1, 2, 2)]
+    moved = _in_frame(quartic, first)
+    assert not resultant_last_var(moved, moved.partial(2))
+    assert _quartic_reduced(quartic) is True
+    assert _nine_line_certificate(quartic)
+
+
+def test_reducedness_undecided_without_a_centre():
+    # the four lines through (0 : 0 : 1) cover P^2(F_3), so no grid point
+    # is off the quartic
+    F3 = Field.prime(3)
+    quartic = HomogPoly(F3, Z3, 4, {(3, 1, 0): 1, (1, 3, 0): -1})
+    assert list(_centres([quartic])) == []
+    assert _quartic_reduced(quartic) is None
+
+
+def test_forward_general_decides_reducedness_on_one_line(monkeypatch):
+    # on t1 over Q the first line through the first centre is squarefree:
+    # one restriction and no resultant
+    calls = []
+    restrict_to_line = HomogPoly.restrict_to_line
+
+    def counted(self, p0, p1):
+        calls.append("restrict")
+        return restrict_to_line(self, p0, p1)
+
+    monkeypatch.setattr(HomogPoly, "restrict_to_line", counted)
+    monkeypatch.setattr(prym, "resultant_last_var", lambda f, g: calls.append("resultant"))
+    fx = FIXTURES["t1"]
+    assert forward_general(fx.symmetrization(QQ), fx.quadric(QQ)).reduced is True
+    assert calls == ["restrict"]
 
 
 def test_even_branch_reducedness_without_rational_point():

@@ -438,3 +438,22 @@ def test_no_second_copies():
                  and n.name == "count_hyperelliptic_octic")
     assert "projective_points" in {ast.unparse(n.func) for n in ast.walk(octic)
                                    if isinstance(n, ast.Call)}
+
+
+def test_one_reducedness_decision_and_one_centre_search():
+    # the nine-line certificate and the separability twin are gone; both
+    # forward models find projection centres in one grid walk, and every
+    # squarefree test outside binforms is binforms.is_squarefree
+    import prymcubic.prym as prym
+    import prymcubic.symmetroid as symmetroid
+
+    assert not hasattr(prym, "_REDUCEDNESS_LINES")
+    assert not hasattr(prym, "_reducedness_certificate")
+    assert not hasattr(symmetroid, "_quartic_separable")
+    texts = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    assert sum(text.count("product(range(-2, 3)") for text in texts.values()) == 1
+    offenders = ["%s:%d" % (name, node.lineno) for name, text in texts.items()
+                 if name != "binforms.py" for node in ast.walk(ast.parse(text))
+                 if isinstance(node, ast.Call)
+                 and ast.unparse(node.func).split(".")[-1] == "multiplicity_partition"]
+    assert offenders == []
