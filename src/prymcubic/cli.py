@@ -62,13 +62,12 @@ def _parse_monic_quartic(text):
         if chunk.startswith("-"):
             sign = -1
             chunk = chunk[1:]
-        if "t" in chunk:
-            head, _, tail = chunk.partition("t")
-            coef = Fraction(head.rstrip("*")) if head.rstrip("*") else Fraction(1)
-            power = int(tail[1:]) if tail.startswith("^") else 1
-        else:
-            coef = Fraction(chunk)
-            power = 0
+        head, t, tail = chunk.partition("t")
+        try:
+            coef = Fraction((head.rstrip("*") or 1) if t else head)
+        except ZeroDivisionError:
+            raise CliInputError("coefficient %r has a zero denominator" % chunk)
+        power = (int(tail[1:]) if tail.startswith("^") else 1) if t else 0
         if power not in coeffs:
             raise CliInputError("exponent %d outside 0..4 in a monic quartic" % power)
         coeffs[power] += sign * coef
@@ -239,7 +238,9 @@ def cmd_count(args):
         if len(f.vars) == 2:
             rep = count_hyperelliptic_octic(f, field, label=label, budget=args.budget)
         else:
-            rep = count_curve([f], field, 3, label=label, budget=args.budget)
+            # the arithmetic genus of a plane curve of degree d
+            genus = (f.degree - 1) * (f.degree - 2) // 2
+            rep = count_curve([f], field, genus, label=label, budget=args.budget)
             cert = smoothness_certificate([f], field, budget=args.budget)
     smooth = None if cert is None else cert.passed
     report = {"label": rep.label, "q": rep.q, "count": rep.count, "genus": rep.genus,

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from . import linalg
 from .binforms import binary_gcd, perfect_square_root, resultant, squarefree_factors
+from .oracle import kept_result
 from .poly import HomogPoly, SymMatrix, proportional, restrict_forms
 from .prym import InternalError, conic_rational_point, parametrize_conic
 from .quadrics import factor_rank_le2, pencil_multiple_members
@@ -65,23 +66,13 @@ def _misses_base_locus(restricted):
     return False
 
 
-# the symmetrization, the line and the restricted adjugate cubics of the last line
-_last_line = (None, None, None)
-
-
 def _restricted(a, line):
     """The adjugate cubics of `a` restricted to the line by one
-    `restrict_forms` call, kept for the last (a, line) pair and keyed by
-    identity as `oracle._census` keeps its census, so the tests that follow
-    one another on one line restrict each cubic once.  No form or line
-    changes after construction, and the kept pair holds both, so identity is
-    a sound key."""
-    global _last_line
-    last_a, last_line, cubics = _last_line
-    if last_a is not a or last_line is not line:
-        cubics = tuple(restrict_forms(a.adjugate_cubics(), line.p0, line.p1))
-        _last_line = (a, line, cubics)
-    return cubics
+    `restrict_forms` call, kept by `oracle.kept_result` for the last
+    (a, line) pair, so the tests that follow one another on one line
+    restrict each cubic once."""
+    return kept_result((a, line),
+                       lambda: tuple(restrict_forms(a.adjugate_cubics(), line.p0, line.p1)))
 
 
 def line_is_generic(a, line):

@@ -12,8 +12,9 @@ integers in the field's own raw operations (`_pow_raw`, `_convolve_raw`).
 On top of them: Jacobian smoothness certificates, point counts with
 Frobenius traces, double-cover counts through the three minors, and
 exhaustive bitangent enumeration.  The first three are readers of one census
-per equation set: `_census` keeps the points of the last scheme walked, and
-walks again only for other equation objects or another field, so the
+per equation set: `_census` keeps the points of the last scheme walked
+with `kept_result`, the package's one memo of a last result, and walks
+again only for other equation objects or another field, so the
 certificate, the count and the cover count of one curve cost one walk.
 
 The scheme walk is fibred from the last coordinate point: it enumerates the
@@ -190,26 +191,33 @@ def _scheme_points(equations, field, budget):
         yield (zero,) * (nv - 1) + (field._one_raw,)
 
 
-# the last census: its equations (as passed), its field and its points
-_last_census = ((), None, ())
+# the last result of each computation: the code of `compute` -> (key, result)
+_kept = {}
+
+
+def kept_result(key, compute):
+    """compute(), or the result it returned the last time the same code ran
+    on the same objects.  `key` is a tuple of every object `compute` reads,
+    compared by length and then with `is`, in order.  One result is kept per
+    code object of `compute`, that is per lambda or nested function, so each
+    call site keeps its own last result.  The kept key holds its objects, so
+    no id is reused while they are kept; equal objects built afresh are
+    computed again.  An exception is raised and not kept.  No form, matrix,
+    field or line changes after construction, so identity is a sound key."""
+    last = _kept.get(compute.__code__)
+    if last is None or len(last[0]) != len(key) or any(a is not b for a, b in zip(last[0], key)):
+        last = _kept[compute.__code__] = (key, compute())
+    return last[1]
 
 
 def _census(equations, field, budget):
     """The raw points `_scheme_points(equations, field, budget)` yields, as a
-    tuple.  The budget is charged on every call, but the scheme is walked
-    only when the equation objects (compared with `is`, in order) or the
-    field differ from those of the last census, and only that one census is
-    kept: the scans that ask several questions of one equation set share one
-    walk.  No form changes its terms after construction, so identity is a
-    sound key; equal forms built afresh are walked again."""
-    global _last_census
+    tuple.  The budget is charged on every call, but `kept_result` keeps the
+    walk for the equation objects, then the field: the scans that ask
+    several questions of one equation set share one walk."""
     _check_budget(field.order(), len(equations[0].vars) - 1, budget)
-    eqs, last_field, points = _last_census
-    if (last_field is not field or len(eqs) != len(equations)
-            or any(a is not b for a, b in zip(eqs, equations))):
-        points = tuple(_scheme_points(equations, field, budget))
-        _last_census = (tuple(equations), field, points)
-    return points
+    return kept_result((*equations, field),
+                       lambda: tuple(_scheme_points(equations, field, budget)))
 
 
 class Certificate:

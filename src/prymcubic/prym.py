@@ -13,7 +13,7 @@ from . import linalg
 from .binforms import ST, is_squarefree
 from .elim import resultant_last_var
 from .fields import PrimeField, QuadExtField, RationalField, legendre
-from .oracle import compile_raw, projective_points_raw
+from .oracle import compile_raw, kept_result, projective_points_raw
 from .poly import HomogPoly, PolyError, SymMatrix, proportional
 from .quadrics import congruence_diagonalize
 from .symmetroid import X4, Z3, Symmetrization, SymmetroidType
@@ -127,7 +127,13 @@ def _forward_type_check(a):
 
 def forward_general(a, q):
     """Quartic model of the genus-3 partner: the dual-quadric form pulled
-    back through the four symmetrization quadrics.  Needs rank-4 q."""
+    back through the four symmetrization quadrics.  Needs rank-4 q.
+    `oracle.kept_result` keeps the model for the last (a, q) pair, so
+    `pencil_conics` reads the model its caller has just built."""
+    return kept_result((a, q), lambda: _forward_model(a, q))
+
+
+def _forward_model(a, q):
     field = a.field
     _forward_type_check(a)
     if q.rank() != 4:
@@ -419,7 +425,9 @@ class KummerPencil:
 
 def pencil_conics(a, q):
     """Split the forward model's dual quadric and read off the four ruled
-    coordinates of the symmetrization quadrics."""
+    coordinates of the symmetrization quadrics.  `forward_general` keeps the
+    model of the last pair, so after the caller's own `forward_general(a, q)`
+    the pullback is not made again."""
     forward = forward_general(a, q)
     split = split_quadric(forward.dual, a.field)
     work = split.field

@@ -131,6 +131,8 @@ def _pencil_to_json(pencil):
 
 
 def _pencil_from_json(data, field):
+    if len(data["conics"]) != 4:
+        raise SceneError("a pencil needs four conics, not %d" % len(data["conics"]))
     return (tuple(poly_from_json(c, field) for c in data["conics"]),
             poly_from_json(data["quartic"], field))
 

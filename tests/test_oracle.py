@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from itertools import permutations, product
 
 import pytest
@@ -132,6 +134,46 @@ def test_trace_identity_all_smooth_fixtures_p11():
         else:
             nx = count_curve([forward_general(a, q).quartic], F, 3).count
         assert ncover == nc + nx - 12
+
+
+def test_kept_result_is_keyed_by_identity_in_order():
+    # oracle.kept_result keeps the last result of each computing code with its key:
+    # the key is compared by length and then with `is`, in order, so equal
+    # objects built afresh are computed again; an exception is not kept
+    runs = []
+
+    def keep(*key):
+        return oracle.kept_result(key, lambda: runs.append(key) or len(runs))
+
+    x, y = [1], [1]
+    assert keep(x, y) == 1 and keep(x, y) == 1
+    assert keep(y, x) == 2
+    assert keep(y, x, x) == 3
+    assert keep(y, x) == 4
+    assert keep(y, x) == 4
+    assert keep([1], [1]) == 5
+    assert keep(x, y) == 6 and len(runs) == 6
+
+    def fail(*key):
+        return oracle.kept_result(key, lambda: runs.append(key) or 1 // 0)
+
+    for _ in range(2):
+        with pytest.raises(ZeroDivisionError):
+            fail(x, y)
+    assert len(runs) == 8
+    # another computation has its own slot, which the failures left alone
+    assert keep(x, y) == 6 and len(runs) == 8
+
+    class Box:
+        pass
+
+    # the kept key holds its objects, so no id is reused while they are kept
+    box = Box()
+    ref = weakref.ref(box)
+    assert keep(box) == 9
+    del box
+    gc.collect()
+    assert ref() is not None and keep(ref()) == 9
 
 
 def test_one_census_per_equation_set(monkeypatch):

@@ -399,6 +399,66 @@ def test_one_dual_quadric_per_pencil(monkeypatch):
     assert calls.count(4) == 1
 
 
+def _counted_reducedness(monkeypatch):
+    # the quartics whose reducedness is decided, one per pullback
+    calls = []
+    decide = prym._quartic_reduced
+    monkeypatch.setattr(prym, "_quartic_reduced",
+                        lambda quartic: calls.append(quartic) or decide(quartic))
+    return calls
+
+
+def _same_model(m1, m2):
+    return (m1.quartic == m2.quartic and m1.reduced == m2.reduced
+            and m1.raw_scale == m2.raw_scale and m1.dual == m2.dual)
+
+
+def test_pencil_conics_reads_the_kept_forward_model(monkeypatch):
+    # a caller's forward_general and pencil_conics on the same pair make one
+    # pullback, and the pencil carries the caller's quartic object
+    calls = _counted_reducedness(monkeypatch)
+    fx = FIXTURES["t1"]
+    a, q = fx.symmetrization(QQ), fx.quadric(QQ)
+    fwd = forward_general(a, q)
+    pen = pencil_conics(a, q)
+    assert len(calls) == 1
+    assert pen.quartic is fwd.quartic and forward_general(a, q) is fwd
+
+
+def test_kept_forward_model_is_never_stale(monkeypatch):
+    # on one symmetrization, alternating quadrics each get the model of their
+    # own quadric, equal to one computed from fresh objects
+    a = FIXTURES["t1"].symmetrization(QQ)
+    fresh = {name: forward_general(FIXTURES["t1"].symmetrization(QQ), FIXTURES[name].quadric(QQ))
+             for name in ("t1", "t2")}
+    q1, q2 = FIXTURES["t1"].quadric(QQ), FIXTURES["t2"].quadric(QQ)
+    assert not _same_model(fresh["t1"], fresh["t2"])
+    calls = _counted_reducedness(monkeypatch)
+    for name, q in (("t1", q1), ("t1", q1), ("t2", q2), ("t1", q1), ("t2", q2), ("t2", q2)):
+        assert _same_model(forward_general(a, q), fresh[name])
+    assert len(calls) == 4
+    # equal objects built afresh are computed again
+    calls.clear()
+    a2, q3 = FIXTURES["t1"].symmetrization(QQ), FIXTURES["t1"].quadric(QQ)
+    assert a2.matrix == a.matrix and q3 == q1
+    for _ in range(2):
+        assert _same_model(forward_general(a2, q3), fresh["t1"])
+    assert _same_model(forward_general(a, q1), fresh["t1"])
+    assert len(calls) == 2
+
+
+def test_rank3_quadric_is_refused_on_every_call():
+    # an error is not kept: a rank-3 q raises on each call, and the model
+    # kept before it is still the one returned
+    a, q = fix_a(QQ), fix_q(QQ)
+    fwd = forward_general(a, q)
+    rank3 = quad(QQ, {(2, 0, 0, 0): 1, (0, 2, 0, 0): 1, (0, 0, 2, 0): 1})
+    for _ in range(2):
+        with pytest.raises(PrymError, match="rank-4 quadric required"):
+            forward_general(a, rank3)
+    assert forward_general(a, q) is fwd
+
+
 def test_reverse_construct_takes_no_determinant(monkeypatch):
     # no caller reads the rebuilt cubic; a reader asks the symmetrization
     fx = FIXTURES["t1"]

@@ -242,6 +242,12 @@ def test_cli_hankel_rejects_exponents_above_four(poly, capsys):
     assert "outside 0..4" in json.loads(err)["error"]
 
 
+def test_cli_hankel_rejects_a_zero_denominator(capsys):
+    code, out, err = run_cli(["hankel", "--poly", "t^4 + 1/0"], capsys)
+    assert (code, out) == (2, "")
+    assert "zero denominator" in json.loads(err)["error"]
+
+
 def test_cli_forward_reverse_roundtrip(tmp_path, capsys):
     code, out, err = run_cli(["forward", DATA, "--A", "A_t1", "--Q", "Q_t1"], capsys)
     assert code == 0
@@ -287,6 +293,21 @@ def test_cli_count_and_bitangents(tmp_path, capsys):
     assert code == 0
     rep_b = json.loads(out)
     assert 1 <= rep_b["count"] <= 28
+
+
+def test_cli_count_reads_the_genus_off_the_degree(tmp_path, capsys):
+    # a plane curve of degree d has arithmetic genus (d - 1)(d - 2)/2: the
+    # conic Xbar has genus 0, so its q + 1 points meet the Weil bound, and
+    # the branch quartic keeps genus 3
+    path = _forward_scene("A_even", "Q_even", tmp_path, capsys)
+    code, out, err = run_cli(["count", path, "--curve", "Xbar", "--q", "13"], capsys)
+    assert code == 0
+    rep = json.loads(out)
+    assert (rep["genus"], rep["count"], rep["trace"], rep["weil_ok"], rep["smooth"]) == (
+        0, 14, 0, True, True)
+    code, out, err = run_cli(["count", path, "--curve", "branch", "--q", "13"], capsys)
+    assert code == 0
+    assert json.loads(out)["genus"] == 3
 
 
 def test_cli_count_budget(capsys):
@@ -496,6 +517,33 @@ def test_cli_verify_checks_pencils(tmp_path, capsys):
     p2.write_text(write_scene(bad))
     code, out, err = run_cli(["verify", str(p2)], capsys)
     assert code == 1
+    # a pencil holds four conics: three or five are an input error, for
+    # verify and for reverse alike
+    x = Scene(QQ).add("X", pen.quartic)
+    for conics in (pen.conics()[:3], pen.conics() + (pen.c00,)):
+        path = tmp_path / "conics.json"
+        path.write_text(write_scene(x.add("K", (conics, pen.quartic))))
+        for argv in (["verify", str(path)], ["reverse", str(path), "--X", "X", "--pencil", "K"]):
+            code, out, err = run_cli(argv, capsys)
+            assert (code, out) == (2, "")
+            assert err.count("\n") == 1
+            assert json.loads(err)["error"] == "a pencil needs four conics, not %d" % len(conics)
+
+
+def test_cli_forward_and_verify_pull_back_once_per_pair(monkeypatch, capsys):
+    # pencil_conics reads the forward model its caller just built: one
+    # reducedness decision per rank-4 pair, five in the shipped manifest
+    calls = []
+    decide = prym._quartic_reduced
+    monkeypatch.setattr(prym, "_quartic_reduced",
+                        lambda quartic: calls.append(quartic) or decide(quartic))
+    code, out, err = run_cli(["forward", DATA, "--A", "A_t1", "--Q", "Q_t1"], capsys)
+    assert code == 0 and "K" in parse_scene(out).objects
+    assert len(calls) == 1
+    calls.clear()
+    code, out, err = run_cli(["verify", DATA], capsys)
+    assert code == 0
+    assert len(calls) == 5
 
 
 # sha256 of the exit code, stdout and stderr, joined by NUL bytes, of CLI

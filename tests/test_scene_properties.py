@@ -50,7 +50,7 @@ def test_form_scene_round_trip(name, data):
     for k, nvars in enumerate((2, 2, 3)):
         degree = data.draw(st.integers(0, 8 if nvars == 2 else 4))
         scene.add("f%d" % k, _form(data, field, raw, nvars, degree))
-    conics = tuple(_form(data, field, raw, 3, 2) for _ in range(3))
+    conics = tuple(_form(data, field, raw, 3, 2) for _ in range(4))
     scene.add("K", (conics, _form(data, field, raw, 3, 4)))
     again = _round_trip(scene)
     for k in range(3):

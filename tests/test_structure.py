@@ -167,6 +167,57 @@ def test_fixture_search_tool_imports(monkeypatch):
     assert callable(module.curve_smooth_everywhere) and callable(module.search_even)
 
 
+def test_size_tool_counts(tmp_path):
+    # raw lines, code lines (no blank line, comment or docstring) and
+    # settable values (defaulted parameters, lambdas included)
+    spec = importlib.util.spec_from_file_location("size", ROOT / "tools" / "size.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    (tmp_path / "m.py").write_text(
+        '"""Module\ndocstring."""\n'
+        "\n"
+        "# a comment\n"
+        "X = (1,\n"
+        "     2)  # a trailing comment\n"
+        "\n"
+        "\n"
+        "def f(a, b=1, *, c, d=2):\n"
+        '    """One line."""\n'
+        "    return lambda e=3: a + e\n"
+        "\n"
+        "\n"
+        "class C:\n"
+        '    """Class\n'
+        '    docstring."""\n'
+        '    s = """a string\n'
+        '    on two lines"""\n', encoding="utf-8")
+    (tmp_path / "empty.py").write_text("", encoding="utf-8")
+    assert module.measure(tmp_path) == {"raw_lines": 18, "code_lines": 7, "settable_values": 3}
+    size = module.measure(SRC)
+    assert 0 < size["code_lines"] < size["raw_lines"] and size["settable_values"] > 0
+
+
+def test_one_kept_result_memo():
+    # oracle.kept_result is the one memo of a last result: no module keeps state
+    # behind a `global` statement, and only the census, the line restriction
+    # and the forward model read it
+    import prymcubic.milne as milne
+    import prymcubic.oracle as oracle
+
+    assert not hasattr(oracle, "_last_census") and not hasattr(milne, "_last_line")
+    readers, offenders = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Global):
+                    offenders.append("%s:%d %s" % (path.name, node.lineno, ast.unparse(node)))
+                if (isinstance(node, ast.Name) and node.id == "kept_result"
+                        or isinstance(node, ast.Attribute) and node.attr == "kept_result"):
+                    readers.append("%s.%s" % (path.stem, getattr(top, "name", None)))
+    assert offenders == []
+    assert sorted(readers) == ["milne._restricted", "oracle._census", "prym.forward_general"]
+
+
 def test_no_unread_private_module_names():
     # a module's private top-level name is there for the module itself to read
     offenders = []
