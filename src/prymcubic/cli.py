@@ -63,11 +63,13 @@ def _parse_monic_quartic(text):
             sign = -1
             chunk = chunk[1:]
         head, t, tail = chunk.partition("t")
+        if tail and not (tail[0] == "^" and tail[1:].isdecimal()):
+            raise CliInputError("term %r: t may only be followed by ^n" % chunk)
         try:
             coef = Fraction((head.rstrip("*") or 1) if t else head)
         except ZeroDivisionError:
             raise CliInputError("coefficient %r has a zero denominator" % chunk)
-        power = (int(tail[1:]) if tail.startswith("^") else 1) if t else 0
+        power = (int(tail[1:]) if tail else 1) if t else 0
         if power not in coeffs:
             raise CliInputError("exponent %d outside 0..4 in a monic quartic" % power)
         coeffs[power] += sign * coef

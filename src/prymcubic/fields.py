@@ -1,15 +1,18 @@
 """Exact scalar arithmetic: the rationals, odd prime fields, and quadratic
 extensions of either.
 
-Each field is an instance of one of three :class:`Field` subclasses, which
-act both as descriptors and as the operation tables for raw values:
-:class:`RationalField` (raw values are ``int`` when integral, else
-``Fraction``), :class:`PrimeField` (``int`` in ``[0, p)``) and
-:class:`QuadExtField` (pairs ``(a, b)`` of base raw values meaning
-``a + b*sqrt(d)``).  :class:`FieldElement` is a thin
-wrapper so that coefficients support ordinary operators.  Extensions never
-nest: a :class:`QuadExtField` sits over Q or F_p, and :meth:`Field.adjoin_sqrt`
-is the one place that goes up to it.
+Each field is an instance of a :class:`Field` subclass, which acts both as
+descriptor and as the operation table for raw values: :class:`RationalField`
+(raw values are ``int`` when integral, else ``Fraction``), :class:`PrimeField`
+(``int`` in ``[0, p)``), :class:`QuadExtField` over F_p (pairs ``(a, b)`` of
+base raw values meaning ``a + b*sqrt(d)``) and its subclass
+:class:`RationalQuadExtField` over Q (canonical integer triples ``(A, B, D)``
+meaning ``(A + B*sqrt(d))/D``, so that no product builds a ``Fraction``).
+`QuadExtField._parts` turns either raw value into its two base raw values;
+code outside the field reads an extension's raw value only through it.
+:class:`FieldElement` is a thin wrapper so that coefficients support ordinary
+operators.  Extensions never nest: a :class:`QuadExtField` sits over Q or F_p,
+and :meth:`Field.adjoin_sqrt` is the one place that goes up to it.
 """
 
 from __future__ import annotations
@@ -230,8 +233,10 @@ class RationalField(Field):
 
     def _inv_nonzero(self, a):
         # 1 / a would be a float for an int a
-        c = Fraction(1, a)
-        return c if c.denominator != 1 else c.numerator
+        return _rational_raw(1, a)
+
+    def quadratic_extension(self, d):
+        return RationalQuadExtField(self, self.element(d).val)
 
     def _sqrt(self, x):
         n, d = x.val.numerator, x.val.denominator
@@ -329,7 +334,8 @@ class PrimeField(Field):
 
 class QuadExtField(Field):
     """K(sqrt(d)) for K = Q or F_p and d a nonsquare of K; raw values are
-    pairs ``(a, b)`` of raw values of K meaning ``a + b*sqrt(d)``."""
+    pairs ``(a, b)`` of raw values of K meaning ``a + b*sqrt(d)``, except
+    over Q, where :class:`RationalQuadExtField` keeps integer triples."""
 
     __slots__ = ("base", "d", "_zero_raw", "_one_raw")
 
@@ -366,16 +372,20 @@ class QuadExtField(Field):
                 yield FieldElement(self, (a, b))
 
     def random(self, rng):
-        return FieldElement(self, (self.base.random(rng).val, self.base.random(rng).val))
+        return self.ext_element(self.base.random(rng), self.base.random(rng))
 
     def ext_element(self, a, b):
         """a + b*sqrt(d)."""
         return self.element((a, b))
 
     def sqrt_d(self):
-        return FieldElement(self, (self.base._zero_raw, self.base._one_raw))
+        return self.ext_element(0, 1)
 
     # -- raw value arithmetic ---------------------------------------------
+
+    def _parts(self, a):
+        """The base raw values (a0, a1) of the raw value a0 + a1*sqrt(d)."""
+        return a
 
     def _from_int(self, n):
         return (self.base._from_int(n), self.base._zero_raw)
@@ -425,7 +435,8 @@ class QuadExtField(Field):
         return self.base._is_zero_raw(a[0]) and self.base._is_zero_raw(a[1])
 
     def _raw_str(self, a):
-        return "(%s,%s)" % (self.base._raw_str(a[0]), self.base._raw_str(a[1]))
+        a0, a1 = self._parts(a)
+        return "(%s,%s)" % (self.base._raw_str(a0), self.base._raw_str(a1))
 
     # -- square roots ------------------------------------------------------
 
@@ -433,16 +444,15 @@ class QuadExtField(Field):
         # x = a + b sqrt(d) and a root u + v sqrt(d): u^2 + d v^2 = a and
         # 2 u v = b, so Norm(x) = (u^2 - d v^2)^2 is a square of the base.
         base = self.base
-        a = FieldElement(base, x.val[0])
-        b = FieldElement(base, x.val[1])
+        a, b = (FieldElement(base, v) for v in self._parts(x.val))
         d = FieldElement(base, self.d)
         if not b:
             r = base.sqrt(a)
             if r is not None:
-                return self._smaller_root((r.val, base._zero_raw))
+                return self._smaller_root(self.ext_element(r, 0).val)
             r = base.sqrt(a / d)
             if r is not None:
-                return self._smaller_root((base._zero_raw, r.val))
+                return self._smaller_root(self.ext_element(0, r).val)
             return None
         norm = a * a - d * b * b
         m = base.sqrt(norm)
@@ -460,8 +470,101 @@ class QuadExtField(Field):
         return None
 
     def _smaller_root(self, r):
-        """Of the roots r and -r, the one with the smaller raw pair."""
+        """Of the roots r and -r, the one with the smaller raw value.  A
+        triple and its negative share D > 0, so comparing (A, B, D) with
+        (-A, -B, D) orders them as the pairs (A/D, B/D) and (-A/D, -B/D)."""
         return FieldElement(self, min(r, self._neg(r)))
+
+
+def _rational_raw(n, d):
+    """The canonical raw value of the rational n/d, d a nonzero int."""
+    c = Fraction(n, d)
+    return c if c.denominator != 1 else c.numerator
+
+
+def _canon(A, B, D):
+    """The canonical triple of (A + B*sqrt(d))/D for ints A, B, D, D > 0."""
+    g = math.gcd(A, B, D)
+    return (A, B, D) if g == 1 else (A // g, B // g, D // g)
+
+
+class RationalQuadExtField(QuadExtField):
+    """Q(sqrt(d)) for a rational nonsquare d = n/m; a raw value is a triple
+    ``(A, B, D)`` of ints meaning ``(A + B*sqrt(d))/D``, with D > 0 and
+    gcd(A, B, D) = 1, so equal elements have equal raw values.  A product
+    (A1 + B1 r)(A2 + B2 r) = A1 A2 + d B1 B2 + (A1 B2 + A2 B1) r is scaled by
+    m to keep it integral, and one three-way gcd makes it canonical."""
+
+    __slots__ = ("_n", "_m")
+
+    def __init__(self, base, d):
+        super().__init__(base, d)
+        self._n, self._m = d.numerator, d.denominator
+        self._zero_raw = (0, 0, 1)
+        self._one_raw = (1, 0, 1)
+
+    def _parts(self, a):
+        A, B, D = a
+        if D == 1:
+            return A, B
+        return _rational_raw(A, D), _rational_raw(B, D)
+
+    def _from_int(self, n):
+        return (int(n), 0, 1)
+
+    def _lift(self, x):
+        if x.field == self.base:
+            v = x.val
+            return (v.numerator, 0, v.denominator)
+        return super()._lift(x)
+
+    def _coerce(self, x):
+        if isinstance(x, Fraction):
+            return (x.numerator, 0, x.denominator)
+        if isinstance(x, tuple) and len(x) == 3:
+            A, B, D = x
+            return _canon(A, B, D) if D > 0 else _canon(-A, -B, -D)
+        if isinstance(x, tuple):
+            a, b = (Fraction(self.base.element(v).val) for v in x)
+            D = a.denominator * b.denominator
+            return _canon(a.numerator * b.denominator, b.numerator * a.denominator, D)
+        return super()._coerce(x)
+
+    @staticmethod
+    def _add(a, b):
+        A1, B1, D1 = a
+        A2, B2, D2 = b
+        if D1 == D2:
+            return _canon(A1 + A2, B1 + B2, D1)
+        return _canon(A1 * D2 + A2 * D1, B1 * D2 + B2 * D1, D1 * D2)
+
+    @staticmethod
+    def _neg(a):
+        return (-a[0], -a[1], a[2])
+
+    def _sub(self, a, b):
+        return self._add(a, (-b[0], -b[1], b[2]))
+
+    def _mul(self, a, b):
+        A1, B1, D1 = a
+        A2, B2, D2 = b
+        if B1 and B2:
+            m = self._m
+            A = m * A1 * A2 + self._n * B1 * B2
+            B = m * (A1 * B2 + A2 * B1)
+            D = m * D1 * D2
+        else:
+            A, B, D = A1 * A2, A1 * B2 + A2 * B1, D1 * D2
+        return _canon(A, B, D)
+
+    def _inv_nonzero(self, a):
+        # D / (A + B r) = D m (A - B r) / (m A^2 - n B^2), the norm nonzero
+        # because d is a nonsquare
+        A, B, D = a
+        m = self._m
+        N = m * A * A - self._n * B * B
+        s = D * m if N > 0 else -D * m
+        return _canon(s * A, -s * B, abs(N))
 
 
 def _sqrt_mod_p(a, p):
@@ -570,7 +673,7 @@ class FieldElement:
         if new_field == f or (isinstance(new_field, QuadExtField) and new_field.base == f):
             return new_field.element(self)
         if isinstance(f, QuadExtField) and new_field == f.base:
-            a, b = self.val
+            a, b = f._parts(self.val)
             if not f.base._is_zero_raw(b):
                 raise FieldError("element does not descend to the base field")
             return FieldElement(new_field, a)
@@ -589,8 +692,10 @@ class FieldElement:
     def __hash__(self):
         # an extension element with zero sqrt(d) part equals its base element
         f, v = self.field, self.val
-        if isinstance(f, QuadExtField) and f.base._is_zero_raw(v[1]):
-            v = v[0]
+        if isinstance(f, QuadExtField):
+            a, b = f._parts(v)
+            if f.base._is_zero_raw(b):
+                v = a
         return hash(v)
 
     def __repr__(self):

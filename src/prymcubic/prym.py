@@ -220,7 +220,7 @@ def conic_rational_point(conic, field):
         return None
     coeffs = [conic.terms[e].val if e in conic.terms else field._zero_raw
               for e in _CONIC_MONOMIALS]
-    parts = list(zip(*coeffs)) if isinstance(field, QuadExtField) else [coeffs]
+    parts = list(zip(*map(field._parts, coeffs))) if isinstance(field, QuadExtField) else [coeffs]
     for a in _BOX:
         for b in _BOX:
             roots = _BOX

@@ -51,7 +51,7 @@ def field_from_json(obj):
 def scalar_to_json(el):
     f = el.field
     if isinstance(f, QuadExtField):
-        return [scalar_to_json(FieldElement(f.base, v)) for v in el.val]
+        return [scalar_to_json(FieldElement(f.base, v)) for v in f._parts(el.val)]
     return str(el.val)  # "num" for an int, "num/den" for a Fraction
 
 

@@ -2,10 +2,12 @@
 ring laws, inverses, square roots and the root each field picks,
 `adjoin_sqrt`, `hash` agreeing with `==` within a field and across the
 lift of a base element into its extension, the canonical raw value of a
-rational (an int when integral, else a Fraction with denominator > 1), and
-F_p's integer dense product against the generic one."""
+rational (an int when integral, else a Fraction with denominator > 1) and of
+Q(sqrt d) (an int triple), Q(sqrt d)'s triples against the pair arithmetic
+they replaced, and F_p's integer dense product against the generic one."""
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -116,11 +118,14 @@ def test_hash_agrees_with_equality(name, data):
 @given(data=st.data())
 def test_hash_agrees_across_lift(name, data):
     field, (x,) = _draw(data, name, 1)
-    b = field.base.element(x.val[0])
+    a0, a1 = field._parts(x.val)
+    b = field.base.element(a0)
     lifted = field.element(b)
     assert lifted == b and b == lifted and hash(lifted) == hash(b)
     assert len({b, lifted}) == 1
-    assert (x == b) == (x.val[1] == 0)
+    assert (x == b) == (a1 == 0)
+    if a1 == 0:
+        assert hash(x) == hash(b)
 
 
 @pytest.mark.parametrize("p", [3, 13, 101])
@@ -172,6 +177,119 @@ def test_rational_raw_values_are_canonical(x, y, n):
     assert (a == b) == (fx == fy)
     if a == b:
         assert hash(a) == hash(b)
+    # over Q(sqrt d) the same operations give canonical int triples, and
+    # equal elements hash equal, a lifted rational among them
+    for d in _DS:
+        K = QQ.quadratic_extension(d)
+        u, w = K.ext_element(x, y), K.ext_element(y, x)
+        results = [u, w, u + w, u - w, u * w, -u, u + y, y - u, y * u, u * u,
+                   K.sqrt(u * u), K.sqrt(w), K.element(a), K.sqrt_d() * b, K.element(u.val)]
+        if w:
+            results += [u / w, x / w, w.inverse(), w ** n]
+        results += [w ** abs(n)]
+        for r in results:
+            assert r is None or _canonical_triple(r.val), (d, x, y, r.val)
+        rational = u - K.sqrt_d() * y
+        for v, e in ((a, rational), (a, K.element(a)), (a, K.element(fx)),
+                     (u, K.element(u.val)), (u, K.ext_element(fx, fy)), (u * w, w * u)):
+            assert v == e and e == v and hash(v) == hash(e)
+        assert (u == a) == (fy == 0)
+        if u == a:
+            assert hash(u) == hash(a) and len({u, a}) == 1
+
+
+_DS = (5, -3, Fraction(5, 3))
+
+
+def _canonical_triple(v):
+    """Whether v is the canonical raw value of an element of Q(sqrt d)."""
+    return (type(v) is tuple and len(v) == 3 and all(type(c) is int for c in v)
+            and v[2] > 0 and math.gcd(*v) == 1)
+
+
+# Reference for Q(sqrt d): the arithmetic on pairs (a, b) of Fractions,
+# meaning a + b*sqrt(d), that Q(sqrt d) ran before it kept integer triples.
+
+def _ref_mul(x, y, d):
+    return (x[0] * y[0] + x[1] * y[1] * d, x[0] * y[1] + x[1] * y[0])
+
+
+def _ref_inv(x, d):
+    n = x[0] * x[0] - d * x[1] * x[1]
+    return (x[0] / n, -x[1] / n)
+
+
+def _ref_pow(x, n, d):
+    if n < 0:
+        return _ref_pow(_ref_inv(x, d), -n, d)
+    r = (Fraction(1), Fraction(0))
+    for _ in range(n):
+        r = _ref_mul(r, x, d)
+    return r
+
+
+def _ref_rational_sqrt(v):
+    if v < 0:
+        return None
+    n, m = math.isqrt(v.numerator), math.isqrt(v.denominator)
+    return Fraction(n, m) if n * n == v.numerator and m * m == v.denominator else None
+
+
+def _ref_sqrt(x, d):
+    """The root of the smaller pair, or None: a root u + v sqrt(d) has
+    u^2 + d v^2 = a and 2 u v = b."""
+    a, b = x
+
+    def smaller(r):
+        return min(r, (-r[0], -r[1]))
+    if not b:
+        if not a:
+            return (Fraction(0), Fraction(0))
+        r = _ref_rational_sqrt(a)
+        if r is not None:
+            return smaller((r, Fraction(0)))
+        r = _ref_rational_sqrt(a / d)
+        return None if r is None else smaller((Fraction(0), r))
+    m = _ref_rational_sqrt(a * a - d * b * b)
+    if m is None:
+        return None
+    for mm in (m, -m):
+        u = _ref_rational_sqrt((a + mm) / 2)
+        if u:
+            v = b / (2 * u)
+            if _ref_mul((u, v), (u, v), d) == (a, b):
+                return smaller((u, v))
+    return None
+
+
+@pytest.mark.parametrize("d", _DS, ids=lambda d: str(d).replace("/", "_over_"))
+@PROPERTY
+@given(data=st.data())
+def test_rational_extension_matches_the_pair_reference(d, data):
+    K = QQ.quadratic_extension(d)
+    d = Fraction(d)
+    pairs = st.tuples(_fractions, _fractions)
+    x, y = data.draw(pairs), data.draw(pairs)
+    n = data.draw(st.integers(-4, 5))
+    ex, ey = K.ext_element(*x), K.ext_element(*y)
+
+    def parts(e):
+        return None if e is None else tuple(Fraction(c) for c in K._parts(e.val))
+    assert parts(ex) == x and parts(ey) == y
+    assert K._parts(K._add(ex.val, ey.val)) == (x[0] + y[0], x[1] + y[1])
+    assert K._parts(K._sub(ex.val, ey.val)) == (x[0] - y[0], x[1] - y[1])
+    assert K._parts(K._neg(ex.val)) == (-x[0], -x[1])
+    assert K._parts(K._mul(ex.val, ey.val)) == _ref_mul(x, y, d)
+    assert K._is_zero_raw(ex.val) == (x == (0, 0))
+    if any(x):
+        assert parts(ex.inverse()) == _ref_inv(x, d)
+        assert parts(ex ** n) == _ref_pow(x, n, d)
+    assert parts(ex ** abs(n)) == _ref_pow(x, abs(n), d)
+    square = _ref_mul(x, x, d)
+    assert parts(K.sqrt(ex * ex)) == _ref_sqrt(square, d)
+    assert parts(K.sqrt(ex)) == _ref_sqrt(x, d)
+    assert parts(K.sqrt(K.element(x[0]))) == _ref_sqrt((x[0], Fraction(0)), d)
+    assert repr(ex) == "(%s,%s)" % x
 
 
 def test_parsed_rational_is_canonical():

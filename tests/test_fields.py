@@ -102,12 +102,13 @@ def test_sqrt_quadext_over_q():
 
 
 def test_sqrt_of_a_rational_square_in_q_sqrt5_is_the_smaller_pair():
-    # the same rule as every other branch over Q(sqrt d): of +-r, the smaller
-    # raw pair, so sqrt(4) is -2, as sqrt(20) is -2 sqrt(5)
+    # the same rule as every other branch over Q(sqrt d): of +-r, the one
+    # whose pair of rational parts is smaller, so sqrt(4) is -2, as sqrt(20)
+    # is -2 sqrt(5)
     K = QQ.quadratic_extension(5)
-    assert K.sqrt(4).val == (-2, 0)
-    assert K.sqrt(20).val == (0, -2)
-    assert K.sqrt(K.ext_element(6, 2)).val == (-1, -1)
+    assert K.sqrt(4) == K.ext_element(-2, 0)
+    assert K.sqrt(20) == K.ext_element(0, -2)
+    assert K.sqrt(K.ext_element(6, 2)) == K.ext_element(-1, -1)
     # over F_p(sqrt d) the rule leaves a base root as the base field picks it
     assert F11.quadratic_extension(2).sqrt(4).val == (2, 0)
 

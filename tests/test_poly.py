@@ -274,10 +274,15 @@ def test_equal_forms_hash_equal_across_raw_types():
     assert type(g.terms[(2, 0, 0)].val) is int
     assert f == g and g == f
     assert hash(f) == hash(g) and len({f, g}) == 1
+    # over Q(sqrt 5) the same element reached from a pair of Fractions, an
+    # int and a lifted rational gives one form
     K = QQ.quadratic_extension(5)
-    fk = HomogPoly(K, Z3, 1, {(1, 0, 0): FieldElement(K, (Fraction(3), Fraction(0)))}, _clean=True)
-    gk = HomogPoly(K, Z3, 1, {(1, 0, 0): 3})
-    assert fk == gk and hash(fk) == hash(gk)
+    fk = HomogPoly(K, Z3, 1, {(1, 0, 0): K.ext_element(Fraction(3), Fraction(0)),
+                              (0, 1, 0): K.ext_element(Fraction(1, 2), Fraction(-3, 4))})
+    gk = HomogPoly(K, Z3, 1, {(1, 0, 0): 3, (0, 1, 0): K.ext_element(2, -3) / 4})
+    hk = HomogPoly(K, Z3, 1, {(1, 0, 0): K.element(QQ.element(Fraction(6, 2))),
+                              (0, 1, 0): K.ext_element(Fraction(2, 4), Fraction(-6, 8))})
+    assert fk == gk == hk and hash(fk) == hash(gk) == hash(hk) and len({fk, gk, hk}) == 1
 
 
 # derandomized and bounded, so the suite stays deterministic and fast

@@ -806,3 +806,51 @@ def test_random_general_webs_roundtrip():
         assert roundtrip_change_matches(a, q, pen, rev)
         successes += 1
     assert successes >= 10
+
+
+# Two pairs over Q whose pencils live in Q(sqrt d), d not an integer, with the
+# sha256 of the scene over K = Q(sqrt d) that holds the quartic, the pencil
+# and the rebuilt web, and of the repr of the four conics.  The CLI and the
+# benchmark write only scenes over Q, so these digests are what pins the
+# extension's scalars, reprs and chosen square roots.
+_EXTENDED_PAIRS = {
+    "84640/1521": (
+        [[[-1, 0, 1, 2], [-2, -2, -3, 1], [1, -2, -3, -1]],
+         [[-2, -2, -3, 1], [-2, -1, 2, -1], [3, -1, -1, 3]],
+         [[1, -2, -3, -1], [3, -1, -1, 3], [1, 2, -1, 3]]],
+        {(0, 0, 0, 2): -1, (0, 0, 1, 1): -8, (0, 0, 2, 0): -6, (0, 1, 0, 1): 5,
+         (0, 1, 1, 0): 7, (0, 2, 0, 0): -3, (1, 0, 0, 1): 1, (1, 0, 1, 0): -11,
+         (1, 1, 0, 0): -8},
+        "ef61d9d1a963c57ee17201cc73556eed2c317086961b91d39fa56e82fc97722d",
+        "12693a82c295ac9cdd48fd06b1ec7244054203576efa29795283736077152f3a"),
+    "-578/11449": (
+        [[[-1, -2, -1, 2], [2, 2, 2, 3], [0, -1, -3, -2]],
+         [[2, 2, 2, 3], [-2, 1, -2, 3], [0, -3, -3, 2]],
+         [[0, -1, -3, -2], [0, -3, -3, 2], [0, 2, -2, 1]]],
+        {(0, 0, 0, 2): 3, (0, 0, 1, 1): -4, (0, 0, 2, 0): 2, (0, 1, 0, 1): 9,
+         (0, 1, 1, 0): 2, (0, 2, 0, 0): 4, (1, 0, 0, 1): -10, (1, 0, 1, 0): -10,
+         (1, 1, 0, 0): -4, (2, 0, 0, 0): -4},
+        "b1c649517d4bcfec0db67cc591131de50fdffd95db7c3f71cd59e3b2f1042905",
+        "7a1fc9c6e3a15a643c6d9609b1eaa421394ddd58db29e82a1de71a09fd9844cd"),
+}
+
+
+@pytest.mark.parametrize("d", sorted(_EXTENDED_PAIRS), ids=lambda d: d.replace("/", "_over_"))
+def test_extended_pencil_scene_bytes_are_pinned(d):
+    import hashlib
+    from prymcubic import scene
+    rows, qterms, digest, conics_digest = _EXTENDED_PAIRS[d]
+    a = Symmetrization.from_entry_rows(QQ, rows)
+    q = quad(QQ, qterms)
+    pen = pencil_conics(a, q)
+    K = pen.field
+    assert pen.extended and K == QQ.quadratic_extension(Fraction(d))
+    quartic = forward_general(a, q).quartic.change_field(K)
+    rev = reverse_construct(quartic, pen.conics(), K)
+    assert roundtrip_change_matches(a, q, pen, rev)
+    sc = scene.Scene(K, metadata={"d": d})
+    sc.add("X", quartic).add("K", (pen.conics(), quartic)).add("A", rev.symmetrization)
+    text = scene.write_scene(sc)
+    assert scene.write_scene(scene.parse_scene(text)) == text
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert hashlib.sha256(repr(list(pen.conics())).encode()).hexdigest() == conics_digest

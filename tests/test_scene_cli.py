@@ -248,6 +248,20 @@ def test_cli_hankel_rejects_a_zero_denominator(capsys):
     assert "zero denominator" in json.loads(err)["error"]
 
 
+@pytest.mark.parametrize("poly", ["t^4 + t5", "t^4+t*x", "t^4 + t^"])
+def test_cli_hankel_rejects_a_tail_after_t(poly, capsys):
+    code, out, err = run_cli(["hankel", "--poly", poly], capsys)
+    assert (code, out) == (2, "")
+    assert "may only be followed by ^n" in json.loads(err)["error"]
+    assert len(err.splitlines()) == 1
+
+
+def test_cli_hankel_reads_a_bare_t_as_its_first_power():
+    from prymcubic.cli import _parse_monic_quartic
+    assert _parse_monic_quartic("t^4 + t") == [0, 1, 0, 0]
+    assert _parse_monic_quartic("t^4 - 2*t^2 + 3t - 1/2") == [Fraction(-1, 2), 3, -2, 0]
+
+
 def test_cli_forward_reverse_roundtrip(tmp_path, capsys):
     code, out, err = run_cli(["forward", DATA, "--A", "A_t1", "--Q", "Q_t1"], capsys)
     assert code == 0
