@@ -125,6 +125,14 @@ class Field:
                 out[j] = add(out[j], mul(x, y))
         return out
 
+    def _dot_raw(self, xs, ys):
+        """The sum of the products x * y over the raw values paired by zip."""
+        mul, add = self._mul, self._add
+        acc = self._zero_raw
+        for x, y in zip(xs, ys):
+            acc = add(acc, mul(x, y))
+        return acc
+
     def _raw_str(self, a):
         return str(a)
 
@@ -324,6 +332,10 @@ class PrimeField(Field):
         for j, c in enumerate(out):
             out[j] = c % p
         return out
+
+    def _dot_raw(self, xs, ys):
+        # summed as plain ints and reduced once, as in _convolve_raw
+        return sum(map(operator.mul, xs, ys)) % self.p
 
     def _sqrt(self, x):
         r = _sqrt_mod_p(x.val, self.p)

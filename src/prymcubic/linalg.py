@@ -1,12 +1,14 @@
 """Exact dense linear algebra on plain lists of rows.
 
 Row reduction, kernels and inverses take FieldElement entries; row
-reduction eliminates on their raw values.  Determinants come from one
+reduction eliminates on their raw values.  The two points of a plane line,
+the kernel of its one-row matrix, come in closed form (`line_basis`), with
+no row reduction.  Determinants come from one
 kernel, `maximal_minors`, a division-free Laplace expansion generic in the
 entry type: any object with *, + and - will do, so the same code runs on
-scalar matrices and on matrices of homogeneous forms.  `det` and
-`adjugate` read it, and `sylvester` builds the one Sylvester matrix, whose
-determinant is a resultant.
+scalar matrices and on matrices of homogeneous forms.  `det` reads it, and
+`sylvester` builds the Sylvester matrix whose determinant is
+`elim.resultant_last_var`.
 """
 
 from __future__ import annotations
@@ -81,8 +83,18 @@ def kernel_basis(rows, field):
 
 
 def line_basis(dual, field):
-    """Two points spanning the plane line with dual coordinates `dual`."""
-    p0, p1 = kernel_basis([[field.element(c) for c in dual]], field)
+    """Two points spanning the plane line with dual coordinates `dual`: the
+    kernel basis of the one-row matrix in closed form.  With c the first
+    nonzero coordinate, each other column f, in ascending order, gives the
+    point with 1 at f, -dual[f]/dual[c] at c and 0 elsewhere."""
+    d = [field.element(x) for x in dual]
+    c = next((i for i, x in enumerate(d) if x), None)
+    if c is None:
+        raise ValueError("the zero vector is not a line")
+    scale = -d[c].inverse()
+    zero, one = field.zero(), field.one()
+    p0, p1 = ([one if i == f else d[f] * scale if i == c else zero for i in range(len(d))]
+              for f in range(len(d)) if f != c)
     return p0, p1
 
 
@@ -111,19 +123,6 @@ def det(rows):
     """Determinant of a square matrix, of scalars or of forms: its one
     maximal minor."""
     return maximal_minors(rows)[tuple(range(len(rows)))]
-
-
-def adjugate(rows):
-    """Adjugate matrix: adj(M) . M = det(M) . I, entries generic; one
-    `maximal_minors` call per deleted row."""
-    n = len(rows)
-    adj = [[None] * n for _ in range(n)]
-    for i in range(n):
-        minors = maximal_minors(rows[:i] + rows[i + 1:])
-        for j in range(n):
-            cof = minors[tuple(k for k in range(n) if k != j)]
-            adj[j][i] = -cof if (i + j) % 2 else cof
-    return adj
 
 
 def sylvester(fc, gc, zero):

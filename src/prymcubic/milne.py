@@ -8,11 +8,12 @@ from __future__ import annotations
 
 from . import linalg
 from .binforms import binary_gcd, perfect_square_root, resultant, squarefree_factors
+from .fields import FieldElement
 from .oracle import kept_result
 from .poly import HomogPoly, SymMatrix, proportional, restrict_forms
 from .prym import InternalError, conic_rational_point, parametrize_conic
 from .quadrics import factor_rank_le2, pencil_multiple_members
-from .symmetroid import X4
+from .symmetroid import QUADRIC_EXPONENTS, X4
 
 U3 = ("u0", "u1", "u2")
 
@@ -84,11 +85,25 @@ def line_is_generic(a, line):
 def enveloping_cone(a, line):
     """Quadric enveloped by the image conic of a plane line: the discriminant
     b^2 - 4ac of the line's pencil of conics, which is -4 det(P^T A(x) P) with
-    P = [p0 p1], and by Cauchy-Binet -4 u^T adj(A(x)) u with u = p0 x p1."""
-    adj, u = a.adjugate_quadrics().at, line.u
-    form = linalg.sum_entries([adj(i, j) * (u[i] * u[j] * (-4 if i == j else -8))
-                               for i in range(3) for j in range(i, 3)])
-    mat = SymMatrix.from_quadratic_form(form)
+    P = [p0 p1], and by Cauchy-Binet -4 u^T adj(A(x)) u with u = p0 x p1.
+
+    That is sum w_ij u_i u_j adj(A(x))_ij over i <= j, with w = -4 on the
+    diagonal and -8 off it, so each coefficient of the cone is one dot
+    product of these six weights with a row of `a.adjugate_table()`."""
+    field, adj, table = a.field, a.adjugate_quadrics(), a.adjugate_table()
+    mul, is_zero = field._mul, field._is_zero_raw
+    u = [field.element(c).val for c in line.u]
+    diagonal, off = field._from_int(-4), field._from_int(-8)
+    weights = [mul(mul(u[i], u[j]), diagonal if i == j else off) for i, j in adj.upper]
+    half = field._inv(field._from_int(2))
+    terms, upper = {}, {}
+    for (k, l), row in table.items():
+        c = field._dot_raw(row, weights)
+        if not is_zero(c):
+            terms[QUADRIC_EXPONENTS[(k, l)]] = FieldElement(field, c)
+        upper[(k, l)] = FieldElement(field, c if k == l else mul(c, half))
+    form = HomogPoly(field, adj.at(0, 0).vars, 2, terms, _clean=True)
+    mat = SymMatrix(4, upper)
     rank = mat.rank()
     # b^2 - 4ac has rank 3 in odd characteristic, so rank <= 2 means that the
     # line's coefficient vectors a, b, c span less than a plane of the dual space

@@ -264,9 +264,9 @@ def restrict_forms(forms, p0, p1):
 
     Dense and raw: the k-th power of each image a_i s + b_i t is a list of
     raw coefficients, entry j at s^(k-j) t^j, and the image of a monomial is
-    the product of its powers.  Both are built once for all the forms.  A
-    form's coefficients, each times its monomial's image, are summed into
-    one list whose entries are wrapped once."""
+    the product of its powers.  Both are built once for all the forms.  The
+    coefficient of s^(d-j) t^j is one `Field._dot_raw` of the form's raw
+    coefficients with entry j of their monomials' images, wrapped once."""
     if not forms:
         return []
     field, vs = forms[0].field, forms[0].vars
@@ -274,14 +274,13 @@ def restrict_forms(forms, p0, p1):
         f._check_compatible(forms[0])
     if len(p0) != len(vs) or len(p1) != len(vs):
         raise PolyError("need one image per variable")
-    conv, one = field._convolve_raw, [field._one_raw]
+    conv, dot, one = field._convolve_raw, field._dot_raw, [field._one_raw]
     powers = [[one, [field.element(a).val, field.element(b).val]] for a, b in zip(p0, p1)]
     images = {}  # exponent tuple -> image of the monomial
     out = []
     for f in forms:
-        d = f.degree
-        acc = [field._zero_raw] * (d + 1)
-        for e, c in f.terms.items():
+        term_images = []
+        for e in f.terms:
             image = images.get(e)
             if image is None:
                 image = one
@@ -291,7 +290,10 @@ def restrict_forms(forms, p0, p1):
                             pw.append(conv(None, pw[-1], pw[1]))
                         image = pw[k] if image is one else conv(None, image, pw[k])
                 images[e] = image
-            conv(acc, [c.val], image)
+            term_images.append(image)
+        cs, d = [c.val for c in f.terms.values()], f.degree
+        # zip(*term_images) reads entry j of every image; a zero form has none
+        acc = [dot(cs, col) for col in zip(*term_images)]
         out.append(_wrap(field, ("s", "t"), d, {(d - j, j): v for j, v in enumerate(acc)}))
     return out
 
@@ -443,7 +445,16 @@ class SymMatrix:
         return linalg.det(self.rows())
 
     def adjugate(self):
-        return SymMatrix.from_rows(linalg.adjugate(self.rows()))
+        """adj(M), with adj(M) . M = det(M) . I.  It is symmetric as M is,
+        so only its upper triangle is expanded: entry (i, j), i <= j, is
+        (-1)^(i+j) times the determinant of M without row j and column i."""
+        rows = self.rows()
+        upper = {}
+        for i in range(self.n):
+            for j in range(i, self.n):
+                minor = linalg.det([r[:i] + r[i + 1:] for k, r in enumerate(rows) if k != j])
+                upper[(i, j)] = -minor if (i + j) % 2 else minor
+        return SymMatrix(self.n, upper)
 
     def evaluate(self, point):
         """Form-valued matrix -> scalar matrix at a point."""

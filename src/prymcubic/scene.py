@@ -166,6 +166,19 @@ class Scene:
         self.metadata = metadata or {}
 
     def add(self, name, obj):
+        """Keep obj under name.  An object over the base field of a scene
+        over a quadratic extension is lifted into the extension, written
+        and read back as `reduce_scene` does, so that the scene round-trips
+        byte-identically; an object over any other field is refused."""
+        field, kind = self.field, _kind_of(obj)
+        fields = _fields_of(obj)
+        if fields != {field}:
+            base = field.base if isinstance(field, QuadExtField) else field
+            if not fields <= {field, base}:
+                raise SceneError("object %r lives over %s, not over the scene's field %r"
+                                 % (name, ", ".join(sorted(map(repr, fields))), field))
+            _, write, read = _KINDS[kind]
+            obj = read(write(obj), field)
         self.objects[name] = obj
         return self
 
@@ -177,6 +190,16 @@ class Scene:
             raise SceneError("object %r has kind %s, wanted %s"
                              % (name, _kind_of(obj), kind))
         return obj
+
+
+def _fields_of(obj):
+    """The fields of an object's scalars: the fields of a quadric's entries,
+    of the forms a pencil holds, or else the object's own field."""
+    if isinstance(obj, SymMatrix):
+        return {c.field for c in obj.upper.values()}
+    if isinstance(obj, (tuple, list)):
+        return set().union(*map(_fields_of, obj))
+    return {obj.field}
 
 
 def _kind_of(obj):

@@ -21,6 +21,9 @@ Z3 = ("z0", "z1", "z2")
 W3 = ("w0", "w1", "w2")
 
 CONIC_MONOMIALS = [(2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2)]
+# the exponent of x_k x_l, k <= l, for each entry (k, l) of a 4x4 symmetric matrix
+QUADRIC_EXPONENTS = {(k, l): tuple((i == k) + (i == l) for i in range(4))
+                     for k, l in combinations_with_replacement(range(4), 2)}
 # the matrix entry (i, j), i <= j, whose form carries each conic monomial
 _CONIC_ENTRIES = [tuple(i for i in range(3) for _ in range(mon[i])) for mon in CONIC_MONOMIALS]
 
@@ -95,6 +98,7 @@ class Symmetrization:
         self._gauss = None
         self._det = None
         self._adjq = None
+        self._adjt = None
         self._adj = None
         self._type = None
 
@@ -174,6 +178,19 @@ class Symmetrization:
         if self._adjq is None:
             self._adjq = self.matrix.adjugate()
         return self._adjq
+
+    def adjugate_table(self):
+        """The adjugate quadrics as one raw table, memoized: {(k, l): row}
+        in `QUADRIC_EXPONENTS` order, where row lists the raw coefficient of
+        x_k x_l in each entry of `adjugate_quadrics()`, in the order of its
+        `upper`.  A linear combination of the entries is then one dot
+        product per monomial, as in the enveloping cones of `milne`."""
+        if self._adjt is None:
+            zero = self.field._zero_raw
+            entries = self.adjugate_quadrics().upper.values()
+            self._adjt = {kl: [f.terms[e].val if e in f.terms else zero for f in entries]
+                          for kl, e in QUADRIC_EXPONENTS.items()}
+        return self._adjt
 
     def line_contraction(self):
         """3x4 matrix B(z): column j is the matrix of quadric j applied to z."""

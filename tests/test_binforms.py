@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from prymcubic import linalg
 from prymcubic.binforms import (ST, _deg, _derivative, _divmod_poly, _gcd_poly,
                                 _is_zero_poly, _monic, _pth_root_poly, _trim, binary_gcd,
                                 is_squarefree, linear_root, multiplicity_partition, perfect_square_root,
@@ -153,6 +154,51 @@ def test_resultant_of_constant_forms():
     assert resultant(bf(F11, [0]), g) == F11.zero()
     assert resultant(g, bf(F11, [0])) == F11.zero()
     assert resultant(bf(QQ, [2]), lin_product(QQ, [(1, 1)], extra_t=1)) == QQ.element(4)
+
+
+def _sylvester_resultant(f, g):
+    """The determinant of the Sylvester matrix by `linalg.det`'s Laplace
+    expansion, two constants giving 1: the reference for the Euclidean
+    `resultant`."""
+    field = f.field
+    if f.degree == g.degree == 0:
+        return field.one()
+    fc, gc = ([h.terms.get((h.degree - i, i), field.zero()) for i in range(h.degree + 1)]
+              for h in (f, g))
+    return linalg.det(linalg.sylvester(fc, gc, field.zero()))
+
+
+@pytest.mark.parametrize("name", sorted(CASES) + ["F3", "F9"])
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(data=st.data())
+def test_resultant_is_the_sylvester_determinant(name, data):
+    # degrees 0-6, zero forms among them; a shared factor, a shared root at
+    # (1:0) (both s^deg coefficients zero) or neither
+    if name in CASES:
+        make, raw = CASES[name]
+        field = make()
+    else:
+        field = {"F3": F3, "F9": F9}[name]
+        raw = st.integers(0, 8).map(lambda k: field.element((k % 3, k // 3)) if field is F9
+                                    else field.element(k))
+    sparse = st.one_of(st.just(0), raw)
+
+    def form(d):
+        return bf(field, [field.element(data.draw(sparse)) for _ in range(d + 1)])
+
+    f, g = form(data.draw(st.integers(0, 4))), form(data.draw(st.integers(0, 4)))
+    shared = data.draw(st.sampled_from(["none", "factor", "root at (1:0)"]))
+    if shared == "factor":
+        h = form(data.draw(st.integers(1, 2)))
+        f, g = f * h, g * h
+    elif shared == "root at (1:0)":
+        t = bf(field, [0, 1])
+        f, g = f * t, g * t
+    r = resultant(f, g)
+    assert r == _sylvester_resultant(f, g) and r.field == field
+    assert resultant(g, f) == r * (-1) ** (f.degree * g.degree)
+    if shared != "none" and f.degree and g.degree:
+        assert not r
 
 
 def test_binary_gcd():

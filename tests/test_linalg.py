@@ -1,8 +1,10 @@
 """Property tests of the determinant kernel: `linalg.maximal_minors`, and
-`det` and `adjugate` built on it, against a Leibniz permutation sum over
-the fields of `test_field_properties.CASES` and F_3, on scalar matrices and
-on matrices of linear forms; and of `rref` on raw values against row
-reduction through `FieldElement` operators."""
+`det` and `SymMatrix.adjugate` built on it, against a Leibniz permutation
+sum and a full cofactor expansion over the fields of
+`test_field_properties.CASES` and F_3, on scalar matrices and on matrices
+of linear forms; of `rref` on raw values against row reduction through
+`FieldElement` operators; and of the closed-form `line_basis` against the
+kernel basis of its one-row matrix."""
 
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -12,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from prymcubic import linalg
 from prymcubic.fields import Field
-from prymcubic.poly import HomogPoly
+from prymcubic.oracle import projective_points
+from prymcubic.poly import HomogPoly, SymMatrix
 from test_field_properties import CASES
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
@@ -85,17 +88,66 @@ def test_det_of_linear_forms_is_the_leibniz_sum(name, data):
     assert d == leibniz(rows) and d.degree == n
 
 
+def _adjugate(rows):
+    """Every cofactor of a square matrix, one `maximal_minors` call per
+    deleted row: the reference for `SymMatrix.adjugate`, which expands the
+    upper triangle only."""
+    n = len(rows)
+    adj = [[None] * n for _ in range(n)]
+    for i in range(n):
+        minors = linalg.maximal_minors(rows[:i] + rows[i + 1:])
+        for j in range(n):
+            cof = minors[tuple(k for k in range(n) if k != j)]
+            adj[j][i] = -cof if (i + j) % 2 else cof
+    return adj
+
+
 @pytest.mark.parametrize("name", sorted(FIELDS))
 @PROPERTY
 @given(data=st.data())
 def test_adjugate_inverts_up_to_the_determinant(name, data):
+    # a symmetric matrix, sometimes with a zero row and column or a
+    # repeated row and column
     n = data.draw(st.integers(2, 5))
     field, rows = draw_matrix(data, name, n, n)
-    adj = linalg.adjugate(rows)
+    rows = [[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    adj = SymMatrix.from_rows(rows).adjugate().rows()
+    assert adj == _adjugate(rows)
     d = linalg.det(rows)
     scaled = [[d if i == j else field.zero() for j in range(n)] for i in range(n)]
     assert linalg.mat_mul(adj, rows) == scaled
     assert linalg.mat_mul(rows, adj) == scaled
+
+
+def _line_basis_by_kernel(dual, field):
+    """The kernel basis of the one-row matrix by row reduction: the
+    reference for the closed-form `linalg.line_basis`."""
+    p0, p1 = linalg.kernel_basis([[field.element(c) for c in dual]], field)
+    return p0, p1
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+@PROPERTY
+@given(data=st.data())
+def test_line_basis_is_the_kernel_basis(name, data):
+    # duals with zero coordinates, not scaled to a first coordinate one
+    make, raw = FIELDS[name]
+    field = make()
+    dual = [field.element(data.draw(st.one_of(st.just(0), raw))) for _ in range(3)]
+    if not any(dual):
+        with pytest.raises(ValueError):
+            linalg.line_basis(dual, field)
+        dual[data.draw(st.integers(0, 2))] = field.element(data.draw(raw)) or field.one()
+    got = linalg.line_basis(dual, field)
+    assert got == _line_basis_by_kernel(dual, field)
+    assert all(x.field is field for point in got for x in point)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_line_basis_on_every_line_of_the_plane(p):
+    field = Field.prime(p)
+    for dual in projective_points(field, 2):
+        assert linalg.line_basis(dual, field) == _line_basis_by_kernel(dual, field)
 
 
 def _rref_on_elements(rows):

@@ -1,6 +1,7 @@
 from collections import Counter
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from prymcubic import linalg, milne, poly
 from prymcubic.binforms import binary_gcd
@@ -13,6 +14,10 @@ from prymcubic.milne import (Line2, MilneError, contact_points_match,
 from prymcubic.oracle import enumerate_bitangents, projective_points_raw
 from prymcubic.poly import HomogPoly, SymMatrix, proportional
 from prymcubic.prym import forward_general
+from prymcubic.symmetroid import Symmetrization, SymmetroidError
+
+from test_poly import CASES_F3_F9, PROPERTY
+from test_scene_properties import _scalar
 
 F11 = Field.prime(11)
 X4 = ("x0", "x1", "x2", "x3")
@@ -384,6 +389,42 @@ def test_base_locus_test_stops_at_the_first_constant_gcd(monkeypatch):
         assert len(calls) == (want if all(cubics) else 0), dual
         seen[len(calls)] += 1
     assert seen[1] > seen[3] > 0
+
+
+def _cone_by_forms(a, line):
+    """The cone as the sum of six scalar multiples of the adjugate quadrics,
+    by `linalg.sum_entries`, and its matrix by
+    `SymMatrix.from_quadratic_form`: the reference for the dot products of
+    `enveloping_cone`."""
+    adj, u = a.adjugate_quadrics().at, line.u
+    form = linalg.sum_entries([adj(i, j) * (u[i] * u[j] * (-4 if i == j else -8))
+                               for i in range(3) for j in range(i, 3)])
+    return form, SymMatrix.from_quadratic_form(form)
+
+
+@pytest.mark.parametrize("name", sorted(CASES_F3_F9))
+@PROPERTY
+@given(data=st.data())
+def test_enveloping_cone_matches_the_scaled_adjugate_quadrics(name, data):
+    # random webs and lines over Q, F_101, F_3, F_9, F_11(sqrt 2) and
+    # Q(sqrt 5); a cone that is refused has rank <= 2 or a line in the base
+    # locus, or the web has no adjugation map
+    make, raw = CASES_F3_F9[name]
+    field = make()
+    a = Symmetrization(field, SymMatrix(3, {
+        (i, j): HomogPoly.linear(field, X4, [_scalar(data, field, raw) for _ in range(4)])
+        for i in range(3) for j in range(i, 3)}))
+    p0, p1 = ([_scalar(data, field, raw) for _ in range(3)] for _ in range(2))
+    assume(any(linalg.cross(p0, p1)))
+    line = Line2(field, p0, p1)
+    form, mat = _cone_by_forms(a, line)
+    try:
+        cone = enveloping_cone(a, line)
+    except (MilneError, SymmetroidError) as e:
+        assert mat.rank() <= 2 or "base locus" in str(e) or "vanishes identically" in str(e)
+        return
+    assert cone.form == form and cone.matrix == mat and cone.rank == mat.rank()
+    assert cone.form.vars == X4 and all(c.field == field for c in cone.matrix.upper.values())
 
 
 @pytest.mark.parametrize("name,p", [("t1", 11), ("biell", 13), ("t3", 17)]

@@ -412,6 +412,34 @@ def _restrict_one_form(f, p0, p1):
                                          for j, v in enumerate(acc)})
 
 
+def _restrict_forms_per_term(forms, p0, p1):
+    """The shared powers and monomial images of `restrict_forms`, with each
+    term's coefficient times its image convolved into the form's
+    accumulator: the reference for its one dot product per coefficient."""
+    field = forms[0].field
+    conv, one = field._convolve_raw, [field._one_raw]
+    powers = [[one, [field.element(a).val, field.element(b).val]] for a, b in zip(p0, p1)]
+    images = {}
+    out = []
+    for f in forms:
+        d = f.degree
+        acc = [field._zero_raw] * (d + 1)
+        for e, c in f.terms.items():
+            image = images.get(e)
+            if image is None:
+                image = one
+                for pw, k in zip(powers, e):
+                    if k:
+                        while len(pw) <= k:
+                            pw.append(conv(None, pw[-1], pw[1]))
+                        image = pw[k] if image is one else conv(None, image, pw[k])
+                images[e] = image
+            conv(acc, [c.val], image)
+        out.append(HomogPoly(field, VARS[2], d, {(d - j, j): FieldElement(field, v)
+                                                 for j, v in enumerate(acc)}))
+    return out
+
+
 @pytest.mark.parametrize("name", sorted(CASES_F3_F9))
 @PROPERTY
 @given(data=st.data())
@@ -429,6 +457,7 @@ def test_restrict_forms_matches_one_form_at_a_time(name, data):
     p1 = [_scalar(data, field, raw) for _ in range(nv)]
     rest = restrict_forms(forms, p0, p1)
     assert rest == [_restrict_one_form(f, p0, p1) for f in forms]
+    assert rest == _restrict_forms_per_term(forms, p0, p1)
     assert rest == [f.restrict_to_line(p0, p1) for f in forms]
     assert [(r.vars, r.degree) for r in rest] == [(VARS[2], f.degree) for f in forms]
 

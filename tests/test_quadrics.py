@@ -1,11 +1,12 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
 
 from prymcubic import linalg
 from prymcubic.binforms import ST, pencil_determinant
-from prymcubic.fields import Field, QQ
+from prymcubic.fields import Field, FieldElement, QQ
 from prymcubic.poly import HomogPoly, SymMatrix
 from prymcubic.quadrics import congruence_diagonalize, factor_rank_le2, pencil_multiple_members
 
@@ -134,6 +135,29 @@ def test_pencil_members_at_a_conjugate_double_pair():
     assert not d and members == []
 
 
+def _pencil_determinant_by_lists(m1, m2, field):
+    """`binforms.pencil_determinant` with each signed term built as its own
+    product list and merged into the minor by a list comprehension: the
+    reference for its in-place accumulation."""
+    n = m1.n
+    add, sub = field._add, field._sub
+    rows = [[[field.element(m1.at(i, j)).val, field.element(m2.at(i, j)).val]
+             for j in range(n)] for i in range(n)]
+    minors = {(j,): rows[n - 1][j] for j in range(n)}
+    for i in range(n - 2, -1, -1):
+        below = minors
+        minors = {}
+        for cols in combinations(range(n), n - i):
+            acc = [field._zero_raw] * (n - i + 1)
+            for k, j in enumerate(cols):
+                term = field._convolve_raw(None, rows[i][j], below[cols[:k] + cols[k + 1:]])
+                op = sub if k % 2 else add
+                acc = [op(x, y) for x, y in zip(acc, term)]
+            minors[cols] = acc
+    top = minors[tuple(range(n))]
+    return HomogPoly(field, ST, n, {(n - j, j): FieldElement(field, c) for j, c in enumerate(top)})
+
+
 @pytest.mark.parametrize("name", sorted(CASES_F3_F9))
 @PROPERTY
 @given(data=st.data())
@@ -158,3 +182,4 @@ def test_pencil_determinant_is_the_determinant_of_the_pencil(name, data):
               for i in range(n)]
     d = pencil_determinant(m1, m2, field)
     assert d == linalg.det(pencil) and d.vars == ST and d.degree == n
+    assert d == _pencil_determinant_by_lists(m1, m2, field)

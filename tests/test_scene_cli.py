@@ -65,6 +65,45 @@ def test_scene_roundtrip_all_kinds(tmp_path):
         fix_a(QQ).determinant_cubic()
 
 
+def test_scene_refuses_an_object_over_another_field(capsys, monkeypatch):
+    # read back, an F_11 quartic in a scene over Q would be integers over Q
+    import types
+
+    import prymcubic.cli as cli
+
+    F11, K = Field.prime(11), QQ.quadratic_extension(5)
+    for field, obj in ((QQ, fix_x(F11)), (QQ, fix_a(K)), (QQ.quadratic_extension(2), fix_a(K)),
+                       (F11.quadratic_extension(2), fix_x(Field.prime(13))),
+                       (F11, Line2(QQ, [1, 0, 0], [0, 0, 1]))):
+        with pytest.raises(SceneError, match="not over the scene's field"):
+            Scene(field).add("X", obj)
+    # the same refusal at the CLI is an input error
+    monkeypatch.setattr(cli, "forward_general",
+                        lambda a, q: types.SimpleNamespace(quartic=fix_x(F11), reduced=True))
+    code, out, err = run_cli(["forward", DATA, "--A", "A_t1", "--Q", "Q_t1"], capsys)
+    assert code == 2 and out == ""
+    assert "not over the scene's field QQ" in json.loads(err)["error"]
+
+
+def test_scene_lifts_base_field_objects_into_its_extension():
+    # a quadric, a quartic and a pencil whose quartic is over Q, in a scene
+    # over Q(sqrt 5): written as the extension's pairs, so they round-trip
+    from prymcubic.prym import pencil_conics
+
+    K = QQ.quadratic_extension(5)
+    fx = FIXTURES["t1"]
+    pen = pencil_conics(fx.symmetrization(QQ), fx.quadric(QQ))
+    quartic = fix_x(QQ)
+    scene = (Scene(K).add("Q", fx.quadric(QQ)).add("X", quartic)
+             .add("K", (tuple(c.change_field(K) for c in pen.conics()), pen.quartic)))
+    assert scene.get("X", "quartic") == quartic.change_field(K)
+    assert scene.get("K", "pencil")[1].field == K
+    text = write_scene(scene)
+    assert write_scene(parse_scene(text)) == text
+    assert text == write_scene(Scene(K).add("Q", fx.quadric(K)).add("X", fix_x(K)).add(
+        "K", (tuple(c.change_field(K) for c in pen.conics()), pen.quartic.change_field(K))))
+
+
 def test_reduce_scene():
     scene = parse_scene(open(DATA).read())
     F = Field.prime(11)

@@ -378,8 +378,9 @@ def test_binary_forms_run_on_raw_values():
 
 def test_one_determinant_algorithm():
     # every determinant, adjugate and maximal minor is the one shared-minor
-    # Laplace expansion of linalg.maximal_minors, and both resultants read
-    # the one Sylvester matrix of linalg.sylvester; the enveloping cone and
+    # Laplace expansion of linalg.maximal_minors; the resultant in the last
+    # variable reads the one Sylvester matrix of linalg.sylvester, and the
+    # binary resultant is Euclidean and reads none; the enveloping cone and
     # the double-cover minors read the memoized adjugate of the
     # symmetrization, so the cone restricts no Gauss quadric; the one cross
     # product of 3-vectors is linalg.cross
@@ -405,11 +406,13 @@ def test_one_determinant_algorithm():
     assert "_det_gauss" not in source and "hasattr(" not in source
     linalg = functions("linalg.py")
     assert "maximal_minors" in calls(linalg["det"])
-    assert "maximal_minors" in calls(linalg["adjugate"])
+    assert "adjugate" not in linalg
+    assert "linalg.det" in calls(functions("poly.py")["adjugate"])
     adjugate_cubics = functions("symmetroid.py")["adjugate_cubics"]
     assert "linalg.maximal_minors" in calls(adjugate_cubics)
     assert "linalg.det" not in calls(adjugate_cubics)
-    assert "linalg.sylvester" in calls(functions("binforms.py")["resultant"])
+    assert not {c for c in calls(functions("binforms.py")["resultant"])
+                if "sylvester" in c or c.startswith("linalg.")}
     assert "linalg.sylvester" in calls(functions("elim.py")["resultant_last_var"])
     cone = {c.split(".")[-1] for c in calls(functions("milne.py")["enveloping_cone"])}
     assert "adjugate_quadrics" in cone
@@ -430,6 +433,41 @@ def test_one_determinant_algorithm():
                         offenders.append("%s:%d %s" % (path.name, node.lineno,
                                                        ast.unparse(node)))
     assert offenders == []
+
+
+def test_per_line_kernels_run_on_raw_values(monkeypatch):
+    # once the symmetrization keeps its adjugate table, the enveloping cone
+    # of a line multiplies no forms, and the two points of a line come in
+    # closed form, without row reduction
+    from prymcubic import linalg, milne
+    from prymcubic.fields import Field
+    from prymcubic.fixtures import fix_a
+    from prymcubic.poly import HomogPoly
+
+    F = Field.prime(13)
+    a = fix_a(F)
+    milne.enveloping_cone(a, milne.Line2.from_dual(F, (1, 2, 3)))
+    counts = {"mul": 0, "rref": 0}
+    mul, rref = HomogPoly.__mul__, linalg.rref
+
+    def counted_mul(self, other):
+        counts["mul"] += 1
+        return mul(self, other)
+
+    def counted_rref(rows):
+        counts["rref"] += 1
+        return rref(rows)
+
+    monkeypatch.setattr(HomogPoly, "__mul__", counted_mul)
+    monkeypatch.setattr(HomogPoly, "__rmul__", counted_mul)
+    monkeypatch.setattr(linalg, "rref", counted_rref)
+    line = milne.Line2(F, *linalg.line_basis((1, 5, 7), F))
+    assert counts["rref"] == 0
+    milne.enveloping_cone(a, line)
+    # the one row reduction is the rank of the cone's matrix
+    assert counts == {"mul": 0, "rref": 1}
+    assert a.matrix.at(0, 0) * a.matrix.at(1, 1)
+    assert counts == {"mul": 1, "rref": 1}
 
 
 def test_scene_kinds_in_one_table():
