@@ -18,8 +18,7 @@ form over a finite field by Cantor-Zassenhaus root finding.
 
 from __future__ import annotations
 
-from itertools import combinations
-
+from . import linalg
 from .fields import FieldElement
 from .poly import HomogPoly, PolyError
 
@@ -272,33 +271,22 @@ def pencil_determinant(m1, m2, field):
     """det(s M1 + t M2) for symmetric matrices M1, M2 of one size n with
     entries in field, as a binary form in (s, t) of degree n.
 
-    The raw twin of `linalg.maximal_minors`: the same Laplace expansion
-    from the bottom row up, each minor on the last k rows computed once from
-    the minors on the last k - 1 rows, so n = 4 takes 28 products of binary
-    forms.  It runs on dense raw coefficient lists because pencils are
-    counted by the thousand in the oracle checks: on `HomogPoly` entries
-    the generic kernel takes about four times as long per 4x4 pencil over
-    F_13 (about 350 against 90 us, best of five `timeit` repeats under
-    CPython 3.11 on x86-64)."""
+    `linalg.laplace` on dense raw lists: entry (i, j) is the list
+    [M1_ij, M2_ij] of raw values (None when both are zero), and each signed
+    term is convolved into its minor in place by `Field._convolve_raw`, so
+    n = 4 takes at most 28 products of binary forms."""
     n = m1.n
-    conv, neg = field._convolve_raw, field._neg
-    rows = [[[field.element(m1.at(i, j)).val, field.element(m2.at(i, j)).val]
-             for j in range(n)] for i in range(n)]
-    # minors[cols]: the minor on the last len(cols) rows and the columns cols
-    minors = {(j,): rows[n - 1][j] for j in range(n)}
-    for i in range(n - 2, -1, -1):
-        below = minors
-        minors = {}
-        # the signed entries of row i: an odd term of the expansion is
-        # added with its entry negated
-        signed = (rows[i], [[neg(a), neg(b)] for a, b in rows[i]])
-        for cols in combinations(range(n), n - i):
-            acc = [field._zero_raw] * (n - i + 1)
-            for k, j in enumerate(cols):
-                conv(acc, signed[k % 2][j], below[cols[:k] + cols[k + 1:]])
-            minors[cols] = acc
+    is_zero, neg = field._is_zero_raw, field._neg
+
+    def entry(i, j):
+        a, b = field.element(m1.at(i, j)).val, field.element(m2.at(i, j)).val
+        return None if is_zero(a) and is_zero(b) else [a, b]
+
+    rows = [[entry(i, j) for j in range(n)] for i in range(n)]
+    det = linalg.laplace(rows, field._convolve_raw, lambda x: [neg(c) for c in x])
     # entry j of the list is the coefficient of s^(n-j) t^j
-    return _to_form(field, ST, minors[tuple(range(n))][::-1], 0, 0)
+    det = det[tuple(range(n))] or [field._zero_raw] * (n + 1)
+    return _to_form(field, ST, det[::-1], 0, 0)
 
 
 def squarefree_signature(form):

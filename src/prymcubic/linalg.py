@@ -1,14 +1,17 @@
 """Exact dense linear algebra on plain lists of rows.
 
 Row reduction, kernels and inverses take FieldElement entries; row
-reduction eliminates on their raw values.  The two points of a plane line,
-the kernel of its one-row matrix, come in closed form (`line_basis`), with
-no row reduction.  Determinants come from one
-kernel, `maximal_minors`, a division-free Laplace expansion generic in the
-entry type: any object with *, + and - will do, so the same code runs on
-scalar matrices and on matrices of homogeneous forms.  `det` reads it, and
-`sylvester` builds the Sylvester matrix whose determinant is
-`elim.resultant_last_var`.
+reduction and rank eliminate on their raw values.  The two points of a
+plane line, the kernel of its one-row matrix, come in closed form
+(`line_basis`), with no row reduction.  Every determinant is one kernel,
+`laplace`: a division-free Laplace expansion on raw values that adds each
+signed term straight into its minor and skips the terms of zero entries
+and zero minors.  `maximal_minors` and `mat_mul` read their entries once
+as raw values (scalars of the widest field among them, forms through their
+ring's `HomogPoly.raw_ring`), accumulate every product in place and wrap
+each result once; `det` reads `maximal_minors`, `binforms.pencil_determinant`
+runs `laplace` on dense lists of raw coefficients, and `sylvester` builds
+the Sylvester matrix whose determinant is `elim.resultant_last_var`.
 """
 
 from __future__ import annotations
@@ -22,22 +25,25 @@ def mat_copy(rows):
     return [list(r) for r in rows]
 
 
-def rref(rows):
-    """Reduced row echelon form; returns (rref_rows, pivot_columns).
-
-    The entries are read once as raw values of the widest field among them
-    (a quadratic extension over its base), eliminated with that field's raw
-    operations and wrapped once."""
-    m = mat_copy(rows)
+def _widest_field(rows):
+    """The widest field among the entries (a quadratic extension over its
+    base), or None when there is no entry."""
     field = None
-    for row in m:
+    for row in rows:
         for x in row:
             if field is None or x.field is not field and isinstance(x.field, QuadExtField):
                 field = x.field
+    return field
+
+
+def _eliminate(rows):
+    """(field, raw reduced rows, pivot columns) of `rref`, nothing wrapped;
+    field is None when there is no entry."""
+    field = _widest_field(rows)
     if field is None:
-        return m, []
+        return None, mat_copy(rows), []
     mul, sub, is_zero = field._mul, field._sub, field._is_zero_raw
-    m = [[x.val if x.field is field else field.element(x).val for x in row] for row in m]
+    m = [[x.val if x.field is field else field.element(x).val for x in row] for row in rows]
     ncols = len(m[0])
     pivots = []
     r = 0
@@ -58,11 +64,25 @@ def rref(rows):
         r += 1
         if r == len(m):
             break
+    return field, m, pivots
+
+
+def rref(rows):
+    """Reduced row echelon form; returns (rref_rows, pivot_columns).
+
+    The entries are read once as raw values of the widest field among them
+    (a quadratic extension over its base), eliminated with that field's raw
+    operations and wrapped once."""
+    field, m, pivots = _eliminate(rows)
+    if field is None:
+        return m, pivots
     return [[FieldElement(field, x) for x in row] for row in m], pivots
 
 
 def rank(rows):
-    return len(rref(rows)[1])
+    """The number of pivots of the raw elimination of `rref`; no entry is
+    wrapped."""
+    return len(_eliminate(rows)[2])
 
 
 def kernel_basis(rows, field):
@@ -98,25 +118,68 @@ def line_basis(dual, field):
     return p0, p1
 
 
-def maximal_minors(rows):
-    """The maximal minors of an r x m matrix with r <= m: {cols: minor} for
-    every ascending r-tuple cols of column indices.
+def laplace(rows, muladd, neg):
+    """The maximal minors of an r x m matrix of raw entries, r <= m:
+    {cols: minor} for every ascending r-tuple cols of column indices.
 
     Laplace expansion from the bottom row up: the minor on the last k rows
     and a k-tuple of columns is computed once, from the minors on the last
-    k - 1 rows, so an n x n determinant costs n * 2^(n-1) products of
-    entries.  Division-free: any entries with *, + and - will do."""
+    k - 1 rows, so an n x n determinant costs at most n * 2^(n-1) products
+    of entries.  Each signed term is added straight into its minor by
+    muladd(acc, a, b), which returns acc + a * b with acc None standing for
+    zero; an odd term takes its entry from the row negated once by neg.  An
+    entry or a lower minor that is None is zero and its term is skipped, so
+    a minor that no term reaches is None.  Division-free: the entries are
+    whatever raw values muladd and neg take."""
     minors = {(j,): x for j, x in enumerate(rows[-1])}
     for k in range(2, len(rows) + 1):
         row, below = rows[-k], minors
+        signed = (row, [None if x is None else neg(x) for x in row])
         minors = {}
         for cols in combinations(range(len(row)), k):
-            acc = row[cols[0]] * below[cols[1:]]
-            for t in range(1, k):
-                term = row[cols[t]] * below[cols[:t] + cols[t + 1:]]
-                acc = acc - term if t % 2 else acc + term
+            acc = None
+            for t, c in enumerate(cols):
+                a, b = signed[t % 2][c], below[cols[:t] + cols[t + 1:]]
+                if a is not None and b is not None:
+                    acc = muladd(acc, a, b)
             minors[cols] = acc
     return minors
+
+
+def _raw_ring(rows):
+    """(read, muladd, neg, wrap) on the raw values of the entries, as
+    `laplace` takes them: forms through the ring of the first form
+    (`HomogPoly.raw_ring`), which refuses a form of another ring; scalars as
+    raw values of the widest field among them, a zero one read as None."""
+    form = next((x for row in rows for x in row if not isinstance(x, FieldElement)), None)
+    if form is not None:
+        return form.raw_ring()
+    field = _widest_field(rows)
+    mul, add, is_zero = field._mul, field._add, field._is_zero_raw
+
+    def read(x):
+        v = x.val if x.field is field else field.element(x).val
+        return None if is_zero(v) else v
+
+    def muladd(acc, a, b):
+        return mul(a, b) if acc is None else add(acc, mul(a, b))
+
+    def wrap(v):
+        return FieldElement(field, field._zero_raw if v is None else v)
+
+    return read, muladd, field._neg, wrap
+
+
+def maximal_minors(rows):
+    """The maximal minors of an r x m matrix with r <= m, of scalars or of
+    forms: {cols: minor} for every ascending r-tuple cols of column indices.
+
+    Each entry is read once as a raw value, `laplace` expands them, and
+    each minor is wrapped once.  A zero minor of forms has the degree that
+    adding its terms one by one with `HomogPoly` operators would give it."""
+    read, muladd, neg, wrap = _raw_ring(rows)
+    minors = laplace([[read(x) for x in row] for row in rows], muladd, neg)
+    return {cols: wrap(v) for cols, v in minors.items()}
 
 
 def det(rows):
@@ -140,16 +203,23 @@ def cross(a, b):
 
 
 def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
+    """The product of two matrices, of scalars or of forms: the entries are
+    read once as raw values as in `maximal_minors`, each entry's sum of
+    products is accumulated in place, skipping zero scalars, and wrapped
+    once."""
+    read, muladd, _, wrap = _raw_ring([*a, *b])
+    cols = list(zip(*[[read(x) for x in row] for row in b]))
     out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            s = a[i][0] * b[0][j]
-            for t in range(1, k):
-                s = s + a[i][t] * b[t][j]
-            row.append(s)
-        out.append(row)
+    for row in a:
+        row = [read(x) for x in row]
+        entries = []
+        for col in cols:
+            acc = None
+            for x, y in zip(row, col):
+                if x is not None and y is not None:
+                    acc = muladd(acc, x, y)
+            entries.append(wrap(acc))
+        out.append(entries)
     return out
 
 

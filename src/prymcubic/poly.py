@@ -55,13 +55,17 @@ class HomogPoly:
 
     @staticmethod
     def linear(field, vars, coeffs):
-        """Linear form from a coefficient vector."""
+        """Linear form from a coefficient vector, at most one coefficient per
+        variable."""
         n = len(vars)
+        if len(coeffs) > n:
+            raise PolyError("%d coefficients for %d variables" % (len(coeffs), n))
         terms = {}
         for i, c in enumerate(coeffs):
-            e = tuple(1 if j == i else 0 for j in range(n))
-            terms[e] = c
-        return HomogPoly(field, vars, 1, terms)
+            c = field.element(c)
+            if c:
+                terms[(0,) * i + (1,) + (0,) * (n - 1 - i)] = c
+        return HomogPoly(field, vars, 1, terms, _clean=True)
 
     def linear_coeffs(self):
         """Coefficient vector of a linear form; the inverse of `linear`."""
@@ -117,6 +121,54 @@ class HomogPoly:
                      _mul_into(field, {}, _raw(self), _raw(other)))
 
     __rmul__ = __mul__
+
+    def raw_ring(self):
+        """The forms of this form's ring on raw values, for kernels that
+        take many products and wrap only their results (`linalg.laplace`
+        and `linalg.mat_mul`): the functions (read, muladd, neg, wrap).
+
+        A raw form is the pair (raw terms, degree).  `read` takes a form of
+        this ring, or raises PolyError; `muladd(acc, a, b)` returns
+        acc + a * b, with the product added into acc's terms in place by
+        `_mul_into` (none when a factor is zero) and acc None standing for
+        zero; `neg` negates; `wrap` makes the form, once.  Degrees follow
+        `__add__`: a zero sum takes the degree of a term of another degree,
+        a zero term of another degree leaves the sum as it is, and two
+        nonzero ones raise PolyError."""
+        field, vs = self.field, self.vars
+        is_zero, neg_raw = field._is_zero_raw, field._neg
+
+        def nonzero(terms):
+            return not all(map(is_zero, terms.values()))
+
+        def read(f):
+            if not isinstance(f, HomogPoly) or f.field != field or f.vars != vs:
+                raise PolyError("polynomials live in different rings")
+            return _raw(f), f.degree
+
+        def muladd(acc, a, b):
+            (ta, da), (tb, db) = a, b
+            d = da + db
+            if acc is not None:
+                out, d0 = acc
+                if d == d0:
+                    if ta and tb:
+                        _mul_into(field, out, ta, tb)
+                    return acc
+                if nonzero(out):
+                    if nonzero(ta) and nonzero(tb):
+                        raise PolyError("degree mismatch %d vs %d" % (d0, d))
+                    return acc
+            return _mul_into(field, {}, ta, tb) if ta and tb else {}, d
+
+        def neg(a):
+            terms, d = a
+            return {e: neg_raw(c) for e, c in terms.items()}, d
+
+        def wrap(a):
+            return _wrap(field, vs, a[1], a[0])
+
+        return read, muladd, neg, wrap
 
     def divide_linear(self, ell):
         """The form g with ell * g == self, or None when the linear form ell

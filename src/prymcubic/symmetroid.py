@@ -227,7 +227,8 @@ class Symmetrization:
         first and last of them to the determinant."""
         adj = self.adjugate_quadrics().at
         m12, m13, m23, cross = -adj(2, 2), -adj(1, 1), -adj(0, 0), adj(0, 2)
-        cert = (m12 * m23 - cross * cross == self.matrix.at(1, 1) * self.determinant_cubic())
+        cert = (linalg.det([[m12, cross], [cross, m23]])
+                == self.matrix.at(1, 1) * self.determinant_cubic())
         return m12, m13, m23, cert
 
     # -- rank-one locus and classification -------------------------------------

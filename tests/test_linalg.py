@@ -2,9 +2,11 @@
 `det` and `SymMatrix.adjugate` built on it, against a Leibniz permutation
 sum and a full cofactor expansion over the fields of
 `test_field_properties.CASES` and F_3, on scalar matrices and on matrices
-of linear forms; of `rref` on raw values against row reduction through
-`FieldElement` operators; and of the closed-form `line_basis` against the
-kernel basis of its one-row matrix."""
+of linear forms; of `maximal_minors`, `det` and `mat_mul` on raw values
+against the same expansion and product through `HomogPoly` and
+`FieldElement` operators, zero minors' degrees included; of `rref` on raw
+values against row reduction through `FieldElement` operators; and of the
+closed-form `line_basis` against the kernel basis of its one-row matrix."""
 
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -15,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from prymcubic import linalg
 from prymcubic.fields import Field
 from prymcubic.oracle import projective_points
-from prymcubic.poly import HomogPoly, SymMatrix
+from prymcubic.poly import HomogPoly, PolyError, SymMatrix
 from test_field_properties import CASES
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
@@ -117,6 +119,132 @@ def test_adjugate_inverts_up_to_the_determinant(name, data):
     scaled = [[d if i == j else field.zero() for j in range(n)] for i in range(n)]
     assert linalg.mat_mul(adj, rows) == scaled
     assert linalg.mat_mul(rows, adj) == scaled
+
+
+def _laplace_on_elements(rows):
+    """Every maximal minor by the Laplace expansion from the bottom row up
+    through `HomogPoly` and `FieldElement` operators, each term its own
+    product and each sum a new value: the reference for `maximal_minors`
+    and `det`, which run `linalg.laplace` on raw values."""
+    minors = {(j,): x for j, x in enumerate(rows[-1])}
+    for k in range(2, len(rows) + 1):
+        row, below = rows[-k], minors
+        minors = {}
+        for cols in combinations(range(len(row)), k):
+            acc = row[cols[0]] * below[cols[1:]]
+            for t in range(1, k):
+                term = row[cols[t]] * below[cols[:t] + cols[t + 1:]]
+                acc = acc - term if t % 2 else acc + term
+            minors[cols] = acc
+    return minors
+
+
+def _mat_mul_on_elements(a, b):
+    """The matrix product through operators: the reference for `mat_mul`."""
+    out = []
+    for row in a:
+        entries = []
+        for j in range(len(b[0])):
+            s = row[0] * b[0][j]
+            for t in range(1, len(b)):
+                s = s + row[t] * b[t][j]
+            entries.append(s)
+        out.append(entries)
+    return out
+
+
+def _check_against_elements(rows, other):
+    """maximal_minors, det and mat_mul on raw values against the
+    references: equal values, and for forms equal degrees, zero ones too."""
+    minors, ref = linalg.maximal_minors(rows), _laplace_on_elements(rows)
+    assert minors == ref
+    assert [getattr(x, "degree", None) for x in minors.values()] == [
+        getattr(x, "degree", None) for x in ref.values()]
+    if len(rows) == len(rows[0]):
+        assert linalg.det(rows) == ref[tuple(range(len(rows)))]
+    product, ref = linalg.mat_mul(rows, other), _mat_mul_on_elements(rows, other)
+    assert product == ref
+    assert [getattr(x, "degree", None) for row in product for x in row] == [
+        getattr(x, "degree", None) for row in ref for x in row]
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+@PROPERTY
+@given(data=st.data())
+def test_raw_minors_and_products_of_scalars_match_the_operators(name, data):
+    # sparse entries, so that zero entries and zero minors are skipped
+    make, raw = FIELDS[name]
+    field = make()
+    sparse = st.one_of(st.just(0), raw)
+    m = data.draw(st.integers(1, 5))
+    r, c = data.draw(st.integers(1, m)), data.draw(st.integers(1, 4))
+    rows = [[field.element(data.draw(sparse)) for _ in range(m)] for _ in range(r)]
+    other = [[field.element(data.draw(sparse)) for _ in range(c)] for _ in range(m)]
+    _check_against_elements(rows, other)
+    assert all(x.field is field for x in linalg.maximal_minors(rows).values())
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+@PROPERTY
+@given(data=st.data())
+def test_raw_minors_and_products_of_linear_forms_match_the_operators(name, data):
+    make, raw = FIELDS[name]
+    field = make()
+    sparse = st.one_of(st.just(0), st.just(0), raw)
+    W3 = ("z0", "z1", "z2")
+
+    def linear():
+        coeffs = [field.element(data.draw(sparse)) for _ in range(3)]
+        form = HomogPoly.linear(field, W3, coeffs)
+        assert form == HomogPoly(field, W3, 1, {(1, 0, 0): coeffs[0], (0, 1, 0): coeffs[1],
+                                                 (0, 0, 1): coeffs[2]})
+        return form
+
+    m = data.draw(st.integers(1, 4))
+    r, c = data.draw(st.integers(1, m)), data.draw(st.integers(1, 3))
+    rows = [[linear() for _ in range(m)] for _ in range(r)]
+    _check_against_elements(rows, [[linear() for _ in range(c)] for _ in range(m)])
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+@PROPERTY
+@given(data=st.data())
+def test_raw_minors_of_sylvester_rows_keep_the_degrees_of_zero_minors(name, data):
+    # rows of a Sylvester matrix of binary forms, coefficient k of degree k
+    # (often zero) and padding zeros of degree 0, in any order and repeated
+    # (so that sums cancel): the terms of one minor mix degrees, and a zero
+    # minor's degree follows the operators
+    make, raw = FIELDS[name]
+    field = make()
+    sparse = st.one_of(st.just(0), st.just(0), raw)
+    X2 = ("x0", "x1")
+
+    def coeffs(d):
+        return [HomogPoly(field, X2, k, {(k - i, i): field.element(data.draw(sparse))
+                                         for i in range(k + 1)}) for k in range(d + 1)]
+
+    fc, gc = coeffs(data.draw(st.integers(1, 3))), coeffs(data.draw(st.integers(1, 3)))
+    rows = linalg.sylvester(fc, gc, HomogPoly.zero(field, X2, 0))
+    keep = data.draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=len(rows)))
+    rows = [rows[i] for i in keep]
+    other = [[HomogPoly.zero(field, X2, 1)] for _ in rows[0]]
+    _check_against_elements(rows, other)
+
+
+def test_forms_of_different_rings_or_degrees_are_refused():
+    F3, F5 = Field.prime(3), Field.prime(5)
+    f = HomogPoly.linear(F3, ("z0", "z1"), [1, 2])
+    for g in (HomogPoly.linear(F3, ("a", "b"), [1, 2]), HomogPoly.linear(F5, ("z0", "z1"), [1, 2]),
+              f * f):
+        for rows in ([[f, g], [g, f]], [[g, f], [f, f]]):
+            with pytest.raises(PolyError):
+                _laplace_on_elements(rows)
+            with pytest.raises(PolyError):
+                linalg.det(rows)
+    with pytest.raises(PolyError):
+        linalg.mat_mul([[f]], [[HomogPoly.linear(F5, ("z0", "z1"), [1, 2])]])
+    with pytest.raises(PolyError):
+        HomogPoly.linear(F3, ("z0", "z1"), [1, 2, 0])
 
 
 def _line_basis_by_kernel(dual, field):

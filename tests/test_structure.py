@@ -414,6 +414,14 @@ def test_one_determinant_algorithm():
     assert not {c for c in calls(functions("binforms.py")["resultant"])
                 if "sylvester" in c or c.startswith("linalg.")}
     assert "linalg.sylvester" in calls(functions("elim.py")["resultant_last_var"])
+    # the one Laplace expansion is linalg.laplace: maximal_minors and the
+    # pencil determinant run it, and binforms expands no minors of its own
+    assert "laplace" in calls(linalg["maximal_minors"])
+    assert "linalg.laplace" in calls(functions("binforms.py")["pencil_determinant"])
+    assert "combinations" not in (SRC / "binforms.py").read_text(encoding="utf-8")
+    assert [name for name, text in ((p.name, p.read_text(encoding="utf-8"))
+                                    for p in sorted(SRC.glob("*.py")))
+            if "combinations(" in text] == ["linalg.py"]
     cone = {c.split(".")[-1] for c in calls(functions("milne.py")["enveloping_cone"])}
     assert "adjugate_quadrics" in cone
     assert not {"restrict_forms", "restrict_to_line", "gauss_quadrics"} & cone
@@ -438,7 +446,8 @@ def test_one_determinant_algorithm():
 def test_per_line_kernels_run_on_raw_values(monkeypatch):
     # once the symmetrization keeps its adjugate table, the enveloping cone
     # of a line multiplies no forms, and the two points of a line come in
-    # closed form, without row reduction
+    # closed form, without row reduction (`rref` and `rank` both run the
+    # raw elimination `linalg._eliminate`, which is what is counted)
     from prymcubic import linalg, milne
     from prymcubic.fields import Field
     from prymcubic.fixtures import fix_a
@@ -448,19 +457,19 @@ def test_per_line_kernels_run_on_raw_values(monkeypatch):
     a = fix_a(F)
     milne.enveloping_cone(a, milne.Line2.from_dual(F, (1, 2, 3)))
     counts = {"mul": 0, "rref": 0}
-    mul, rref = HomogPoly.__mul__, linalg.rref
+    mul, eliminate = HomogPoly.__mul__, linalg._eliminate
 
     def counted_mul(self, other):
         counts["mul"] += 1
         return mul(self, other)
 
-    def counted_rref(rows):
+    def counted_eliminate(rows):
         counts["rref"] += 1
-        return rref(rows)
+        return eliminate(rows)
 
     monkeypatch.setattr(HomogPoly, "__mul__", counted_mul)
     monkeypatch.setattr(HomogPoly, "__rmul__", counted_mul)
-    monkeypatch.setattr(linalg, "rref", counted_rref)
+    monkeypatch.setattr(linalg, "_eliminate", counted_eliminate)
     line = milne.Line2(F, *linalg.line_basis((1, 5, 7), F))
     assert counts["rref"] == 0
     milne.enveloping_cone(a, line)
@@ -468,6 +477,41 @@ def test_per_line_kernels_run_on_raw_values(monkeypatch):
     assert counts == {"mul": 0, "rref": 1}
     assert a.matrix.at(0, 0) * a.matrix.at(1, 1)
     assert counts == {"mul": 1, "rref": 1}
+
+
+def test_determinants_and_products_of_forms_run_on_raw_values(monkeypatch):
+    # maximal_minors, det and mat_mul read forms once as raw terms through
+    # HomogPoly.raw_ring and accumulate every product in place: no form
+    # operator runs inside them
+    from prymcubic import linalg
+    from prymcubic.fields import Field
+    from prymcubic.fixtures import fix_a
+    from prymcubic.poly import HomogPoly
+
+    F = Field.prime(13)
+    a = fix_a(F)
+    rows, contraction = a.matrix.rows(), a.line_contraction()
+    counts = dict.fromkeys(("__mul__", "__add__", "__sub__"), 0)
+
+    def counted(name):
+        op = getattr(HomogPoly, name)
+
+        def wrapper(self, other):
+            counts[name] += 1
+            return op(self, other)
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(HomogPoly, name, counted(name))
+    monkeypatch.setattr(HomogPoly, "__rmul__", HomogPoly.__mul__)
+    minors = linalg.maximal_minors(contraction)
+    det = linalg.det(rows)
+    product = linalg.mat_mul(contraction, [[minors[(1, 2, 3)]], [-minors[(0, 2, 3)]],
+                                           [minors[(0, 1, 3)]], [-minors[(0, 1, 2)]]])
+    assert counts == dict.fromkeys(counts, 0)
+    assert det.degree == 3 and not any(row[0] for row in product)
+    assert rows[0][0] * rows[1][1] - rows[0][1] * rows[0][1]
+    assert counts == {"__mul__": 2, "__add__": 1, "__sub__": 1}
 
 
 def test_scene_kinds_in_one_table():
