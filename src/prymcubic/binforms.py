@@ -10,10 +10,10 @@ reading stays inside this module: values are wrapped in `FieldElement`s
 only where a form or a root is returned.  On top of it: gcd, squarefree
 factorization into binary forms (`squarefree_factors`, complete in small
 characteristic via p-th-power descent), the root of a linear factor,
-root-multiplicity signatures, perfect-square detection with at most one
-quadratic extension (`Field.adjoin_sqrt`), the Euclidean resultant, the
-determinant of a pencil of symmetric matrices, and the rational roots of a
-form over a finite field by Cantor-Zassenhaus root finding.
+perfect-square detection with at most one quadratic extension
+(`Field.adjoin_sqrt`), the Euclidean resultant, the determinant of a pencil
+of symmetric matrices, and the rational roots of a form over a finite field
+by Cantor-Zassenhaus root finding.
 """
 
 from __future__ import annotations
@@ -289,27 +289,9 @@ def pencil_determinant(m1, m2, field):
     return _to_form(field, ST, det[::-1], 0, 0)
 
 
-def squarefree_signature(form):
-    """Multiset of (multiplicity, degree) of the roots over the closure."""
-    if not form:
-        raise PolyError("signature of the zero form")
-    sig = {}
-    for m, g in squarefree_factors(form):
-        sig[m] = sig.get(m, 0) + g.degree
-    return sorted(sig.items())
-
-
 def is_squarefree(form):
     """No repeated root over the closure; False for the zero form."""
     return bool(form) and all(m == 1 for m, _ in squarefree_factors(form))
-
-
-def multiplicity_partition(form):
-    """Root multiplicities, one entry per closure point, descending."""
-    parts = []
-    for m, count in squarefree_signature(form):
-        parts.extend([m] * count)
-    return sorted(parts, reverse=True)
 
 
 def perfect_square_root(form):

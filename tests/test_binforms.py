@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 from prymcubic import linalg
 from prymcubic.binforms import (ST, _deg, _derivative, _divmod_poly, _gcd_poly,
                                 _is_zero_poly, _monic, _pth_root_poly, _trim, binary_gcd,
-                                is_squarefree, linear_root, multiplicity_partition, perfect_square_root,
+                                is_squarefree, linear_root, perfect_square_root,
                                 rational_roots, resultant, squarefree_decomposition,
-                                squarefree_factors, squarefree_signature)
+                                squarefree_factors)
 from prymcubic.fields import Field, QQ, QuadExtField, RationalField
 from prymcubic.poly import HomogPoly, PolyError, proportional
 from test_field_properties import CASES
@@ -38,6 +38,26 @@ def lin_product(field, roots, extra_s=0, extra_t=0):
     for _ in range(extra_t):
         f = f * bf(field, [0, 1])
     return f
+
+
+def squarefree_signature(form):
+    """Reference: multiset of (multiplicity, degree) of the roots over the
+    closure, read off `squarefree_factors`."""
+    if not form:
+        raise PolyError("signature of the zero form")
+    sig = {}
+    for m, g in squarefree_factors(form):
+        sig[m] = sig.get(m, 0) + g.degree
+    return sorted(sig.items())
+
+
+def multiplicity_partition(form):
+    """Reference: root multiplicities, one entry per closure point,
+    descending."""
+    parts = []
+    for m, count in squarefree_signature(form):
+        parts.extend([m] * count)
+    return sorted(parts, reverse=True)
 
 
 def test_signature_examples():

@@ -483,7 +483,7 @@ def _break_minor_relation(monkeypatch):
     (_break_conic_solve, ["forward", DATA, "--A", "A_even", "--Q", "Q_even"],
      "solved conic point is off the conic"),
     (_break_minor_relation, ["count", DATA, "--curve", "A_t1,Q_t1", "--q", "11", "--cover"],
-     "minor relation failed; invalid symmetrization"),
+     "minor relation failed; internal error"),
 ], ids=["split-forward", "split-verify", "pencil", "conic-point", "minor-relation"])
 def test_cli_prym_invariant_failures_exit_4(breaker, argv, error, capsys, monkeypatch):
     # these invariants hold for every input, so a failure is a defect of the
@@ -499,6 +499,49 @@ def test_cli_verify_manifest(capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep["failures"] == []
+    # verify draws nothing at random: the global --seed changes no byte
+    for seed in ("1", "2"):
+        assert run_cli(["--seed", seed, "verify", DATA], capsys) == (code, out, err)
+
+
+def test_cli_verify_leaves_the_ring_identities_to_the_tests(capsys, monkeypatch):
+    # the annihilation and the minor relation hold for every symmetric matrix
+    # of linear forms, so verify does not re-prove them on each run: with
+    # both broken it prints what it prints on working code, while count
+    # --cover still guards its count with the minor relation (exit 4)
+    from prymcubic.symmetroid import Symmetrization
+
+    expected = run_cli(["verify", DATA], capsys)
+    _break_minor_relation(monkeypatch)
+    monkeypatch.setattr(Symmetrization, "annihilation_holds", lambda self: False)
+    assert run_cli(["verify", DATA], capsys) == expected
+    code, out, err = run_cli(["count", DATA, "--curve", "A_t1,Q_t1", "--q", "11", "--cover"],
+                             capsys)
+    assert (code, out) == (4, "")
+    assert json.loads(err) == {"error": "minor relation failed; internal error"}
+
+
+def test_cli_verify_notes_the_type_of_a_web_without_adjugation_map(tmp_path, capsys):
+    # a web with a two-dimensional kernel, or the zero web, has no cubic
+    # adjugation map: verify records its type, which gates the Gauss
+    # identity (the one check that reads the map) off
+    from prymcubic.poly import SymMatrix
+    from prymcubic.symmetroid import Symmetrization, X4
+
+    def web(rows):
+        return Symmetrization(QQ, SymMatrix.from_rows(
+            [[HomogPoly.linear(QQ, X4, c) for c in row] for row in rows]))
+
+    e0, e1, e01, zero = [1, 0, 0, 0], [0, 1, 0, 0], [1, 1, 0, 0], [0, 0, 0, 0]
+    scene = Scene(QQ, metadata={"pairs": []})
+    scene.add("A_two", web([[e0, zero, zero], [zero, e1, zero], [zero, zero, e01]]))
+    scene.add("A_zero", web([[zero] * 3] * 3))
+    path = tmp_path / "degenerate.json"
+    path.write_text(write_scene(scene))
+    code, out, err = run_cli(["verify", str(path)], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"failures": [], "notes": {"A_two": "DegenerateSingular",
+                                                         "A_zero": "ReducibleUnclassified"}}
 
 
 def test_cli_verify_notes_a_pencil_needing_a_second_extension(tmp_path, capsys):

@@ -286,6 +286,20 @@ def test_forms_are_composed_not_accumulated_by_hand():
     assert offenders == []
 
 
+def test_verify_reproves_no_ring_identity():
+    # the annihilation, the minor relation and the symmetroid image of the
+    # adjugation map hold for every symmetric 3x3 matrix of linear forms:
+    # the tests prove them, and verify neither re-proves them on the scene
+    # nor draws random webs to prove them again
+    source = (SRC / "cli.py").read_text(encoding="utf-8")
+    verify = next(n for n in ast.walk(ast.parse(source))
+                  if isinstance(n, ast.FunctionDef) and n.name == "_verify_scene")
+    called = {ast.unparse(n.func).split(".")[-1] for n in ast.walk(verify)
+              if isinstance(n, ast.Call)}
+    assert not called & {"annihilation_holds", "double_cover_minors", "random", "from_rows"}
+    assert "import random" not in source
+
+
 def test_imports_sit_at_module_top():
     offenders = []
     for path in sorted(SRC.glob("*.py")):
@@ -575,8 +589,9 @@ def test_no_second_copies():
 
 def test_one_reducedness_decision_and_one_centre_search():
     # the nine-line certificate and the separability twin are gone; both
-    # forward models find projection centres in one grid walk, and every
-    # squarefree test outside binforms is binforms.is_squarefree
+    # forward models find projection centres in one grid walk, and binforms
+    # leaves the root-multiplicity signature and partition to the tests
+    import prymcubic.binforms as binforms
     import prymcubic.prym as prym
     import prymcubic.symmetroid as symmetroid
 
@@ -585,8 +600,5 @@ def test_one_reducedness_decision_and_one_centre_search():
     assert not hasattr(symmetroid, "_quartic_separable")
     texts = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
     assert sum(text.count("product(range(-2, 3)") for text in texts.values()) == 1
-    offenders = ["%s:%d" % (name, node.lineno) for name, text in texts.items()
-                 if name != "binforms.py" for node in ast.walk(ast.parse(text))
-                 if isinstance(node, ast.Call)
-                 and ast.unparse(node.func).split(".")[-1] == "multiplicity_partition"]
-    assert offenders == []
+    assert not hasattr(binforms, "squarefree_signature")
+    assert not hasattr(binforms, "multiplicity_partition")

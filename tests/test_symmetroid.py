@@ -3,9 +3,9 @@ from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from prymcubic import linalg, symmetroid
-from prymcubic.binforms import multiplicity_partition
 from prymcubic.elim import resultant_last_var
 from prymcubic.fields import Field, QQ, is_prime
 from prymcubic.oracle import compile_raw, projective_points, projective_points_raw
@@ -13,6 +13,8 @@ from prymcubic.poly import HomogPoly, SymMatrix, proportional
 from prymcubic.symmetroid import (Symmetrization, SymmetroidError, SymmetroidType,
                                   cayley_normal_form, hankel_symmetroid,
                                   quotient_plane_form)
+from test_binforms import multiplicity_partition
+from test_field_properties import CASES
 
 F11 = Field.prime(11)
 F13 = Field.prime(13)
@@ -121,6 +123,31 @@ def test_adjugate_lands_on_symmetroid():
         cub = a.adjugate_cubics()
         comp = det.substitute(cub)
         assert not comp
+
+
+# the scalar cases of the field properties, and F_3
+WEB_FIELDS = dict(CASES, F3=(lambda: Field.prime(3), st.integers(0, 2)))
+
+
+@pytest.mark.parametrize("name", sorted(WEB_FIELDS))
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(data=st.data())
+def test_adjugate_lands_on_symmetroid_of_random_webs(name, data):
+    # B(z) x = A(x) z, so A(adj(z)) has z in its kernel: det(A(adj(z))) = 0
+    # for every symmetric 3x3 matrix of linear forms
+    make, raw = WEB_FIELDS[name]
+    field = make()
+    rows = [[None] * 3 for _ in range(3)]
+    for i in range(3):
+        for j in range(i, 3):
+            coeffs = [field.element(data.draw(raw)) for _ in range(4)]
+            rows[i][j] = rows[j][i] = HomogPoly.linear(field, X4, coeffs)
+    a = Symmetrization(field, SymMatrix.from_rows(rows))
+    try:
+        cub = a.adjugate_cubics()
+    except SymmetroidError:
+        return  # the adjugation map vanishes identically: nothing to check
+    assert not a.determinant_cubic().substitute(cub)
 
 
 def test_gauss_identity_types_1_to_6():
