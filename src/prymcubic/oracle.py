@@ -5,24 +5,31 @@ the whole package.
 every scan in the package (point counts, smoothness certificates, bitangent
 and tritangent-line walks, conic points) follows its order, and
 `projective_points` wraps its raw values as field elements after checking
-the budget.  `compile_raw` is the one scan evaluator: it evaluates a form
-on raw values, plain integers over F_p.  Outside the scans, F_p computes on
-integers in the field's own raw operations (`_pow_raw`, `_convolve_raw`).
+the budget.  `compile_raw` is the one scan evaluator: it evaluates a form,
+or a list of forms in one call, on raw values.  Over F_p it generates and
+compiles straight-line code, one expression per form with its coefficients
+as integer literals and one `% p`; over F_{p^2} it runs the pair kernel on
+plain integer pairs.  Outside the scans, F_p computes on integers in the
+field's own raw operations (`_pow_raw`, `_convolve_raw`).
 
 On top of them: Jacobian smoothness certificates, point counts with
 Frobenius traces, double-cover counts through the three minors, and
-exhaustive bitangent enumeration.  The first three are readers of one census
-per equation set: `_census` keeps the points of the last scheme walked
-with `kept_result`, the package's one memo of a last result, and walks
-again only for other equation objects or another field, so the
-certificate, the count and the cover count of one curve cost one walk.
+exhaustive bitangent enumeration.  The certificate reads the gradients,
+and the cover count the three minors, from one evaluator call per point,
+and the certificate decides the Jacobian's rank on those raw values.  The
+first three are readers of one census per equation set: `_census` keeps
+the points of the last scheme walked with `kept_result`, the package's one
+memo of a last result, and walks again only for other equation objects or
+another field, so the certificate, the count and the cover count of one
+curve cost one walk.
 
 The scheme walk is fibred from the last coordinate point: it enumerates the
-base P^(n-2), solves a polynomial of degree at most two in the last
-coordinate on each fibre, and walks a fibre value by value only when no
-restriction has degree at most two (a line of the scheme through the vertex,
-a cubic surface alone, a plane quartic).  For a space curve Q ∩ Γ that is
-p^2 fibres in place of p^3 points, in the same order.
+base P^(n-2), reads every coefficient of an equation in the last
+coordinate from one evaluator call, solves a polynomial of degree at most
+two in the last coordinate on each fibre, and walks a fibre value by value
+only when no restriction has degree at most two (a line of the scheme
+through the vertex, a cubic surface alone, a plane quartic).  For a space
+curve Q ∩ Γ that is p^2 fibres in place of p^3 points, in the same order.
 """
 
 from __future__ import annotations
@@ -77,28 +84,56 @@ def projective_points(field, dim, budget=DEFAULT_BUDGET):
 
 
 def compile_raw(poly):
-    """Evaluator of a form over a finite field on raw-value points, returning
-    a raw value.  Over F_p it runs on plain integers with one reduction per
-    point; over F_p(sqrt d) on pairs of plain integers, each product reduced
-    and each sum reduced once per point."""
+    """Evaluator of a form, or of a list of forms, over a finite field on
+    raw-value points: it returns the form's raw value, or the list of the
+    forms' raw values.
+
+    Over F_p the evaluator is generated code, compiled once by `exec` as
+    `dataclasses` builds `__init__`: one expression per form, a sum of
+    monomials with the raw coefficients as integer literals, and one `% p`.
+    The source holds only those integers and names made here, so no text
+    of the input reaches it.  Over F_p(sqrt d) it runs on pairs of plain
+    integers, each product reduced and each sum reduced once per point, and
+    serves a list form by form."""
+    single = not isinstance(poly, (list, tuple))
+    forms = [poly] if single else poly
+    field = forms[0].field
+    if isinstance(field, PrimeField):
+        names = ["x%d" % i for i in range(len(forms[0].vars))]
+        exprs = ["(%s) %% %d" % (_flat_sum([_monomial(c.val, e, names)
+                                            for e, c in f.terms.items()]), field.p)
+                 for f in forms]
+        body = exprs[0] if single else "[%s]" % ", ".join(exprs)
+        scope = {}
+        exec("def ev(pt):\n    [%s] = pt\n    return %s\n" % (", ".join(names), body), scope)
+        return scope["ev"]
+    evs = [_pair_kernel(f) for f in forms]
+    if single:
+        return evs[0]
+    return lambda pt: [ev(pt) for ev in evs]
+
+
+def _monomial(c, e, names):
+    """Source of the term c * prod names[i]^e[i] for an int c."""
+    factors = ["*".join([x] * k) if k <= 3 else "%s**%d" % (x, k)
+               for x, k in zip(names, e) if k]
+    if c != 1 or not factors:
+        factors.insert(0, "%d" % c)
+    return "*".join(factors)
+
+
+def _flat_sum(terms):
+    """Source of the sum of the terms, nested at most 100 deep: a chain of
+    a few thousand `+` overflows the compiler's recursion, so longer sums
+    add chunks of 100 terms with `sum`."""
+    chunks = ["+".join(terms[i:i + 100]) for i in range(0, len(terms), 100)] or ["0"]
+    return chunks[0] if len(chunks) == 1 else "sum((%s,))" % ", ".join(chunks)
+
+
+def _pair_kernel(poly):
+    """Evaluator of one form over F_p(sqrt d) on pairs of plain integers."""
     field = poly.field
     terms = [(c.val, e) for e, c in poly.terms.items()]
-    if isinstance(field, PrimeField):
-        p = field.p
-
-        def ev(pt):
-            tot = 0
-            for cv, e in terms:
-                v = cv
-                for x, k in zip(pt, e):
-                    if k:
-                        if not x:
-                            v = 0
-                            break
-                        v = v * (x if k == 1 else pow(x, k, p))
-                tot += v
-            return tot % p
-        return ev
     p, d = field.base.p, field.d
 
     def ev(pt):
@@ -115,15 +150,14 @@ def compile_raw(poly):
 
 
 def _fibre_forms(f):
-    """Compiled coefficient forms of f = sum_k c_k(x_0..x_{n-2}) T^k, T the
-    last variable: entry k evaluates c_k on a base point, or is None when c_k
-    is the zero form."""
-    parts = {}
+    """Evaluator of the coefficient forms of f = sum_k c_k(x_0..x_{n-2}) T^k,
+    T the last variable: on a base point it returns the list of the d + 1
+    raw values c_k, zero forms included."""
+    parts = [{} for _ in range(f.degree + 1)]
     for e, c in f.terms.items():
-        parts.setdefault(e[-1], {})[e[:-1]] = c
-    base_vars = f.vars[:-1]
-    return [compile_raw(HomogPoly(f.field, base_vars, f.degree - k, parts[k], _clean=True))
-            if k in parts else None for k in range(f.degree + 1)]
+        parts[e[-1]][e[:-1]] = c
+    return compile_raw([HomogPoly(f.field, f.vars[:-1], f.degree - k, part, _clean=True)
+                        for k, part in enumerate(parts)])
 
 
 def _quadratic_roots(cs, field):
@@ -167,8 +201,8 @@ def _scheme_points(equations, field, budget):
     values = [e.val for e in field.elements()]
     for b in projective_points_raw(field, nv - 2):
         rests, cands = [], None
-        for forms in fibres:
-            cs = [ev(b) if ev else zero for ev in forms]
+        for ev in fibres:
+            cs = ev(b)
             while cs and cs[-1] == zero:
                 cs.pop()
             rests.append(cs)
@@ -241,15 +275,24 @@ def smoothness_certificate(equations, field, budget=DEFAULT_BUDGET):
     when the scheme is smooth)."""
     if not equations or len(equations) > 2:
         raise OracleError("complete-intersection shape: one or two equations")
-    expected = len(equations)
     q = field.order()
-    grads = [[compile_raw(g) for g in f.gradient()] for f in equations]
+    grads = compile_raw([g for f in equations for g in f.gradient()])
     points = _census(equations, field, budget)
     for count, pt in enumerate(points, 1):
-        jac = [[FieldElement(field, ge(pt)) for ge in row] for row in grads]
-        if linalg.rank(jac) != expected:
+        if not _full_rank(grads(pt), len(equations), field):
             return Certificate(False, _elements(field, pt), q, count)
     return Certificate(True, None, q, len(points))
+
+
+def _full_rank(g, rows, field):
+    """Whether the Jacobian of one or two equations, given as its raw entries
+    row after row, has full rank: one row has a nonzero entry, two rows
+    g1, g2 have a nonzero 2x2 minor g1[i] g2[j] - g1[j] g2[i]."""
+    if rows == 1:
+        return any(v != field._zero_raw for v in g)
+    n, mul = len(g) // 2, field._mul
+    return any(mul(g[i], g[n + j]) != mul(g[j], g[n + i])
+               for i in range(n) for j in range(i + 1, n))
 
 
 class CountReport:
@@ -283,12 +326,12 @@ def count_double_cover(curve_equations, minors, field, label="cover", budget=DEF
     their failure invalidates the construction.
     """
     q = field.order()
-    mevs = [compile_raw(m) for m in minors]
+    mev = compile_raw(minors)
     half = (q - 1) // 2
     zero, one = field._zero_raw, field._one_raw
     total = 0
     for pt in _census(curve_equations, field, budget):
-        nz = [v for v in (me(pt) for me in mevs) if v != zero]
+        nz = [v for v in mev(pt) if v != zero]
         if not nz:
             raise OracleError("curve meets the rank-one locus at %r"
                               % (_elements(field, pt),))

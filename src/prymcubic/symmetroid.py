@@ -205,18 +205,22 @@ class Symmetrization:
     def adjugate_cubics(self):
         """Signed maximal minors of B(z): the cubic map from the plane into
         the symmetroid, annihilated by B(z) as an exact identity."""
+        if not any(self._adjugate_column()):
+            raise SymmetroidError("adjugation map vanishes identically")
+        return self._adj
+
+    def _adjugate_column(self):
         if self._adj is None:
             minors = linalg.maximal_minors(self.line_contraction())
             cubics = [minors[tuple(k for k in range(4) if k != j)] for j in range(4)]
             self._adj = tuple(-c if j % 2 else c for j, c in enumerate(cubics))
-        if not any(self._adj):
-            raise SymmetroidError("adjugation map vanishes identically")
         return self._adj
 
     def annihilation_holds(self):
-        """B(z) times the column of adjugate cubics is zero."""
+        """B(z) times the column of adjugate cubics is zero; a column that
+        vanishes identically is annihilated too."""
         b = self.line_contraction()
-        column = [[c] for c in self.adjugate_cubics()]
+        column = [[c] for c in self._adjugate_column()]
         return not any(row[0] for row in linalg.mat_mul(b, column))
 
     # -- double cover minors ---------------------------------------------------

@@ -4,6 +4,7 @@ import weakref
 from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from prymcubic import linalg, oracle
 from prymcubic.fields import Field, FieldElement, is_prime, legendre
@@ -353,14 +354,82 @@ def test_scans_over_quadratic_extension_match_element_scan(p, d, name):
 
 def _scheme_points_exhaustive(equations, field, budget):
     """The walk over every point of P^(n-1) that the fibred walk replaced,
-    kept as its reference."""
+    kept as its reference; it evaluates with `HomogPoly.evaluate`, so it
+    shares no code with the scan evaluator."""
     nv = len(equations[0].vars)
     oracle._check_budget(field.order(), nv - 1, budget)
-    evs = [compile_raw(f) for f in equations]
-    zero = field._zero_raw
     for pt in projective_points_raw(field, nv - 1):
-        if all(ev(pt) == zero for ev in evs):
+        point = [FieldElement(field, v) for v in pt]
+        if not any(f.evaluate(point) for f in equations):
             yield pt
+
+
+def _interpreted_ev(poly):
+    """The loop over terms and exponents that the generated F_p evaluator of
+    `compile_raw` replaced, kept as its reference."""
+    p = poly.field.p
+    terms = [(c.val, e) for e, c in poly.terms.items()]
+
+    def ev(pt):
+        tot = 0
+        for cv, e in terms:
+            v = cv
+            for x, k in zip(pt, e):
+                if k:
+                    if not x:
+                        v = 0
+                        break
+                    v = v * (x if k == 1 else pow(x, k, p))
+            tot += v
+        return tot % p
+    return ev
+
+
+GENERATOR_PRIMES = (3, 5, 101, 10007)
+
+
+def _draw_form(data, field, names, degree):
+    """A form whose every coefficient is drawn from zero (sparse forms and
+    the zero form), one, minus one or any residue."""
+    p = field.p
+    coeff = st.sampled_from([0, 0, 1, p - 1]) | st.integers(0, p - 1)
+    exps = [e for e in product(range(degree + 1), repeat=len(names)) if sum(e) == degree]
+    return HomogPoly(field, names, degree, {e: data.draw(coeff) for e in exps})
+
+
+def _draw_point(data, field, n):
+    return tuple(data.draw(st.just(0) | st.integers(0, field.p - 1)) for _ in range(n))
+
+
+@pytest.mark.parametrize("p", GENERATOR_PRIMES)
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(data=st.data())
+def test_generated_evaluator_matches_the_interpreted_loop(p, data):
+    F = Field.prime(p)
+    names = ("x0", "x1", "x2", "x3")[:data.draw(st.integers(1, 4))]
+    forms = [_draw_form(data, F, names, data.draw(st.integers(0, 4)))
+             for _ in range(data.draw(st.integers(1, 4)))]
+    evs = [compile_raw(f) for f in forms]
+    ev_list = compile_raw(forms)
+    for _ in range(4):
+        pt = _draw_point(data, F, len(names))
+        expected = [_interpreted_ev(f)(pt) for f in forms]
+        assert [ev(pt) for ev in evs] == expected
+        assert ev_list(pt) == expected
+    assert compile_raw(HomogPoly.zero(F, names, 2))((1,) * len(names)) == 0
+    assert compile_raw([HomogPoly(F, (), 0, {(): p - 1})])(()) == [p - 1]
+
+
+def test_generated_evaluator_of_a_long_form():
+    # 5151 terms: a single chain of `+` that long overflows the compiler
+    F = Field.prime(10007)
+    rng = random.Random(10007)
+    exps = [e for e in product(range(101), repeat=3) if sum(e) == 100]
+    f = HomogPoly(F, Z3, 100, {e: rng.randrange(10007) for e in exps})
+    assert len(f.terms) == 5151
+    ev, ref = compile_raw(f), _interpreted_ev(f)
+    for pt in [(1, 2, 3), (0, 1, 0), (10006, 0, 5), (4, 9999, 10006)]:
+        assert ev(pt) == ref(pt)
 
 
 def _fold_raw(poly, pt):
@@ -384,11 +453,12 @@ def test_compile_raw_pair_kernel_matches_the_generic_fold(p, d):
     for degree, names in [(1, Z3), (2, Z3), (3, X4), (4, Z3), (2, ("s", "t"))]:
         exps = [e for e in product(range(degree + 1), repeat=len(names)) if sum(e) == degree]
         f = HomogPoly(K, names, degree, {e: K.random(rng) for e in exps if rng.random() < 0.7})
-        ev = compile_raw(f)
+        ev, ev_list = compile_raw(f), compile_raw([f, -f])
         pts = [tuple(K.random(rng).val for _ in names) for _ in range(150)]
         pts.append((K._zero_raw,) * len(names))
         for pt in pts:
             assert ev(pt) == _fold_raw(f, pt)
+            assert ev_list(pt) == [ev(pt), _fold_raw(-f, pt)]
 
 
 def _field(p, d):
@@ -414,9 +484,10 @@ def test_fibred_walk_matches_exhaustive_walk(p, d, name):
     fx = FIXTURES[name]
     a = fx.symmetrization(K)
     qf, gamma = fx.quadric_form(K), a.determinant_cubic()
-    _walks_agree([qf], K)
-    _walks_agree([gamma], K)
-    ref = _walks_agree([qf, gamma], K)
+    # the exhaustive walk of Q ∩ Γ is the walk of Q, kept where Γ vanishes
+    on_gamma = set(_walks_agree([gamma], K))
+    ref = [pt for pt in _walks_agree([qf], K) if pt in on_gamma]
+    assert list(oracle._scheme_points([qf, gamma], K, DEFAULT_BUDGET)) == ref
     # the public scans against element-level arithmetic on the reference points
     minors = list(a.double_cover_minors()[:3])
     points = [tuple(FieldElement(K, v) for v in pt) for pt in ref]

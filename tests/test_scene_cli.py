@@ -521,27 +521,44 @@ def test_cli_verify_leaves_the_ring_identities_to_the_tests(capsys, monkeypatch)
     assert json.loads(err) == {"error": "minor relation failed; internal error"}
 
 
-def test_cli_verify_notes_the_type_of_a_web_without_adjugation_map(tmp_path, capsys):
-    # a web with a two-dimensional kernel, or the zero web, has no cubic
-    # adjugation map: verify records its type, which gates the Gauss
-    # identity (the one check that reads the map) off
+def _scene_of_webs_without_adjugation_map(field, path):
+    """A scene holding diag(x0, x1, x0 + x1), a web with a two-dimensional
+    kernel, and the zero web: neither has a cubic adjugation map."""
     from prymcubic.poly import SymMatrix
     from prymcubic.symmetroid import Symmetrization, X4
 
     def web(rows):
-        return Symmetrization(QQ, SymMatrix.from_rows(
-            [[HomogPoly.linear(QQ, X4, c) for c in row] for row in rows]))
+        return Symmetrization(field, SymMatrix.from_rows(
+            [[HomogPoly.linear(field, X4, c) for c in row] for row in rows]))
 
     e0, e1, e01, zero = [1, 0, 0, 0], [0, 1, 0, 0], [1, 1, 0, 0], [0, 0, 0, 0]
-    scene = Scene(QQ, metadata={"pairs": []})
+    scene = Scene(field, metadata={"pairs": []})
     scene.add("A_two", web([[e0, zero, zero], [zero, e1, zero], [zero, zero, e01]]))
     scene.add("A_zero", web([[zero] * 3] * 3))
-    path = tmp_path / "degenerate.json"
     path.write_text(write_scene(scene))
-    code, out, err = run_cli(["verify", str(path)], capsys)
+    return str(path)
+
+
+def test_cli_verify_notes_the_type_of_a_web_without_adjugation_map(tmp_path, capsys):
+    # verify records the type of a web without adjugation map, which gates
+    # the Gauss identity (the one check that reads the map) off
+    path = _scene_of_webs_without_adjugation_map(QQ, tmp_path / "degenerate.json")
+    code, out, err = run_cli(["verify", path], capsys)
     assert (code, err) == (0, "")
     assert json.loads(out) == {"failures": [], "notes": {"A_two": "DegenerateSingular",
                                                          "A_zero": "ReducibleUnclassified"}}
+
+
+def test_cli_classify_types_a_web_without_adjugation_map(tmp_path, capsys):
+    # B(z) annihilates the zero column, so the annihilation self-check holds
+    # and classify prints the type instead of refusing the web as input
+    path = _scene_of_webs_without_adjugation_map(Field.prime(11), tmp_path / "degenerate.json")
+    for name, tag, kernel in [("A_two", "DegenerateSingular", 2),
+                              ("A_zero", "ReducibleUnclassified", 4)]:
+        code, out, err = run_cli(["classify", path, "--object", name], capsys)
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"object": name, "type": tag, "kernel_dimension": kernel,
+                                   "annihilation": True, "minor_relation": True}
 
 
 def test_cli_verify_notes_a_pencil_needing_a_second_extension(tmp_path, capsys):

@@ -422,9 +422,12 @@ def test_one_determinant_algorithm():
     assert "maximal_minors" in calls(linalg["det"])
     assert "adjugate" not in linalg
     assert "linalg.det" in calls(functions("poly.py")["adjugate"])
-    adjugate_cubics = functions("symmetroid.py")["adjugate_cubics"]
-    assert "linalg.maximal_minors" in calls(adjugate_cubics)
-    assert "linalg.det" not in calls(adjugate_cubics)
+    # adjugate_cubics checks the column that _adjugate_column memoizes
+    symmetroid = functions("symmetroid.py")
+    assert "self._adjugate_column" in calls(symmetroid["adjugate_cubics"])
+    adjugate_column = symmetroid["_adjugate_column"]
+    assert "linalg.maximal_minors" in calls(adjugate_column)
+    assert "linalg.det" not in calls(adjugate_column)
     assert not {c for c in calls(functions("binforms.py")["resultant"])
                 if "sylvester" in c or c.startswith("linalg.")}
     assert "linalg.sylvester" in calls(functions("elim.py")["resultant_last_var"])
@@ -602,3 +605,55 @@ def test_one_reducedness_decision_and_one_centre_search():
     assert sum(text.count("product(range(-2, 3)") for text in texts.values()) == 1
     assert not hasattr(binforms, "squarefree_signature")
     assert not hasattr(binforms, "multiplicity_partition")
+
+
+def test_generated_evaluators_hold_only_generated_text(monkeypatch):
+    # compile_raw's F_p evaluator is the package's one `exec`, and nothing
+    # calls `eval`; the source it compiles holds integer literals, names it
+    # makes, operators and brackets, so no text of an input form reaches it
+    import builtins
+    import io
+    import re
+    import tokenize
+
+    from prymcubic import oracle
+    from prymcubic.fields import Field
+    from prymcubic.fixtures import FIXTURES
+
+    names = {}
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        assert "eval(" not in text, path.name
+        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+            if tok.type == tokenize.NAME and tok.string in ("exec", "eval"):
+                names.setdefault(tok.string, []).append(path.name)
+    assert names == {"exec": ["oracle.py"]}
+
+    sources = []
+
+    def spy(source, scope):
+        sources.append(source)
+        return builtins.exec(source, scope)
+
+    monkeypatch.setattr(oracle, "exec", spy, raising=False)
+    F = Field.prime(10007)
+    a = FIXTURES["t1"].symmetrization(F)
+    gamma = a.determinant_cubic()
+    ev = oracle.compile_raw(gamma)
+    evs = oracle.compile_raw(list(a.double_cover_minors()[:3]) + [gamma * gamma])
+    assert len(sources) == 2
+    pt = (1, 2, 3, 10006)
+    assert ev(pt) == gamma.evaluate(pt).val and evs(pt)[3] == ev(pt) ** 2 % 10007
+    allowed_ops = {"(", ")", "[", "]", ",", ":", "=", "+", "*", "**", "%"}
+    for source in sources:
+        for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+            if tok.type == tokenize.NAME:
+                assert (tok.string in ("def", "ev", "pt", "return", "sum")
+                        or re.fullmatch(r"x\d+", tok.string)), tok.string
+            elif tok.type == tokenize.NUMBER:
+                assert re.fullmatch(r"\d+", tok.string), tok.string
+            elif tok.type == tokenize.OP:
+                assert tok.string in allowed_ops, tok.string
+            else:
+                assert tok.type in (tokenize.NEWLINE, tokenize.NL, tokenize.INDENT,
+                                    tokenize.DEDENT, tokenize.ENDMARKER), tok
