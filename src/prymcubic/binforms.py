@@ -313,13 +313,10 @@ def perfect_square_root(form):
     for m, g in factors:
         for _ in range(m // 2):
             root0 = root0 * g
-    sq = root0 * root0
-    top = max(sq.terms)
-    if top not in form.terms:
-        return None
-    scalar = form.terms[top] / sq.terms[top]
-    if sq * scalar != form:
-        return None
+    # form = scalar * root0^2, and the lex-top term of root0^2 is the
+    # square of root0's lex-top term
+    top = max(root0.terms)
+    scalar = form.terms[tuple(2 * k for k in top)] / (root0.terms[top] * root0.terms[top])
     adjoined = field.adjoin_sqrt(scalar)
     if adjoined is None:
         return None

@@ -37,7 +37,7 @@ from __future__ import annotations
 from itertools import product
 
 from .binforms import is_squarefree, perfect_square_root
-from .fields import FieldElement, PrimeField, legendre
+from .fields import FieldElement, PrimeField
 from .poly import HomogPoly
 from . import linalg
 
@@ -347,15 +347,23 @@ def count_double_cover(curve_equations, minors, field, label="cover", budget=DEF
 def count_hyperelliptic_octic(octic, field, label="octic", budget=DEFAULT_BUDGET):
     """Point count of the genus-3 curve y^2 = h(s, t) for a separable binary
     octic h: 1 + chi(h) points over each point of P^1, where chi(h) does
-    not depend on the representative because h has even degree."""
+    not depend on the representative because h has even degree.  The
+    square class is Euler's criterion on the raw value."""
     if not field.is_finite():
         raise OracleError("octic counting needs a finite field")
     # any other form gives a curve of another genus, or a reducible one
     if octic.degree != 8 or not is_squarefree(octic):
         raise OracleError("octic chart needs a separable binary form of degree 8")
-    total = sum(1 + legendre(octic.evaluate(pt))
-                for pt in projective_points(field, 1, budget))
-    return CountReport(field.order(), label, total, 3)
+    q = field.order()
+    _check_budget(q, 1, budget)
+    ev = compile_raw(octic)
+    half = (q - 1) // 2
+    zero, one = field._zero_raw, field._one_raw
+    total = 0
+    for pt in projective_points_raw(field, 1):
+        v = ev(pt)
+        total += 1 if v == zero else 2 if field._pow_raw(v, half) == one else 0
+    return CountReport(q, label, total, 3)
 
 
 class BitangentLine:

@@ -468,11 +468,7 @@ class SymMatrix:
                 e = [0] * n
                 e[i] += 1
                 e[j] += 1
-                te = tuple(e)
-                if te in terms:
-                    terms[te] = terms[te] + c
-                else:
-                    terms[te] = c
+                terms[tuple(e)] = c
         return HomogPoly(field, vars, 2, terms)
 
     @staticmethod
@@ -507,10 +503,6 @@ class SymMatrix:
                 minor = linalg.det([r[:i] + r[i + 1:] for k, r in enumerate(rows) if k != j])
                 upper[(i, j)] = -minor if (i + j) % 2 else minor
         return SymMatrix(self.n, upper)
-
-    def evaluate(self, point):
-        """Form-valued matrix -> scalar matrix at a point."""
-        return self.map(lambda p: p.evaluate(point))
 
     def rank(self):
         return linalg.rank(self.rows())

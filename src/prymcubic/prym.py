@@ -16,7 +16,7 @@ from .fields import PrimeField, QuadExtField, RationalField, legendre
 from .oracle import compile_raw, kept_result, projective_points_raw
 from .poly import HomogPoly, PolyError, SymMatrix, proportional
 from .quadrics import congruence_diagonalize
-from .symmetroid import X4, Z3, Symmetrization, SymmetroidType
+from .symmetroid import X4, Symmetrization, SymmetroidType
 
 Y4 = ("y0", "y1", "y2", "y3")
 RV4 = ("y00", "y01", "y10", "y11")
@@ -471,7 +471,7 @@ def reverse_construct(quartic, conics, field):
     if not prod or not proportional(prod, quartic):
         raise PrymError("conics are incompatible with the quartic")
     mats = [SymMatrix.from_quadratic_form(c) for c in cs]
-    sym = Symmetrization.from_quadric_vector(field, mats, xvars=RV4, zvars=Z3)
+    sym = Symmetrization.from_quadric_vector(field, mats, xvars=RV4)
     # a relation among the four conics is the kernel of the rebuilt web
     kernel = sym.contraction_kernel()
     if len(kernel) > 1:

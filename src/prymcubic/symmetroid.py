@@ -13,7 +13,7 @@ from . import linalg
 from .binforms import ST, is_squarefree, rational_roots
 from .elim import plane_cubic_is_smooth
 from .oracle import compile_raw
-from .poly import HomogPoly, SymMatrix, proportional
+from .poly import HomogPoly, SymMatrix
 from .quadrics import factor_rank_le2, pencil_multiple_members
 
 X4 = ("x0", "x1", "x2", "x3")
@@ -86,16 +86,16 @@ class Symmetrization:
     """The tensor behind a cubic symmetroid: a symmetric 3x3 matrix of linear
     forms in four variables, equivalently four constant symmetric matrices."""
 
-    def __init__(self, field, matrix, xvars=X4, zvars=Z3):
+    def __init__(self, field, matrix, xvars=X4):
         self.field = field
         self.matrix = matrix
         self.xvars = tuple(xvars)
-        self.zvars = tuple(zvars)
         for e in matrix.upper.values():
             if not isinstance(e, HomogPoly) or e.degree != 1 or len(e.vars) != 4:
                 raise SymmetroidError("entries must be linear forms in four variables")
         self._qvec = None
         self._gauss = None
+        self._kernel = None
         self._det = None
         self._adjq = None
         self._adjt = None
@@ -110,20 +110,20 @@ class Symmetrization:
         return Symmetrization(field, SymMatrix.from_rows(built))
 
     @staticmethod
-    def from_quadric_vector(field, mats, xvars=X4, zvars=Z3):
+    def from_quadric_vector(field, mats, xvars=X4):
         """Rebuild the matrix of forms from four constant symmetric matrices."""
         rows = [[None] * 3 for _ in range(3)]
         for i in range(3):
             for j in range(3):
                 coeffs = [mats[k].at(i, j) for k in range(4)]
                 rows[i][j] = HomogPoly.linear(field, xvars, coeffs)
-        return Symmetrization(field, SymMatrix.from_rows(rows), xvars, zvars)
+        return Symmetrization(field, SymMatrix.from_rows(rows), xvars)
 
     def change_field(self, new_field):
         if new_field == self.field:
             return self
         return Symmetrization(new_field, self.matrix.map(lambda f: f.change_field(new_field)),
-                              self.xvars, self.zvars)
+                              self.xvars)
 
     # -- the two tensor views ------------------------------------------------
 
@@ -133,17 +133,13 @@ class Symmetrization:
             coeffs = {ij: f.linear_coeffs() for ij, f in self.matrix.upper.items()}
             mats = [SymMatrix(3, {ij: c[k] for ij, c in coeffs.items()}) for k in range(4)]
             self._qvec = tuple(mats)
-            # reconstructing the matrix from the vector must reproduce it
-            back = Symmetrization.from_quadric_vector(self.field, mats, self.xvars, self.zvars)
-            if not all((back.matrix.upper[k] == self.matrix.upper[k]) for k in self.matrix.upper):
-                raise SymmetroidError("tensor views disagree")
         return self._qvec
 
     def gauss_quadrics(self):
         """The four quadratic forms in z read off the tensor; substituting
         them into a dual linear form recovers that form's conic."""
         if self._gauss is None:
-            self._gauss = tuple(m.quadratic_form(self.field, self.zvars)
+            self._gauss = tuple(m.quadratic_form(self.field, Z3)
                                 for m in self.quadric_vector())
         return self._gauss
 
@@ -164,8 +160,12 @@ class Symmetrization:
                                  for form in self.gauss_quadrics()])
 
     def contraction_kernel(self):
-        """Kernel of the web map on the dual 4-space; empty iff non-degenerate."""
-        return linalg.kernel_basis(self.coefficient_matrix(), self.field)
+        """Kernel of the web map on the dual 4-space; empty iff non-degenerate.
+        Memoized: classify, the rank-one scheme and the cone projection read
+        one row reduction."""
+        if self._kernel is None:
+            self._kernel = linalg.kernel_basis(self.coefficient_matrix(), self.field)
+        return self._kernel
 
     def is_degenerate(self):
         return bool(self.contraction_kernel())
@@ -199,7 +199,7 @@ class Symmetrization:
         for j, m in enumerate(qv):
             for i in range(3):
                 coeffs = [m.at(i, k) for k in range(3)]
-                b[i][j] = HomogPoly.linear(self.field, self.zvars, coeffs)
+                b[i][j] = HomogPoly.linear(self.field, Z3, coeffs)
         return b
 
     def adjugate_cubics(self):
@@ -237,32 +237,48 @@ class Symmetrization:
 
     # -- rank-one locus and classification -------------------------------------
 
-    def rank_one_functional_conics(self):
-        """Two conics in the line plane cutting out the double-line locus.
-
-        Functionals are the reduced-row-echelon complement of the web's
-        column space, applied to the square of a variable line.
-        """
-        mat = self.coefficient_matrix()
-        functionals = linalg.kernel_basis(linalg.transpose(mat), self.field)
-        if len(functionals) != 2:
-            raise SymmetroidError("rank-one scheme needs a non-degenerate web")
-        # a functional on conic coefficients, applied to (w.z)^2, is the
-        # quadratic form of the symmetric matrix it fills in monomial order
-        return [SymMatrix(3, zip(_CONIC_ENTRIES, f)).quadratic_form(self.field, W3)
-                for f in functionals]
-
     def rank_one_scheme(self):
+        """The double-line locus: two conics k1, k2 in the line plane, read
+        from the Segre symbol of their pencil (Hodge-Pedoe, Methods of
+        Algebraic Geometry II).
+
+        The two functionals are the reduced-row-echelon complement of the
+        web's column space.  Applied to the square (w.z)^2 of a variable
+        line, each is the quadratic form of the symmetric matrix M it fills
+        in monomial order.  The singular members s k1 + t k2 are the roots
+        of d = det(s M1 + t M2), read by `quadrics.pencil_multiple_members`.
+        Three simple roots mean four simple points.  A multiple root is
+        unique, hence rational, and the rank of its member tells a tangency
+        (rank 2) from a pair of tangencies or a contact of order four
+        (rank 1).  A common line makes every member singular, so it is
+        searched for only when d vanishes identically: it is unique, hence
+        rational, and found among the linear factors of k1 that divide k2,
+        skipping a factorization that needs an extension.  Without one, all
+        members are line pairs through one point, which carries the whole
+        intersection.
+        """
         if self.is_degenerate():
             raise SymmetroidError("rank-one scheme is only computed for non-degenerate webs")
-        k1, k2 = self.rank_one_functional_conics()
-        common = _common_rational_line(k1, k2, self.field)
-        if common is not None:
-            line, res1, res2 = common
-            pt = _line_intersection(res1, res2)
-            return RankOneScheme((k1, k2), True, common_line=line, residual_point=pt)
-        partition = _conic_intersection_partition(k1, k2, self.field)
-        return RankOneScheme((k1, k2), False, partition=partition)
+        field = self.field
+        functionals = linalg.kernel_basis(linalg.transpose(self.coefficient_matrix()), field)
+        m1, m2 = (SymMatrix(3, zip(_CONIC_ENTRIES, f)) for f in functionals)
+        conics = k1, k2 = tuple(m.quadratic_form(field, W3) for m in (m1, m2))
+        d, members = pencil_multiple_members(m1, m2, field)
+        if d:
+            partition = [1, 1, 1, 1]
+            if members:
+                mult, _, member = members[0]
+                partition = {(2, 2): [2, 1, 1], (2, 1): [2, 2],
+                             (3, 2): [3, 1], (3, 1): [4]}[mult, member.rank()]
+            return RankOneScheme(conics, False, partition=partition)
+        pair = factor_rank_le2(m1, field, W3)
+        if pair is not None and not pair.extended:
+            for line in (pair.h1,) if pair.kind == "double" else (pair.h1, pair.h2):
+                res2 = k2.divide_linear(line)
+                if res2 is not None:
+                    pt = _line_intersection(k1.divide_linear(line), res2)
+                    return RankOneScheme(conics, True, common_line=line, residual_point=pt)
+        return RankOneScheme(conics, False, partition=[4])
 
     def classify(self):
         if self._type is None:
@@ -373,56 +389,6 @@ def _line_intersection(l1, l2):
     if not any(cross):
         return None
     return linalg.normalize_point(cross)
-
-
-def _common_rational_line(k1, k2, field):
-    """Common linear factor of two plane conics, with their cofactors.
-
-    The common component of the double-line locus is unique, hence rational;
-    it is found through rank <= 2 factorizations, skipping a pair that
-    needs an extension.
-    """
-    if proportional(k1, k2):
-        raise SymmetroidError("rank-one conics cannot be proportional")
-    m1 = SymMatrix.from_quadratic_form(k1)
-    m2 = SymMatrix.from_quadratic_form(k2)
-    if m1.rank() == 3 or m2.rank() == 3:
-        return None
-    pair = factor_rank_le2(m1, field, W3)
-    candidates = []
-    if pair is not None and not pair.extended:
-        if pair.kind == "double":
-            candidates = [pair.h1]
-        elif pair.kind == "pair":
-            candidates = [pair.h1, pair.h2]
-    for line in candidates:
-        res2 = k2.divide_linear(line)
-        if res2 is not None:
-            return line, k1.divide_linear(line), res2
-    return None
-
-
-def _conic_intersection_partition(k1, k2, field):
-    """Multiplicity partition of the four intersection points of two conics
-    with no common component, read from the Segre symbol of their pencil
-    (Hodge-Pedoe, Methods of Algebraic Geometry II).
-
-    The singular members s k1 + t k2 are the roots of the binary cubic
-    d = det(s M1 + t M2), read by `quadrics.pencil_multiple_members`.  Three
-    simple roots mean four simple points.  A multiple root is unique, hence
-    rational, and the rank of its member tells a tangency (rank 2) from a
-    pair of tangencies or a contact of order four (rank 1).  When every
-    member is singular they all are line pairs through one point, which
-    carries the whole intersection.
-    """
-    d, members = pencil_multiple_members(SymMatrix.from_quadratic_form(k1),
-                                         SymMatrix.from_quadratic_form(k2), field)
-    if not d:
-        return [4]
-    if not members:
-        return [1, 1, 1, 1]
-    mult, _, member = members[0]
-    return {(2, 2): [2, 1, 1], (2, 1): [2, 2], (3, 2): [3, 1], (3, 1): [4]}[mult, member.rank()]
 
 
 def _plane_factors(cubic, field):

@@ -11,7 +11,7 @@ from prymcubic.milne import (Line2, MilneError, contact_points_match,
                              cubic_through_curve_and_twisted, enveloping_cone,
                              line_is_generic, reducible_member, tritangent_verify,
                              twisted_cubic)
-from prymcubic.oracle import enumerate_bitangents, projective_points_raw
+from prymcubic.oracle import enumerate_bitangents, projective_points, projective_points_raw
 from prymcubic.poly import HomogPoly, SymMatrix, proportional
 from prymcubic.prym import forward_general
 from prymcubic.symmetroid import Symmetrization, SymmetroidError
@@ -295,6 +295,75 @@ def test_tritangent_verify_tangent_plane_path():
     cert = tritangent_verify(fix_q(F11), gamma, h)
     assert cert.reducible_conic
     assert isinstance(cert.passed, bool)
+
+
+def _split_tangent_contact_is_even(q, gamma, h, field):
+    """Reference parity of the divisor Γ·h on a plane h whose section of Q is
+    two rational rulings: the points of Q ∩ h in P^3(F_p) are the two lines,
+    the contact multiplicity of Γ at each of their points is the order of
+    vanishing of Γ along the line there, and the crossing point adds both
+    lines' orders.  Points off the rational ones are simple (a repeated
+    conjugate pair would need degree four on a line), so the divisor is
+    even iff every rational order is even and nothing is missing."""
+    qf = q.quadratic_form(field, X4)
+    plane = [pt for pt in projective_points(field, 3) if not h.evaluate(pt) and not qf.evaluate(pt)]
+    # the crossing is the one point joined to every other by a line in Q
+    def on_q_line(u, v):
+        return all(not qf.evaluate([a * s + b for a, b in zip(u, v)]) for s in field.elements())
+    crossing = next(u for u in plane if all(u is v or on_q_line(u, v) for v in plane))
+    divisor, missing, lines = Counter(), 0, set()
+    for v in plane:
+        if v is crossing:
+            continue
+        line = frozenset(linalg.normalize_point([a * s + b for a, b in zip(crossing, v)])
+                         for s in field.elements()) | {tuple(crossing)}
+        if line in lines:
+            continue
+        lines.add(line)
+        found = 0
+        for pt in line:
+            other = next(w for w in line if w != pt)
+            rest = gamma.restrict_to_line(list(pt), list(other))
+            if not rest:
+                return False  # Γ contains the ruling: no divisor
+            order = min(e[1] for e in rest.terms)
+            divisor[pt] += order
+            found += order
+        missing += 3 - found
+    assert len(lines) == 2
+    return not missing and all(m % 2 == 0 for m in divisor.values())
+
+
+@pytest.mark.parametrize("name,p,evens", [("biell", 5, 2), ("t2", 5, 1), ("t3", 3, 2),
+                                          ("t1", 7, 1)])
+def test_tangent_plane_verdicts_match_the_contact_parity(name, p, evens, monkeypatch):
+    # every plane over F_p that cuts Q in two rational rulings (2p + 1
+    # points) reaches the line-pair verdict of the tritangent check, which
+    # must read the parity of Γ·h computed point by point
+    field = Field.prime(p)
+    fx = FIXTURES[name]
+    q, gamma = fx.quadric(field), fx.symmetrization(field).determinant_cubic()
+    qf = q.quadratic_form(field, X4)
+    verdicts = []
+    even_on_line_pair = milne._even_on_line_pair
+
+    def spy(pair, cubic):
+        verdicts.append(even_on_line_pair(pair, cubic))
+        return verdicts[-1]
+
+    monkeypatch.setattr(milne, "_even_on_line_pair", spy)
+    got = Counter()
+    for u in projective_points(field, 3):
+        h = HomogPoly.linear(field, X4, list(u))
+        if sum(1 for pt in projective_points(field, 3)
+               if not h.evaluate(pt) and not qf.evaluate(pt)) != 2 * p + 1:
+            continue
+        verdicts.clear()
+        cert = tritangent_verify(q, gamma, h)
+        assert cert.reducible_conic and verdicts == [cert.passed]
+        assert cert.passed == _split_tangent_contact_is_even(q, gamma, h, field)
+        got[cert.passed] += 1
+    assert got[True] == evens and got[False] > 0
 
 
 def test_tritangent_verify_negative_control():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from prymcubic import linalg, oracle
+from prymcubic.binforms import is_squarefree
 from prymcubic.fields import Field, FieldElement, is_prime, legendre
 from prymcubic.fixtures import FIXTURES, SMOOTH_FIXTURES, fix_a, fix_q, fix_x
 from prymcubic.oracle import (DEFAULT_BUDGET, BudgetExceeded, OracleError,
@@ -257,6 +258,40 @@ def test_octic_counting_infinity_handling():
         brute += 1 + legendre_int(v, 11)
     brute += 1  # single point over infinity for a degree-7 chart
     assert rep2.count == brute
+
+
+def _octic_count_by_elements(octic, field):
+    """Reference: the element loop of the octic count, 1 + chi(h) over each
+    point of P^1 with the square class from `legendre`."""
+    return sum(1 + legendre(octic.evaluate(pt)) for pt in projective_points(field, 1))
+
+
+@pytest.mark.parametrize("p,d", [(3, None), (5, None), (11, None), (13, None),
+                                 (3, 2), (5, 2), (7, 3)])
+def test_octic_count_matches_the_element_loop(p, d):
+    field = _field(p, d)
+    rng = random.Random(p * 10 + (d or 0))
+    exps = [(8 - i, i) for i in range(9)]
+    octics = []
+    while len(octics) < 6:
+        # sparse draws, so the octic vanishes at some points of P^1
+        f = HomogPoly(field, ("s", "t"), 8,
+                      {e: field.random(rng) for e in exps if rng.random() < 0.5})
+        if is_squarefree(f):
+            octics.append(f)
+    zeros = 0
+    for f in octics:
+        assert count_hyperelliptic_octic(f, field).count == _octic_count_by_elements(f, field)
+        zeros += sum(1 for pt in projective_points(field, 1) if not f.evaluate(pt))
+    assert zeros
+    # the budget, and the refusal of a non-separable octic, are unchanged
+    q = field.order()
+    count_hyperelliptic_octic(octics[0], field, budget=q)
+    with pytest.raises(BudgetExceeded):
+        count_hyperelliptic_octic(octics[0], field, budget=q - 1)
+    square = HomogPoly(field, ("s", "t"), 8, {(8, 0): 1, (4, 4): 2, (0, 8): 1})
+    with pytest.raises(OracleError):
+        count_hyperelliptic_octic(square, field)
 
 
 def legendre_int(v, p):

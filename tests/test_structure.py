@@ -569,7 +569,8 @@ def test_no_second_copies():
     # the fixtures are read from the shipped manifest, not built a second
     # time in code; the deleted twins stay gone: one dense product
     # (Field._convolve_raw), the form kernels behind det/adjugate and
-    # B(v, v), and one enumerator behind the octic count
+    # B(v, v), and the one raw enumerator and evaluator behind the octic
+    # count, with no per-point form evaluation or wrapped square class
     import prymcubic.binforms as binforms
     import prymcubic.poly as poly
     from prymcubic.fields import Field
@@ -586,8 +587,10 @@ def test_no_second_copies():
     oracle = ast.parse((SRC / "oracle.py").read_text(encoding="utf-8"))
     octic = next(n for n in oracle.body if isinstance(n, ast.FunctionDef)
                  and n.name == "count_hyperelliptic_octic")
-    assert "projective_points" in {ast.unparse(n.func) for n in ast.walk(octic)
-                                   if isinstance(n, ast.Call)}
+    called = {ast.unparse(n.func).split(".")[-1] for n in ast.walk(octic)
+              if isinstance(n, ast.Call)}
+    assert {"projective_points_raw", "compile_raw", "_check_budget"} <= called
+    assert not called & {"evaluate", "legendre", "projective_points"}
 
 
 def test_one_reducedness_decision_and_one_centre_search():
@@ -657,3 +660,61 @@ def test_generated_evaluators_hold_only_generated_text(monkeypatch):
             else:
                 assert tok.type in (tokenize.NEWLINE, tokenize.NL, tokenize.INDENT,
                                     tokenize.DEDENT, tokenize.ENDMARKER), tok
+
+
+def test_one_pencil_decides_the_rank_one_scheme(monkeypatch):
+    # classify row-reduces the contraction matrix once and its transpose
+    # once, and reads one pencil of rank-one conics; the common line is
+    # searched for only when that pencil's determinant vanishes identically
+    import inspect
+
+    from prymcubic import linalg, symmetroid
+    from prymcubic.fields import Field
+    from test_symmetroid import NORMAL_FORMS, build
+
+    sym = symmetroid.Symmetrization
+    assert list(inspect.signature(sym.__init__).parameters) == ["self", "field", "matrix", "xvars"]
+    assert list(inspect.signature(sym.from_quadric_vector).parameters) == ["field", "mats", "xvars"]
+    counts = dict.fromkeys(("kernel_basis", "pencil", "factor"), 0)
+    dets = []
+    kernel_basis = linalg.kernel_basis
+    pencil = symmetroid.pencil_multiple_members
+    factor = symmetroid.factor_rank_le2
+
+    def counted_kernel_basis(rows, field):
+        counts["kernel_basis"] += 1
+        return kernel_basis(rows, field)
+
+    def counted_pencil(m1, m2, field):
+        counts["pencil"] += 1
+        out = pencil(m1, m2, field)
+        dets.append(out[0])
+        return out
+
+    def counted_factor(mat, field, vars):
+        counts["factor"] += 1
+        return factor(mat, field, vars)
+
+    monkeypatch.setattr(linalg, "kernel_basis", counted_kernel_basis)
+    monkeypatch.setattr(symmetroid, "pencil_multiple_members", counted_pencil)
+    monkeypatch.setattr(symmetroid, "factor_rank_le2", counted_factor)
+    F = Field.prime(13)
+    searched = set()
+    for tag, rows in sorted(NORMAL_FORMS.items()):
+        a = build(F, rows)
+        counts.update(dict.fromkeys(counts, 0))
+        dets.clear()
+        assert a.classify() == tag
+        assert counts["pencil"] == 1
+        assert counts["factor"] == (0 if dets[0] else 1), tag
+        if counts["factor"]:
+            searched.add(tag)
+        if tag in ("T1", "T2", "T3", "T4"):
+            assert counts["kernel_basis"] == 2, tag
+        # the kernel is kept: asking again reduces nothing
+        before = counts["kernel_basis"]
+        assert a.contraction_kernel() == [] and not a.is_degenerate()
+        assert counts["kernel_basis"] == before
+    assert {"T7", "T8"} <= searched
+    assert not hasattr(symmetroid, "_common_rational_line")
+    assert not hasattr(symmetroid, "_conic_intersection_partition")

@@ -7,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from prymcubic import linalg, symmetroid
 from prymcubic.elim import resultant_last_var
-from prymcubic.fields import Field, QQ, is_prime
+from prymcubic.fields import Field, QQ, QuadExtField, is_prime
 from prymcubic.oracle import compile_raw, projective_points, projective_points_raw
 from prymcubic.poly import HomogPoly, SymMatrix, proportional
+from prymcubic.quadrics import factor_rank_le2, pencil_multiple_members
 from prymcubic.symmetroid import (Symmetrization, SymmetroidError, SymmetroidType,
                                   cayley_normal_form, hankel_symmetroid,
                                   quotient_plane_form)
@@ -567,6 +568,126 @@ def test_rank_one_partition_matches_projections_over_the_quadratic_extension(p):
         assert scheme.partition == finest_projected_partition(k1, k2, centres)
         compared.add(tuple(scheme.partition))
     assert {(1, 1, 1, 1), (2, 1, 1)} <= compared
+
+
+W3 = ("w0", "w1", "w2")
+
+
+def _rank_one_conics_reference(a):
+    """The two conics of the double-line locus: the functionals on conic
+    coefficients that kill the web, applied to the square of a line."""
+    field = a.field
+    functionals = linalg.kernel_basis(linalg.transpose(a.coefficient_matrix()), field)
+    assert len(functionals) == 2
+    entries = [tuple(i for i in range(3) for _ in range(mon[i]))
+               for mon in symmetroid.CONIC_MONOMIALS]
+    return [SymMatrix(3, zip(entries, f)).quadratic_form(field, W3) for f in functionals]
+
+
+def _common_rational_line_reference(k1, k2, field):
+    """First step of the two-step path: a common linear factor of the two
+    conics, with both cofactors, searched for whenever neither conic has
+    rank 3."""
+    assert not proportional(k1, k2)
+    m1 = SymMatrix.from_quadratic_form(k1)
+    m2 = SymMatrix.from_quadratic_form(k2)
+    if m1.rank() == 3 or m2.rank() == 3:
+        return None
+    pair = factor_rank_le2(m1, field, W3)
+    candidates = []
+    if pair is not None and not pair.extended:
+        if pair.kind == "double":
+            candidates = [pair.h1]
+        elif pair.kind == "pair":
+            candidates = [pair.h1, pair.h2]
+    for line in candidates:
+        res2 = k2.divide_linear(line)
+        if res2 is not None:
+            return line, k1.divide_linear(line), res2
+    return None
+
+
+def _conic_intersection_partition_reference(k1, k2, field):
+    """Second step: the partition read from the pencil's multiple members."""
+    d, members = pencil_multiple_members(SymMatrix.from_quadratic_form(k1),
+                                         SymMatrix.from_quadratic_form(k2), field)
+    if not d:
+        return [4]
+    if not members:
+        return [1, 1, 1, 1]
+    mult, _, member = members[0]
+    return {(2, 2): [2, 1, 1], (2, 1): [2, 2], (3, 2): [3, 1], (3, 1): [4]}[mult, member.rank()]
+
+
+def _rank_one_reference(a):
+    """(conics, positive_dimensional, partition, common_line, residual_point)
+    by the two-step path: the common line first, then the pencil."""
+    k1, k2 = _rank_one_conics_reference(a)
+    common = _common_rational_line_reference(k1, k2, a.field)
+    if common is not None:
+        line, res1, res2 = common
+        cross = linalg.cross(res1.linear_coeffs(), res2.linear_coeffs())
+        pt = linalg.normalize_point(cross) if any(cross) else None
+        return (k1, k2), True, None, line, pt
+    return (k1, k2), False, _conic_intersection_partition_reference(k1, k2, a.field), None, None
+
+
+def _assert_rank_one_matches_reference(a):
+    scheme = a.rank_one_scheme()
+    got = (scheme.conics, scheme.positive_dimensional, scheme.partition,
+           scheme.common_line, scheme.residual_point)
+    assert got == _rank_one_reference(a)
+    return scheme
+
+
+# F_3, F_5, F_101, F_9 = F_3(sqrt 2), Q and Q(sqrt 5), with small entries
+# drawn so that webs with a double-line component come up often
+RANK_ONE_FIELDS = {
+    "F3": lambda: Field.prime(3),
+    "F5": lambda: Field.prime(5),
+    "F101": lambda: Field.prime(101),
+    "F9": lambda: Field.prime(3).quadratic_extension(2),
+    "QQ": lambda: QQ,
+    "Q(sqrt5)": lambda: QQ.quadratic_extension(5),
+}
+
+
+def _draw_web(data, field):
+    if data.draw(st.booleans()):
+        rows = data.draw(st.sampled_from([NORMAL_FORMS[tag] for tag in sorted(NORMAL_FORMS)]))
+        return build(field, rows)
+    small = st.integers(-2, 2)
+    scalar = st.tuples(small, small) if isinstance(field, QuadExtField) else small
+    rows = [[None] * 3 for _ in range(3)]
+    for i in range(3):
+        for j in range(i, 3):
+            coeffs = [field.element(data.draw(scalar)) if data.draw(st.integers(0, 2)) == 0
+                      else field.zero() for _ in range(4)]
+            rows[i][j] = rows[j][i] = HomogPoly.linear(field, X4, coeffs)
+    return Symmetrization(field, SymMatrix.from_rows(rows))
+
+
+@pytest.mark.parametrize("name", sorted(RANK_ONE_FIELDS))
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(data=st.data())
+def test_rank_one_scheme_matches_the_two_step_reference(name, data):
+    a = _draw_web(data, RANK_ONE_FIELDS[name]())
+    if a.is_degenerate():
+        with pytest.raises(SymmetroidError):
+            a.rank_one_scheme()
+        return
+    _assert_rank_one_matches_reference(a)
+
+
+@pytest.mark.parametrize("name", sorted(RANK_ONE_FIELDS))
+def test_rank_one_scheme_of_the_normal_forms_matches_the_reference(name):
+    field = RANK_ONE_FIELDS[name]()
+    shapes = {}
+    for tag, rows in NORMAL_FORMS.items():
+        scheme = _assert_rank_one_matches_reference(build(field, rows))
+        shapes[tag] = scheme.positive_dimensional or tuple(scheme.partition)
+    assert shapes[SymmetroidType.T7] is True and shapes[SymmetroidType.T8] is True
+    assert shapes[SymmetroidType.T5] == shapes[SymmetroidType.T6] == (4,)
 
 
 def test_every_random_web_over_f3_is_classified():
