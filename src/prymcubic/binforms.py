@@ -60,6 +60,17 @@ def _to_form(field, vs, g, s_mult, t_mult):
                                     for i, c in enumerate(g) if not is_zero(c)}, _clean=True)
 
 
+def binary_form(field, degree, coeffs):
+    """The binary form sum_k c_k s^(degree-k) t^k in (s, t) for the raw
+    values c_k of coeffs, which may stop short of k = degree: the layout of
+    `poly.restrict_forms`, of `pencil_determinant` and of the line walk's
+    evaluators."""
+    is_zero = field._is_zero_raw
+    return HomogPoly(field, ST, degree, {(degree - k, k): FieldElement(field, c)
+                                         for k, c in enumerate(coeffs) if not is_zero(c)},
+                     _clean=True)
+
+
 def squarefree_factors(form):
     """[(m, g)] with form = c * prod g^m for a nonzero form: each g a
     squarefree binary form in the form's variables, the g pairwise coprime.
@@ -285,8 +296,7 @@ def pencil_determinant(m1, m2, field):
     rows = [[entry(i, j) for j in range(n)] for i in range(n)]
     det = linalg.laplace(rows, field._convolve_raw, lambda x: [neg(c) for c in x])
     # entry j of the list is the coefficient of s^(n-j) t^j
-    det = det[tuple(range(n))] or [field._zero_raw] * (n + 1)
-    return _to_form(field, ST, det[::-1], 0, 0)
+    return binary_form(field, n, det[tuple(range(n))] or ())
 
 
 def is_squarefree(form):

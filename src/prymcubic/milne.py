@@ -2,17 +2,25 @@
 space curve: enveloping cones over lines, the reducible member of a pencil of
 quadrics, tritangency certificates, the twisted cubic through the contact
 points, and the unique-cubic reconstruction.
+
+Over F_p the per-line polynomials of the walk over the lines of the plane
+are compiled once per pair and evaluated once per line: the adjugate cubics
+restricted to a line come from `oracle.line_restrictions`, built once per
+cubic tuple, and the pencil determinant det(s E + t Q) of a cone E from
+`_pencil_kernel`, built once per quadric.  Over Q, Q(sqrt d) and F_{p^2}
+each line is restricted, and each determinant expanded, on its own.
 """
 
 from __future__ import annotations
 
 from . import linalg
-from .binforms import binary_gcd, perfect_square_root, resultant, squarefree_factors
-from .fields import FieldElement
-from .oracle import kept_result
+from .binforms import (binary_form, binary_gcd, pencil_determinant, perfect_square_root,
+                       resultant, squarefree_factors)
+from .fields import FieldElement, PrimeField
+from .oracle import fibre_coefficients, kept_result, line_restrictions
 from .poly import HomogPoly, SymMatrix, proportional, restrict_forms
 from .prym import InternalError, conic_rational_point, parametrize_conic
-from .quadrics import factor_rank_le2, pencil_multiple_members
+from .quadrics import factor_rank_le2, multiple_members
 from .symmetroid import QUADRIC_EXPONENTS, X4
 
 U3 = ("u0", "u1", "u2")
@@ -68,12 +76,20 @@ def _misses_base_locus(restricted):
 
 
 def _restricted(a, line):
-    """The adjugate cubics of `a` restricted to the line by one
-    `restrict_forms` call, kept by `oracle.kept_result` for the last
-    (a, line) pair, so the tests that follow one another on one line
-    restrict each cubic once."""
-    return kept_result((a, line),
-                       lambda: tuple(restrict_forms(a.adjugate_cubics(), line.p0, line.p1)))
+    """The adjugate cubics of `a` restricted to the line, kept by
+    `oracle.kept_result` for the last (a, line) pair, so the tests that
+    follow one another on one line restrict each cubic once.  Over F_p they
+    are read from `oracle.line_restrictions` of the cubics, built once for
+    the last cubic tuple; elsewhere one `restrict_forms` call computes them."""
+    def restrict():
+        cubics = a.adjugate_cubics()
+        field = cubics[0].field
+        if not isinstance(field, PrimeField):
+            return tuple(restrict_forms(cubics, line.p0, line.p1))
+        on_line = kept_result(cubics, lambda: line_restrictions(cubics))
+        return tuple(on_line([field.element(c).val for c in line.p0],
+                             [field.element(c).val for c in line.p1]))
+    return kept_result((a, line), restrict)
 
 
 def line_is_generic(a, line):
@@ -131,12 +147,28 @@ class ReducibleMember:
         self.planes_unrepresentable = planes_unrepresentable
 
 
+def _pencil_kernel(q, field):
+    """Evaluator of det(s E + t Q) over F_p for a symmetric E of Q's size,
+    given by the raw values of its upper entries in sorted order: the binary
+    form in (s, t).  det(E + t Q) is expanded once by `linalg.det` on linear
+    forms in those entries and t, and `oracle.fibre_coefficients` reads its
+    coefficient of t^k, which is that of s^(n-k) t^k in det(s E + t Q)."""
+    keys = sorted(q.upper)
+    vs = tuple("e%d%d" % k for k in keys) + ("t",)
+    entries = {k: HomogPoly.linear(field, vs, [int(k == j) for j in keys] + [q.upper[k]])
+               for k in keys}
+    ev = fibre_coefficients(linalg.det(SymMatrix(q.n, entries).rows()))
+    return lambda upper: binary_form(field, q.n, ev(upper))
+
+
 def reducible_member(lam, q, field):
     """The reduced rank <= 2 member of the pencil, or a double-plane flag, or
     None.  Only multiple roots of the degree-four determinant can carry one;
-    `quadrics.pencil_multiple_members` gives their members in root order,
-    and the first double plane or plane pair that needs a second extension
-    is returned at once, else the first plane pair.
+    `quadrics.multiple_members` gives their members in root order, and the
+    first double plane or plane pair that needs a second extension is
+    returned at once, else the first plane pair.  Over F_p the determinant
+    is read from `_pencil_kernel`, built once for the last (q, field) pair;
+    elsewhere `binforms.pencil_determinant` expands it.
     """
     # in odd characteristic the forms are zero or proportional exactly when
     # the matrices are; a zero member would reach factor_rank_le2 as a
@@ -145,11 +177,15 @@ def reducible_member(lam, q, field):
     lvec, qvec = [lam.upper[k] for k in keys], [q.upper[k] for k in keys]
     if not any(lvec) or not any(qvec) or proportional(lvec, qvec):
         raise MilneError("pencil is degenerate")
-    g, members = pencil_multiple_members(lam, q, field)
+    if isinstance(field, PrimeField):
+        kernel = kept_result((q, field), lambda: _pencil_kernel(q, field))
+        g = kernel([field.element(c).val for c in lvec])
+    else:
+        g = pencil_determinant(lam, q, field)
     if not g:
         raise MilneError("pencil determinant vanishes identically")
     found = None
-    for _, work, mw in members:
+    for _, work, mw in multiple_members(lam, q, g, field):
         r = mw.rank()
         if r > 2:
             continue
@@ -225,7 +261,6 @@ def _even_on_line_pair(pair, cubic):
     crossing point, with even total there."""
     work = pair.h1.field
     cw = cubic.change_field(work)
-    crossing_mults = []
     for lf in (pair.h1, pair.h2):
         line = Line2.from_dual(work, lf.linear_coeffs())
         other = pair.h2 if lf is pair.h1 else pair.h1
@@ -233,15 +268,14 @@ def _even_on_line_pair(pair, cubic):
         restricted = cw.restrict_to_line(line.p0, line.p1)
         if not restricted:
             return False
-        odd_at_cross = 0
         for mult, fac in squarefree_factors(restricted):
-            if mult % 2 == 0:
-                continue
-            if fac.degree != 1 or cross.divide_linear(fac) is None:
+            if mult % 2 and (fac.degree != 1 or cross.divide_linear(fac) is None):
                 return False
-            odd_at_cross += mult
-        crossing_mults.append(odd_at_cross)
-    return (crossing_mults[0] + crossing_mults[1]) % 2 == 0
+    # the total at the crossing is then even: the cubic restricts to each
+    # ruling with degree 3, so when every odd multiplicity on a ruling sits
+    # at the crossing, the multiplicity there is odd, on both rulings, and
+    # the two odd multiplicities add up to an even one
+    return True
 
 
 class TwistedCubic:

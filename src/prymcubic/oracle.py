@@ -30,13 +30,21 @@ two in the last coordinate on each fibre, and walks a fibre value by value
 only when no restriction has degree at most two (a line of the scheme
 through the vertex, a cubic surface alone, a plane quartic).  For a space
 curve Q ∩ Γ that is p^2 fibres in place of p^3 points, in the same order.
+
+The same fibre evaluator, `fibre_coefficients`, serves the line walks over
+F_p.  A form restricted to a line is a fixed polynomial in the line's two
+points: `line_restrictions` composes each form once with
+x_i = s a_i + t b_i and reads the restriction to a line from one call on
+its two points, for `enumerate_bitangents` and for the adjugate cubics of
+`milne`, and milne's pencil determinant is read the same way from
+det(E + t Q).
 """
 
 from __future__ import annotations
 
 from itertools import product
 
-from .binforms import is_squarefree, perfect_square_root
+from .binforms import binary_form, is_squarefree, perfect_square_root
 from .fields import FieldElement, PrimeField
 from .poly import HomogPoly
 from . import linalg
@@ -149,15 +157,52 @@ def _pair_kernel(poly):
     return ev
 
 
-def _fibre_forms(f):
-    """Evaluator of the coefficient forms of f = sum_k c_k(x_0..x_{n-2}) T^k,
-    T the last variable: on a base point it returns the list of the d + 1
-    raw values c_k, zero forms included."""
-    parts = [{} for _ in range(f.degree + 1)]
-    for e, c in f.terms.items():
-        parts[e[-1]][e[:-1]] = c
-    return compile_raw([HomogPoly(f.field, f.vars[:-1], f.degree - k, part, _clean=True)
-                        for k, part in enumerate(parts)])
+def fibre_coefficients(poly):
+    """Evaluator of the coefficients of a form, or of each form of a list,
+    in its last variable T: for f = sum_k c_k(x_0..x_{n-2}) T^k it returns
+    on a base point the list of the raw values c_0, ..., c_m, m the top power
+    of T in f (0 for the zero form), zero values included, or one such list
+    per form, from one `compile_raw` call.  The scheme walk reads it per
+    equation; `line_restrictions` and the pencil determinant of `milne` read
+    polynomials in a line or a matrix from it."""
+    single = not isinstance(poly, (list, tuple))
+    parts, bounds = [], []
+    for f in [poly] if single else poly:
+        split = [{} for _ in range(max((e[-1] for e in f.terms), default=0) + 1)]
+        for e, c in f.terms.items():
+            split[e[-1]][e[:-1]] = c
+        bounds.append((len(parts), len(parts) + len(split)))
+        parts += [HomogPoly(f.field, f.vars[:-1], f.degree - k, part, _clean=True)
+                  for k, part in enumerate(split)]
+    ev = compile_raw(parts)
+    if single:
+        return ev
+
+    def each(pt):
+        values = ev(pt)
+        return [values[i:j] for i, j in bounds]
+    return each
+
+
+def line_restrictions(forms):
+    """Evaluator of the restrictions of forms over F_p in the same n
+    variables to lines: on the raw points p0, p1 it returns the binary
+    forms f(s p0 + t p1) in (s, t), in order, as `poly.restrict_forms` gives
+    them.  Each form is composed once with x_i = s a_i + t b_i in the
+    variables (a_0..a_{n-1}, b_0..b_{n-1}, s, t), and `fibre_coefficients`
+    reads the composites at (p0, p1, 1): entry k is the coefficient of
+    s^(d-k) t^k."""
+    field, n = forms[0].field, len(forms[0].vars)
+    vs = tuple("a%d" % i for i in range(n)) + tuple("b%d" % i for i in range(n)) + ("s", "t")
+    x = [HomogPoly.linear(field, vs, [0] * i + [1]) for i in range(2 * n + 2)]
+    images = [x[-2] * x[i] + x[-1] * x[n + i] for i in range(n)]
+    ev = fibre_coefficients([f.substitute(images) for f in forms])
+    one = (field._one_raw,)
+
+    def on_line(p0, p1):
+        return [binary_form(field, f.degree, cs)
+                for f, cs in zip(forms, ev(tuple(p0) + tuple(p1) + one))]
+    return on_line
 
 
 def _quadratic_roots(cs, field):
@@ -195,7 +240,7 @@ def _scheme_points(equations, field, budget):
     vertex comes last, which is the order of `projective_points_raw`."""
     nv = len(equations[0].vars)
     _check_budget(field.order(), nv - 1, budget)
-    fibres = [_fibre_forms(f) for f in equations]
+    fibres = [fibre_coefficients(f) for f in equations]
     zero = field._zero_raw
     add, mul = field._add, field._mul
     values = [e.val for e in field.elements()]
@@ -379,13 +424,16 @@ def enumerate_bitangents(quartic, field, budget=DEFAULT_BUDGET):
     """All lines of the plane whose restriction of the quartic is a nonzero
     square up to the leading square class (even contact divisor).
 
-    Returns the list in the deterministic dual-coordinate order."""
+    Returns the list in the deterministic dual-coordinate order.  The
+    restriction to each line is read from `line_restrictions`, built once
+    per call."""
     if not isinstance(field, PrimeField):
         raise OracleError("bitangent enumeration runs over prime fields")
+    on_line = line_restrictions([quartic])
     out = []
     for dual_el in projective_points(field, 2, budget):
         p0, p1 = linalg.line_basis(dual_el, field)
-        rest = quartic.restrict_to_line(p0, p1)
+        rest, = on_line([c.val for c in p0], [c.val for c in p1])
         if not rest:
             raise OracleError("quartic vanishes on a whole line; not reduced")
         if perfect_square_root(rest) is not None:

@@ -119,20 +119,23 @@ def factor_rank_le2(mat, field, vars):
 
 def pencil_multiple_members(m1, m2, field):
     """(d, members) for the pencil s M1 + t M2 of symmetric matrices of size
-    at most 5: d = det(s M1 + t M2), and for each root of d of multiplicity
-    m >= 2, in `squarefree_factors` order, (m, work, member), the member
-    s0 M1 + t0 M2 at the root over `work`.  A root of a quadratic factor
-    lives over `Field.adjoin_sqrt`'s extension by its discriminant, + root
-    first; a factor that would need a second extension is skipped.  No
-    members when d vanishes identically.
-
-    d comes from `binforms.pencil_determinant`, a Laplace expansion on raw
-    dense coefficient lists that computes each minor of the bottom rows
-    once.  Size at most 5 keeps every multiple factor of degree at most 2.
-    """
+    at most 5: d = det(s M1 + t M2) from `binforms.pencil_determinant`, a
+    Laplace expansion on raw dense coefficient lists that computes each
+    minor of the bottom rows once, and its `multiple_members`."""
     d = pencil_determinant(m1, m2, field)
+    return d, multiple_members(m1, m2, d, field)
+
+
+def multiple_members(m1, m2, d, field):
+    """For each root of d = det(s M1 + t M2) of multiplicity m >= 2, in
+    `squarefree_factors` order, (m, work, member), the member s0 M1 + t0 M2
+    at the root over `work`.  A root of a quadratic factor lives over
+    `Field.adjoin_sqrt`'s extension by its discriminant, + root first; a
+    factor that would need a second extension is skipped.  No members when
+    d vanishes identically.  Size at most 5 keeps every multiple factor of
+    degree at most 2."""
     if not d:
-        return d, []
+        return []
     members = []
     for m, g in squarefree_factors(d):
         if m < 2:
@@ -151,4 +154,4 @@ def pencil_multiple_members(m1, m2, field):
             members.append((m, work, SymMatrix(m1.n, {
                 k: work.element(m1.upper[k]) * s0 + work.element(m2.upper[k]) * t0
                 for k in m1.upper})))
-    return d, members
+    return members

@@ -96,6 +96,7 @@ class Symmetrization:
         self._qvec = None
         self._gauss = None
         self._kernel = None
+        self._scheme = None
         self._det = None
         self._adjq = None
         self._adjt = None
@@ -256,7 +257,15 @@ class Symmetrization:
         skipping a factorization that needs an extension.  Without one, all
         members are line pairs through one point, which carries the whole
         intersection.
+
+        Memoized beside the contraction kernel: classify and the CLI report
+        read one scheme.
         """
+        if self._scheme is None:
+            self._scheme = self._rank_one_scheme()
+        return self._scheme
+
+    def _rank_one_scheme(self):
         if self.is_degenerate():
             raise SymmetroidError("rank-one scheme is only computed for non-degenerate webs")
         field = self.field
@@ -408,7 +417,10 @@ def _plane_factors(cubic, field):
     zero_raw = field._zero_raw
     zero, one = field.zero(), field.one()
     grid = list(islice(field.elements(), 5))
-    v0 = next(pt for pt in product(grid, repeat=4) if ev(tuple(c.val for c in pt)) != zero_raw)
+    # walked from the far corner, away from the coordinate hyperplanes,
+    # where a sparse cubic mostly vanishes
+    v0 = next(pt for pt in product(grid[::-1], repeat=4)
+              if ev(tuple(c.val for c in pt)) != zero_raw)
     j = next(i for i, c in enumerate(v0) if c)
     others = [i for i in range(4) if i != j]
     values = []

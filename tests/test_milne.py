@@ -1,10 +1,10 @@
 from collections import Counter
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from prymcubic import linalg, milne, poly
-from prymcubic.binforms import binary_gcd
+from prymcubic.binforms import binary_gcd, pencil_determinant
 from prymcubic.fields import Field, QQ
 from prymcubic.fixtures import FIXTURES, fix_a
 from prymcubic.milne import (Line2, MilneError, contact_points_match,
@@ -66,6 +66,42 @@ def test_reducible_member_degenerate_pencil():
     cone = enveloping_cone(a, line)
     with pytest.raises(MilneError):
         reducible_member(cone.matrix, cone.matrix.scale(QQ.element(3)), QQ)
+
+
+@pytest.mark.parametrize("F", [QQ, F11])
+def test_reducible_member_vanishing_determinant(F):
+    # E and Q share a two-dimensional kernel, so every member is singular;
+    # F_11 reads the determinant from the compiled kernel, Q from Laplace
+    e = SymMatrix.from_rows([[F.element(int(i == j < 2)) for j in range(4)] for i in range(4)])
+    q = SymMatrix.from_rows([[F.element(int(i == j == 0)) for j in range(4)] for i in range(4)])
+    with pytest.raises(MilneError, match="pencil determinant vanishes identically"):
+        reducible_member(e, q, F)
+
+
+@pytest.mark.parametrize("p", (3, 5, 101))
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(data=st.data())
+def test_pencil_kernel_matches_pencil_determinant(p, data):
+    # the compiled det(s E + t Q) of one quadric Q equals the Laplace
+    # expansion of binforms.pencil_determinant for every E: zero, a multiple
+    # of Q (a proportional pencil), a sum of one or two rank-one terms, or
+    # a sum of four; Q itself is drawn of every rank
+    F = Field.prime(p)
+    raw = st.integers(0, p - 1)
+
+    def sym(terms):
+        rows = [[F.zero()] * 4 for _ in range(4)]
+        for _ in range(terms):
+            v = [F.element(data.draw(raw)) for _ in range(4)]
+            c = F.element(data.draw(raw))
+            rows = [[rows[i][j] + c * v[i] * v[j] for j in range(4)] for i in range(4)]
+        return SymMatrix.from_rows(rows)
+
+    q = sym(data.draw(st.integers(0, 4)))
+    kernel = milne._pencil_kernel(q, F)
+    for e in (sym(0), q.scale(F.element(data.draw(raw))), sym(data.draw(st.integers(1, 2))),
+              sym(4)):
+        assert kernel([e.upper[k].val for k in sorted(e.upper)]) == pencil_determinant(e, q, F)
 
 
 def test_reducible_member_zero_pencil_end_is_degenerate():
@@ -393,45 +429,74 @@ def _dual_lines(p):
 
 
 def test_line_tests_restrict_each_form_once(monkeypatch):
-    # line_is_generic, enveloping_cone and twisted_cubic on one line restrict
-    # the four adjugate cubics once each, and never one form at a time; the
-    # cone is read off the adjugate of the symmetrization, so no Gauss
-    # quadric is restricted; another line object, even an equal one, and
-    # another symmetrization are restricted afresh
-    restricted = []
+    # over F_p one evaluator per pair serves every line: the four adjugate
+    # cubics are compiled once, and line_is_generic, enveloping_cone and
+    # twisted_cubic on one line read one evaluation of it; the pencil
+    # determinant is compiled once per quadric and evaluated once per cone.
+    # No form is restricted on its own, and the cone is read off the
+    # adjugate of the symmetrization, so no Gauss quadric is compiled.
+    # Another line object, even an equal one, is evaluated afresh, and
+    # another symmetrization compiles its own cubics.  Over Q one
+    # restrict_forms call restricts the four cubics on each line.
+    builds, evaluations, restricted = [], [], []
 
-    def counted(forms, p0, p1):
+    def counted_build(build, forms_of):
+        def counted(*args):
+            builds.append(forms_of(*args))
+            ev = build(*args)
+
+            def evaluated(*point):
+                evaluations.append(forms_of(*args))
+                return ev(*point)
+            return evaluated
+        return counted
+
+    def counted_restrict(forms, p0, p1):
         restricted.extend(forms)
         return poly.restrict_forms(forms, p0, p1)
 
     def one_form(*args):
         raise AssertionError("a form restricted on its own")
 
-    monkeypatch.setattr(milne, "restrict_forms", counted)
+    monkeypatch.setattr(milne, "line_restrictions",
+                        counted_build(milne.line_restrictions, lambda forms: forms))
+    monkeypatch.setattr(milne, "_pencil_kernel",
+                        counted_build(milne._pencil_kernel, lambda q, field: q))
+    monkeypatch.setattr(milne, "restrict_forms", counted_restrict)
     monkeypatch.setattr(HomogPoly, "restrict_to_line", one_form)
     a = FIXTURES["t1"].symmetrization(F11)
+    q = FIXTURES["t1"].quadric(F11)
     four = a.adjugate_cubics()
-    gauss = set(map(id, a.gauss_quadrics()))
-    cones = 0
+    lines = cones = 0
     for dual in _dual_lines(11)[::7]:
         for line in (Line2.from_dual(F11, dual), Line2.from_dual(F11, dual)):
-            restricted.clear()
             line_is_generic(a, line)
             try:
-                enveloping_cone(a, line)
+                cone = enveloping_cone(a, line)
+                reducible_member(cone.matrix, q, F11)
                 cones += 1
             except MilneError:
                 pass
             twisted_cubic(a, line)
-            assert Counter(map(id, restricted)) == Counter(map(id, four)), dual
-            assert not gauss & set(map(id, restricted)), dual
-    assert cones > 0
+            lines += 1
+            assert evaluations.count(four) == lines, dual
+            assert evaluations.count(q) == cones, dual
+    assert cones > 0 and restricted == []
+    assert builds == [four, q] and builds[0] is four and builds[1] is q
     b = FIXTURES["t2"].symmetrization(F11)
-    restricted.clear()
     line_is_generic(b, line)
     line_is_generic(a, line)
-    both = b.adjugate_cubics() + a.adjugate_cubics()
-    assert Counter(map(id, restricted)) == Counter(map(id, both))
+    assert [list(map(id, forms)) for forms in builds[2:]] == [
+        list(map(id, b.adjugate_cubics())), list(map(id, four))]
+    aq = FIXTURES["t1"].symmetrization(QQ)
+    for dual in _dual_lines(11)[:3]:
+        restricted.clear()
+        line = Line2.from_dual(QQ, dual)
+        line_is_generic(aq, line)
+        enveloping_cone(aq, line)
+        twisted_cubic(aq, line)
+        assert Counter(map(id, restricted)) == Counter(map(id, aq.adjugate_cubics())), dual
+    assert len(builds) == 4
 
 
 def test_base_locus_test_stops_at_the_first_constant_gcd(monkeypatch):

@@ -13,9 +13,9 @@ from prymcubic.fixtures import FIXTURES, SMOOTH_FIXTURES, fix_a, fix_q, fix_x
 from prymcubic.oracle import (DEFAULT_BUDGET, BudgetExceeded, OracleError,
                               compile_raw, count_curve, count_double_cover,
                               count_hyperelliptic_octic, enumerate_bitangents,
-                              projective_points, projective_points_raw,
-                              smoothness_certificate)
-from prymcubic.poly import HomogPoly
+                              line_restrictions, projective_points,
+                              projective_points_raw, smoothness_certificate)
+from prymcubic.poly import HomogPoly, restrict_forms
 from prymcubic.prym import conic_rational_point, forward_even, forward_general
 
 F3 = Field.prime(3)
@@ -453,6 +453,51 @@ def test_generated_evaluator_matches_the_interpreted_loop(p, data):
         assert ev_list(pt) == expected
     assert compile_raw(HomogPoly.zero(F, names, 2))((1,) * len(names)) == 0
     assert compile_raw([HomogPoly(F, (), 0, {(): p - 1})])(()) == [p - 1]
+
+
+_BASE_POINTS = {}
+
+
+def _cubics_and_base_points(F, name):
+    """The adjugate cubics of a fixture web over F and the rational points
+    where all four vanish, scanned once per field and fixture."""
+    if (F.p, name) not in _BASE_POINTS:
+        cubics = list(FIXTURES[name].symmetrization(F).adjugate_cubics())
+        ev = compile_raw(cubics)
+        _BASE_POINTS[F.p, name] = cubics, [pt for pt in projective_points_raw(F, 2)
+                                           if not any(ev(pt))]
+    return _BASE_POINTS[F.p, name]
+
+
+@pytest.mark.parametrize("p", (3, 5, 101))
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(data=st.data())
+def test_line_restrictions_match_restrict_forms(p, data):
+    # one evaluator per form list restricts to every line as restrict_forms
+    # does: forms of degree 0 to 4, a form vanishing on the line, whose
+    # restriction is zero, and the adjugate cubics of a fixture web on a
+    # line through a base point of its cubic map, where they share a root
+    # or, on a line of base points, all vanish
+    F = Field.prime(p)
+    names = ("z0", "z1", "z2")
+    forms = [_draw_form(data, F, names, data.draw(st.integers(0, 4)))
+             for _ in range(data.draw(st.integers(1, 3)))]
+    p0, p1 = _draw_point(data, F, 3), _draw_point(data, F, 3)
+    span = linalg.cross([F.element(c) for c in p0], [F.element(c) for c in p1])
+    forms.append(HomogPoly.linear(F, names, span) * forms[0])
+    on_line = line_restrictions(forms)
+    for q0, q1 in ((p0, p1), (_draw_point(data, F, 3), _draw_point(data, F, 3))):
+        assert on_line(q0, q1) == restrict_forms(forms, [F.element(c) for c in q0],
+                                                 [F.element(c) for c in q1])
+    assert not on_line(p0, p1)[-1]
+    webs = [name for name in sorted(FIXTURES) if _cubics_and_base_points(F, name)[1]]
+    cubics, base = _cubics_and_base_points(F, data.draw(st.sampled_from(webs)))
+    b = data.draw(st.sampled_from(base))
+    q1 = data.draw(st.sampled_from(base)) if data.draw(st.booleans()) else _draw_point(data, F, 3)
+    restricted = line_restrictions(cubics)(b, q1)
+    assert restricted == restrict_forms(cubics, [F.element(c) for c in b],
+                                        [F.element(c) for c in q1])
+    assert all(f.terms.get((3, 0)) is None for f in restricted)
 
 
 def test_generated_evaluator_of_a_long_form():

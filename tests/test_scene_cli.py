@@ -222,6 +222,33 @@ def test_cli_classify(capsys):
     assert rep["annihilation"] and rep["minor_relation"]
 
 
+def test_cli_classify_reads_one_rank_one_scheme(capsys, monkeypatch):
+    # the report's rank-one entry is the scheme classify computed: one row
+    # reduction of the contraction matrix, one of its transpose and one
+    # pencil of rank-one conics per web
+    import prymcubic.linalg as linalg
+    import prymcubic.symmetroid as symmetroid
+
+    counts = dict.fromkeys(("kernel_basis", "pencil"), 0)
+    kernel_basis, pencil = linalg.kernel_basis, symmetroid.pencil_multiple_members
+
+    def counted_kernel_basis(rows, field):
+        counts["kernel_basis"] += 1
+        return kernel_basis(rows, field)
+
+    def counted_pencil(m1, m2, field):
+        counts["pencil"] += 1
+        return pencil(m1, m2, field)
+
+    monkeypatch.setattr(linalg, "kernel_basis", counted_kernel_basis)
+    monkeypatch.setattr(symmetroid, "pencil_multiple_members", counted_pencil)
+    nf = os.path.join(os.path.dirname(DATA), "normal_forms.json")
+    code, out, err = run_cli(["classify", nf, "--object", "N1"], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["rank_one"] == [1, 1, 1, 1]
+    assert counts == {"kernel_basis": 2, "pencil": 1}
+
+
 def test_cli_classify_cone_with_dependent_partials(tmp_path, capsys):
     # the projected plane cubic's partials are linearly dependent: the
     # cone is singular, not an input error
@@ -665,6 +692,10 @@ def test_cli_forward_and_verify_pull_back_once_per_pair(monkeypatch, capsys):
 # `count` and `reverse` entries were recorded while `pencil_conics` still
 # computed its own dual quadric and `reverse_construct` its own cubic.
 STABLE_OUTPUTS = {
+    "bitangents A_t1 Q_t1 11":
+        "f691ce5e0b61b80116b757482f349c28949672b94f0ea0df77969b51f328215c",
+    "bitangents X_seed 13":
+        "e72f090c298416a05b026bb117643f58fc9a8514b5fd0545b05c89ab04bb44b6",
     "classify A_biell":
         "e2e8cb71539d544875e871bd8e479c4a8814cdf0290a8d63d0db4850e1e0ebdc",
     "classify A_even":
@@ -703,6 +734,8 @@ STABLE_OUTPUTS = {
         "06a620e42a724d214f3ac39b633089fbc955f9392b828fd455835eb988468d2e",
     "milne-tritangents A_t1 Q_t1":
         "f8d5aaee3187596e495150550e42de28553f097916c41756c7d362c9771cda4d",
+    "milne-tritangents A_t1 Q_t1 11 --enumerate":
+        "724987ffe050a3119f2399caa734b072f0d5b568a60ba5728bf69805c693b3fc",
     "milne-tritangents A_t2 Q_t2":
         "f8d5aaee3187596e495150550e42de28553f097916c41756c7d362c9771cda4d",
     "milne-tritangents A_t3 Q_t3":
@@ -741,9 +774,15 @@ def _forward_scene(a, q, tmp_path, capsys):
 
 
 def _stable_argv(name, tmp_path, capsys):
-    """The CLI argv a `STABLE_OUTPUTS` name stands for.  `reverse A Q` and
-    `count octic A Q p` read the scene that `forward A Q` prints."""
+    """The CLI argv a `STABLE_OUTPUTS` name stands for.  `reverse A Q`,
+    `count octic A Q p` and `bitangents A Q p` read the scene that
+    `forward A Q` prints."""
     cmd, *args = name.split()
+    if cmd == "bitangents" and len(args) == 3:
+        return [cmd, _forward_scene(args[0], args[1], tmp_path, capsys),
+                "--object", "X", "--q", args[2]]
+    if cmd == "bitangents":
+        return [cmd, DATA, "--object", args[0], "--q", args[1]]
     if cmd == "verify":
         return [cmd, os.path.join(os.path.dirname(DATA), args[0])]
     if cmd == "classify":
@@ -757,7 +796,9 @@ def _stable_argv(name, tmp_path, capsys):
     if cmd == "count":
         return [cmd, DATA, "--curve", args[0], "--q", args[1]] + args[2:]
     argv = [cmd, DATA, "--A", args[0], "--Q", args[1]]
-    return argv + ["--line", "L_demo"] if cmd == "milne-tritangents" else argv
+    if cmd != "milne-tritangents":
+        return argv
+    return argv + (["--enumerate", "--q", args[2]] if len(args) > 2 else ["--line", "L_demo"])
 
 
 def test_stable_outputs_cover_every_shipped_pair():

@@ -200,7 +200,8 @@ def test_size_tool_counts(tmp_path):
 def test_one_kept_result_memo():
     # oracle.kept_result is the one memo of a last result: no module keeps state
     # behind a `global` statement, and only the census, the line restriction
-    # and the forward model read it
+    # (its restrictions per line and its evaluator per cubic tuple), the
+    # pencil determinant's evaluator and the forward model read it
     import prymcubic.milne as milne
     import prymcubic.oracle as oracle
 
@@ -215,7 +216,8 @@ def test_one_kept_result_memo():
                         or isinstance(node, ast.Attribute) and node.attr == "kept_result"):
                     readers.append("%s.%s" % (path.stem, getattr(top, "name", None)))
     assert offenders == []
-    assert sorted(readers) == ["milne._restricted", "oracle._census", "prym.forward_general"]
+    assert sorted(readers) == ["milne._restricted", "milne._restricted", "milne.reducible_member",
+                               "oracle._census", "prym.forward_general"]
 
 
 def test_no_unread_private_module_names():
