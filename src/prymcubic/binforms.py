@@ -50,23 +50,13 @@ def _strip_st(f):
     return f.degree - hi, lo, cs[lo:hi + 1]
 
 
-def _to_form(field, vs, g, s_mult, t_mult):
-    """The binary form s^s_mult t^t_mult G(s, t) in the variables vs, for
-    the raw ascending coefficients g of G(u, 1) in u = s/t: the one place
-    this module wraps raw values into a form."""
+def binary_form(field, vs, degree, coeffs):
+    """The binary form sum_k c_k s^(degree-k) t^k in the variables vs = (s, t)
+    for the raw values c_k of coeffs, which may stop short of k = degree:
+    the one wrapper of dense raw lists into a binary form, here, in `elim`
+    and in the line walk's evaluators."""
     is_zero = field._is_zero_raw
-    d = len(g) - 1 + s_mult + t_mult
-    return HomogPoly(field, vs, d, {(s_mult + i, d - s_mult - i): FieldElement(field, c)
-                                    for i, c in enumerate(g) if not is_zero(c)}, _clean=True)
-
-
-def binary_form(field, degree, coeffs):
-    """The binary form sum_k c_k s^(degree-k) t^k in (s, t) for the raw
-    values c_k of coeffs, which may stop short of k = degree: the layout of
-    `poly.restrict_forms`, of `pencil_determinant` and of the line walk's
-    evaluators."""
-    is_zero = field._is_zero_raw
-    return HomogPoly(field, ST, degree, {(degree - k, k): FieldElement(field, c)
+    return HomogPoly(field, vs, degree, {(degree - k, k): FieldElement(field, c)
                                          for k, c in enumerate(coeffs) if not is_zero(c)},
                      _clean=True)
 
@@ -82,7 +72,7 @@ def squarefree_factors(form):
     s_mult, t_mult, core = _strip_st(form)
     out = [(m, HomogPoly.linear(field, vs, e))
            for m, e in ((s_mult, (1, 0)), (t_mult, (0, 1))) if m]
-    out += [(m, _to_form(field, vs, g, 0, 0))
+    out += [(m, binary_form(field, vs, _deg(g), g[::-1]))
             for m, g in squarefree_decomposition(list(reversed(core)), field)]
     return out
 
@@ -284,8 +274,9 @@ def pencil_determinant(m1, m2, field):
 
     `linalg.laplace` on dense raw lists: entry (i, j) is the list
     [M1_ij, M2_ij] of raw values (None when both are zero), and each signed
-    term is convolved into its minor in place by `Field._convolve_raw`, so
-    n = 4 takes at most 28 products of binary forms."""
+    term is convolved into its minor in place by `Field._convolve_raw`, as
+    `elim.resultant_last_var` expands its Sylvester matrix, so n = 4 takes
+    at most 28 products of binary forms."""
     n = m1.n
     is_zero, neg = field._is_zero_raw, field._neg
 
@@ -296,7 +287,7 @@ def pencil_determinant(m1, m2, field):
     rows = [[entry(i, j) for j in range(n)] for i in range(n)]
     det = linalg.laplace(rows, field._convolve_raw, lambda x: [neg(c) for c in x])
     # entry j of the list is the coefficient of s^(n-j) t^j
-    return binary_form(field, n, det[tuple(range(n))] or ())
+    return binary_form(field, ST, n, det[tuple(range(n))] or ())
 
 
 def is_squarefree(form):
@@ -396,4 +387,6 @@ def binary_gcd(f, g):
     pf = _trim(list(reversed(cf)), field)
     pg = _trim(list(reversed(cg)), field)
     # core root structure sits between the forced s and t powers
-    return _to_form(field, f.vars, _gcd_poly(pf, pg, field), s_common, t_common)
+    h = _gcd_poly(pf, pg, field)
+    return binary_form(field, f.vars, _deg(h) + s_common + t_common,
+                       [field._zero_raw] * t_common + h[::-1])

@@ -1,13 +1,15 @@
 """Elimination on plane forms: the Sylvester resultant of two ternary forms in
-their last variable, Sylvester's 6x6 determinant for three ternary quadrics,
-and the plane-cubic smoothness test built on it.
+their last variable, expanded by `linalg.laplace` on dense raw lists,
+Sylvester's 6x6 determinant for three ternary quadrics, and the plane-cubic
+smoothness test built on it.
 """
 
 from __future__ import annotations
 
 from . import linalg
+from .binforms import binary_form
 from .oracle import projective_points, smoothness_certificate
-from .poly import HomogPoly, PolyError
+from .poly import PolyError
 
 # column order of the 6x6 determinant
 _QUADRATIC_MONOMIALS = ((2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2))
@@ -19,19 +21,28 @@ def resultant_last_var(f, g):
 
     It vanishes at (a : b) exactly when f(a, b, w) and g(a, b, w) share a
     root w, provided both forms carry a pure power of the last variable.
+    `linalg.laplace` expands the Sylvester matrix of the coefficients of
+    the last variable as dense raw lists (None for a zero one), as
+    `binforms.pencil_determinant` expands its pencil.
     """
+    f._check_compatible(g)
     field = f.field
-    bin_vars = f.vars[:2]
-    zero = HomogPoly.zero(field, bin_vars, 0)
+    zero, neg = field._zero_raw, field._neg
 
     def coeffs(h):
-        # entry k is the coefficient of the last variable's power deg h - k
-        parts = [{} for _ in range(h.degree + 1)]
-        for e, c in h.terms.items():
-            parts[h.degree - e[2]][e[:2]] = c
-        return [HomogPoly(field, bin_vars, k, t, _clean=True) for k, t in enumerate(parts)]
+        # entry k is the coefficient of the last variable's power deg h - k,
+        # its entry j that of x0^(k-j) x1^j
+        parts = [None] * (h.degree + 1)
+        for (_, j, w), c in h.terms.items():
+            k = h.degree - w
+            if parts[k] is None:
+                parts[k] = [zero] * (k + 1)
+            parts[k][j] = c.val
+        return parts
 
-    return linalg.det(linalg.sylvester(coeffs(f), coeffs(g), zero))
+    rows = linalg.sylvester(coeffs(f), coeffs(g), None)
+    det = linalg.laplace(rows, field._convolve_raw, lambda x: [neg(c) for c in x])
+    return binary_form(field, f.vars[:2], f.degree * g.degree, det[tuple(range(len(rows)))] or ())
 
 
 def resultant3_quadrics(quadrics):

@@ -9,9 +9,10 @@ signed term straight into its minor and skips the terms of zero entries
 and zero minors.  `maximal_minors` and `mat_mul` read their entries once
 as raw values (scalars of the widest field among them, forms through their
 ring's `HomogPoly.raw_ring`), accumulate every product in place and wrap
-each result once; `det` reads `maximal_minors`, `binforms.pencil_determinant`
-runs `laplace` on dense lists of raw coefficients, and `sylvester` builds
-the Sylvester matrix whose determinant is `elim.resultant_last_var`.
+each result once; `det` reads `maximal_minors`.  `binforms.pencil_determinant`
+and `elim.resultant_last_var` run `laplace` on dense lists of raw
+coefficients of binary forms, the latter on the Sylvester matrix that
+`sylvester` builds: the one matrix whose entries mix degrees.
 """
 
 from __future__ import annotations
@@ -175,8 +176,9 @@ def maximal_minors(rows):
     forms: {cols: minor} for every ascending r-tuple cols of column indices.
 
     Each entry is read once as a raw value, `laplace` expands them, and
-    each minor is wrapped once.  A zero minor of forms has the degree that
-    adding its terms one by one with `HomogPoly` operators would give it."""
+    each minor is wrapped once.  Every term of a minor of forms has the
+    minor's degree, or `HomogPoly.raw_ring` raises PolyError, so a zero
+    minor has that degree too."""
     read, muladd, neg, wrap = _raw_ring(rows)
     minors = laplace([[read(x) for x in row] for row in rows], muladd, neg)
     return {cols: wrap(v) for cols, v in minors.items()}

@@ -14,7 +14,7 @@ each line is restricted, and each determinant expanded, on its own.
 from __future__ import annotations
 
 from . import linalg
-from .binforms import (binary_form, binary_gcd, pencil_determinant, perfect_square_root,
+from .binforms import (ST, binary_form, binary_gcd, pencil_determinant, perfect_square_root,
                        resultant, squarefree_factors)
 from .fields import FieldElement, PrimeField
 from .oracle import fibre_coefficients, kept_result, line_restrictions
@@ -158,7 +158,7 @@ def _pencil_kernel(q, field):
     entries = {k: HomogPoly.linear(field, vs, [int(k == j) for j in keys] + [q.upper[k]])
                for k in keys}
     ev = fibre_coefficients(linalg.det(SymMatrix(q.n, entries).rows()))
-    return lambda upper: binary_form(field, q.n, ev(upper))
+    return lambda upper: binary_form(field, ST, q.n, ev(upper))
 
 
 def reducible_member(lam, q, field):
@@ -286,22 +286,19 @@ class TwistedCubic:
         self.honest = honest
 
 
-def twisted_cubic(a, line, strict=False):
+def twisted_cubic(a, line):
     """Image of a plane line under the cubic adjugation map, as four binary
     cubics; lies on the symmetroid identically.
 
     Lines through base points of the map give a lower-degree image; the
-    result is flagged, or rejected when strict."""
+    result is then flagged as not `honest`."""
     comps = _restricted(a, line)
     if not any(comps):
         raise MilneError("line lies in the base locus of the cubic map")
     det = a.determinant_cubic()
     if det.substitute(comps):
         raise InternalError("twisted cubic left the symmetroid; internal error")
-    honest = _misses_base_locus(comps)
-    if strict and not honest:
-        raise MilneError("line meets the base locus; image drops degree")
-    return TwistedCubic(comps, honest)
+    return TwistedCubic(comps, _misses_base_locus(comps))
 
 
 def contact_points_match(h, cubic_T, contact_root, conic_param, plane_basis_vectors):

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .binforms import binary_form, is_squarefree, perfect_square_root
+from .binforms import ST, binary_form, is_squarefree, perfect_square_root
 from .fields import FieldElement, PrimeField
 from .poly import HomogPoly
 from . import linalg
@@ -200,7 +200,7 @@ def line_restrictions(forms):
     one = (field._one_raw,)
 
     def on_line(p0, p1):
-        return [binary_form(field, f.degree, cs)
+        return [binary_form(field, ST, f.degree, cs)
                 for f, cs in zip(forms, ev(tuple(p0) + tuple(p1) + one))]
     return on_line
 

@@ -131,15 +131,11 @@ class HomogPoly:
         this ring, or raises PolyError; `muladd(acc, a, b)` returns
         acc + a * b, with the product added into acc's terms in place by
         `_mul_into` (none when a factor is zero) and acc None standing for
-        zero; `neg` negates; `wrap` makes the form, once.  Degrees follow
-        `__add__`: a zero sum takes the degree of a term of another degree,
-        a zero term of another degree leaves the sum as it is, and two
-        nonzero ones raise PolyError."""
+        zero; `neg` negates; `wrap` makes the form, once.  A sum has one
+        degree: a product of any other degree, zero or not, raises
+        PolyError."""
         field, vs = self.field, self.vars
-        is_zero, neg_raw = field._is_zero_raw, field._neg
-
-        def nonzero(terms):
-            return not all(map(is_zero, terms.values()))
+        neg_raw = field._neg
 
         def read(f):
             if not isinstance(f, HomogPoly) or f.field != field or f.vars != vs:
@@ -148,18 +144,13 @@ class HomogPoly:
 
         def muladd(acc, a, b):
             (ta, da), (tb, db) = a, b
-            d = da + db
-            if acc is not None:
-                out, d0 = acc
-                if d == d0:
-                    if ta and tb:
-                        _mul_into(field, out, ta, tb)
-                    return acc
-                if nonzero(out):
-                    if nonzero(ta) and nonzero(tb):
-                        raise PolyError("degree mismatch %d vs %d" % (d0, d))
-                    return acc
-            return _mul_into(field, {}, ta, tb) if ta and tb else {}, d
+            if acc is None:
+                acc = {}, da + db
+            elif acc[1] != da + db:
+                raise PolyError("degree mismatch %d vs %d" % (acc[1], da + db))
+            if ta and tb:
+                _mul_into(field, acc[0], ta, tb)
+            return acc
 
         def neg(a):
             terms, d = a

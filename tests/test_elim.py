@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from prymcubic.binforms import resultant
 from prymcubic.elim import plane_cubic_is_smooth, resultant3_quadrics, resultant_last_var
@@ -8,6 +9,7 @@ from prymcubic.fields import Field, QQ
 from prymcubic.oracle import projective_points
 from prymcubic.poly import HomogPoly
 from prymcubic import linalg
+from test_linalg import PROPERTY, _laplace_on_elements
 
 F11 = Field.prime(11)
 F13 = Field.prime(13)
@@ -127,6 +129,88 @@ def test_resultant_last_var_specialises_to_binary_resultant():
                 fs = f.substitute(images)
                 gs = g.substitute(images)
                 assert res.evaluate([a, b]) == resultant(fs, gs)
+
+
+def _resultant_by_operators(f, g):
+    """The Sylvester determinant of the coefficient forms of f and g in
+    their last variable, expanded through `HomogPoly` operators with zero
+    padding of degree 0: the reference for `resultant_last_var`, which
+    expands dense raw lists."""
+    vs = f.vars[:2]
+
+    def coeffs(h):
+        parts = [{} for _ in range(h.degree + 1)]
+        for e, c in h.terms.items():
+            parts[h.degree - e[2]][e[:2]] = c
+        return [HomogPoly(h.field, vs, k, t) for k, t in enumerate(parts)]
+
+    rows = linalg.sylvester(coeffs(f), coeffs(g), HomogPoly.zero(f.field, vs, 0))
+    return _laplace_on_elements(rows)[tuple(range(len(rows)))]
+
+
+RESULTANT_FIELDS = {
+    "F3": (lambda: Field.prime(3), st.integers(0, 2)),
+    "F13": (lambda: F13, st.integers(0, 12)),
+    "QQ": (lambda: QQ, st.integers(-3, 3)),
+    "Q(sqrt5)": (lambda: QQ.quadratic_extension(5),
+                 st.tuples(st.integers(-2, 2), st.integers(-2, 2))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RESULTANT_FIELDS))
+@pytest.mark.parametrize("degrees", ["1-4", "8-2"])
+@PROPERTY
+@given(data=st.data())
+def test_resultant_last_var_matches_the_expansion_by_operators(name, degrees, data):
+    # sparse random forms; a common factor; no pure power of the last
+    # variable in f, or in both; and (F, dF/dw2), over F_3 for an F whose
+    # powers of w2 are multiples of three, so that the partial is zero
+    make, raw = RESULTANT_FIELDS[name]
+    field = make()
+    sparse = st.one_of(st.just(0), raw, raw)
+
+    def form(d, keep=None):
+        exps = [(i, j, d - i - j) for i in range(d + 1) for j in range(d + 1 - i)]
+        return HomogPoly(field, W3, d, {e: field.element(data.draw(sparse))
+                                        for e in exps if keep is None or keep(e)})
+
+    if degrees == "8-2":
+        m, n = 8, 2
+    else:
+        m, n = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    case = data.draw(st.sampled_from(["random", "common factor", "no pure power", "partial"]))
+    if case == "common factor":
+        h = form(1)
+        f, g = h * form(m - 1), h * form(n - 1)
+    elif case == "no pure power":
+        f = form(m, lambda e: e[2] != m)
+        g = form(n, lambda e: e[2] != n) if data.draw(st.booleans()) else form(n)
+    elif case == "partial":
+        # deg f = n + 1, so that the matrix stays as small as the others
+        f = form(n + 1, (lambda e: e[2] % 3 == 0) if field.characteristic() == 3 else None)
+        g = f.partial(2)
+    else:
+        f, g = form(m), form(n)
+    res, ref = resultant_last_var(f, g), _resultant_by_operators(f, g)
+    assert res.vars == ("w0", "w1") and res.degree == f.degree * g.degree
+    assert bool(res) == bool(ref)
+    if ref:
+        assert res == ref
+
+
+def test_zero_resultants_have_degree_deg_f_times_deg_g():
+    # over F_3, F = w0^4 + w0 w2^3 + w1^4 has dF/dw2 = 0
+    F3 = Field.prime(3)
+    quartic = HomogPoly(F3, W3, 4, {(4, 0, 0): 1, (1, 0, 3): 1, (0, 4, 0): 1})
+    partial = quartic.partial(2)
+    assert not partial and partial.degree == 3
+    res = resultant_last_var(quartic, partial)
+    assert not res and res.degree == 12 and res.vars == ("w0", "w1")
+    # over Q, (l m, l^2) share the line l = w0 + 2 w1 + 3 w2
+    ell = HomogPoly.linear(QQ, W3, [1, 2, 3])
+    m = HomogPoly.linear(QQ, W3, [0, 1, 1])
+    res = resultant_last_var(ell * m, ell * ell)
+    assert not res and res.degree == 4 and res.vars == ("w0", "w1")
 
 
 def test_resultant_of_dependent_quadrics_is_zero():

@@ -125,7 +125,8 @@ def _laplace_on_elements(rows):
     """Every maximal minor by the Laplace expansion from the bottom row up
     through `HomogPoly` and `FieldElement` operators, each term its own
     product and each sum a new value: the reference for `maximal_minors`
-    and `det`, which run `linalg.laplace` on raw values."""
+    and `det`, which run `linalg.laplace` on raw values, and on Sylvester
+    rows for `elim.resultant_last_var`."""
     minors = {(j,): x for j, x in enumerate(rows[-1])}
     for k in range(2, len(rows) + 1):
         row, below = rows[-k], minors
@@ -206,31 +207,6 @@ def test_raw_minors_and_products_of_linear_forms_match_the_operators(name, data)
     _check_against_elements(rows, [[linear() for _ in range(c)] for _ in range(m)])
 
 
-@pytest.mark.parametrize("name", sorted(FIELDS))
-@PROPERTY
-@given(data=st.data())
-def test_raw_minors_of_sylvester_rows_keep_the_degrees_of_zero_minors(name, data):
-    # rows of a Sylvester matrix of binary forms, coefficient k of degree k
-    # (often zero) and padding zeros of degree 0, in any order and repeated
-    # (so that sums cancel): the terms of one minor mix degrees, and a zero
-    # minor's degree follows the operators
-    make, raw = FIELDS[name]
-    field = make()
-    sparse = st.one_of(st.just(0), st.just(0), raw)
-    X2 = ("x0", "x1")
-
-    def coeffs(d):
-        return [HomogPoly(field, X2, k, {(k - i, i): field.element(data.draw(sparse))
-                                         for i in range(k + 1)}) for k in range(d + 1)]
-
-    fc, gc = coeffs(data.draw(st.integers(1, 3))), coeffs(data.draw(st.integers(1, 3)))
-    rows = linalg.sylvester(fc, gc, HomogPoly.zero(field, X2, 0))
-    keep = data.draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=len(rows)))
-    rows = [rows[i] for i in keep]
-    other = [[HomogPoly.zero(field, X2, 1)] for _ in rows[0]]
-    _check_against_elements(rows, other)
-
-
 def test_forms_of_different_rings_or_degrees_are_refused():
     F3, F5 = Field.prime(3), Field.prime(5)
     f = HomogPoly.linear(F3, ("z0", "z1"), [1, 2])
@@ -241,6 +217,12 @@ def test_forms_of_different_rings_or_degrees_are_refused():
                 _laplace_on_elements(rows)
             with pytest.raises(PolyError):
                 linalg.det(rows)
+    # a zero entry of another degree too, which the operators let through:
+    # every term of a minor has the minor's degree
+    zero = HomogPoly.zero(F3, ("z0", "z1"), 0)
+    assert _laplace_on_elements([[f, zero], [f, f]])[(0, 1)] == f * f
+    with pytest.raises(PolyError):
+        linalg.det([[f, zero], [f, f]])
     with pytest.raises(PolyError):
         linalg.mat_mul([[f]], [[HomogPoly.linear(F5, ("z0", "z1"), [1, 2])]])
     with pytest.raises(PolyError):

@@ -231,15 +231,13 @@ def test_envelope_vanishes_exactly_on_prym_line_points():
 
 def test_twisted_cubic_seed_line():
     # the seed line z2 = 0 runs through base points: the image collapses onto
-    # a node, the on-surface identity still holds, strict mode refuses it
+    # a node, the on-surface identity still holds, and it is not honest
     a = fix_a(F11)
     line = Line2(F11, [1, 0, 0], [0, 1, 0])
     tw = twisted_cubic(a, line)
     det = a.determinant_cubic()
     assert not det.substitute(tw.components)
     assert not tw.honest
-    with pytest.raises(MilneError):
-        twisted_cubic(a, line, strict=True)
     # a genuinely generic line gives an honest twisted cubic
     found = None
     for b in range(11):
@@ -248,7 +246,7 @@ def test_twisted_cubic_seed_line():
             found = cand
             break
     assert found is not None
-    tw2 = twisted_cubic(a, found, strict=True)
+    tw2 = twisted_cubic(a, found)
     assert tw2.honest
     assert not det.substitute(tw2.components)
 
@@ -309,7 +307,8 @@ def test_envelope_tangent_along_twisted_cubic():
         if not line_is_generic(a, line):
             continue
         cone = enveloping_cone(a, line)
-        tw = twisted_cubic(a, line, strict=True)
+        tw = twisted_cubic(a, line)
+        assert tw.honest
         grads_l = [g.substitute(tw.components) for g in cone.form.gradient()]
         grads_g = [g.substitute(tw.components) for g in gamma.gradient()]
         for i in range(4):

@@ -469,7 +469,7 @@ def test_cli_internal_invariant_failure_exits_4(capsys, monkeypatch):
 
     real = cli.twisted_cubic
     monkeypatch.setattr(cli, "twisted_cubic",
-                        lambda a, line, strict=False: real(OffSymmetroid(a), line, strict))
+                        lambda a, line: real(OffSymmetroid(a), line))
     code, out, err = run_cli(["milne-tritangents", DATA, "--A", "A_t1", "--Q", "Q_t1",
                               "--enumerate", "--q", "11"], capsys)
     assert (code, out) == (4, "")

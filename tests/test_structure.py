@@ -362,7 +362,7 @@ def test_pencil_roots_are_read_in_one_place():
 def test_binary_forms_run_on_raw_values():
     # a line is restricted by HomogPoly.restrict_to_line, not by composing
     # with a parametrization, and binforms' dense helpers run on raw field
-    # values: only _to_form wraps them into a form
+    # values: only binary_form wraps them into a form
     from prymcubic.milne import Line2
 
     assert not hasattr(Line2, "parametrization")
@@ -379,8 +379,7 @@ def test_binary_forms_run_on_raw_values():
             offenders.append("milne.py:%d %s" % (node.lineno, ast.unparse(node)))
     binforms = ast.parse((SRC / "binforms.py").read_text(encoding="utf-8"))
     helpers = [fn for fn in binforms.body if isinstance(fn, ast.FunctionDef)
-               and (fn.name.startswith("_") or fn.name == "squarefree_decomposition")
-               and fn.name != "_to_form"]
+               and (fn.name.startswith("_") or fn.name == "squarefree_decomposition")]
     assert len(helpers) >= 12
     for fn in helpers:
         for node in ast.walk(fn):
@@ -395,8 +394,9 @@ def test_binary_forms_run_on_raw_values():
 def test_one_determinant_algorithm():
     # every determinant, adjugate and maximal minor is the one shared-minor
     # Laplace expansion of linalg.maximal_minors; the resultant in the last
-    # variable reads the one Sylvester matrix of linalg.sylvester, and the
-    # binary resultant is Euclidean and reads none; the enveloping cone and
+    # variable expands the one Sylvester matrix of linalg.sylvester by
+    # linalg.laplace on dense raw lists, as the pencil determinant does, and
+    # the binary resultant is Euclidean and reads none; the enveloping cone and
     # the double-cover minors read the memoized adjugate of the
     # symmetrization, so the cone restricts no Gauss quadric; the one cross
     # product of 3-vectors is linalg.cross
@@ -432,7 +432,9 @@ def test_one_determinant_algorithm():
     assert "linalg.det" not in calls(adjugate_column)
     assert not {c for c in calls(functions("binforms.py")["resultant"])
                 if "sylvester" in c or c.startswith("linalg.")}
-    assert "linalg.sylvester" in calls(functions("elim.py")["resultant_last_var"])
+    resultant_last_var = calls(functions("elim.py")["resultant_last_var"])
+    assert {"linalg.sylvester", "linalg.laplace"} <= resultant_last_var
+    assert "linalg.det" not in resultant_last_var
     # the one Laplace expansion is linalg.laplace: maximal_minors and the
     # pencil determinant run it, and binforms expands no minors of its own
     assert "laplace" in calls(linalg["maximal_minors"])
