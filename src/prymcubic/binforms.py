@@ -1,19 +1,23 @@
 """Binary forms and the univariate elimination toolbox built on them.
 
 A binary form is a `HomogPoly` in two variables, (s, t) unless a caller
-names others; every function here takes and returns one.  Internally a form
-is read as its dense list of raw field values (the `.val` of each
-coefficient; entry i belongs to s^(d-i) t^i), and its core after stripping
-powers of s and t as a univariate polynomial in u = s/t.  The dense helpers
-compute on those raw values with the field's raw operations, and that
-reading stays inside this module: values are wrapped in `FieldElement`s
-only where a form or a root is returned.  On top of it: gcd, squarefree
-factorization into binary forms (`squarefree_factors`, complete in small
-characteristic via p-th-power descent), the root of a linear factor,
-perfect-square detection with at most one quadratic extension
-(`Field.adjoin_sqrt`), the Euclidean resultant, the determinant of a pencil
-of symmetric matrices, and the rational roots of a form over a finite field
-by Cantor-Zassenhaus root finding.
+names others.  Internally a form is read as its dense list of raw field
+values (the `.val` of each coefficient; entry i belongs to s^(d-i) t^i),
+and its core after stripping powers of s and t as a univariate polynomial
+in u = s/t.  The dense helpers compute on those raw values with the field's
+raw operations, and values are wrapped in `FieldElement`s only where a form
+or a root is returned.  The line walk over the plane hands this module
+dense raw lists straight from its evaluators: `is_squarefree_raw`,
+`has_even_divisor_raw` and `are_coprime_raw` answer its questions on them,
+and `is_squarefree`, `perfect_square_root` and `binary_gcd` read the same
+code after unwrapping a form, so a line that fails a test is never
+wrapped.  On top of it: gcd, squarefree factorization into binary forms
+(`squarefree_factors`, complete in small characteristic via p-th-power
+descent), the root of a linear factor, perfect-square detection with at
+most one quadratic extension (`Field.adjoin_sqrt`), the Euclidean
+resultant, the determinant of a pencil of symmetric matrices, and the
+rational roots of a form over a finite field by Cantor-Zassenhaus root
+finding.
 """
 
 from __future__ import annotations
@@ -36,18 +40,27 @@ def _coeffs(f):
     return cs
 
 
-def _strip_st(f):
-    """(s_mult, t_mult, core): the powers of s and t dividing a nonzero form
-    and the dense raw coefficients of the rest, whose extreme entries are
-    nonzero."""
-    cs = _coeffs(f)
-    if not f.terms:
-        raise PolyError("zero form")
+def _split(field, degree, cs):
+    """(s_mult, t_mult, core) for the dense raw list cs of a binary form of
+    the given degree, which may stop short of entry `degree`: the powers of
+    s and t dividing the form and the rest as an ascending list in u = s/t
+    whose extreme entries are nonzero; None for the zero form."""
+    is_zero = field._is_zero_raw
     # the t-exponent of entry i is i, so zeros at the start of the list are
     # t-powers and zeros at the end s-powers
-    lo = min(j for _, j in f.terms)
-    hi = max(j for _, j in f.terms)
-    return f.degree - hi, lo, cs[lo:hi + 1]
+    nonzero = [i for i, c in enumerate(cs) if not is_zero(c)]
+    if not nonzero:
+        return None
+    lo, hi = nonzero[0], nonzero[-1]
+    return degree - hi, lo, cs[lo:hi + 1][::-1]
+
+
+def _strip_st(f):
+    """`_split` of a nonzero binary form."""
+    split = _split(f.field, f.degree, _coeffs(f))
+    if split is None:
+        raise PolyError("zero form")
+    return split
 
 
 def binary_form(field, vs, degree, coeffs):
@@ -73,7 +86,7 @@ def squarefree_factors(form):
     out = [(m, HomogPoly.linear(field, vs, e))
            for m, e in ((s_mult, (1, 0)), (t_mult, (0, 1))) if m]
     out += [(m, binary_form(field, vs, _deg(g), g[::-1]))
-            for m, g in squarefree_decomposition(list(reversed(core)), field)]
+            for m, g in squarefree_decomposition(core, field)]
     return out
 
 
@@ -212,8 +225,7 @@ def rational_roots(f):
     bound below q is proven for a fixed shift order."""
     field = f.field
     zero, one = field._zero_raw, field._one_raw
-    s_mult, t_mult, core = _strip_st(f)
-    g = list(reversed(core))
+    s_mult, t_mult, g = _strip_st(f)
     found = []
     if s_mult:
         found.append(zero)
@@ -268,9 +280,10 @@ def squarefree_decomposition(f, field):
     return sorted(out.items())
 
 
-def pencil_determinant(m1, m2, field):
+def pencil_determinant_raw(m1, m2, field):
     """det(s M1 + t M2) for symmetric matrices M1, M2 of one size n with
-    entries in field, as a binary form in (s, t) of degree n.
+    entries in field, as a dense raw list: entry j is the coefficient of
+    s^(n-j) t^j, and the list may stop short of j = n.
 
     `linalg.laplace` on dense raw lists: entry (i, j) is the list
     [M1_ij, M2_ij] of raw values (None when both are zero), and each signed
@@ -286,13 +299,78 @@ def pencil_determinant(m1, m2, field):
 
     rows = [[entry(i, j) for j in range(n)] for i in range(n)]
     det = linalg.laplace(rows, field._convolve_raw, lambda x: [neg(c) for c in x])
-    # entry j of the list is the coefficient of s^(n-j) t^j
-    return binary_form(field, ST, n, det[tuple(range(n))] or ())
+    return det[tuple(range(n))] or []
+
+
+def pencil_determinant(m1, m2, field):
+    """det(s M1 + t M2), `pencil_determinant_raw` wrapped as a binary form
+    in (s, t) of degree n."""
+    return binary_form(field, ST, m1.n, pencil_determinant_raw(m1, m2, field))
+
+
+# ---------------------------------------------------------------------------
+# predicates on dense raw lists: entry i at s^(degree-i) t^i, a list that
+# stops short of entry `degree` read as padded with zeros.  The line walk
+# asks them of its evaluators' values, and the form-level functions below
+# read the same code.
+# ---------------------------------------------------------------------------
+
+def is_squarefree_raw(field, degree, cs):
+    """`is_squarefree` of the binary form with the dense raw list cs."""
+    split = _split(field, degree, cs)
+    if split is None:
+        return False
+    s_mult, t_mult, core = split
+    return (s_mult < 2 and t_mult < 2
+            and all(m == 1 for m, _ in squarefree_decomposition(core, field)))
+
+
+def _even_parts(field, degree, cs):
+    """(s_mult, t_mult, parts) of the nonzero binary form with the dense raw
+    list cs, parts the `squarefree_decomposition` of its core, when every
+    root has even multiplicity; else None."""
+    split = _split(field, degree, cs)
+    if split is None:
+        raise PolyError("zero form")
+    s_mult, t_mult, core = split
+    if s_mult % 2 or t_mult % 2:
+        return None
+    parts = squarefree_decomposition(core, field)
+    return None if any(m % 2 for m, _ in parts) else (s_mult, t_mult, parts)
+
+
+def has_even_divisor_raw(field, degree, cs):
+    """Whether every root of the nonzero binary form with the dense raw list
+    cs has even multiplicity over the closure: the divisor test of
+    `perfect_square_root`, which over a prime field finds a root whenever
+    it passes."""
+    return _even_parts(field, degree, cs) is not None
+
+
+def _gcd_split(a, b, field):
+    """The gcd of two nonzero forms given as `_split` triples, as one: the
+    powers of s and t they share and the monic gcd of their cores."""
+    return min(a[0], b[0]), min(a[1], b[1]), _gcd_poly(a[2], b[2], field)
+
+
+def are_coprime_raw(field, degree, lists):
+    """Whether the binary forms of one degree with these dense raw lists are
+    all nonzero and share no projective root: the gcd chain of `binary_gcd`
+    from the first form on, which stops at the first constant gcd."""
+    splits = [_split(field, degree, cs) for cs in lists]
+    if None in splits:
+        return False
+    g = splits[0]
+    for h in splits[1:]:
+        g = _gcd_split(g, h, field)
+        if g[0] == g[1] == _deg(g[2]) == 0:
+            return True
+    return False
 
 
 def is_squarefree(form):
     """No repeated root over the closure; False for the zero form."""
-    return bool(form) and all(m == 1 for m, _ in squarefree_factors(form))
+    return bool(form) and is_squarefree_raw(form.field, form.degree, _coeffs(form))
 
 
 def perfect_square_root(form):
@@ -306,19 +384,20 @@ def perfect_square_root(form):
     if not form:
         raise PolyError("zero form")
     field = form.field
-    factors = squarefree_factors(form)
-    if any(m % 2 for m, _ in factors):
+    even = _even_parts(field, form.degree, _coeffs(form))
+    if even is None:
         return None
-    # the square root without the scalar
-    root0 = HomogPoly.monomial(field, form.vars, (0, 0))
-    for m, g in factors:
+    _, t_mult, parts = even
+    # the monic root of the core, ascending in u = s/t
+    core = [field._one_raw]
+    for m, g in parts:
         for _ in range(m // 2):
-            root0 = root0 * g
-    # form = scalar * root0^2, and the lex-top term of root0^2 is the
-    # square of root0's lex-top term
-    top = max(root0.terms)
-    scalar = form.terms[tuple(2 * k for k in top)] / (root0.terms[top] * root0.terms[top])
-    adjoined = field.adjoin_sqrt(scalar)
+            core = field._convolve_raw(None, core, g)
+    root0 = binary_form(field, form.vars, form.degree // 2,
+                        [field._zero_raw] * (t_mult // 2) + core[::-1])
+    # form = scalar * root0^2, and the core of root0^2 is monic, so the
+    # scalar is the form's coefficient at its lowest power of t
+    adjoined = field.adjoin_sqrt(form.terms[(form.degree - t_mult, t_mult)])
     if adjoined is None:
         return None
     work, r = adjoined
@@ -381,12 +460,6 @@ def binary_gcd(f, g):
         return f
     if not g:
         g = f
-    sf, tf, cf = _strip_st(f)
-    sg, tg, cg = _strip_st(g)
-    s_common, t_common = min(sf, sg), min(tf, tg)
-    pf = _trim(list(reversed(cf)), field)
-    pg = _trim(list(reversed(cg)), field)
-    # core root structure sits between the forced s and t powers
-    h = _gcd_poly(pf, pg, field)
+    s_common, t_common, h = _gcd_split(_strip_st(f), _strip_st(g), field)
     return binary_form(field, f.vars, _deg(h) + s_common + t_common,
                        [field._zero_raw] * t_common + h[::-1])

@@ -23,7 +23,7 @@ def resultant_last_var(f, g):
     root w, provided both forms carry a pure power of the last variable.
     `linalg.laplace` expands the Sylvester matrix of the coefficients of
     the last variable as dense raw lists (None for a zero one), as
-    `binforms.pencil_determinant` expands its pencil.
+    `binforms.pencil_determinant_raw` expands its pencil.
     """
     f._check_compatible(g)
     field = f.field
@@ -41,7 +41,9 @@ def resultant_last_var(f, g):
         return parts
 
     rows = linalg.sylvester(coeffs(f), coeffs(g), None)
-    det = linalg.laplace(rows, field._convolve_raw, lambda x: [neg(c) for c in x])
+    # two constants give the empty Sylvester matrix, whose determinant is 1
+    det = (linalg.laplace(rows, field._convolve_raw, lambda x: [neg(c) for c in x]) if rows
+           else {(): [field._one_raw]})
     return binary_form(field, f.vars[:2], f.degree * g.degree, det[tuple(range(len(rows)))] or ())
 
 

@@ -9,10 +9,11 @@ signed term straight into its minor and skips the terms of zero entries
 and zero minors.  `maximal_minors` and `mat_mul` read their entries once
 as raw values (scalars of the widest field among them, forms through their
 ring's `HomogPoly.raw_ring`), accumulate every product in place and wrap
-each result once; `det` reads `maximal_minors`.  `binforms.pencil_determinant`
-and `elim.resultant_last_var` run `laplace` on dense lists of raw
-coefficients of binary forms, the latter on the Sylvester matrix that
-`sylvester` builds: the one matrix whose entries mix degrees.
+each result once; `det` reads `maximal_minors`.
+`binforms.pencil_determinant_raw` and `elim.resultant_last_var` run
+`laplace` on dense lists of raw coefficients of binary forms, the latter
+on the Sylvester matrix that `sylvester` builds: the one matrix whose
+entries mix degrees.
 """
 
 from __future__ import annotations

@@ -3,22 +3,27 @@ space curve: enveloping cones over lines, the reducible member of a pencil of
 quadrics, tritangency certificates, the twisted cubic through the contact
 points, and the unique-cubic reconstruction.
 
-Over F_p the per-line polynomials of the walk over the lines of the plane
-are compiled once per pair and evaluated once per line: the adjugate cubics
-restricted to a line come from `oracle.line_restrictions`, built once per
-cubic tuple, and the pencil determinant det(s E + t Q) of a cone E from
-`_pencil_kernel`, built once per quadric.  Over Q, Q(sqrt d) and F_{p^2}
-each line is restricted, and each determinant expanded, on its own.
+The per-line polynomials of the walk over the lines of the plane are dense
+raw lists, and `binforms` decides on them whether the restricted cubics
+share a root and whether the pencil determinant has a multiple root; a
+binary form is wrapped only for a pencil with a multiple root and for the
+components of a twisted cubic.  Over F_p those lists are compiled once per
+pair and evaluated once per line: the adjugate cubics restricted to a line
+come from `oracle.line_restrictions`, built once per cubic tuple, and the
+pencil determinant det(s E + t Q) of a cone E from `_pencil_kernel`, built
+once per quadric.  Over Q, Q(sqrt d) and F_{p^2} each line is restricted
+(`poly.restrict_forms_raw`), and each determinant expanded
+(`binforms.pencil_determinant_raw`), on its own.
 """
 
 from __future__ import annotations
 
 from . import linalg
-from .binforms import (ST, binary_form, binary_gcd, pencil_determinant, perfect_square_root,
-                       resultant, squarefree_factors)
+from .binforms import (ST, are_coprime_raw, binary_form, is_squarefree_raw,
+                       pencil_determinant_raw, perfect_square_root, resultant, squarefree_factors)
 from .fields import FieldElement, PrimeField
 from .oracle import fibre_coefficients, kept_result, line_restrictions
-from .poly import HomogPoly, SymMatrix, proportional, restrict_forms
+from .poly import HomogPoly, SymMatrix, proportional, restrict_forms_raw
 from .prym import InternalError, conic_rational_point, parametrize_conic
 from .quadrics import factor_rank_le2, multiple_members
 from .symmetroid import QUADRIC_EXPONENTS, X4
@@ -60,42 +65,37 @@ class EnvelopingCone:
         self.rank = rank
 
 
-def _misses_base_locus(restricted):
-    """The four adjugate cubics restricted to a line are nonzero and have no
-    common projective root.  A vanishing restriction means the whole line
-    maps into a plane, and the image drops degree.  The gcd chain stops at
-    the first constant gcd."""
-    if not all(restricted):
-        return False
-    g = restricted[0]
-    for f in restricted[1:]:
-        g = binary_gcd(g, f)
-        if g.degree == 0:
-            return True
-    return False
-
-
 def _restricted(a, line):
-    """The adjugate cubics of `a` restricted to the line, kept by
-    `oracle.kept_result` for the last (a, line) pair, so the tests that
-    follow one another on one line restrict each cubic once.  Over F_p they
-    are read from `oracle.line_restrictions` of the cubics, built once for
-    the last cubic tuple; elsewhere one `restrict_forms` call computes them."""
+    """The adjugate cubics of `a` restricted to the line, as dense raw lists
+    (entry k at s^(3-k) t^k), kept by `oracle.kept_result` for the last
+    (a, line) pair, so the tests that follow one another on one line
+    restrict each cubic once.  Over F_p they are read from
+    `oracle.line_restrictions` of the cubics, built once for the last cubic
+    tuple; elsewhere one `restrict_forms_raw` call computes them."""
     def restrict():
         cubics = a.adjugate_cubics()
         field = cubics[0].field
         if not isinstance(field, PrimeField):
-            return tuple(restrict_forms(cubics, line.p0, line.p1))
+            return restrict_forms_raw(cubics, line.p0, line.p1)
         on_line = kept_result(cubics, lambda: line_restrictions(cubics))
-        return tuple(on_line([field.element(c).val for c in line.p0],
-                             [field.element(c).val for c in line.p1]))
+        return on_line([field.element(c).val for c in line.p0],
+                       [field.element(c).val for c in line.p1])
     return kept_result((a, line), restrict)
+
+
+def _in_base_locus(field, restricted):
+    """Every adjugate cubic, restricted to a line as a raw list, vanishes:
+    the line lies in the base locus of the cubic map."""
+    is_zero = field._is_zero_raw
+    return all(is_zero(c) for cs in restricted for c in cs)
 
 
 def line_is_generic(a, line):
     """The line avoids the base locus of the cubic map: the four restricted
-    cubics have no common projective root."""
-    return _misses_base_locus(_restricted(a, line))
+    cubics are nonzero and have no common projective root.  A vanishing
+    restriction means the whole line maps into a plane, and the image drops
+    degree."""
+    return are_coprime_raw(a.field, 3, _restricted(a, line))
 
 
 def enveloping_cone(a, line):
@@ -125,7 +125,7 @@ def enveloping_cone(a, line):
     # line's coefficient vectors a, b, c span less than a plane of the dual space
     if rank <= 2:
         raise MilneError("line maps two-to-one onto a line of the dual space")
-    if not any(_restricted(a, line)):
+    if _in_base_locus(field, _restricted(a, line)):
         raise MilneError("line lies in the base locus of the cubic map")
     if rank == 4:
         raise InternalError("enveloping cone of a plane conic has full rank; internal error")
@@ -149,16 +149,16 @@ class ReducibleMember:
 
 def _pencil_kernel(q, field):
     """Evaluator of det(s E + t Q) over F_p for a symmetric E of Q's size,
-    given by the raw values of its upper entries in sorted order: the binary
-    form in (s, t).  det(E + t Q) is expanded once by `linalg.det` on linear
+    given by the raw values of its upper entries in sorted order: the dense
+    raw list of the binary form in (s, t), as `pencil_determinant_raw`
+    gives it.  det(E + t Q) is expanded once by `linalg.det` on linear
     forms in those entries and t, and `oracle.fibre_coefficients` reads its
     coefficient of t^k, which is that of s^(n-k) t^k in det(s E + t Q)."""
     keys = sorted(q.upper)
     vs = tuple("e%d%d" % k for k in keys) + ("t",)
     entries = {k: HomogPoly.linear(field, vs, [int(k == j) for j in keys] + [q.upper[k]])
                for k in keys}
-    ev = fibre_coefficients(linalg.det(SymMatrix(q.n, entries).rows()))
-    return lambda upper: binary_form(field, ST, q.n, ev(upper))
+    return fibre_coefficients(linalg.det(SymMatrix(q.n, entries).rows()))
 
 
 def reducible_member(lam, q, field):
@@ -168,7 +168,9 @@ def reducible_member(lam, q, field):
     first double plane or plane pair that needs a second extension is
     returned at once, else the first plane pair.  Over F_p the determinant
     is read from `_pencil_kernel`, built once for the last (q, field) pair;
-    elsewhere `binforms.pencil_determinant` expands it.
+    elsewhere `binforms.pencil_determinant_raw` expands it.  It is tested
+    for a multiple root on its raw coefficients and wrapped as a form only
+    when it has one.
     """
     # in odd characteristic the forms are zero or proportional exactly when
     # the matrices are; a zero member would reach factor_rank_le2 as a
@@ -179,9 +181,13 @@ def reducible_member(lam, q, field):
         raise MilneError("pencil is degenerate")
     if isinstance(field, PrimeField):
         kernel = kept_result((q, field), lambda: _pencil_kernel(q, field))
-        g = kernel([field.element(c).val for c in lvec])
+        det = kernel([field.element(c).val for c in lvec])
     else:
-        g = pencil_determinant(lam, q, field)
+        det = pencil_determinant_raw(lam, q, field)
+    # with no multiple root every member has rank >= 3
+    if is_squarefree_raw(field, q.n, det):
+        return None
+    g = binary_form(field, ST, q.n, det)
     if not g:
         raise MilneError("pencil determinant vanishes identically")
     found = None
@@ -292,13 +298,13 @@ def twisted_cubic(a, line):
 
     Lines through base points of the map give a lower-degree image; the
     result is then flagged as not `honest`."""
-    comps = _restricted(a, line)
-    if not any(comps):
+    field, restricted = a.adjugate_cubics()[0].field, _restricted(a, line)
+    if _in_base_locus(field, restricted):
         raise MilneError("line lies in the base locus of the cubic map")
-    det = a.determinant_cubic()
-    if det.substitute(comps):
+    comps = tuple(binary_form(field, ST, 3, cs) for cs in restricted)
+    if a.determinant_cubic().substitute(comps):
         raise InternalError("twisted cubic left the symmetroid; internal error")
-    return TwistedCubic(comps, _misses_base_locus(comps))
+    return TwistedCubic(comps, are_coprime_raw(field, 3, restricted))
 
 
 def contact_points_match(h, cubic_T, contact_root, conic_param, plane_basis_vectors):

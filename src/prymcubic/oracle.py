@@ -31,20 +31,21 @@ only when no restriction has degree at most two (a line of the scheme
 through the vertex, a cubic surface alone, a plane quartic).  For a space
 curve Q ∩ Γ that is p^2 fibres in place of p^3 points, in the same order.
 
-The same fibre evaluator, `fibre_coefficients`, serves the line walks over
-F_p.  A form restricted to a line is a fixed polynomial in the line's two
-points: `line_restrictions` composes each form once with
-x_i = s a_i + t b_i and reads the restriction to a line from one call on
-its two points, for `enumerate_bitangents` and for the adjugate cubics of
-`milne`, and milne's pencil determinant is read the same way from
-det(E + t Q).
+The line walks over F_p are compiled the same way.  A form restricted to a
+line is a fixed polynomial in the line's two points: `line_restrictions`
+composes each form once with x_i = s a_i + t b_i and reads the restriction
+to a line, as a dense raw list, from one call on its two points, for
+`enumerate_bitangents` and for the adjugate cubics of `milne`; milne's
+pencil determinant is read from det(E + t Q) by `fibre_coefficients`.
+`enumerate_bitangents` tests each restriction for an even divisor on those
+raw values and wraps no binary form.
 """
 
 from __future__ import annotations
 
 from itertools import product
 
-from .binforms import ST, binary_form, is_squarefree, perfect_square_root
+from .binforms import has_even_divisor_raw, is_squarefree
 from .fields import FieldElement, PrimeField
 from .poly import HomogPoly
 from . import linalg
@@ -163,20 +164,27 @@ def fibre_coefficients(poly):
     on a base point the list of the raw values c_0, ..., c_m, m the top power
     of T in f (0 for the zero form), zero values included, or one such list
     per form, from one `compile_raw` call.  The scheme walk reads it per
-    equation; `line_restrictions` and the pencil determinant of `milne` read
-    polynomials in a line or a matrix from it."""
+    equation, and the pencil determinant of `milne` reads a polynomial in a
+    matrix from it."""
     single = not isinstance(poly, (list, tuple))
-    parts, bounds = [], []
+    splits = []
     for f in [poly] if single else poly:
         split = [{} for _ in range(max((e[-1] for e in f.terms), default=0) + 1)]
         for e, c in f.terms.items():
             split[e[-1]][e[:-1]] = c
+        splits.append([HomogPoly(f.field, f.vars[:-1], f.degree - k, part, _clean=True)
+                       for k, part in enumerate(split)])
+    return compile_raw(splits[0]) if single else _list_evaluator(splits)
+
+
+def _list_evaluator(splits):
+    """Evaluator of a list of lists of forms from one `compile_raw` call: on
+    a point, the raw values of each list's forms as one list."""
+    bounds, parts = [], []
+    for split in splits:
         bounds.append((len(parts), len(parts) + len(split)))
-        parts += [HomogPoly(f.field, f.vars[:-1], f.degree - k, part, _clean=True)
-                  for k, part in enumerate(split)]
+        parts += split
     ev = compile_raw(parts)
-    if single:
-        return ev
 
     def each(pt):
         values = ev(pt)
@@ -186,23 +194,26 @@ def fibre_coefficients(poly):
 
 def line_restrictions(forms):
     """Evaluator of the restrictions of forms over F_p in the same n
-    variables to lines: on the raw points p0, p1 it returns the binary
-    forms f(s p0 + t p1) in (s, t), in order, as `poly.restrict_forms` gives
-    them.  Each form is composed once with x_i = s a_i + t b_i in the
-    variables (a_0..a_{n-1}, b_0..b_{n-1}, s, t), and `fibre_coefficients`
-    reads the composites at (p0, p1, 1): entry k is the coefficient of
-    s^(d-k) t^k."""
+    variables to lines: on the raw points p0, p1 it returns, for each form
+    in order, the dense list of raw coefficients that
+    `poly.restrict_forms_raw` gives, entry k at s^(d-k) t^k in
+    f(s p0 + t p1).  Each form is composed once with x_i = s a_i + t b_i in
+    the variables (a_0..a_{n-1}, b_0..b_{n-1}, s, t); the terms of the
+    composite with t^k, all of which carry s^(d-k), form entry k as a form
+    of degree d in (a, b) alone, so the generated code reads the line's two
+    points and multiplies by no power of s."""
     field, n = forms[0].field, len(forms[0].vars)
     vs = tuple("a%d" % i for i in range(n)) + tuple("b%d" % i for i in range(n)) + ("s", "t")
     x = [HomogPoly.linear(field, vs, [0] * i + [1]) for i in range(2 * n + 2)]
     images = [x[-2] * x[i] + x[-1] * x[n + i] for i in range(n)]
-    ev = fibre_coefficients([f.substitute(images) for f in forms])
-    one = (field._one_raw,)
-
-    def on_line(p0, p1):
-        return [binary_form(field, ST, f.degree, cs)
-                for f, cs in zip(forms, ev(tuple(p0) + tuple(p1) + one))]
-    return on_line
+    splits = []
+    for f in forms:
+        split = [{} for _ in range(f.degree + 1)]
+        for e, c in f.substitute(images).terms.items():
+            split[e[-1]][e[:-2]] = c
+        splits.append([HomogPoly(field, vs[:-2], f.degree, part, _clean=True) for part in split])
+    ev = _list_evaluator(splits)
+    return lambda p0, p1: ev([*p0, *p1])
 
 
 def _quadratic_roots(cs, field):
@@ -425,8 +436,10 @@ def enumerate_bitangents(quartic, field, budget=DEFAULT_BUDGET):
     square up to the leading square class (even contact divisor).
 
     Returns the list in the deterministic dual-coordinate order.  The
-    restriction to each line is read from `line_restrictions`, built once
-    per call."""
+    restriction to each line is read as a dense raw list from
+    `line_restrictions`, built once per call, and its divisor is tested on
+    those values: over F_p the leading scalar has a square root in F_p or
+    F_{p^2}, so an even divisor is all that `perfect_square_root` asks."""
     if not isinstance(field, PrimeField):
         raise OracleError("bitangent enumeration runs over prime fields")
     on_line = line_restrictions([quartic])
@@ -434,8 +447,8 @@ def enumerate_bitangents(quartic, field, budget=DEFAULT_BUDGET):
     for dual_el in projective_points(field, 2, budget):
         p0, p1 = linalg.line_basis(dual_el, field)
         rest, = on_line([c.val for c in p0], [c.val for c in p1])
-        if not rest:
+        if not any(rest):
             raise OracleError("quartic vanishes on a whole line; not reduced")
-        if perfect_square_root(rest) is not None:
+        if has_even_divisor_raw(field, quartic.degree, rest):
             out.append(BitangentLine(dual_el, tuple(p0), tuple(p1)))
     return out

@@ -227,9 +227,20 @@ class HomogPoly:
         if len(point) != len(self.vars):
             raise PolyError("point has wrong length")
         field = self.field
-        # a point is a substitution of constants: forms in no variables
-        raw = _compose(field, self.terms, [{(): field.element(x).val} for x in point], ())
-        return FieldElement(field, raw.get((), field._zero_raw))
+        mul = field._mul
+        # powers[i][k] is the k-th power of coordinate i, each built once
+        powers = [[field._one_raw, field.element(x).val] for x in point]
+        monomials = []
+        for e in self.terms:
+            v = None
+            for pw, k in zip(powers, e):
+                if k:
+                    while len(pw) <= k:
+                        pw.append(mul(pw[-1], pw[1]))
+                    v = pw[k] if v is None else mul(v, pw[k])
+            monomials.append(field._one_raw if v is None else v)
+        return FieldElement(field, field._dot_raw([c.val for c in self.terms.values()],
+                                                  monomials))
 
     def partial(self, i):
         out = {}
@@ -300,16 +311,16 @@ class HomogPoly:
         return restrict_forms([self], p0, p1)[0]
 
 
-def restrict_forms(forms, p0, p1):
-    """`HomogPoly.restrict_to_line` for a list of forms over one field in
-    the same variables, of any degrees: their binary forms in (s, t), in
-    order.
+def restrict_forms_raw(forms, p0, p1):
+    """The restrictions of a list of forms over one field in the same
+    variables, of any degrees, to the line s*p0 + t*p1, in order: for a form
+    of degree d the dense list of d + 1 raw coefficients, entry j at
+    s^(d-j) t^j.
 
-    Dense and raw: the k-th power of each image a_i s + b_i t is a list of
-    raw coefficients, entry j at s^(k-j) t^j, and the image of a monomial is
-    the product of its powers.  Both are built once for all the forms.  The
-    coefficient of s^(d-j) t^j is one `Field._dot_raw` of the form's raw
-    coefficients with entry j of their monomials' images, wrapped once."""
+    The k-th power of each image a_i s + b_i t is a dense raw list, and the
+    image of a monomial is the product of its powers.  Both are built once
+    for all the forms.  Entry j is one `Field._dot_raw` of the form's raw
+    coefficients with entry j of their monomials' images."""
     if not forms:
         return []
     field, vs = forms[0].field, forms[0].vars
@@ -334,11 +345,19 @@ def restrict_forms(forms, p0, p1):
                         image = pw[k] if image is one else conv(None, image, pw[k])
                 images[e] = image
             term_images.append(image)
-        cs, d = [c.val for c in f.terms.values()], f.degree
+        cs = [c.val for c in f.terms.values()]
         # zip(*term_images) reads entry j of every image; a zero form has none
-        acc = [dot(cs, col) for col in zip(*term_images)]
-        out.append(_wrap(field, ("s", "t"), d, {(d - j, j): v for j, v in enumerate(acc)}))
+        out.append([dot(cs, col) for col in zip(*term_images)]
+                   or [field._zero_raw] * (f.degree + 1))
     return out
+
+
+def restrict_forms(forms, p0, p1):
+    """`HomogPoly.restrict_to_line` for a list of forms over one field in
+    the same variables, of any degrees: `restrict_forms_raw` wrapped as
+    binary forms in (s, t), in order."""
+    return [_wrap(f.field, ("s", "t"), f.degree, {(f.degree - j, j): v for j, v in enumerate(cs)})
+            for f, cs in zip(forms, restrict_forms_raw(forms, p0, p1))]
 
 
 def _raw(f):

@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from prymcubic import linalg
 from prymcubic.binforms import (ST, _deg, _derivative, _divmod_poly, _gcd_poly,
-                                _is_zero_poly, _monic, _pth_root_poly, _trim, binary_gcd,
-                                is_squarefree, linear_root, perfect_square_root,
+                                _is_zero_poly, _monic, _pth_root_poly, _trim, are_coprime_raw,
+                                binary_gcd, has_even_divisor_raw, is_squarefree,
+                                is_squarefree_raw, linear_root, perfect_square_root,
                                 rational_roots, resultant, squarefree_decomposition,
                                 squarefree_factors)
 from prymcubic.fields import Field, QQ, QuadExtField, RationalField
@@ -38,6 +39,12 @@ def lin_product(field, roots, extra_s=0, extra_t=0):
     for _ in range(extra_t):
         f = f * bf(field, [0, 1])
     return f
+
+
+def dense(form):
+    """The dense raw list of a binary form, entry i at s^(d-i) t^i."""
+    return [form.terms.get((form.degree - i, i), form.field.zero()).val
+            for i in range(form.degree + 1)]
 
 
 def squarefree_signature(form):
@@ -479,3 +486,151 @@ def test_squarefree_shortcut_leaves_pth_powers_to_descent(field):
         assert squarefree_decomposition(f, field) == _yun(f, field)
     assert _is_zero_poly(_derivative(cases[0], field), field)
     assert squarefree_decomposition(cases[2], field)[-1][0] == p
+
+
+def _perfect_square_root_by_factors(form):
+    """`perfect_square_root` on forms, as it was before it read raw lists:
+    the product of the squarefree factors to half their multiplicities,
+    times a root of the form's lex-top coefficient over that product's
+    square; kept as its reference."""
+    field = form.field
+    factors = squarefree_factors(form)
+    if any(m % 2 for m, _ in factors):
+        return None
+    root0 = HomogPoly.monomial(field, form.vars, (0, 0))
+    for m, g in factors:
+        for _ in range(m // 2):
+            root0 = root0 * g
+    top = max(root0.terms)
+    scalar = form.terms[tuple(2 * k for k in top)] / (root0.terms[top] * root0.terms[top])
+    adjoined = field.adjoin_sqrt(scalar)
+    if adjoined is None:
+        return None
+    work, r = adjoined
+    return root0.change_field(work) * r
+
+
+RAW_FIELDS = {"F3": F3, "F5": F5, "F101": Field.prime(101), "F9": F9, "QQ": QQ}
+
+
+def _draw_scalar(data, field):
+    if field is F9:
+        k = data.draw(st.integers(0, 8))
+        return field.element((k % 3, k // 3))
+    if field is QQ:
+        return field.element(Fraction(data.draw(st.integers(-4, 4)), data.draw(st.integers(1, 3))))
+    return field.element(data.draw(st.integers(0, field.order() - 1)))
+
+
+def _draw_product(data, field, degree=None):
+    """c * prod g^m: s, t, a linear form (with its root at (1:0) or (0:1)
+    when a coefficient is zero) or a form of degree 2 to powers 1-4, the
+    product maybe raised to the characteristic's power p <= 5, so that the
+    derivative of its core vanishes, or else squared; c = 0 gives a zero
+    form.  With a degree given, a random form fills the product up to it,
+    or replaces a product of a larger degree."""
+    s, t = bf(field, [1, 0]), bf(field, [0, 1])
+    f = bf(field, [_draw_scalar(data, field)])
+    for _ in range(data.draw(st.integers(0, 3))):
+        kind = data.draw(st.sampled_from(["s", "t", "linear", "quadratic"]))
+        g = {"s": s, "t": t}.get(kind) or bf(field, [
+            _draw_scalar(data, field) for _ in range(2 if kind == "linear" else 3)])
+        if g:
+            for _ in range(data.draw(st.integers(1, 4))):
+                f = f * g
+    if data.draw(st.booleans()):
+        p = field.characteristic()
+        g, f = f, bf(field, [1])
+        for _ in range(p if 0 < p <= 5 else 2):
+            f = f * g
+    if degree is not None:
+        if f.degree > degree:
+            f = bf(field, [_draw_scalar(data, field)])
+        f = f * bf(field, [_draw_scalar(data, field) for _ in range(degree - f.degree + 1)])
+    return f
+
+
+def _shortened(data, cs, field):
+    """cs without some of its trailing zeros: the raw lists the evaluators
+    return may stop short."""
+    n = len(cs)
+    while n and field._is_zero_raw(cs[n - 1]) and data.draw(st.booleans()):
+        n -= 1
+    return cs[:n]
+
+
+@pytest.mark.parametrize("name", sorted(RAW_FIELDS))
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(data=st.data())
+def test_raw_predicates_match_the_form_references(name, data):
+    # is_squarefree_raw and has_even_divisor_raw against the multiplicity
+    # partition, and perfect_square_root against its form-level reference:
+    # over F_9 the reference may need a second extension for an even divisor
+    field = RAW_FIELDS[name]
+    f = _draw_product(data, field)
+    cs = _shortened(data, dense(f), field)
+    if not f:
+        assert not is_squarefree_raw(field, f.degree, cs)
+        with pytest.raises(PolyError, match="zero form"):
+            has_even_divisor_raw(field, f.degree, cs)
+        return
+    parts = multiplicity_partition(f)
+    assert is_squarefree_raw(field, f.degree, cs) == (parts == [1] * f.degree) == is_squarefree(f)
+    even = all(m % 2 == 0 for m in parts)
+    assert has_even_divisor_raw(field, f.degree, cs) == even
+    if f.degree % 2 == 0:
+        root, ref = perfect_square_root(f), _perfect_square_root_by_factors(f)
+        assert root == ref and (root is None or root.field == ref.field)
+        assert (ref is not None) == even or field is F9 and ref is None
+
+
+@pytest.mark.parametrize("name", sorted(RAW_FIELDS))
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(data=st.data())
+def test_coprime_raw_matches_the_gcd_chain(name, data):
+    # two to four forms of degree 3 with a drawn common factor (none, s, t,
+    # a linear form, or a square), some of them zero, against the chain of
+    # binary_gcd on the forms
+    field = RAW_FIELDS[name]
+    common = data.draw(st.sampled_from([[1], [1, 0], [0, 1], None, "square"]))
+    if common is None:
+        common = bf(field, [_draw_scalar(data, field) for _ in range(2)]) or bf(field, [1])
+    elif common == "square":
+        common = bf(field, [1, _draw_scalar(data, field)])
+        common = common * common
+    else:
+        common = bf(field, common)
+    forms = []
+    for _ in range(data.draw(st.integers(2, 4))):
+        forms.append(common * _draw_product(data, field, 3 - common.degree))
+    lists = [_shortened(data, dense(f), field) for f in forms]
+    g = forms[0]
+    for f in forms[1:]:
+        g = binary_gcd(g, f)
+    assert are_coprime_raw(field, 3, lists) == (all(forms) and g.degree == 0)
+
+
+@pytest.mark.parametrize("field", [F3, F5], ids=["F3", "F5"])
+def test_raw_predicates_on_edge_forms(field):
+    s, t = bf(field, [1, 0]), bf(field, [0, 1])
+    a = field.element(2)
+    w = s * s * s - t * t * t * a  # (s - a^(1/3) t)^3 in characteristic 3
+    u = s - t * a
+    cases = [(s, True, False), (t, True, False), (s * t, True, False),
+             (s * s, False, True), (t * t * t * t, False, True), (s * t * t, False, False),
+             (u * u * s * s, False, True), (w, field.p != 3, False),
+             (w * w, False, True), (w * w * s, False, False)]
+    for f, squarefree, even in cases:
+        cs = dense(f)
+        assert is_squarefree_raw(field, f.degree, cs) == squarefree, f
+        assert has_even_divisor_raw(field, f.degree, cs) == even, f
+        assert has_even_divisor_raw(field, f.degree + 2, cs + [0, 0]) == even, f
+        assert not is_squarefree_raw(field, f.degree + 2, cs + [0, 0]), f
+    for degree in (0, 3):
+        assert not is_squarefree_raw(field, degree, [])
+        assert not is_squarefree_raw(field, degree, [0] * (degree + 1))
+        assert not are_coprime_raw(field, degree, [[1] + [0] * degree, []])
+    assert are_coprime_raw(field, 3, [dense(s * s * s), dense(t * t * t)])
+    assert not are_coprime_raw(field, 3, [dense(s * s * s), dense(s * t * t)])
+    # w = u^3 in characteristic 3 only
+    assert are_coprime_raw(field, 3, [dense(w), dense(u * u * u)]) == (field.p != 3)

@@ -213,6 +213,19 @@ def test_zero_resultants_have_degree_deg_f_times_deg_g():
     assert not res and res.degree == 4 and res.vars == ("w0", "w1")
 
 
+def test_resultant_of_two_constants_is_one():
+    # the empty Sylvester matrix has determinant 1, as binforms.resultant
+    # gives for two constants; a constant c against a form of degree n
+    # gives c^n
+    for field in (QQ, Field.prime(3), F13):
+        two, three = (HomogPoly(field, W3, 0, {(0, 0, 0): c}) for c in (2, 3))
+        for f, g in ((two, two), (two, three)):
+            res = resultant_last_var(f, g)
+            assert res == HomogPoly(field, ("w0", "w1"), 0, {(0, 0): 1})
+        line = HomogPoly.linear(field, W3, [1, 2, 1])
+        assert resultant_last_var(two, line) == HomogPoly(field, ("w0", "w1"), 0, {(0, 0): 2})
+
+
 def test_resultant_of_dependent_quadrics_is_zero():
     # a dependent triple spans at most a pencil, which has base points
     def quad(terms):

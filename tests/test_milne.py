@@ -3,7 +3,7 @@ from collections import Counter
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from prymcubic import linalg, milne, poly
+from prymcubic import binforms, linalg, milne, poly
 from prymcubic.binforms import binary_gcd, pencil_determinant
 from prymcubic.fields import Field, QQ
 from prymcubic.fixtures import FIXTURES, fix_a
@@ -16,6 +16,7 @@ from prymcubic.poly import HomogPoly, SymMatrix, proportional
 from prymcubic.prym import forward_general
 from prymcubic.symmetroid import Symmetrization, SymmetroidError
 
+from test_binforms import dense
 from test_poly import CASES_F3_F9, PROPERTY
 from test_scene_properties import _scalar
 
@@ -82,7 +83,8 @@ def test_reducible_member_vanishing_determinant(F):
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)
 @given(data=st.data())
 def test_pencil_kernel_matches_pencil_determinant(p, data):
-    # the compiled det(s E + t Q) of one quadric Q equals the Laplace
+    # the compiled det(s E + t Q) of one quadric Q, a dense raw list that
+    # may stop short of s^0 t^4, lists the coefficients of the Laplace
     # expansion of binforms.pencil_determinant for every E: zero, a multiple
     # of Q (a proportional pencil), a sum of one or two rank-one terms, or
     # a sum of four; Q itself is drawn of every rank
@@ -101,7 +103,9 @@ def test_pencil_kernel_matches_pencil_determinant(p, data):
     kernel = milne._pencil_kernel(q, F)
     for e in (sym(0), q.scale(F.element(data.draw(raw))), sym(data.draw(st.integers(1, 2))),
               sym(4)):
-        assert kernel([e.upper[k].val for k in sorted(e.upper)]) == pencil_determinant(e, q, F)
+        det = kernel([e.upper[k].val for k in sorted(e.upper)])
+        assert len(det) <= 5
+        assert det + [0] * (5 - len(det)) == dense(pencil_determinant(e, q, F))
 
 
 def test_reducible_member_zero_pencil_end_is_degenerate():
@@ -436,7 +440,7 @@ def test_line_tests_restrict_each_form_once(monkeypatch):
     # adjugate of the symmetrization, so no Gauss quadric is compiled.
     # Another line object, even an equal one, is evaluated afresh, and
     # another symmetrization compiles its own cubics.  Over Q one
-    # restrict_forms call restricts the four cubics on each line.
+    # restrict_forms_raw call restricts the four cubics on each line.
     builds, evaluations, restricted = [], [], []
 
     def counted_build(build, forms_of):
@@ -452,7 +456,7 @@ def test_line_tests_restrict_each_form_once(monkeypatch):
 
     def counted_restrict(forms, p0, p1):
         restricted.extend(forms)
-        return poly.restrict_forms(forms, p0, p1)
+        return poly.restrict_forms_raw(forms, p0, p1)
 
     def one_form(*args):
         raise AssertionError("a form restricted on its own")
@@ -461,7 +465,7 @@ def test_line_tests_restrict_each_form_once(monkeypatch):
                         counted_build(milne.line_restrictions, lambda forms: forms))
     monkeypatch.setattr(milne, "_pencil_kernel",
                         counted_build(milne._pencil_kernel, lambda q, field: q))
-    monkeypatch.setattr(milne, "restrict_forms", counted_restrict)
+    monkeypatch.setattr(milne, "restrict_forms_raw", counted_restrict)
     monkeypatch.setattr(HomogPoly, "restrict_to_line", one_form)
     a = FIXTURES["t1"].symmetrization(F11)
     q = FIXTURES["t1"].quadric(F11)
@@ -499,15 +503,18 @@ def test_line_tests_restrict_each_form_once(monkeypatch):
 
 
 def test_base_locus_test_stops_at_the_first_constant_gcd(monkeypatch):
-    # one binary_gcd call when the first two restricted cubics are coprime,
-    # as on most lines, and no more than it takes to reach a constant gcd
+    # one gcd step of the raw chain when the first two restricted cubics are
+    # coprime, as on most lines, and no more than it takes to reach a
+    # constant gcd; the chain of binary_gcd on the wrapped restrictions is
+    # the reference
     calls = []
+    gcd_split = binforms._gcd_split
 
-    def counted(f, g):
+    def counted(a, b, field):
         calls.append(1)
-        return binary_gcd(f, g)
+        return gcd_split(a, b, field)
 
-    monkeypatch.setattr(milne, "binary_gcd", counted)
+    monkeypatch.setattr(binforms, "_gcd_split", counted)
     a = FIXTURES["t1"].symmetrization(F11)
     seen = Counter()
     for dual in _dual_lines(11):

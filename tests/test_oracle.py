@@ -18,6 +18,8 @@ from prymcubic.oracle import (DEFAULT_BUDGET, BudgetExceeded, OracleError,
 from prymcubic.poly import HomogPoly, restrict_forms
 from prymcubic.prym import conic_rational_point, forward_even, forward_general
 
+from test_binforms import dense
+
 F3 = Field.prime(3)
 F5 = Field.prime(5)
 F11 = Field.prime(11)
@@ -474,10 +476,11 @@ def _cubics_and_base_points(F, name):
 @given(data=st.data())
 def test_line_restrictions_match_restrict_forms(p, data):
     # one evaluator per form list restricts to every line as restrict_forms
-    # does: forms of degree 0 to 4, a form vanishing on the line, whose
-    # restriction is zero, and the adjugate cubics of a fixture web on a
-    # line through a base point of its cubic map, where they share a root
-    # or, on a line of base points, all vanish
+    # does, as the dense raw lists of its binary forms: forms of degree 0 to
+    # 4, a form vanishing on the line, whose list is all zeros, and the
+    # adjugate cubics of a fixture web on a line through a base point of its
+    # cubic map, where they share a root or, on a line of base points, all
+    # vanish
     F = Field.prime(p)
     names = ("z0", "z1", "z2")
     forms = [_draw_form(data, F, names, data.draw(st.integers(0, 4)))
@@ -487,17 +490,17 @@ def test_line_restrictions_match_restrict_forms(p, data):
     forms.append(HomogPoly.linear(F, names, span) * forms[0])
     on_line = line_restrictions(forms)
     for q0, q1 in ((p0, p1), (_draw_point(data, F, 3), _draw_point(data, F, 3))):
-        assert on_line(q0, q1) == restrict_forms(forms, [F.element(c) for c in q0],
-                                                 [F.element(c) for c in q1])
-    assert not on_line(p0, p1)[-1]
+        assert on_line(q0, q1) == [dense(f) for f in restrict_forms(
+            forms, [F.element(c) for c in q0], [F.element(c) for c in q1])]
+    assert on_line(p0, p1)[-1] == [0] * (forms[-1].degree + 1)
     webs = [name for name in sorted(FIXTURES) if _cubics_and_base_points(F, name)[1]]
     cubics, base = _cubics_and_base_points(F, data.draw(st.sampled_from(webs)))
     b = data.draw(st.sampled_from(base))
     q1 = data.draw(st.sampled_from(base)) if data.draw(st.booleans()) else _draw_point(data, F, 3)
     restricted = line_restrictions(cubics)(b, q1)
-    assert restricted == restrict_forms(cubics, [F.element(c) for c in b],
-                                        [F.element(c) for c in q1])
-    assert all(f.terms.get((3, 0)) is None for f in restricted)
+    assert restricted == [dense(f) for f in restrict_forms(
+        cubics, [F.element(c) for c in b], [F.element(c) for c in q1])]
+    assert all(cs[0] == 0 for cs in restricted)
 
 
 def test_generated_evaluator_of_a_long_form():

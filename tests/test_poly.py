@@ -1,10 +1,11 @@
+import inspect
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from prymcubic import linalg
+from prymcubic import linalg, poly
 from prymcubic.fields import Field, FieldElement, QQ
 from prymcubic.poly import HomogPoly, PolyError, SymMatrix, proportional, restrict_forms
 
@@ -387,6 +388,32 @@ def test_restrict_to_line_is_substitution_of_the_line(name, data):
     assert rest.vars == VARS[2] and rest.degree == f.degree
     s0, t0 = _scalar(data, field, raw), _scalar(data, field, raw)
     assert rest.evaluate([s0, t0]) == f.evaluate([s0 * a + t0 * b for a, b in zip(p0, p1)])
+
+
+def _evaluate_by_compose(f, point):
+    """`HomogPoly.evaluate` as it was before it ran on raw powers: `_compose`
+    with a constant form per coordinate, kept as its reference."""
+    field = f.field
+    raw = poly._compose(field, f.terms, [{(): field.element(x).val} for x in point], ())
+    return FieldElement(field, raw.get((), field._zero_raw))
+
+
+@pytest.mark.parametrize("name", sorted(CASES_F3_F9))
+@PROPERTY
+@given(data=st.data())
+def test_evaluate_matches_the_composition_with_constants(name, data):
+    # forms of degree 0 to 5 in two to four variables, sparse ones and the
+    # zero form among them, at points with zero coordinates; evaluate builds
+    # no scan evaluator, so the exhaustive references stay independent of it
+    make, raw = CASES_F3_F9[name]
+    field = make()
+    nv = data.draw(st.integers(2, 4))
+    f = _form(data, field, raw, nv, data.draw(st.integers(0, 5)))
+    for _ in range(3):
+        pt = [_scalar(data, field, raw) for _ in range(nv)]
+        value = f.evaluate(pt)
+        assert value == _evaluate_by_compose(f, pt) and value.field == field
+    assert "compile_raw" not in inspect.getsource(HomogPoly.evaluate)
 
 
 def _restrict_one_form(f, p0, p1):

@@ -438,7 +438,7 @@ def test_one_determinant_algorithm():
     # the one Laplace expansion is linalg.laplace: maximal_minors and the
     # pencil determinant run it, and binforms expands no minors of its own
     assert "laplace" in calls(linalg["maximal_minors"])
-    assert "linalg.laplace" in calls(functions("binforms.py")["pencil_determinant"])
+    assert "linalg.laplace" in calls(functions("binforms.py")["pencil_determinant_raw"])
     assert "combinations" not in (SRC / "binforms.py").read_text(encoding="utf-8")
     assert [name for name, text in ((p.name, p.read_text(encoding="utf-8"))
                                     for p in sorted(SRC.glob("*.py")))
@@ -498,6 +498,48 @@ def test_per_line_kernels_run_on_raw_values(monkeypatch):
     assert counts == {"mul": 0, "rref": 1}
     assert a.matrix.at(0, 0) * a.matrix.at(1, 1)
     assert counts == {"mul": 1, "rref": 1}
+
+
+def test_line_walk_wraps_no_form_for_a_line_it_rejects(monkeypatch):
+    # over F_13 the pencil determinant of a cone is tested on its raw list:
+    # a squarefree one makes reducible_member return None without wrapping
+    # a binary form, and one with a multiple root is wrapped once for
+    # quadrics.multiple_members; the four restricted cubics of a line are
+    # tested for a common root without wrapping one either
+    from prymcubic import linalg, milne
+    from prymcubic.binforms import is_squarefree, pencil_determinant
+    from prymcubic.fields import Field
+    from prymcubic.fixtures import FIXTURES
+
+    F = Field.prime(13)
+    a, q = FIXTURES["t1"].symmetrization(F), FIXTURES["t1"].quadric(F)
+    wrapped = []
+    binary_form = milne.binary_form
+
+    def counted(*args):
+        wrapped.append(args)
+        return binary_form(*args)
+
+    monkeypatch.setattr(milne, "binary_form", counted)
+    seen = {True: 0, False: 0}
+    for dual in [(1, u, v) for u in range(13) for v in range(13)]:
+        line = milne.Line2(F, *linalg.line_basis(dual, F))
+        wrapped.clear()
+        generic = milne.line_is_generic(a, line)
+        assert wrapped == []
+        if not generic:
+            continue
+        try:
+            cone = milne.enveloping_cone(a, line)
+        except milne.MilneError:
+            continue
+        squarefree = is_squarefree(pencil_determinant(cone.matrix, q, F))
+        wrapped.clear()
+        member = milne.reducible_member(cone.matrix, q, F)
+        assert len(wrapped) == (0 if squarefree else 1), dual
+        assert member is None or not squarefree
+        seen[squarefree] += 1
+    assert seen[True] > seen[False] > 0
 
 
 def test_determinants_and_products_of_forms_run_on_raw_values(monkeypatch):
