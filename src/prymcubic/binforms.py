@@ -17,13 +17,16 @@ descent), the root of a linear factor, perfect-square detection with at
 most one quadratic extension (`Field.adjoin_sqrt`), the Euclidean
 resultant, the determinant of a pencil of symmetric matrices, and the
 rational roots of a form over a finite field by Cantor-Zassenhaus root
-finding.
+finding.  `invariant_forms` gives two universal integer forms in the
+coefficients, the resultant of two binary cubics and 16 times the
+discriminant of a binary quartic, which the line walk over F_p evaluates
+compiled before it runs any of the gcd chains above.
 """
 
 from __future__ import annotations
 
 from . import linalg
-from .fields import FieldElement
+from .fields import FieldElement, QQ
 from .poly import HomogPoly, PolyError
 
 ST = ("s", "t")
@@ -446,6 +449,31 @@ def resultant(f, g):
         a, m, b, n = b, n, r, len(r) - 1
     # a constant against a form of degree m or n, or two constants
     return FieldElement(field, mul(acc, power(b[0], m) if m else power(a[0], n)))
+
+
+def invariant_forms():
+    """The two invariants the line walk reads first, over Q as forms with
+    integer coefficients in coefficient variables, each `linalg.det` of a
+    `linalg.sylvester` matrix of linear forms:
+
+    - Res(f_s, f_t) of a binary quartic with coefficients (c0, ..., c4),
+      c_k at s^(4-k) t^k: 16 times its discriminant (16 terms of degree 6);
+    - Res(f, g) of binary cubics with coefficients (f0, ..., f3) and
+      (g0, ..., g3) (34 terms of degree 6).
+
+    Both are universal, so in odd characteristic the first vanishes exactly
+    when the quartic has a repeated projective root or is zero, and the
+    second exactly when f and g share a projective root or one is zero."""
+    def variables(*names):
+        vs = tuple("%s%d" % (name, k) for name, n in names for k in range(n))
+        return ([HomogPoly.linear(QQ, vs, [0] * i + [1]) for i in range(len(vs))],
+                HomogPoly.linear(QQ, vs, []))
+
+    c, zero = variables(("c", 5))
+    disc = linalg.det(linalg.sylvester([c[k] * (4 - k) for k in range(4)],
+                                       [c[k + 1] * (k + 1) for k in range(4)], zero))
+    x, zero = variables(("f", 4), ("g", 4))
+    return disc, linalg.det(linalg.sylvester(x[:4], x[4:], zero))
 
 
 def binary_gcd(f, g):

@@ -11,9 +11,14 @@ components of a twisted cubic.  Over F_p those lists are compiled once per
 pair and evaluated once per line: the adjugate cubics restricted to a line
 come from `oracle.line_restrictions`, built once per cubic tuple, and the
 pencil determinant det(s E + t Q) of a cone E from `_pencil_kernel`, built
-once per quadric.  Over Q, Q(sqrt d) and F_{p^2} each line is restricted
-(`poly.restrict_forms_raw`), and each determinant expanded
-(`binforms.pencil_determinant_raw`), on its own.
+once per quadric.  Over F_p the compiled invariants of
+`oracle.binary_invariants` answer first: a nonzero discriminant of the
+pencil determinant means no multiple root, and a nonzero resultant of the
+first two cubics with no zero cubic means no common root, so a gcd chain
+runs only where one of them vanishes.  Over Q, Q(sqrt d) and F_{p^2} each
+line is restricted (`poly.restrict_forms_raw`), and each determinant
+expanded (`binforms.pencil_determinant_raw`) and tested by the gcd chains,
+on its own.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from . import linalg
 from .binforms import (ST, are_coprime_raw, binary_form, is_squarefree_raw,
                        pencil_determinant_raw, perfect_square_root, resultant, squarefree_factors)
 from .fields import FieldElement, PrimeField
-from .oracle import fibre_coefficients, kept_result, line_restrictions
+from .oracle import binary_invariants, fibre_coefficients, kept_result, line_restrictions
 from .poly import HomogPoly, SymMatrix, proportional, restrict_forms_raw
 from .prym import InternalError, conic_rational_point, parametrize_conic
 from .quadrics import factor_rank_le2, multiple_members
@@ -90,12 +95,23 @@ def _in_base_locus(field, restricted):
     return all(is_zero(c) for cs in restricted for c in cs)
 
 
+def _coprime(field, restricted):
+    """`are_coprime_raw` of the restricted cubics.  Over F_p the compiled
+    resultant of the first two answers first: when it is nonzero and no
+    other cubic is zero, the four share no root, with no gcd step."""
+    if isinstance(field, PrimeField):
+        f, g, *rest = restricted
+        if all(map(any, rest)) and binary_invariants(field)[1](f + g):
+            return True
+    return are_coprime_raw(field, 3, restricted)
+
+
 def line_is_generic(a, line):
     """The line avoids the base locus of the cubic map: the four restricted
     cubics are nonzero and have no common projective root.  A vanishing
     restriction means the whole line maps into a plane, and the image drops
     degree."""
-    return are_coprime_raw(a.field, 3, _restricted(a, line))
+    return _coprime(a.field, _restricted(a, line))
 
 
 def enveloping_cone(a, line):
@@ -167,10 +183,11 @@ def reducible_member(lam, q, field):
     `quadrics.multiple_members` gives their members in root order, and the
     first double plane or plane pair that needs a second extension is
     returned at once, else the first plane pair.  Over F_p the determinant
-    is read from `_pencil_kernel`, built once for the last (q, field) pair;
-    elsewhere `binforms.pencil_determinant_raw` expands it.  It is tested
-    for a multiple root on its raw coefficients and wrapped as a form only
-    when it has one.
+    is read from `_pencil_kernel`, built once for the last (q, field) pair,
+    and a nonzero compiled discriminant rules out a multiple root;
+    elsewhere `binforms.pencil_determinant_raw` expands it and
+    `is_squarefree_raw` tests it.  It is wrapped as a form only when it has
+    a multiple root.
     """
     # in odd characteristic the forms are zero or proportional exactly when
     # the matrices are; a zero member would reach factor_rank_le2 as a
@@ -179,14 +196,17 @@ def reducible_member(lam, q, field):
     lvec, qvec = [lam.upper[k] for k in keys], [q.upper[k] for k in keys]
     if not any(lvec) or not any(qvec) or proportional(lvec, qvec):
         raise MilneError("pencil is degenerate")
+    # with no multiple root every member has rank >= 3
     if isinstance(field, PrimeField):
         kernel = kept_result((q, field), lambda: _pencil_kernel(q, field))
         det = kernel([field.element(c).val for c in lvec])
+        det += [0] * (q.n + 1 - len(det))
+        if binary_invariants(field)[0](det):
+            return None
     else:
         det = pencil_determinant_raw(lam, q, field)
-    # with no multiple root every member has rank >= 3
-    if is_squarefree_raw(field, q.n, det):
-        return None
+        if is_squarefree_raw(field, q.n, det):
+            return None
     g = binary_form(field, ST, q.n, det)
     if not g:
         raise MilneError("pencil determinant vanishes identically")
@@ -304,7 +324,7 @@ def twisted_cubic(a, line):
     comps = tuple(binary_form(field, ST, 3, cs) for cs in restricted)
     if a.determinant_cubic().substitute(comps):
         raise InternalError("twisted cubic left the symmetroid; internal error")
-    return TwistedCubic(comps, are_coprime_raw(field, 3, restricted))
+    return TwistedCubic(comps, _coprime(field, restricted))
 
 
 def contact_points_match(h, cubic_T, contact_root, conic_param, plane_basis_vectors):

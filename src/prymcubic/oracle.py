@@ -37,15 +37,18 @@ composes each form once with x_i = s a_i + t b_i and reads the restriction
 to a line, as a dense raw list, from one call on its two points, for
 `enumerate_bitangents` and for the adjugate cubics of `milne`; milne's
 pencil determinant is read from det(E + t Q) by `fibre_coefficients`.
-`enumerate_bitangents` tests each restriction for an even divisor on those
-raw values and wraps no binary form.
+`binary_invariants` compiles the discriminant of a binary quartic and the
+resultant of two binary cubics once per field, so that each line is
+decided by one call, and a gcd chain runs only where one of them vanishes.
+`enumerate_bitangents` tests for an even divisor only the restrictions
+with a zero discriminant, on their raw values, and wraps no binary form.
 """
 
 from __future__ import annotations
 
 from itertools import product
 
-from .binforms import has_even_divisor_raw, is_squarefree
+from .binforms import has_even_divisor_raw, invariant_forms, is_squarefree
 from .fields import FieldElement, PrimeField
 from .poly import HomogPoly
 from . import linalg
@@ -214,6 +217,21 @@ def line_restrictions(forms):
         splits.append([HomogPoly(field, vs[:-2], f.degree, part, _clean=True) for part in split])
     ev = _list_evaluator(splits)
     return lambda p0, p1: ev([*p0, *p1])
+
+
+def binary_invariants(field):
+    """(discriminant, resultant): the evaluators over F_p of
+    `binforms.invariant_forms` on raw values.  discriminant(cs), for the
+    dense raw list cs of a binary quartic with all five entries, is nonzero
+    exactly when the quartic is squarefree; resultant(f + g), for the dense
+    raw lists of two binary cubics with all four entries each, is nonzero
+    exactly when both are nonzero and share no projective root.  The forms
+    are built once per process and compiled once per field, both kept by
+    `kept_result`, so a call for the last field is one lookup."""
+    # kept_result keys on the code of compute, which the wrappers of
+    # public functions (a tracer's, say) share, so each call has a lambda
+    return kept_result((field,), lambda: [compile_raw(f.change_field(field))
+                                          for f in kept_result((), lambda: invariant_forms())])
 
 
 def _quadratic_roots(cs, field):
@@ -437,18 +455,23 @@ def enumerate_bitangents(quartic, field, budget=DEFAULT_BUDGET):
 
     Returns the list in the deterministic dual-coordinate order.  The
     restriction to each line is read as a dense raw list from
-    `line_restrictions`, built once per call, and its divisor is tested on
-    those values: over F_p the leading scalar has a square root in F_p or
-    F_{p^2}, so an even divisor is all that `perfect_square_root` asks."""
+    `line_restrictions`, built once per call.  A restricted quartic with a
+    nonzero compiled discriminant is squarefree and has no even divisor;
+    the others have their divisor tested on those values: over F_p the
+    leading scalar has a square root in F_p or F_{p^2}, so an even divisor
+    is all that `perfect_square_root` asks."""
     if not isinstance(field, PrimeField):
         raise OracleError("bitangent enumeration runs over prime fields")
     on_line = line_restrictions([quartic])
+    # the compiled discriminant is that of a quartic; a form of another
+    # degree goes straight to the divisor test
+    squarefree = binary_invariants(field)[0] if quartic.degree == 4 else lambda rest: False
     out = []
     for dual_el in projective_points(field, 2, budget):
         p0, p1 = linalg.line_basis(dual_el, field)
         rest, = on_line([c.val for c in p0], [c.val for c in p1])
         if not any(rest):
             raise OracleError("quartic vanishes on a whole line; not reduced")
-        if has_even_divisor_raw(field, quartic.degree, rest):
+        if not squarefree(rest) and has_even_divisor_raw(field, quartic.degree, rest):
             out.append(BitangentLine(dual_el, tuple(p0), tuple(p1)))
     return out

@@ -8,11 +8,12 @@ from hypothesis import given, settings, strategies as st
 from prymcubic import linalg
 from prymcubic.binforms import (ST, _deg, _derivative, _divmod_poly, _gcd_poly,
                                 _is_zero_poly, _monic, _pth_root_poly, _trim, are_coprime_raw,
-                                binary_gcd, has_even_divisor_raw, is_squarefree,
+                                binary_gcd, has_even_divisor_raw, invariant_forms, is_squarefree,
                                 is_squarefree_raw, linear_root, perfect_square_root,
                                 rational_roots, resultant, squarefree_decomposition,
                                 squarefree_factors)
 from prymcubic.fields import Field, QQ, QuadExtField, RationalField
+from prymcubic.oracle import binary_invariants
 from prymcubic.poly import HomogPoly, PolyError, proportional
 from test_field_properties import CASES
 
@@ -608,6 +609,104 @@ def test_coprime_raw_matches_the_gcd_chain(name, data):
     for f in forms[1:]:
         g = binary_gcd(g, f)
     assert are_coprime_raw(field, 3, lists) == (all(forms) and g.degree == 0)
+
+
+INVARIANT_FIELDS = {"F3": F3, "F5": F5, "F13": Field.prime(13), "F101": Field.prime(101)}
+
+
+def _draw_form(data, field, degree):
+    """A form of the given degree: a `_draw_product`, a scalar times
+    s^k t^(degree-k), a double root at (1:0) or at (0:1) times a product, or
+    the cube of a linear form times a product (a p-th power over F_3) when
+    the degree is at least 3."""
+    s, t = bf(field, [1, 0]), bf(field, [0, 1])
+    kind = data.draw(st.sampled_from(["product", "monomial", "t^2", "s^2", "cube"][:4 + (degree >= 3)]))
+    if kind == "product":
+        return _draw_product(data, field, degree)
+    if kind == "monomial":
+        k = data.draw(st.integers(0, degree))
+        return bf(field, [0] * (degree - k) + [_draw_scalar(data, field)] + [0] * k)
+    if kind == "cube":
+        u = bf(field, [_draw_scalar(data, field) for _ in range(2)])
+        return u * u * u * _draw_product(data, field, degree - 3)
+    g = {"t^2": t, "s^2": s}[kind]
+    return g * g * _draw_product(data, field, degree - 2)
+
+
+def _padded(cs, degree):
+    return cs + [0] * (degree + 1 - len(cs))
+
+
+@pytest.mark.parametrize("name", sorted(INVARIANT_FIELDS))
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(data=st.data())
+def test_compiled_invariants_match_the_gcd_chains(name, data):
+    # the compiled discriminant of a quartic is nonzero exactly when
+    # is_squarefree_raw holds, and then has_even_divisor_raw fails; the
+    # compiled resultant of two cubics, with a drawn common factor or none,
+    # is nonzero exactly when are_coprime_raw holds.  The raw predicates,
+    # the reference, read the lists as the evaluators may stop them short
+    field = INVARIANT_FIELDS[name]
+    disc, res = binary_invariants(field)
+    quartic = _draw_form(data, field, 4)
+    cs = _shortened(data, dense(quartic), field)
+    squarefree = bool(disc(_padded(cs, 4)))
+    assert squarefree == is_squarefree_raw(field, 4, cs)
+    if squarefree:
+        assert not has_even_divisor_raw(field, 4, cs)
+    common = data.draw(st.sampled_from([[1], [1, 0], [0, 1], None]))
+    common = bf(field, common) if common else bf(field, [1, _draw_scalar(data, field)])
+    f, g = (common * _draw_form(data, field, 3 - common.degree) for _ in range(2))
+    lists = [_shortened(data, dense(h), field) for h in (f, g)]
+    assert bool(res(_padded(lists[0], 3) + _padded(lists[1], 3))) \
+        == are_coprime_raw(field, 3, lists)
+    if common.degree:
+        assert not res(dense(f) + dense(g))
+
+
+@pytest.mark.parametrize("field", [F3, F5], ids=["F3", "F5"])
+def test_compiled_invariants_on_edge_forms(field):
+    # zero lists, s^k and t^k, and p-th powers over F_3, whose derivative
+    # in s or in t vanishes
+    disc, res = binary_invariants(field)
+    s, t = bf(field, [1, 0]), bf(field, [0, 1])
+    a = field.element(2)
+    u = s - t * a
+    w = u * u * u
+    assert not disc([0] * 5) and not res([0] * 8)
+    for k in range(5):
+        assert not disc(dense(bf(field, [0] * k + [1] + [0] * (4 - k))))
+    assert disc(dense(s * t * (s * s + t * t * a))) and disc(dense(s * t * (s + t) * (s - t)))
+    assert not disc(dense(w * (s + t))) and not disc(dense(w * t)) and not disc(dense(w * s))
+    assert res(dense(s * s * s) + dense(t * t * t))
+    assert not res(dense(s * s * s) + dense(s * t * t))
+    assert not res(dense(w) + dense(u * t * t))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(data=st.data())
+def test_generic_invariants_are_the_euclidean_resultants(data):
+    # over Q the generic resultant of two cubics is the Euclidean resultant,
+    # and the quartic's test form is Res(f_s, f_t), which is 16 times the
+    # discriminant: 16 prod (r_i - r_j)^2 over the root pairs of a form
+    # monic in s
+    disc, res = invariant_forms()
+    coeff = st.integers(-4, 4).map(lambda n: QQ.element(Fraction(n, data.draw(st.integers(1, 3)))))
+    f, g = (bf(QQ, [data.draw(coeff) for _ in range(4)]) for _ in range(2))
+    values = [c for h in (f, g) for c in (h.terms.get((3 - i, i), QQ.zero()) for i in range(4))]
+    assert res.evaluate(values) == resultant(f, g)
+    quartic = bf(QQ, [data.draw(coeff) for _ in range(5)])
+    values = [quartic.terms.get((4 - i, i), QQ.zero()) for i in range(5)]
+    assert disc.evaluate(values) == resultant(*quartic.gradient())
+    roots = [data.draw(coeff) for _ in range(4)]
+    monic = lin_product(QQ, [(r, 1) for r in roots])
+    values = [monic.terms.get((4 - i, i), QQ.zero()) for i in range(5)]
+    want = QQ.element(16)
+    for i in range(4):
+        for j in range(i + 1, 4):
+            want = want * (roots[i] - roots[j]) * (roots[i] - roots[j])
+    assert disc.evaluate(values) == want
+    assert len(disc.terms) == 16 and len(res.terms) == 34
 
 
 @pytest.mark.parametrize("field", [F3, F5], ids=["F3", "F5"])

@@ -16,7 +16,7 @@ from prymcubic.poly import HomogPoly, SymMatrix, proportional
 from prymcubic.prym import forward_general
 from prymcubic.symmetroid import Symmetrization, SymmetroidError
 
-from test_binforms import dense
+from test_binforms import INVARIANT_FIELDS, _draw_form, _draw_scalar, bf, dense
 from test_poly import CASES_F3_F9, PROPERTY
 from test_scene_properties import _scalar
 
@@ -502,11 +502,11 @@ def test_line_tests_restrict_each_form_once(monkeypatch):
     assert len(builds) == 4
 
 
-def test_base_locus_test_stops_at_the_first_constant_gcd(monkeypatch):
-    # one gcd step of the raw chain when the first two restricted cubics are
-    # coprime, as on most lines, and no more than it takes to reach a
-    # constant gcd; the chain of binary_gcd on the wrapped restrictions is
-    # the reference
+def test_base_locus_test_runs_gcd_steps_only_on_a_zero_resultant(monkeypatch):
+    # over F_p no gcd step on a line whose four restricted cubics are
+    # nonzero with Res(first two) != 0, as on most lines; otherwise as many
+    # steps as it takes the chain of binary_gcd on the wrapped restrictions,
+    # the reference, to reach a constant gcd
     calls = []
     gcd_split = binforms._gcd_split
 
@@ -524,11 +524,29 @@ def test_base_locus_test_stops_at_the_first_constant_gcd(monkeypatch):
         for c in cubics[1:]:
             chain.append(binary_gcd(chain[-1], c))
         want = next((k for k in range(1, 4) if chain[k].degree == 0), 3)
+        quick = all(cubics) and bool(binforms.resultant(cubics[0], cubics[1]))
         calls.clear()
         assert line_is_generic(a, line) == (all(cubics) and chain[-1].degree == 0)
-        assert len(calls) == (want if all(cubics) else 0), dual
+        assert len(calls) == (want if all(cubics) and not quick else 0), dual
         seen[len(calls)] += 1
-    assert seen[1] > seen[3] > 0
+    assert seen[0] > seen[3] > 0
+
+
+@pytest.mark.parametrize("name", sorted(INVARIANT_FIELDS) + ["QQ"])
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(data=st.data())
+def test_coprime_cubics_read_the_resultant_first(name, data):
+    # four restricted cubics, the last two maybe zero, the first two with a
+    # drawn common factor (s, t, a linear form) or none: milne's test, which
+    # over F_p reads the compiled resultant first, agrees with the gcd chain
+    # of are_coprime_raw
+    field = INVARIANT_FIELDS.get(name, QQ)
+    common = data.draw(st.sampled_from([[1], [1, 0], [0, 1], None]))
+    common = bf(field, common) if common else bf(field, [1, _draw_scalar(data, field)])
+    lists = [dense(common * _draw_form(data, field, 3 - common.degree)) for _ in range(2)]
+    lists += [dense(bf(field, [0] * 4) if data.draw(st.booleans()) else _draw_form(data, field, 3))
+              for _ in range(2)]
+    assert milne._coprime(field, lists) == binforms.are_coprime_raw(field, 3, lists)
 
 
 def _cone_by_forms(a, line):

@@ -201,7 +201,8 @@ def test_one_kept_result_memo():
     # oracle.kept_result is the one memo of a last result: no module keeps state
     # behind a `global` statement, and only the census, the line restriction
     # (its restrictions per line and its evaluator per cubic tuple), the
-    # pencil determinant's evaluator and the forward model read it
+    # pencil determinant's evaluator, the forward model and the compiled
+    # binary invariants (their forms, then their evaluators per field) read it
     import prymcubic.milne as milne
     import prymcubic.oracle as oracle
 
@@ -217,7 +218,8 @@ def test_one_kept_result_memo():
                     readers.append("%s.%s" % (path.stem, getattr(top, "name", None)))
     assert offenders == []
     assert sorted(readers) == ["milne._restricted", "milne._restricted", "milne.reducible_member",
-                               "oracle._census", "prym.forward_general"]
+                               "oracle._census", "oracle.binary_invariants",
+                               "oracle.binary_invariants", "prym.forward_general"]
 
 
 def test_no_unread_private_module_names():
@@ -540,6 +542,57 @@ def test_line_walk_wraps_no_form_for_a_line_it_rejects(monkeypatch):
         assert member is None or not squarefree
         seen[squarefree] += 1
     assert seen[True] > seen[False] > 0
+
+
+def test_squarefree_lines_are_decided_by_the_compiled_discriminant(monkeypatch):
+    # over F_13 a squarefree pencil determinant makes reducible_member
+    # return None with no squarefree decomposition, and one with a multiple
+    # root is decomposed once, by quadrics.multiple_members; the bitangent
+    # walk asks for an even divisor only on the restricted quartics with a
+    # zero discriminant
+    from prymcubic import binforms, linalg, milne, oracle
+    from prymcubic.fields import Field
+    from prymcubic.fixtures import FIXTURES
+    from prymcubic.prym import forward_general
+
+    F = Field.prime(13)
+    a, q = FIXTURES["t1"].symmetrization(F), FIXTURES["t1"].quadric(F)
+    calls = []
+    decomposition = binforms.squarefree_decomposition
+
+    def counted(f, field):
+        calls.append(1)
+        return decomposition(f, field)
+
+    monkeypatch.setattr(binforms, "squarefree_decomposition", counted)
+    seen = {True: 0, False: 0}
+    for dual in [(1, u, v) for u in range(13) for v in range(13)]:
+        line = milne.Line2(F, *linalg.line_basis(dual, F))
+        try:
+            cone = milne.enveloping_cone(a, line)
+        except milne.MilneError:
+            continue
+        squarefree = binforms.is_squarefree(binforms.pencil_determinant(cone.matrix, q, F))
+        calls.clear()
+        milne.reducible_member(cone.matrix, q, F)
+        assert len(calls) == (0 if squarefree else 1), dual
+        seen[squarefree] += 1
+    assert seen[True] > seen[False] > 0
+    quartic = forward_general(a, q).quartic
+    repeated = 0
+    for dual in oracle.projective_points(F, 2):
+        rest = quartic.restrict_to_line(*linalg.line_basis(dual, F))
+        repeated += not binforms.is_squarefree(rest)
+    even_divisor = oracle.has_even_divisor_raw
+    tested = []
+
+    def counted_even(field, degree, cs):
+        tested.append(1)
+        return even_divisor(field, degree, cs)
+
+    monkeypatch.setattr(oracle, "has_even_divisor_raw", counted_even)
+    oracle.enumerate_bitangents(quartic, F)
+    assert 0 < len(tested) == repeated < 183
 
 
 def test_determinants_and_products_of_forms_run_on_raw_values(monkeypatch):
