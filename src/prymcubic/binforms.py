@@ -11,13 +11,14 @@ dense raw lists straight from its evaluators: `is_squarefree_raw`,
 `has_even_divisor_raw` and `are_coprime_raw` answer its questions on them,
 and `is_squarefree`, `perfect_square_root` and `binary_gcd` read the same
 code after unwrapping a form, so a line that fails a test is never
-wrapped.  On top of it: gcd, squarefree factorization into binary forms
-(`squarefree_factors`, complete in small characteristic via p-th-power
-descent), the root of a linear factor, perfect-square detection with at
-most one quadratic extension (`Field.adjoin_sqrt`), the Euclidean
-resultant, the determinant of a pencil of symmetric matrices, and the
-rational roots of a form over a finite field by Cantor-Zassenhaus root
-finding.  `invariant_forms` gives two universal integer forms in the
+wrapped.  On top of it: gcd, squarefree factorization
+(`squarefree_factors_raw` on a dense raw list, which `squarefree_factors`
+wraps as binary forms, complete in small characteristic via p-th-power
+descent), perfect-square detection with at most one quadratic extension
+(`Field.adjoin_sqrt`), the Euclidean resultant, the determinant of a
+pencil of symmetric matrices as a dense raw list, and the rational roots
+of a form over a finite field by Cantor-Zassenhaus root finding.
+`invariant_forms` gives two universal integer forms in the
 coefficients, the resultant of two binary cubics and 16 times the
 discriminant of a binary quartic, which the line walk over F_p evaluates
 compiled before it runs any of the gcd chains above.
@@ -77,27 +78,29 @@ def binary_form(field, vs, degree, coeffs):
                      _clean=True)
 
 
-def squarefree_factors(form):
-    """[(m, g)] with form = c * prod g^m for a nonzero form: each g a
-    squarefree binary form in the form's variables, the g pairwise coprime.
+def squarefree_factors_raw(field, degree, cs):
+    """[(m, g)] with f = c * prod g^m for the nonzero binary form f of the
+    given degree with the dense raw list cs, which may stop short of entry
+    `degree`: each g the dense raw list of a squarefree form, all its
+    entries present, the g pairwise coprime.
 
     s, whose root is (0 : 1), comes first when it divides the form, then t,
     whose root is (1 : 0); then the other factors by ascending m, each with
     s^deg coefficient 1."""
-    field, vs = form.field, form.vars
-    s_mult, t_mult, core = _strip_st(form)
-    out = [(m, HomogPoly.linear(field, vs, e))
-           for m, e in ((s_mult, (1, 0)), (t_mult, (0, 1))) if m]
-    out += [(m, binary_form(field, vs, _deg(g), g[::-1]))
-            for m, g in squarefree_decomposition(core, field)]
-    return out
+    split = _split(field, degree, cs)
+    if split is None:
+        raise PolyError("zero form")
+    s_mult, t_mult, core = split
+    zero, one = field._zero_raw, field._one_raw
+    out = [(m, e) for m, e in ((s_mult, [one, zero]), (t_mult, [zero, one])) if m]
+    return out + [(m, g[::-1]) for m, g in squarefree_decomposition(core, field)]
 
 
-def linear_root(g):
-    """The root of a linear binary form a s + b t: (-b/a, 1), or (1, 0) when
-    a = 0."""
-    a, b = g.linear_coeffs()
-    return (-b / a, g.field.one()) if a else (g.field.one(), g.field.zero())
+def squarefree_factors(form):
+    """`squarefree_factors_raw` of a nonzero form, each factor a binary form
+    in the form's variables."""
+    return [(m, binary_form(form.field, form.vars, _deg(g), g))
+            for m, g in squarefree_factors_raw(form.field, form.degree, _coeffs(form))]
 
 
 # ---------------------------------------------------------------------------
@@ -303,12 +306,6 @@ def pencil_determinant_raw(m1, m2, field):
     rows = [[entry(i, j) for j in range(n)] for i in range(n)]
     det = linalg.laplace(rows, field._convolve_raw, lambda x: [neg(c) for c in x])
     return det[tuple(range(n))] or []
-
-
-def pencil_determinant(m1, m2, field):
-    """det(s M1 + t M2), `pencil_determinant_raw` wrapped as a binary form
-    in (s, t) of degree n."""
-    return binary_form(field, ST, m1.n, pencil_determinant_raw(m1, m2, field))
 
 
 # ---------------------------------------------------------------------------

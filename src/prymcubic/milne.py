@@ -4,34 +4,34 @@ quadrics, tritangency certificates, the twisted cubic through the contact
 points, and the unique-cubic reconstruction.
 
 The per-line polynomials of the walk over the lines of the plane are dense
-raw lists, and `binforms` decides on them whether the restricted cubics
-share a root and whether the pencil determinant has a multiple root; a
-binary form is wrapped only for a pencil with a multiple root and for the
-components of a twisted cubic.  Over F_p those lists are compiled once per
-pair and evaluated once per line: the adjugate cubics restricted to a line
-come from `oracle.line_restrictions`, built once per cubic tuple, and the
-pencil determinant det(s E + t Q) of a cone E from `_pencil_kernel`, built
-once per quadric.  Over F_p the compiled invariants of
+raw lists: `binforms` decides on them whether the restricted cubics share a
+root, and `quadrics.multiple_members` reads the pencil determinant's
+multiple roots from one squarefree factorization of its list; a binary form
+is wrapped only for the components of a twisted cubic.  Over F_p those
+lists are compiled once per pair and evaluated once per line: the adjugate
+cubics restricted to a line come from `oracle.line_restrictions`, built
+once per cubic tuple, and the pencil determinant det(s E + t Q) of a cone
+E from `_pencil_kernel`, built once per quadric.  Over F_p the compiled invariants of
 `oracle.binary_invariants` answer first: a nonzero discriminant of the
 pencil determinant means no multiple root, and a nonzero resultant of the
 first two cubics with no zero cubic means no common root, so a gcd chain
 runs only where one of them vanishes.  Over Q, Q(sqrt d) and F_{p^2} each
-line is restricted (`poly.restrict_forms_raw`), and each determinant
-expanded (`binforms.pencil_determinant_raw`) and tested by the gcd chains,
-on its own.
+line is restricted (`poly.restrict_forms_raw`) and tested by the gcd
+chains, and each determinant expanded (`binforms.pencil_determinant_raw`)
+and factored, on its own.
 """
 
 from __future__ import annotations
 
 from . import linalg
-from .binforms import (ST, are_coprime_raw, binary_form, is_squarefree_raw,
-                       pencil_determinant_raw, perfect_square_root, resultant, squarefree_factors)
+from .binforms import (ST, are_coprime_raw, binary_form, pencil_determinant_raw,
+                       perfect_square_root, resultant, squarefree_factors)
 from .fields import FieldElement, PrimeField
 from .oracle import binary_invariants, fibre_coefficients, kept_result, line_restrictions
 from .poly import HomogPoly, SymMatrix, proportional, restrict_forms_raw
 from .prym import InternalError, conic_rational_point, parametrize_conic
 from .quadrics import factor_rank_le2, multiple_members
-from .symmetroid import QUADRIC_EXPONENTS, X4
+from .symmetroid import X4
 
 U3 = ("u0", "u1", "u2")
 
@@ -62,11 +62,13 @@ class Line2:
 
 
 class EnvelopingCone:
-    __slots__ = ("matrix", "form", "rank")
+    """The cone's symmetric matrix and its rank; its quadratic form is
+    `matrix.quadratic_form(field, X4)`, built by a caller that reads it."""
 
-    def __init__(self, matrix, form, rank):
+    __slots__ = ("matrix", "rank")
+
+    def __init__(self, matrix, rank):
         self.matrix = matrix
-        self.form = form
         self.rank = rank
 
 
@@ -123,18 +125,15 @@ def enveloping_cone(a, line):
     diagonal and -8 off it, so each coefficient of the cone is one dot
     product of these six weights with a row of `a.adjugate_table()`."""
     field, adj, table = a.field, a.adjugate_quadrics(), a.adjugate_table()
-    mul, is_zero = field._mul, field._is_zero_raw
+    mul = field._mul
     u = [field.element(c).val for c in line.u]
     diagonal, off = field._from_int(-4), field._from_int(-8)
     weights = [mul(mul(u[i], u[j]), diagonal if i == j else off) for i, j in adj.upper]
     half = field._inv(field._from_int(2))
-    terms, upper = {}, {}
+    upper = {}
     for (k, l), row in table.items():
         c = field._dot_raw(row, weights)
-        if not is_zero(c):
-            terms[QUADRIC_EXPONENTS[(k, l)]] = FieldElement(field, c)
         upper[(k, l)] = FieldElement(field, c if k == l else mul(c, half))
-    form = HomogPoly(field, adj.at(0, 0).vars, 2, terms, _clean=True)
     mat = SymMatrix(4, upper)
     rank = mat.rank()
     # b^2 - 4ac has rank 3 in odd characteristic, so rank <= 2 means that the
@@ -145,7 +144,7 @@ def enveloping_cone(a, line):
         raise MilneError("line lies in the base locus of the cubic map")
     if rank == 4:
         raise InternalError("enveloping cone of a plane conic has full rank; internal error")
-    return EnvelopingCone(mat, form, rank)
+    return EnvelopingCone(mat, rank)
 
 
 class ReducibleMember:
@@ -180,14 +179,14 @@ def _pencil_kernel(q, field):
 def reducible_member(lam, q, field):
     """The reduced rank <= 2 member of the pencil, or a double-plane flag, or
     None.  Only multiple roots of the degree-four determinant can carry one;
-    `quadrics.multiple_members` gives their members in root order, and the
+    `quadrics.multiple_members` gives their members in root order from one
+    squarefree factorization of the determinant's dense raw list, and the
     first double plane or plane pair that needs a second extension is
     returned at once, else the first plane pair.  Over F_p the determinant
     is read from `_pencil_kernel`, built once for the last (q, field) pair,
     and a nonzero compiled discriminant rules out a multiple root;
-    elsewhere `binforms.pencil_determinant_raw` expands it and
-    `is_squarefree_raw` tests it.  It is wrapped as a form only when it has
-    a multiple root.
+    elsewhere `binforms.pencil_determinant_raw` expands it.  No binary form
+    is wrapped.
     """
     # in odd characteristic the forms are zero or proportional exactly when
     # the matrices are; a zero member would reach factor_rank_le2 as a
@@ -205,13 +204,11 @@ def reducible_member(lam, q, field):
             return None
     else:
         det = pencil_determinant_raw(lam, q, field)
-        if is_squarefree_raw(field, q.n, det):
-            return None
-    g = binary_form(field, ST, q.n, det)
-    if not g:
+    members = multiple_members(lam, q, det, field)
+    if members is None:
         raise MilneError("pencil determinant vanishes identically")
     found = None
-    for _, work, mw in multiple_members(lam, q, g, field):
+    for _, work, mw in members:
         r = mw.rank()
         if r > 2:
             continue

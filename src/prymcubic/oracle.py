@@ -36,7 +36,9 @@ line is a fixed polynomial in the line's two points: `line_restrictions`
 composes each form once with x_i = s a_i + t b_i and reads the restriction
 to a line, as a dense raw list, from one call on its two points, for
 `enumerate_bitangents` and for the adjugate cubics of `milne`; milne's
-pencil determinant is read from det(E + t Q) by `fibre_coefficients`.
+pencil determinant is read from the one form det(E + t Q) by
+`fibre_coefficients`, the scheme walk's evaluator of a form's coefficients
+in its last variable.
 `binary_invariants` compiles the discriminant of a binary quartic and the
 resultant of two binary cubics once per field, so that each line is
 decided by one call, and a gcd chain runs only where one of them vanishes.
@@ -161,38 +163,18 @@ def _pair_kernel(poly):
     return ev
 
 
-def fibre_coefficients(poly):
-    """Evaluator of the coefficients of a form, or of each form of a list,
-    in its last variable T: for f = sum_k c_k(x_0..x_{n-2}) T^k it returns
-    on a base point the list of the raw values c_0, ..., c_m, m the top power
-    of T in f (0 for the zero form), zero values included, or one such list
-    per form, from one `compile_raw` call.  The scheme walk reads it per
-    equation, and the pencil determinant of `milne` reads a polynomial in a
-    matrix from it."""
-    single = not isinstance(poly, (list, tuple))
-    splits = []
-    for f in [poly] if single else poly:
-        split = [{} for _ in range(max((e[-1] for e in f.terms), default=0) + 1)]
-        for e, c in f.terms.items():
-            split[e[-1]][e[:-1]] = c
-        splits.append([HomogPoly(f.field, f.vars[:-1], f.degree - k, part, _clean=True)
-                       for k, part in enumerate(split)])
-    return compile_raw(splits[0]) if single else _list_evaluator(splits)
-
-
-def _list_evaluator(splits):
-    """Evaluator of a list of lists of forms from one `compile_raw` call: on
-    a point, the raw values of each list's forms as one list."""
-    bounds, parts = [], []
-    for split in splits:
-        bounds.append((len(parts), len(parts) + len(split)))
-        parts += split
-    ev = compile_raw(parts)
-
-    def each(pt):
-        values = ev(pt)
-        return [values[i:j] for i, j in bounds]
-    return each
+def fibre_coefficients(f):
+    """Evaluator of the coefficients of a form in its last variable T: for
+    f = sum_k c_k(x_0..x_{n-2}) T^k it returns on a base point the list of
+    the raw values c_0, ..., c_m, m the top power of T in f (0 for the zero
+    form), zero values included, from one `compile_raw` call.  The scheme
+    walk reads it per equation, and the pencil determinant of `milne` reads
+    a polynomial in a matrix from it."""
+    split = [{} for _ in range(max((e[-1] for e in f.terms), default=0) + 1)]
+    for e, c in f.terms.items():
+        split[e[-1]][e[:-1]] = c
+    return compile_raw([HomogPoly(f.field, f.vars[:-1], f.degree - k, part, _clean=True)
+                        for k, part in enumerate(split)])
 
 
 def line_restrictions(forms):
@@ -204,19 +186,25 @@ def line_restrictions(forms):
     the variables (a_0..a_{n-1}, b_0..b_{n-1}, s, t); the terms of the
     composite with t^k, all of which carry s^(d-k), form entry k as a form
     of degree d in (a, b) alone, so the generated code reads the line's two
-    points and multiplies by no power of s."""
+    points and multiplies by no power of s.  One `compile_raw` call covers
+    the entries of every form."""
     field, n = forms[0].field, len(forms[0].vars)
     vs = tuple("a%d" % i for i in range(n)) + tuple("b%d" % i for i in range(n)) + ("s", "t")
     x = [HomogPoly.linear(field, vs, [0] * i + [1]) for i in range(2 * n + 2)]
     images = [x[-2] * x[i] + x[-1] * x[n + i] for i in range(n)]
-    splits = []
+    bounds, parts = [], []
     for f in forms:
         split = [{} for _ in range(f.degree + 1)]
         for e, c in f.substitute(images).terms.items():
             split[e[-1]][e[:-2]] = c
-        splits.append([HomogPoly(field, vs[:-2], f.degree, part, _clean=True) for part in split])
-    ev = _list_evaluator(splits)
-    return lambda p0, p1: ev([*p0, *p1])
+        bounds.append((len(parts), len(parts) + len(split)))
+        parts += [HomogPoly(field, vs[:-2], f.degree, part, _clean=True) for part in split]
+    ev = compile_raw(parts)
+
+    def each(p0, p1):
+        values = ev([*p0, *p1])
+        return [values[i:j] for i, j in bounds]
+    return each
 
 
 def binary_invariants(field):

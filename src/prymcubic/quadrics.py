@@ -2,14 +2,16 @@
 genus-3 constructions and the tritangent machinery: congruence
 diagonalization, exact factorization of rank <= 2 symmetric forms into
 linear forms (with at most one quadratic extension for the square root,
-from `Field.adjoin_sqrt`), and the members of a pencil of quadrics at the
-multiple roots of its determinant.
+from `Field.adjoin_sqrt`), and the one reader of a pencil of quadrics: its
+members at the multiple roots of its determinant, given as a dense raw
+list.
 """
 
 from __future__ import annotations
 
 from . import linalg
-from .binforms import linear_root, pencil_determinant, squarefree_factors
+from .binforms import squarefree_factors_raw
+from .fields import FieldElement
 from .poly import HomogPoly, SymMatrix
 
 
@@ -117,33 +119,30 @@ def factor_rank_le2(mat, field, vars):
     return PlanePair("pair", (yi + yj * r) * diag[i], yi - yj * r, None, work is not field)
 
 
-def pencil_multiple_members(m1, m2, field):
-    """(d, members) for the pencil s M1 + t M2 of symmetric matrices of size
-    at most 5: d = det(s M1 + t M2) from `binforms.pencil_determinant`, a
-    Laplace expansion on raw dense coefficient lists that computes each
-    minor of the bottom rows once, and its `multiple_members`."""
-    d = pencil_determinant(m1, m2, field)
-    return d, multiple_members(m1, m2, d, field)
-
-
-def multiple_members(m1, m2, d, field):
-    """For each root of d = det(s M1 + t M2) of multiplicity m >= 2, in
-    `squarefree_factors` order, (m, work, member), the member s0 M1 + t0 M2
-    at the root over `work`.  A root of a quadratic factor lives over
-    `Field.adjoin_sqrt`'s extension by its discriminant, + root first; a
-    factor that would need a second extension is skipped.  No members when
-    d vanishes identically.  Size at most 5 keeps every multiple factor of
-    degree at most 2."""
-    if not d:
-        return []
+def multiple_members(m1, m2, det, field):
+    """The one reader of a pencil s M1 + t M2 of symmetric matrices of size
+    n <= 5, given det(s M1 + t M2) as the dense raw list that
+    `binforms.pencil_determinant_raw` returns (entry j at s^(n-j) t^j; the
+    list may stop short).  For each root of multiplicity m >= 2, in
+    `squarefree_factors_raw` order, (m, work, member), the member
+    s0 M1 + t0 M2 at the root over `work`.  A root of a quadratic factor
+    lives over `Field.adjoin_sqrt`'s extension by its discriminant, + root
+    first; a factor that would need a second extension is skipped.  None
+    when det vanishes identically.  Size at most 5 keeps every multiple
+    factor of degree at most 2."""
+    if all(map(field._is_zero_raw, det)):
+        return None
     members = []
-    for m, g in squarefree_factors(d):
+    for m, g in squarefree_factors_raw(field, m1.n, det):
         if m < 2:
             continue
-        if g.degree == 1:
-            work, roots = field, [linear_root(g)]
+        g = [FieldElement(field, c) for c in g]
+        if len(g) == 2:
+            # the root of a s + b t
+            a, b = g
+            work, roots = field, [(-b / a, field.one()) if a else (field.one(), field.zero())]
         else:
-            c2, c1, c0 = (g.terms.get(e, field.zero()) for e in ((2, 0), (1, 1), (0, 2)))
+            c2, c1, c0 = g
             adjoined = field.adjoin_sqrt(c1 * c1 - c0 * c2 * 4)
             if adjoined is None:
                 continue

@@ -10,11 +10,11 @@ from __future__ import annotations
 from itertools import combinations_with_replacement, islice, product
 
 from . import linalg
-from .binforms import ST, is_squarefree, rational_roots
+from .binforms import ST, is_squarefree, pencil_determinant_raw, rational_roots
 from .elim import plane_cubic_is_smooth
 from .oracle import compile_raw
 from .poly import HomogPoly, SymMatrix
-from .quadrics import factor_rank_le2, pencil_multiple_members
+from .quadrics import factor_rank_le2, multiple_members
 
 X4 = ("x0", "x1", "x2", "x3")
 Z3 = ("z0", "z1", "z2")
@@ -247,7 +247,8 @@ class Symmetrization:
         web's column space.  Applied to the square (w.z)^2 of a variable
         line, each is the quadratic form of the symmetric matrix M it fills
         in monomial order.  The singular members s k1 + t k2 are the roots
-        of d = det(s M1 + t M2), read by `quadrics.pencil_multiple_members`.
+        of d = det(s M1 + t M2), which `binforms.pencil_determinant_raw`
+        expands and `quadrics.multiple_members` reads.
         Three simple roots mean four simple points.  A multiple root is
         unique, hence rational, and the rank of its member tells a tangency
         (rank 2) from a pair of tangencies or a contact of order four
@@ -272,8 +273,8 @@ class Symmetrization:
         functionals = linalg.kernel_basis(linalg.transpose(self.coefficient_matrix()), field)
         m1, m2 = (SymMatrix(3, zip(_CONIC_ENTRIES, f)) for f in functionals)
         conics = k1, k2 = tuple(m.quadratic_form(field, W3) for m in (m1, m2))
-        d, members = pencil_multiple_members(m1, m2, field)
-        if d:
+        members = multiple_members(m1, m2, pencil_determinant_raw(m1, m2, field), field)
+        if members is not None:
             partition = [1, 1, 1, 1]
             if members:
                 mult, _, member = members[0]

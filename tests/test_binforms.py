@@ -9,9 +9,9 @@ from prymcubic import linalg
 from prymcubic.binforms import (ST, _deg, _derivative, _divmod_poly, _gcd_poly,
                                 _is_zero_poly, _monic, _pth_root_poly, _trim, are_coprime_raw,
                                 binary_gcd, has_even_divisor_raw, invariant_forms, is_squarefree,
-                                is_squarefree_raw, linear_root, perfect_square_root,
-                                rational_roots, resultant, squarefree_decomposition,
-                                squarefree_factors)
+                                is_squarefree_raw, perfect_square_root, rational_roots,
+                                resultant, squarefree_decomposition, squarefree_factors,
+                                squarefree_factors_raw)
 from prymcubic.fields import Field, QQ, QuadExtField, RationalField
 from prymcubic.oracle import binary_invariants
 from prymcubic.poly import HomogPoly, PolyError, proportional
@@ -322,6 +322,8 @@ def test_rational_roots_examples():
 def check_squarefree_factors(f):
     field = f.field
     factors = squarefree_factors(f)
+    # the factors of the form are those of its dense raw list, wrapped
+    assert squarefree_factors_raw(field, f.degree, dense(f)) == [(m, dense(g)) for m, g in factors]
     prod = bf(field, [1])
     for m, g in factors:
         assert g.vars == f.vars and g.degree >= 1
@@ -334,7 +336,9 @@ def check_squarefree_factors(f):
         for _, h in factors[i + 1:]:
             assert binary_gcd(g, h).degree == 0
         if g.degree == 1:
-            assert not g.evaluate(list(linear_root(g)))
+            # the root of a s + b t
+            a, b = g.linear_coeffs()
+            assert not g.evaluate([-b / a, field.one()] if a else [field.one(), field.zero()])
     s, t = bf(field, [1, 0]), bf(field, [0, 1])
     lead = [g for g in (s, t) if f.divide_linear(g) is not None]
     assert [g for _, g in factors[:len(lead)]] == lead
@@ -402,7 +406,7 @@ def test_squarefree_factors_descend_pth_powers(field):
               u * u * u * u * u * u, s * s * s * v * v * v * v * v * v):
         check_squarefree_factors(f)
     assert squarefree_factors(u * u * u * t) == [(1, t), (3, u)]
-    assert linear_root(u) == (a, field.one()) and linear_root(t) == (field.one(), field.zero())
+    assert not u.evaluate([a, field.one()]) and not t.evaluate([field.one(), field.zero()])
     assert squarefree_factors(s * s * s * v * v * v) == [(3, s), (3, v)]
 
 

@@ -1,10 +1,11 @@
 from collections import Counter
+from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from prymcubic import binforms, linalg, milne, poly
-from prymcubic.binforms import binary_gcd, pencil_determinant
+from prymcubic.binforms import binary_gcd, pencil_determinant_raw
 from prymcubic.fields import Field, QQ
 from prymcubic.fixtures import FIXTURES, fix_a
 from prymcubic.milne import (Line2, MilneError, contact_points_match,
@@ -32,7 +33,7 @@ def test_enveloping_cone_seed_line():
     line = Line2(QQ, [1, 0, 0], [0, 1, 0])
     cone = enveloping_cone(a, line)
     target = HomogPoly(QQ, X4, 2, {(0, 0, 0, 2): 4, (1, 1, 0, 0): -4})
-    assert proportional(cone.form, target)
+    assert proportional(cone.matrix.quadratic_form(QQ, X4), target)
     assert cone.rank < 4
     assert not cone.matrix.det()
 
@@ -83,9 +84,9 @@ def test_reducible_member_vanishing_determinant(F):
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)
 @given(data=st.data())
 def test_pencil_kernel_matches_pencil_determinant(p, data):
-    # the compiled det(s E + t Q) of one quadric Q, a dense raw list that
-    # may stop short of s^0 t^4, lists the coefficients of the Laplace
-    # expansion of binforms.pencil_determinant for every E: zero, a multiple
+    # the compiled det(s E + t Q) of one quadric Q and the Laplace
+    # expansion of binforms.pencil_determinant_raw are the same dense raw
+    # list once both are padded to s^0 t^4, for every E: zero, a multiple
     # of Q (a proportional pencil), a sum of one or two rank-one terms, or
     # a sum of four; Q itself is drawn of every rank
     F = Field.prime(p)
@@ -104,8 +105,43 @@ def test_pencil_kernel_matches_pencil_determinant(p, data):
     for e in (sym(0), q.scale(F.element(data.draw(raw))), sym(data.draw(st.integers(1, 2))),
               sym(4)):
         det = kernel([e.upper[k].val for k in sorted(e.upper)])
-        assert len(det) <= 5
-        assert det + [0] * (5 - len(det)) == dense(pencil_determinant(e, q, F))
+        expanded = pencil_determinant_raw(e, q, F)
+        assert len(det) <= 5 and len(expanded) <= 5
+        assert det + [0] * (5 - len(det)) == expanded + [0] * (5 - len(expanded))
+
+
+@pytest.mark.parametrize("name,field,cones", [
+    ("t1", Field.prime(7).quadratic_extension(3), 124),
+    ("t2", Field.prime(5).quadratic_extension(2), 116),
+    ("seed", QQ, 112)], ids=["t1-F49", "t2-F25", "seed-Q"])
+def test_reducible_member_factors_each_determinant_once(monkeypatch, name, field, cones):
+    # off F_p no compiled discriminant answers first: reducible_member
+    # factors the pencil determinant of every cone once, in
+    # quadrics.multiple_members, with or without a multiple root; the cones
+    # are those of the nonzero duals in {0..4}^3 over F_49 and F_25, and in
+    # {-2..2}^3 over Q
+    a, q = FIXTURES[name].symmetrization(field), FIXTURES[name].quadric(field)
+    calls = []
+    decomposition = binforms.squarefree_decomposition
+
+    def counted(f, field):
+        calls.append(1)
+        return decomposition(f, field)
+
+    monkeypatch.setattr(binforms, "squarefree_decomposition", counted)
+    per_cone = []
+    box = range(5) if field.characteristic() else range(-2, 3)
+    for dual in product(box, repeat=3):
+        if not any(dual):
+            continue
+        try:
+            cone = enveloping_cone(a, Line2.from_dual(field, dual))
+        except MilneError:
+            continue
+        calls.clear()
+        reducible_member(cone.matrix, q, field)
+        per_cone.append(len(calls))
+    assert per_cone == [1] * cones
 
 
 def test_reducible_member_zero_pencil_end_is_degenerate():
@@ -197,7 +233,7 @@ def test_envelope_contains_the_two_conics():
                         acc = t if acc is None else acc + t
                 lifted.append(acc if acc is not None
                               else HomogPoly.zero(work, ("s", "t"), 2))
-            cform = cone.form if cone.form.field == work else cone.form.change_field(work)
+            cform = cone.matrix.quadratic_form(work, X4)
             restricted = cform.substitute(tuple(lifted))
             assert not restricted
 
@@ -225,7 +261,7 @@ def test_envelope_vanishes_exactly_on_prym_line_points():
                 continue
             z = a.prym_canonical_point(p)
             on_line = not linalg.sum_entries([c * v for c, v in zip(dualf, z)])
-            vanishes = not cone.form.evaluate(p)
+            vanishes = not cone.matrix.quadratic_form(F, X4).evaluate(p)
             assert on_line == vanishes
             checked += 1
         if checked >= 20:
@@ -313,7 +349,8 @@ def test_envelope_tangent_along_twisted_cubic():
         cone = enveloping_cone(a, line)
         tw = twisted_cubic(a, line)
         assert tw.honest
-        grads_l = [g.substitute(tw.components) for g in cone.form.gradient()]
+        grads_l = [g.substitute(tw.components)
+                   for g in cone.matrix.quadratic_form(F11, X4).gradient()]
         grads_g = [g.substitute(tw.components) for g in gamma.gradient()]
         for i in range(4):
             for j in range(i + 1, 4):
@@ -581,8 +618,9 @@ def test_enveloping_cone_matches_the_scaled_adjugate_quadrics(name, data):
     except (MilneError, SymmetroidError) as e:
         assert mat.rank() <= 2 or "base locus" in str(e) or "vanishes identically" in str(e)
         return
-    assert cone.form == form and cone.matrix == mat and cone.rank == mat.rank()
-    assert cone.form.vars == X4 and all(c.field == field for c in cone.matrix.upper.values())
+    assert cone.matrix.quadratic_form(field, X4) == form
+    assert cone.matrix == mat and cone.rank == mat.rank()
+    assert all(c.field == field for c in cone.matrix.upper.values())
 
 
 @pytest.mark.parametrize("name,p", [("t1", 11), ("biell", 13), ("t3", 17)]
@@ -608,7 +646,7 @@ def test_enveloping_cone_is_the_discriminant_of_the_line_pencil(name, p):
         af, bf, cf = (HomogPoly.linear(F, X4, [r.terms.get(e, F.zero()) for r in rest])
                       for e in ((2, 0), (1, 1), (0, 2)))
         form = bf * bf - af * cf * 4
-        assert cone.form == form
+        assert cone.matrix.quadratic_form(F, X4) == form
         assert cone.matrix == SymMatrix.from_quadratic_form(form)
         assert cone.rank == 3
     assert cones > len(duals) // 2

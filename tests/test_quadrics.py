@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from prymcubic import linalg
-from prymcubic.binforms import ST, pencil_determinant
-from prymcubic.fields import Field, FieldElement, QQ
+from prymcubic.binforms import ST, pencil_determinant_raw
+from prymcubic.fields import Field, QQ
 from prymcubic.poly import HomogPoly, SymMatrix
-from prymcubic.quadrics import congruence_diagonalize, factor_rank_le2, pencil_multiple_members
+from prymcubic.quadrics import congruence_diagonalize, factor_rank_le2, multiple_members
 
+from test_binforms import dense
 from test_poly import CASES_F3_F9, PROPERTY
 from test_scene_properties import _scalar
 
@@ -119,9 +120,10 @@ def test_pencil_members_at_a_conjugate_double_pair():
     F7 = Field.prime(7)
     a, b = [[0, 1], [1, 0]], [[1, 0], [0, 3]]
     m1, m2 = block_diag(F7, a, a), block_diag(F7, b, b)
-    d, members = pencil_multiple_members(m1, m2, F7)
-    g = HomogPoly(F7, ST, 2, {(0, 2): 3, (2, 0): -1})
-    assert d == g * g
+    d = pencil_determinant_raw(m1, m2, F7)
+    # (3t^2 - s^2)^2 = s^4 - 6 s^2 t^2 + 9 t^4
+    assert d == [1, 0, 1, 0, 2]
+    members = multiple_members(m1, m2, d, F7)
     K = F7.quadratic_extension(5)
     r = K.sqrt_d()
     assert [(m, work) for m, work, _ in members] == [(2, K), (2, K)]
@@ -129,16 +131,17 @@ def test_pencil_members_at_a_conjugate_double_pair():
         assert member == SymMatrix(4, {k: K.element(m1.upper[k]) * s0 + K.element(m2.upper[k])
                                        for k in m1.upper})
         assert member.rank() == 2
-    # pencils with a common kernel have d = 0 and no members
+    # pencils with a common kernel have d = 0, which no member is read from
     c = block_diag(F7, a, [[0, 0], [0, 0]])
-    d, members = pencil_multiple_members(c, c.scale(F7.element(2)), F7)
-    assert not d and members == []
+    d = pencil_determinant_raw(c, c.scale(F7.element(2)), F7)
+    assert not any(d) and multiple_members(c, c.scale(F7.element(2)), d, F7) is None
 
 
 def _pencil_determinant_by_lists(m1, m2, field):
-    """`binforms.pencil_determinant` with each signed term built as its own
-    product list and merged into the minor by a list comprehension: the
-    reference for its in-place accumulation."""
+    """`binforms.pencil_determinant_raw` with each signed term built as its
+    own product list and merged into the minor by a list comprehension: the
+    reference for its in-place accumulation, as a dense raw list with all
+    n + 1 entries."""
     n = m1.n
     add, sub = field._add, field._sub
     rows = [[[field.element(m1.at(i, j)).val, field.element(m2.at(i, j)).val]
@@ -154,8 +157,7 @@ def _pencil_determinant_by_lists(m1, m2, field):
                 op = sub if k % 2 else add
                 acc = [op(x, y) for x, y in zip(acc, term)]
             minors[cols] = acc
-    top = minors[tuple(range(n))]
-    return HomogPoly(field, ST, n, {(n - j, j): FieldElement(field, c) for j, c in enumerate(top)})
+    return minors[tuple(range(n))]
 
 
 @pytest.mark.parametrize("name", sorted(CASES_F3_F9))
@@ -180,6 +182,8 @@ def test_pencil_determinant_is_the_determinant_of_the_pencil(name, data):
     m1, m2 = sym(), sym()
     pencil = [[HomogPoly.linear(field, ST, [m1.at(i, j), m2.at(i, j)]) for j in range(n)]
               for i in range(n)]
-    d = pencil_determinant(m1, m2, field)
-    assert d == linalg.det(pencil) and d.vars == ST and d.degree == n
+    d = pencil_determinant_raw(m1, m2, field)
+    # the list may stop short of s^0 t^n
+    d += [field._zero_raw] * (n + 1 - len(d))
+    assert d == dense(linalg.det(pencil))
     assert d == _pencil_determinant_by_lists(m1, m2, field)

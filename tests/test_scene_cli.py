@@ -11,7 +11,8 @@ import prymcubic.prym as prym
 from prymcubic.cli import main
 from prymcubic.fields import Field, QQ
 from prymcubic.fixtures import FIXTURES, fix_a, fix_x
-from prymcubic.milne import Line2
+from prymcubic.milne import Line2, MilneError, enveloping_cone, line_is_generic
+from prymcubic.oracle import projective_points
 from prymcubic.poly import HomogPoly
 from prymcubic.scene import (Scene, SceneError, parse_scene, reduce_scene,
                              write_scene)
@@ -229,24 +230,30 @@ def test_cli_classify_reads_one_rank_one_scheme(capsys, monkeypatch):
     import prymcubic.linalg as linalg
     import prymcubic.symmetroid as symmetroid
 
-    counts = dict.fromkeys(("kernel_basis", "pencil"), 0)
-    kernel_basis, pencil = linalg.kernel_basis, symmetroid.pencil_multiple_members
+    counts = dict.fromkeys(("kernel_basis", "determinant", "members"), 0)
+    kernel_basis = linalg.kernel_basis
+    determinant, members = symmetroid.pencil_determinant_raw, symmetroid.multiple_members
 
     def counted_kernel_basis(rows, field):
         counts["kernel_basis"] += 1
         return kernel_basis(rows, field)
 
-    def counted_pencil(m1, m2, field):
-        counts["pencil"] += 1
-        return pencil(m1, m2, field)
+    def counted_determinant(m1, m2, field):
+        counts["determinant"] += 1
+        return determinant(m1, m2, field)
+
+    def counted_members(m1, m2, det, field):
+        counts["members"] += 1
+        return members(m1, m2, det, field)
 
     monkeypatch.setattr(linalg, "kernel_basis", counted_kernel_basis)
-    monkeypatch.setattr(symmetroid, "pencil_multiple_members", counted_pencil)
+    monkeypatch.setattr(symmetroid, "pencil_determinant_raw", counted_determinant)
+    monkeypatch.setattr(symmetroid, "multiple_members", counted_members)
     nf = os.path.join(os.path.dirname(DATA), "normal_forms.json")
     code, out, err = run_cli(["classify", nf, "--object", "N1"], capsys)
     assert (code, err) == (0, "")
     assert json.loads(out)["rank_one"] == [1, 1, 1, 1]
-    assert counts == {"kernel_basis": 2, "pencil": 1}
+    assert counts == {"kernel_basis": 2, "determinant": 1, "members": 1}
 
 
 def test_cli_classify_cone_with_dependent_partials(tmp_path, capsys):
@@ -448,6 +455,37 @@ def test_cli_milne_single_line(tmp_path, capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep["results"][0]["generic"]
+
+
+def test_cli_milne_keys_mean_what_the_readme_says(capsys):
+    # "generic" says only that the line has an enveloping cone; whether the
+    # line avoids the base locus (milne.line_is_generic) is
+    # "twisted_cubic_honest", given on each bitangent entry.  On seed over
+    # F_13 the two differ: 70 lines with a cone meet the base locus, and
+    # every bitangent entry is one of them
+    F = Field.prime(13)
+    code, out, err = run_cli(["milne-tritangents", DATA, "--A", "A_seed", "--Q", "Q_seed",
+                              "--enumerate", "--q", "13"], capsys)
+    assert (code, err) == (0, "")
+    a = reduce_scene(parse_scene(open(DATA).read()), F).get("A_seed", "symmetrization")
+    results = json.loads(out)["results"]
+    duals = list(projective_points(F, 2))
+    assert [entry["line"] for entry in results] == [str(dual) for dual in duals]
+    meets_base_locus = bitangents = 0
+    for dual, entry in zip(duals, results):
+        line = Line2.from_dual(F, dual)
+        try:
+            enveloping_cone(a, line)
+            has_cone = True
+        except MilneError:
+            has_cone = False
+        assert entry["generic"] == has_cone, dual
+        generic = line_is_generic(a, line)
+        meets_base_locus += has_cone and not generic
+        if entry.get("bitangent"):
+            assert entry["twisted_cubic_honest"] == generic, dual
+            bitangents += 1
+    assert (meets_base_locus, bitangents) == (70, 8)
 
 
 def test_cli_internal_invariant_failure_exits_4(capsys, monkeypatch):

@@ -340,10 +340,12 @@ def test_no_coordinate_frame_table():
 
 def test_pencil_roots_are_read_in_one_place():
     # binforms alone reads a form's s/t multiplicities and its core in
-    # u = s/t; quadrics.pencil_multiple_members alone turns the multiple
-    # roots of det(s M1 + t M2) into members of the pencil
+    # u = s/t; quadrics.multiple_members alone turns the multiple roots of
+    # det(s M1 + t M2), given as a dense raw list, into members of the
+    # pencil, and reducible_member hands it that list unwrapped
     import prymcubic.binforms as binforms
     import prymcubic.milne as milne
+    import prymcubic.quadrics as quadrics
 
     private = {"squarefree_decomposition", "_strip_st", "s_mult", "t_mult"}
     offenders = []
@@ -359,6 +361,15 @@ def test_pencil_roots_are_read_in_one_place():
     assert not hasattr(binforms, "squarefree_parts")
     assert not hasattr(milne, "_pencil_det")
     assert not hasattr(milne, "_roots_with_multiplicity_ge2")
+    for module, name in ((binforms, "pencil_determinant"), (binforms, "linear_root"),
+                         (quadrics, "pencil_multiple_members")):
+        assert not hasattr(module, name), name
+    assert "form" not in milne.EnvelopingCone.__slots__
+    tree = ast.parse((SRC / "milne.py").read_text(encoding="utf-8"))
+    member = next(n for n in tree.body
+                  if isinstance(n, ast.FunctionDef) and n.name == "reducible_member")
+    called = {ast.unparse(n.func) for n in ast.walk(member) if isinstance(n, ast.Call)}
+    assert not called & {"is_squarefree_raw", "binary_form"}
 
 
 def test_binary_forms_run_on_raw_values():
@@ -503,26 +514,27 @@ def test_per_line_kernels_run_on_raw_values(monkeypatch):
 
 
 def test_line_walk_wraps_no_form_for_a_line_it_rejects(monkeypatch):
-    # over F_13 the pencil determinant of a cone is tested on its raw list:
-    # a squarefree one makes reducible_member return None without wrapping
-    # a binary form, and one with a multiple root is wrapped once for
-    # quadrics.multiple_members; the four restricted cubics of a line are
-    # tested for a common root without wrapping one either
-    from prymcubic import linalg, milne
-    from prymcubic.binforms import is_squarefree, pencil_determinant
+    # over F_13 the line walk decides each line on raw lists: the four
+    # restricted cubics of a line are tested for a common root, and
+    # reducible_member reads the pencil determinant of every cone through
+    # quadrics.multiple_members, whether or not it has a multiple root,
+    # without wrapping a binary form
+    from prymcubic import binforms, linalg, milne
     from prymcubic.fields import Field
     from prymcubic.fixtures import FIXTURES
 
     F = Field.prime(13)
     a, q = FIXTURES["t1"].symmetrization(F), FIXTURES["t1"].quadric(F)
     wrapped = []
-    binary_form = milne.binary_form
 
-    def counted(*args):
-        wrapped.append(args)
-        return binary_form(*args)
+    def counted(wrap):
+        def wrapper(*args):
+            wrapped.append(args)
+            return wrap(*args)
+        return wrapper
 
-    monkeypatch.setattr(milne, "binary_form", counted)
+    for module in (milne, binforms):
+        monkeypatch.setattr(module, "binary_form", counted(module.binary_form))
     seen = {True: 0, False: 0}
     for dual in [(1, u, v) for u in range(13) for v in range(13)]:
         line = milne.Line2(F, *linalg.line_basis(dual, F))
@@ -535,10 +547,11 @@ def test_line_walk_wraps_no_form_for_a_line_it_rejects(monkeypatch):
             cone = milne.enveloping_cone(a, line)
         except milne.MilneError:
             continue
-        squarefree = is_squarefree(pencil_determinant(cone.matrix, q, F))
+        det = binforms.pencil_determinant_raw(cone.matrix, q, F)
+        squarefree = binforms.is_squarefree_raw(F, 4, det)
         wrapped.clear()
         member = milne.reducible_member(cone.matrix, q, F)
-        assert len(wrapped) == (0 if squarefree else 1), dual
+        assert wrapped == [], dual
         assert member is None or not squarefree
         seen[squarefree] += 1
     assert seen[True] > seen[False] > 0
@@ -572,7 +585,8 @@ def test_squarefree_lines_are_decided_by_the_compiled_discriminant(monkeypatch):
             cone = milne.enveloping_cone(a, line)
         except milne.MilneError:
             continue
-        squarefree = binforms.is_squarefree(binforms.pencil_determinant(cone.matrix, q, F))
+        det = binforms.pencil_determinant_raw(cone.matrix, q, F)
+        squarefree = binforms.is_squarefree_raw(F, 4, det)
         calls.clear()
         milne.reducible_member(cone.matrix, q, F)
         assert len(calls) == (0 if squarefree else 1), dual
@@ -774,28 +788,32 @@ def test_one_pencil_decides_the_rank_one_scheme(monkeypatch):
     sym = symmetroid.Symmetrization
     assert list(inspect.signature(sym.__init__).parameters) == ["self", "field", "matrix", "xvars"]
     assert list(inspect.signature(sym.from_quadric_vector).parameters) == ["field", "mats", "xvars"]
-    counts = dict.fromkeys(("kernel_basis", "pencil", "factor"), 0)
+    counts = dict.fromkeys(("kernel_basis", "determinant", "members", "factor"), 0)
     dets = []
     kernel_basis = linalg.kernel_basis
-    pencil = symmetroid.pencil_multiple_members
+    determinant, members = symmetroid.pencil_determinant_raw, symmetroid.multiple_members
     factor = symmetroid.factor_rank_le2
 
     def counted_kernel_basis(rows, field):
         counts["kernel_basis"] += 1
         return kernel_basis(rows, field)
 
-    def counted_pencil(m1, m2, field):
-        counts["pencil"] += 1
-        out = pencil(m1, m2, field)
-        dets.append(out[0])
-        return out
+    def counted_determinant(m1, m2, field):
+        counts["determinant"] += 1
+        dets.append(determinant(m1, m2, field))
+        return dets[-1]
+
+    def counted_members(m1, m2, det, field):
+        counts["members"] += 1
+        return members(m1, m2, det, field)
 
     def counted_factor(mat, field, vars):
         counts["factor"] += 1
         return factor(mat, field, vars)
 
     monkeypatch.setattr(linalg, "kernel_basis", counted_kernel_basis)
-    monkeypatch.setattr(symmetroid, "pencil_multiple_members", counted_pencil)
+    monkeypatch.setattr(symmetroid, "pencil_determinant_raw", counted_determinant)
+    monkeypatch.setattr(symmetroid, "multiple_members", counted_members)
     monkeypatch.setattr(symmetroid, "factor_rank_le2", counted_factor)
     F = Field.prime(13)
     searched = set()
@@ -804,8 +822,8 @@ def test_one_pencil_decides_the_rank_one_scheme(monkeypatch):
         counts.update(dict.fromkeys(counts, 0))
         dets.clear()
         assert a.classify() == tag
-        assert counts["pencil"] == 1
-        assert counts["factor"] == (0 if dets[0] else 1), tag
+        assert counts["determinant"] == counts["members"] == 1
+        assert counts["factor"] == (0 if any(dets[0]) else 1), tag
         if counts["factor"]:
             searched.add(tag)
         if tag in ("T1", "T2", "T3", "T4"):

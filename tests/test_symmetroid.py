@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from prymcubic import linalg, symmetroid
+from prymcubic.binforms import pencil_determinant_raw
 from prymcubic.elim import resultant_last_var
 from prymcubic.fields import Field, QQ, QuadExtField, is_prime
 from prymcubic.oracle import compile_raw, projective_points, projective_points_raw
 from prymcubic.poly import HomogPoly, SymMatrix, proportional
-from prymcubic.quadrics import factor_rank_le2, pencil_multiple_members
+from prymcubic.quadrics import factor_rank_le2, multiple_members
 from prymcubic.symmetroid import (Symmetrization, SymmetroidError, SymmetroidType,
                                   cayley_normal_form, hankel_symmetroid,
                                   quotient_plane_form)
@@ -609,9 +610,9 @@ def _common_rational_line_reference(k1, k2, field):
 
 def _conic_intersection_partition_reference(k1, k2, field):
     """Second step: the partition read from the pencil's multiple members."""
-    d, members = pencil_multiple_members(SymMatrix.from_quadratic_form(k1),
-                                         SymMatrix.from_quadratic_form(k2), field)
-    if not d:
+    m1, m2 = SymMatrix.from_quadratic_form(k1), SymMatrix.from_quadratic_form(k2)
+    members = multiple_members(m1, m2, pencil_determinant_raw(m1, m2, field), field)
+    if members is None:
         return [4]
     if not members:
         return [1, 1, 1, 1]
