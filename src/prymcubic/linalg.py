@@ -2,14 +2,16 @@
 
 Row reduction, kernels and inverses take FieldElement entries; row
 reduction and rank eliminate on their raw values.  The two points of a
-plane line, the kernel of its one-row matrix, come in closed form
-(`line_basis`), with no row reduction.  Every determinant is one kernel,
-`laplace`: a division-free Laplace expansion on raw values that adds each
-signed term straight into its minor and skips the terms of zero entries
-and zero minors.  `maximal_minors` and `mat_mul` read their entries once
-as raw values (scalars of the widest field among them, forms through their
-ring's `HomogPoly.raw_ring`), accumulate every product in place and wrap
-each result once; `det` reads `maximal_minors`.
+plane line, the kernel of its one-row matrix, come in closed form on raw
+values (`line_basis_raw`, which `line_basis` wraps), with no row
+reduction, and `cross` is the one cross product, of elements or of raw
+values.  Every determinant is one kernel, `laplace`: a division-free
+Laplace expansion on raw values that adds each signed term straight into
+its minor and skips the terms of zero entries and zero minors.
+`maximal_minors` and `mat_mul` read their entries once as raw values
+(scalars of the widest field among them, forms through their ring's
+`HomogPoly.raw_ring`), accumulate every product in place and wrap each
+result once; `det` reads `maximal_minors`.
 `binforms.pencil_determinant_raw` and `elim.resultant_last_var` run
 `laplace` on dense lists of raw coefficients of binary forms, the latter
 on the Sylvester matrix that `sylvester` builds: the one matrix whose
@@ -18,6 +20,7 @@ entries mix degrees.
 
 from __future__ import annotations
 
+import operator
 from itertools import combinations
 
 from .fields import FieldElement, QuadExtField
@@ -104,20 +107,31 @@ def kernel_basis(rows, field):
     return basis
 
 
-def line_basis(dual, field):
-    """Two points spanning the plane line with dual coordinates `dual`: the
-    kernel basis of the one-row matrix in closed form.  With c the first
-    nonzero coordinate, each other column f, in ascending order, gives the
-    point with 1 at f, -dual[f]/dual[c] at c and 0 elsewhere."""
-    d = [field.element(x) for x in dual]
-    c = next((i for i, x in enumerate(d) if x), None)
+def line_basis_raw(dual, field):
+    """Two points spanning the plane line with the raw dual coordinates
+    `dual`, as lists of raw values: the kernel basis of the one-row matrix
+    in closed form.  With c the first nonzero coordinate, each other column
+    f, in ascending order, gives the point with 1 at f, -dual[f]/dual[c] at
+    c and 0 elsewhere."""
+    c = next((i for i, x in enumerate(dual) if not field._is_zero_raw(x)), None)
     if c is None:
         raise ValueError("the zero vector is not a line")
-    scale = -d[c].inverse()
-    zero, one = field.zero(), field.one()
-    p0, p1 = ([one if i == f else d[f] * scale if i == c else zero for i in range(len(d))]
-              for f in range(len(d)) if f != c)
+    scale = field._neg(field._inv_nonzero(dual[c]))
+    points = []
+    for f in range(len(dual)):
+        if f != c:
+            point = [field._zero_raw] * len(dual)
+            point[f], point[c] = field._one_raw, field._mul(dual[f], scale)
+            points.append(point)
+    p0, p1 = points
     return p0, p1
+
+
+def line_basis(dual, field):
+    """`line_basis_raw` of the coordinates `dual` coerced into field, each
+    point a list of field elements."""
+    return tuple([FieldElement(field, x) for x in p]
+                 for p in line_basis_raw([field.element(x).val for x in dual], field))
 
 
 def laplace(rows, muladd, neg):
@@ -200,9 +214,12 @@ def sylvester(fc, gc, zero):
             + [[zero] * i + gc + [zero] * (m - 1 - i) for i in range(m)])
 
 
-def cross(a, b):
-    """Cross product of two 3-vectors, zero exactly when they are proportional."""
-    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+def cross(a, b, mul=operator.mul, sub=operator.sub):
+    """Cross product of two 3-vectors, zero exactly when they are
+    proportional: of elements by default, of the raw values of one field
+    with its raw `_mul` and `_sub`."""
+    return (sub(mul(a[1], b[2]), mul(a[2], b[1])), sub(mul(a[2], b[0]), mul(a[0], b[2])),
+            sub(mul(a[0], b[1]), mul(a[1], b[0])))
 
 
 def mat_mul(a, b):

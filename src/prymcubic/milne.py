@@ -3,22 +3,30 @@ space curve: enveloping cones over lines, the reducible member of a pencil of
 quadrics, tritangency certificates, the twisted cubic through the contact
 points, and the unique-cubic reconstruction.
 
-The per-line polynomials of the walk over the lines of the plane are dense
-raw lists: `binforms` decides on them whether the restricted cubics share a
-root, and `quadrics.multiple_members` reads the pencil determinant's
-multiple roots from one squarefree factorization of its list; a binary form
-is wrapped only for the components of a twisted cubic.  Over F_p those
-lists are compiled once per pair and evaluated once per line: the adjugate
-cubics restricted to a line come from `oracle.line_restrictions`, built
-once per cubic tuple, and the pencil determinant det(s E + t Q) of a cone
-E from `_pencil_kernel`, built once per quadric.  Over F_p the compiled invariants of
+The walk over the lines of the plane reads each line on raw values: a
+line's points come from the raw `linalg.line_basis_raw` and its dual
+coordinates from the raw cross product, and the per-line polynomials are
+dense raw lists: `binforms` decides on them whether the restricted cubics
+share a root, and `quadrics.multiple_members` reads the pencil
+determinant's multiple roots from one squarefree factorization of its
+list; a binary form is wrapped only for the components of a twisted cubic.
+The enveloping cone's rank comes from five universal forms in the ten
+upper entries of a symmetric 4x4 matrix, its determinant and its principal
+3x3 minors (`_rank_minors`), compiled once per finite field and evaluated
+by `HomogPoly.evaluate` over Q and Q(sqrt d), so no cone is row-reduced,
+and its entries are wrapped only for a cone that is returned.  Over F_p
+the per-line lists are compiled once per pair and evaluated once per line:
+the adjugate cubics restricted to a line come from
+`oracle.line_restrictions`, built once per cubic tuple, and the pencil
+determinant det(s E + t Q) of a cone E from `_pencil_kernel`, built once
+per quadric.  Over F_p the compiled invariants of
 `oracle.binary_invariants` answer first: a nonzero discriminant of the
 pencil determinant means no multiple root, and a nonzero resultant of the
-first two cubics with no zero cubic means no common root, so a gcd chain
-runs only where one of them vanishes.  Over Q, Q(sqrt d) and F_{p^2} each
-line is restricted (`poly.restrict_forms_raw`) and tested by the gcd
-chains, and each determinant expanded (`binforms.pencil_determinant_raw`)
-and factored, on its own.
+first cubic with the second or the fourth, with no zero cubic, means no
+common root, so a gcd chain runs only where they vanish.  Over Q, Q(sqrt d)
+and F_{p^2} each line is restricted (`poly.restrict_forms_raw`) and tested
+by the gcd chains, and each determinant expanded
+(`binforms.pencil_determinant_raw`) and factored, on its own.
 """
 
 from __future__ import annotations
@@ -26,12 +34,13 @@ from __future__ import annotations
 from . import linalg
 from .binforms import (ST, are_coprime_raw, binary_form, pencil_determinant_raw,
                        perfect_square_root, resultant, squarefree_factors)
-from .fields import FieldElement, PrimeField
-from .oracle import binary_invariants, fibre_coefficients, kept_result, line_restrictions
+from .fields import QQ, FieldElement, PrimeField
+from .oracle import (binary_invariants, compile_raw, fibre_coefficients, kept_result,
+                     line_restrictions)
 from .poly import HomogPoly, SymMatrix, proportional, restrict_forms_raw
 from .prym import InternalError, conic_rational_point, parametrize_conic
 from .quadrics import factor_rank_le2, multiple_members
-from .symmetroid import X4
+from .symmetroid import QUADRIC_EXPONENTS, X4
 
 U3 = ("u0", "u1", "u2")
 
@@ -52,9 +61,11 @@ class Line2:
         if len(self.p0) != 3 or len(self.p1) != 3:
             raise MilneError("a plane line needs two points with three coordinates")
         # the line's dual coordinates, which its enveloping cone reads
-        self.u = linalg.cross(self.p0, self.p1)
-        if not any(self.u):
+        u = linalg.cross([c.val for c in self.p0], [c.val for c in self.p1],
+                         field._mul, field._sub)
+        if all(map(field._is_zero_raw, u)):
             raise MilneError("the two points do not span a line")
+        self.u = tuple(FieldElement(field, v) for v in u)
 
     @staticmethod
     def from_dual(field, dual):
@@ -72,6 +83,12 @@ class EnvelopingCone:
         self.rank = rank
 
 
+def _over(field, line):
+    """The line, whose coordinates the walk reads as raw values of field,
+    or for a line over another field the same line over field."""
+    return line if line.field == field else Line2(field, line.p0, line.p1)
+
+
 def _restricted(a, line):
     """The adjugate cubics of `a` restricted to the line, as dense raw lists
     (entry k at s^(3-k) t^k), kept by `oracle.kept_result` for the last
@@ -85,8 +102,8 @@ def _restricted(a, line):
         if not isinstance(field, PrimeField):
             return restrict_forms_raw(cubics, line.p0, line.p1)
         on_line = kept_result(cubics, lambda: line_restrictions(cubics))
-        return on_line([field.element(c).val for c in line.p0],
-                       [field.element(c).val for c in line.p1])
+        here = _over(field, line)
+        return on_line([c.val for c in here.p0], [c.val for c in here.p1])
     return kept_result((a, line), restrict)
 
 
@@ -99,11 +116,15 @@ def _in_base_locus(field, restricted):
 
 def _coprime(field, restricted):
     """`are_coprime_raw` of the restricted cubics.  Over F_p the compiled
-    resultant of the first two answers first: when it is nonzero and no
-    other cubic is zero, the four share no root, with no gcd step."""
-    if isinstance(field, PrimeField):
-        f, g, *rest = restricted
-        if all(map(any, rest)) and binary_invariants(field)[1](f + g):
+    resultant answers first: when no cubic is zero and the first cubic has
+    a nonzero resultant with the second or with the fourth, the four share
+    no root, with no gcd step.  The fourth, not the third: on a line through
+    a point where the first two vanish, the third often vanishes too (on
+    every such line of the t1-t3 fixtures at p = 11, 13, 17)."""
+    if isinstance(field, PrimeField) and all(map(any, restricted)):
+        resultant_raw = binary_invariants(field)[1]
+        f, g, _, k = restricted
+        if resultant_raw(f + g) or resultant_raw(f + k):
             return True
     return are_coprime_raw(field, 3, restricted)
 
@@ -116,6 +137,46 @@ def line_is_generic(a, line):
     return _coprime(a.field, _restricted(a, line))
 
 
+def _rank_minors(field):
+    """Evaluator of the determinant and the four principal 3x3 minors of a
+    symmetric 4x4 matrix over field, in that order, on the raw values of
+    its ten upper entries in `QUADRIC_EXPONENTS` order, which is sorted.
+    The five forms, over Q with integer coefficients (17 terms, then 5
+    each), are expanded once per process by `linalg.det` on linear forms in
+    the entries and kept.  A finite field compiles them by `compile_raw`,
+    and any other field evaluates them by `HomogPoly.evaluate`; the
+    evaluator is kept for the last field."""
+    def forms():
+        keys = list(QUADRIC_EXPONENTS)
+        vs = tuple("e%d%d" % k for k in keys)
+        rows = SymMatrix(4, {k: HomogPoly.linear(QQ, vs, [int(k == j) for j in keys])
+                             for k in keys}).rows()
+        return [linalg.det(rows)] + [
+            linalg.det([r[:i] + r[i + 1:] for k, r in enumerate(rows) if k != i])
+            for i in range(4)]
+
+    def evaluator():
+        local = [f.change_field(field) for f in kept_result((), forms)]
+        if field.is_finite():
+            return compile_raw(local)
+        return lambda vals: [f.evaluate([FieldElement(field, v) for v in vals]).val
+                             for f in local]
+    return kept_result((field,), evaluator)
+
+
+def _cone_rank(field, vals):
+    """The rank of the symmetric 4x4 matrix with the raw upper entries vals
+    (as `_rank_minors` reads them) when it is 4 or 3, and 2 for any rank up
+    to 2.  Over any field a symmetric matrix of rank r has a nonzero
+    principal r x r minor, so a zero determinant and a nonzero principal
+    3x3 minor mean rank 3, and four zero ones mean rank <= 2."""
+    is_zero = field._is_zero_raw
+    det, *minors = _rank_minors(field)(vals)
+    if not is_zero(det):
+        return 4
+    return 2 if all(map(is_zero, minors)) else 3
+
+
 def enveloping_cone(a, line):
     """Quadric enveloped by the image conic of a plane line: the discriminant
     b^2 - 4ac of the line's pencil of conics, which is -4 det(P^T A(x) P) with
@@ -123,19 +184,19 @@ def enveloping_cone(a, line):
 
     That is sum w_ij u_i u_j adj(A(x))_ij over i <= j, with w = -4 on the
     diagonal and -8 off it, so each coefficient of the cone is one dot
-    product of these six weights with a row of `a.adjugate_table()`."""
+    product of these six weights with a row of `a.adjugate_table()`.  The
+    rank is read from the universal minors of `_cone_rank` on the raw
+    entries, with no row reduction, and the entries are wrapped once, for
+    a cone that is returned."""
     field, adj, table = a.field, a.adjugate_quadrics(), a.adjugate_table()
-    mul = field._mul
-    u = [field.element(c).val for c in line.u]
+    mul, dot = field._mul, field._dot_raw
+    u = [c.val for c in _over(field, line).u]
     diagonal, off = field._from_int(-4), field._from_int(-8)
     weights = [mul(mul(u[i], u[j]), diagonal if i == j else off) for i, j in adj.upper]
     half = field._inv(field._from_int(2))
-    upper = {}
-    for (k, l), row in table.items():
-        c = field._dot_raw(row, weights)
-        upper[(k, l)] = FieldElement(field, c if k == l else mul(c, half))
-    mat = SymMatrix(4, upper)
-    rank = mat.rank()
+    vals = [dot(row, weights) if k == l else mul(dot(row, weights), half)
+            for (k, l), row in table.items()]
+    rank = _cone_rank(field, vals)
     # b^2 - 4ac has rank 3 in odd characteristic, so rank <= 2 means that the
     # line's coefficient vectors a, b, c span less than a plane of the dual space
     if rank <= 2:
@@ -144,7 +205,8 @@ def enveloping_cone(a, line):
         raise MilneError("line lies in the base locus of the cubic map")
     if rank == 4:
         raise InternalError("enveloping cone of a plane conic has full rank; internal error")
-    return EnvelopingCone(mat, rank)
+    return EnvelopingCone(SymMatrix(4, {kl: FieldElement(field, v)
+                                        for kl, v in zip(table, vals)}), rank)
 
 
 class ReducibleMember:

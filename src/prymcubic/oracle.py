@@ -42,8 +42,11 @@ in its last variable.
 `binary_invariants` compiles the discriminant of a binary quartic and the
 resultant of two binary cubics once per field, so that each line is
 decided by one call, and a gcd chain runs only where one of them vanishes.
-`enumerate_bitangents` tests for an even divisor only the restrictions
-with a zero discriminant, on their raw values, and wraps no binary form.
+`enumerate_bitangents` charges its budget before it compiles anything,
+walks the raw points of the dual plane with the raw line basis
+(`linalg.line_basis_raw`), tests for an even divisor only the restrictions
+with a zero discriminant, on their raw values, and wraps no binary form and
+no field element except for the bitangents it returns.
 """
 
 from __future__ import annotations
@@ -442,24 +445,28 @@ def enumerate_bitangents(quartic, field, budget=DEFAULT_BUDGET):
     square up to the leading square class (even contact divisor).
 
     Returns the list in the deterministic dual-coordinate order.  The
-    restriction to each line is read as a dense raw list from
-    `line_restrictions`, built once per call.  A restricted quartic with a
+    budget is charged first.  Each line is walked on raw values: its dual
+    coordinates from `projective_points_raw`, its two points from
+    `linalg.line_basis_raw`, and the restriction to it as a dense raw list
+    from `line_restrictions`, built once per call; only a bitangent's
+    coordinates are wrapped as field elements.  A restricted quartic with a
     nonzero compiled discriminant is squarefree and has no even divisor;
     the others have their divisor tested on those values: over F_p the
     leading scalar has a square root in F_p or F_{p^2}, so an even divisor
     is all that `perfect_square_root` asks."""
     if not isinstance(field, PrimeField):
         raise OracleError("bitangent enumeration runs over prime fields")
+    _check_budget(field.order(), 2, budget)
     on_line = line_restrictions([quartic])
     # the compiled discriminant is that of a quartic; a form of another
     # degree goes straight to the divisor test
     squarefree = binary_invariants(field)[0] if quartic.degree == 4 else lambda rest: False
     out = []
-    for dual_el in projective_points(field, 2, budget):
-        p0, p1 = linalg.line_basis(dual_el, field)
-        rest, = on_line([c.val for c in p0], [c.val for c in p1])
+    for dual in projective_points_raw(field, 2):
+        p0, p1 = linalg.line_basis_raw(dual, field)
+        rest, = on_line(p0, p1)
         if not any(rest):
             raise OracleError("quartic vanishes on a whole line; not reduced")
         if not squarefree(rest) and has_even_divisor_raw(field, quartic.degree, rest):
-            out.append(BitangentLine(dual_el, tuple(p0), tuple(p1)))
+            out.append(BitangentLine(*(_elements(field, pt) for pt in (dual, p0, p1))))
     return out

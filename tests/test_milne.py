@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from prymcubic import binforms, linalg, milne, poly
 from prymcubic.binforms import binary_gcd, pencil_determinant_raw
-from prymcubic.fields import Field, QQ
+from prymcubic.fields import Field, FieldElement, FieldError, QQ
 from prymcubic.fixtures import FIXTURES, fix_a
 from prymcubic.milne import (Line2, MilneError, contact_points_match,
                              cubic_through_curve_and_twisted, enveloping_cone,
@@ -15,9 +15,10 @@ from prymcubic.milne import (Line2, MilneError, contact_points_match,
 from prymcubic.oracle import enumerate_bitangents, projective_points, projective_points_raw
 from prymcubic.poly import HomogPoly, SymMatrix, proportional
 from prymcubic.prym import forward_general
-from prymcubic.symmetroid import Symmetrization, SymmetroidError
+from prymcubic.symmetroid import QUADRIC_EXPONENTS, Symmetrization, SymmetroidError
 
 from test_binforms import INVARIANT_FIELDS, _draw_form, _draw_scalar, bf, dense
+from test_linalg import _line_basis_by_kernel
 from test_poly import CASES_F3_F9, PROPERTY
 from test_scene_properties import _scalar
 
@@ -541,7 +542,8 @@ def test_line_tests_restrict_each_form_once(monkeypatch):
 
 def test_base_locus_test_runs_gcd_steps_only_on_a_zero_resultant(monkeypatch):
     # over F_p no gcd step on a line whose four restricted cubics are
-    # nonzero with Res(first two) != 0, as on most lines; otherwise as many
+    # nonzero with Res(first, second) != 0 or Res(first, fourth) != 0, as
+    # on most lines; otherwise as many
     # steps as it takes the chain of binary_gcd on the wrapped restrictions,
     # the reference, to reach a constant gcd
     calls = []
@@ -561,12 +563,13 @@ def test_base_locus_test_runs_gcd_steps_only_on_a_zero_resultant(monkeypatch):
         for c in cubics[1:]:
             chain.append(binary_gcd(chain[-1], c))
         want = next((k for k in range(1, 4) if chain[k].degree == 0), 3)
-        quick = all(cubics) and bool(binforms.resultant(cubics[0], cubics[1]))
+        quick = all(cubics) and any(binforms.resultant(cubics[0], cubics[k]) for k in (1, 3))
+        seen["fourth"] += quick and not binforms.resultant(cubics[0], cubics[1])
         calls.clear()
         assert line_is_generic(a, line) == (all(cubics) and chain[-1].degree == 0)
         assert len(calls) == (want if all(cubics) and not quick else 0), dual
         seen[len(calls)] += 1
-    assert seen[0] > seen[3] > 0
+    assert seen[0] > seen[3] > 0 and seen["fourth"] > 0
 
 
 @pytest.mark.parametrize("name", sorted(INVARIANT_FIELDS) + ["QQ"])
@@ -574,15 +577,18 @@ def test_base_locus_test_runs_gcd_steps_only_on_a_zero_resultant(monkeypatch):
 @given(data=st.data())
 def test_coprime_cubics_read_the_resultant_first(name, data):
     # four restricted cubics, the last two maybe zero, the first two with a
-    # drawn common factor (s, t, a linear form) or none: milne's test, which
-    # over F_p reads the compiled resultant first, agrees with the gcd chain
-    # of are_coprime_raw
+    # drawn common factor (s, t, a linear form) or none, and each of the
+    # last two sometimes with it too: milne's test, which over F_p reads the
+    # compiled resultants of the first cubic with the second and the fourth
+    # first, agrees with the gcd chain of are_coprime_raw
     field = INVARIANT_FIELDS.get(name, QQ)
     common = data.draw(st.sampled_from([[1], [1, 0], [0, 1], None]))
     common = bf(field, common) if common else bf(field, [1, _draw_scalar(data, field)])
     lists = [dense(common * _draw_form(data, field, 3 - common.degree)) for _ in range(2)]
-    lists += [dense(bf(field, [0] * 4) if data.draw(st.booleans()) else _draw_form(data, field, 3))
-              for _ in range(2)]
+    for _ in range(2):
+        kind = data.draw(st.sampled_from(["zero", "form", "common"]))
+        lists.append(dense(bf(field, [0] * 4) if kind == "zero" else _draw_form(data, field, 3)
+                           if kind == "form" else common * _draw_form(data, field, 3 - common.degree)))
     assert milne._coprime(field, lists) == binforms.are_coprime_raw(field, 3, lists)
 
 
@@ -650,3 +656,224 @@ def test_enveloping_cone_is_the_discriminant_of_the_line_pencil(name, p):
         assert cone.matrix == SymMatrix.from_quadratic_form(form)
         assert cone.rank == 3
     assert cones > len(duals) // 2
+
+
+RANK_CASES = dict(CASES_F3_F9, F5=(lambda: Field.prime(5), st.integers(0, 4)),
+                  F7=(lambda: Field.prime(7), st.integers(0, 6)))
+
+
+def _symmetric_of_rank(data, field, raw):
+    """A symmetric 4x4 matrix as rows of field elements: the zero matrix, a
+    diagonal one, a sum of weighted rank-one terms w v v^T with v drawn
+    freely, or P^T D P with P invertible and D diagonal with r nonzero
+    entries, which has rank r exactly, for r drawn in 0..4."""
+    kind = data.draw(st.sampled_from(["zero", "diagonal", "terms", "congruent"]))
+    zero = field.zero()
+    m = [[zero] * 4 for _ in range(4)]
+    if kind == "diagonal":
+        for i in range(4):
+            m[i][i] = _scalar(data, field, raw)
+    elif kind == "terms":
+        for _ in range(data.draw(st.integers(1, 4))):
+            w, v = _scalar(data, field, raw), [_scalar(data, field, raw) for _ in range(4)]
+            m = [[m[i][j] + w * v[i] * v[j] for j in range(4)] for i in range(4)]
+    elif kind == "congruent":
+        r = data.draw(st.integers(0, 4))
+        rows = [[_scalar(data, field, raw) for _ in range(4)] for _ in range(4)]
+        assume(linalg.rank(rows) == 4)
+        for k in range(r):
+            w = _scalar(data, field, raw)
+            assume(w)
+            m = [[m[i][j] + w * rows[k][i] * rows[k][j] for j in range(4)] for i in range(4)]
+        assert linalg.rank(m) == r
+    return m
+
+
+@pytest.mark.parametrize("name", sorted(RANK_CASES))
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(data=st.data())
+def test_cone_rank_reads_the_universal_minors(name, data):
+    # the five universal forms are the determinant and the principal 3x3
+    # minors of the specialized matrix, and the rank they decide is that of
+    # linalg.rank, a rank below 3 read as 2
+    make, raw = RANK_CASES[name]
+    field = make()
+    m = _symmetric_of_rank(data, field, raw)
+    vals = [m[i][j].val for i, j in QUADRIC_EXPONENTS]
+    principal = [[r[:i] + r[i + 1:] for k, r in enumerate(m) if k != i] for i in range(4)]
+    want = [linalg.det(m)] + [linalg.det(rows) for rows in principal]
+    assert [field.element(want_k).val for want_k in want] == milne._rank_minors(field)(vals)
+    assert milne._cone_rank(field, vals) == max(linalg.rank(m), 2)
+
+
+@pytest.mark.parametrize("name", sorted(RANK_CASES))
+def test_cone_rank_on_every_rank(name):
+    # sum_{k < r} +-v_k v_k^T with v_0..v_3 = e0 + e1, e1 + e2, e2 + e3, e3
+    # has rank r; diag(0, 1, 1, 1) and its permutations have one nonzero
+    # principal 3x3 minor each, so every minor is read
+    field = RANK_CASES[name][0]()
+    vs = [[int(i in (k, k + 1)) for i in range(4)] for k in range(4)]
+    for r in range(5):
+        m = [[field.element(sum((-1) ** k * vs[k][i] * vs[k][j] for k in range(r)))
+              for j in range(4)] for i in range(4)]
+        vals = [m[i][j].val for i, j in QUADRIC_EXPONENTS]
+        assert linalg.rank(m) == r
+        assert milne._cone_rank(field, vals) == max(r, 2)
+    for gap in range(4):
+        vals = [field.element(int(i == j != gap)).val for i, j in QUADRIC_EXPONENTS]
+        assert milne._cone_rank(field, vals) == 3
+
+
+def _cone_by_rref(a, line):
+    """The enveloping cone by the dot products of `enveloping_cone` on
+    coordinates coerced per line, its entries wrapped before the rank and
+    the rank by row reduction (`SymMatrix.rank`): the reference for the
+    universal minors of `milne._cone_rank`."""
+    field, adj, table = a.field, a.adjugate_quadrics(), a.adjugate_table()
+    mul = field._mul
+    u = [field.element(c).val for c in line.u]
+    diagonal, off = field._from_int(-4), field._from_int(-8)
+    weights = [mul(mul(u[i], u[j]), diagonal if i == j else off) for i, j in adj.upper]
+    half = field._inv(field._from_int(2))
+    upper = {}
+    for (k, l), row in table.items():
+        c = field._dot_raw(row, weights)
+        upper[(k, l)] = FieldElement(field, c if k == l else mul(c, half))
+    mat = SymMatrix(4, upper)
+    rank = mat.rank()
+    if rank <= 2:
+        raise MilneError("line maps two-to-one onto a line of the dual space")
+    if milne._in_base_locus(field, milne._restricted(a, line)):
+        raise MilneError("line lies in the base locus of the cubic map")
+    if rank == 4:
+        raise milne.InternalError("enveloping cone of a plane conic has full rank; internal error")
+    return milne.EnvelopingCone(mat, rank)
+
+
+def _bitangents_by_elements(quartic, field, budget):
+    """The bitangent walk on field elements: `projective_points`, which
+    charges the budget as it starts, the element `linalg.line_basis` of
+    each line, and a `BitangentLine` of its elements: the reference for the
+    raw walk of `enumerate_bitangents`."""
+    from prymcubic import oracle
+    on_line = oracle.line_restrictions([quartic])
+    squarefree = (oracle.binary_invariants(field)[0] if quartic.degree == 4
+                  else lambda rest: False)
+    out = []
+    for dual_el in projective_points(field, 2, budget):
+        p0, p1 = linalg.line_basis(dual_el, field)
+        rest, = on_line([c.val for c in p0], [c.val for c in p1])
+        if not any(rest):
+            raise oracle.OracleError("quartic vanishes on a whole line; not reduced")
+        if not squarefree(rest) and binforms.has_even_divisor_raw(field, quartic.degree, rest):
+            out.append(oracle.BitangentLine(dual_el, tuple(p0), tuple(p1)))
+    return out
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (MilneError, milne.InternalError, ValueError) as e:
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize("name", ["t1", "t2", "t3", "seed", "even"])
+def test_line_walk_matches_the_element_references(name):
+    # on every line at p = 5, 7, 11, 13: the same points as the kernel
+    # basis and the same dual coordinates as their cross product, the same
+    # cone matrix, rank or error text as the row-reduced reference, and the
+    # same bitangents, with the same points, as the element walk, wherever
+    # forward_general gives a quartic
+    seen = Counter()
+    for p in (5, 7, 11, 13):
+        F = Field.prime(p)
+        a, q = FIXTURES[name].symmetrization(F), FIXTURES[name].quadric(F)
+        for dual in projective_points_raw(F, 2):
+            line = Line2.from_dual(F, dual)
+            points = _line_basis_by_kernel(dual, F)
+            assert [list(line.p0), list(line.p1)] == list(points)
+            assert line.u == linalg.cross(*points)
+            got, want = _outcome(enveloping_cone, a, line), _outcome(_cone_by_rref, a, line)
+            if isinstance(want, tuple):
+                assert got == want, dual
+                seen[want[1]] += 1
+            else:
+                assert (got.matrix, got.rank) == (want.matrix, want.rank), dual
+                seen[want.rank] += 1
+        fwd = _outcome(forward_general, a, q)
+        if isinstance(fwd, tuple):
+            continue
+        got = enumerate_bitangents(fwd.quartic, F)
+        want = _bitangents_by_elements(fwd.quartic, F, 10 ** 7)
+        assert [(b.dual, b.p0, b.p1) for b in got] == [(b.dual, b.p0, b.p1) for b in want]
+        assert all(isinstance(c, type(F.one())) and c.field is F
+                   for b in got for pt in (b.dual, b.p0, b.p1) for c in pt)
+        seen["bitangents"] += len(got)
+    # the even pair's quadric has rank 3, so forward_general gives no quartic
+    assert seen[3] > 0 and (seen["bitangents"] > 0) == (name != "even")
+
+
+def test_bitangent_walk_charges_its_budget_before_it_compiles(monkeypatch):
+    # the walk charges p^2 to the budget before it compiles the quartic's
+    # line restrictions: a budget of p^2 - 1 raises with no compile, and
+    # p^2 + p, one short of the p^2 + p + 1 lines, runs, since the budget
+    # counts q^dim as every point enumeration does
+    from prymcubic import oracle
+    compiles = []
+
+    def counted(forms):
+        compiles.append(forms)
+        return line_restrictions(forms)
+
+    line_restrictions = oracle.line_restrictions
+    monkeypatch.setattr(oracle, "line_restrictions", counted)
+    F = Field.prime(11)
+    quartic = forward_general(FIXTURES["t1"].symmetrization(F), FIXTURES["t1"].quadric(F)).quartic
+    with pytest.raises(oracle.BudgetExceeded):
+        enumerate_bitangents(quartic, F, budget=11 ** 2 - 1)
+    assert compiles == []
+    assert enumerate_bitangents(quartic, F, budget=11 ** 2 + 11)
+    assert len(compiles) == 1
+
+
+@pytest.mark.parametrize("name", sorted(CASES_F3_F9))
+def test_enveloping_cone_reduces_no_rows_on_any_field(name, monkeypatch):
+    # every field reads the rank from the five universal minors: neither
+    # SymMatrix.rank nor the raw elimination behind rref and rank runs
+    field = CASES_F3_F9[name][0]()
+    a = fix_a(field)
+    a.adjugate_table()
+
+    def refused(*args):
+        raise AssertionError("a row reduction in the cone")
+
+    monkeypatch.setattr(SymMatrix, "rank", refused)
+    monkeypatch.setattr(linalg, "_eliminate", refused)
+    ranks = Counter()
+    for dual in [(1, 2, 3), (0, 1, 2), (1, 0, 0), (1, 1, 1), (2, 1, 0)]:
+        try:
+            ranks[enveloping_cone(a, Line2.from_dual(field, dual)).rank] += 1
+        except MilneError as e:
+            ranks[str(e)] += 1
+    assert ranks[3] > 0
+
+
+def test_a_line_over_another_field_is_read_in_the_web_field():
+    # the walk reads the raw values of a line's coordinates: a line over the
+    # base field of the web's field is lifted, and a line over a field that
+    # does not coerce into the web's field is refused
+    for base, make in ((F11, lambda: F11.quadratic_extension(2)),
+                       (QQ, lambda: QQ.quadratic_extension(5))):
+        field = make()
+        a = FIXTURES["t1"].symmetrization(field)
+        for dual in [(1, 2, 3), (0, 1, 5), (1, 0, 4), (2, 7, 1)]:
+            here, there = Line2.from_dual(field, dual), Line2.from_dual(base, dual)
+            assert line_is_generic(a, there) == line_is_generic(a, here)
+            got, want = _outcome(enveloping_cone, a, there), _outcome(enveloping_cone, a, here)
+            assert got == want if isinstance(want, tuple) else got.matrix == want.matrix
+            assert twisted_cubic(a, there).components == twisted_cubic(a, here).components
+    a = FIXTURES["t1"].symmetrization(Field.prime(13))
+    for line in (Line2.from_dual(QQ, (1, 2, 3)), Line2.from_dual(F11, (1, 2, 3))):
+        for check in (line_is_generic, enveloping_cone):
+            with pytest.raises(FieldError):
+                check(a, line)

@@ -728,7 +728,9 @@ def test_cli_forward_and_verify_pull_back_once_per_pair(monkeypatch, capsys):
 # runs on the shipped data, recorded while every rational's raw value was a
 # Fraction: a change of representation must not alter a byte of output.  The
 # `count` and `reverse` entries were recorded while `pencil_conics` still
-# computed its own dual quadric and `reverse_construct` its own cubic.
+# computed its own dual quadric and `reverse_construct` its own cubic, and
+# the `--enumerate` entries at q = 13 while `enveloping_cone` still ranked
+# its cone by row reduction.
 STABLE_OUTPUTS = {
     "bitangents A_t1 Q_t1 11":
         "f691ce5e0b61b80116b757482f349c28949672b94f0ea0df77969b51f328215c",
@@ -770,14 +772,20 @@ STABLE_OUTPUTS = {
         "f8d5aaee3187596e495150550e42de28553f097916c41756c7d362c9771cda4d",
     "milne-tritangents A_seed Q_seed":
         "06a620e42a724d214f3ac39b633089fbc955f9392b828fd455835eb988468d2e",
+    "milne-tritangents A_seed Q_seed 13 --enumerate":
+        "a56cd78dd9653dcb1efe0ec22115d441bc84f3cd8db31a51878ac6332cdb3878",
     "milne-tritangents A_t1 Q_t1":
         "f8d5aaee3187596e495150550e42de28553f097916c41756c7d362c9771cda4d",
     "milne-tritangents A_t1 Q_t1 11 --enumerate":
         "724987ffe050a3119f2399caa734b072f0d5b568a60ba5728bf69805c693b3fc",
     "milne-tritangents A_t2 Q_t2":
         "f8d5aaee3187596e495150550e42de28553f097916c41756c7d362c9771cda4d",
+    "milne-tritangents A_t2 Q_t2 13 --enumerate":
+        "ab530bd8606f99e7244fadf8c8e87dd45c1bb0eb5178c3be2ba46b174d0418e5",
     "milne-tritangents A_t3 Q_t3":
         "f8d5aaee3187596e495150550e42de28553f097916c41756c7d362c9771cda4d",
+    "milne-tritangents A_t3 Q_t3 13 --enumerate":
+        "1617ae76f16c8267586e3af2508f6ec1bdf31c4d82ac75f5558d6f68af892edc",
     "count A_t1,Q_t1 11":
         "6a44a355165657edaf6cbb022fa1ec48e70e7a1c92f662719d80a9aa4583a064",
     "count A_t1,Q_t1 11 --cover":

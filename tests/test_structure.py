@@ -201,8 +201,9 @@ def test_one_kept_result_memo():
     # oracle.kept_result is the one memo of a last result: no module keeps state
     # behind a `global` statement, and only the census, the line restriction
     # (its restrictions per line and its evaluator per cubic tuple), the
-    # pencil determinant's evaluator, the forward model and the compiled
-    # binary invariants (their forms, then their evaluators per field) read it
+    # pencil determinant's evaluator, the forward model, the compiled
+    # binary invariants and the cone's rank minors (each their forms, then
+    # their evaluators per field) read it
     import prymcubic.milne as milne
     import prymcubic.oracle as oracle
 
@@ -217,7 +218,8 @@ def test_one_kept_result_memo():
                         or isinstance(node, ast.Attribute) and node.attr == "kept_result"):
                     readers.append("%s.%s" % (path.stem, getattr(top, "name", None)))
     assert offenders == []
-    assert sorted(readers) == ["milne._restricted", "milne._restricted", "milne.reducible_member",
+    assert sorted(readers) == ["milne._rank_minors", "milne._rank_minors",
+                               "milne._restricted", "milne._restricted", "milne.reducible_member",
                                "oracle._census", "oracle.binary_invariants",
                                "oracle.binary_invariants", "prym.forward_general"]
 
@@ -478,9 +480,10 @@ def test_one_determinant_algorithm():
 
 
 def test_per_line_kernels_run_on_raw_values(monkeypatch):
-    # once the symmetrization keeps its adjugate table, the enveloping cone
-    # of a line multiplies no forms, and the two points of a line come in
-    # closed form, without row reduction (`rref` and `rank` both run the
+    # once the symmetrization keeps its adjugate table and the field its
+    # compiled rank minors, the enveloping cone of a line multiplies no
+    # forms and reduces no rows: its rank comes from the minors, and the two
+    # points of a line come in closed form (`rref` and `rank` both run the
     # raw elimination `linalg._eliminate`, which is what is counted)
     from prymcubic import linalg, milne
     from prymcubic.fields import Field
@@ -506,11 +509,10 @@ def test_per_line_kernels_run_on_raw_values(monkeypatch):
     monkeypatch.setattr(linalg, "_eliminate", counted_eliminate)
     line = milne.Line2(F, *linalg.line_basis((1, 5, 7), F))
     assert counts["rref"] == 0
-    milne.enveloping_cone(a, line)
-    # the one row reduction is the rank of the cone's matrix
-    assert counts == {"mul": 0, "rref": 1}
+    assert milne.enveloping_cone(a, line).rank == 3
+    assert counts == {"mul": 0, "rref": 0}
     assert a.matrix.at(0, 0) * a.matrix.at(1, 1)
-    assert counts == {"mul": 1, "rref": 1}
+    assert counts == {"mul": 1, "rref": 0}
 
 
 def test_line_walk_wraps_no_form_for_a_line_it_rejects(monkeypatch):
