@@ -23,7 +23,7 @@ from .poly import PolyError, SymMatrix, proportional
 from .prym import (InternalError, PrymError, UnsupportedTower, forward_even,
                    forward_general, pencil_conics, reverse_construct,
                    roundtrip_change_matches)
-from .scene import (Scene, SceneError, parse_scene, reduce_scene,
+from .scene import (Scene, SceneError, dumps, parse_scene, reduce_scene,
                     scalar_to_json, write_scene)
 from .symmetroid import (IRREDUCIBLE_TYPES, X4, Symmetrization, SymmetroidError,
                          SymmetroidType, hankel_symmetroid)
@@ -102,7 +102,7 @@ def cmd_classify(args):
         scheme = a.rank_one_scheme()
         report["rank_one"] = ("positive-dimensional" if scheme.positive_dimensional
                               else scheme.partition)
-    print(json.dumps(report, sort_keys=True, indent=1))
+    print(dumps(report))
     return EXIT_OK
 
 
@@ -200,7 +200,7 @@ def cmd_milne(args):
             tw = twisted_cubic(a, line)
             entry["twisted_cubic_honest"] = tw.honest
         results.append(entry)
-    print(json.dumps({"results": results}, sort_keys=True, indent=1, default=str))
+    print(dumps({"results": results}))
     return EXIT_OK
 
 
@@ -247,7 +247,7 @@ def cmd_count(args):
     report = {"label": rep.label, "q": rep.q, "count": rep.count, "genus": rep.genus,
               "trace": rep.trace, "weil_ok": rep.weil_ok, "smooth": smooth,
               "singular_witness": [repr(c) for c in cert.witness] if smooth is False else None}
-    print(json.dumps(report, sort_keys=True, indent=1))
+    print(dumps(report))
     # a certified-smooth curve violating the Weil bound is an inconsistency
     return EXIT_VERIFY if smooth and not rep.weil_ok else EXIT_OK
 
@@ -262,7 +262,7 @@ def cmd_bitangents(args):
     lines = enumerate_bitangents(f, field, budget=args.budget)
     report = {"q": field.p, "count": len(lines),
               "lines": [[scalar_to_json(c) for c in bl.dual] for bl in lines]}
-    print(json.dumps(report, sort_keys=True, indent=1))
+    print(dumps(report))
     return EXIT_OK
 
 
@@ -325,8 +325,7 @@ def _verify_scene(scene):
 def cmd_verify(args):
     scene = _load_scene(args.scene)
     failures, notes = _verify_scene(scene)
-    print(json.dumps({"failures": failures, "notes": notes},
-                     sort_keys=True, indent=1, default=str))
+    print(dumps({"failures": failures, "notes": notes}))
     return EXIT_OK if not failures else EXIT_VERIFY
 
 
@@ -335,7 +334,8 @@ def build_parser():
                                 description="exact constructions around cubic symmetroids "
                                             "and genus 3/4 curve pairs")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                   help="enumeration budget (points)")
+                   help="enumeration budget: a scan of P^dim over F_q is charged "
+                        "q^dim, not the points it walks")
     p.add_argument("--seed", type=int, default=20240,
                    help="unused: verify is deterministic and ignores it; "
                         "kept for callers that pass it")

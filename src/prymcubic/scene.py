@@ -209,6 +209,70 @@ def _kind_of(obj):
     raise SceneError("unserializable object %r" % (obj,))
 
 
+_escape = json.encoder.encode_basestring_ascii
+
+
+class _NotPlain(Exception):
+    """A value `_write` leaves to `json.dumps`."""
+
+
+def _write(value, pad, out):
+    """Append the chunks of value to out; pad is a newline and one space
+    per level of nesting."""
+    t = type(value)
+    if t is str:
+        out.append(_escape(value))
+    elif t is int:
+        out.append(int.__repr__(value))
+    elif t is dict:
+        if not value:
+            out.append("{}")
+            return
+        inner = pad + " "
+        sep, comma = "{" + inner, "," + inner
+        for key in sorted(value):
+            if type(key) is not str:
+                raise _NotPlain
+            out += (sep, _escape(key), ": ")
+            _write(value[key], inner, out)
+            sep = comma
+        out += (pad, "}")
+    elif t is list or t is tuple:
+        if not value:
+            out.append("[]")
+            return
+        inner = pad + " "
+        sep, comma = "[" + inner, "," + inner
+        for item in value:
+            out.append(sep)
+            _write(item, inner, out)
+            sep = comma
+        out += (pad, "]")
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    else:
+        raise _NotPlain
+
+
+def dumps(doc):
+    """`json.dumps(doc, sort_keys=True, indent=1)`, byte for byte: the one
+    writer of scenes and CLI reports.  With an indent CPython runs its
+    pure-Python encoder; this writes dicts with str keys, lists, tuples,
+    strs, ints, bools and None itself, through the C string escaper, and
+    hands any other document (a float, a non-str key, a subclass of str or
+    int) to `json.dumps` whole."""
+    out = []
+    try:
+        _write(doc, "\n", out)
+    except _NotPlain:
+        return json.dumps(doc, sort_keys=True, indent=1)
+    return "".join(out)
+
+
 def write_scene(scene):
     objs = {}
     for name, obj in scene.objects.items():
@@ -216,7 +280,7 @@ def write_scene(scene):
         objs[name] = dict(_KINDS[kind][1](obj), kind=kind)
     doc = {"field": field_to_json(scene.field), "objects": objs,
            "metadata": scene.metadata}
-    return json.dumps(doc, sort_keys=True, indent=1)
+    return dumps(doc)
 
 
 def _checked_metadata(metadata):

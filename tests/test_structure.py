@@ -837,3 +837,30 @@ def test_one_pencil_decides_the_rank_one_scheme(monkeypatch):
     assert {"T7", "T8"} <= searched
     assert not hasattr(symmetroid, "_common_rational_line")
     assert not hasattr(symmetroid, "_conic_intersection_partition")
+
+
+def test_one_json_writer():
+    # every scene and indented CLI report is written by scene.dumps, whose
+    # one json.dumps call is the fallback for a document it does not write
+    # itself; the compact one-line error reports of cli.main stay json.dumps
+    indented, compact, writes = [], [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {}
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                for node in ast.walk(fn):
+                    owner.setdefault(node, fn.name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "json.dumps":
+                where = "%s:%s" % (path.name, owner.get(node))
+                keys = {k.arg for k in node.keywords}
+                (indented if "indent" in keys else compact).append(where)
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "dumps":
+                assert len(node.args) == 1 and not node.keywords, ast.unparse(node)
+                writes.append("%s:%s" % (path.name, owner.get(node)))
+    assert indented == ["scene.py:dumps"]
+    assert compact == ["cli.py:main"] * 3
+    assert sorted(writes) == sorted(["scene.py:write_scene", "cli.py:cmd_classify",
+                                     "cli.py:cmd_milne", "cli.py:cmd_count",
+                                     "cli.py:cmd_bitangents", "cli.py:cmd_verify"])
