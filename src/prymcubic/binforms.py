@@ -20,8 +20,8 @@ pencil of symmetric matrices as a dense raw list, and the rational roots
 of a form over a finite field by Cantor-Zassenhaus root finding.
 `invariant_forms` gives two universal integer forms in the
 coefficients, the resultant of two binary cubics and 16 times the
-discriminant of a binary quartic, which the line walk over F_p evaluates
-compiled before it runs any of the gcd chains above.
+discriminant of a binary quartic, which the line walk over every finite
+field evaluates compiled before it runs any of the gcd chains above.
 """
 
 from __future__ import annotations

@@ -18,7 +18,8 @@ from .milne import (Line2, MilneError, enveloping_cone, reducible_member,
                     tritangent_verify, twisted_cubic)
 from .oracle import (BudgetExceeded, DEFAULT_BUDGET, OracleError, count_curve,
                      count_double_cover, count_hyperelliptic_octic,
-                     enumerate_bitangents, projective_points, smoothness_certificate)
+                     enumerate_bitangents, kept_result, projective_points,
+                     smoothness_certificate)
 from .poly import PolyError, SymMatrix, proportional
 from .prym import (InternalError, PrymError, UnsupportedTower, forward_even,
                    forward_general, pencil_conics, reverse_construct,
@@ -396,7 +397,10 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
+    # one parser per process, kept for the command functions it dispatches
+    # to: a wrapper put in place of one (a tracer's, say) builds it again
+    parser = kept_result((cmd_hankel, cmd_classify, cmd_forward, cmd_reverse, cmd_milne,
+                          cmd_count, cmd_bitangents, cmd_verify), lambda: build_parser())
     args = parser.parse_args(argv)
     try:
         return args.fn(args)

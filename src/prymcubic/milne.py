@@ -14,18 +14,20 @@ The enveloping cone's rank comes from five universal forms in the ten
 upper entries of a symmetric 4x4 matrix, its determinant and its principal
 3x3 minors (`_rank_minors`), compiled once per finite field and evaluated
 by `HomogPoly.evaluate` over Q and Q(sqrt d), so no cone is row-reduced,
-and its entries are wrapped only for a cone that is returned.  Over F_p
-the per-line lists are compiled once per pair and evaluated once per line:
-the adjugate cubics restricted to a line come from
-`oracle.line_restrictions`, built once per cubic tuple, and the pencil
-determinant det(s E + t Q) of a cone E from `_pencil_kernel`, built once
-per quadric.  Over F_p the compiled invariants of
-`oracle.binary_invariants` answer first: a nonzero discriminant of the
-pencil determinant means no multiple root, and a nonzero resultant of the
-first cubic with the second or the fourth, with no zero cubic, means no
-common root, so a gcd chain runs only where they vanish.  Over Q, Q(sqrt d)
-and F_{p^2} each line is restricted (`poly.restrict_forms_raw`) and tested
-by the gcd chains, and each determinant expanded
+and its entries are wrapped only for a cone that is returned.  Over every
+finite field, F_p and F_{p^2} alike, the per-line lists are compiled once
+per pair by `oracle.compile_raw` and evaluated once per line: the adjugate
+cubics restricted to a line come from `oracle.line_restrictions`, built
+once per cubic tuple, and the pencil determinant det(s E + t Q) of a cone
+E from `_pencil_kernel`, built once per quadric.  There the compiled
+invariants of `oracle.binary_invariants` answer first: a nonzero
+discriminant of the pencil determinant means no multiple root, and a
+nonzero resultant of the first cubic with the second or the fourth, with
+no zero cubic, means no common root, so a gcd chain runs only where they
+vanish.  A raw zero of F_{p^2} is the pair (0, 0), which Python reads as
+true, so every zero test on the walk is the field's `_is_zero_raw`.  Over
+Q and Q(sqrt d) each line is restricted (`poly.restrict_forms_raw`) and
+tested by the gcd chains, and each determinant expanded
 (`binforms.pencil_determinant_raw`) and factored, on its own.
 """
 
@@ -34,7 +36,7 @@ from __future__ import annotations
 from . import linalg
 from .binforms import (ST, are_coprime_raw, binary_form, pencil_determinant_raw,
                        perfect_square_root, resultant, squarefree_factors)
-from .fields import QQ, FieldElement, PrimeField
+from .fields import QQ, FieldElement
 from .oracle import (binary_invariants, compile_raw, fibre_coefficients, kept_result,
                      line_restrictions)
 from .poly import HomogPoly, SymMatrix, proportional, restrict_forms_raw
@@ -93,13 +95,14 @@ def _restricted(a, line):
     """The adjugate cubics of `a` restricted to the line, as dense raw lists
     (entry k at s^(3-k) t^k), kept by `oracle.kept_result` for the last
     (a, line) pair, so the tests that follow one another on one line
-    restrict each cubic once.  Over F_p they are read from
+    restrict each cubic once.  Over a finite field they are read from
     `oracle.line_restrictions` of the cubics, built once for the last cubic
-    tuple; elsewhere one `restrict_forms_raw` call computes them."""
+    tuple; over Q and Q(sqrt d) one `restrict_forms_raw` call computes
+    them."""
     def restrict():
         cubics = a.adjugate_cubics()
         field = cubics[0].field
-        if not isinstance(field, PrimeField):
+        if not field.is_finite():
             return restrict_forms_raw(cubics, line.p0, line.p1)
         on_line = kept_result(cubics, lambda: line_restrictions(cubics))
         here = _over(field, line)
@@ -115,16 +118,18 @@ def _in_base_locus(field, restricted):
 
 
 def _coprime(field, restricted):
-    """`are_coprime_raw` of the restricted cubics.  Over F_p the compiled
-    resultant answers first: when no cubic is zero and the first cubic has
-    a nonzero resultant with the second or with the fourth, the four share
-    no root, with no gcd step.  The fourth, not the third: on a line through
-    a point where the first two vanish, the third often vanishes too (on
-    every such line of the t1-t3 fixtures at p = 11, 13, 17)."""
-    if isinstance(field, PrimeField) and all(map(any, restricted)):
+    """`are_coprime_raw` of the restricted cubics.  Over a finite field the
+    compiled resultant answers first: when no cubic is zero and the first
+    cubic has a nonzero resultant with the second or with the fourth, the
+    four share no root, with no gcd step.  The fourth, not the third: on a
+    line through a point where the first two vanish, the third often
+    vanishes too (on every such line of the t1-t3 fixtures at p = 11, 13,
+    17)."""
+    is_zero = field._is_zero_raw
+    if field.is_finite() and not any(all(map(is_zero, cs)) for cs in restricted):
         resultant_raw = binary_invariants(field)[1]
         f, g, _, k = restricted
-        if resultant_raw(f + g) or resultant_raw(f + k):
+        if not is_zero(resultant_raw(f + g)) or not is_zero(resultant_raw(f + k)):
             return True
     return are_coprime_raw(field, 3, restricted)
 
@@ -225,7 +230,7 @@ class ReducibleMember:
 
 
 def _pencil_kernel(q, field):
-    """Evaluator of det(s E + t Q) over F_p for a symmetric E of Q's size,
+    """Evaluator of det(s E + t Q) over a finite field for a symmetric E of Q's size,
     given by the raw values of its upper entries in sorted order: the dense
     raw list of the binary form in (s, t), as `pencil_determinant_raw`
     gives it.  det(E + t Q) is expanded once by `linalg.det` on linear
@@ -244,11 +249,12 @@ def reducible_member(lam, q, field):
     `quadrics.multiple_members` gives their members in root order from one
     squarefree factorization of the determinant's dense raw list, and the
     first double plane or plane pair that needs a second extension is
-    returned at once, else the first plane pair.  Over F_p the determinant
-    is read from `_pencil_kernel`, built once for the last (q, field) pair,
-    and a nonzero compiled discriminant rules out a multiple root;
-    elsewhere `binforms.pencil_determinant_raw` expands it.  No binary form
-    is wrapped.
+    returned at once, else the first plane pair.  Over a finite field the
+    determinant is read from `_pencil_kernel`, built once for the last
+    (q, field) pair, and a compiled discriminant that is not the field's
+    raw zero rules out a multiple root; over Q and Q(sqrt d)
+    `binforms.pencil_determinant_raw` expands it.  No binary form is
+    wrapped.
     """
     # in odd characteristic the forms are zero or proportional exactly when
     # the matrices are; a zero member would reach factor_rank_le2 as a
@@ -258,11 +264,11 @@ def reducible_member(lam, q, field):
     if not any(lvec) or not any(qvec) or proportional(lvec, qvec):
         raise MilneError("pencil is degenerate")
     # with no multiple root every member has rank >= 3
-    if isinstance(field, PrimeField):
+    if field.is_finite():
         kernel = kept_result((q, field), lambda: _pencil_kernel(q, field))
         det = kernel([field.element(c).val for c in lvec])
-        det += [0] * (q.n + 1 - len(det))
-        if binary_invariants(field)[0](det):
+        det += [field._zero_raw] * (q.n + 1 - len(det))
+        if not field._is_zero_raw(binary_invariants(field)[0](det)):
             return None
     else:
         det = pencil_determinant_raw(lam, q, field)

@@ -5,12 +5,14 @@ the whole package.
 every scan in the package (point counts, smoothness certificates, bitangent
 and tritangent-line walks, conic points) follows its order, and
 `projective_points` wraps its raw values as field elements after checking
-the budget.  `compile_raw` is the one scan evaluator: it evaluates a form,
-or a list of forms in one call, on raw values.  Over F_p it generates and
-compiles straight-line code, one expression per form with its coefficients
-as integer literals and one `% p`; over F_{p^2} it runs the pair kernel on
-plain integer pairs.  Outside the scans, F_p computes on integers in the
-field's own raw operations (`_pow_raw`, `_convolve_raw`).
+the budget.  `compile_raw` is the one scan evaluator and the package's one
+code generator: it evaluates a form, or a list of forms in one call, on raw
+values, by straight-line code it generates and compiles, one expression
+per form with its coefficients as integer literals and one `% p`.  Over
+F_{p^2} it compiles the form's Weil restriction, two forms over F_p in the
+two integers of each coordinate, and returns their values as the pair.
+Outside the scans, F_p computes on integers in the field's own raw
+operations (`_pow_raw`, `_convolve_raw`).
 
 On top of them: Jacobian smoothness certificates, point counts with
 Frobenius traces, double-cover counts through the three minors, and
@@ -31,14 +33,14 @@ only when no restriction has degree at most two (a line of the scheme
 through the vertex, a cubic surface alone, a plane quartic).  For a space
 curve Q ∩ Γ that is p^2 fibres in place of p^3 points, in the same order.
 
-The line walks over F_p are compiled the same way.  A form restricted to a
-line is a fixed polynomial in the line's two points: `line_restrictions`
-composes each form once with x_i = s a_i + t b_i and reads the restriction
-to a line, as a dense raw list, from one call on its two points, for
-`enumerate_bitangents` and for the adjugate cubics of `milne`; milne's
-pencil determinant is read from the one form det(E + t Q) by
-`fibre_coefficients`, the scheme walk's evaluator of a form's coefficients
-in its last variable.
+The line walks over every finite field are compiled the same way.  A
+form restricted to a line is a fixed polynomial in the line's two points:
+`line_restrictions` composes each form once with x_i = s a_i + t b_i and
+reads the restriction to a line, as a dense raw list, from one call on its
+two points, for `enumerate_bitangents` and for the adjugate cubics of
+`milne`; milne's pencil determinant is read from the one form det(E + t Q)
+by `fibre_coefficients`, the scheme walk's evaluator of a form's
+coefficients in its last variable.
 `binary_invariants` compiles the discriminant of a binary quartic and the
 resultant of two binary cubics once per field, so that each line is
 decided by one call, and a gcd chain runs only where one of them vanishes.
@@ -105,29 +107,42 @@ def compile_raw(poly):
     raw-value points: it returns the form's raw value, or the list of the
     forms' raw values.
 
-    Over F_p the evaluator is generated code, compiled once by `exec` as
+    The evaluator is generated code, compiled once by `exec` as
     `dataclasses` builds `__init__`: one expression per form, a sum of
     monomials with the raw coefficients as integer literals, and one `% p`.
     The source holds only those integers and names made here, so no text
-    of the input reaches it.  Over F_p(sqrt d) it runs on pairs of plain
-    integers, each product reduced and each sum reduced once per point, and
-    serves a list form by form."""
+    of the input reaches it.  Over F_p(sqrt d) a form f in n variables is
+    compiled through its Weil restriction: f composed with
+    x_i = a_i + sqrt(d) b_i is F0 + sqrt(d) F1 for two forms F0, F1 over
+    F_p in (a_0, b_0, ..., a_{n-1}, b_{n-1}), so the code reads a raw point
+    of pairs as its 2n integers and returns each value as the pair
+    (F0, F1)."""
     single = not isinstance(poly, (list, tuple))
     forms = [poly] if single else poly
-    field = forms[0].field
-    if isinstance(field, PrimeField):
-        names = ["x%d" % i for i in range(len(forms[0].vars))]
-        exprs = ["(%s) %% %d" % (_flat_sum([_monomial(c.val, e, names)
-                                            for e, c in f.terms.items()]), field.p)
-                 for f in forms]
-        body = exprs[0] if single else "[%s]" % ", ".join(exprs)
-        scope = {}
-        exec("def ev(pt):\n    [%s] = pt\n    return %s\n" % (", ".join(names), body), scope)
-        return scope["ev"]
-    evs = [_pair_kernel(f) for f in forms]
-    if single:
-        return evs[0]
-    return lambda pt: [ev(pt) for ev in evs]
+    field, n = forms[0].field, len(forms[0].vars)
+    p = field.characteristic()
+    pairs = field.order() != p
+    names = ["x%d" % i for i in range(2 * n if pairs else n)]
+    if not pairs:
+        target = ", ".join(names)
+        sums = [[(c.val, e) for e, c in f.terms.items()] for f in forms]
+    else:
+        target = ", ".join("(%s, %s)" % xy for xy in zip(names[::2], names[1::2]))
+        # x_i = a_i + sqrt(d) b_i, and sqrt(d) is the raw pair (0, 1)
+        images = [HomogPoly.linear(field, names, [0] * (2 * i) + [1, (0, 1)])
+                  for i in range(n)]
+        sums = []
+        for f in forms:
+            terms = (f.substitute(images) if n else f).terms.items()
+            sums += [[(c.val[k], e) for e, c in terms if c.val[k]] for k in (0, 1)]
+    exprs = ["(%s) %% %d" % (_flat_sum([_monomial(c, e, names) for c, e in terms]), p)
+             for terms in sums]
+    if pairs:
+        exprs = ["(%s, %s)" % pair for pair in zip(exprs[::2], exprs[1::2])]
+    body = exprs[0] if single else "[%s]" % ", ".join(exprs)
+    scope = {}
+    exec("def ev(pt):\n    [%s] = pt\n    return %s\n" % (target, body), scope)
+    return scope["ev"]
 
 
 def _monomial(c, e, names):
@@ -147,25 +162,6 @@ def _flat_sum(terms):
     return chunks[0] if len(chunks) == 1 else "sum((%s,))" % ", ".join(chunks)
 
 
-def _pair_kernel(poly):
-    """Evaluator of one form over F_p(sqrt d) on pairs of plain integers."""
-    field = poly.field
-    terms = [(c.val, e) for e, c in poly.terms.items()]
-    p, d = field.base.p, field.d
-
-    def ev(pt):
-        # (v0 + v1 r)(x0 + x1 r) = (v0 x0 + d v1 x1) + (v0 x1 + v1 x0) r, r^2 = d
-        t0 = t1 = 0
-        for (v0, v1), e in terms:
-            for (x0, x1), k in zip(pt, e):
-                for _ in range(k):
-                    v0, v1 = (v0 * x0 + d * v1 * x1) % p, (v0 * x1 + v1 * x0) % p
-            t0 += v0
-            t1 += v1
-        return (t0 % p, t1 % p)
-    return ev
-
-
 def fibre_coefficients(f):
     """Evaluator of the coefficients of a form in its last variable T: for
     f = sum_k c_k(x_0..x_{n-2}) T^k it returns on a base point the list of
@@ -181,9 +177,9 @@ def fibre_coefficients(f):
 
 
 def line_restrictions(forms):
-    """Evaluator of the restrictions of forms over F_p in the same n
-    variables to lines: on the raw points p0, p1 it returns, for each form
-    in order, the dense list of raw coefficients that
+    """Evaluator of the restrictions of forms over a finite field in the
+    same n variables to lines: on the raw points p0, p1 it returns, for
+    each form in order, the dense list of raw coefficients that
     `poly.restrict_forms_raw` gives, entry k at s^(d-k) t^k in
     f(s p0 + t p1).  Each form is composed once with x_i = s a_i + t b_i in
     the variables (a_0..a_{n-1}, b_0..b_{n-1}, s, t); the terms of the
@@ -211,12 +207,14 @@ def line_restrictions(forms):
 
 
 def binary_invariants(field):
-    """(discriminant, resultant): the evaluators over F_p of
+    """(discriminant, resultant): the evaluators over a finite field of
     `binforms.invariant_forms` on raw values.  discriminant(cs), for the
     dense raw list cs of a binary quartic with all five entries, is nonzero
     exactly when the quartic is squarefree; resultant(f + g), for the dense
     raw lists of two binary cubics with all four entries each, is nonzero
-    exactly when both are nonzero and share no projective root.  The forms
+    exactly when both are nonzero and share no projective root.  Nonzero
+    means not the field's raw zero (`_is_zero_raw`): over F_{p^2} a value
+    is a pair, true even when zero.  The forms
     are built once per process and compiled once per field, both kept by
     `kept_result`, so a call for the last field is one lookup."""
     # kept_result keys on the code of compute, which the wrappers of
@@ -453,7 +451,9 @@ def enumerate_bitangents(quartic, field, budget=DEFAULT_BUDGET):
     nonzero compiled discriminant is squarefree and has no even divisor;
     the others have their divisor tested on those values: over F_p the
     leading scalar has a square root in F_p or F_{p^2}, so an even divisor
-    is all that `perfect_square_root` asks."""
+    is all that `perfect_square_root` asks.  Over F_{p^2} that root may
+    need F_{p^4}, so an even divisor alone does not decide a bitangent, and
+    any field but F_p is refused."""
     if not isinstance(field, PrimeField):
         raise OracleError("bitangent enumeration runs over prime fields")
     _check_budget(field.order(), 2, budget)

@@ -519,9 +519,10 @@ RAW_FIELDS = {"F3": F3, "F5": F5, "F101": Field.prime(101), "F9": F9, "QQ": QQ}
 
 
 def _draw_scalar(data, field):
-    if field is F9:
-        k = data.draw(st.integers(0, 8))
-        return field.element((k % 3, k // 3))
+    if isinstance(field, QuadExtField) and field.is_finite():
+        p = field.characteristic()
+        k = data.draw(st.integers(0, p * p - 1))
+        return field.element((k % p, k // p))
     if field is QQ:
         return field.element(Fraction(data.draw(st.integers(-4, 4)), data.draw(st.integers(1, 3))))
     return field.element(data.draw(st.integers(0, field.order() - 1)))
@@ -615,7 +616,8 @@ def test_coprime_raw_matches_the_gcd_chain(name, data):
     assert are_coprime_raw(field, 3, lists) == (all(forms) and g.degree == 0)
 
 
-INVARIANT_FIELDS = {"F3": F3, "F5": F5, "F13": Field.prime(13), "F101": Field.prime(101)}
+INVARIANT_FIELDS = {"F3": F3, "F5": F5, "F13": Field.prime(13), "F101": Field.prime(101),
+                    "F9": F9, "F49": F7.quadratic_extension(3)}
 
 
 def _draw_form(data, field, degree):
@@ -637,8 +639,8 @@ def _draw_form(data, field, degree):
     return g * g * _draw_product(data, field, degree - 2)
 
 
-def _padded(cs, degree):
-    return cs + [0] * (degree + 1 - len(cs))
+def _padded(cs, degree, field):
+    return cs + [field._zero_raw] * (degree + 1 - len(cs))
 
 
 @pytest.mark.parametrize("name", sorted(INVARIANT_FIELDS))
@@ -649,12 +651,15 @@ def test_compiled_invariants_match_the_gcd_chains(name, data):
     # is_squarefree_raw holds, and then has_even_divisor_raw fails; the
     # compiled resultant of two cubics, with a drawn common factor or none,
     # is nonzero exactly when are_coprime_raw holds.  The raw predicates,
-    # the reference, read the lists as the evaluators may stop them short
+    # the reference, read the lists as the evaluators may stop them short.
+    # Over F_9 and F_49 a raw zero is the pair (0, 0), which Python reads as
+    # true
     field = INVARIANT_FIELDS[name]
+    is_zero = field._is_zero_raw
     disc, res = binary_invariants(field)
     quartic = _draw_form(data, field, 4)
     cs = _shortened(data, dense(quartic), field)
-    squarefree = bool(disc(_padded(cs, 4)))
+    squarefree = not is_zero(disc(_padded(cs, 4, field)))
     assert squarefree == is_squarefree_raw(field, 4, cs)
     if squarefree:
         assert not has_even_divisor_raw(field, 4, cs)
@@ -662,10 +667,10 @@ def test_compiled_invariants_match_the_gcd_chains(name, data):
     common = bf(field, common) if common else bf(field, [1, _draw_scalar(data, field)])
     f, g = (common * _draw_form(data, field, 3 - common.degree) for _ in range(2))
     lists = [_shortened(data, dense(h), field) for h in (f, g)]
-    assert bool(res(_padded(lists[0], 3) + _padded(lists[1], 3))) \
+    assert (not is_zero(res(_padded(lists[0], 3, field) + _padded(lists[1], 3, field)))) \
         == are_coprime_raw(field, 3, lists)
     if common.degree:
-        assert not res(dense(f) + dense(g))
+        assert is_zero(res(dense(f) + dense(g)))
 
 
 @pytest.mark.parametrize("field", [F3, F5], ids=["F3", "F5"])

@@ -425,17 +425,27 @@ def _interpreted_ev(poly):
 GENERATOR_PRIMES = (3, 5, 101, 10007)
 
 
+def _raw(field, k):
+    """The raw value numbered k < q in a field of order q: k over F_p, and
+    the pair (k mod p, k div p) over F_{p^2}."""
+    p = field.characteristic()
+    return k if field.order() == p else (k % p, k // p)
+
+
 def _draw_form(data, field, names, degree):
     """A form whose every coefficient is drawn from zero (sparse forms and
-    the zero form), one, minus one or any residue."""
-    p = field.p
-    coeff = st.sampled_from([0, 0, 1, p - 1]) | st.integers(0, p - 1)
+    the zero form), one, minus one or any residue; over F_{p^2} from raw
+    values numbered so."""
+    q = field.order()
+    coeff = st.sampled_from([0, 0, 1, q - 1]) | st.integers(0, q - 1)
     exps = [e for e in product(range(degree + 1), repeat=len(names)) if sum(e) == degree]
-    return HomogPoly(field, names, degree, {e: data.draw(coeff) for e in exps})
+    return HomogPoly(field, names, degree, {e: field.element(_raw(field, data.draw(coeff)))
+                                            for e in exps})
 
 
 def _draw_point(data, field, n):
-    return tuple(data.draw(st.just(0) | st.integers(0, field.p - 1)) for _ in range(n))
+    return tuple(_raw(field, data.draw(st.just(0) | st.integers(0, field.order() - 1)))
+                 for _ in range(n))
 
 
 @pytest.mark.parametrize("p", GENERATOR_PRIMES)
@@ -463,25 +473,25 @@ _BASE_POINTS = {}
 def _cubics_and_base_points(F, name):
     """The adjugate cubics of a fixture web over F and the rational points
     where all four vanish, scanned once per field and fixture."""
-    if (F.p, name) not in _BASE_POINTS:
+    if (F, name) not in _BASE_POINTS:
         cubics = list(FIXTURES[name].symmetrization(F).adjugate_cubics())
         ev = compile_raw(cubics)
-        _BASE_POINTS[F.p, name] = cubics, [pt for pt in projective_points_raw(F, 2)
-                                           if not any(ev(pt))]
-    return _BASE_POINTS[F.p, name]
+        _BASE_POINTS[F, name] = cubics, [pt for pt in projective_points_raw(F, 2)
+                                         if all(map(F._is_zero_raw, ev(pt)))]
+    return _BASE_POINTS[F, name]
 
 
-@pytest.mark.parametrize("p", (3, 5, 101))
+@pytest.mark.parametrize("q", (3, 5, 101, 25))
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)
 @given(data=st.data())
-def test_line_restrictions_match_restrict_forms(p, data):
+def test_line_restrictions_match_restrict_forms(q, data):
     # one evaluator per form list restricts to every line as restrict_forms
     # does, as the dense raw lists of its binary forms: forms of degree 0 to
     # 4, a form vanishing on the line, whose list is all zeros, and the
     # adjugate cubics of a fixture web on a line through a base point of its
     # cubic map, where they share a root or, on a line of base points, all
-    # vanish
-    F = Field.prime(p)
+    # vanish; over F_3, F_5, F_101 and F_25 = F_5(sqrt 2)
+    F = Field.prime(5).quadratic_extension(2) if q == 25 else Field.prime(q)
     names = ("z0", "z1", "z2")
     forms = [_draw_form(data, F, names, data.draw(st.integers(0, 4)))
              for _ in range(data.draw(st.integers(1, 3)))]
@@ -492,7 +502,7 @@ def test_line_restrictions_match_restrict_forms(p, data):
     for q0, q1 in ((p0, p1), (_draw_point(data, F, 3), _draw_point(data, F, 3))):
         assert on_line(q0, q1) == [dense(f) for f in restrict_forms(
             forms, [F.element(c) for c in q0], [F.element(c) for c in q1])]
-    assert on_line(p0, p1)[-1] == [0] * (forms[-1].degree + 1)
+    assert on_line(p0, p1)[-1] == [F._zero_raw] * (forms[-1].degree + 1)
     webs = [name for name in sorted(FIXTURES) if _cubics_and_base_points(F, name)[1]]
     cubics, base = _cubics_and_base_points(F, data.draw(st.sampled_from(webs)))
     b = data.draw(st.sampled_from(base))
@@ -500,7 +510,7 @@ def test_line_restrictions_match_restrict_forms(p, data):
     restricted = line_restrictions(cubics)(b, q1)
     assert restricted == [dense(f) for f in restrict_forms(
         cubics, [F.element(c) for c in b], [F.element(c) for c in q1])]
-    assert all(cs[0] == 0 for cs in restricted)
+    assert all(F._is_zero_raw(cs[0]) for cs in restricted)
 
 
 def test_generated_evaluator_of_a_long_form():
@@ -516,8 +526,8 @@ def test_generated_evaluator_of_a_long_form():
 
 
 def _fold_raw(poly, pt):
-    """The fold of the field's raw products and sums that the F_{p^2} kernel
-    of `compile_raw` replaced, kept as its reference."""
+    """The fold of the field's raw products and sums over the terms, the
+    reference for `compile_raw` over F_p(sqrt d)."""
     field = poly.field
     tot = field._zero_raw
     for e, c in poly.terms.items():
@@ -529,19 +539,30 @@ def _fold_raw(poly, pt):
     return tot
 
 
-@pytest.mark.parametrize("p,d", [(5, 2), (7, 3), (11, 2)])
-def test_compile_raw_pair_kernel_matches_the_generic_fold(p, d):
+@pytest.mark.parametrize("p,d", [(3, 2), (5, 2), (7, 3), (11, 2)])
+def test_compile_raw_over_quadratic_extensions_matches_the_generic_fold(p, d):
+    # the code generated for the Weil restriction of a form, or of a list
+    # that mixes the zero form with nonzero forms, against the fold on
+    # points with zero coordinates and on the zero point; a constant form
+    # in no variables
     K = Field.prime(p).quadratic_extension(d)
     rng = random.Random(p)
-    for degree, names in [(1, Z3), (2, Z3), (3, X4), (4, Z3), (2, ("s", "t"))]:
+    for degree, names in [(1, Z3), (2, Z3), (3, X4), (4, Z3), (2, ("s", "t")), (0, Z3)]:
         exps = [e for e in product(range(degree + 1), repeat=len(names)) if sum(e) == degree]
         f = HomogPoly(K, names, degree, {e: K.random(rng) for e in exps if rng.random() < 0.7})
-        ev, ev_list = compile_raw(f), compile_raw([f, -f])
+        zero = HomogPoly.zero(K, names, degree)
+        ev, ev_list = compile_raw(f), compile_raw([zero, f, -f, zero])
+        assert compile_raw(zero)((K._one_raw,) * len(names)) == K._zero_raw
         pts = [tuple(K.random(rng).val for _ in names) for _ in range(150)]
+        pts += [tuple(K._zero_raw if rng.random() < 0.5 else x for x in pt) for pt in pts[:50]]
         pts.append((K._zero_raw,) * len(names))
         for pt in pts:
             assert ev(pt) == _fold_raw(f, pt)
-            assert ev_list(pt) == [ev(pt), _fold_raw(-f, pt)]
+            assert ev_list(pt) == [K._zero_raw, ev(pt), _fold_raw(-f, pt), K._zero_raw]
+    c = K.random(rng)
+    assert compile_raw(HomogPoly(K, (), 0, {(): c}))(()) == c.val
+    assert compile_raw([HomogPoly(K, (), 0, {(): c}), HomogPoly.zero(K, (), 0)])(()) \
+        == [c.val, K._zero_raw]
 
 
 def _field(p, d):

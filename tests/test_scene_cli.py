@@ -488,6 +488,20 @@ def test_cli_milne_keys_mean_what_the_readme_says(capsys):
     assert (meets_base_locus, bitangents) == (70, 8)
 
 
+def test_cli_builds_one_parser_per_set_of_commands(monkeypatch):
+    # main builds its parser once, and again only when a command function
+    # it dispatches to is replaced, so the replacement is the one called
+    import prymcubic.cli as cli
+
+    builds, verified = [], []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    monkeypatch.setattr(cli, "cmd_verify", lambda args: verified.append(args.scene) or 0)
+    for _ in range(3):
+        assert main(["verify", "scene.json"]) == 0
+    assert builds == [1] and verified == ["scene.json"] * 3
+
+
 def test_cli_internal_invariant_failure_exits_4(capsys, monkeypatch):
     # hand the twisted-cubic check a determinant that is off by x0^3, so the
     # image of the line leaves the "symmetroid": a defect, not an input error
