@@ -111,14 +111,17 @@ def test_pencil_kernel_matches_pencil_determinant(p, data):
         assert det + [0] * (5 - len(det)) == expanded + [0] * (5 - len(expanded))
 
 
-@pytest.mark.parametrize("name,field,cones", [("seed", QQ, 112)], ids=["seed-Q"])
+@pytest.mark.parametrize("name,field,cones", [
+    ("t1", Field.prime(7).quadratic_extension(3), 124),
+    ("t2", Field.prime(5).quadratic_extension(2), 116),
+    ("seed", QQ, 112)], ids=["t1-F49", "t2-F25", "seed-Q"])
 def test_reducible_member_factors_each_determinant_once(monkeypatch, name, field, cones):
-    # over Q no compiled discriminant answers first: reducible_member
-    # factors the pencil determinant of every cone once, in
-    # quadrics.multiple_members, with or without a multiple root; the cones
-    # are those of the nonzero duals in {-2..2}^3.  Over a finite field the
-    # discriminant answers first (test_structure.py,
-    # test_squarefree_lines_are_decided_by_the_compiled_discriminant)
+    # reducible_member factors the pencil determinant of a cone at most
+    # once, in quadrics.multiple_members: over Q every cone's, and over a
+    # finite field, where the compiled discriminant answers first, only a
+    # determinant with a multiple root, and none that is squarefree; the
+    # cones are those of the nonzero duals in {0..4}^3 over F_49 and F_25,
+    # each with and without a multiple root, and in {-2..2}^3 over Q
     a, q = FIXTURES[name].symmetrization(field), FIXTURES[name].quadric(field)
     calls = []
     decomposition = binforms.squarefree_decomposition
@@ -128,18 +131,23 @@ def test_reducible_member_factors_each_determinant_once(monkeypatch, name, field
         return decomposition(f, field)
 
     monkeypatch.setattr(binforms, "squarefree_decomposition", counted)
-    per_cone = []
-    for dual in product(range(-2, 3), repeat=3):
+    per_cone, expected = [], []
+    box = range(5) if field.characteristic() else range(-2, 3)
+    for dual in product(box, repeat=3):
         if not any(dual):
             continue
         try:
             cone = enveloping_cone(a, Line2.from_dual(field, dual))
         except MilneError:
             continue
+        det = pencil_determinant_raw(cone.matrix, q, field)
+        expected.append(0 if field.is_finite() and binforms.is_squarefree_raw(field, 4, det)
+                        else 1)
         calls.clear()
         reducible_member(cone.matrix, q, field)
         per_cone.append(len(calls))
-    assert per_cone == [1] * cones
+    assert len(per_cone) == cones and per_cone == expected
+    assert 1 in expected and (0 in expected) == field.is_finite()
 
 
 def test_reducible_member_zero_pencil_end_is_degenerate():
